@@ -208,7 +208,7 @@ func TestProcSetWordBoundaries(t *testing.T) {
 	if !NewProcSet(0, MaxProcs+1, MaxProcs+50).IsEmpty() {
 		t.Fatal("out-of-domain IDs must be ignored")
 	}
-	if (ProcSet{}).Remove(0).Remove(MaxProcs + 1) != (ProcSet{}) {
+	if (ProcSet{}).Remove(0).Remove(MaxProcs+1) != (ProcSet{}) {
 		t.Fatal("out-of-domain Remove must be a no-op")
 	}
 }

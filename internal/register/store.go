@@ -46,12 +46,14 @@ type KeyedOpDesc struct {
 // step — query and store requests of all shards plus the step's pending
 // replies — folds into a single storeFrame (the E22 row).
 //
-// Batches travel as pointers and are pooled: on untraced runs the receiver
-// owns a delivered batch (sim.Env.DeliveredOwned) and recycles it into its
-// own free lists once the last recipient has processed it (refs counts the
-// recipients of a group-shared batch), which is what makes the steady-state
-// step path allocation-free. On traced runs the trace retains every payload,
-// ownership is never granted, and the pools simply never fill.
+// Batches travel as pointers and are pooled: unless the trace records
+// messages (untraced runs, and StoreSweep's message-free traces) the
+// receiver owns a delivered batch (sim.Env.DeliveredOwned) and recycles it
+// into its own free lists once the last recipient has processed it (refs
+// counts the recipients of a group-shared batch), which is what makes the
+// steady-state step path allocation-free. When the trace records messages
+// it retains every payload, ownership is never granted, and the pools
+// simply never fill.
 type (
 	queryEntry struct {
 		Key int
@@ -1004,9 +1006,10 @@ func (a *StoreNode) Step(e *sim.Env) {
 }
 
 func (a *StoreNode) onMessage(e *sim.Env, payload any, from dist.ProcID) {
-	// On untraced runs the runner transfers payload ownership to this node
-	// (sim's send-buffer lease contract): the last recipient of a batch
-	// recycles it into its own pools once it is fully processed.
+	// Unless the trace records messages, the runner transfers payload
+	// ownership to this node (sim's send-buffer lease contract): the last
+	// recipient of a batch recycles it into its own pools once it is fully
+	// processed.
 	owned := e.DeliveredOwned()
 	switch m := payload.(type) {
 	case *queryReqBatch:

@@ -8,16 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// storeAllocRunner builds a reusable untraced store runner over a generated
-// workload, for the allocation tripwire.
-func storeAllocRunner(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.FaultPlan) *sim.Runner {
-	t.Helper()
-	return storeAllocRunnerOn(t, cfg, opsPerClient, fp, dist.NewFailurePattern(5))
-}
-
-// storeAllocRunnerOn is storeAllocRunner with an explicit failure pattern
-// (crashes and recoveries), for the recovery alloc row.
-func storeAllocRunnerOn(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.FaultPlan, f *dist.FailurePattern) *sim.Runner {
+// storeAllocRunner builds a reusable store runner over a generated workload
+// on failure pattern f, for the allocation tripwire: untraced, or traced
+// without messages as StoreSweep runs.
+func storeAllocRunner(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.FaultPlan, f *dist.FailurePattern, traced bool) *sim.Runner {
 	t.Helper()
 	const n = 5
 	s := dist.RangeSet(1, 3)
@@ -34,7 +28,8 @@ func storeAllocRunnerOn(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim
 	}
 	r, err := sim.NewRunner(sim.Config{
 		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000, DisableTrace: true,
+		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000,
+		DisableTrace: !traced, OmitMessages: traced,
 		Faults: fp,
 		StopWhen: func(sn *sim.Snapshot) bool {
 			return StoreClientsDone(sn, s)
@@ -46,10 +41,10 @@ func storeAllocRunnerOn(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim
 	return r
 }
 
-// measureStoreAllocs returns the average allocations and executed steps of
-// one run of the runner, after a warmup run that fills every buffer and
-// pool high-water mark.
-func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps float64) {
+// measureStoreAllocs returns the average allocations, executed steps and
+// completed operations of one run of the runner, after a warmup run that
+// fills every buffer and pool high-water mark.
+func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps, ops float64) {
 	t.Helper()
 	// Warm every amortized capacity (inbox rings, send buffers, pools) over
 	// several schedules, so the measured runs only ever see buffers at
@@ -61,6 +56,7 @@ func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps fl
 	}
 	seed := int64(1)
 	var stepsSeen []int64
+	var opsSeen int
 	avg := testing.AllocsPerRun(runs, func() {
 		res, err := r.Reset(seed).Run()
 		if err != nil {
@@ -71,15 +67,20 @@ func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps fl
 		}
 		stepsSeen = append(stepsSeen, res.Steps)
 		seed++
+		for _, a := range res.Automata {
+			opsSeen += a.(*StoreNode).CompletedOps()
+		}
 	})
 	// AllocsPerRun calls the closure once extra as its own warmup; drop that
-	// call's steps so the average matches the measured runs.
+	// call's steps so the average matches the measured runs. Every run
+	// completes every scripted op, so the ops average is the same with or
+	// without that call.
 	stepsSeen = stepsSeen[1:]
 	var sum int64
 	for _, s := range stepsSeen {
 		sum += s
 	}
-	return avg, float64(sum) / float64(len(stepsSeen))
+	return avg, float64(sum) / float64(len(stepsSeen)), float64(opsSeen) / float64(len(stepsSeen)+1)
 }
 
 // TestStoreAllocsPerStep is the E21 tripwire: the steady-state store step
@@ -88,6 +89,12 @@ func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps fl
 // marginal measurement: two runners differing only in script length have
 // identical setup, so the allocation difference divided by the step
 // difference is the pure steady-state cost per step — and must be ≈ 0.
+//
+// The sweep row runs StoreSweep's configuration: traced without messages,
+// under faults and a recovery. Its op records are boxed into the trace, so
+// its marginal cost is bounded per completed op instead: at most 3 (the
+// Invoke and Return descriptors plus trace growth), which leaves no room for
+// a batch allocation on any of an op's sends.
 func TestStoreAllocsPerStep(t *testing.T) {
 	// The faulted case pins the retransmit path and the runner's
 	// drop/duplicate refcount adjustments: lost pooled batches recycle
@@ -107,44 +114,53 @@ func TestStoreAllocsPerStep(t *testing.T) {
 		return f
 	}()
 	for _, tc := range []struct {
-		name string
-		cfg  StoreConfig
-		fp   *sim.FaultPlan
-		pat  *dist.FailurePattern
+		name   string
+		cfg    StoreConfig
+		fp     *sim.FaultPlan
+		pat    *dist.FailurePattern
+		traced bool
 	}{
-		{"batched", StoreConfig{Keys: 12, Window: 8}, nil, nil},
-		{"piggyback+adaptive", StoreConfig{Keys: 12, Window: 8, Piggyback: true, AdaptiveWindow: true}, nil, nil},
-		{"sharded", StoreConfig{Keys: 12, Shards: 4, Window: 8}, nil, nil},
-		{"retransmit+faults", StoreConfig{Keys: 12, Shards: 4, Window: 8, Retransmit: true, RTO: 16}, faults, nil},
+		{"batched", StoreConfig{Keys: 12, Window: 8}, nil, nil, false},
+		{"piggyback+adaptive", StoreConfig{Keys: 12, Window: 8, Piggyback: true, AdaptiveWindow: true}, nil, nil, false},
+		{"sharded", StoreConfig{Keys: 12, Shards: 4, Window: 8}, nil, nil, false},
+		{"retransmit+faults", StoreConfig{Keys: 12, Shards: 4, Window: 8, Retransmit: true, RTO: 16}, faults, nil, false},
 		{"coalesce", StoreConfig{
 			Keys: 12, Shards: 4, Window: 8, Piggyback: true,
 			CoalesceDelay: 2, OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
 			Retransmit: true, RTO: 16,
-		}, faults, nil},
+		}, faults, nil, false},
 		{"fastread", StoreConfig{
 			Keys: 12, Shards: 4, Window: 8, Piggyback: true,
 			CoalesceDelay: 2, OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
 			Retransmit: true, RTO: 16, FastReads: true,
-		}, faults, nil},
+		}, faults, nil, false},
 		{"recovery", StoreConfig{
 			Keys: 12, Shards: 4, Window: 8, Piggyback: true,
 			Retransmit: true, RTO: 16, FastReads: true,
-		}, faults, recovery},
+		}, faults, recovery, false},
+		{"sweep", StoreConfig{
+			Keys: 12, Shards: 4, Window: 8, Piggyback: true,
+			Retransmit: true, RTO: 16, FastReads: true,
+		}, faults, recovery, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pat := tc.pat
 			if pat == nil {
 				pat = dist.NewFailurePattern(5)
 			}
-			short := storeAllocRunnerOn(t, tc.cfg, 6, tc.fp, pat)
-			long := storeAllocRunnerOn(t, tc.cfg, 48, tc.fp, pat)
-			aShort, sShort := measureStoreAllocs(t, short, 10)
-			aLong, sLong := measureStoreAllocs(t, long, 10)
+			short := storeAllocRunner(t, tc.cfg, 6, tc.fp, pat, tc.traced)
+			long := storeAllocRunner(t, tc.cfg, 48, tc.fp, pat, tc.traced)
+			aShort, sShort, oShort := measureStoreAllocs(t, short, 10)
+			aLong, sLong, oLong := measureStoreAllocs(t, long, 10)
 			if sLong-sShort < 500 {
 				t.Fatalf("step gap too small to measure: %0.f vs %0.f", sShort, sLong)
 			}
-			marginal := (aLong - aShort) / (sLong - sShort)
-			if marginal > 0.02 {
+			if tc.traced {
+				if perOp := (aLong - aShort) / (oLong - oShort); perOp > 3 {
+					t.Fatalf("traced store op allocates %.2f times (short %.1f allocs over %.0f ops, long %.1f over %.0f)",
+						perOp, aShort, oShort, aLong, oLong)
+				}
+			} else if marginal := (aLong - aShort) / (sLong - sShort); marginal > 0.02 {
 				t.Fatalf("steady-state store step allocates: %.4f allocs/step (short %.1f allocs over %.0f steps, long %.1f over %.0f)",
 					marginal, aShort, sShort, aLong, sLong)
 			}

@@ -44,8 +44,8 @@ func scaleSweepConfig(t *testing.T, seeds int64) StoreSweepConfig {
 			// sits in A and p2 in B, so both park cross-side work and drain
 			// it after the heal.
 			Partitions: []dist.Partition{{
-				A: dist.NewProcSet(1, 17, 33, 49, 65, 81, 97, 113),
-				B: dist.NewProcSet(2, 18, 34, 50, 66, 82, 98, 114),
+				A:    dist.NewProcSet(1, 17, 33, 49, 65, 81, 97, 113),
+				B:    dist.NewProcSet(2, 18, 34, 50, 66, 82, 98, 114),
 				From: 60, Until: 240,
 			}},
 		},

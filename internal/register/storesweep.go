@@ -110,27 +110,26 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 			return nil, fmt.Errorf("register: no client can reach any available shard through the run horizon (unhealed partitions cut everything)")
 		}
 	}
-	// Shared across workers: a pure read of the snapshot, no captured
-	// mutable state.
-	stopWhen := func(sn *sim.Snapshot) bool {
-		return storeClientsDoneMasked(sn, clients, avail, masks)
-	}
 	return sweep.Run(sweep.Config{
 		Sim: func() sim.Config {
-			// Per-worker state: Σ_S oracles memoize boxed outputs, and a
-			// store program's nodes share one payload pool.
+			// Per-worker state: Σ_S oracles memoize boxed outputs, a store
+			// program's nodes share one payload pool, and the stop cursor
+			// remembers how far the current run has finished.
 			prog, err := StoreProgram(n, cfg.S, cfg.Store, cfg.Scripts)
 			if err != nil {
 				panic(err) // unreachable: validated above with identical inputs
 			}
 			return sim.Config{
-				Pattern:    cfg.Pattern,
-				History:    fd.NewSigmaS(cfg.Pattern, cfg.S, stab),
-				Program:    prog,
-				MaxSteps:   maxSteps,
-				StopWhen:   stopWhen,
-				Faults:     cfg.Faults,
-				StallLimit: cfg.StallLimit,
+				Pattern:  cfg.Pattern,
+				History:  fd.NewSigmaS(cfg.Pattern, cfg.S, stab),
+				Program:  prog,
+				MaxSteps: maxSteps,
+				StopWhen: newStoreStopCursor(clients, avail, masks).done,
+				Faults:   cfg.Faults,
+				// The checker reads only Invoke/Return records, so the
+				// trace leaves messages out and payloads stay leased.
+				OmitMessages: true,
+				StallLimit:   cfg.StallLimit,
 			}
 		},
 		SeedStart: cfg.SeedStart,
@@ -248,6 +247,45 @@ func storeClientsDoneMasked(sn *sim.Snapshot, clients dist.ProcSet, avail ShardS
 		node, ok := sn.Automaton(p).(*StoreNode)
 		return ok && node.DoneOn(eff)
 	})
+}
+
+// storeStopCursor is storeClientsDoneMasked for one runner, one run at a
+// time. A correct client's DoneOn answer is monotone within a run: its
+// queues are filled at construction and only drain, and recovery only
+// rebuilds processes that crashed, which are never correct. So once a client
+// is done it stays done, and the cursor re-checks only the lowest client
+// not yet done, advancing past finished ones. It rewinds at tick 0, where
+// every run's first StopWhen call lands (sim.Config.StopWhen).
+type storeStopCursor struct {
+	clients []dist.ProcID
+	eff     []ShardSet // per client: the shards it must finish its work on
+	next    int        // clients[:next] are done in the current run
+}
+
+func newStoreStopCursor(clients dist.ProcSet, avail ShardSet, masks []ShardSet) *storeStopCursor {
+	c := &storeStopCursor{clients: clients.AppendMembers(nil)}
+	c.eff = make([]ShardSet, len(c.clients))
+	for i, p := range c.clients {
+		c.eff[i] = avail
+		if masks != nil {
+			c.eff[i] = avail.Intersect(masks[p])
+		}
+	}
+	return c
+}
+
+// done is the sim.Config.StopWhen condition.
+func (c *storeStopCursor) done(sn *sim.Snapshot) bool {
+	if sn.Now() == 0 {
+		c.next = 0
+	}
+	for ; c.next < len(c.clients); c.next++ {
+		node, ok := sn.Automaton(c.clients[c.next]).(*StoreNode)
+		if !ok || !node.DoneOn(c.eff[c.next]) {
+			return false
+		}
+	}
+	return true
 }
 
 // VerifyStoreRun checks one finished store run end to end: every correct

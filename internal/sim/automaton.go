@@ -69,8 +69,9 @@ type Env struct {
 
 	delivered *Message
 	// ownDelivered grants the stepping automaton ownership of the delivered
-	// payload's buffers (see DeliveredOwned). Set by the Runner on untraced
-	// runs; never set by the explorer, whose branches share pending messages.
+	// payload's buffers (see DeliveredOwned). Set by the Runner whenever the
+	// trace records no messages; never set by the explorer, whose branches
+	// share pending messages.
 	ownDelivered bool
 	// opsMuted drops Invoke/Return records: the Runner sets it on untraced
 	// runs, where nothing would ever read them, so automata on the hot path
@@ -127,14 +128,17 @@ func (e *Env) Delivered() (payload any, from dist.ProcID, ok bool) {
 // their message payloads:
 //
 //   - A payload handed to Send is immutable from the moment of the call:
-//     the channel (and, when tracing is on, the trace) retain it by
-//     reference. A sender that wants to reuse payload buffers must
+//     the channel (and, when the trace records messages, the trace) retain
+//     it by reference. A sender that wants to reuse payload buffers must
 //     therefore wait until the payload comes back to it through a
 //     delivery whose DeliveredOwned is true.
 //   - When DeliveredOwned reports true, the runtime guarantees that no
-//     other component references the delivered payload after this step:
-//     the Runner grants it exactly on untraced runs (DisableTrace), where
-//     neither the trace nor any checker can observe the payload later.
+//     other component references the delivered payload after this step.
+//     The Runner grants it whenever the trace holds no message payloads:
+//     on untraced runs (Config.DisableTrace) and on runs whose trace omits
+//     messages (Config.OmitMessages). Neither the trace nor any checker can
+//     then observe the payload later; operation records, which the latter
+//     keeps, carry the automaton's own descriptors, not payloads.
 //   - When it reports false the payload must be treated as immutable
 //     shared state. The explorer always reports false — its branches share
 //     pending messages, and a recycled payload would mutate sibling

@@ -132,12 +132,12 @@ func unitFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 // RefCounted is implemented by pooled message payloads whose sender pre-set
 // a recipient reference count before sending (the send-buffer lease
 // contract; see Env.DeliveredOwned). Fault injection changes how many
-// deliveries a payload will actually see, and on untraced runs the Runner
-// keeps the count honest: DropRef for a copy dropped by loss (the
+// deliveries a payload will actually see, and whenever it grants ownership
+// the Runner keeps the count honest: DropRef for a copy dropped by loss (the
 // implementation recycles the payload when its last expected delivery is
 // gone) and AddRef before enqueueing a duplicated copy. Neither is called on
-// traced runs, where ownership is never granted and the trace retains every
-// payload.
+// runs whose trace records messages, where ownership is never granted and
+// the trace retains every payload.
 type RefCounted interface {
 	AddRef()
 	DropRef()

@@ -38,14 +38,15 @@ func (q *inbox) reset() {
 	q.live = 0
 }
 
-// wipe empties the queue at a process recovery. On untraced runs the sender
-// pre-counted each parked delivery in its payload's lease refcount
-// (Env.DeliveredOwned), so every live RefCounted entry must give its
-// reference back before it is discarded or the shared payload pool leaks a
-// slot per dropped message. Traced runs never grant ownership; the trace
-// retains the payloads.
-func (q *inbox) wipe(untraced bool) {
-	if untraced {
+// wipe empties the queue at a process recovery. When payloads are leased
+// (owned: the trace records no messages) the sender pre-counted each parked
+// delivery in its payload's lease refcount (Env.DeliveredOwned), so every
+// live RefCounted entry must give its reference back before it is discarded
+// or the shared payload pool leaks a slot per dropped message. Runs whose
+// trace records messages never grant ownership; the trace retains the
+// payloads.
+func (q *inbox) wipe(owned bool) {
+	if owned {
 		for i := q.head; i < len(q.buf); i++ {
 			if e := &q.buf[i]; !e.gone {
 				if rc, ok := e.msg.Payload.(RefCounted); ok {

@@ -39,7 +39,7 @@ func (a *leaseProbe) Snapshot() Automaton {
 	return &c
 }
 
-func runLeaseProbes(t *testing.T, disableTrace bool) []*leaseProbe {
+func runLeaseProbes(t *testing.T, disableTrace, omitMessages bool) []*leaseProbe {
 	t.Helper()
 	probes := make([]*leaseProbe, 2)
 	res, err := Run(Config{
@@ -52,6 +52,7 @@ func runLeaseProbes(t *testing.T, disableTrace bool) []*leaseProbe {
 		Scheduler:    NewRandomScheduler(1),
 		MaxSteps:     200,
 		DisableTrace: disableTrace,
+		OmitMessages: omitMessages,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,11 +64,11 @@ func runLeaseProbes(t *testing.T, disableTrace bool) []*leaseProbe {
 }
 
 // TestRunnerGrantsPayloadOwnershipOnlyUntraced pins the lease contract on
-// the Runner: ownership of delivered payloads is granted exactly when
-// tracing is off (nothing else retains the payload), and op records are
-// muted on the same condition.
+// the Runner: ownership of delivered payloads is granted exactly when no
+// trace records messages (nothing else retains the payload), and op records
+// are muted exactly when tracing is off.
 func TestRunnerGrantsPayloadOwnershipOnlyUntraced(t *testing.T) {
-	for _, p := range runLeaseProbes(t, false) {
+	for _, p := range runLeaseProbes(t, false, false) {
 		if p.sawOwned {
 			t.Fatalf("p%d was granted payload ownership on a traced run", int(p.self))
 		}
@@ -75,7 +76,7 @@ func TestRunnerGrantsPayloadOwnershipOnlyUntraced(t *testing.T) {
 			t.Fatalf("p%d saw ops muted on a traced run", int(p.self))
 		}
 	}
-	untraced := runLeaseProbes(t, true)
+	untraced := runLeaseProbes(t, true, false)
 	for _, p := range untraced {
 		if p.sawShared {
 			t.Fatalf("p%d was denied payload ownership on an untraced run", int(p.self))
@@ -86,6 +87,18 @@ func TestRunnerGrantsPayloadOwnershipOnlyUntraced(t *testing.T) {
 	}
 	if !untraced[0].sawOwned && !untraced[1].sawOwned {
 		t.Fatal("no probe ever observed an owned delivery")
+	}
+	messageFree := runLeaseProbes(t, false, true)
+	for _, p := range messageFree {
+		if p.sawShared {
+			t.Fatalf("p%d was denied payload ownership on a run whose trace omits messages", int(p.self))
+		}
+		if !p.opsRecorded {
+			t.Fatalf("p%d saw ops muted on a run whose trace omits messages", int(p.self))
+		}
+	}
+	if !messageFree[0].sawOwned && !messageFree[1].sawOwned {
+		t.Fatal("no probe ever observed an owned delivery on a message-free trace")
 	}
 }
 

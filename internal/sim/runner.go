@@ -84,10 +84,22 @@ type Config struct {
 	StallLimit int64
 	// StopWhenDecided ends the run as soon as every correct process decided.
 	StopWhenDecided bool
-	// StopWhen, when non-nil, ends the run after any step where it holds.
+	// StopWhen, when non-nil, ends the run after any tick where it holds. It
+	// is evaluated after every tick from tick 0 of every run, so the first
+	// call of a run sees Snapshot.Now() == 0; a condition that keeps state
+	// across calls may reset it there.
 	StopWhen func(s *Snapshot) bool
 	// DisableTrace skips event recording (benchmarks on the hot path).
 	DisableTrace bool
+	// OmitMessages keeps message traffic out of the trace: it records
+	// operation, decide, emulator, crash and recover events but no Step,
+	// Send or Drop events. With no message payload in the trace, delivered
+	// payloads are leased to their receivers (Env.DeliveredOwned) exactly as
+	// on untraced runs, while operation records stay on. ReplayScript needs
+	// Step events, so a full trace of such a run comes from running its
+	// seed again without OmitMessages: the schedule is the same. It cannot
+	// be combined with DisableTrace.
+	OmitMessages bool
 }
 
 // Result is the outcome of a run.
@@ -247,7 +259,11 @@ type Runner struct {
 	decidedSet dist.ProcSet
 	correct    dist.ProcSet
 
-	tr        *trace.Trace
+	tr *trace.Trace
+	// msgTr is tr when the trace records message events (Step, Send, Drop),
+	// else nil. A nil msgTr means no trace holds a message payload, which
+	// is what grants the payload lease (Env.DeliveredOwned).
+	msgTr     *trace.Trace
 	lastEmu   []any
 	hasEmu    []bool
 	delivered Message // scratch copy of the message handed to the stepping automaton
@@ -322,6 +338,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	if cfg.StallLimit < 0 {
 		return nil, errors.New("sim: Config.StallLimit is negative")
+	}
+	if cfg.OmitMessages && cfg.DisableTrace {
+		return nil, errors.New("sim: Config.OmitMessages needs a trace, but DisableTrace is set")
 	}
 
 	r := &Runner{
@@ -404,9 +423,12 @@ func (r *Runner) reset() {
 		r.automata[p-1] = r.cfg.Program(p, r.n)
 	}
 
-	r.tr = nil
+	r.tr, r.msgTr = nil, nil
 	if !r.cfg.DisableTrace {
 		r.tr = &trace.Trace{}
+		if !r.cfg.OmitMessages {
+			r.msgTr = r.tr
+		}
 	}
 
 	// Record initial emulator outputs at time -1 so OutputAt is defined from
@@ -506,11 +528,11 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 	e.n = r.n
 	e.now = t
 	e.delivered = msg
-	// Untraced runs retain no reference to a payload beyond its delivery
-	// step, so the automaton may take ownership of delivered buffers and
-	// skip op recording (the send-buffer lease contract; see
-	// Env.DeliveredOwned and Env.OpsRecorded).
-	e.ownDelivered = r.tr == nil
+	// Unless the trace records messages, nothing retains a payload beyond
+	// its delivery step, so the automaton may take ownership of delivered
+	// buffers (the send-buffer lease contract; see Env.DeliveredOwned).
+	// Untraced runs also skip op recording (Env.OpsRecorded).
+	e.ownDelivered = r.msgTr == nil
 	e.opsMuted = r.tr == nil
 	e.layer = 0
 	e.queryFD = nil
@@ -527,7 +549,7 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		r.lastProgress = t
 	}
 
-	if r.tr != nil {
+	if r.msgTr != nil {
 		ev := trace.Event{T: t, P: p, Kind: trace.StepKind}
 		if msg != nil {
 			ev.Delivered = true
@@ -539,15 +561,15 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		if e.fdQueried {
 			ev.FD = e.fdCache
 		}
-		r.tr.Append(ev)
+		r.msgTr.Append(ev)
 	}
 
 	for _, sr := range e.sends {
 		r.seq++
 		r.sent++
 		m := Message{Seq: r.seq, From: p, To: sr.to, Sent: t, Layer: sr.layer, Payload: sr.payload}
-		if r.tr != nil {
-			r.record(trace.Event{T: t, P: p, Kind: trace.SendKind, To: sr.to, Layer: int8(sr.layer), Seq: m.Seq, Payload: sr.payload})
+		if r.msgTr != nil {
+			r.msgTr.Append(trace.Event{T: t, P: p, Kind: trace.SendKind, To: sr.to, Layer: int8(sr.layer), Seq: m.Seq, Payload: sr.payload})
 		}
 		fp := r.cfg.Faults
 		if fp == nil {
@@ -558,14 +580,13 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		if drop {
 			r.sent--
 			r.dropped++
-			r.record(trace.Event{T: t, P: p, Kind: trace.DropKind, To: sr.to, Layer: int8(sr.layer), Seq: m.Seq, Payload: sr.payload})
-			if r.tr == nil {
+			if r.msgTr != nil {
+				r.msgTr.Append(trace.Event{T: t, P: p, Kind: trace.DropKind, To: sr.to, Layer: int8(sr.layer), Seq: m.Seq, Payload: sr.payload})
+			} else if rc, ok := sr.payload.(RefCounted); ok {
 				// The sender pre-counted this delivery in the payload's
 				// lease refcount (Env.DeliveredOwned); give the lost copy's
 				// reference back so the pool is not starved.
-				if rc, ok := sr.payload.(RefCounted); ok {
-					rc.DropRef()
-				}
+				rc.DropRef()
 			}
 			continue
 		}
@@ -582,15 +603,14 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 			}
 			m2 := m
 			m2.Seq = r.seq
-			if r.tr == nil {
+			if r.msgTr != nil {
+				r.msgTr.Append(trace.Event{T: t, P: p, Kind: trace.SendKind, To: sr.to, Layer: int8(sr.layer), Seq: m2.Seq, Payload: sr.payload})
+			} else if rc, ok := sr.payload.(RefCounted); ok {
 				// The extra copy is one more delivery than the sender
 				// leased for; account for it before it is enqueued.
-				if rc, ok := sr.payload.(RefCounted); ok {
-					rc.AddRef()
-				}
+				rc.AddRef()
 			}
 			r.inboxes[sr.to].push(m2, t+dupDelay)
-			r.record(trace.Event{T: t, P: p, Kind: trace.SendKind, To: sr.to, Layer: int8(sr.layer), Seq: m2.Seq, Payload: sr.payload})
 		}
 	}
 
@@ -654,7 +674,7 @@ func (r *Runner) applyRecoveries(t dist.Time) {
 			rec.Recover()
 		}
 		r.automata[p-1] = a
-		r.inboxes[p].wipe(r.tr == nil)
+		r.inboxes[p].wipe(r.msgTr == nil)
 		if r.decidedSet.Contains(p) {
 			r.decidedSet = r.decidedSet.Remove(p)
 			r.decisions[p-1] = nil

@@ -236,9 +236,9 @@ func (a *steadyState) Step(e *Env) {
 func TestRunnerSteadyStateStepIsAllocationFree(t *testing.T) {
 	f := dist.NewFailurePattern(4)
 	r, err := NewRunner(Config{
-		Pattern: f,
-		History: nilHistory(),
-		Program: func(p dist.ProcID, n int) Automaton { return &steadyState{self: p} },
+		Pattern:   f,
+		History:   nilHistory(),
+		Program:   func(p dist.ProcID, n int) Automaton { return &steadyState{self: p} },
 		Scheduler: NewRandomScheduler(0), MaxSteps: 5000, DisableTrace: true,
 	})
 	if err != nil {

@@ -67,12 +67,23 @@ type RandomScheduler struct {
 
 	lastStep [dist.MaxProcs + 1]int64
 	tick     int64
-	// The alive set only changes at crash times, so the materialized member
-	// list is cached keyed on the set value (== is a cheap word compare)
-	// rather than rebuilt every step.
+	// The alive set only changes at crash and recovery times, so the
+	// materialized member list is cached keyed on the set value (== is a
+	// cheap word compare) rather than rebuilt every step.
 	aliveKey dist.ProcSet
 	scratch  []dist.ProcID
+	// prev and next link the alive processes into a list ordered by
+	// (lastStep, id), between the sentinels lruHead and lruTail. Every pick
+	// gets the newest lastStep and moves to the tail, so the head is always
+	// the most starved process and bounded bypass is O(1) per step.
+	prev, next [dist.MaxProcs + 2]uint16
 }
+
+// The list sentinels: no process has identifier 0 or MaxProcs+1.
+const (
+	lruHead = 0
+	lruTail = dist.MaxProcs + 1
+)
 
 var _ Scheduler = (*RandomScheduler)(nil)
 var _ Reseeder = (*RandomScheduler)(nil)
@@ -95,6 +106,29 @@ func (s *RandomScheduler) Reseed(seed int64) {
 	}
 	s.tick = 0
 	s.lastStep = [dist.MaxProcs + 1]int64{}
+	s.rebuild()
+}
+
+// rebuild links the cached alive members into the starvation list: an
+// insertion sort by lastStep over the id-ordered members, which is stable
+// and so breaks ties by id. It runs only when the alive set changes or on
+// Reseed, and allocates nothing.
+func (s *RandomScheduler) rebuild() {
+	s.next[lruHead], s.prev[lruTail] = lruTail, lruHead
+	for _, p := range s.scratch {
+		at := s.prev[lruTail]
+		for at != lruHead && s.lastStep[at] > s.lastStep[p] {
+			at = s.prev[at]
+		}
+		s.linkAfter(uint16(p), at)
+	}
+}
+
+// linkAfter inserts x into the list right after at.
+func (s *RandomScheduler) linkAfter(x, at uint16) {
+	nx := s.next[at]
+	s.prev[x], s.next[x] = at, nx
+	s.next[at], s.prev[nx] = x, x
 }
 
 // Next implements Scheduler.
@@ -102,6 +136,7 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 	if v.Alive != s.aliveKey {
 		s.scratch = v.Alive.AppendMembers(s.scratch[:0])
 		s.aliveKey = v.Alive
+		s.rebuild()
 	}
 	alive := s.scratch
 	if len(alive) == 0 {
@@ -112,20 +147,17 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 	if maxSkip <= 0 {
 		maxSkip = 4 * v.N
 	}
-	// Bounded bypass: pick the most starved process when it has waited too
-	// long, otherwise pick uniformly.
-	var pick dist.ProcID
-	var worst int64 = -1
-	for _, p := range alive {
-		age := s.tick - s.lastStep[p]
-		if age > int64(maxSkip) && age > worst {
-			worst, pick = age, p
-		}
-	}
-	if pick == dist.None {
+	// Bounded bypass: pick the most starved process (the list head; the
+	// lowest id among equally starved ones) when it has waited too long,
+	// otherwise pick uniformly.
+	pick := dist.ProcID(s.next[lruHead])
+	if s.tick-s.lastStep[pick] <= int64(maxSkip) {
 		pick = alive[s.rng.Intn(len(alive))]
 	}
 	s.lastStep[pick] = s.tick
+	x := uint16(pick)
+	s.next[s.prev[x]], s.prev[s.next[x]] = s.next[x], s.prev[x]
+	s.linkAfter(x, s.prev[lruTail])
 
 	mode := DeliverAuto
 	if v.Pending(pick) > 0 && s.rng.Float64() < s.NullProb {
@@ -223,7 +255,8 @@ func Idle(count int64) []Choice {
 // same process delivering the same message (matched by sequence number), and
 // times without a recorded step become idle ticks. Replaying a deterministic
 // automaton against this script reproduces its observation sequence exactly —
-// the mechanical form of the proofs' "takes the same steps as in r".
+// the mechanical form of the proofs' "takes the same steps as in r". The
+// trace must record messages: a Config.OmitMessages trace has no steps.
 func ReplayScript(tr *trace.Trace, upTo dist.Time) []Choice {
 	steps := make(map[dist.Time]trace.Event)
 	for _, e := range tr.Events() {
