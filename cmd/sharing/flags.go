@@ -265,6 +265,9 @@ func parsePartitionList(spec, noun string, side func(tok string) (dist.ProcSet, 
 // (gap 1). -rate without -openloop is rejected: closed-loop clients have no
 // arrival schedule to pace.
 func openLoopGap(openLoop bool, rate float64) (int, error) {
+	if math.IsNaN(rate) || math.IsInf(rate, 0) {
+		return 0, fmt.Errorf("-rate %g is not a finite number", rate)
+	}
 	if rate != 0 && !openLoop {
 		return 0, fmt.Errorf("-rate needs -openloop (closed-loop clients have no arrival schedule to pace)")
 	}

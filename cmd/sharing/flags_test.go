@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -463,14 +464,17 @@ func TestOpenLoopGap(t *testing.T) {
 		want     int
 		wantErr  bool
 	}{
-		{false, 0, 0, false},   // both unset: closed loop
-		{true, 0, 0, false},    // open loop at the store default (gap 1)
-		{true, 1, 1, false},    // one op per step
-		{true, 0.25, 4, false}, // gap = round(1/rate)
-		{true, 0.3, 3, false},  // rounded, not truncated
-		{true, 5, 1, false},    // super-unit rates floor at gap 1
-		{false, 0.5, 0, true},  // -rate needs -openloop
-		{true, -0.5, 0, true},  // negative rate
+		{false, 0, 0, false},         // both unset: closed loop
+		{true, 0, 0, false},          // open loop at the store default (gap 1)
+		{true, 1, 1, false},          // one op per step
+		{true, 0.25, 4, false},       // gap = round(1/rate)
+		{true, 0.3, 3, false},        // rounded, not truncated
+		{true, 5, 1, false},          // super-unit rates floor at gap 1
+		{false, 0.5, 0, true},        // -rate needs -openloop
+		{true, -0.5, 0, true},        // negative rate
+		{true, math.NaN(), 0, true},  // not a number
+		{true, math.Inf(1), 0, true}, // not finite
+		{false, math.NaN(), 0, true}, // not a number, closed loop
 	} {
 		got, err := openLoopGap(tc.openLoop, tc.rate)
 		if tc.wantErr {

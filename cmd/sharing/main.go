@@ -505,7 +505,9 @@ func cmdStore(args []string) error {
 		return err
 	}
 	var faults *sim.FaultPlan
-	if *loss > 0 || *dup > 0 || *delay > 0 || len(partitions) > 0 {
+	// Any set knob — NaN and negatives included — builds the plan, so
+	// FaultPlan.Validate sees and rejects it.
+	if *loss != 0 || *dup != 0 || *delay != 0 || len(partitions) > 0 {
 		faults = &sim.FaultPlan{
 			Seed: *faultSeed, Loss: *loss, Dup: *dup,
 			MaxDelay: dist.Time(*delay), Partitions: partitions,
@@ -679,7 +681,9 @@ func cmdConsensus(args []string) error {
 		return err
 	}
 	var faults *sim.FaultPlan
-	if *loss > 0 || *dup > 0 || *delay > 0 || len(partitions) > 0 {
+	// Any set knob — NaN and negatives included — builds the plan, so
+	// FaultPlan.Validate sees and rejects it.
+	if *loss != 0 || *dup != 0 || *delay != 0 || len(partitions) > 0 {
 		faults = &sim.FaultPlan{
 			Seed: *faultSeed, Loss: *loss, Dup: *dup,
 			MaxDelay: dist.Time(*delay), Partitions: partitions,

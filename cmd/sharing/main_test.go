@@ -100,6 +100,10 @@ func TestSubcommandsFail(t *testing.T) {
 		{"consensus", "-n", "4", "-recover", "4@200"},                                             // recovery without a crash
 		{"consensus", "-n", "4", "-loss", "0.05", "-partition", "1:2@10-inf"},                     // consensus needs the partition to heal
 		{"consensus", "-n", "4", "-loss", "1.5"},                                                  // loss outside [0,1)
+		{"consensus", "-n", "4", "-dup", "NaN"},                                                   // NaN is no probability
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-loss", "NaN", "-retransmit"},        // NaN is no probability
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-loss", "-0.5", "-retransmit"},       // negative loss
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-openloop", "-rate", "NaN"},          // non-finite rate
 		{"explore", "-fig", "bogus"},
 		{"explore", "-fig", "fig4", "-n", "3", "-k", "2"},
 		{"explore", "-fig", "fig2", "-n", "3", "-crash", "3@10"}, // crash at 10 ≥ TimeCap 1

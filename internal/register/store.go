@@ -36,32 +36,43 @@ type KeyedOpDesc struct {
 }
 
 // Store protocol messages. Every request or reply is an entry correlated by
-// (Key, RID). All entries ready in one step that are bound for the same
-// destination *and the same shard* travel in a single batch payload — with
-// disjoint replica groups that is simply "per destination", and a request
-// never reaches a process outside its shard's group. With batching disabled
-// (StoreConfig.DisableBatching) each batch carries exactly one entry — the
-// E18/E20 ablation, which pays one message per request. With piggybacking
-// (StoreConfig.Piggyback) every entry kind bound for one destination in one
-// step — query and store requests of all shards plus the step's pending
-// replies — folds into a single storeFrame (the E22 row).
+// (Key, RID), and every message is one storeFrame whose sections carry the
+// entries by kind: Q query requests, S store requests, QR query replies, SR
+// store acks. Three rules fix message boundaries and send order — and send
+// order sets the message seq, which sim.FaultPlan decisions hash:
 //
-// Batches travel as pointers and are pooled: unless the trace records
+//  1. Without piggybacking a replica answers while it processes a delivery,
+//     before its own client requests go out: one reply frame per delivery,
+//     sent at once and never parked.
+//  2. Without piggybacking a node's requests travel as one snapshot frame
+//     per (shard, kind, step), shared by every member of the shard's replica
+//     group (refs counts the recipients; a request never reaches a process
+//     outside its shard's group). With CoalesceDelay > 0 an under-filled
+//     snapshot parks per (shard, kind), and a full window flushes early.
+//  3. With piggybacking (StoreConfig.Piggyback, the E22 row) everything a
+//     node has for one destination in one step — requests of every shard
+//     plus the step's replies — folds into one frame per destination, sent
+//     in first-touch order: shards ascending, then members ascending, then
+//     the reply destination. These frames park by age only.
+//
+// With batching disabled (StoreConfig.DisableBatching, the E18/E20 ablation)
+// a frame holds at most one entry, so every request and every reply pays its
+// own message.
+//
+// Frames travel as pointers and are pooled: unless the trace records
 // messages (untraced runs, and StoreSweep's message-free traces) the
-// receiver owns a delivered batch (sim.Env.DeliveredOwned) and recycles it
-// into its own free lists once the last recipient has processed it (refs
-// counts the recipients of a group-shared batch), which is what makes the
-// steady-state step path allocation-free. When the trace records messages
-// it retains every payload, ownership is never granted, and the pools
-// simply never fill.
+// receiver owns a delivered frame (sim.Env.DeliveredOwned) and recycles it
+// into the pool once the last recipient has processed it, which is what
+// makes the steady-state step path allocation-free. When the trace records
+// messages it retains every payload, ownership is never granted, and the
+// pool simply never fills.
 type (
 	queryEntry struct {
 		Key int
 		RID int64
 		// CTS piggybacks the client's confirmed timestamp for Key — the
 		// highest ts it knows reached a full quorum (FastReads only; zero
-		// otherwise). Appended last so the FastReads-off wire rendering
-		// keeps its pre-fast-read prefix.
+		// otherwise).
 		CTS Timestamp
 	}
 	queryRepEntry struct {
@@ -84,77 +95,26 @@ type (
 		Key int
 		RID int64
 	}
-	queryReqBatch struct {
-		E    []queryEntry
-		refs int32
-		pool *batchPool
-	}
-	queryRepBatch struct {
-		E    []queryRepEntry
-		refs int32
-		pool *batchPool
-	}
-	storeReqBatch struct {
-		E    []storeEntry
-		refs int32
-		pool *batchPool
-	}
-	storeRepBatch struct {
-		E    []storeRepEntry
-		refs int32
-		pool *batchPool
-	}
-	// storeFrame is the piggybacked combined payload: one frame carries
-	// everything a node has for one destination in one step.
 	storeFrame struct {
 		Q    []queryEntry
 		S    []storeEntry
 		QR   []queryRepEntry
 		SR   []storeRepEntry
 		refs int32
-		pool *batchPool
+		pool *framePool
 	}
 )
 
-// The batch types implement sim.RefCounted so fault injection composes with
-// the lease contract: when the runner drops a copy by loss it returns the
-// lost delivery's reference (recycling the batch if it was the last), and
-// when it duplicates a copy it adds one before enqueueing. The pool backref
-// is set at lease time, so a dropped batch recycles into the pool of the
-// program that leased it.
-
-func (b *queryReqBatch) AddRef() { b.refs++ }
-func (b *queryReqBatch) DropRef() {
-	if release(&b.refs) {
-		b.pool.qReq.put(b)
-	}
-}
-
-func (b *queryRepBatch) AddRef() { b.refs++ }
-func (b *queryRepBatch) DropRef() {
-	if release(&b.refs) {
-		b.pool.qRep.put(b)
-	}
-}
-
-func (b *storeReqBatch) AddRef() { b.refs++ }
-func (b *storeReqBatch) DropRef() {
-	if release(&b.refs) {
-		b.pool.sReq.put(b)
-	}
-}
-
-func (b *storeRepBatch) AddRef() { b.refs++ }
-func (b *storeRepBatch) DropRef() {
-	if release(&b.refs) {
-		b.pool.sRep.put(b)
-	}
-}
-
+// storeFrame implements sim.RefCounted so fault injection composes with the
+// lease contract: when the runner drops a copy by loss it returns the lost
+// delivery's reference (recycling the frame if it was the last), and when it
+// duplicates a copy it adds one before enqueueing. The pool backref is set at
+// lease time, so a dropped frame recycles into the pool of the program that
+// leased it.
 func (f *storeFrame) AddRef() { f.refs++ }
 func (f *storeFrame) DropRef() {
 	if release(&f.refs) {
-		f.pool.frames.put(f)
+		f.pool.put(f)
 	}
 }
 
@@ -165,83 +125,37 @@ func release(refs *int32) bool {
 	return *refs <= 0
 }
 
-// batchPoolCap bounds each free list so pool memory tracks the in-flight
+// framePoolCap bounds the free list so pool memory tracks the in-flight
 // high-water mark, not run length. It must sit above the largest circulating
-// set (windows × shards × group fan-out), or the overflow drops re-allocate
-// on the next lease and the steady state is no longer allocation-free.
-const batchPoolCap = 1024
+// set (windows × shards × group fan-out, requests and replies together), or
+// the overflow drops re-allocate on the next lease and the steady state is
+// no longer allocation-free.
+const framePoolCap = 1024
 
-// freeList is a capped LIFO free list of one pooled payload type.
-type freeList[T any] struct{ free []*T }
+// framePool is a capped LIFO free list of recycled frames. One pool is
+// shared by every StoreNode of a program instantiation (the runner steps
+// automata single-threadedly, so no locking): requests flow client → replica
+// and replies replica → client, so per-node pools would starve — each side
+// hoarding frames at its cap while the other allocates — while the shared
+// pool closes the cycle. It survives Reset, so a reused runner stops
+// allocating frames entirely after its first run.
+type framePool struct{ free []*storeFrame }
 
-func (l *freeList[T]) get() (*T, bool) {
-	if n := len(l.free); n > 0 {
-		b := l.free[n-1]
-		l.free = l.free[:n-1]
-		return b, true
-	}
-	return nil, false
-}
-
-func (l *freeList[T]) put(b *T) {
-	if len(l.free) < batchPoolCap {
-		l.free = append(l.free, b)
-	}
-}
-
-// batchPool holds recycled batch payloads, one free list per wire type. One
-// pool is shared by every StoreNode of a program instantiation (the runner
-// steps automata single-threadedly, so no locking): requests flow client →
-// replica and replies replica → client, so per-node pools would starve —
-// each side hoards the other's type at its cap while allocating its own —
-// while the shared pool closes the cycle. It survives Reset, so a reused
-// runner stops allocating batches entirely after its first run.
-type batchPool struct {
-	qReq   freeList[queryReqBatch]
-	qRep   freeList[queryRepBatch]
-	sReq   freeList[storeReqBatch]
-	sRep   freeList[storeRepBatch]
-	frames freeList[storeFrame]
-}
-
-func (p *batchPool) getQReq() *queryReqBatch {
-	if b, ok := p.qReq.get(); ok {
-		b.E = b.E[:0]
-		return b
-	}
-	return &queryReqBatch{pool: p}
-}
-
-func (p *batchPool) getQRep() *queryRepBatch {
-	if b, ok := p.qRep.get(); ok {
-		b.E = b.E[:0]
-		return b
-	}
-	return &queryRepBatch{pool: p}
-}
-
-func (p *batchPool) getSReq() *storeReqBatch {
-	if b, ok := p.sReq.get(); ok {
-		b.E = b.E[:0]
-		return b
-	}
-	return &storeReqBatch{pool: p}
-}
-
-func (p *batchPool) getSRep() *storeRepBatch {
-	if b, ok := p.sRep.get(); ok {
-		b.E = b.E[:0]
-		return b
-	}
-	return &storeRepBatch{pool: p}
-}
-
-func (p *batchPool) getFrame() *storeFrame {
-	if f, ok := p.frames.get(); ok {
+// get leases an empty frame.
+func (p *framePool) get() *storeFrame {
+	if n := len(p.free); n > 0 {
+		f := p.free[n-1]
+		p.free = p.free[:n-1]
 		f.Q, f.S, f.QR, f.SR = f.Q[:0], f.S[:0], f.QR[:0], f.SR[:0]
 		return f
 	}
 	return &storeFrame{pool: p}
+}
+
+func (p *framePool) put(f *storeFrame) {
+	if len(p.free) < framePoolCap {
+		p.free = append(p.free, f)
+	}
 }
 
 // DefaultStallSteps is the adaptive controller's default backpressure
@@ -272,12 +186,12 @@ type StoreConfig struct {
 	// waits without blocking other shards). Must be ≥ 1; 1 disables
 	// pipelining. With AdaptiveWindow it is the controller's start value.
 	Window int
-	// DisableBatching sends one request per message instead of coalescing
-	// all same-shard same-destination requests of a step into one batch
-	// (E18/E20).
+	// DisableBatching caps every frame at one entry, so each request and
+	// each reply pays its own message instead of sharing one frame per
+	// (shard, kind, step) (E18/E20).
 	DisableBatching bool
 	// Piggyback folds all of a step's same-destination traffic — query and
-	// store request batches across shards plus the step's pending replies —
+	// store request snapshots across shards plus the step's pending replies —
 	// into one combined frame per (src, dst) pair (E22). Rejected together
 	// with DisableBatching, which would silently disable it (one entry per
 	// message leaves nothing to fold).
@@ -333,16 +247,16 @@ type StoreConfig struct {
 	// workload and scheduler seeds. Requires OpenLoop.
 	ArrivalSeed int64
 	// CoalesceDelay D > 0 enables bounded-delay cross-step coalescing: an
-	// under-filled outgoing request batch (or piggyback frame) may park for
+	// under-filled outgoing request snapshot (or piggyback frame) may park for
 	// up to D of the sender's scheduled steps to merge with later
 	// same-destination traffic before flushing — a bounded, measured
-	// latency increase traded for fewer msgs/op. A parked batch flushes
+	// latency increase traded for fewer msgs/op. A parked snapshot flushes
 	// early once it already carries a full window of entries (nothing more
-	// can join until a completion, which the parked batch itself gates).
+	// can join until a completion, which the parked snapshot itself gates).
 	// Retransmission timers stretch by 2D so parking never triggers
-	// spurious retransmits. 0 keeps today's flush-every-step path,
-	// bit-identical to a build without coalescing; rejected together with
-	// DisableBatching (one entry per message leaves nothing to merge).
+	// spurious retransmits. 0 keeps the flush-every-step path; rejected
+	// together with DisableBatching (one entry per message leaves nothing
+	// to merge).
 	CoalesceDelay int
 	// FastReads enables the one-phase ABD read optimization: a read whose
 	// phase-1 quorum replies unanimously with one timestamp completes
@@ -621,28 +535,30 @@ type StoreNode struct {
 	retransmits int64
 
 	// Per-step per-shard request accumulators, consumed and cleared by
-	// flush: one pooled batch per (shard, step) shared across the group
-	// (refs counts recipients), or one frame per destination with
-	// piggybacking.
+	// flush (see the send-order rules above the wire types).
 	qOut [][]queryEntry
 	sOut [][]storeEntry
 
-	// Pooled payload buffers (see batchPool): filled only on untraced runs,
-	// where sim grants the receiver ownership of delivered payloads. Shared
-	// across the nodes of one program instantiation by StoreProgram;
-	// NewStoreNode alone gives the node a private pool.
-	pool *batchPool
+	// Pooled frames (see framePool): filled only when sim grants the
+	// receiver ownership of delivered payloads. Shared across the nodes of
+	// one program instantiation by StoreProgram; NewStoreNode alone gives
+	// the node a private pool.
+	pool *framePool
+
+	// The reply frame of the delivery being served, leased on the first
+	// reply, and its destination — a step delivers at most one message, so
+	// its replies have one destination. Without piggybacking it is sent
+	// before the step ends; with piggybacking flush folds it into the
+	// destination's frame.
+	rep    *storeFrame
+	repDst dist.ProcID
 
 	// Piggyback assembly state: the frame under construction per
 	// destination (indexed by ProcID; nil when absent) plus the
-	// deterministic flush order, and the step's deferred replies — a step
-	// delivers at most one message, so they have at most one destination.
-	// With coalescing a frame may stay under construction across steps.
+	// deterministic flush order. With coalescing a frame may stay under
+	// construction across steps.
 	outFrame []*storeFrame
 	outDsts  []dist.ProcID
-	repDst   dist.ProcID
-	repQ     []queryRepEntry
-	repS     []storeRepEntry
 
 	// Per-op latency observations in the client's own steps, one per
 	// completed op, recorded in the pend slots (not via trace op-records,
@@ -657,27 +573,21 @@ type StoreNode struct {
 	fastReads  int64
 	fallbacks  int64
 
-	// Bounded-delay coalescing state (see initCoalesce; armed only when
-	// CoalesceDelay > 0): clock is the node's scheduled-step count — it
-	// ticks for replicas too, which park reply frames — and the *HeldT
-	// arrays hold the clock at which each accumulator's oldest parked
-	// entry arrived (-1 when empty; frameT is live while outFrame[p] is).
-	coalesce bool
-	clock    int64
-	qHeldT   []int64
-	sHeldT   []int64
-	frameT   []int64
+	// Bounded-delay coalescing state (allocated only when CoalesceDelay >
+	// 0, see park): clock is the node's scheduled-step count — it ticks for
+	// replicas too, which park reply frames — and the held-time arrays hold
+	// the clock at which each parked accumulator (qHeldT/sHeldT per shard)
+	// or piggyback frame (frameT per destination) first parked, -1 when
+	// nothing is parked.
+	clock  int64
+	qHeldT []int64
+	sHeldT []int64
+	frameT []int64
 }
 
 var _ sim.Automaton = (*StoreNode)(nil)
 
-var (
-	_ sim.RefCounted = (*queryReqBatch)(nil)
-	_ sim.RefCounted = (*queryRepBatch)(nil)
-	_ sim.RefCounted = (*storeReqBatch)(nil)
-	_ sim.RefCounted = (*storeRepBatch)(nil)
-	_ sim.RefCounted = (*storeFrame)(nil)
-)
+var _ sim.RefCounted = (*storeFrame)(nil)
 
 // NewStoreNode builds the store automaton for process self over the given
 // shard map, with a pool of its own. Prefer StoreProgram, which validates
@@ -686,10 +596,10 @@ var (
 // outside S are still ignored at run time, enforcing the S-register access
 // restriction).
 func NewStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *ShardMap, script []KeyedOp) *StoreNode {
-	return newStoreNode(self, n, s, cfg, m, script, &batchPool{})
+	return newStoreNode(self, n, s, cfg, m, script, &framePool{})
 }
 
-func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *ShardMap, script []KeyedOp, pool *batchPool) *StoreNode {
+func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *ShardMap, script []KeyedOp, pool *framePool) *StoreNode {
 	a := &StoreNode{
 		self:   self,
 		n:      n,
@@ -724,15 +634,13 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 	}
 	if cfg.Piggyback {
 		a.outFrame = make([]*storeFrame, n+1)
-		// Deferred-reply accumulators, sized for the largest incoming
-		// frame: a client's step sends at most its per-shard window of
-		// entries per kind for every shard routed here.
-		winCap := cfg.window()
-		if cfg.AdaptiveWindow {
-			winCap = a.maxWin
+	}
+	if cfg.CoalesceDelay > 0 {
+		if cfg.Piggyback {
+			a.frameT = unparked(n + 1)
+		} else {
+			a.qHeldT, a.sHeldT = unparked(m.Shards()), unparked(m.Shards())
 		}
-		a.repQ = make([]queryRepEntry, 0, winCap*m.Shards())
-		a.repS = make([]storeRepEntry, 0, winCap*m.Shards())
 	}
 	if s.Contains(self) {
 		if cfg.FastReads {
@@ -788,28 +696,16 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 			a.queues[sh] = append(a.queues[sh], queuedOp{op: op, arrival: arr})
 		}
 	}
-	if cfg.CoalesceDelay > 0 {
-		a.initCoalesce()
-	}
 	return a
 }
 
-// initCoalesce arms the bounded-delay coalescing flush path and allocates
-// its parking state. Split out of construction so the degenerate-budget
-// regression test can route a CoalesceDelay=0 node through the coalescing
-// machinery (deadlines expire immediately) and assert the message stream is
-// byte-identical to the legacy flush-every-step path.
-func (a *StoreNode) initCoalesce() {
-	a.coalesce = true
-	a.qHeldT = make([]int64, a.shards.Shards())
-	a.sHeldT = make([]int64, a.shards.Shards())
-	for sh := range a.qHeldT {
-		a.qHeldT[sh] = -1
-		a.sHeldT[sh] = -1
+// unparked returns k held-time slots, none parked.
+func unparked(k int) []int64 {
+	held := make([]int64, k)
+	for i := range held {
+		held[i] = -1
 	}
-	if a.cfg.Piggyback {
-		a.frameT = make([]int64, a.n+1)
-	}
+	return held
 }
 
 // StoreProgram builds a sim.Program running a StoreNode at every process of
@@ -846,7 +742,7 @@ func StoreProgram(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) (
 			}
 		}
 	}
-	pool := &batchPool{}
+	pool := &framePool{}
 	return func(p dist.ProcID, _ int) sim.Automaton {
 		var script []KeyedOp
 		if int(p) <= len(scripts) {
@@ -1006,78 +902,33 @@ func (a *StoreNode) Step(e *sim.Env) {
 }
 
 func (a *StoreNode) onMessage(e *sim.Env, payload any, from dist.ProcID) {
+	f, ok := payload.(*storeFrame)
+	if !ok {
+		return
+	}
+	a.serveQueries(e, f.Q, from)
+	a.serveStores(e, f.S, from)
+	a.absorbQueryReps(f.QR, from)
+	a.absorbStoreReps(f.SR, from)
+	if !a.cfg.Piggyback {
+		a.sendReply(e) // rule 1: replies go out before the client's requests
+	}
 	// Unless the trace records messages, the runner transfers payload
 	// ownership to this node (sim's send-buffer lease contract): the last
-	// recipient of a batch recycles it into its own pools once it is fully
-	// processed.
-	owned := e.DeliveredOwned()
-	switch m := payload.(type) {
-	case *queryReqBatch:
-		a.serveQueries(e, m.E, from)
-		if owned && release(&m.refs) {
-			a.pool.qReq.put(m)
-		}
-	case *storeReqBatch:
-		a.serveStores(e, m.E, from)
-		if owned && release(&m.refs) {
-			a.pool.sReq.put(m)
-		}
-	case *queryRepBatch:
-		a.absorbQueryReps(m.E, from)
-		if owned && release(&m.refs) {
-			a.pool.qRep.put(m)
-		}
-	case *storeRepBatch:
-		a.absorbStoreReps(m.E, from)
-		if owned && release(&m.refs) {
-			a.pool.sRep.put(m)
-		}
-	case *storeFrame:
-		a.serveQueries(e, m.Q, from)
-		a.serveStores(e, m.S, from)
-		a.absorbQueryReps(m.QR, from)
-		a.absorbStoreReps(m.SR, from)
-		if owned && release(&m.refs) {
-			a.pool.frames.put(m)
-		}
+	// recipient of a frame recycles it once it is fully processed.
+	if e.DeliveredOwned() && release(&f.refs) {
+		a.pool.put(f)
 	}
 }
 
-// serveQueries answers a batch of query requests from the node's replica
-// state: immediately as one reply batch (or one message per entry with
-// batching disabled), or deferred into the step's reply accumulator for
-// flush to fold into the destination's frame when piggybacking.
+// serveQueries answers query requests from the node's replica state into
+// the delivery's reply frame.
 func (a *StoreNode) serveQueries(e *sim.Env, entries []queryEntry, from dist.ProcID) {
-	if a.cfg.Piggyback {
-		for _, q := range entries {
-			sh, loc, ok := a.locate(q.Key)
-			if !ok {
-				continue // misrouted: not this node's shard
-			}
-			a.repQ = append(a.repQ, a.answerQuery(q, sh, loc))
-			a.repDst = from
-		}
-		return
-	}
-	var b *queryRepBatch
 	for _, q := range entries {
-		sh, loc, ok := a.locate(q.Key)
-		if !ok {
-			continue
+		if sh, loc, ok := a.locate(q.Key); ok { // else misrouted: not this node's shard
+			f := a.replyFrame(e, from)
+			f.QR = append(f.QR, a.answerQuery(q, sh, loc))
 		}
-		if b == nil {
-			b = a.pool.getQRep()
-		}
-		b.E = append(b.E, a.answerQuery(q, sh, loc))
-		if a.cfg.DisableBatching {
-			b.refs = 1
-			e.Send(from, b)
-			b = nil
-		}
-	}
-	if b != nil {
-		b.refs = 1
-		e.Send(from, b)
 	}
 }
 
@@ -1098,46 +949,39 @@ func (a *StoreNode) answerQuery(q queryEntry, sh, loc int) queryRepEntry {
 	return rep
 }
 
-// serveStores applies a batch of store (phase-2) requests to the replica
-// state and acknowledges them, with the same three delivery modes as
-// serveQueries.
+// serveStores applies store (phase-2) requests to the replica state and
+// acknowledges them into the delivery's reply frame.
 func (a *StoreNode) serveStores(e *sim.Env, entries []storeEntry, from dist.ProcID) {
-	if a.cfg.Piggyback {
-		for _, s := range entries {
-			sh, loc, ok := a.locate(s.Key)
-			if !ok {
-				continue
-			}
+	for _, s := range entries {
+		if sh, loc, ok := a.locate(s.Key); ok {
 			if a.ts[sh][loc].Less(s.TS) {
 				a.ts[sh][loc], a.val[sh][loc] = s.TS, s.V
 			}
-			a.repS = append(a.repS, storeRepEntry{Key: s.Key, RID: s.RID})
-			a.repDst = from
-		}
-		return
-	}
-	var b *storeRepBatch
-	for _, s := range entries {
-		sh, loc, ok := a.locate(s.Key)
-		if !ok {
-			continue
-		}
-		if a.ts[sh][loc].Less(s.TS) {
-			a.ts[sh][loc], a.val[sh][loc] = s.TS, s.V
-		}
-		if b == nil {
-			b = a.pool.getSRep()
-		}
-		b.E = append(b.E, storeRepEntry{Key: s.Key, RID: s.RID})
-		if a.cfg.DisableBatching {
-			b.refs = 1
-			e.Send(from, b)
-			b = nil
+			f := a.replyFrame(e, from)
+			f.SR = append(f.SR, storeRepEntry{Key: s.Key, RID: s.RID})
 		}
 	}
-	if b != nil {
-		b.refs = 1
-		e.Send(from, b)
+}
+
+// replyFrame returns the frame the next reply to from joins, leasing it on
+// the delivery's first reply. With batching disabled a frame holds at most
+// one entry, so a non-empty reply frame departs first.
+func (a *StoreNode) replyFrame(e *sim.Env, from dist.ProcID) *storeFrame {
+	if a.rep != nil && a.cfg.DisableBatching {
+		a.sendReply(e)
+	}
+	if a.rep == nil {
+		a.rep, a.repDst = a.pool.get(), from
+	}
+	return a.rep
+}
+
+// sendReply sends the pending reply frame, if any.
+func (a *StoreNode) sendReply(e *sim.Env) {
+	if a.rep != nil {
+		a.rep.refs = 1
+		e.Send(a.repDst, a.rep)
+		a.rep = nil
 	}
 }
 
@@ -1255,7 +1099,7 @@ func (a *StoreNode) adaptWindows() {
 
 // retransmit re-sends the current-phase request of every outstanding op
 // whose timer expired, through the same per-shard accumulators (and thus the
-// same batching/piggybacking and pooled-payload paths) as first sends.
+// same batching/piggybacking and pooled-frame paths) as first sends.
 // Replica re-answers are idempotent and client reply-crediting dedups by
 // (key, rid, phase) set membership, so a late original plus a retransmit
 // can never double-count a quorum. Each expiry doubles the op's timeout up
@@ -1267,7 +1111,7 @@ func (a *StoreNode) retransmit() {
 	}
 	// Coalescing parks a request for up to CoalesceDelay steps in this
 	// node's own accumulators — the timer restarts when it actually departs
-	// (restampQueries/restampStores), so the local park never burns RTO
+	// (restamp), so the local park never burns RTO
 	// budget — and parks its reply for up to CoalesceDelay *replica* steps,
 	// which this client cannot observe. The 2D slack covers the not-yet-
 	// departed window plus the replica-side park, so a parked-but-healthy
@@ -1299,45 +1143,33 @@ func (a *StoreNode) retransmit() {
 	}
 }
 
-// restampQueries resets the retransmission timer of every outstanding
-// phase-1 op whose request is among the just-departed entries. Coalescing
-// may park a request in the sender's own accumulators for up to
-// CoalesceDelay steps; the RTO measures the network round trip, which only
-// starts at departure. Matching is by (key, rid), so stale entries of a
-// superseded phase restamp nothing. Only called on coalescing nodes —
-// pend and the entry slices are window-bounded and nothing allocates.
-func (a *StoreNode) restampQueries(entries []queryEntry) {
-	if !a.cfg.Retransmit || len(a.pend) == 0 {
+// restamp resets the retransmission timer of every outstanding op whose
+// current-phase request departs in f: f.Q carries phase-1 requests, f.S
+// phase-2 ones. Coalescing may park a request in the sender's own
+// accumulators for up to CoalesceDelay steps; the RTO measures the network
+// round trip, which only starts at departure. Matching is by (key, rid), so
+// stale entries of a superseded phase restamp nothing. Without coalescing a
+// request departs in the step that queued it, whose clock its timer already
+// holds, so there is nothing to do.
+func (a *StoreNode) restamp(f *storeFrame) {
+	if a.cfg.CoalesceDelay == 0 || !a.cfg.Retransmit {
 		return
 	}
 	for i := range a.pend {
 		op := &a.pend[i]
-		if op.phase != 1 {
-			continue
-		}
-		for _, q := range entries {
-			if q.Key == op.key && q.RID == op.rid {
-				op.lastSend = a.steps
-				break
+		if op.phase == 1 {
+			for _, q := range f.Q {
+				if q.Key == op.key && q.RID == op.rid {
+					op.lastSend = a.steps
+					break
+				}
 			}
-		}
-	}
-}
-
-// restampStores is restampQueries for phase-2 store requests.
-func (a *StoreNode) restampStores(entries []storeEntry) {
-	if !a.cfg.Retransmit || len(a.pend) == 0 {
-		return
-	}
-	for i := range a.pend {
-		op := &a.pend[i]
-		if op.phase != 2 {
-			continue
-		}
-		for _, s := range entries {
-			if s.Key == op.key && s.RID == op.rid {
-				op.lastSend = a.steps
-				break
+		} else {
+			for _, s := range f.S {
+				if s.Key == op.key && s.RID == op.rid {
+					op.lastSend = a.steps
+					break
+				}
 			}
 		}
 	}
@@ -1535,185 +1367,126 @@ func (a *StoreNode) start(e *sim.Env) {
 	}
 }
 
-// sendShared sends payload to every member of group except self (the local
-// replica, when a member, was already accounted for in-process) after
-// setting *refs to the recipient count. It reports whether anything was
-// sent; on false the caller still owns the batch and should recycle it.
-func (a *StoreNode) sendShared(e *sim.Env, group dist.ProcSet, payload any, refs *int32) bool {
-	n := int32(group.Len())
-	if group.Contains(a.self) {
-		n--
-	}
-	*refs = n
-	if n == 0 {
-		return false
-	}
-	for set := group; !set.IsEmpty(); {
-		p := set.Min()
-		set = set.Remove(p)
-		if p != a.self {
-			e.Send(p, payload)
-		}
-	}
-	return true
-}
-
-// flush sends the step's accumulated requests — one pooled batch per
-// (shard, group member) built once per shard and shared across the group,
-// one message per entry when batching is disabled, or one combined frame
-// per destination when piggybacking — and clears every per-step
-// accumulator. Requests only travel to their shard's replica group — the
-// routing that keeps quorum traffic off processes outside the group. With
-// coalescing armed an under-filled accumulator may park across steps (see
-// park) before it becomes a batch; the batch itself is built only at send
-// time, so parking costs no extra pool traffic.
+// flush sends what the step produced and clears every per-step
+// accumulator, under the send-order rules above the wire types: per-shard
+// request snapshots (rule 2) or their fold into per-destination frames
+// together with the step's replies (rule 3). Requests only travel to their
+// shard's replica group — the routing that keeps quorum traffic off
+// processes outside the group. With coalescing armed an under-filled
+// accumulator or frame may park across steps (see park); a snapshot frame
+// is leased only at send time, so parking costs no extra pool traffic.
 func (a *StoreNode) flush(e *sim.Env) {
-	if a.cfg.Piggyback {
-		a.flushPiggyback(e)
-		return
-	}
 	for sh := range a.qOut {
-		if len(a.qOut[sh]) > 0 && !(a.coalesce && a.park(&a.qHeldT[sh], len(a.qOut[sh]), sh)) {
-			group := a.shards.Group(sh)
-			if a.cfg.DisableBatching {
-				for _, q := range a.qOut[sh] {
-					b := a.pool.getQReq()
-					b.E = append(b.E, q)
-					if !a.sendShared(e, group, b, &b.refs) {
-						a.pool.qReq.put(b)
-					}
-				}
-			} else {
-				// One snapshot per (shard, step), shared by every member.
-				b := a.pool.getQReq()
-				b.E = append(b.E, a.qOut[sh]...)
-				if !a.sendShared(e, group, b, &b.refs) {
-					a.pool.qReq.put(b)
-				}
-			}
-			if a.coalesce {
-				a.restampQueries(a.qOut[sh])
-				a.qHeldT[sh] = -1
-			}
-			a.qOut[sh] = a.qOut[sh][:0]
+		if len(a.qOut[sh]) > 0 {
+			flushRequests(a, e, sh, &a.qOut[sh], a.qHeldT, querySection)
 		}
-		if len(a.sOut[sh]) > 0 && !(a.coalesce && a.park(&a.sHeldT[sh], len(a.sOut[sh]), sh)) {
-			group := a.shards.Group(sh)
-			if a.cfg.DisableBatching {
-				for _, s := range a.sOut[sh] {
-					b := a.pool.getSReq()
-					b.E = append(b.E, s)
-					if !a.sendShared(e, group, b, &b.refs) {
-						a.pool.sReq.put(b)
-					}
-				}
-			} else {
-				b := a.pool.getSReq()
-				b.E = append(b.E, a.sOut[sh]...)
-				if !a.sendShared(e, group, b, &b.refs) {
-					a.pool.sReq.put(b)
-				}
-			}
-			if a.coalesce {
-				a.restampStores(a.sOut[sh])
-				a.sHeldT[sh] = -1
-			}
-			a.sOut[sh] = a.sOut[sh][:0]
+		if len(a.sOut[sh]) > 0 {
+			flushRequests(a, e, sh, &a.sOut[sh], a.sHeldT, storeSection)
 		}
 	}
-}
-
-// park stamps an accumulator's first-parked time and reports whether it
-// should keep waiting for more same-destination traffic: its age is below
-// the CoalesceDelay budget and it holds less than a full window of entries
-// (a full window cannot grow — every slot already contributed, and the
-// completions that would free slots are gated on this very flush, so
-// waiting longer is pure latency loss). With a zero budget the deadline has
-// always expired and flush degenerates to the legacy every-step path.
-func (a *StoreNode) park(heldT *int64, entries, sh int) bool {
-	if *heldT < 0 {
-		*heldT = a.clock
+	if r := a.rep; r != nil {
+		// Piggybacking: the step's replies join the reply destination's
+		// frame, touched after every request frame.
+		a.rep = nil
+		f := a.frameFor(a.repDst)
+		f.QR = append(f.QR, r.QR...)
+		f.SR = append(f.SR, r.SR...)
+		a.pool.put(r)
 	}
-	return a.clock-*heldT < int64(a.cfg.CoalesceDelay) && entries < a.winFor(sh)
-}
-
-// flushPiggyback folds everything the step produced for one destination —
-// the request snapshots of every shard whose group contains it plus the
-// step's deferred replies — into a single frame per (src, dst) pair, sent
-// in deterministic order (shards ascending, members ascending, the reply
-// destination where it falls).
-func (a *StoreNode) flushPiggyback(e *sim.Env) {
-	for sh := range a.qOut {
-		if len(a.qOut[sh]) == 0 && len(a.sOut[sh]) == 0 {
+	// Lease order — and thus send order — survives parking through the
+	// in-place compaction of outDsts. Replicas park their reply frames on
+	// the same clock: their Step ticks it even though the client block
+	// never runs there.
+	kept := a.outDsts[:0]
+	for _, p := range a.outDsts {
+		if a.park(a.frameT, int(p), false) {
+			kept = append(kept, p)
 			continue
 		}
-		group := a.shards.Group(sh)
-		for set := group; !set.IsEmpty(); {
-			p := set.Min()
-			set = set.Remove(p)
-			if p == a.self {
-				continue
-			}
-			f := a.frameFor(p)
-			f.Q = append(f.Q, a.qOut[sh]...)
-			f.S = append(f.S, a.sOut[sh]...)
-		}
-		a.qOut[sh] = a.qOut[sh][:0]
-		a.sOut[sh] = a.sOut[sh][:0]
-	}
-	if a.repDst != dist.None && (len(a.repQ) > 0 || len(a.repS) > 0) {
-		f := a.frameFor(a.repDst)
-		f.QR = append(f.QR, a.repQ...)
-		f.SR = append(f.SR, a.repS...)
-	}
-	a.repQ = a.repQ[:0]
-	a.repS = a.repS[:0]
-	a.repDst = dist.None
-	if a.coalesce {
-		// Bounded-delay parking: a frame younger than the budget stays
-		// under construction (lease order — and thus send order — is
-		// preserved by in-place compaction of outDsts), merging the next
-		// steps' traffic for its destination. Replicas park their reply
-		// frames on the same clock: their Step ticks it even though the
-		// client block never runs there.
-		kept := a.outDsts[:0]
-		for _, p := range a.outDsts {
-			if a.clock-a.frameT[p] < int64(a.cfg.CoalesceDelay) {
-				kept = append(kept, p)
-				continue
-			}
-			f := a.outFrame[p]
-			a.outFrame[p] = nil
-			f.refs = 1
-			a.restampQueries(f.Q)
-			a.restampStores(f.S)
-			e.Send(p, f)
-		}
-		a.outDsts = kept
-		return
-	}
-	for _, p := range a.outDsts {
 		f := a.outFrame[p]
 		a.outFrame[p] = nil
+		a.restamp(f)
 		f.refs = 1
 		e.Send(p, f)
 	}
-	a.outDsts = a.outDsts[:0]
+	a.outDsts = kept
+}
+
+func querySection(f *storeFrame) *[]queryEntry { return &f.Q }
+func storeSection(f *storeFrame) *[]storeEntry { return &f.S }
+
+// flushRequests flushes one non-empty (shard, kind) request accumulator —
+// section picks the frame section of its kind — unless it parks. With
+// piggybacking the entries fold into the frame under construction of every
+// other group member; otherwise one snapshot frame goes to the whole group,
+// or one frame per entry with batching disabled.
+func flushRequests[E queryEntry | storeEntry](a *StoreNode, e *sim.Env, sh int, out *[]E, held []int64, section func(*storeFrame) *[]E) {
+	entries := *out
+	if a.park(held, sh, len(entries) >= a.winFor(sh)) {
+		return
+	}
+	*out = entries[:0]
+	group := a.shards.Group(sh).Remove(a.self) // the local replica answered in-process
+	if a.cfg.Piggyback {
+		for set := group; !set.IsEmpty(); {
+			p := set.Min()
+			set = set.Remove(p)
+			sec := section(a.frameFor(p))
+			*sec = append(*sec, entries...)
+		}
+		return
+	}
+	per := len(entries)
+	if a.cfg.DisableBatching {
+		per = 1
+	}
+	for i := 0; i < len(entries); i += per {
+		f := a.pool.get()
+		sec := section(f)
+		*sec = append(*sec, entries[i:i+per]...)
+		a.restamp(f)
+		f.refs = int32(group.Len())
+		if f.refs == 0 {
+			a.pool.put(f)
+			continue
+		}
+		for set := group; !set.IsEmpty(); {
+			p := set.Min()
+			set = set.Remove(p)
+			e.Send(p, f)
+		}
+	}
+}
+
+// park reports whether parked slot i of held — an accumulator or a frame —
+// should keep waiting for more same-destination traffic: its age is below
+// the CoalesceDelay budget and it is not full (a full window cannot grow —
+// every slot already contributed, and the completions that would free slots
+// are gated on this very flush, so waiting longer is pure latency loss).
+// The age counts from the first flush that parked the slot; a slot that
+// departs is reset. Without coalescing held is nil and nothing parks.
+func (a *StoreNode) park(held []int64, i int, full bool) bool {
+	if held == nil {
+		return false
+	}
+	if held[i] < 0 {
+		held[i] = a.clock
+	}
+	if a.clock-held[i] < int64(a.cfg.CoalesceDelay) && !full {
+		return true
+	}
+	held[i] = -1
+	return false
 }
 
 // frameFor returns the frame under construction for destination p, leasing
-// a pooled one on first use and recording the flush order. With coalescing
-// the lease also stamps the frame's park time: its age — and so its flush
-// deadline — is measured from its oldest content.
+// a pooled one on first use and recording the flush order.
 func (a *StoreNode) frameFor(p dist.ProcID) *storeFrame {
 	if f := a.outFrame[p]; f != nil {
 		return f
 	}
-	f := a.pool.getFrame()
+	f := a.pool.get()
 	a.outFrame[p] = f
 	a.outDsts = append(a.outDsts, p)
-	if a.coalesce {
-		a.frameT[p] = a.clock
-	}
 	return f
 }

@@ -1,15 +1,11 @@
 package register
 
 import (
-	"fmt"
-	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/fd"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // TestStoreCoalesceConfigGates pins the construction-time rejections of the
@@ -40,94 +36,6 @@ func TestStoreCoalesceConfigGates(t *testing.T) {
 	} {
 		if err := cfg.Validate(4); err != nil {
 			t.Errorf("valid config rejected: %+v: %v", cfg, err)
-		}
-	}
-}
-
-// sendStream renders a traced run's message sends — time, endpoints,
-// sequence number and full payload contents — for byte-for-byte stream
-// comparison. Traced runs never recycle pooled payloads, so the recorded
-// pointers still hold the sent contents. Pointer addresses (the payloads'
-// back-reference to their pool) are masked: the two runs compare by
-// content, not identity.
-var hexAddr = regexp.MustCompile(`0x[0-9a-f]+`)
-
-func sendStream(res *sim.Result) []string {
-	var out []string
-	for _, e := range res.Trace.Events() {
-		if e.Kind != trace.SendKind {
-			continue
-		}
-		s := fmt.Sprintf("t=%d p%d->p%d seq=%d %+v", int64(e.T), int(e.P), int(e.To), e.Seq, e.Payload)
-		out = append(out, hexAddr.ReplaceAllString(s, "0x?"))
-	}
-	return out
-}
-
-// TestStoreCoalesceZeroBitIdentical is the D=0 regression: a node with the
-// coalescing machinery force-armed at a zero delay budget must produce a
-// message stream bit-identical to the coalescing-unaware build — same sends,
-// same steps, same payload contents, same order. This pins that every
-// behavioral change is gated on a positive budget, not on the machinery
-// being wired up.
-func TestStoreCoalesceZeroBitIdentical(t *testing.T) {
-	const n = 5
-	f := dist.NewFailurePattern(n)
-	s := dist.NewProcSet(1, 2)
-	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
-		N: n, S: s, Keys: 8, Shards: 2, OpsPerClient: 10, WriteRatio: -1, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []StoreConfig{
-		{Keys: 8, Shards: 2, Window: 4},
-		{Keys: 8, Shards: 2, Window: 4, Piggyback: true, Retransmit: true, RTO: 16},
-	} {
-		m, err := cfg.ShardMap(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients := s.Intersect(f.Correct())
-		avail := m.Available(f.Correct())
-		for seed := int64(0); seed < 4; seed++ {
-			plain := runStore(t, f, s, cfg, scripts, 10, seed)
-			// Same config, but every node runs with initCoalesce() forced at
-			// CoalesceDelay == 0 — the machinery armed with a zero budget.
-			pool := &batchPool{}
-			forced, err := sim.Run(sim.Config{
-				Pattern: f,
-				History: fd.NewSigmaS(f, s, 10),
-				Program: func(p dist.ProcID, _ int) sim.Automaton {
-					var script []KeyedOp
-					if int(p) <= len(scripts) {
-						script = scripts[p-1]
-					}
-					node := newStoreNode(p, n, s, cfg, m, script, pool)
-					node.initCoalesce()
-					return node
-				},
-				Scheduler: sim.NewRandomScheduler(seed),
-				MaxSteps:  int64(20_000 + 2_000*TotalKeyedOps(scripts)),
-				StopWhen: func(sn *sim.Snapshot) bool {
-					return StoreClientsDoneOn(sn, clients, avail)
-				},
-			})
-			if err != nil {
-				t.Fatalf("seed %d: forced run: %v", seed, err)
-			}
-			a, b := sendStream(plain), sendStream(forced)
-			if len(a) != len(b) {
-				t.Fatalf("piggyback=%v seed %d: stream lengths diverge: %d vs %d sends", cfg.Piggyback, seed, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("piggyback=%v seed %d: send %d diverges:\n  plain:  %s\n  forced: %s", cfg.Piggyback, seed, i, a[i], b[i])
-				}
-			}
-			if plain.Steps != forced.Steps {
-				t.Fatalf("piggyback=%v seed %d: step counts diverge: %d vs %d", cfg.Piggyback, seed, plain.Steps, forced.Steps)
-			}
 		}
 	}
 }

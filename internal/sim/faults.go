@@ -41,12 +41,13 @@ type FaultPlan struct {
 	Partitions []dist.Partition
 }
 
-// Validate checks the plan against an n-process system.
+// Validate checks the plan against an n-process system. The probability
+// checks are written so that NaN fails them.
 func (fp *FaultPlan) Validate(n int) error {
-	if fp.Loss < 0 || fp.Loss >= 1 {
+	if !(fp.Loss >= 0 && fp.Loss < 1) {
 		return fmt.Errorf("sim: FaultPlan.Loss = %v out of [0, 1)", fp.Loss)
 	}
-	if fp.Dup < 0 || fp.Dup >= 1 {
+	if !(fp.Dup >= 0 && fp.Dup < 1) {
 		return fmt.Errorf("sim: FaultPlan.Dup = %v out of [0, 1)", fp.Dup)
 	}
 	if fp.MaxDelay < 0 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -16,6 +17,8 @@ func TestFaultPlanValidate(t *testing.T) {
 		{"loss low", FaultPlan{Loss: -0.1}, "Loss"},
 		{"loss high", FaultPlan{Loss: 1}, "Loss"},
 		{"dup high", FaultPlan{Dup: 1.5}, "Dup"},
+		{"loss NaN", FaultPlan{Loss: math.NaN()}, "Loss"},
+		{"dup NaN", FaultPlan{Dup: math.NaN()}, "Dup"},
 		{"delay negative", FaultPlan{MaxDelay: -1}, "MaxDelay"},
 		{"bad partition", FaultPlan{Partitions: []dist.Partition{{A: dist.NewProcSet(1), B: dist.NewProcSet(1), From: 0, Until: 5}}}, "Partitions[0]"},
 	}
