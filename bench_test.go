@@ -37,62 +37,6 @@ func reportRun(b *testing.B, steps, msgs int64) {
 	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 }
 
-// reportLatency reports the per-operation latency tail of a store benchmark
-// in client steps. Latencies are schedule-determined (seeds 0..b.N-1), so at
-// a fixed iteration count the percentiles are exactly reproducible — they
-// can be regression-gated like msgs/op, unlike wall-clock metrics.
-func reportLatency(b *testing.B, lat *sweep.Hist) {
-	b.Helper()
-	if lat.Count == 0 {
-		return
-	}
-	b.ReportMetric(float64(lat.Quantile(0.50)), "lat_p50_steps")
-	b.ReportMetric(float64(lat.Quantile(0.99)), "lat_p99_steps")
-	b.ReportMetric(float64(lat.Quantile(0.999)), "lat_p999_steps")
-}
-
-// storeLats accumulates the per-op metrics of store runs: the latency
-// histogram plus its clean/faulted fault-exposure split (an op is faulted
-// once it pays a retransmit, which parked-behind-a-partition ops always do),
-// and the run's fast-read/fallback counters.
-type storeLats struct {
-	lat, clean, faulted  sweep.Hist
-	fastReads, fallbacks int64
-}
-
-// merge folds every store node's histograms and counters of one finished run
-// into the accumulator (replicas without scripts contribute empty hists).
-func (l *storeLats) merge(res *sim.Result) {
-	for _, a := range res.Automata {
-		if node, ok := a.(*register.StoreNode); ok {
-			l.lat.Merge(node.LatencyHist())
-			l.clean.Merge(node.CleanLatencyHist())
-			l.faulted.Merge(node.FaultedLatencyHist())
-			l.fastReads += node.FastReads()
-			l.fallbacks += node.ReadFallbacks()
-		}
-	}
-}
-
-// report emits the latency tail plus, when populated, the clean/faulted
-// split (only fault rows ever tag an op faulted — on clean rows the split
-// would duplicate the total) and the fast-read counters per completed op
-// (only FastReads rows produce them).
-func (l *storeLats) report(b *testing.B, completed int64) {
-	b.Helper()
-	reportLatency(b, &l.lat)
-	if l.faulted.Count > 0 {
-		b.ReportMetric(float64(l.clean.Quantile(0.50)), "lat_clean_p50_steps")
-		b.ReportMetric(float64(l.clean.Quantile(0.99)), "lat_clean_p99_steps")
-		b.ReportMetric(float64(l.faulted.Quantile(0.50)), "lat_faulted_p50_steps")
-		b.ReportMetric(float64(l.faulted.Quantile(0.99)), "lat_faulted_p99_steps")
-	}
-	if l.fastReads > 0 || l.fallbacks > 0 {
-		b.ReportMetric(float64(l.fastReads)/float64(completed), "fastreads/op")
-		b.ReportMetric(float64(l.fallbacks)/float64(completed), "fallbacks/op")
-	}
-}
-
 // newRunner fails the benchmark on configuration errors.
 func newRunner(b *testing.B, cfg sim.Config) *sim.Runner {
 	b.Helper()
@@ -396,229 +340,287 @@ func BenchmarkABDRegister(b *testing.B) {
 	reportRun(b, steps, msgs)
 }
 
-// BenchmarkStore regenerates experiments E17–E23 on the keyed register
-// store: one zipf-skewed keyed workload, completed client operations per
-// second of wall clock as the headline metric. E17 is throughput vs the
-// client pipelining window (window > 1 must strictly beat window = 1 on the
-// same seed set); E18 is the request-batching ablation (one message per
-// request instead of one batch per step), visible in msgs/op. E19 shards
-// the same key space across disjoint replica groups at the E17 window=8
-// operating point: replica-bytes/node must shrink with the shard count
-// (each process only replicates its own shard) while shards=1 stays within
-// noise of E17's window=8 row. E20 turns batching off on the sharded store
-// (batches coalesce per destination shard, so the ablation measures what
-// per-shard coalescing buys). E21 is the allocation trajectory of the
-// pooled hot path, read off every row's allocs/op (the steady-state-zero
-// tripwire is TestStoreAllocsPerStep); E22 turns reply piggybacking on at
-// the E19 operating points — msgs/op must fall strictly below the matching
-// E19 row, every entry kind for one destination folded into one frame per
-// step; E23 runs a whole-group shard crash and compares a fixed window
-// against the AIMD per-shard controller on healthy-shard throughput.
-// E24 turns the adversarial network on (loss, duplication, bounded extra
-// delay) with retransmission armed: every op must still complete, and the
-// price shows up as retransmits/op, drops/op and dups/op. E25 adds a
-// scripted partition that heals mid-run on top of the E24 faults — parked
-// ops resume after the heal, so completion stays total.
-// E26–E28 trade tail latency for msgs/op with bounded-delay cross-step
-// coalescing (every store row now also reports lat_p50/p99/p999 in client
-// steps): E26 sweeps the delay budget D ∈ {0, 2, 8} closed-loop at the E22
-// shards=4 piggyback operating point (D=0 must match that row exactly); E27
-// repeats it under open-loop arrivals at roughly 80% of closed-loop capacity
-// (gap 5, jittered), where under-filled frames give coalescing traffic to
-// merge; E28 pushes the arrival rate past capacity (gap 2) so queueing
-// delay dominates the measured-from-arrival latency and the msgs/op saving
-// is at its largest.
-// E31–E33 are the fast-read experiments: E31 is the headline claim — on a
-// read-heavy zipf workload (write ratio 0.1, failure-free) one-phase reads
-// cut msgs/op ≥ 30% and read p50 to half or less vs the identical
-// FastReads=false row; E32 turns the E25 adversarial network (loss + dup +
-// healing partition) on under fast reads, where broken unanimity exercises
-// the write-back fallback and the clean/faulted latency split prices it;
-// E33 is fast reads at the E29 scale point (n=128, 16 shard groups) under
-// the same faults.
-// E35 is the crash-recovery row: replica p5 crashes at t=40, loses its
-// volatile state, and rejoins at t=120 as a learner under the shared
-// E35–E37 adversarial network (loss + dup + delay + a one-way partition
-// healing at t=150) — every client op still completes and the recovered
-// replica repopulates purely through protocol traffic.
+// BenchmarkStore regenerates experiments E17–E35 on the keyed register
+// store: one row per operating point, every row one
+// register.StoreSweepConfig run by the one store-run definition
+// (StoreSweepConfig.SimConfig) through one harness (runStoreRow), with
+// completed client operations per second of wall clock as the headline
+// metric. Unless a row says otherwise it is the n=5 store shared by S =
+// {p1,p2,p3} on a failure-free pattern, 12 zipf-skewed ops per client.
+//
+// E17 is throughput vs the client pipelining window (window > 1 must
+// strictly beat window = 1 on the same seed set); E18 is the
+// request-batching ablation (one message per request instead of one batch
+// per step), visible in msgs/op. E19 shards the same key space across
+// disjoint replica groups at the E17 window=8 operating point:
+// replica-B/node must shrink with the shard count while shards=1 stays
+// within noise of E17's window=8 row. E20 turns batching off on the sharded
+// store. E21 is the allocation trajectory of the pooled hot path, read off
+// every row's allocs/op (the steady-state-zero tripwire is
+// TestStoreAllocsPerStep). E22 turns reply piggybacking on at the E19
+// operating points — msgs/op must fall strictly below the matching E19
+// row. E23 compares a fixed window against the AIMD per-shard controller
+// under a whole-group shard crash. E24 turns the adversarial network on
+// (loss, duplication, bounded extra delay) with retransmission armed, and
+// E25 adds a partition that heals mid-run; every op still completes, and
+// the price shows up as retransmits/op, drops/op and dups/op. E26–E28
+// trade tail latency for msgs/op with bounded-delay cross-step coalescing:
+// closed loop (D=0 must match the E22 shards=4 row exactly), open loop at
+// roughly 80% of closed-loop capacity, and open-loop overload where
+// queueing delay dominates. E29/E30 are the multi-word scale points. E31–
+// E33 are the fast-read experiments: read-heavy failure-free (msgs/op ≥ 30%
+// and read p50 halved vs the identical two-phase row), the E25 network,
+// and the E29 scale point. E35 is the crash-recovery row.
 func BenchmarkStore(b *testing.B) {
-	const n, keys, opsPerClient = 5, 12, 12
+	const n, keys = 5, 12
 	f := dist.NewFailurePattern(n)
 	s := dist.RangeSet(1, 3)
-	runWR := func(b *testing.B, cfg register.StoreConfig, wlShards int, writeRatio float64) {
-		scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-			N: n, S: s, Keys: keys, Shards: wlShards, OpsPerClient: opsPerClient,
-			WriteRatio: writeRatio, Skew: 1.3, Seed: 42,
-		})
-		if err != nil {
-			b.Fatal(err)
+	row := func(name string, store register.StoreConfig) storeRow {
+		return storeRow{
+			name: name,
+			cfg:  register.StoreSweepConfig{Pattern: f, S: s, Store: store, Stab: 15},
+			wl:   register.StoreWorkloadConfig{OpsPerClient: 12, WriteRatio: -1, Skew: 1.3, Seed: 42},
 		}
-		total := register.TotalKeyedOps(scripts)
-		prog, err := register.StoreProgram(n, s, cfg, scripts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := newRunner(b, sim.Config{
-			Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-			Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000, DisableTrace: true,
-			StopWhen: func(sn *sim.Snapshot) bool {
-				return register.StoreClientsDone(sn, s)
-			},
-		})
-		var steps, msgs, completed, replicaBytes int64
-		var lats storeLats
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := r.Reset(int64(i)).Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			done := 0
-			replicaBytes = 0
-			for _, a := range res.Automata {
-				if node, ok := a.(*register.StoreNode); ok {
-					done += node.CompletedOps()
-					replicaBytes += int64(node.ReplicaStateBytes())
-				}
-			}
-			if done != total {
-				b.Fatalf("seed %d completed %d/%d ops (%s)", i, done, total, res.Reason)
-			}
-			completed += int64(done)
-			steps += res.Steps
-			msgs += res.MessagesSent
-			lats.merge(res)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
-		b.ReportMetric(float64(replicaBytes)/float64(n), "replica-B/node")
-		reportRun(b, steps, msgs)
-		lats.report(b, completed)
 	}
-	run := func(b *testing.B, cfg register.StoreConfig, wlShards int) {
-		runWR(b, cfg, wlShards, -1)
-	}
+	var rows []storeRow
 	// E17: throughput vs pipelining window.
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(benchName("window", w), func(b *testing.B) {
-			run(b, register.StoreConfig{Keys: keys, Window: w}, 0)
-		})
+		rows = append(rows, row(benchName("window", w), register.StoreConfig{Keys: keys, Window: w}))
 	}
 	// E18: batching off at the widest window.
-	b.Run("window=8-nobatch", func(b *testing.B) {
-		run(b, register.StoreConfig{Keys: keys, Window: 8, DisableBatching: true}, 0)
-	})
+	rows = append(rows, row("window=8-nobatch", register.StoreConfig{Keys: keys, Window: 8, DisableBatching: true}))
 	// E19: replica state and throughput vs shard count at window=8
 	// (shards=1 doubles as the E17 window=8 parity check).
 	for _, sc := range []int{1, 2, 4} {
-		b.Run(benchName("shards", sc), func(b *testing.B) {
-			run(b, register.StoreConfig{Keys: keys, Shards: sc, Window: 8}, sc)
-		})
+		rows = append(rows, row(benchName("shards", sc), register.StoreConfig{Keys: keys, Shards: sc, Window: 8}))
 	}
-	// E20: the batching ablation on the sharded store.
-	b.Run("shards=4-nobatch", func(b *testing.B) {
-		run(b, register.StoreConfig{Keys: keys, Shards: 4, Window: 8, DisableBatching: true}, 4)
-	})
-	// E22: reply piggybacking at the E19 operating points — msgs/op must
-	// fall strictly below the matching E19 rows.
-	b.Run("shards=1-piggyback", func(b *testing.B) {
-		run(b, register.StoreConfig{Keys: keys, Window: 8, Piggyback: true}, 0)
-	})
-	b.Run("shards=4-piggyback", func(b *testing.B) {
-		run(b, register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true}, 4)
-	})
-	// E23: healthy-shard throughput under a whole-group crash, fixed
-	// window vs the adaptive controller at the same start window: the
-	// controller grows the healthy shard toward the cap (2× start) and
-	// decays the dead shard to 1 instead of pinning client effort.
-	b.Run("crashshard-fixed", func(b *testing.B) {
-		runStoreCrashShard(b, register.StoreConfig{Keys: keys, Shards: 2, Window: 2})
-	})
-	b.Run("crashshard-adaptive", func(b *testing.B) {
-		runStoreCrashShard(b, register.StoreConfig{Keys: keys, Shards: 2, Window: 2, AdaptiveWindow: true, MaxWindow: 4})
-	})
-	// E26: the delay budget closed-loop at the E22 shards=4 piggyback point
-	// (coalesce=0 must reproduce that row bit for bit).
-	for _, d := range []int{0, 2, 8} {
-		b.Run(benchName("coalesce", d), func(b *testing.B) {
-			run(b, register.StoreConfig{
-				Keys: keys, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: d,
-			}, 4)
-		})
+	rows = append(rows,
+		// E20: the batching ablation on the sharded store.
+		row("shards=4-nobatch", register.StoreConfig{Keys: keys, Shards: 4, Window: 8, DisableBatching: true}),
+		// E22: reply piggybacking at the E19 operating points.
+		row("shards=1-piggyback", register.StoreConfig{Keys: keys, Window: 8, Piggyback: true}),
+		row("shards=4-piggyback", register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true}),
+	)
+	// E23: shard 1's whole replica group ({p2, p4} under the canonical
+	// n=5/shards=2 layout) is dead from the start and every client sits in
+	// shard 0's surviving group, so only healthy-shard ops complete. The
+	// adaptive controller grows the healthy shard toward the cap (2× start)
+	// and decays the dead shard to 1 instead of pinning client effort.
+	crashShard := func(name string, store register.StoreConfig) storeRow {
+		r := row(name, store)
+		r.cfg.Pattern, r.cfg.S = dist.CrashPattern(n, 2, 4), dist.NewProcSet(1, 3, 5)
+		return r
 	}
-	// E27: open-loop arrivals at ~80% of closed-loop capacity.
-	for _, d := range []int{0, 2, 8} {
-		b.Run(benchName("openloop-coalesce", d), func(b *testing.B) {
-			run(b, register.StoreConfig{
-				Keys: keys, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: d,
-				OpenLoop: true, ArrivalGap: 5, ArrivalJitter: true,
-			}, 4)
-		})
-	}
-	// E28: open-loop overload — arrivals faster than the store can serve.
-	for _, d := range []int{0, 2, 8} {
-		b.Run(benchName("overload-coalesce", d), func(b *testing.B) {
-			run(b, register.StoreConfig{
-				Keys: keys, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: d,
-				OpenLoop: true, ArrivalGap: 2, ArrivalJitter: true,
-			}, 4)
-		})
+	rows = append(rows,
+		crashShard("crashshard-fixed", register.StoreConfig{Keys: keys, Shards: 2, Window: 2}),
+		crashShard("crashshard-adaptive", register.StoreConfig{
+			Keys: keys, Shards: 2, Window: 2, AdaptiveWindow: true, MaxWindow: 4,
+		}),
+	)
+	coalesced := register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true}
+	for _, tc := range []struct {
+		prefix string
+		gap    int // open-loop mean arrival gap; 0 = closed loop
+	}{
+		{"coalesce", 0},          // E26: closed loop
+		{"openloop-coalesce", 5}, // E27: ~80% of closed-loop capacity
+		{"overload-coalesce", 2}, // E28: arrivals faster than service
+	} {
+		for _, d := range []int{0, 2, 8} {
+			store := coalesced
+			store.CoalesceDelay = d
+			if tc.gap > 0 {
+				store.OpenLoop, store.ArrivalGap, store.ArrivalJitter = true, tc.gap, true
+			}
+			rows = append(rows, row(benchName(tc.prefix, d), store))
+		}
 	}
 	// E31: the fast-read operating point — read-heavy zipf (write ratio
 	// 0.1), failure-free, at the E22 shards=4 piggyback configuration. The
 	// on row elides the write-back round on (nearly) every read.
-	b.Run("readheavy-fastread-off", func(b *testing.B) {
-		runWR(b, register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true}, 4, 0.1)
-	})
-	b.Run("readheavy-fastread-on", func(b *testing.B) {
-		runWR(b, register.StoreConfig{
-			Keys: keys, Shards: 4, Window: 8, Piggyback: true, FastReads: true,
-		}, 4, 0.1)
-	})
-	// E29/E30: the multi-word scale points — systems past the old 64-process
-	// ceiling, 8-replica shard groups, the E24-style network (loss + dup +
-	// delay + a healing partition between two groups) with retransmission
-	// and adaptive windows armed. One client per shard group.
-	b.Run("scale-n=128-shards=16", func(b *testing.B) {
-		runStoreScaleFaults(b, 128, 16, 16, 4, false)
-	})
-	b.Run("scale-n=256-shards=32", func(b *testing.B) {
-		runStoreScaleFaults(b, 256, 32, 32, 3, false)
-	})
-	// E33: fast reads at the n=128 scale point under the same adversarial
-	// network — unanimity breaks across 8-replica groups, so the elision
-	// rate here is the realistic one, not the failure-free ceiling.
-	b.Run("scale-n=128-shards=16-fastread", func(b *testing.B) {
-		runStoreScaleFaults(b, 128, 16, 16, 4, true)
-	})
-	// E24: lossy, duplicating, delaying network with retransmission armed.
-	b.Run("faults-loss", func(b *testing.B) {
-		runStoreFaults(b,
-			register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Retransmit: true, RTO: 16},
-			false)
-	})
-	// E25: the E24 network plus a partition between two shard groups that
-	// heals mid-run — parked ops must resume and complete.
-	b.Run("faults-partition", func(b *testing.B) {
-		runStoreFaults(b,
-			register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Retransmit: true, RTO: 16},
-			true)
-	})
-	// E32: fast reads on the E25 network — loss and the partition break
-	// phase-1 unanimity, so completion leans on the write-back fallback and
-	// the confirmed-timestamp rescue; fastreads/op and fallbacks/op report
-	// how often each fired, and the clean/faulted split prices the fallback.
-	b.Run("faults-partition-fastread", func(b *testing.B) {
-		runStoreFaults(b,
-			register.StoreConfig{
-				Keys: keys, Shards: 4, Window: 8, Retransmit: true, RTO: 16, FastReads: true,
+	readHeavy := func(name string, store register.StoreConfig) storeRow {
+		r := row(name, store)
+		r.wl.WriteRatio = 0.1
+		return r
+	}
+	fastReads := coalesced
+	fastReads.FastReads = true
+	rows = append(rows, readHeavy("readheavy-fastread-off", coalesced), readHeavy("readheavy-fastread-on", fastReads))
+	// E29/E30 (and E33 with fast reads): systems past the old 64-process
+	// ceiling with one client per shard group, retransmission and adaptive
+	// windows armed, under 3% loss, 3% duplication, up to 3 ticks of extra
+	// delay and a partition cutting group 0 off group 1 during [60, 300).
+	// At n=128 unanimity breaks across 8-replica groups, so E33's elision
+	// rate is the realistic one, not the failure-free ceiling.
+	for _, tc := range []struct {
+		n, shards, opsPerClient int
+		fastReads               bool
+	}{{128, 16, 4, false}, {256, 32, 3, false}, {128, 16, 4, true}} {
+		m, err := register.NewShardMap(tc.n, 64, tc.shards)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("scale-n=%d-shards=%d", tc.n, tc.shards)
+		if tc.fastReads {
+			name += "-fastread"
+		}
+		rows = append(rows, storeRow{
+			name: name,
+			cfg: register.StoreSweepConfig{
+				Pattern: dist.NewFailurePattern(tc.n), S: dist.RangeSet(1, dist.ProcID(tc.shards)),
+				Store: register.StoreConfig{
+					Keys: 64, Shards: tc.shards, Window: 2,
+					AdaptiveWindow: true, MaxWindow: 6, StallSteps: 8,
+					Retransmit: true, RTO: 24, MaxRTO: 96, FastReads: tc.fastReads,
+				},
+				Faults: &sim.FaultPlan{
+					Seed: 7, Loss: 0.03, Dup: 0.03, MaxDelay: 3,
+					Partitions: []dist.Partition{{A: m.Group(0), B: m.Group(1), From: 60, Until: 300}},
+				},
 			},
-			true)
+			wl: register.StoreWorkloadConfig{OpsPerClient: tc.opsPerClient, WriteRatio: -1, Skew: 1.2, Seed: 808},
+		})
+	}
+	// E24: 5% loss, 5% duplication, up to 3 ticks of extra delay, with
+	// retransmission armed. E25 adds a partition between shard groups 1 and
+	// 2 ({p2} and {p3}) during [50, 400): parked ops resume after the heal.
+	// E32 runs fast reads on the E25 network, where broken phase-1 unanimity
+	// leans on the write-back fallback and the clean/faulted split prices it.
+	for _, tc := range []struct {
+		name      string
+		partition bool
+		fastReads bool
+	}{{"faults-loss", false, false}, {"faults-partition", true, false}, {"faults-partition-fastread", true, true}} {
+		r := row(tc.name, register.StoreConfig{
+			Keys: keys, Shards: 4, Window: 8, Retransmit: true, RTO: 16, FastReads: tc.fastReads,
+		})
+		r.cfg.Faults = &sim.FaultPlan{Seed: 7, Loss: 0.05, Dup: 0.05, MaxDelay: 3}
+		if tc.partition {
+			r.cfg.Faults.Partitions = []dist.Partition{{A: dist.NewProcSet(2), B: dist.NewProcSet(3), From: 50, Until: 400}}
+		}
+		rows = append(rows, r)
+	}
+	// E35: the n=6/shards=3 store (groups {1,4}, {2,5}, {3,6}) with replica
+	// p5 crashed at t=40 and recovered at t=120, its shard-1 state wiped,
+	// under the shared adversarial network. The one-way partition parks
+	// shard-1 operations past the recovery, so the rejoined replica sees live
+	// quorum traffic and must have repopulated when the run stops; the
+	// recovery price lands in retransmits/op and the faulted latency split.
+	recovery := dist.NewFailurePattern(6)
+	recovery.CrashAt(5, 40)
+	recovery.RecoverAt(5, 120)
+	rec := row("faults-recovery", register.StoreConfig{
+		Keys: keys, Shards: 3, Window: 2, Piggyback: true, Retransmit: true, RTO: 16,
 	})
-	// E35: replica crash + volatile-state loss + recovery under the shared
-	// E35–E37 adversarial network.
-	b.Run("faults-recovery", runStoreRecovery)
+	rec.cfg.Pattern, rec.cfg.Faults, rec.wl.OpsPerClient = recovery, sharedAdversary(), 10
+	rec.check = func(res *sim.Result) error {
+		if res.Automata[4].(*register.StoreNode).ReplicaStateBytes() == 0 {
+			return fmt.Errorf("recovered p5 holds no replica state — the wipe was never repopulated")
+		}
+		return nil
+	}
+	rows = append(rows, rec)
+
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) { runStoreRow(b, r) })
+	}
+}
+
+// storeRow is one BenchmarkStore row: a store run as StoreSweepConfig
+// defines it, the workload its scripts are generated from (N, S, Keys and
+// Shards come from cfg), and an optional extra per-run check.
+type storeRow struct {
+	name  string
+	cfg   register.StoreSweepConfig
+	wl    register.StoreWorkloadConfig
+	check func(res *sim.Result) error
+}
+
+// runStoreRow runs one row untraced on seeds 0..b.N-1. Every run must end on
+// its stop condition: every correct client finished its work on the
+// available shards it can reach. The row reports completed ops per second,
+// replica-B/node (of the last run), steps/op and msgs/op and the per-op
+// latency tail in client steps, plus what only some rows produce:
+// retransmits/op, drops/op and dups/op under faults, the clean/faulted
+// latency split once an op paid a retransmit (on clean rows it would
+// duplicate the total), and fastreads/op and fallbacks/op under fast reads.
+// Everything but the wall-clock metrics is schedule-determined, so at a
+// fixed iteration count it is exactly reproducible and can be gated like
+// msgs/op.
+func runStoreRow(b *testing.B, row storeRow) {
+	cfg, wl := row.cfg, row.wl
+	wl.N, wl.S, wl.Keys, wl.Shards = cfg.Pattern.N(), cfg.S, cfg.Store.Keys, cfg.Store.Shards
+	scripts, err := register.GenerateStoreWorkload(wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Scripts = scripts
+	simCfg, err := cfg.SimConfig()
+	if err != nil {
+		b.Fatal(err)
+	}
+	simCfg.DisableTrace, simCfg.OmitMessages = true, false
+	r := newRunner(b, simCfg)
+	var steps, msgs, drops, dups, completed, retransmits, fastReads, fallbacks, replicaBytes int64
+	var lat, clean, faulted sweep.Hist
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := r.Reset(int64(i)).Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Reason != sim.ReasonStopCond {
+			b.Fatalf("seed %d ended %s before every client finished its reachable work", i, res.Reason)
+		}
+		if row.check != nil {
+			if err := row.check(res); err != nil {
+				b.Fatalf("seed %d: %v", i, err)
+			}
+		}
+		steps += res.Steps
+		msgs += res.MessagesSent
+		drops += res.MessagesDropped
+		dups += res.MessagesDuplicated
+		replicaBytes = 0
+		for _, a := range res.Automata {
+			node := a.(*register.StoreNode)
+			completed += int64(node.CompletedOps())
+			retransmits += node.Retransmits()
+			fastReads += node.FastReads()
+			fallbacks += node.ReadFallbacks()
+			replicaBytes += int64(node.ReplicaStateBytes())
+			lat.Merge(node.LatencyHist())
+			clean.Merge(node.CleanLatencyHist())
+			faulted.Merge(node.FaultedLatencyHist())
+		}
+	}
+	b.StopTimer()
+	perOp := func(v int64, unit string) { b.ReportMetric(float64(v)/float64(completed), unit) }
+	quantile := func(h *sweep.Hist, q float64, unit string) { b.ReportMetric(float64(h.Quantile(q)), unit) }
+	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
+	b.ReportMetric(float64(replicaBytes)/float64(cfg.Pattern.N()), "replica-B/node")
+	reportRun(b, steps, msgs)
+	if lat.Count > 0 {
+		quantile(&lat, 0.50, "lat_p50_steps")
+		quantile(&lat, 0.99, "lat_p99_steps")
+		quantile(&lat, 0.999, "lat_p999_steps")
+	}
+	if faulted.Count > 0 {
+		quantile(&clean, 0.50, "lat_clean_p50_steps")
+		quantile(&clean, 0.99, "lat_clean_p99_steps")
+		quantile(&faulted, 0.50, "lat_faulted_p50_steps")
+		quantile(&faulted, 0.99, "lat_faulted_p99_steps")
+	}
+	if cfg.Faults != nil {
+		perOp(retransmits, "retransmits/op")
+		perOp(drops, "drops/op")
+		perOp(dups, "dups/op")
+	}
+	if fastReads > 0 || fallbacks > 0 {
+		perOp(fastReads, "fastreads/op")
+		perOp(fallbacks, "fallbacks/op")
+	}
 }
 
 // sharedAdversary is the network the E35 store row and the E36/E37 consensus
@@ -633,317 +635,6 @@ func sharedAdversary() *sim.FaultPlan {
 			A: dist.NewProcSet(1, 3), B: dist.NewProcSet(2), From: 30, Until: 150, OneWay: true,
 		}},
 	}
-}
-
-// runStoreRecovery is the E35 harness: the n=6/shards=3 store (groups {1,4},
-// {2,5}, {3,6}) with replica p5 crashed at t=40 and recovered at t=120 — its
-// shard-1 timestamps, values and confirmed marks wiped — under the shared
-// adversarial network with retransmission armed. The one-way partition parks
-// shard-1 operations past the recovery, so the rejoined replica sees live
-// quorum traffic; every client op completes (the partition heals at 150) and
-// the recovered replica must have repopulated when the run stops. The
-// recovery price lands in retransmits/op and the faulted latency split.
-func runStoreRecovery(b *testing.B) {
-	const n, shards, opsPerClient = 6, 3, 10
-	f := dist.NewFailurePattern(n)
-	f.CrashAt(5, 40)
-	f.RecoverAt(5, 120)
-	s := dist.RangeSet(1, 3)
-	cfg := register.StoreConfig{
-		Keys: 12, Shards: shards, Window: 2, Piggyback: true, Retransmit: true, RTO: 16,
-	}
-	fp := sharedAdversary()
-	scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-		N: n, S: s, Keys: cfg.Keys, Shards: shards, OpsPerClient: opsPerClient,
-		WriteRatio: -1, Skew: 1.3, Seed: 42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	total := register.TotalKeyedOps(scripts)
-	prog, err := register.StoreProgram(n, s, cfg, scripts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := newRunner(b, sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000, DisableTrace: true,
-		Faults: fp,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return register.StoreClientsDone(sn, s)
-		},
-	})
-	var steps, msgs, completed, retransmits, drops, dups int64
-	var lats storeLats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Reset(int64(i)).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := 0
-		for _, a := range res.Automata {
-			if node, ok := a.(*register.StoreNode); ok {
-				done += node.CompletedOps()
-				retransmits += node.Retransmits()
-			}
-		}
-		if done != total {
-			b.Fatalf("seed %d completed %d/%d ops across the recovery (%s)", i, done, total, res.Reason)
-		}
-		if got := res.Automata[4].(*register.StoreNode).ReplicaStateBytes(); got == 0 {
-			b.Fatalf("seed %d: recovered p5 holds no replica state — the wipe was never repopulated", i)
-		}
-		completed += int64(done)
-		steps += res.Steps
-		msgs += res.MessagesSent
-		drops += res.MessagesDropped
-		dups += res.MessagesDuplicated
-		lats.merge(res)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
-	b.ReportMetric(float64(retransmits)/float64(completed), "retransmits/op")
-	b.ReportMetric(float64(drops)/float64(completed), "drops/op")
-	b.ReportMetric(float64(dups)/float64(completed), "dups/op")
-	reportRun(b, steps, msgs)
-	lats.report(b, completed)
-}
-
-// runStoreCrashShard is the E23 harness: shard 1's whole replica group
-// ({p2, p4} under the canonical n=5/shards=2 partition) is dead from the
-// start, every client sits in shard 0's surviving group, and the run stops
-// when all work routed to the healthy shard is complete. Throughput counts
-// only those guaranteed completions — ops bound for the dead shard can
-// never finish and stay pending by design.
-func runStoreCrashShard(b *testing.B, cfg register.StoreConfig) {
-	const n, opsPerClient = 5, 12
-	s := dist.NewProcSet(1, 3, 5)
-	m, err := cfg.ShardMap(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := dist.NewFailurePattern(n)
-	for _, p := range m.Group(1).Members() {
-		f.CrashAt(p, 0)
-	}
-	scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-		N: n, S: s, Keys: cfg.Keys, Shards: cfg.Shards, OpsPerClient: opsPerClient,
-		WriteRatio: -1, Skew: 1.3, Seed: 42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	healthy := 0 // ops routed to the surviving shard: guaranteed to complete
-	for _, sc := range scripts {
-		for _, op := range sc {
-			if m.Shard(op.Key) == 0 {
-				healthy++
-			}
-		}
-	}
-	prog, err := register.StoreProgram(n, s, cfg, scripts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	avail := m.Available(f.Correct())
-	r := newRunner(b, sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000, DisableTrace: true,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return register.StoreClientsDoneOn(sn, s, avail)
-		},
-	})
-	var steps, msgs, completed int64
-	var lats storeLats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Reset(int64(i)).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := 0
-		for _, a := range res.Automata {
-			if node, ok := a.(*register.StoreNode); ok {
-				done += node.CompletedOps()
-			}
-		}
-		if done != healthy {
-			b.Fatalf("seed %d completed %d ops, want exactly the %d healthy-shard ops (%s)", i, done, healthy, res.Reason)
-		}
-		completed += int64(done)
-		steps += res.Steps
-		msgs += res.MessagesSent
-		lats.merge(res)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
-	reportRun(b, steps, msgs)
-	lats.report(b, completed)
-}
-
-// runStoreFaults is the E24/E25 harness: a failure-free process set under
-// an adversarial network (5% loss, 5% duplication, up to 3 ticks of extra
-// delay), with retransmission armed so every scripted op still completes.
-// withPartition adds the E25 twist: two shard replica groups cannot talk
-// during [50, 400) and heal afterwards, so ops park and resume instead of
-// failing. The fault price is reported as retransmits/op, drops/op and
-// dups/op on top of the usual msgs/op.
-func runStoreFaults(b *testing.B, cfg register.StoreConfig, withPartition bool) {
-	const n, opsPerClient = 5, 12
-	f := dist.NewFailurePattern(n)
-	s := dist.RangeSet(1, 3)
-	m, err := cfg.ShardMap(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fp := &sim.FaultPlan{Seed: 7, Loss: 0.05, Dup: 0.05, MaxDelay: 3}
-	if withPartition {
-		fp.Partitions = []dist.Partition{
-			{A: m.Group(1), B: m.Group(2), From: 50, Until: 400},
-		}
-	}
-	scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-		N: n, S: s, Keys: cfg.Keys, Shards: cfg.Shards, OpsPerClient: opsPerClient,
-		WriteRatio: -1, Skew: 1.3, Seed: 42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	total := register.TotalKeyedOps(scripts)
-	prog, err := register.StoreProgram(n, s, cfg, scripts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := newRunner(b, sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000, DisableTrace: true,
-		Faults: fp,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return register.StoreClientsDone(sn, s)
-		},
-	})
-	var steps, msgs, completed, retransmits, drops, dups int64
-	var lats storeLats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Reset(int64(i)).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := 0
-		for _, a := range res.Automata {
-			if node, ok := a.(*register.StoreNode); ok {
-				done += node.CompletedOps()
-				retransmits += node.Retransmits()
-			}
-		}
-		if done != total {
-			b.Fatalf("seed %d completed %d/%d ops under faults (%s)", i, done, total, res.Reason)
-		}
-		completed += int64(done)
-		steps += res.Steps
-		msgs += res.MessagesSent
-		drops += res.MessagesDropped
-		dups += res.MessagesDuplicated
-		lats.merge(res)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
-	b.ReportMetric(float64(retransmits)/float64(completed), "retransmits/op")
-	b.ReportMetric(float64(drops)/float64(completed), "drops/op")
-	b.ReportMetric(float64(dups)/float64(completed), "dups/op")
-	reportRun(b, steps, msgs)
-	lats.report(b, completed)
-}
-
-// runStoreScaleFaults is the E29/E30 harness: an n-process store with
-// n/shards-replica groups and one client per group, under 3% loss, 3%
-// duplication, up to 3 ticks of extra delay and a partition cutting group 0
-// off group 1 during [60, 300) before healing. Retransmission and the
-// adaptive window controller are armed, so every scripted op completes —
-// including the parked cross-partition ones — and the fault price is
-// reported as retransmits/op, drops/op and dups/op. fastReads arms the E33
-// one-phase read path on the same workload and network.
-func runStoreScaleFaults(b *testing.B, n, shards, clients, opsPerClient int, fastReads bool) {
-	const keys = 64
-	f := dist.NewFailurePattern(n)
-	s := dist.RangeSet(1, dist.ProcID(clients))
-	cfg := register.StoreConfig{
-		Keys: keys, Shards: shards, Window: 2,
-		AdaptiveWindow: true, MaxWindow: 6, StallSteps: 8,
-		Retransmit: true, RTO: 24, MaxRTO: 96,
-		FastReads: fastReads,
-	}
-	m, err := cfg.ShardMap(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fp := &sim.FaultPlan{
-		Seed: 7, Loss: 0.03, Dup: 0.03, MaxDelay: 3,
-		Partitions: []dist.Partition{
-			{A: m.Group(0), B: m.Group(1), From: 60, Until: 300},
-		},
-	}
-	scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-		N: n, S: s, Keys: keys, Shards: shards, OpsPerClient: opsPerClient,
-		WriteRatio: -1, Skew: 1.2, Seed: 808,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	total := register.TotalKeyedOps(scripts)
-	prog, err := register.StoreProgram(n, s, cfg, scripts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := newRunner(b, sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 20), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 2_000_000, DisableTrace: true,
-		Faults: fp,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return register.StoreClientsDone(sn, s)
-		},
-	})
-	var steps, msgs, completed, retransmits, drops, dups, replicaBytes int64
-	var lats storeLats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := r.Reset(int64(i)).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		done := 0
-		replicaBytes = 0
-		for _, a := range res.Automata {
-			if node, ok := a.(*register.StoreNode); ok {
-				done += node.CompletedOps()
-				retransmits += node.Retransmits()
-				replicaBytes += int64(node.ReplicaStateBytes())
-			}
-		}
-		if done != total {
-			b.Fatalf("seed %d completed %d/%d ops at n=%d (%s)", i, done, total, n, res.Reason)
-		}
-		completed += int64(done)
-		steps += res.Steps
-		msgs += res.MessagesSent
-		drops += res.MessagesDropped
-		dups += res.MessagesDuplicated
-		lats.merge(res)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "ops/sec")
-	b.ReportMetric(float64(retransmits)/float64(completed), "retransmits/op")
-	b.ReportMetric(float64(drops)/float64(completed), "drops/op")
-	b.ReportMetric(float64(dups)/float64(completed), "dups/op")
-	b.ReportMetric(float64(replicaBytes)/float64(n), "replica-B/node")
-	reportRun(b, steps, msgs)
-	lats.report(b, completed)
 }
 
 // BenchmarkConsensus regenerates experiment E13: the Ω+Σ baseline.

@@ -16,11 +16,19 @@ import (
 	"repro/internal/register"
 )
 
-// newPattern validates a user-supplied system size before handing it to
-// dist (which panics on programmer error, not user input).
-func newPattern(n int) (*dist.FailurePattern, error) {
+// checkN validates a user-supplied system size before it reaches dist
+// (which panics on programmer error, not user input).
+func checkN(n int) error {
 	if n < 1 || n > dist.MaxProcs {
-		return nil, fmt.Errorf("-n %d outside 1..%d", n, dist.MaxProcs)
+		return fmt.Errorf("-n %d outside 1..%d", n, dist.MaxProcs)
+	}
+	return nil
+}
+
+// newPattern builds the failure-free pattern of a validated system size.
+func newPattern(n int) (*dist.FailurePattern, error) {
+	if err := checkN(n); err != nil {
+		return nil, err
 	}
 	return dist.NewFailurePattern(n), nil
 }

@@ -121,6 +121,9 @@ func cmdHierarchy(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkN(*n); err != nil {
+		return err
+	}
 	rep, err := hierarchy.Build(hierarchy.Config{N: *n, K: *k, Seed: *seed, Runs: *runs, Workers: *workers})
 	if err != nil {
 		return err
@@ -303,6 +306,9 @@ func cmdLattice(args []string) error {
 	seed := fs.Int64("seed", 1, "base seed")
 	workers := fs.Int("workers", 0, "sweep workers (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkN(*n); err != nil {
 		return err
 	}
 	rep, err := lattice.Build(lattice.Config{N: *n, RunsPerRelation: *runs, Seed: *seed, Workers: *workers})
@@ -746,6 +752,9 @@ func cmdCounterexample(args []string) error {
 	k := fs.Int("k", 2, "k")
 	seed := fs.Int64("seed", 1, "seed")
 	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
+	if err := checkN(*n); err != nil {
 		return err
 	}
 	var (

@@ -110,6 +110,13 @@ func TestSubcommandsFail(t *testing.T) {
 		{"sweep", "-fig", "bogus", "-seeds", "2"},
 		{"sweep", "-fig", "fig2", "-n", "3", "-seeds", "0"},
 		{"sweep", "-fig", "fig2", "-n", "3", "-seeds", "2", "-scenarios", "1,2,3"},
+		// -n past dist.MaxProcs is a user error, not a panic inside dist.
+		{"lattice", "-n", "300"},
+		{"hierarchy", "-n", "300", "-k", "2"},
+		{"counterexample", "lemma7", "-n", "300"},
+		{"counterexample", "lemma11", "-n", "300"},
+		{"counterexample", "lemma15", "-n", "300"},
+		{"counterexample", "tightness", "-n", "300"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -63,7 +63,7 @@ func TestStoreOpenLoopArrivals(t *testing.T) {
 		rc := runStore(t, f, s, closed, scripts, 10, seed)
 		ro := runStore(t, f, s, open, scripts, 10, seed)
 		for _, res := range []*sim.Result{rc, ro} {
-			if err := VerifyStoreRun(res, f.Correct()); err != nil {
+			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			var obs int64
@@ -101,7 +101,7 @@ func TestStoreOpenLoopLatencyIncludesQueueing(t *testing.T) {
 	}
 	mean := func(cfg StoreConfig, seed int64) float64 {
 		res := runStore(t, f, s, cfg, scripts, 10, seed)
-		if err := VerifyStoreRun(res, f.Correct()); err != nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		var h = res.Automata[0].(*StoreNode).LatencyHist()
@@ -144,7 +144,7 @@ func TestStoreCoalesceReducesMessages(t *testing.T) {
 		r0 := runStore(t, f, s, base, scripts, 10, seed)
 		rD := runStore(t, f, s, merged, scripts, 10, seed)
 		for _, res := range []*sim.Result{r0, rD} {
-			if err := VerifyStoreRun(res, f.Correct()); err != nil {
+			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
@@ -177,7 +177,7 @@ func TestStoreCoalesceRetransmitFree(t *testing.T) {
 	}
 	for seed := int64(0); seed < 4; seed++ {
 		res := runStore(t, f, s, cfg, scripts, 10, seed)
-		if err := VerifyStoreRun(res, f.Correct()); err != nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, p := range s.Members() {
@@ -219,33 +219,12 @@ func TestStoreCoalesceSweepWorkerIndependent(t *testing.T) {
 		},
 		StallLimit: 5_000,
 		Seeds:      8,
-		Workers:    1,
 	}
-	base, err := StoreSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Runs != 8 || base.Failures != 0 {
-		t.Fatalf("coalescing sweep failed: %s (first seed %d: %v)", base, base.FirstFailSeed, base.FirstFailErr)
-	}
+	base := sweepWorkerIndependent(t, cfg, 2, 8)
 	if base.Dropped.Sum == 0 || base.Duplicated.Sum == 0 {
 		t.Fatalf("fault plan injected nothing: drops %s, dups %s", base.Dropped.String(), base.Duplicated.String())
 	}
 	if want := int64(TotalKeyedOps(scripts)) * base.Runs; base.Lat.Count != want {
 		t.Fatalf("latency histogram has %d observations, want %d (one per op per run)", base.Lat.Count, want)
-	}
-	for _, w := range []int{2, 8} {
-		cfg.Workers = w
-		got, err := StoreSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Runs != base.Runs || got.Failures != base.Failures ||
-			got.FirstFailSeed != base.FirstFailSeed ||
-			got.Steps != base.Steps || got.Msgs != base.Msgs ||
-			got.Dropped != base.Dropped || got.Duplicated != base.Duplicated ||
-			got.Lat != base.Lat {
-			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
-		}
 	}
 }

@@ -146,7 +146,7 @@ func TestStoreFastReadReducesMessagesAndLatency(t *testing.T) {
 		cfg := StoreConfig{Keys: 12, Shards: 4, Window: 4, FastReads: on}
 		for seed := int64(0); seed < 6; seed++ {
 			res := runStore(t, f, s, cfg, scripts, 10, seed)
-			if err := VerifyStoreRun(res, f.Correct()); err != nil {
+			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 				t.Fatalf("fastreads=%v seed %d: %v", on, seed, err)
 			}
 			msgs[i] += res.MessagesSent
@@ -210,7 +210,6 @@ func fastReadFaultedSweepConfig(t *testing.T, seeds int64) StoreSweepConfig {
 		},
 		StallLimit: 5000,
 		Seeds:      seeds,
-		Workers:    1,
 	}
 }
 
@@ -222,15 +221,7 @@ func fastReadFaultedSweepConfig(t *testing.T, seeds int64) StoreSweepConfig {
 // counters and split histograms included — must be bit-identical at
 // workers 1, 2 and 8.
 func TestStoreFastReadSweepFallbacksAndWorkerIndependent(t *testing.T) {
-	cfg := fastReadFaultedSweepConfig(t, 8)
-	base, err := StoreSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Runs != 8 || base.Failures != 0 {
-		t.Fatalf("fast-read faulted sweep failed: %s (first seed %d: %v)",
-			base, base.FirstFailSeed, base.FirstFailErr)
-	}
+	base := sweepWorkerIndependent(t, fastReadFaultedSweepConfig(t, 8), 2, 8)
 	if base.FastReads.Sum == 0 {
 		t.Fatal("no fast read completed — the feature never engaged")
 	}
@@ -246,22 +237,6 @@ func TestStoreFastReadSweepFallbacksAndWorkerIndependent(t *testing.T) {
 		t.Fatalf("clean+faulted must partition the total: %d+%d vs %d ops, %d+%d vs %d sum",
 			base.LatClean.Count, base.LatFaulted.Count, base.Lat.Count,
 			base.LatClean.Sum, base.LatFaulted.Sum, base.Lat.Sum)
-	}
-	for _, w := range []int{2, 8} {
-		cfg.Workers = w
-		got, err := StoreSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Runs != base.Runs || got.Failures != base.Failures ||
-			got.FirstFailSeed != base.FirstFailSeed ||
-			got.Steps != base.Steps || got.Msgs != base.Msgs ||
-			got.Dropped != base.Dropped || got.Duplicated != base.Duplicated ||
-			got.Lat != base.Lat || got.LatClean != base.LatClean ||
-			got.LatFaulted != base.LatFaulted ||
-			got.FastReads != base.FastReads || got.Fallbacks != base.Fallbacks {
-			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
-		}
 	}
 }
 
@@ -294,7 +269,7 @@ func TestStoreFastReadCrashShardDegradesIdentically(t *testing.T) {
 		for i, on := range []bool{false, true} {
 			cfg := StoreConfig{Keys: keys, Shards: shards, Window: 2, FastReads: on}
 			res := runStore(t, f, s, cfg, scripts, 150, seed)
-			if err := VerifyStoreRun(res, f.Correct()); err != nil {
+			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 				t.Fatalf("fastreads=%v seed %d: %v", on, seed, err)
 			}
 			for key, ops := range ExtractKeyedOps(res.Trace) {
@@ -336,34 +311,11 @@ func TestStoreFastReadScaleSweepWorkerIndependent(t *testing.T) {
 	}
 	cfg := scaleSweepConfig(t, 4)
 	cfg.Store.FastReads = true
-	base, err := StoreSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Runs != 4 || base.Failures != 0 {
-		t.Fatalf("scale fast-read sweep failed: %s (first seed %d: %v)",
-			base, base.FirstFailSeed, base.FirstFailErr)
-	}
+	base := sweepWorkerIndependent(t, cfg, 2, 8)
 	if base.FastReads.Sum == 0 {
 		t.Fatal("no fast read at n=128 — the feature never engaged at scale")
 	}
 	if base.LatFaulted.Count == 0 {
 		t.Fatal("no faulted op at n=128 under loss+partition — the latency split is vacuous")
-	}
-	for _, w := range []int{2, 8} {
-		cfg.Workers = w
-		got, err := StoreSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Runs != base.Runs || got.Failures != base.Failures ||
-			got.FirstFailSeed != base.FirstFailSeed ||
-			got.Steps != base.Steps || got.Msgs != base.Msgs ||
-			got.Dropped != base.Dropped || got.Duplicated != base.Duplicated ||
-			got.Lat != base.Lat || got.LatClean != base.LatClean ||
-			got.LatFaulted != base.LatFaulted ||
-			got.FastReads != base.FastReads || got.Fallbacks != base.Fallbacks {
-			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
-		}
 	}
 }

@@ -5,47 +5,31 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/fd"
 	"repro/internal/sim"
 )
 
-// runStoreFaulted runs one traced store run under a fault plan, stopping on
-// the reachability-masked completion condition, and returns the result plus
-// the masks used.
+// runStoreFaulted executes one store run as SimConfig defines it under fault
+// plan fp (nil = none), with a full trace and a scheduler seeded with seed.
+// It keeps sim.Run's one-shot run seed 0 for the fault plan, and returns the
+// result plus the per-client reachability masks of the run's stop condition.
 func runStoreFaulted(t *testing.T, f *dist.FailurePattern, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp, fp *sim.FaultPlan, stab dist.Time, seed int64) (*sim.Result, []ShardSet) {
 	t.Helper()
-	prog, err := StoreProgram(f.N(), s, cfg, scripts)
+	run := StoreSweepConfig{Pattern: f, S: s, Store: cfg, Scripts: scripts, Stab: stab, Faults: fp}
+	simCfg, err := run.SimConfig()
 	if err != nil {
 		t.Fatal(err)
+	}
+	simCfg.OmitMessages = false
+	simCfg.Scheduler = sim.NewRandomScheduler(seed)
+	res, err := sim.Run(simCfg)
+	if err != nil {
+		t.Fatalf("sim.Run: %v", err)
 	}
 	m, err := cfg.ShardMap(f.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	clients := s.Intersect(f.Correct())
-	avail := m.Available(f.Correct())
-	maxSteps := int64(20_000 + 2_000*TotalKeyedOps(scripts))
-	for _, pt := range fp.Partitions {
-		if pt.Until != dist.NoCrash && 2*int64(pt.Until) > maxSteps {
-			maxSteps = 2 * int64(pt.Until)
-		}
-	}
-	masks := StoreReach(m, fp, f.Correct(), clients, dist.Time(maxSteps))
-	res, err := sim.Run(sim.Config{
-		Pattern:   f,
-		History:   fd.NewSigmaS(f, s, stab),
-		Program:   prog,
-		Scheduler: sim.NewRandomScheduler(seed),
-		MaxSteps:  maxSteps,
-		Faults:    fp,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return storeClientsDoneMasked(sn, clients, avail, masks)
-		},
-	})
-	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
-	}
-	return res, masks
+	return res, StoreReach(m, fp, f.Correct(), s.Intersect(f.Correct()), dist.Time(run.EffectiveMaxSteps()))
 }
 
 // TestStoreRetransmitRecoversFromLoss: under plain message loss every op
@@ -70,7 +54,7 @@ func TestStoreRetransmitRecoversFromLoss(t *testing.T) {
 		if res.Reason != sim.ReasonStopCond {
 			t.Fatalf("seed %d did not complete: %s (%d dropped)", seed, res.Reason, res.MessagesDropped)
 		}
-		if err := VerifyStoreRun(res, f.Correct()); err != nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		dropped += res.MessagesDropped
@@ -125,7 +109,7 @@ func TestStoreHealedPartitionCompletesEverything(t *testing.T) {
 		if res.Reason != sim.ReasonStopCond {
 			t.Fatalf("seed %d did not complete: %s", seed, res.Reason)
 		}
-		if err := VerifyStoreRun(res, f.Correct()); err != nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, p := range s.Members() {
@@ -178,7 +162,7 @@ func TestStoreUnhealedPartitionParksMinority(t *testing.T) {
 		}
 		// The full-completion verdict must reject the same run: the parked
 		// minority ops are genuinely incomplete.
-		if err := VerifyStoreRun(res, f.Correct()); err == nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err == nil {
 			t.Fatalf("seed %d: unmasked verdict accepted a run with parked ops", seed)
 		}
 		for _, p := range s.Members() {
@@ -291,30 +275,10 @@ func TestStoreSweepUnderFaultsWorkerIndependent(t *testing.T) {
 		},
 		StallLimit: 5_000,
 		Seeds:      8,
-		Workers:    1,
 	}
-	base, err := StoreSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Runs != 8 || base.Failures != 0 {
-		t.Fatalf("faulted sweep failed: %s (first seed %d: %v)", base, base.FirstFailSeed, base.FirstFailErr)
-	}
+	base := sweepWorkerIndependent(t, cfg, 2, 8)
 	if base.Dropped.Sum == 0 || base.Duplicated.Sum == 0 {
 		t.Fatalf("fault plan injected nothing: drops %s, dups %s", base.Dropped.String(), base.Duplicated.String())
-	}
-	for _, w := range []int{2, 8} {
-		cfg.Workers = w
-		got, err := StoreSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Runs != base.Runs || got.Failures != base.Failures ||
-			got.FirstFailSeed != base.FirstFailSeed ||
-			got.Steps != base.Steps || got.Msgs != base.Msgs ||
-			got.Dropped != base.Dropped || got.Duplicated != base.Duplicated {
-			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
-		}
 	}
 }
 

@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/fd"
 	"repro/internal/sim"
 )
 
-// storeAllocRunner builds a reusable store runner over a generated workload
-// on failure pattern f, for the allocation tripwire: untraced, or traced
-// without messages as StoreSweep runs.
+// storeAllocRunner builds a reusable store runner (SimConfig) over a
+// generated workload on failure pattern f, for the allocation tripwire:
+// untraced, or traced without messages as StoreSweep runs.
 func storeAllocRunner(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.FaultPlan, f *dist.FailurePattern, traced bool) *sim.Runner {
 	t.Helper()
 	const n = 5
@@ -22,19 +21,14 @@ func storeAllocRunner(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.F
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := StoreProgram(n, s, cfg, scripts)
+	simCfg, err := StoreSweepConfig{Pattern: f, S: s, Store: cfg, Scripts: scripts, Stab: 15, Faults: fp}.SimConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sim.NewRunner(sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 500_000,
-		DisableTrace: !traced, OmitMessages: traced,
-		Faults: fp,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return StoreClientsDone(sn, s)
-		},
-	})
+	if !traced {
+		simCfg.DisableTrace, simCfg.OmitMessages = true, false
+	}
+	r, err := sim.NewRunner(simCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +215,7 @@ func TestStorePiggybackReducesMessages(t *testing.T) {
 	} {
 		for seed := int64(0); seed < 6; seed++ {
 			res := runStore(t, f, s, cfg, scripts, 10, seed)
-			if err := VerifyStoreRun(res, f.Correct()); err != nil {
+			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
 			msgs[name] += res.MessagesSent
@@ -259,7 +253,7 @@ func TestStorePiggybackShardedUnderCrashStillVerifies(t *testing.T) {
 			f.CrashAt(p, dist.Time(20+seed))
 		}
 		res := runStore(t, f, s, cfg, scripts, 150, seed)
-		if err := VerifyStoreRun(res, f.Correct()); err != nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -360,7 +354,7 @@ func TestStoreAdaptiveWindowPinsDeadShard(t *testing.T) {
 	sawDead := false
 	for seed := int64(0); seed < 4; seed++ {
 		res := runStore(t, f, s, cfg, scripts, 150, seed)
-		if err := VerifyStoreRun(res, f.Correct()); err != nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, p := range s.Members() {
@@ -410,25 +404,6 @@ func TestStoreAdaptiveSweepWorkerIndependent(t *testing.T) {
 		Scripts: scripts,
 		Stab:    120,
 		Seeds:   8,
-		Workers: 1,
 	}
-	base, err := StoreSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Runs != 8 || base.Failures != 0 {
-		t.Fatalf("adaptive sweep failed: %s (first seed %d: %v)", base, base.FirstFailSeed, base.FirstFailErr)
-	}
-	for _, w := range []int{2, 4} {
-		cfg.Workers = w
-		got, err := StoreSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Runs != base.Runs || got.Failures != base.Failures ||
-			got.FirstFailSeed != base.FirstFailSeed ||
-			got.Steps != base.Steps || got.Msgs != base.Msgs {
-			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
-		}
-	}
+	sweepWorkerIndependent(t, cfg, 2, 4)
 }

@@ -187,30 +187,9 @@ func TestStoreRecoverySweepWorkerIndependent(t *testing.T) {
 		Faults:     fp,
 		StallLimit: 10_000,
 		Seeds:      8,
-		Workers:    1,
 	}
-	base, err := StoreSweep(sweepCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Runs != 8 || base.Failures != 0 {
-		t.Fatalf("recovery sweep failed: %s (first seed %d: %v)", base, base.FirstFailSeed, base.FirstFailErr)
-	}
+	base := sweepWorkerIndependent(t, sweepCfg, 2, 8)
 	if base.Dropped.Sum == 0 || base.Duplicated.Sum == 0 {
 		t.Fatalf("fault plan injected nothing: drops %s, dups %s", base.Dropped.String(), base.Duplicated.String())
-	}
-	for _, w := range []int{2, 8} {
-		sweepCfg.Workers = w
-		got, err := StoreSweep(sweepCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Runs != base.Runs || got.Failures != base.Failures ||
-			got.FirstFailSeed != base.FirstFailSeed ||
-			got.Steps != base.Steps || got.Msgs != base.Msgs ||
-			got.Dropped != base.Dropped || got.Duplicated != base.Duplicated ||
-			got.Lat != base.Lat {
-			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
-		}
 	}
 }

@@ -65,33 +65,12 @@ func TestStoreScaleSweepWorkerIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=128 sweep is a long test")
 	}
-	cfg := scaleSweepConfig(t, 4)
-	base, err := StoreSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Runs != 4 || base.Failures != 0 {
-		t.Fatalf("scale sweep failed: %s (first seed %d: %v)", base, base.FirstFailSeed, base.FirstFailErr)
-	}
+	base := sweepWorkerIndependent(t, scaleSweepConfig(t, 4), 2, 8)
 	if base.Dropped.Sum == 0 || base.Duplicated.Sum == 0 {
 		t.Fatalf("fault plan injected nothing: drops %s, dups %s", base.Dropped.String(), base.Duplicated.String())
 	}
 	if base.Lat.Count == 0 {
 		t.Fatal("latency aggregate is empty — per-op observations must merge into the sweep")
-	}
-	for _, w := range []int{2, 8} {
-		cfg.Workers = w
-		got, err := StoreSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Runs != base.Runs || got.Failures != base.Failures ||
-			got.FirstFailSeed != base.FirstFailSeed ||
-			got.Steps != base.Steps || got.Msgs != base.Msgs ||
-			got.Dropped != base.Dropped || got.Duplicated != base.Duplicated ||
-			got.Lat != base.Lat {
-			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
-		}
 	}
 }
 

@@ -4,12 +4,27 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/fd"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
+// storeClientsDoneMasked is the stateless reference for the stop cursor:
+// every client finished its work on the available shards it can reach
+// (masks from StoreReach; nil = all), rescanned from the first client on
+// every call.
+func storeClientsDoneMasked(sn *sim.Snapshot, clients dist.ProcSet, avail ShardSet, masks []ShardSet) bool {
+	return clients.AllSatisfy(func(p dist.ProcID) bool {
+		eff := avail
+		if masks != nil {
+			eff = eff.Intersect(masks[p])
+		}
+		node, ok := sn.Automaton(p).(*StoreNode)
+		return ok && node.DoneOn(eff)
+	})
+}
+
 // TestStoreStopCursorMatchesScan runs sampled n=128 sweeps with a stop
-// condition that asks both the stop cursor StoreSweep installs and the
+// condition that asks both the stop cursor SimConfig installs and the
 // stateless client scan at every tick, and requires the same answer every
 // time — across crash plus recovery, a healing partition (per-client
 // reachability masks) and open-loop arrivals, with several seeds on one
@@ -42,36 +57,31 @@ func TestStoreStopCursorMatchesScan(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			n := cfg.Pattern.N()
-			m, err := cfg.Store.ShardMap(n)
+			m, err := cfg.Store.ShardMap(cfg.Pattern.N())
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := StoreProgram(n, cfg.S, cfg.Store, cfg.Scripts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			maxSteps := cfg.EffectiveMaxSteps()
 			correct := cfg.Pattern.Correct()
 			clients := cfg.S.Intersect(correct)
 			avail := m.Available(correct)
-			masks := StoreReach(m, cfg.Faults, correct, clients, dist.Time(maxSteps))
-			cur := newStoreStopCursor(clients, avail, masks)
+			masks := StoreReach(m, cfg.Faults, correct, clients, dist.Time(cfg.EffectiveMaxSteps()))
+			simCfg, err := cfg.SimConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cursor := simCfg.StopWhen
 			var notDone int64
-			r, err := sim.NewRunner(sim.Config{
-				Pattern: cfg.Pattern, History: fd.NewSigmaS(cfg.Pattern, cfg.S, cfg.Stab),
-				Program: prog, MaxSteps: maxSteps, Faults: cfg.Faults, OmitMessages: true,
-				StopWhen: func(sn *sim.Snapshot) bool {
-					got, want := cur.done(sn), storeClientsDoneMasked(sn, clients, avail, masks)
-					if got != want {
-						t.Fatalf("t=%d: the cursor says done=%v, the scan %v", int64(sn.Now()), got, want)
-					}
-					if !want {
-						notDone++
-					}
-					return want
-				},
-			})
+			simCfg.StopWhen = func(sn *sim.Snapshot) bool {
+				got, want := cursor(sn), storeClientsDoneMasked(sn, clients, avail, masks)
+				if got != want {
+					t.Fatalf("t=%d: the cursor says done=%v, the scan %v", int64(sn.Now()), got, want)
+				}
+				if !want {
+					notDone++
+				}
+				return want
+			}
+			r, err := sim.NewRunner(simCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,5 +101,67 @@ func TestStoreStopCursorMatchesScan(t *testing.T) {
 				t.Fatal("the condition never held false: nothing was compared")
 			}
 		})
+	}
+}
+
+// TestStoreSweepIsSimConfigRuns pins SimConfig as the one definition of a
+// store run: StoreSweep over 4 seeds of the n=128 scenario (fast reads, a
+// replica crash and recovery under loss, duplication and a healing
+// partition) equals a plain loop of SimConfig's runner plus
+// VerifyStoreRunReach over the same seeds: every aggregate (steps, messages,
+// fault counters, latency and its clean/faulted split, fast reads and
+// fallbacks) bit for bit.
+func TestStoreSweepIsSimConfigRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=128 runs are a long test")
+	}
+	cfg := scaleSweepConfig(t, 4)
+	f := dist.NewFailurePattern(128)
+	f.CrashAt(40, 50)
+	f.RecoverAt(40, 200)
+	cfg.Pattern = f
+	cfg.Store.FastReads = true
+	got, err := StoreSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simCfg, err := cfg.SimConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.NewRunner(simCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sweep.Result{Runs: cfg.Seeds, FirstFailSeed: -1}
+	for seed := cfg.SeedStart; seed < cfg.SeedStart+cfg.Seeds; seed++ {
+		res, err := r.Reset(seed).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want.Steps.Observe(res.Steps)
+		want.Msgs.Observe(res.MessagesSent)
+		want.Dropped.Observe(res.MessagesDropped)
+		want.Duplicated.Observe(res.MessagesDuplicated)
+		var fast, fall int64
+		for _, a := range res.Automata {
+			node := a.(*StoreNode)
+			want.Lat.Merge(node.LatencyHist())
+			want.LatClean.Merge(node.CleanLatencyHist())
+			want.LatFaulted.Merge(node.FaultedLatencyHist())
+			fast += node.FastReads()
+			fall += node.ReadFallbacks()
+		}
+		want.FastReads.Observe(fast)
+		want.Fallbacks.Observe(fall)
+	}
+	if *got != want {
+		t.Fatalf("the sweep aggregated\n  %+v\nthe SimConfig runs\n  %+v", *got, want)
+	}
+	if want.Dropped.Sum == 0 || want.LatFaulted.Count == 0 {
+		t.Fatal("the faults never fired: the comparison covers only the clean path")
 	}
 }

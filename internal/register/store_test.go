@@ -5,38 +5,42 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/fd"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
-// runStore executes one keyed store run: StoreProgram over Σ_S, stopping
-// once every correct client finished its script.
+// runStore executes one failure-free-network store run (runStoreFaulted
+// without a fault plan).
 func runStore(t *testing.T, f *dist.FailurePattern, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp, stab dist.Time, seed int64) *sim.Result {
 	t.Helper()
-	prog, err := StoreProgram(f.N(), s, cfg, scripts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := cfg.ShardMap(f.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := s.Intersect(f.Correct())
-	avail := m.Available(f.Correct())
-	res, err := sim.Run(sim.Config{
-		Pattern:   f,
-		History:   fd.NewSigmaS(f, s, stab),
-		Program:   prog,
-		Scheduler: sim.NewRandomScheduler(seed),
-		MaxSteps:  int64(20_000 + 2_000*TotalKeyedOps(scripts)),
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return StoreClientsDoneOn(sn, clients, avail)
-		},
-	})
-	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
-	}
+	res, _ := runStoreFaulted(t, f, s, cfg, scripts, nil, stab, seed)
 	return res
+}
+
+// sweepWorkerIndependent runs cfg's sweep on one worker and again on each
+// pool size in workers, requires every seed to verify and every aggregate to
+// be bit-identical across the pool sizes, and returns the one-worker result.
+func sweepWorkerIndependent(t *testing.T, cfg StoreSweepConfig, workers ...int) *sweep.Result {
+	t.Helper()
+	cfg.Workers = 1
+	base, err := StoreSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Runs != cfg.Seeds || base.Failures != 0 {
+		t.Fatalf("sweep failed: %s (first seed %d: %v)", base, base.FirstFailSeed, base.FirstFailErr)
+	}
+	for _, w := range workers {
+		cfg.Workers = w
+		got, err := StoreSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *base {
+			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
+		}
+	}
+	return base
 }
 
 func TestStoreSequentialKeyed(t *testing.T) {
@@ -56,7 +60,7 @@ func TestStoreSequentialKeyed(t *testing.T) {
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		res := runStore(t, f, s, StoreConfig{Keys: 3, Window: 1}, scripts, 10, seed)
-		if err := VerifyStoreRun(res, f.Correct()); err != nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		byKey := ExtractKeyedOps(res.Trace)
@@ -116,7 +120,7 @@ func TestStorePipeliningOverlapsDistinctKeysOnly(t *testing.T) {
 	sawOverlap := false
 	for seed := int64(0); seed < 8; seed++ {
 		res := runStore(t, f, s, StoreConfig{Keys: 8, Window: window}, scripts, 10, seed)
-		if err := VerifyStoreRun(res, f.Correct()); err != nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for p, ivs := range intervalsByProc(t, res) {
@@ -164,7 +168,7 @@ func TestStorePipeliningReducesTimeToCompletion(t *testing.T) {
 	for _, window := range []int{1, 4} {
 		for seed := int64(0); seed < 6; seed++ {
 			res := runStore(t, f, s, StoreConfig{Keys: 10, Window: window}, scripts, 10, seed)
-			if err := VerifyStoreRun(res, f.Correct()); err != nil {
+			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 				t.Fatalf("window %d seed %d: %v", window, seed, err)
 			}
 			ticks[window] += res.Ticks
@@ -190,7 +194,7 @@ func TestStoreBatchingReducesMessages(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		for seed := int64(0); seed < 6; seed++ {
 			res := runStore(t, f, s, StoreConfig{Keys: 8, Window: 4, DisableBatching: disable}, scripts, 10, seed)
-			if err := VerifyStoreRun(res, f.Correct()); err != nil {
+			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 				t.Fatalf("batching=%v seed %d: %v", !disable, seed, err)
 			}
 			msgs[disable] += res.MessagesSent
@@ -218,7 +222,7 @@ func TestStoreSurvivesCrashes(t *testing.T) {
 			f.CrashAt(3, dist.Time(25+seed)) // a client mid-run
 		}
 		res := runStore(t, f, s, StoreConfig{Keys: 6, Window: 2}, scripts, 200, seed)
-		if err := VerifyStoreRun(res, f.Correct()); err != nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d on %v: %v", seed, f, err)
 		}
 	}
@@ -238,7 +242,7 @@ func TestStoreReadOnlyWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := runStore(t, f, s, StoreConfig{Keys: 4, Window: 2}, scripts, 10, 1)
-	if err := VerifyStoreRun(res, f.Correct()); err != nil {
+	if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 		t.Fatal(err)
 	}
 	for key, ops := range ExtractKeyedOps(res.Trace) {
@@ -350,7 +354,7 @@ func TestStoreShardedLinearizableAndSparse(t *testing.T) {
 		}
 		for seed := int64(0); seed < 6; seed++ {
 			res := runStore(t, f, s, cfg, scripts, 10, seed)
-			if err := VerifyStoreRun(res, f.Correct()); err != nil {
+			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 				t.Fatalf("shards=%d seed %d: %v", shards, seed, err)
 			}
 			// Replica state is sparse: every node only allocates the keys of
@@ -409,7 +413,7 @@ func TestStoreShardCrashOnlyDegradesItsOwnShard(t *testing.T) {
 			t.Fatalf("availability %v, want {s0,s2}", avail)
 		}
 		res := runStore(t, f, s, cfg, scripts, 150, seed)
-		if err := VerifyStoreRun(res, f.Correct()); err != nil {
+		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d (crash@%d): %v", seed, int64(crashAt), err)
 		}
 		byKey := ExtractKeyedOps(res.Trace)
@@ -475,12 +479,8 @@ func TestStoreSweepLinearizableAndWorkerIndependent(t *testing.T) {
 		Scripts: scripts,
 		Stab:    120,
 		Seeds:   10,
-		Workers: 1,
 	}
-	base, err := StoreSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sweepWorkerIndependent(t, cfg, 2, 4)
 	// A sweep with every client crashed would verify nothing and must be
 	// rejected instead of vacuously succeeding.
 	dead := dist.NewFailurePattern(n)
@@ -491,21 +491,6 @@ func TestStoreSweepLinearizableAndWorkerIndependent(t *testing.T) {
 	deadCfg.Pattern = dead
 	if _, err := StoreSweep(deadCfg); err == nil {
 		t.Fatal("sweep with no correct client must be a setup error")
-	}
-	if base.Runs != 10 || base.Failures != 0 {
-		t.Fatalf("sweep failed: %s", base)
-	}
-	for _, w := range []int{2, 4} {
-		cfg.Workers = w
-		got, err := StoreSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Runs != base.Runs || got.Failures != base.Failures ||
-			got.FirstFailSeed != base.FirstFailSeed ||
-			got.Steps != base.Steps || got.Msgs != base.Msgs {
-			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
-		}
 	}
 }
 
@@ -530,25 +515,6 @@ func TestStoreShardedSweepWorkerIndependentUnderShardCrash(t *testing.T) {
 		Scripts: scripts,
 		Stab:    120,
 		Seeds:   8,
-		Workers: 1,
 	}
-	base, err := StoreSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Runs != 8 || base.Failures != 0 {
-		t.Fatalf("sharded sweep failed: %s (first seed %d: %v)", base, base.FirstFailSeed, base.FirstFailErr)
-	}
-	for _, w := range []int{2, 4} {
-		cfg.Workers = w
-		got, err := StoreSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Runs != base.Runs || got.Failures != base.Failures ||
-			got.FirstFailSeed != base.FirstFailSeed ||
-			got.Steps != base.Steps || got.Msgs != base.Msgs {
-			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
-		}
-	}
+	sweepWorkerIndependent(t, cfg, 2, 4)
 }

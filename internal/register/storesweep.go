@@ -42,101 +42,26 @@ type StoreSweepConfig struct {
 	Workers   int
 }
 
-// StoreSweep runs Seeds store runs on the sweep engine and verifies every
-// run with VerifyStoreRun: correct clients finish every operation routed to
-// an available shard (one whose replica group keeps a correct member — a
-// crash may only degrade its own shard's availability) and every per-key
-// history is linearizable, including histories on shards that lost replicas
-// mid-run. Per-run verdicts are pure functions of the seed, so the
-// aggregate inherits the engine's guarantee of being bit-identical for
-// every worker count.
+// StoreSweep runs Seeds store runs on the sweep engine, every worker
+// configured by SimConfig, and verifies every run with VerifyStoreRunReach:
+// correct clients finish every operation routed to an available shard they
+// can reach (one whose replica group keeps a correct member — a crash may
+// only degrade its own shard's availability) and every per-key history is
+// linearizable, including histories on shards that lost replicas mid-run.
+// Per-run verdicts are pure functions of the seed, so the aggregate inherits
+// the engine's guarantee of being bit-identical for every worker count.
 func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
-	if cfg.Pattern == nil {
-		return nil, fmt.Errorf("register: StoreSweep needs a failure pattern")
-	}
-	n := cfg.Pattern.N()
-	// Construction-time validation up front, so callers get an error rather
-	// than a worker panic; the per-worker factory below rebuilds the
-	// (already validated) program, because a StoreProgram's nodes share a
-	// payload pool and must not be instantiated by concurrent runners.
-	if _, err := StoreProgram(n, cfg.S, cfg.Store, cfg.Scripts); err != nil {
-		return nil, err
-	}
-	shardMap, err := cfg.Store.ShardMap(n) // valid: StoreProgram validated cfg.Store
+	run, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
-	stab := cfg.Stab
-	if stab <= 0 {
-		stab = 20
-	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(n); err != nil {
-			return nil, err
-		}
-		if (cfg.Faults.Loss > 0 || len(cfg.Faults.Partitions) > 0) && !cfg.Store.Retransmit {
-			return nil, fmt.Errorf("register: faults with loss or partitions need Store.Retransmit — a lost request would strand its operation forever")
-		}
-	}
-	maxSteps := cfg.EffectiveMaxSteps()
-	correct := cfg.Pattern.Correct()
-	clients := cfg.S.Intersect(correct)
-	if clients.IsEmpty() {
-		// Without a correct client every run stops immediately and the
-		// per-key check passes on an empty history — a sweep that verifies
-		// nothing must be a setup error, not a success.
-		return nil, fmt.Errorf("register: no correct client — S=%v is entirely crashed by %v", cfg.S, cfg.Pattern)
-	}
-	avail := shardMap.Available(correct)
-	if avail.IsEmpty() {
-		// Same reasoning per shard: if every replica group is fully
-		// crashed, no operation can ever complete and every run verifies
-		// an empty history.
-		return nil, fmt.Errorf("register: no available shard — every replica group of [%s] is crashed by %v", shardMap, cfg.Pattern)
-	}
-	// Per-client completion masks: available shards the client can reach
-	// through the run horizon (nil without faults — everything reachable).
-	masks := StoreReach(shardMap, cfg.Faults, correct, clients, dist.Time(maxSteps))
-	if masks != nil {
-		var any ShardSet
-		for set := clients; !set.IsEmpty(); {
-			p := set.Min()
-			set = set.Remove(p)
-			any = any.Union(avail.Intersect(masks[p]))
-		}
-		if any.IsEmpty() {
-			// An unhealed partition cutting every client off every shard
-			// verifies only empty histories — a setup error, like avail == 0.
-			return nil, fmt.Errorf("register: no client can reach any available shard through the run horizon (unhealed partitions cut everything)")
-		}
-	}
 	return sweep.Run(sweep.Config{
-		Sim: func() sim.Config {
-			// Per-worker state: Σ_S oracles memoize boxed outputs, a store
-			// program's nodes share one payload pool, and the stop cursor
-			// remembers how far the current run has finished.
-			prog, err := StoreProgram(n, cfg.S, cfg.Store, cfg.Scripts)
-			if err != nil {
-				panic(err) // unreachable: validated above with identical inputs
-			}
-			return sim.Config{
-				Pattern:  cfg.Pattern,
-				History:  fd.NewSigmaS(cfg.Pattern, cfg.S, stab),
-				Program:  prog,
-				MaxSteps: maxSteps,
-				StopWhen: newStoreStopCursor(clients, avail, masks).done,
-				Faults:   cfg.Faults,
-				// The checker reads only Invoke/Return records, so the
-				// trace leaves messages out and payloads stay leased.
-				OmitMessages: true,
-				StallLimit:   cfg.StallLimit,
-			}
-		},
+		Sim:       run.simConfig,
 		SeedStart: cfg.SeedStart,
 		Seeds:     cfg.Seeds,
 		Workers:   cfg.Workers,
 		Check: func(seed int64, res *sim.Result) error {
-			return VerifyStoreRunReach(res, correct, masks)
+			return VerifyStoreRunReach(res, run.correct, run.masks)
 		},
 		// Per-op latency (total plus the clean/faulted fault-exposure split)
 		// merges exactly from every client node into the sweep aggregate,
@@ -159,6 +84,122 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 			r.Fallbacks.Observe(fall)
 		},
 	})
+}
+
+// SimConfig returns the runner configuration of one store run: the one
+// definition of a store run, which StoreSweep gives each of its workers. It
+// holds a fresh StoreProgram and Σ_S oracle, the EffectiveMaxSteps budget, a
+// stop condition that holds once every correct client has finished its work
+// on the available shards it can reach, the fault plan, StallLimit, and a
+// trace without messages (the checker reads only operation records). cfg is
+// validated as StoreSweep validates it.
+//
+// A caller that needs another run shape flips sim.Config fields on the
+// result: DisableTrace (with OmitMessages cleared) for an untraced run,
+// OmitMessages cleared for a full trace, or its own Scheduler. Every call
+// returns fresh per-runner state, so one config serves one runner.
+func (cfg StoreSweepConfig) SimConfig() (sim.Config, error) {
+	run, err := cfg.validate()
+	if err != nil {
+		return sim.Config{}, err
+	}
+	return run.simConfig(), nil
+}
+
+// storeRun is a validated StoreSweepConfig plus what all of its runs share.
+type storeRun struct {
+	cfg      StoreSweepConfig
+	stab     dist.Time
+	maxSteps int64
+	correct  dist.ProcSet
+	clients  dist.ProcSet // correct members of S
+	avail    ShardSet
+	masks    []ShardSet // per-client reachable shards (StoreReach); nil = all
+}
+
+// validate checks cfg up front, so callers get an error rather than a
+// worker panic, and derives what every run shares.
+func (cfg StoreSweepConfig) validate() (*storeRun, error) {
+	if cfg.Pattern == nil {
+		return nil, fmt.Errorf("register: StoreSweep needs a failure pattern")
+	}
+	n := cfg.Pattern.N()
+	// Construction-time validation; simConfig rebuilds the (then valid)
+	// program per runner, because a StoreProgram's nodes share a payload
+	// pool and must not be instantiated by concurrent runners.
+	if _, err := StoreProgram(n, cfg.S, cfg.Store, cfg.Scripts); err != nil {
+		return nil, err
+	}
+	shardMap, err := cfg.Store.ShardMap(n) // valid: StoreProgram validated cfg.Store
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Faults != nil {
+		if err := cfg.Faults.Validate(n); err != nil {
+			return nil, err
+		}
+		if (cfg.Faults.Loss > 0 || len(cfg.Faults.Partitions) > 0) && !cfg.Store.Retransmit {
+			return nil, fmt.Errorf("register: faults with loss or partitions need Store.Retransmit — a lost request would strand its operation forever")
+		}
+	}
+	run := &storeRun{cfg: cfg, stab: cfg.Stab, maxSteps: cfg.EffectiveMaxSteps()}
+	if run.stab <= 0 {
+		run.stab = 20
+	}
+	run.correct = cfg.Pattern.Correct()
+	run.clients = cfg.S.Intersect(run.correct)
+	if run.clients.IsEmpty() {
+		// Without a correct client every run stops immediately and the
+		// per-key check passes on an empty history — a sweep that verifies
+		// nothing must be a setup error, not a success.
+		return nil, fmt.Errorf("register: no correct client — S=%v is entirely crashed by %v", cfg.S, cfg.Pattern)
+	}
+	run.avail = shardMap.Available(run.correct)
+	if run.avail.IsEmpty() {
+		// Same reasoning per shard: if every replica group is fully
+		// crashed, no operation can ever complete and every run verifies
+		// an empty history.
+		return nil, fmt.Errorf("register: no available shard — every replica group of [%s] is crashed by %v", shardMap, cfg.Pattern)
+	}
+	// Per-client completion masks: available shards the client can reach
+	// through the run horizon (nil without partitions — everything
+	// reachable).
+	run.masks = StoreReach(shardMap, cfg.Faults, run.correct, run.clients, dist.Time(run.maxSteps))
+	if run.masks != nil {
+		var any ShardSet
+		for set := run.clients; !set.IsEmpty(); {
+			p := set.Min()
+			set = set.Remove(p)
+			any = any.Union(run.avail.Intersect(run.masks[p]))
+		}
+		if any.IsEmpty() {
+			// An unhealed partition cutting every client off every shard
+			// verifies only empty histories — a setup error, like avail == 0.
+			return nil, fmt.Errorf("register: no client can reach any available shard through the run horizon (unhealed partitions cut everything)")
+		}
+	}
+	return run, nil
+}
+
+// simConfig builds one runner's configuration. The state is per runner: Σ_S
+// oracles memoize boxed outputs, a store program's nodes share one payload
+// pool, and the stop cursor remembers how far the current run has finished.
+func (r *storeRun) simConfig() sim.Config {
+	cfg := r.cfg
+	prog, err := StoreProgram(cfg.Pattern.N(), cfg.S, cfg.Store, cfg.Scripts)
+	if err != nil {
+		panic(err) // unreachable: validate built it from identical inputs
+	}
+	return sim.Config{
+		Pattern:      cfg.Pattern,
+		History:      fd.NewSigmaS(cfg.Pattern, cfg.S, r.stab),
+		Program:      prog,
+		MaxSteps:     r.maxSteps,
+		StopWhen:     newStoreStopCursor(r.clients, r.avail, r.masks).done,
+		Faults:       cfg.Faults,
+		OmitMessages: true,
+		StallLimit:   cfg.StallLimit,
+	}
 }
 
 // EffectiveMaxSteps returns the per-run step budget after defaulting: the
@@ -215,47 +256,14 @@ func StoreReach(m *ShardMap, fp *sim.FaultPlan, correct, clients dist.ProcSet, h
 	return masks
 }
 
-// StoreClientsDone reports whether every client in clients ran its script
-// to completion — the stop condition of failure-free store runs (pass the
-// correct members of S; crashed clients never finish).
-func StoreClientsDone(sn *sim.Snapshot, clients dist.ProcSet) bool {
-	return StoreClientsDoneOn(sn, clients, allShards)
-}
-
-// allShards is FullShardSet(MaxShards), hoisted: StoreClientsDone runs once
-// per simulation step.
-var allShards = FullShardSet(MaxShards)
-
-// StoreClientsDoneOn reports whether every client in clients has finished
-// all work routed to the shards of the avail set — the stop condition
-// of store runs under per-shard crash scenarios: operations bound for a
-// shard whose whole replica group crashed can never complete and must not
-// keep the run alive (see ShardMap.Available).
-func StoreClientsDoneOn(sn *sim.Snapshot, clients dist.ProcSet, avail ShardSet) bool {
-	return storeClientsDoneMasked(sn, clients, avail, nil)
-}
-
-// storeClientsDoneMasked is StoreClientsDoneOn with an optional per-client
-// reachability mask (StoreReach): each client only needs to finish work on
-// shards that are both available and reachable to it.
-func storeClientsDoneMasked(sn *sim.Snapshot, clients dist.ProcSet, avail ShardSet, masks []ShardSet) bool {
-	return clients.AllSatisfy(func(p dist.ProcID) bool {
-		eff := avail
-		if masks != nil {
-			eff = eff.Intersect(masks[p])
-		}
-		node, ok := sn.Automaton(p).(*StoreNode)
-		return ok && node.DoneOn(eff)
-	})
-}
-
-// storeStopCursor is storeClientsDoneMasked for one runner, one run at a
-// time. A correct client's DoneOn answer is monotone within a run: its
-// queues are filled at construction and only drain, and recovery only
-// rebuilds processes that crashed, which are never correct. So once a client
-// is done it stays done, and the cursor re-checks only the lowest client
-// not yet done, advancing past finished ones. It rewinds at tick 0, where
-// every run's first StopWhen call lands (sim.Config.StopWhen).
+// storeStopCursor is the stop condition of a store run, for one runner and
+// one run at a time: it holds once every client has finished its work on
+// its shards (DoneOn). A correct client's DoneOn answer is monotone within a
+// run: its queues are filled at construction and only drain, and recovery
+// only rebuilds processes that crashed, which are never correct. So once a
+// client is done it stays done, and the cursor re-checks only the lowest
+// client not yet done, advancing past finished ones. It rewinds at tick 0,
+// where every run's first StopWhen call lands (sim.Config.StopWhen).
 type storeStopCursor struct {
 	clients []dist.ProcID
 	eff     []ShardSet // per client: the shards it must finish its work on
@@ -288,23 +296,19 @@ func (c *storeStopCursor) done(sn *sim.Snapshot) bool {
 	return true
 }
 
-// VerifyStoreRun checks one finished store run end to end: every correct
-// member of S completed every operation routed to an available shard (so a
-// crash degraded nothing beyond its own shards), and every key's history is
-// linearizable (all registers start at 0) — including keys of a shard whose
-// group lost members, whose stuck operations stay pending and may be
-// dropped by the checker. The run must come from a StoreProgram with
-// tracing enabled.
-func VerifyStoreRun(res *sim.Result, correct dist.ProcSet) error {
-	return VerifyStoreRunReach(res, correct, nil)
-}
-
-// VerifyStoreRunReach is VerifyStoreRun with an optional per-client
-// reachability mask (StoreReach): under unhealed partitions a correct client
-// must still finish everything on shards it can reach, while its
-// minority-side operations may stay parked — the graceful-degradation
-// verdict. Linearizability is checked on the full recorded history either
-// way: parked operations never returned, so they cannot violate.
+// VerifyStoreRunReach checks one finished store run end to end: every
+// correct member of S completed every operation routed to an available shard
+// (so a crash degraded nothing beyond its own shards), and every key's
+// history is linearizable (all registers start at 0) — including keys of a
+// shard whose group lost members, whose stuck operations stay pending and
+// may be dropped by the checker. masks optionally narrows completion per
+// client to the shards it can reach (StoreReach; nil = all): under unhealed
+// partitions a correct client must still finish everything on shards it can
+// reach, while its minority-side operations may stay parked — the
+// graceful-degradation verdict. Linearizability is checked on the full
+// recorded history either way: parked operations never returned, so they
+// cannot violate. The run must come from a StoreProgram with tracing
+// enabled.
 func VerifyStoreRunReach(res *sim.Result, correct dist.ProcSet, masks []ShardSet) error {
 	for _, a := range res.Automata {
 		node, ok := a.(*StoreNode)

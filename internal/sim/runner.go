@@ -72,8 +72,10 @@ type Config struct {
 	// Faults, when non-nil, is the adversarial network applied to every
 	// message: seeded loss/duplication/extra delay and scripted partitions.
 	// Decisions are a pure function of (Faults.Seed ⊕ run seed, message
-	// Seq), so sweeps stay bit-identical across worker counts. Nil costs
-	// nothing on the hot path.
+	// Seq), so sweeps stay bit-identical across worker counts. The run seed
+	// is the one Runner.Reset(seed) last received; one-shot Run never calls
+	// Reset, so its runs use run seed 0 whatever Scheduler seed is passed.
+	// Nil costs nothing on the hot path.
 	Faults *FaultPlan
 	// StallLimit, when > 0, ends the run with ReasonStalled after that many
 	// consecutive ticks without progress (no message delivered, none sent,
@@ -303,7 +305,9 @@ type Reseeder interface {
 // Run executes a configured run to completion and returns its result. The
 // only errors are protocol/setup errors (double decision, scripted schedule
 // inconsistencies); property violations are for checkers to find in the
-// result, not errors.
+// result, not errors. Run never calls Reset, so a FaultPlan's decision
+// stream uses run seed 0 whatever seed cfg.Scheduler carries; only
+// Runner.Reset(seed) mixes a seed into it.
 func Run(cfg Config) (*Result, error) {
 	r, err := NewRunner(cfg)
 	if err != nil {
