@@ -295,32 +295,23 @@ func BenchmarkMajoritySigma(b *testing.B) {
 	}
 }
 
-// BenchmarkABDRegister regenerates experiment E12: ABD operations per run.
+// BenchmarkABDRegister regenerates experiment E12: ABD operations per run
+// on the Proposition 1 S-register, the one-key store, with every run's
+// completion and linearizability checked.
 func BenchmarkABDRegister(b *testing.B) {
-	const n = 5
-	f := dist.NewFailurePattern(n)
-	s := dist.NewProcSet(1, 2)
-	base := make([][]register.Op, n)
-	base[0] = []register.Op{{Kind: register.WriteOp}, {Kind: register.ReadOp}, {Kind: register.WriteOp}}
-	base[1] = []register.Op{{Kind: register.ReadOp}, {Kind: register.WriteOp}, {Kind: register.ReadOp}}
-	scripts := register.UniqueWrites(base)
-	prog, err := register.Program(s, scripts)
+	f := dist.NewFailurePattern(5)
+	scripts := make([][]register.KeyedOp, f.N())
+	scripts[0] = []register.KeyedOp{{Kind: register.WriteOp, Arg: 1001}, {Kind: register.ReadOp}, {Kind: register.WriteOp, Arg: 1002}}
+	scripts[1] = []register.KeyedOp{{Kind: register.ReadOp}, {Kind: register.WriteOp, Arg: 2001}, {Kind: register.ReadOp}}
+	cfg, err := register.StoreSweepConfig{
+		Pattern: f, S: dist.NewProcSet(1, 2), Store: register.StoreConfig{Keys: 1, Window: 1},
+		Scripts: scripts, Stab: 15, MaxSteps: 60_000,
+	}.SimConfig()
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := newRunner(b, sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-		Scheduler: sim.NewRandomScheduler(0), MaxSteps: 60_000,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			for _, p := range s.Members() {
-				node, ok := sn.Automaton(p).(*register.Node)
-				if !ok || !node.Done() {
-					return false
-				}
-			}
-			return true
-		},
-	})
+	cfg.Scheduler = sim.NewRandomScheduler(0)
+	r := newRunner(b, cfg)
 	var steps, msgs int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -329,10 +320,8 @@ func BenchmarkABDRegister(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ops := register.ExtractOps(res.Trace)
-		ok, err := register.CheckLinearizable(ops, 0)
-		if err != nil || !ok {
-			b.Fatalf("linearizability: ok=%v err=%v", ok, err)
+		if err := register.VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
+			b.Fatalf("seed %d: %v", i, err)
 		}
 		steps += res.Steps
 		msgs += res.MessagesSent

@@ -147,6 +147,9 @@ func cmdExplore(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *depth < 1 || *states < 1 {
+		return fmt.Errorf("explore needs -depth ≥ 1 and -states ≥ 1, got -depth %d -states %d", *depth, *states)
+	}
 	f, err := crashPattern(*n, *crash)
 	if err != nil {
 		return err
@@ -399,22 +402,25 @@ func cmdRegister(args []string) error {
 		return fmt.Errorf("register needs -n ≥ 2 (the register is shared by S = {p1,p2})")
 	}
 	s := dist.NewProcSet(1, 2)
-	base := make([][]register.Op, *n)
-	base[0] = []register.Op{{Kind: register.WriteOp}, {Kind: register.ReadOp}, {Kind: register.WriteOp}, {Kind: register.ReadOp}}
-	base[1] = []register.Op{{Kind: register.ReadOp}, {Kind: register.WriteOp}, {Kind: register.ReadOp}}
-	scripts := register.UniqueWrites(base)
-	prog, err := register.Program(s, scripts)
+	scripts := make([][]register.KeyedOp, *n)
+	scripts[0] = []register.KeyedOp{
+		{Kind: register.WriteOp, Arg: 1001}, {Kind: register.ReadOp},
+		{Kind: register.WriteOp, Arg: 1002}, {Kind: register.ReadOp},
+	}
+	scripts[1] = []register.KeyedOp{{Kind: register.ReadOp}, {Kind: register.WriteOp, Arg: 2001}, {Kind: register.ReadOp}}
+	cfg, err := register.StoreSweepConfig{
+		Pattern: f, S: s, Store: register.StoreConfig{Keys: 1, Window: 1},
+		Scripts: scripts, Stab: 15, MaxSteps: 60_000,
+	}.SimConfig()
 	if err != nil {
 		return err
 	}
-	res, err := sim.Run(sim.Config{
-		Pattern: f, History: fd.NewSigmaS(f, s, 15), Program: prog,
-		Scheduler: sim.NewRandomScheduler(*seed), MaxSteps: 60_000,
-	})
+	cfg.Scheduler = sim.NewRandomScheduler(*seed)
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
-	ops := register.ExtractOps(res.Trace)
+	ops := register.ExtractKeyedOps(res.Trace)[0]
 	ok, err := register.CheckLinearizable(ops, 0)
 	if err != nil {
 		return err
@@ -763,6 +769,9 @@ func cmdCounterexample(args []string) error {
 	)
 	switch which {
 	case "lemma7":
+		if *n < 3 {
+			return fmt.Errorf("lemma7 needs -n ≥ 3 (S = {p1,p2} plus an auxiliary correct process), got %d", *n)
+		}
 		cert, err = separation.Lemma7(separation.Lemma7Config{
 			N:         *n,
 			Candidate: separation.HeartbeatCandidate(dist.NewProcSet(1, 2), 10),
@@ -862,6 +871,9 @@ func cmdMajoritySigma(args []string) error {
 	seed := fs.Int64("seed", 1, "seed")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *n < 3 {
+		return fmt.Errorf("majority-sigma needs -n ≥ 3 (crashing p_n must leave a correct majority), got %d", *n)
 	}
 	f, err := newPattern(*n)
 	if err != nil {

@@ -107,6 +107,11 @@ func TestSubcommandsFail(t *testing.T) {
 		{"explore", "-fig", "bogus"},
 		{"explore", "-fig", "fig4", "-n", "3", "-k", "2"},
 		{"explore", "-fig", "fig2", "-n", "3", "-crash", "3@10"}, // crash at 10 ≥ TimeCap 1
+		{"explore", "-fig", "fig2", "-n", "3", "-depth", "-1"},   // no schedule to explore
+		{"explore", "-fig", "fig2", "-n", "3", "-states", "0"},   // would silently become the default cap
+		{"counterexample", "lemma7", "-n", "1"},                  // would silently run at n=3
+		{"majority-sigma", "-n", "1"},                            // crashes the only process
+		{"majority-sigma", "-n", "2"},                            // crashes half the system
 		{"sweep", "-fig", "bogus", "-seeds", "2"},
 		{"sweep", "-fig", "fig2", "-n", "3", "-seeds", "0"},
 		{"sweep", "-fig", "fig2", "-n", "3", "-seeds", "2", "-scenarios", "1,2,3"},

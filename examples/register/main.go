@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"repro/internal/dist"
-	"repro/internal/fd"
 	"repro/internal/register"
 	"repro/internal/sim"
 )
@@ -22,33 +21,30 @@ func main() {
 	pattern := dist.NewFailurePattern(n)
 	pattern.CrashAt(5, 60) // a replica crashes mid-run; quorums adapt
 
+	// The S-register is the store with one key; its history is key 0's.
 	s := dist.NewProcSet(1, 2) // the S of the S-register
-	base := make([][]register.Op, n)
-	base[0] = []register.Op{
-		{Kind: register.WriteOp}, {Kind: register.ReadOp},
-		{Kind: register.WriteOp}, {Kind: register.ReadOp},
+	scripts := make([][]register.KeyedOp, n)
+	scripts[0] = []register.KeyedOp{
+		{Kind: register.WriteOp, Arg: 1001}, {Kind: register.ReadOp},
+		{Kind: register.WriteOp, Arg: 1002}, {Kind: register.ReadOp},
 	}
-	base[1] = []register.Op{
-		{Kind: register.ReadOp}, {Kind: register.WriteOp}, {Kind: register.ReadOp},
+	scripts[1] = []register.KeyedOp{
+		{Kind: register.ReadOp}, {Kind: register.WriteOp, Arg: 2001}, {Kind: register.ReadOp},
 	}
-	scripts := register.UniqueWrites(base)
-	prog, err := register.Program(s, scripts)
+	cfg, err := register.StoreSweepConfig{
+		Pattern: pattern, S: s, Store: register.StoreConfig{Keys: 1, Window: 1},
+		Scripts: scripts, Stab: 100, MaxSteps: 60_000,
+	}.SimConfig()
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg.Scheduler = sim.NewRandomScheduler(7)
+	res, err := sim.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := sim.Run(sim.Config{
-		Pattern:   pattern,
-		History:   fd.NewSigmaS(pattern, s, 100),
-		Program:   prog,
-		Scheduler: sim.NewRandomScheduler(7),
-		MaxSteps:  60_000,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	ops := register.ExtractOps(res.Trace)
+	ops := register.ExtractKeyedOps(res.Trace)[0]
 	ok, err := register.CheckLinearizable(ops, 0)
 	if err != nil {
 		log.Fatal(err)

@@ -5,17 +5,13 @@
 // failure detector Σ_S (Proposition 1: Σ_S is the weakest failure detector
 // for an S-register; this package is the "sufficient" direction).
 //
-// The package also provides an offline linearizability checker for register
+// The one ABD automaton is StoreNode (store.go), a sharded keyed store of
+// such registers; the single S-register of Proposition 1 is StoreProgram
+// with StoreConfig{Keys: 1, Window: 1}. The package also provides an offline linearizability checker for register
 // histories (linearizability.go), used to validate every run.
 package register
 
-import (
-	"fmt"
-
-	"repro/internal/dist"
-	"repro/internal/fd"
-	"repro/internal/sim"
-)
+import "repro/internal/dist"
 
 // Value is the register value domain. The register initially holds 0.
 type Value int64
@@ -49,233 +45,4 @@ func (k OpKind) String() string {
 		return "read"
 	}
 	return "write"
-}
-
-// Op is one scripted client operation.
-type Op struct {
-	Kind OpKind
-	Arg  Value // written value (WriteOp only)
-}
-
-// OpDesc is the payload recorded on Invoke/Return trace events.
-type OpDesc struct {
-	Kind OpKind
-	Arg  Value // write argument
-	Ret  Value // read result (Return events of reads)
-}
-
-// Protocol messages. RID correlates replies with the client's current phase.
-type (
-	queryReq struct{ RID int64 }
-	queryRep struct {
-		RID int64
-		TS  Timestamp
-		V   Value
-	}
-	storeReq struct {
-		RID int64
-		TS  Timestamp
-		V   Value
-	}
-	storeRep struct{ RID int64 }
-)
-
-// Node is the per-process ABD automaton: every process is a replica; members
-// of S additionally run scripted client operations.
-type Node struct {
-	self dist.ProcID
-	n    int
-	s    dist.ProcSet
-
-	// Replica state.
-	ts  Timestamp
-	val Value
-
-	// Client state.
-	script  []Op
-	opIdx   int
-	opSeq   int64
-	phase   int // 0 idle, 1 query phase, 2 store phase
-	rid     int64
-	acks    dist.ProcSet
-	best    Timestamp
-	bestVal Value
-	cur     Op
-
-	// Reads holds the results of completed read operations, in script order
-	// of execution, for post-run inspection.
-	Reads []Value
-
-	noWriteBack bool
-}
-
-var _ sim.Automaton = (*Node)(nil)
-
-// NewNode builds the ABD automaton for process self with the given client
-// script (empty for pure replicas). Scripts at processes outside S are
-// ignored at run time by Step, enforcing the S-register access restriction;
-// Program additionally rejects them at construction time.
-func NewNode(self dist.ProcID, n int, s dist.ProcSet, script []Op) *Node {
-	return &Node{self: self, n: n, s: s, script: script}
-}
-
-// Program builds a sim.Program from per-process scripts (index ProcID-1; nil
-// entries are pure replicas). A script attached to a process outside S is a
-// construction-time error: the access restriction would otherwise silently
-// discard it at run time, making the experiment lie about its workload.
-func Program(s dist.ProcSet, scripts [][]Op) (sim.Program, error) {
-	for i, sc := range scripts {
-		if p := dist.ProcID(i + 1); len(sc) > 0 && !s.Contains(p) {
-			return nil, fmt.Errorf("register: script attached to p%d outside S=%v", int(p), s)
-		}
-	}
-	return func(p dist.ProcID, n int) sim.Automaton {
-		var script []Op
-		if int(p) <= len(scripts) {
-			script = scripts[p-1]
-		}
-		return NewNode(p, n, s, script)
-	}, nil
-}
-
-// Done reports whether the node's script has fully executed.
-func (a *Node) Done() bool { return a.opIdx >= len(a.script) && a.phase == 0 }
-
-// DisableReadWriteBack removes the second phase of read operations (the
-// write-back). This is the ablation of experiment E12b: without the
-// write-back, reads are regular but not atomic — two non-overlapping reads
-// concurrent with one write can observe new-then-old (see the tests). Write
-// operations keep both phases.
-func (a *Node) DisableReadWriteBack() { a.noWriteBack = true }
-
-// Step implements sim.Automaton.
-func (a *Node) Step(e *sim.Env) {
-	if payload, from, ok := e.Delivered(); ok {
-		a.onMessage(e, payload, from)
-	}
-	if !a.s.Contains(a.self) {
-		return // not a member of S: replica only, no client operations
-	}
-	switch a.phase {
-	case 0:
-		a.maybeStart(e)
-	case 1:
-		if a.quorumReached(e) {
-			if a.noWriteBack && a.cur.Kind == ReadOp {
-				a.finish(e) // return the query-phase value without write-back
-				return
-			}
-			a.enterStore(e)
-		}
-	case 2:
-		if a.quorumReached(e) {
-			a.finish(e)
-		}
-	}
-}
-
-func (a *Node) onMessage(e *sim.Env, payload any, from dist.ProcID) {
-	switch m := payload.(type) {
-	case queryReq:
-		e.Send(from, queryRep{RID: m.RID, TS: a.ts, V: a.val})
-	case storeReq:
-		if a.ts.Less(m.TS) {
-			a.ts, a.val = m.TS, m.V
-		}
-		e.Send(from, storeRep{RID: m.RID})
-	case queryRep:
-		if a.phase == 1 && m.RID == a.rid {
-			a.acks = a.acks.Add(from)
-			if a.best.Less(m.TS) {
-				a.best, a.bestVal = m.TS, m.V
-			}
-		}
-	case storeRep:
-		if a.phase == 2 && m.RID == a.rid {
-			a.acks = a.acks.Add(from)
-		}
-	}
-}
-
-func (a *Node) maybeStart(e *sim.Env) {
-	if a.opIdx >= len(a.script) {
-		return
-	}
-	a.cur = a.script[a.opIdx]
-	a.opSeq++
-	e.Invoke(a.opSeq, OpDesc{Kind: a.cur.Kind, Arg: a.cur.Arg})
-	a.phase = 1
-	a.rid++
-	a.acks = dist.NewProcSet(a.self) // the local replica answers immediately
-	a.best, a.bestVal = a.ts, a.val
-	e.Broadcast(queryReq{RID: a.rid})
-}
-
-// quorumReached evaluates the ABD phase-termination rule with Σ_S quorums:
-// the phase completes once the responders include every process of some
-// trusted set output by Σ_S. Intersection of Σ_S makes any two completed
-// phases share a responder; Completeness makes every phase terminate.
-func (a *Node) quorumReached(e *sim.Env) bool {
-	tl, ok := e.QueryFD().(fd.TrustList)
-	if !ok || tl.Bottom || tl.Trusted.IsEmpty() {
-		return false
-	}
-	return tl.Trusted.SubsetOf(a.acks)
-}
-
-func (a *Node) enterStore(e *sim.Env) {
-	var st Timestamp
-	var v Value
-	if a.cur.Kind == WriteOp {
-		st = Timestamp{Seq: a.best.Seq + 1, PID: a.self}
-		v = a.cur.Arg
-	} else {
-		st, v = a.best, a.bestVal // read write-back
-	}
-	a.phase = 2
-	a.rid++
-	a.acks = dist.NewProcSet(a.self)
-	if a.ts.Less(st) {
-		a.ts, a.val = st, v
-	}
-	a.best, a.bestVal = st, v
-	e.Broadcast(storeReq{RID: a.rid, TS: st, V: v})
-}
-
-func (a *Node) finish(e *sim.Env) {
-	desc := OpDesc{Kind: a.cur.Kind, Arg: a.cur.Arg}
-	if a.cur.Kind == ReadOp {
-		desc.Ret = a.bestVal
-		a.Reads = append(a.Reads, a.bestVal)
-	}
-	e.Return(a.opSeq, desc)
-	a.phase = 0
-	a.opIdx++
-}
-
-// UniqueWrites assigns every write in a set of scripts a distinct value,
-// which makes linearizability checking exact. Proc p's i-th write writes
-// p*1000+i.
-func UniqueWrites(scripts [][]Op) [][]Op {
-	out := make([][]Op, len(scripts))
-	for pi, sc := range scripts {
-		out[pi] = make([]Op, len(sc))
-		cnt := 0
-		for i, op := range sc {
-			out[pi][i] = op
-			if op.Kind == WriteOp {
-				cnt++
-				out[pi][i].Arg = Value((pi+1)*1000 + cnt)
-			}
-		}
-	}
-	return out
-}
-
-// String renders an op.
-func (o Op) String() string {
-	if o.Kind == ReadOp {
-		return "read()"
-	}
-	return fmt.Sprintf("write(%d)", int64(o.Arg))
 }

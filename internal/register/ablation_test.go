@@ -9,7 +9,8 @@ import (
 )
 
 // The E12b ablation: ABD without the read write-back phase is NOT atomic.
-// The construction stages a new/old inversion deterministically:
+// StoreNode.noWriteBack skips every read's write-back, and the one-key store
+// runs a hand-built schedule. The construction stages a new/old inversion deterministically:
 //
 //   - p1 writes; its store messages reach only replica p2 (the rest are
 //     delayed), so the write stays pending with the new value visible at a
@@ -23,17 +24,18 @@ import (
 // p2's read precedes p3's read in real time but observes the newer value:
 // a new/old inversion. With the write-back enabled, the same schedule is
 // linearizable because p2's read pushes the new value to a full quorum
-// before returning.
-func runInversionScenario(t *testing.T, writeBack bool) (ops []OpRecord, linearizable bool) {
+// before returning — also with fast reads on, whose rule must refuse to
+// elide p2's write-back because its phase-1 replies disagree.
+func runInversionScenario(t *testing.T, writeBack, fastReads bool) (ops []OpRecord, linearizable bool, fallbacks int64) {
 	t.Helper()
 	const n = 5
 	f := dist.NewFailurePattern(n)
 	s := dist.NewProcSet(1, 2, 3)
 
-	scripts := make([][]Op, n)
-	scripts[0] = []Op{{Kind: WriteOp, Arg: 42}}
-	scripts[1] = []Op{{Kind: ReadOp}}
-	scripts[2] = []Op{{Kind: ReadOp}}
+	scripts := make([][]KeyedOp, n)
+	scripts[0] = []KeyedOp{{Kind: WriteOp, Arg: 42}}
+	scripts[1] = []KeyedOp{{Kind: ReadOp}}
+	scripts[2] = []KeyedOp{{Kind: ReadOp}}
 
 	// A valid Σ_S history with hand-picked, pairwise-intersecting quorums:
 	// the writer works against {1,4,5}, reader p2 against {1,2,5}, reader p3
@@ -51,11 +53,13 @@ func runInversionScenario(t *testing.T, writeBack bool) (ops []OpRecord, lineari
 		return fd.TrustList{Trusted: q}
 	})
 
+	store, err := StoreProgram(n, s, StoreConfig{Keys: 1, Window: 1, FastReads: fastReads}, scripts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prog := func(p dist.ProcID, nn int) sim.Automaton {
-		node := NewNode(p, nn, s, scripts[p-1])
-		if !writeBack {
-			node.DisableReadWriteBack()
-		}
+		node := store(p, nn).(*StoreNode)
+		node.noWriteBack = !writeBack
 		return node
 	}
 
@@ -83,37 +87,32 @@ func runInversionScenario(t *testing.T, writeBack bool) (ops []OpRecord, lineari
 		Scheduler: &sim.ScriptedScheduler{Script: script, Then: sim.NewRandomScheduler(1)},
 		MaxSteps:  5000,
 		DeliveryFilter: func(m *sim.Message, now dist.Time) bool {
-			switch m.Payload.(type) {
-			case storeReq:
-				if m.From == 1 && m.To != 2 {
-					return now > 900 // the write stays pending at {1,2} only
-				}
-			case queryReq:
-				if m.From == 1 && m.To == 2 {
-					return now > 900 // keep p2's inbox clean for the store
-				}
+			fr := m.Payload.(*storeFrame)
+			if len(fr.S) > 0 && m.From == 1 && m.To != 2 {
+				return now > 900 // the write stays pending at {1,2} only
+			}
+			if len(fr.Q) > 0 && m.From == 1 && m.To == 2 {
+				return now > 900 // keep p2's inbox clean for the store
 			}
 			return true
 		},
 		StopWhen: func(sn *sim.Snapshot) bool {
-			n2, ok2 := sn.Automaton(2).(*Node)
-			n3, ok3 := sn.Automaton(3).(*Node)
-			return ok2 && ok3 && n2.Done() && n3.Done() && sn.Now() > 950
+			return sn.Automaton(2).(*StoreNode).Done() && sn.Automaton(3).(*StoreNode).Done() && sn.Now() > 950
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops = ExtractOps(res.Trace)
+	ops = ExtractKeyedOps(res.Trace)[0]
 	linearizable, err = CheckLinearizable(ops, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ops, linearizable
+	return ops, linearizable, res.Automata[1].(*StoreNode).ReadFallbacks()
 }
 
 func TestNoWriteBackBreaksAtomicity(t *testing.T) {
-	ops, linearizable := runInversionScenario(t, false)
+	ops, linearizable, _ := runInversionScenario(t, false, false)
 	if linearizable {
 		t.Fatalf("expected a new/old inversion without write-back, but the history linearizes:\n%s",
 			ExplainNonLinearizable(ops))
@@ -139,53 +138,37 @@ func TestNoWriteBackBreaksAtomicity(t *testing.T) {
 }
 
 func TestWriteBackRestoresAtomicity(t *testing.T) {
-	ops, linearizable := runInversionScenario(t, true)
-	if !linearizable {
-		t.Fatalf("with write-back the same schedule must linearize:\n%s", ExplainNonLinearizable(ops))
+	for _, fastReads := range []bool{false, true} {
+		ops, linearizable, fallbacks := runInversionScenario(t, true, fastReads)
+		if !linearizable {
+			t.Fatalf("fastReads=%v: with write-back the same schedule must linearize:\n%s", fastReads, ExplainNonLinearizable(ops))
+		}
+		// With fast reads on, p2's phase-1 replies disagree (p2 holds 42,
+		// p1 and p5 hold 0), so the fast-read rule must send it to write-back.
+		if fastReads && fallbacks != 1 {
+			t.Fatalf("fastReads: p2 fell back %d times, want 1", fallbacks)
+		}
 	}
 }
 
 func TestRandomWorkloadsLinearizable(t *testing.T) {
-	// Integration sweep: random mixed workloads with mid-run replica
-	// crashes stay linearizable.
+	// Integration sweep: random mixed workloads on the one register with
+	// mid-run replica crashes stay linearizable.
 	const n = 5
 	s := dist.NewProcSet(1, 2, 3)
 	for seed := int64(0); seed < 12; seed++ {
-		scripts := GenerateWorkload(WorkloadConfig{
-			N: n, S: s, OpsPerClient: 4, WriteRatio: 0.5, Seed: seed,
+		scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
+			N: n, S: s, Keys: 1, OpsPerClient: 4, WriteRatio: 0.5, Seed: seed,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		f := dist.NewFailurePattern(n)
 		if seed%3 == 0 {
 			f.CrashAt(5, dist.Time(40+seed))
 		}
-		res, err := sim.Run(sim.Config{
-			Pattern:   f,
-			History:   fd.NewSigmaS(f, s, 120),
-			Program:   mustProgram(t, s, scripts),
-			Scheduler: sim.NewRandomScheduler(seed),
-			MaxSteps:  80_000,
-			StopWhen: func(sn *sim.Snapshot) bool {
-				for _, p := range s.Members() {
-					if node, ok := sn.Automaton(p).(*Node); !ok || !node.Done() {
-						return false
-					}
-				}
-				return true
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops := ExtractOps(res.Trace)
-		if want := TotalOps(scripts); len(ops) != want {
-			t.Fatalf("seed=%d: %d ops recorded, want %d", seed, len(ops), want)
-		}
-		ok, err := CheckLinearizable(ops, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("seed=%d: %s", seed, ExplainNonLinearizable(ops))
+		if ops := runRegister(t, f, s, scripts, 120, seed); len(ops) != TotalKeyedOps(scripts) {
+			t.Fatalf("seed=%d: %d ops recorded, want %d", seed, len(ops), TotalKeyedOps(scripts))
 		}
 	}
 }

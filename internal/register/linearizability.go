@@ -34,39 +34,6 @@ func (o OpRecord) String() string {
 	return fmt.Sprintf("p%d %s [%d,%s]", int(o.Proc), body, int64(o.Invoked), end)
 }
 
-// ExtractOps pairs the Invoke/Return events of a trace into operation
-// records, ordered by invocation time.
-func ExtractOps(tr *trace.Trace) []OpRecord {
-	type key struct {
-		p   dist.ProcID
-		seq int64
-	}
-	idx := make(map[key]int)
-	var ops []OpRecord
-	for _, e := range tr.Events() {
-		desc, ok := e.Payload.(OpDesc)
-		if !ok {
-			continue
-		}
-		k := key{p: e.P, seq: e.Seq}
-		switch e.Kind {
-		case trace.InvokeKind:
-			idx[k] = len(ops)
-			ops = append(ops, OpRecord{
-				Proc: e.P, Seq: e.Seq, Kind: desc.Kind, Arg: desc.Arg, Invoked: e.T,
-			})
-		case trace.ReturnKind:
-			if i, found := idx[k]; found {
-				ops[i].Returned = e.T
-				ops[i].Ret = desc.Ret
-				ops[i].Complete = true
-			}
-		}
-	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Invoked < ops[j].Invoked })
-	return ops
-}
-
 // ExtractKeyedOps pairs the Invoke/Return events of a keyed store trace
 // (KeyedOpDesc payloads) into per-key operation records, each key's history
 // ordered by invocation time.

@@ -280,7 +280,7 @@ type StoreConfig struct {
 
 func (c StoreConfig) window() int {
 	if c.Window < 1 {
-		return 1 // NewStoreNode trusts its arguments; validated paths reject this
+		return 1 // newStoreNode trusts its arguments; validated paths reject this
 	}
 	return c.Window
 }
@@ -541,8 +541,7 @@ type StoreNode struct {
 
 	// Pooled frames (see framePool): filled only when sim grants the
 	// receiver ownership of delivered payloads. Shared across the nodes of
-	// one program instantiation by StoreProgram; NewStoreNode alone gives
-	// the node a private pool.
+	// one program instantiation by StoreProgram.
 	pool *framePool
 
 	// The reply frame of the delivery being served, leased on the first
@@ -583,22 +582,21 @@ type StoreNode struct {
 	qHeldT []int64
 	sHeldT []int64
 	frameT []int64
+
+	// noWriteBack is the E12b ablation, set only by tests: every read
+	// skips its write-back round, which is exactly the elision the
+	// fast-read rule guards against. Reads are then regular but not atomic.
+	noWriteBack bool
 }
 
 var _ sim.Automaton = (*StoreNode)(nil)
 
 var _ sim.RefCounted = (*storeFrame)(nil)
 
-// NewStoreNode builds the store automaton for process self over the given
-// shard map, with a pool of its own. Prefer StoreProgram, which validates
-// the configuration at construction time and shares one pool across the
-// instantiation; NewStoreNode trusts its arguments (scripts at processes
-// outside S are still ignored at run time, enforcing the S-register access
-// restriction).
-func NewStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *ShardMap, script []KeyedOp) *StoreNode {
-	return newStoreNode(self, n, s, cfg, m, script, &framePool{})
-}
-
+// newStoreNode builds the store automaton for process self over the given
+// shard map. It trusts its arguments — StoreProgram validates them — except
+// that a script at a process outside S is ignored, enforcing the S-register
+// access restriction at run time too.
 func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *ShardMap, script []KeyedOp, pool *framePool) *StoreNode {
 	a := &StoreNode{
 		self:   self,
@@ -1256,9 +1254,9 @@ func (a *StoreNode) advance(e *sim.Env) {
 // fastReadEligible reports whether a phase-1 read whose quorum just
 // completed may finish without the write-back round: its credited replies
 // were unanimous, or their maximum timestamp is already confirmed at a
-// quorum.
+// quorum. Under the noWriteBack ablation every read is eligible.
 func (a *StoreNode) fastReadEligible(op *storeOp) bool {
-	return a.cfg.FastReads && op.kind == ReadOp && (!op.diverged || op.bestConf == op.best)
+	return op.kind == ReadOp && (a.noWriteBack || a.cfg.FastReads && (!op.diverged || op.bestConf == op.best))
 }
 
 // finish retires one completed op: the Return record (traced runs only),

@@ -187,7 +187,7 @@ func TestStoreReplyDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewStoreNode(1, 3, dist.NewProcSet(1), cfg, m, nil)
+	a := newStoreNode(1, 3, dist.NewProcSet(1), cfg, m, nil, &framePool{})
 	a.pend = append(a.pend, storeOp{key: 2, shard: m.Shard(2), rid: 9, phase: 1})
 	rep := []queryRepEntry{{Key: 2, RID: 9, TS: Timestamp{Seq: 3, PID: 2}, V: 7}}
 	a.absorbQueryReps(rep, 2)

@@ -269,7 +269,7 @@ func TestAdaptiveControllerEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewStoreNode(1, 4, dist.NewProcSet(1), cfg, m, nil)
+	a := newStoreNode(1, 4, dist.NewProcSet(1), cfg, m, nil, &framePool{})
 	if got := a.WindowOf(0); got != 4 {
 		t.Fatalf("controller starts at %d, want the configured Window 4", got)
 	}

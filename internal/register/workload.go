@@ -16,61 +16,6 @@ const DefaultWriteRatio = 0.5
 // checker's 64-op budget with headroom for hand-added operations.
 const MaxOpsPerKey = 60
 
-// effectiveWriteRatio resolves the WriteRatio convention shared by both
-// generators: negative means "unset, use the default"; 0 is a genuine
-// read-only workload.
-func effectiveWriteRatio(r float64) float64 {
-	if r < 0 {
-		return DefaultWriteRatio
-	}
-	return r
-}
-
-// WorkloadConfig parameterizes the random script generator used by the
-// integration tests and benchmarks.
-type WorkloadConfig struct {
-	// N is the system size; S the register's member set.
-	N int
-	S dist.ProcSet
-	// OpsPerClient is the script length at each member of S.
-	OpsPerClient int
-	// WriteRatio ∈ [0,1] is the fraction of writes: 0 requests a read-only
-	// workload; a negative value selects DefaultWriteRatio.
-	WriteRatio float64
-	// Seed drives the generator.
-	Seed int64
-}
-
-// GenerateWorkload builds per-process scripts (index ProcID-1): members of S
-// receive a random read/write mix with globally unique write values,
-// everyone else gets a nil script (pure replica).
-func GenerateWorkload(cfg WorkloadConfig) [][]Op {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ratio := effectiveWriteRatio(cfg.WriteRatio)
-	scripts := make([][]Op, cfg.N)
-	for _, p := range cfg.S.Members() {
-		sc := make([]Op, 0, cfg.OpsPerClient)
-		for i := 0; i < cfg.OpsPerClient; i++ {
-			if rng.Float64() < ratio {
-				sc = append(sc, Op{Kind: WriteOp})
-			} else {
-				sc = append(sc, Op{Kind: ReadOp})
-			}
-		}
-		scripts[p-1] = sc
-	}
-	return UniqueWrites(scripts)
-}
-
-// TotalOps counts the scripted operations.
-func TotalOps(scripts [][]Op) int {
-	total := 0
-	for _, sc := range scripts {
-		total += len(sc)
-	}
-	return total
-}
-
 // StoreWorkloadConfig parameterizes the keyed script generator driving the
 // register store.
 type StoreWorkloadConfig struct {
@@ -153,7 +98,10 @@ func GenerateStoreWorkload(cfg StoreWorkloadConfig) ([][]KeyedOp, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ratio := effectiveWriteRatio(cfg.WriteRatio)
+	ratio := cfg.WriteRatio // 0 is a genuine read-only workload
+	if ratio < 0 {
+		ratio = DefaultWriteRatio
+	}
 	// One Zipf source per shard, sized to the shard's key count: skew is a
 	// per-shard property under sharding (every shard has its own hot key).
 	var zipfs []*rand.Zipf

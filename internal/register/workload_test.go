@@ -9,11 +9,15 @@ import (
 
 func TestGenerateWorkloadWriteRatioZeroIsReadOnly(t *testing.T) {
 	// Regression: WriteRatio 0 used to be clobbered to the 0.5 default,
-	// making a read-only workload impossible to request.
-	scripts := GenerateWorkload(WorkloadConfig{
-		N: 5, S: dist.NewProcSet(1, 2, 3), OpsPerClient: 20, WriteRatio: 0, Seed: 4,
+	// making a read-only workload impossible to request. Checked on the
+	// one-key store, the single S-register workload.
+	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
+		N: 5, S: dist.NewProcSet(1, 2, 3), Keys: 1, OpsPerClient: 20, WriteRatio: 0, Seed: 4,
 	})
-	if got := TotalOps(scripts); got != 60 {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := TotalKeyedOps(scripts); got != 60 {
 		t.Fatalf("generated %d ops, want 60", got)
 	}
 	for pi, sc := range scripts {
@@ -26,9 +30,12 @@ func TestGenerateWorkloadWriteRatioZeroIsReadOnly(t *testing.T) {
 }
 
 func TestGenerateWorkloadNegativeRatioSelectsDefault(t *testing.T) {
-	scripts := GenerateWorkload(WorkloadConfig{
-		N: 4, S: dist.NewProcSet(1, 2), OpsPerClient: 40, WriteRatio: -1, Seed: 4,
+	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
+		N: 4, S: dist.NewProcSet(1, 2), Keys: 1, OpsPerClient: 30, WriteRatio: -1, Seed: 4,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	reads, writes := 0, 0
 	for _, sc := range scripts {
 		for _, op := range sc {

@@ -132,3 +132,70 @@ func TestExplorerNeverGrantsPayloadOwnership(t *testing.T) {
 		t.Fatalf("exploration too shallow to exercise deliveries: %d states", res.StatesVisited)
 	}
 }
+
+// leasedPayload is a RefCounted payload whose references are tallied in a
+// counter shared by the whole run: the sender pre-counts one reference per
+// send, and every AddRef/DropRef the runtime issues moves the tally.
+type leasedPayload struct{ refs *int }
+
+func (p leasedPayload) AddRef()  { *p.refs++ }
+func (p leasedPayload) DropRef() { *p.refs-- }
+
+// leaseSender has p1 send a leased payload to p2 on every step.
+type leaseSender struct {
+	self dist.ProcID
+	refs *int
+}
+
+func (a *leaseSender) Step(e *Env) {
+	if a.self == 1 {
+		*a.refs++
+		e.Send(2, leasedPayload{refs: a.refs})
+	}
+}
+
+func (a *leaseSender) Snapshot() Automaton {
+	c := *a
+	return &c
+}
+
+// TestRunnerResetReleasesInFlightLeases: payloads still parked in an inbox
+// when a run stops give their references back at Reset, as at a recovery,
+// so a payload pool does not leak a slot per message left in flight. p2 is
+// crashed from the start, so every payload p1 sends is still parked when
+// the run stops. A traced run never grants ownership, and its payloads are
+// left alone.
+func TestRunnerResetReleasesInFlightLeases(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		refs := 0
+		f := dist.NewFailurePattern(2)
+		f.CrashAt(2, 0)
+		r, err := NewRunner(Config{
+			Pattern: f,
+			History: nilHistory(),
+			Program: func(p dist.ProcID, n int) Automaton {
+				return &leaseSender{self: p, refs: &refs}
+			},
+			Scheduler:    NewRandomScheduler(1),
+			MaxSteps:     20,
+			DisableTrace: !traced,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		parked := refs
+		if parked == 0 {
+			t.Fatalf("traced=%v: no payload left in flight — the release was never exercised", traced)
+		}
+		r.Reset(2)
+		switch {
+		case !traced && refs != 0:
+			t.Fatalf("untraced run: %d of %d in-flight payload references leaked across Reset", refs, parked)
+		case traced && refs != parked:
+			t.Fatalf("traced run: Reset moved the reference count %d → %d on payloads it never owned", parked, refs)
+		}
+	}
+}

@@ -410,8 +410,13 @@ func (r *Runner) reset() {
 	r.decidedSet = dist.ProcSet{}
 	r.crashPos = 0
 	r.recoverPos = 0
+	// Messages still in flight when the last run stopped give their leased
+	// payloads back, exactly as at a recovery (r.msgTr is still the last
+	// run's here): a pool leaking a slot per parked message would make
+	// every run re-allocate and re-grow payloads, coupling its allocations
+	// to the runs before it.
 	for i := range r.inboxes {
-		r.inboxes[i].reset()
+		r.inboxes[i].wipe(r.msgTr == nil)
 	}
 	for i := 0; i < r.n; i++ {
 		r.decisions[i] = nil
