@@ -271,8 +271,10 @@ func parsePartitionList(spec, noun string, side func(tok string) (dist.ProcSet, 
 // client step, the gap its rounded reciprocal (floored at 1 — back-to-back
 // arrivals). rate 0 means unset and yields gap 0, the store's own default
 // (gap 1). -rate without -openloop is rejected: closed-loop clients have no
-// arrival schedule to pace.
-func openLoopGap(openLoop bool, rate float64) (int, error) {
+// arrival schedule to pace. So is a rate whose gap exceeds budget, the
+// run's step budget in ticks: a client takes at most one step per tick, so
+// every op after the first would arrive after the run ends.
+func openLoopGap(openLoop bool, rate float64, budget int64) (int, error) {
 	if math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return 0, fmt.Errorf("-rate %g is not a finite number", rate)
 	}
@@ -285,11 +287,11 @@ func openLoopGap(openLoop bool, rate float64) (int, error) {
 	if rate == 0 {
 		return 0, nil
 	}
-	gap := int(math.Round(1 / rate))
-	if gap < 1 {
-		gap = 1
+	g := math.Round(1 / rate)
+	if g > float64(budget) {
+		return 0, fmt.Errorf("-rate %g makes the mean arrival gap %.3g client steps, beyond the run's budget of %d steps", rate, g, budget)
 	}
-	return gap, nil
+	return max(int(g), 1), nil
 }
 
 // clientSet validates -clients and returns the store member set

@@ -475,8 +475,12 @@ func TestOpenLoopGap(t *testing.T) {
 		{true, math.NaN(), 0, true},  // not a number
 		{true, math.Inf(1), 0, true}, // not finite
 		{false, math.NaN(), 0, true}, // not a number, closed loop
+		{true, 1e-4, 10_000, false},  // a gap of exactly the budget
+		{true, 9e-5, 0, true},        // a gap past the budget
+		{true, 1e-300, 0, true},      // a gap past every int: used to wrap to gap 1
 	} {
-		got, err := openLoopGap(tc.openLoop, tc.rate)
+		const budget = 10_000
+		got, err := openLoopGap(tc.openLoop, tc.rate, budget)
 		if tc.wantErr {
 			if err == nil {
 				t.Errorf("openLoopGap(%v, %g): expected error", tc.openLoop, tc.rate)

@@ -487,16 +487,15 @@ func cmdStore(args []string) error {
 	if err != nil {
 		return err
 	}
-	gap, err := openLoopGap(*openLoop, *rate)
-	if err != nil {
-		return err
+	if *stallLimit < 0 {
+		return fmt.Errorf("-stalllimit %d is negative", *stallLimit)
 	}
 	storeCfg := register.StoreConfig{
 		Keys: *keys, Shards: *shards, Window: *window,
 		DisableBatching: *nobatch, Piggyback: *piggyback,
 		AdaptiveWindow: *adaptive, MaxWindow: *maxWindow, StallSteps: *stall,
 		Retransmit: *retransmit, RTO: *rto, MaxRTO: *maxRTO,
-		OpenLoop: *openLoop, ArrivalGap: gap, ArrivalJitter: *openLoop,
+		OpenLoop: *openLoop, ArrivalJitter: *openLoop,
 		CoalesceDelay: *coalesce, FastReads: *fastRead,
 	}
 	if *openLoop {
@@ -524,6 +523,9 @@ func cmdStore(args []string) error {
 			Seed: *faultSeed, Loss: *loss, Dup: *dup,
 			MaxDelay: dist.Time(*delay), Partitions: partitions,
 		}
+		if err := faults.Validate(*n); err != nil {
+			return err
+		}
 		if (*loss > 0 || len(partitions) > 0) && !*retransmit {
 			return fmt.Errorf("-loss/-partition can park operations forever without -retransmit")
 		}
@@ -535,7 +537,6 @@ func cmdStore(args []string) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
 	sweepCfg := register.StoreSweepConfig{
 		Pattern:    f,
 		S:          s,
@@ -547,6 +548,14 @@ func cmdStore(args []string) error {
 		Faults:     faults,
 		StallLimit: *stallLimit,
 	}
+	// The arrival gap is bounded by the run's step budget, which depends on
+	// the scripts and the partitions; it does not change the budget.
+	gap, err := openLoopGap(*openLoop, *rate, sweepCfg.EffectiveMaxSteps())
+	if err != nil {
+		return err
+	}
+	sweepCfg.Store.ArrivalGap = gap
+	start := time.Now()
 	res, err := register.StoreSweep(sweepCfg)
 	if err != nil {
 		return err
@@ -579,7 +588,7 @@ func cmdStore(args []string) error {
 	fmt.Printf("store on %v, S=%v, keys=%d shards=%d %s batching=%v piggyback=%v: %d runs × %d scripted ops (%d guaranteed at correct clients)\n",
 		f, s, *keys, shardMap.Shards(), windowDesc, !*nobatch, *piggyback, res.Runs, register.TotalKeyedOps(scripts), opsPerRun)
 	if *openLoop || *coalesce > 0 {
-		fmt.Printf("  load: openloop=%v gap=%d(jittered) coalesce=%d\n", *openLoop, storeCfg.EffectiveArrivalGap(), *coalesce)
+		fmt.Printf("  load: openloop=%v gap=%d(jittered) coalesce=%d\n", *openLoop, sweepCfg.Store.EffectiveArrivalGap(), *coalesce)
 	}
 	if faults != nil {
 		fmt.Printf("  faults: loss=%.3g dup=%.3g maxdelay=%d seed=%d retransmit=%v",
@@ -680,6 +689,9 @@ func cmdConsensus(args []string) error {
 	stallLimit := fs.Int64("stalllimit", 0, "end a run that makes no progress for this many ticks with reason \"stalled\" (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *stallLimit < 0 {
+		return fmt.Errorf("-stalllimit %d is negative", *stallLimit)
 	}
 	f, err := crashPattern(*n, *crash)
 	if err != nil {

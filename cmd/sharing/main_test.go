@@ -130,6 +130,27 @@ func TestSubcommandsFail(t *testing.T) {
 	}
 }
 
+// TestSubcommandErrorsNameTheCause pins which error a bad flag reports: the
+// range error of the flag itself, up front, rather than a rule that pairs
+// it with another flag or a failure from inside a sweep worker.
+func TestSubcommandErrorsNameTheCause(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"store", "-loss", "2"}, "FaultPlan.Loss"},
+		{[]string{"store", "-stalllimit", "-1"}, "-stalllimit -1 is negative"},
+		{[]string{"consensus", "-stalllimit", "-1"}, "-stalllimit -1 is negative"},
+		{[]string{"consensus", "-loss", "0.05", "-stalllimit", "-1"}, "-stalllimit -1 is negative"},
+		{[]string{"store", "-openloop", "-rate", "1e-300"}, "beyond the run's budget"},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 func TestParseCrash(t *testing.T) {
 	if err := run([]string{"setagreement", "-n", "5", "-crash", "2,3,4"}); err != nil {
 		t.Fatal(err)

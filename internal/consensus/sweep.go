@@ -54,6 +54,9 @@ func Sweep(cfg SweepConfig) (*sweep.Result, error) {
 	if !f.InEnvironment() {
 		return nil, errors.New("consensus: pattern crashes every process")
 	}
+	if cfg.StallLimit < 0 {
+		return nil, fmt.Errorf("consensus: SweepConfig.StallLimit %d is negative", cfg.StallLimit)
+	}
 	if len(cfg.Proposals) != f.N() {
 		return nil, fmt.Errorf("consensus: %d proposals for %d processes", len(cfg.Proposals), f.N())
 	}

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/agreement"
@@ -136,5 +137,12 @@ func TestConsensusSweepRejectsBadSetups(t *testing.T) {
 		if _, err := Sweep(cfg); err == nil {
 			t.Errorf("%s: Sweep accepted an invalid config", tc.name)
 		}
+	}
+	// A negative StallLimit fails up front, naming the field, not from
+	// inside a sweep worker.
+	neg := good
+	neg.StallLimit = -1
+	if _, err := Sweep(neg); err == nil || !strings.Contains(err.Error(), "SweepConfig.StallLimit") {
+		t.Errorf("negative StallLimit: got %v, want an error naming SweepConfig.StallLimit", err)
 	}
 }

@@ -511,7 +511,6 @@ type StoreNode struct {
 	// order within each shard, which keys make per-key program order), one
 	// window controller per shard.
 	queues    [][]queuedOp
-	queued    int // ops remaining across all queues
 	scriptLen int
 	opSeq     int64
 	rid       int64
@@ -525,6 +524,9 @@ type StoreNode struct {
 	stall    int
 	doneMask ShardSet // shards that completed an op this client step
 	load     []int    // outstanding ops per shard, maintained on start/complete
+	// busy holds the shards with queued or outstanding ops, maintained where
+	// queues fill and drain and ops finish, so DoneOn is one set test.
+	busy ShardSet
 
 	// Retransmission state (Retransmit only): the client's own step clock
 	// (ticks once per Step of this node), the cached initial/cap timeouts,
@@ -535,9 +537,12 @@ type StoreNode struct {
 	retransmits int64
 
 	// Per-step per-shard request accumulators, consumed and cleared by
-	// flush (see the send-order rules above the wire types).
-	qOut [][]queryEntry
-	sOut [][]storeEntry
+	// flush (see the send-order rules above the wire types). dirty holds
+	// the shards whose qOut or sOut is non-empty (parked ones included), so
+	// flush visits only those.
+	qOut  [][]queryEntry
+	sOut  [][]storeEntry
+	dirty ShardSet
 
 	// Pooled frames (see framePool): filled only when sim grants the
 	// receiver ownership of delivered payloads. Shared across the nodes of
@@ -670,7 +675,6 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 			a.sOut[sh] = make([]storeEntry, 0, outCap)
 		}
 		a.scriptLen = len(script)
-		a.queued = len(script)
 		// Exact per-shard queue capacities: append-growth here would scale
 		// construction allocations with script length, muddying the
 		// steady-state-zero measurement that excludes fixed setup. The live
@@ -692,6 +696,7 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 			}
 			sh := m.Shard(op.Key)
 			a.queues[sh] = append(a.queues[sh], queuedOp{op: op, arrival: arr})
+			a.busy = a.busy.Add(sh)
 		}
 	}
 	return a
@@ -752,26 +757,14 @@ func StoreProgram(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) (
 
 // Done reports whether the node's script has fully executed and no
 // operation is outstanding on any shard.
-func (a *StoreNode) Done() bool { return a.queued == 0 && len(a.pend) == 0 }
+func (a *StoreNode) Done() bool { return a.busy.IsEmpty() }
 
 // DoneOn reports whether the node has finished all work destined to the
 // shards of the avail set: nothing queued for and nothing outstanding on
 // an available shard. Operations routed to unavailable shards (a fully
 // crashed replica group) can never complete and are excluded — a crash only
 // degrades its own shard.
-func (a *StoreNode) DoneOn(avail ShardSet) bool {
-	for sh := range a.queues {
-		if avail.Has(sh) && len(a.queues[sh]) > 0 {
-			return false
-		}
-	}
-	for i := range a.pend {
-		if avail.Has(a.pend[i].shard) {
-			return false
-		}
-	}
-	return true
-}
+func (a *StoreNode) DoneOn(avail ShardSet) bool { return !a.busy.Intersects(avail) }
 
 // CompletedOps returns the number of client operations this node completed.
 func (a *StoreNode) CompletedOps() int { return a.completed }
@@ -850,8 +843,10 @@ func (a *StoreNode) Recover() {
 	}
 	for sh := range a.queues {
 		a.queues[sh] = a.queues[sh][:0]
+		if a.load[sh] == 0 {
+			a.busy = a.busy.Remove(sh)
+		}
 	}
-	a.queued = 0
 	a.scriptLen = 0
 }
 
@@ -1138,6 +1133,7 @@ func (a *StoreNode) retransmit() {
 		case 2:
 			a.sOut[op.shard] = append(a.sOut[op.shard], storeEntry{Key: op.key, RID: op.rid, TS: op.best, V: op.bestVal})
 		}
+		a.dirty = a.dirty.Add(op.shard)
 	}
 }
 
@@ -1242,6 +1238,7 @@ func (a *StoreNode) advance(e *sim.Env) {
 				}
 			}
 			a.sOut[op.shard] = append(a.sOut[op.shard], storeEntry{Key: op.key, RID: op.rid, TS: st, V: v})
+			a.dirty = a.dirty.Add(op.shard)
 			kept = append(kept, op)
 		case 2:
 			a.finish(e, &op)
@@ -1280,6 +1277,9 @@ func (a *StoreNode) finish(e *sim.Env, op *storeOp) {
 	}
 	a.completed++
 	a.load[op.shard]--
+	if a.load[op.shard] == 0 && len(a.queues[op.shard]) == 0 {
+		a.busy = a.busy.Remove(op.shard)
+	}
 	a.noteCompletion(op.shard)
 	if a.cfg.FastReads {
 		a.noteConfirmed(op.key, op.best)
@@ -1326,7 +1326,6 @@ func (a *StoreNode) start(e *sim.Env) {
 				invoke = head.arrival
 			}
 			a.queues[sh] = a.queues[sh][1:]
-			a.queued--
 			a.opSeq++
 			a.rid++
 			if e.OpsRecorded() {
@@ -1361,6 +1360,7 @@ func (a *StoreNode) start(e *sim.Env) {
 				q.CTS = a.confClient[op.Key]
 			}
 			a.qOut[sh] = append(a.qOut[sh], q)
+			a.dirty = a.dirty.Add(sh)
 		}
 	}
 }
@@ -1373,15 +1373,20 @@ func (a *StoreNode) start(e *sim.Env) {
 // processes outside the group. With coalescing armed an under-filled
 // accumulator or frame may park across steps (see park); a snapshot frame
 // is leased only at send time, so parking costs no extra pool traffic.
+// Shards flush in increasing order, the dirty ones only; a parked
+// accumulator keeps its shard dirty.
 func (a *StoreNode) flush(e *sim.Env) {
-	for sh := range a.qOut {
+	a.dirty.ForEach(func(sh int) {
 		if len(a.qOut[sh]) > 0 {
 			flushRequests(a, e, sh, &a.qOut[sh], a.qHeldT, querySection)
 		}
 		if len(a.sOut[sh]) > 0 {
 			flushRequests(a, e, sh, &a.sOut[sh], a.sHeldT, storeSection)
 		}
-	}
+		if len(a.qOut[sh]) == 0 && len(a.sOut[sh]) == 0 {
+			a.dirty = a.dirty.Remove(sh)
+		}
+	})
 	if r := a.rep; r != nil {
 		// Piggybacking: the step's replies join the reply destination's
 		// frame, touched after every request frame.

@@ -318,6 +318,11 @@ func TestStoreFaultConfigGates(t *testing.T) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}
 	}
+	stalled := base
+	stalled.StallLimit = -1
+	if _, err := StoreSweep(stalled); err == nil || !strings.Contains(err.Error(), "StoreSweepConfig.StallLimit") {
+		t.Fatalf("a negative StallLimit must be rejected naming the field, got %v", err)
+	}
 	// Dup-only faults are fine without retransmission (nothing is lost).
 	dupOnly := base
 	dupOnly.Faults = &sim.FaultPlan{Dup: 0.2}

@@ -165,3 +165,113 @@ func TestStoreSweepIsSimConfigRuns(t *testing.T) {
 		t.Fatal("the faults never fired: the comparison covers only the clean path")
 	}
 }
+
+// doneOnScan is the queue and pend scan that StoreNode.DoneOn's busy-shard
+// set replaced, kept as its oracle.
+func doneOnScan(a *StoreNode, avail ShardSet) bool {
+	for sh := range a.queues {
+		if avail.Has(sh) && len(a.queues[sh]) > 0 {
+			return false
+		}
+	}
+	for i := range a.pend {
+		if avail.Has(a.pend[i].shard) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStoreShardSetsMatchScan runs sampled n=128 sweeps, several seeds on
+// one runner, and after every tick checks both shard sets of every client
+// against a scan: DoneOn (and Done) against doneOnScan for the full, the
+// available and one rotating single-shard set, and the dirty-shard set
+// against the non-empty request accumulators. The runs cover loss,
+// duplication, delay, a healing partition, a client and a replica that
+// crash and recover, and coalescing, which parks accumulators across steps.
+func TestStoreShardSetsMatchScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=128 runs are a long test")
+	}
+	recovery := scaleSweepConfig(t, 0)
+	f := dist.NewFailurePattern(128)
+	f.CrashAt(5, 50) // a client
+	f.RecoverAt(5, 200)
+	f.CrashAt(40, 50) // a replica
+	f.RecoverAt(40, 200)
+	recovery.Pattern = f
+	coalesce := recovery
+	coalesce.Store.CoalesceDelay = 2
+
+	for _, tc := range []struct {
+		name string
+		cfg  StoreSweepConfig
+	}{
+		{"crash+recovery", recovery},
+		{"coalesce", coalesce},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			m, err := cfg.Store.ShardMap(cfg.Pattern.N())
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := FullShardSet(m.Shards())
+			avail := m.Available(cfg.Pattern.Correct())
+			clients := cfg.S.Members()
+			simCfg, err := cfg.SimConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := simCfg.StopWhen
+			var busy, dirty int
+			simCfg.StopWhen = func(sn *sim.Snapshot) bool {
+				now := int64(sn.Now())
+				masks := []ShardSet{full, avail, NewShardSet(int(now) % m.Shards())}
+				// Only members of S queue, start or send requests.
+				for _, p := range clients {
+					node := sn.Automaton(p).(*StoreNode)
+					for _, mask := range masks {
+						if got, want := node.DoneOn(mask), doneOnScan(node, mask); got != want {
+							t.Fatalf("t=%d p%d: DoneOn(%v) = %v, the scan says %v", now, int(p), mask, got, want)
+						}
+					}
+					if got, want := node.Done(), doneOnScan(node, full); got != want {
+						t.Fatalf("t=%d p%d: Done() = %v, the scan says %v", now, int(p), got, want)
+					}
+					if !node.busy.IsEmpty() {
+						busy++
+					}
+					for sh := 0; sh < m.Shards(); sh++ {
+						if got, want := node.dirty.Has(sh), len(node.qOut[sh])+len(node.sOut[sh]) > 0; got != want {
+							t.Fatalf("t=%d p%d: shard %d dirty = %v, its accumulators are non-empty = %v", now, int(p), sh, got, want)
+						}
+						if node.dirty.Has(sh) {
+							dirty++
+						}
+					}
+				}
+				return stop(sn)
+			}
+			r, err := sim.NewRunner(simCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(0); seed < 3; seed++ {
+				res, err := r.Reset(seed).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Reason != sim.ReasonStopCond {
+					t.Fatalf("seed %d ended %s before every client finished", seed, res.Reason)
+				}
+			}
+			if busy == 0 {
+				t.Fatal("no node ever had work: nothing was compared")
+			}
+			if cfg.Store.CoalesceDelay > 0 && dirty == 0 {
+				t.Fatal("no accumulator ever parked: the dirty set was only ever empty between steps")
+			}
+		})
+	}
+}

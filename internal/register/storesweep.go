@@ -123,6 +123,9 @@ func (cfg StoreSweepConfig) validate() (*storeRun, error) {
 	if cfg.Pattern == nil {
 		return nil, fmt.Errorf("register: StoreSweep needs a failure pattern")
 	}
+	if cfg.StallLimit < 0 {
+		return nil, fmt.Errorf("register: StoreSweepConfig.StallLimit %d is negative", cfg.StallLimit)
+	}
 	n := cfg.Pattern.N()
 	// Construction-time validation; simConfig rebuilds the (then valid)
 	// program per runner, because a StoreProgram's nodes share a payload

@@ -72,6 +72,17 @@ func (fp *FaultPlan) Blocked(from, to dist.ProcID, t dist.Time) bool {
 	return false
 }
 
+// partitionedAt reports whether some partition is active at time t; when
+// none is, Blocked is false for every pair.
+func (fp *FaultPlan) partitionedAt(t dist.Time) bool {
+	for _, pt := range fp.Partitions {
+		if pt.From <= t && t < pt.Until {
+			return true
+		}
+	}
+	return false
+}
+
 // CutThrough reports whether some partition separating p and q denies the
 // pair a usable window within a run of `horizon` ticks. Completion
 // guarantees only cover pairs that are not cut through the horizon.

@@ -17,6 +17,11 @@ type inbox struct {
 	buf  []inboxEntry
 	head int // index of the oldest possibly-live entry
 	live int // number of non-tombstoned entries in buf[head:]
+	// Under a FaultPlan, ready counts the entries deliverable at every tick
+	// before readyUntil (see Runner.pendingCount); readyUntil 0 marks the
+	// count stale.
+	ready      int
+	readyUntil dist.Time
 }
 
 type inboxEntry struct {
@@ -36,6 +41,7 @@ func (q *inbox) reset() {
 	q.buf = q.buf[:0]
 	q.head = 0
 	q.live = 0
+	q.readyUntil = 0
 }
 
 // wipe empties the queue at a process recovery. When payloads are leased

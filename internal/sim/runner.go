@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 
 	"repro/internal/dist"
@@ -275,6 +276,19 @@ type Runner struct {
 	recoverEvents []crashEvent
 	recoverPos    int
 
+	// The alive set changes only at crash and recovery ticks, so it is
+	// cached until aliveNext, the next such tick.
+	alive     dist.ProcSet
+	aliveNext dist.Time
+	// bounds holds every finite partition From and Until in increasing
+	// order: the ticks at which a FaultPlan can change which queued
+	// messages are blocked (see pendingCount).
+	bounds []dist.Time
+	// built reports that automata holds instances no run has stepped yet
+	// (built by a reset, not handed out by a Result), which the next reset
+	// keeps instead of building another set.
+	built bool
+
 	view View // reused scheduler view; Pending/Decided bound once
 	env  Env  // reused step context
 	snap Snapshot
@@ -378,12 +392,23 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	sort.Slice(r.crashEvents, func(i, j int) bool { return r.crashEvents[i].t < r.crashEvents[j].t })
 	sort.Slice(r.recoverEvents, func(i, j int) bool { return r.recoverEvents[i].t < r.recoverEvents[j].t })
+	if cfg.Faults != nil {
+		for _, pt := range cfg.Faults.Partitions {
+			r.bounds = append(r.bounds, pt.From)
+			if pt.Until != dist.NoCrash {
+				r.bounds = append(r.bounds, pt.Until)
+			}
+		}
+		slices.Sort(r.bounds)
+	}
 	r.reset()
 	return r, nil
 }
 
 // Reset rewinds the runner for another run of the same system: fresh
 // automata from the Program, empty inboxes and decision state, time zero.
+// Automata that no run has stepped yet (those NewRunner built) are kept, so
+// NewRunner followed by Reset builds each process's automaton once.
 // The scheduler is reseeded when it implements Reseeder (NewRandomScheduler
 // does); scripted schedulers can instead be swapped via fresh configs. Reset
 // returns the runner for chaining.
@@ -410,6 +435,7 @@ func (r *Runner) reset() {
 	r.decidedSet = dist.ProcSet{}
 	r.crashPos = 0
 	r.recoverPos = 0
+	r.aliveNext = 0
 	// Messages still in flight when the last run stopped give their leased
 	// payloads back, exactly as at a recovery (r.msgTr is still the last
 	// run's here): a pool leaking a slot per parked message would make
@@ -427,9 +453,12 @@ func (r *Runner) reset() {
 
 	// Fresh automata: the Program owns per-run process state. The slice is
 	// reallocated (not reused) because results hand it out for inspection.
-	r.automata = make([]Automaton, r.n)
-	for p := dist.ProcID(1); int(p) <= r.n; p++ {
-		r.automata[p-1] = r.cfg.Program(p, r.n)
+	if !r.built {
+		r.automata = make([]Automaton, r.n)
+		for p := dist.ProcID(1); int(p) <= r.n; p++ {
+			r.automata[p-1] = r.cfg.Program(p, r.n)
+		}
+		r.built = true
 	}
 
 	r.tr, r.msgTr = nil, nil
@@ -458,6 +487,7 @@ func (r *Runner) Run() (*Result, error) {
 		return nil, errors.New("sim: Runner.Run called twice without Reset")
 	}
 	r.ran = true
+	r.built = false // the run steps the automata and its Result hands them out
 	reason := r.loop()
 	res := &Result{
 		Steps:        r.steps,
@@ -491,7 +521,10 @@ func (r *Runner) loop() StopReason {
 		t := r.now
 		r.emitCrashes(t)
 		r.applyRecoveries(t)
-		alive := r.cfg.Pattern.AliveAt(t)
+		if t >= r.aliveNext {
+			r.refreshAlive(t)
+		}
+		alive := r.alive
 		if alive.IsEmpty() {
 			return ReasonAllCrashed
 		}
@@ -602,7 +635,7 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		if delay > 0 {
 			r.delayed++
 		}
-		r.inboxes[sr.to].push(m, t+delay)
+		r.enqueue(m, t+delay, t)
 		if dup {
 			r.seq++
 			r.sent++
@@ -619,7 +652,7 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 				// leased for; account for it before it is enqueued.
 				rc.AddRef()
 			}
-			r.inboxes[sr.to].push(m2, t+dupDelay)
+			r.enqueue(m2, t+dupDelay, t)
 		}
 	}
 
@@ -654,6 +687,19 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 func (r *Runner) record(e trace.Event) {
 	if r.tr != nil {
 		r.tr.Append(e)
+	}
+}
+
+// refreshAlive caches the alive set of tick t, which emitCrashes and
+// applyRecoveries have reached, until the next crash or recovery tick.
+func (r *Runner) refreshAlive(t dist.Time) {
+	r.alive = r.cfg.Pattern.AliveAt(t)
+	r.aliveNext = dist.NoCrash
+	if r.crashPos < len(r.crashEvents) {
+		r.aliveNext = r.crashEvents[r.crashPos].t
+	}
+	if r.recoverPos < len(r.recoverEvents) {
+		r.aliveNext = min(r.aliveNext, r.recoverEvents[r.recoverPos].t)
 	}
 }
 
@@ -711,13 +757,29 @@ func (r *Runner) deliverable(e *inboxEntry, t dist.Time) bool {
 	return true
 }
 
+// pendingCount returns the number of messages deliverable to p at tick t.
+// Without a DeliveryFilter or a FaultPlan every live entry is deliverable
+// (notBefore is only ever set by fault-injected delay). Under a FaultPlan
+// alone the inbox caches an exact count, which enqueue and pickMessage
+// adjust and which goes stale only at a tick where deliverability can
+// change: a partition's From or Until, or a delayed entry's notBefore. A
+// DeliveryFilter is an arbitrary function of time, so its runs scan.
 func (r *Runner) pendingCount(p dist.ProcID, t dist.Time) int {
 	q := &r.inboxes[p]
-	// Fast path: without a filter or faults every live entry is deliverable
-	// (notBefore is only ever set by fault-injected delay).
-	if r.cfg.DeliveryFilter == nil && r.cfg.Faults == nil {
+	if r.cfg.DeliveryFilter != nil {
+		return r.scanPending(q, t)
+	}
+	if r.cfg.Faults == nil {
 		return q.live
 	}
+	if t >= q.readyUntil {
+		r.recount(q, t)
+	}
+	return q.ready
+}
+
+// scanPending counts the entries of q deliverable at tick t.
+func (r *Runner) scanPending(q *inbox, t dist.Time) int {
 	cnt := 0
 	for i := q.head; i < len(q.buf); i++ {
 		e := &q.buf[i]
@@ -726,6 +788,44 @@ func (r *Runner) pendingCount(p dist.ProcID, t dist.Time) int {
 		}
 	}
 	return cnt
+}
+
+// recount rebuilds q's cached deliverable count at tick t and dates it: it
+// holds until the next partition bound or the earliest notBefore still in
+// the future, whichever comes first.
+func (r *Runner) recount(q *inbox, t dist.Time) {
+	q.ready = 0
+	q.readyUntil = dist.NoCrash
+	if i, _ := slices.BinarySearch(r.bounds, t+1); i < len(r.bounds) {
+		q.readyUntil = r.bounds[i]
+	}
+	cut := r.cfg.Faults.partitionedAt(t)
+	for i := q.head; i < len(q.buf); i++ {
+		e := &q.buf[i]
+		switch {
+		case e.gone:
+		case e.notBefore > t:
+			q.readyUntil = min(q.readyUntil, e.notBefore)
+		case !cut || !r.cfg.Faults.Blocked(e.msg.From, e.msg.To, t):
+			q.ready++
+		}
+	}
+}
+
+// enqueue appends a fault-path message to its receiver's inbox at tick t,
+// deliverable no earlier than notBefore, and keeps a live cached count
+// exact: no partition bound falls inside its validity, so whether the
+// message is blocked at t holds until then.
+func (r *Runner) enqueue(m Message, notBefore, t dist.Time) {
+	q := &r.inboxes[m.To]
+	q.push(m, notBefore)
+	switch {
+	case t >= q.readyUntil: // stale or never counted: the next query recounts
+	case notBefore > t:
+		q.readyUntil = min(q.readyUntil, notBefore)
+	case !r.cfg.Faults.Blocked(m.From, m.To, t):
+		q.ready++
+	}
 }
 
 // pickMessage selects and removes the message delivered to p at time t per
@@ -744,6 +844,9 @@ func (r *Runner) pickMessage(p dist.ProcID, t dist.Time, c Choice) *Message {
 		}
 		if c.Mode == DeliverMatch && (c.Match == nil || !c.Match(&e.msg)) {
 			continue
+		}
+		if t < q.readyUntil {
+			q.ready-- // a live cached count counted this deliverable entry
 		}
 		// Copy out before the slot is reused: the automaton's own sends may
 		// append to (and grow or rewind) this inbox during the step.

@@ -259,3 +259,37 @@ func TestRunnerSteadyStateStepIsAllocationFree(t *testing.T) {
 		t.Fatalf("steady-state run allocates %.1f times (%.4f/step), want ≈0/step", allocs, perStep)
 	}
 }
+
+// TestRunnerBuildsAutomataOncePerRun counts Program calls: NewRunner followed
+// by Reset(seed) and Run builds each process's automaton exactly once, plus
+// once per recovery, and every later Reset builds a fresh set for its run.
+func TestRunnerBuildsAutomataOncePerRun(t *testing.T) {
+	const n = 4
+	f := dist.NewFailurePattern(n)
+	f.CrashAt(2, 5)
+	f.RecoverAt(2, 20)
+	calls := 0
+	r, err := NewRunner(Config{
+		Pattern: f, History: nilHistory(),
+		Program: func(p dist.ProcID, n int) Automaton {
+			calls++
+			return echoProgram(p, n)
+		},
+		MaxSteps: 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := r.Reset(seed).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ticks < 20 {
+			t.Fatalf("seed %d ended at tick %d, before the recovery", seed, res.Ticks)
+		}
+		if want := int(seed) * (n + 1); calls != want {
+			t.Fatalf("after run %d the Program was called %d times, want %d", seed, calls, want)
+		}
+	}
+}

@@ -57,7 +57,11 @@ type Scheduler interface {
 // the receiver steps with DeliverAuto). It models the asynchronous
 // adversary used to exercise algorithms across many interleavings.
 type RandomScheduler struct {
-	rng *rand.Rand
+	// rng is created from seed by the first Next or Reseed, whichever comes
+	// first: seeding costs more than setting up a small run, and a runner
+	// reseeds its scheduler on every Reset.
+	rng  *rand.Rand
+	seed int64
 	// NullProb is the probability that a step with pending messages is
 	// nevertheless a null step (exercises "wait" loops). Default 0.25.
 	NullProb float64
@@ -90,10 +94,7 @@ var _ Reseeder = (*RandomScheduler)(nil)
 
 // NewRandomScheduler returns a fair random scheduler with the given seed.
 func NewRandomScheduler(seed int64) *RandomScheduler {
-	return &RandomScheduler{
-		rng:      rand.New(rand.NewSource(seed)),
-		NullProb: 0.25,
-	}
+	return &RandomScheduler{seed: seed, NullProb: 0.25}
 }
 
 // Reseed rewinds the scheduler to the state NewRandomScheduler(seed) would
@@ -141,6 +142,9 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 	alive := s.scratch
 	if len(alive) == 0 {
 		return Choice{}, false
+	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
 	}
 	s.tick++
 	maxSkip := s.MaxSkip
