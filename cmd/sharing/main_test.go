@@ -79,7 +79,7 @@ func TestSubcommandsFail(t *testing.T) {
 		{"setagreement", "-n", "5", "-crash", "3,3@40"}, // duplicate crash entry
 		{"store", "-n", "4", "-clients", "5"},
 		{"store", "-n", "4", "-keys", "0"},
-		{"store", "-n", "4", "-keys", "2", "-clients", "2", "-ops", "100"},                        // over the per-key checker budget
+		{"store", "-n", "4", "-keys", "2", "-clients", "2", "-ops", "100"},                        // over the per-key workload bound
 		{"store", "-n", "5", "-clients", "2", "-crash", "1,2"},                                    // every client crashed: nothing to verify
 		{"store", "-n", "4", "-keys", "8", "-shards", "5"},                                        // more shards than processes
 		{"store", "-n", "6", "-keys", "4", "-shards", "5"},                                        // more shards than keys

@@ -135,6 +135,11 @@ func TestNoWriteBackBreaksAtomicity(t *testing.T) {
 	if !(r2.Ret == 42 && r3.Ret == 0 && r2.Returned < r3.Invoked) {
 		t.Fatalf("expected new-then-old inversion, got p2=%v p3=%v", r2, r3)
 	}
+	// The rejection names the inversion: p2's read of 42 must take effect
+	// before p3's read of the initial value, yet 42's write came first.
+	wantErrMentions(t, CheckKeyedLinearizable(map[int][]OpRecord{0: ops}, 0),
+		"the backward zone of value 42 ("+r2.String(),
+		"lies inside the forward zone of initial value 0", "before "+r3.String()+" is invoked")
 }
 
 func TestWriteBackRestoresAtomicity(t *testing.T) {

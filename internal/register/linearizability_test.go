@@ -1,11 +1,15 @@
 package register
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/dist"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -111,16 +115,6 @@ func TestLinearizablePendingWriteCannotPredate(t *testing.T) {
 	mustLin(t, []OpRecord{pending, r(2, 5, 10, 11)}, false)
 }
 
-func TestLinearizableTooManyOps(t *testing.T) {
-	ops := make([]OpRecord, 65)
-	for i := range ops {
-		ops[i] = r(1, 0, dist.Time(i), dist.Time(i))
-	}
-	if _, err := CheckLinearizable(ops, 0); err == nil {
-		t.Fatal("expected size-limit error")
-	}
-}
-
 // storeTrace builds a trace of keyed Invoke/Return events for the extractor
 // error-path tests.
 func storeTrace(events ...trace.Event) *trace.Trace {
@@ -190,51 +184,119 @@ func TestCheckKeyedLinearizableNeverWrittenKey(t *testing.T) {
 	}
 }
 
-func TestCheckKeyedLinearizableOpBudgetBoundary(t *testing.T) {
-	// The keyed checker guards every key's history against the Wing-Gong
-	// mask budget (MaxOpsPerHistory) before any search runs, naming the
-	// offending key and the cap.
-	mkOps := func(n int) []OpRecord {
-		ops := make([]OpRecord, n)
-		for i := range ops {
-			ops[i] = r(1, 0, dist.Time(2*i), dist.Time(2*i+1))
-		}
-		return ops
+// wantErrMentions fails unless err is non-nil and mentions every substring.
+func wantErrMentions(t *testing.T, err error, substrs ...string) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("got no error, want one mentioning %q", substrs)
 	}
-	cases := []struct {
-		name    string
-		byKey   map[int][]OpRecord
-		wantErr bool
-		substrs []string
-	}{
-		{"at budget", map[int][]OpRecord{7: mkOps(MaxOpsPerHistory)}, false, nil},
-		{"one over budget", map[int][]OpRecord{7: mkOps(MaxOpsPerHistory + 1)}, true,
-			[]string{"key 7", "65 ops", "64-op mask budget"}},
-		{"far over budget", map[int][]OpRecord{3: mkOps(500)}, true,
-			[]string{"key 3", "500 ops", "64-op mask budget"}},
-		{"only the oversized key is named", map[int][]OpRecord{
-			1: mkOps(4), 9: mkOps(MaxOpsPerHistory + 2), 12: mkOps(4)}, true,
-			[]string{"key 9", "66 ops"}},
-	}
-	for _, tc := range cases {
-		err := CheckKeyedLinearizable(tc.byKey, 0)
-		if tc.wantErr != (err != nil) {
-			t.Fatalf("%s: err = %v, wantErr %v", tc.name, err, tc.wantErr)
+	for _, sub := range substrs {
+		if !strings.Contains(err.Error(), sub) {
+			t.Fatalf("error must mention %q:\n%v", sub, err)
 		}
-		for _, sub := range tc.substrs {
-			if !strings.Contains(err.Error(), sub) {
-				t.Fatalf("%s: error %q must mention %q", tc.name, err, sub)
-			}
-		}
-	}
-	// MaxOpsPerKey keeps generated workloads strictly inside the budget.
-	if MaxOpsPerKey > MaxOpsPerHistory {
-		t.Fatalf("MaxOpsPerKey %d exceeds the checker's %d-op budget", MaxOpsPerKey, MaxOpsPerHistory)
 	}
 }
 
+func TestLinearizableEqualTicksAreConcurrent(t *testing.T) {
+	// Precedence is strict: an op returning at the tick another is invoked
+	// overlaps it, so either may take effect first.
+	mustLin(t, []OpRecord{w(1, 5, 0, 3), r(2, 0, 3, 4)}, true)
+	mustLin(t, []OpRecord{w(1, 5, 0, 3), r(2, 0, 4, 5)}, false)
+	mustLin(t, []OpRecord{r(2, 5, 0, 3), w(1, 5, 3, 4)}, true)
+	mustLin(t, []OpRecord{r(2, 5, 0, 2), w(1, 5, 3, 4)}, false)
+	mustLin(t, []OpRecord{r(2, 3, 2, 2), w(1, 3, 2, 2)}, true)
+}
+
+func TestCheckKeyedLinearizableRejectsRepeatedWriteValue(t *testing.T) {
+	// Two writes of one value make a history the zone test cannot decide:
+	// an error, not a verdict, naming the key, the value and both writes.
+	first, second := w(1, 5, 0, 1), w(2, 5, 4, 5)
+	ops := []OpRecord{first, r(3, 5, 2, 3), second}
+	wantErrMentions(t, CheckKeyedLinearizable(map[int][]OpRecord{4: ops}, 0),
+		"key 4", "value 5 is written twice", first.String(), second.String())
+	if _, err := CheckLinearizable(ops, 0); err == nil {
+		t.Fatal("CheckLinearizable must reject a repeated write value")
+	}
+}
+
+func TestCheckKeyedLinearizableRejectsWriteOfInitialValue(t *testing.T) {
+	wr := w(1, 7, 2, 3)
+	ops := []OpRecord{r(2, 7, 0, 1), wr}
+	wantErrMentions(t, CheckKeyedLinearizable(map[int][]OpRecord{2: ops}, 7),
+		"key 2", wr.String(), "writes the initial value 7")
+	if _, err := CheckLinearizable(ops, 7); err == nil {
+		t.Fatal("CheckLinearizable must reject a write of the initial value")
+	}
+}
+
+func TestCheckKeyedLinearizableNamesWitness(t *testing.T) {
+	// Every kind of rejection names what broke and the ops that show it,
+	// then lists the history.
+	w1, w2 := w(1, 1, 0, 10), w(2, 2, 0, 10)
+	r1, r2 := r(3, 1, 20, 21), r(3, 2, 22, 23)
+	wNew, rNew, rOld := w(1, 5, 0, 100), r(2, 5, 10, 20), r(2, 0, 30, 40)
+	cases := []struct {
+		name    string
+		ops     []OpRecord
+		substrs []string
+	}{
+		{"unwritten value", []OpRecord{w(1, 5, 0, 1), r(2, 9, 2, 3)},
+			[]string{r(2, 9, 2, 3).String() + " returns 9, a value no write on this key produced"}},
+		{"read before its write", []OpRecord{r(2, 5, 0, 1), w(1, 5, 2, 3)},
+			[]string{r(2, 5, 0, 1).String() + " returns before " + w(1, 5, 2, 3).String()}},
+		{"overlapping forward zones", []OpRecord{w1, w2, r1, r2},
+			[]string{"overlaps",
+				"the forward zone of value 1 (" + w1.String() + " returns at 10, before " + r1.String() + " is invoked at 20)",
+				"the forward zone of value 2 (" + w2.String() + " returns at 10, before " + r2.String() + " is invoked at 22)"}},
+		{"backward zone inside a forward zone", []OpRecord{wNew, rNew, rOld},
+			[]string{"the backward zone of value 5 (" + rNew.String() + " is invoked at 10, no later than " + rNew.String() + " returns at 20) lies inside",
+				"the forward zone of initial value 0 (the initial value returns at -∞, before " + rOld.String() + " is invoked at 30)"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mustLin(t, tc.ops, false)
+			want := append([]string{"key 3: ", "history not linearizable:\n  " + tc.ops[0].String()}, tc.substrs...)
+			wantErrMentions(t, CheckKeyedLinearizable(map[int][]OpRecord{3: tc.ops}, 0), want...)
+		})
+	}
+}
+
+// hotKeyHistory is one key's linearizable history of 10,000 complete ops
+// from 8 processes whose windows overlap.
+func hotKeyHistory() []OpRecord {
+	return linearizableHistory(rand.New(rand.NewSource(18)), 8, 10_000, 0)
+}
+
+// TestCheckKeyedLinearizableHotKey checks one key far beyond the 64 ops the
+// Wing-Gong search could track: the linearizable 10,000-op history is
+// accepted in well under a second, and the same history with its last read
+// pointed at the first write's long-overwritten value is rejected with that
+// read named as the witness.
+func TestCheckKeyedLinearizableHotKey(t *testing.T) {
+	ops := hotKeyHistory()
+	start := time.Now()
+	if err := CheckKeyedLinearizable(map[int][]OpRecord{7: ops}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Fatalf("checking %d ops took %v, want well under a second", len(ops), d)
+	}
+	last := -1
+	for i, o := range ops {
+		if o.Kind == ReadOp && (last < 0 || o.Invoked > ops[last].Invoked) {
+			last = i
+		}
+	}
+	ops[last].Ret = 1
+	wantErrMentions(t, CheckKeyedLinearizable(map[int][]OpRecord{7: ops}, 0),
+		"key 7: ", "zone of value 1 (", ops[last].String()+" is invoked at",
+		fmt.Sprintf("\n  … and %d more ops", len(ops)-64))
+}
+
 // TestLinearizableSequentialAlwaysAccepted is a property test: any history
-// generated by a sequential single-register interpreter is linearizable.
+// generated by a sequential single-register interpreter is linearizable. Its
+// write values repeat (and include the initial value), outside the zone
+// checker's unique-write precondition, so it checks the Wing-Gong oracle.
 func TestLinearizableSequentialAlwaysAccepted(t *testing.T) {
 	prop := func(kinds []bool, args []int8) bool {
 		cur := Value(0)
@@ -258,7 +320,7 @@ func TestLinearizableSequentialAlwaysAccepted(t *testing.T) {
 			now += 2
 			ops = append(ops, o)
 		}
-		ok, err := CheckLinearizable(ops, 0)
+		ok, err := linearizableWingGong(ops, 0)
 		return err == nil && ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -298,4 +360,65 @@ func TestLinearizableCorruptedReadRejected(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// contendedKeyHistory records key 0 of one run of the benchmark's
+// store-contended workload: 8 closed-loop clients at window 4 with
+// piggybacking and fast reads, 30 ops each at write ratio 0.3 over 4 keys,
+// so every key carries MaxOpsPerKey = 60 ops.
+func contendedKeyHistory(b *testing.B) []OpRecord {
+	b.Helper()
+	const n = 8
+	s := dist.RangeSet(1, n)
+	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
+		N: n, S: s, Keys: 4, OpsPerClient: 30, WriteRatio: 0.3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := StoreSweepConfig{
+		Pattern: dist.NewFailurePattern(n), S: s, Scripts: scripts,
+		Store: StoreConfig{Keys: 4, Window: 4, Piggyback: true, FastReads: true},
+	}.SimConfig()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Scheduler = sim.NewRandomScheduler(0)
+	res, err := sim.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops := ExtractKeyedOps(res.Trace)[0]
+	if len(ops) != MaxOpsPerKey {
+		b.Fatalf("recorded %d ops on key 0, want %d", len(ops), MaxOpsPerKey)
+	}
+	return ops
+}
+
+// BenchmarkCheckKeyed checks one key per iteration: a recorded 60-op
+// store-contended key with the zone checker and with the Wing-Gong oracle
+// it replaced, and the 10,000-op hot key with the zone checker alone.
+func BenchmarkCheckKeyed(b *testing.B) {
+	zone := func(ops []OpRecord) func(*testing.B) {
+		return func(b *testing.B) {
+			byKey := map[int][]OpRecord{0: ops}
+			b.ReportAllocs()
+			for range b.N {
+				if err := CheckKeyedLinearizable(byKey, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	contended := contendedKeyHistory(b)
+	b.Run("contended-60/zone", zone(contended))
+	b.Run("contended-60/wing-gong", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if ok, err := linearizableWingGong(contended, 0); err != nil || !ok {
+				b.Fatalf("linearizable=%v, err=%v", ok, err)
+			}
+		}
+	})
+	b.Run("hotkey-10k/zone", zone(hotKeyHistory()))
 }

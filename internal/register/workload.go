@@ -12,8 +12,9 @@ import (
 const DefaultWriteRatio = 0.5
 
 // MaxOpsPerKey bounds the operations any single key receives in a generated
-// keyed workload, keeping every per-key history inside the linearizability
-// checker's 64-op budget with headroom for hand-added operations.
+// keyed workload. It shapes the workload, not the checker (which checks a
+// key of any length): it spreads a skewed draw over the key space, and the
+// benchmark's scripts are pinned to it.
 const MaxOpsPerKey = 60
 
 // StoreWorkloadConfig parameterizes the keyed script generator driving the
@@ -50,10 +51,9 @@ type StoreWorkloadConfig struct {
 // Shards > 1 each op picks a destination shard uniformly and then a key
 // within the shard (skewed or uniform), so the scripts exercise every
 // replica group. No key receives more than MaxOpsPerKey operations in
-// total — a key drawn beyond that budget is deterministically redirected
-// to the next key with spare budget (possibly on another shard: the global
-// budget guarantees a slot exists somewhere) — so every per-key history
-// stays checkable by CheckKeyedLinearizable.
+// total — a key drawn beyond that bound is deterministically redirected
+// to the next key with spare room (possibly on another shard: the global
+// bound guarantees a slot exists somewhere).
 func GenerateStoreWorkload(cfg StoreWorkloadConfig) ([][]KeyedOp, error) {
 	if cfg.Keys < 1 {
 		return nil, fmt.Errorf("register: store workload needs Keys ≥ 1, got %d", cfg.Keys)
@@ -63,8 +63,8 @@ func GenerateStoreWorkload(cfg StoreWorkloadConfig) ([][]KeyedOp, error) {
 	}
 	if cfg.OpsPerClient >= 1_000_000 {
 		// The p*1e6+i write-value scheme guarantees global uniqueness only
-		// below a million writes per client; beyond that, colliding values
-		// would let the checker pass non-linearizable histories.
+		// below a million writes per client; beyond that, values would
+		// collide and CheckKeyedLinearizable would refuse the history.
 		return nil, fmt.Errorf("register: OpsPerClient %d exceeds the 1e6 unique-write-value budget", cfg.OpsPerClient)
 	}
 	if cfg.WriteRatio > 1 {
@@ -83,7 +83,7 @@ func GenerateStoreWorkload(cfg StoreWorkloadConfig) ([][]KeyedOp, error) {
 	}
 	total := cfg.OpsPerClient * cfg.S.Len()
 	if total > cfg.Keys*MaxOpsPerKey {
-		return nil, fmt.Errorf("register: %d scripted ops exceed the per-key checker budget (%d keys × %d ops)",
+		return nil, fmt.Errorf("register: %d scripted ops exceed the workload's per-key bound (%d keys × %d ops)",
 			total, cfg.Keys, MaxOpsPerKey)
 	}
 	shards := cfg.Shards

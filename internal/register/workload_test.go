@@ -86,7 +86,7 @@ func TestGenerateStoreWorkloadBoundsAndUniqueness(t *testing.T) {
 	}
 	for key, count := range perKey {
 		if count > MaxOpsPerKey {
-			t.Fatalf("key %d received %d ops, checker budget is %d", key, count, MaxOpsPerKey)
+			t.Fatalf("key %d received %d ops, the per-key bound is %d", key, count, MaxOpsPerKey)
 		}
 	}
 	if writes == 0 {
@@ -134,7 +134,7 @@ func TestGenerateStoreWorkloadReadOnly(t *testing.T) {
 }
 
 func TestGenerateStoreWorkloadRejectsOverBudget(t *testing.T) {
-	// 2 clients × 70 ops on one key cannot stay within the checker budget.
+	// 2 clients × 70 ops on one key cannot stay within the per-key bound.
 	if _, err := GenerateStoreWorkload(StoreWorkloadConfig{
 		N: 3, S: dist.NewProcSet(1, 2), Keys: 1, OpsPerClient: 70, Seed: 1,
 	}); err == nil {
