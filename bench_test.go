@@ -548,7 +548,6 @@ func runStoreRow(b *testing.B, row storeRow) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	simCfg.DisableTrace, simCfg.OmitMessages = true, false
 	r := newRunner(b, simCfg)
 	var steps, msgs, drops, dups, completed, retransmits, fastReads, fallbacks, replicaBytes int64
 	var lat, clean, faulted sweep.Hist

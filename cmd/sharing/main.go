@@ -420,7 +420,7 @@ func cmdRegister(args []string) error {
 	if err != nil {
 		return err
 	}
-	ops := register.ExtractKeyedOps(res.Trace)[0]
+	ops := register.KeyedOps(res.Ops)[0]
 	ok, err := register.CheckLinearizable(ops, 0)
 	if err != nil {
 		return err

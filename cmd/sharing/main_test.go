@@ -104,11 +104,13 @@ func TestSubcommandsFail(t *testing.T) {
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-loss", "NaN", "-retransmit"},        // NaN is no probability
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-loss", "-0.5", "-retransmit"},       // negative loss
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-openloop", "-rate", "NaN"},          // non-finite rate
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-workers", "-1"},                     // would silently become GOMAXPROCS
 		{"explore", "-fig", "bogus"},
 		{"explore", "-fig", "fig4", "-n", "3", "-k", "2"},
 		{"explore", "-fig", "fig2", "-n", "3", "-crash", "3@10"}, // crash at 10 ≥ TimeCap 1
 		{"explore", "-fig", "fig2", "-n", "3", "-depth", "-1"},   // no schedule to explore
 		{"explore", "-fig", "fig2", "-n", "3", "-states", "0"},   // would silently become the default cap
+		{"explore", "-fig", "fig2", "-n", "3", "-workers", "-1"}, // would silently become GOMAXPROCS
 		{"counterexample", "lemma7", "-n", "1"},                  // would silently run at n=3
 		{"majority-sigma", "-n", "1"},                            // crashes the only process
 		{"majority-sigma", "-n", "2"},                            // crashes half the system

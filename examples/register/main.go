@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ops := register.ExtractKeyedOps(res.Trace)[0]
+	ops := register.KeyedOps(res.Ops)[0]
 	ok, err := register.CheckLinearizable(ops, 0)
 	if err != nil {
 		log.Fatal(err)

@@ -40,7 +40,7 @@ func runRegister(t *testing.T, f *dist.FailurePattern, s dist.ProcSet, scripts [
 	if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return ExtractKeyedOps(res.Trace)[0]
+	return KeyedOps(res.Ops)[0]
 }
 
 // lastRead returns p's last completed read of the history.
@@ -153,7 +153,7 @@ func TestABDNonMembersNeverOperate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ops := ExtractKeyedOps(res.Trace); len(ops) != 0 {
+	if ops := KeyedOps(res.Ops); len(ops) != 0 {
 		t.Fatalf("non-member executed operations: %v", ops)
 	}
 }
@@ -193,7 +193,7 @@ func TestABDOverMajoritySigmaStack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops := ExtractKeyedOps(res.Trace)[0]
+		ops := KeyedOps(res.Ops)[0]
 		if res.Reason != sim.ReasonStopCond || len(ops) != 6 {
 			t.Fatalf("seed %d: %d/6 ops, run ended: %s", seed, len(ops), res.Reason)
 		}

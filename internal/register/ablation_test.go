@@ -103,7 +103,7 @@ func runInversionScenario(t *testing.T, writeBack, fastReads bool) (ops []OpReco
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops = ExtractKeyedOps(res.Trace)[0]
+	ops = KeyedOps(res.Ops)[0]
 	linearizable, err = CheckLinearizable(ops, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package register
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -10,11 +11,12 @@ import (
 	"strings"
 
 	"repro/internal/dist"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// OpRecord is one completed-or-pending register operation extracted from a
-// run trace, with its real-time invocation/response window.
+// OpRecord is one completed-or-pending register operation of a run, with
+// its real-time invocation/response window.
 type OpRecord struct {
 	Proc     dist.ProcID
 	Seq      int64
@@ -39,10 +41,30 @@ func (o OpRecord) String() string {
 	return fmt.Sprintf("p%d %s [%d,%s]", int(o.Proc), body, int64(o.Invoked), end)
 }
 
-// ExtractKeyedOps pairs the Invoke/Return events of a keyed store trace
-// (KeyedOpDesc payloads) into per-key operation records, each key's history
-// ordered by invocation time.
+// KeyedOps groups a store run's op log (sim.Result.Ops) into per-key
+// operation records, each key's history ordered by invocation time.
+func KeyedOps(ops []sim.OpEvent) map[int][]OpRecord { return groupOps(slices.Values(ops)) }
+
+// ExtractKeyedOps does for a run trace what KeyedOps does for an op log: it
+// reads the trace's Invoke/Return events into the same records.
 func ExtractKeyedOps(tr *trace.Trace) map[int][]OpRecord {
+	return groupOps(func(yield func(sim.OpEvent) bool) {
+		for _, e := range tr.Events() {
+			op, ok := e.Payload.(sim.OpDesc)
+			if !ok || e.Kind != trace.InvokeKind && e.Kind != trace.ReturnKind {
+				continue
+			}
+			if !yield(sim.OpEvent{T: e.T, P: e.P, Seq: e.Seq, Return: e.Kind == trace.ReturnKind, Op: op}) {
+				return
+			}
+		}
+	})
+}
+
+// groupOps pairs op records into per-key histories: a Return completes the
+// latest Invoke of the same (process, seq), and a Return without one is
+// ignored. Each key's history is ordered by invocation time.
+func groupOps(events iter.Seq[sim.OpEvent]) map[int][]OpRecord {
 	type ik struct {
 		p   dist.ProcID
 		seq int64
@@ -50,23 +72,16 @@ func ExtractKeyedOps(tr *trace.Trace) map[int][]OpRecord {
 	type slot struct{ key, idx int }
 	idx := make(map[ik]slot)
 	byKey := make(map[int][]OpRecord)
-	for _, e := range tr.Events() {
-		desc, ok := e.Payload.(KeyedOpDesc)
-		if !ok {
-			continue
-		}
-		k := ik{p: e.P, seq: e.Seq}
-		switch e.Kind {
-		case trace.InvokeKind:
-			idx[k] = slot{key: desc.Key, idx: len(byKey[desc.Key])}
-			byKey[desc.Key] = append(byKey[desc.Key], OpRecord{
-				Proc: e.P, Seq: e.Seq, Kind: desc.Kind, Arg: desc.Arg, Invoked: e.T,
+	for ev := range events {
+		k, op := ik{p: ev.P, seq: ev.Seq}, ev.Op
+		if !ev.Return {
+			idx[k] = slot{key: op.Key, idx: len(byKey[op.Key])}
+			byKey[op.Key] = append(byKey[op.Key], OpRecord{
+				Proc: ev.P, Seq: ev.Seq, Kind: OpKind(op.Kind), Arg: Value(op.Arg), Invoked: ev.T,
 			})
-		case trace.ReturnKind:
-			if s, found := idx[k]; found {
-				o := &byKey[s.key][s.idx]
-				o.Returned, o.Ret, o.Complete = e.T, desc.Ret, true
-			}
+		} else if s, found := idx[k]; found {
+			o := &byKey[s.key][s.idx]
+			o.Returned, o.Ret, o.Complete = ev.T, Value(op.Ret), true
 		}
 	}
 	for _, ops := range byKey {

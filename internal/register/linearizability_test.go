@@ -3,6 +3,7 @@ package register
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -127,12 +128,12 @@ func storeTrace(events ...trace.Event) *trace.Trace {
 
 func inv(p dist.ProcID, seq int64, t dist.Time, key int, kind OpKind, arg Value) trace.Event {
 	return trace.Event{Kind: trace.InvokeKind, P: p, Seq: seq, T: t,
-		Payload: KeyedOpDesc{Key: key, Kind: kind, Arg: arg}}
+		Payload: sim.OpDesc{Key: key, Kind: uint8(kind), Arg: int64(arg)}}
 }
 
 func ret(p dist.ProcID, seq int64, t dist.Time, key int, kind OpKind, retV Value) trace.Event {
 	return trace.Event{Kind: trace.ReturnKind, P: p, Seq: seq, T: t,
-		Payload: KeyedOpDesc{Key: key, Kind: kind, Ret: retV}}
+		Payload: sim.OpDesc{Key: key, Kind: uint8(kind), Ret: int64(retV)}}
 }
 
 func TestExtractKeyedOpsMismatchedPairs(t *testing.T) {
@@ -163,6 +164,35 @@ func TestExtractKeyedOpsMismatchedPairs(t *testing.T) {
 	// The orphaned Return must not have completed p2's read.
 	if err := CheckKeyedLinearizable(byKey, 0); err != nil {
 		t.Fatalf("history with a pending read must pass: %v", err)
+	}
+}
+
+// TestExtractKeyedOpsMatchesOpLog: on a traced store run under loss and a
+// crash-recovery, the trace adapter and the op log pair into the same
+// per-key histories.
+func TestExtractKeyedOpsMatchesOpLog(t *testing.T) {
+	const n = 5
+	f := dist.NewFailurePattern(n)
+	f.CrashAt(5, 40)
+	f.RecoverAt(5, 120)
+	s := dist.NewProcSet(1, 2)
+	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
+		N: n, S: s, Keys: 8, OpsPerClient: 12, WriteRatio: -1, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := StoreConfig{Keys: 8, Window: 4, Retransmit: true, RTO: 16}
+	fp := &sim.FaultPlan{Seed: 2, Loss: 0.05, Dup: 0.05, MaxDelay: 2}
+	for seed := int64(0); seed < 4; seed++ {
+		res, _ := runStoreFaulted(t, f, s, cfg, scripts, fp, 10, seed)
+		fromLog := KeyedOps(res.Ops)
+		if len(fromLog) == 0 {
+			t.Fatalf("seed %d: the run recorded no operations", seed)
+		}
+		if fromTrace := ExtractKeyedOps(res.Trace); !reflect.DeepEqual(fromTrace, fromLog) {
+			t.Fatalf("seed %d: histories differ:\ntrace %v\nlog   %v", seed, fromTrace, fromLog)
+		}
 	}
 }
 
@@ -388,7 +418,7 @@ func contendedKeyHistory(b *testing.B) []OpRecord {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ops := ExtractKeyedOps(res.Trace)[0]
+	ops := KeyedOps(res.Ops)[0]
 	if len(ops) != MaxOpsPerKey {
 		b.Fatalf("recorded %d ops on key 0, want %d", len(ops), MaxOpsPerKey)
 	}

@@ -26,15 +26,6 @@ func (o KeyedOp) String() string {
 	return fmt.Sprintf("write(k%d,%d)", o.Key, int64(o.Arg))
 }
 
-// KeyedOpDesc is the payload recorded on Invoke/Return trace events of store
-// operations; ExtractKeyedOps groups the records by Key.
-type KeyedOpDesc struct {
-	Key  int
-	Kind OpKind
-	Arg  Value // write argument
-	Ret  Value // read result (Return events of reads)
-}
-
 // Store protocol messages. Every request or reply is an entry correlated by
 // (Key, RID), and every message is one storeFrame whose sections carry the
 // entries by kind: Q query requests, S store requests, QR query replies, SR
@@ -59,13 +50,12 @@ type KeyedOpDesc struct {
 // a frame holds at most one entry, so every request and every reply pays its
 // own message.
 //
-// Frames travel as pointers and are pooled: unless the trace records
-// messages (untraced runs, and StoreSweep's message-free traces) the
-// receiver owns a delivered frame (sim.Env.DeliveredOwned) and recycles it
-// into the pool once the last recipient has processed it, which is what
-// makes the steady-state step path allocation-free. When the trace records
-// messages it retains every payload, ownership is never granted, and the
-// pool simply never fills.
+// Frames travel as pointers and are pooled: on untraced runs (every
+// StoreSweep run) the receiver owns a delivered frame
+// (sim.Env.DeliveredOwned) and recycles it into the pool once the last
+// recipient has processed it, which is what makes the steady-state step path
+// allocation-free. A trace retains every payload, so on traced runs
+// ownership is never granted, and the pool simply never fills.
 type (
 	queryEntry struct {
 		Key int
@@ -565,8 +555,8 @@ type StoreNode struct {
 	outDsts  []dist.ProcID
 
 	// Per-op latency observations in the client's own steps, one per
-	// completed op, recorded in the pend slots (not via trace op-records,
-	// which untraced runs mute) and drained by sweeps through LatencyHist.
+	// completed op, recorded in the pend slots (op records carry no client
+	// steps) and drained by sweeps through LatencyHist.
 	// latClean/latFaulted split lat exactly by the op.faulted tag, so
 	// fault-exposed tails never hide inside the blended histogram.
 	// fastReads counts one-phase read completions, fallbacks the reads
@@ -906,9 +896,9 @@ func (a *StoreNode) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 	if !a.cfg.Piggyback {
 		a.sendReply(e) // rule 1: replies go out before the client's requests
 	}
-	// Unless the trace records messages, the runner transfers payload
-	// ownership to this node (sim's send-buffer lease contract): the last
-	// recipient of a frame recycles it once it is fully processed.
+	// On untraced runs the runner transfers payload ownership to this node
+	// (sim's send-buffer lease contract): the last recipient of a frame
+	// recycles it once it is fully processed.
 	if e.DeliveredOwned() && release(&f.refs) {
 		a.pool.put(f)
 	}
@@ -1256,18 +1246,16 @@ func (a *StoreNode) fastReadEligible(op *storeOp) bool {
 	return op.kind == ReadOp && (a.noWriteBack || a.cfg.FastReads && (!op.diverged || op.bestConf == op.best))
 }
 
-// finish retires one completed op: the Return record (traced runs only),
-// the latency observations (total plus the clean/faulted fault-exposure
-// split), the window bookkeeping, and — with FastReads — confirmation of
-// op.best, which this completion just proved is stored at a quorum.
+// finish retires one completed op: the Return record, the latency
+// observations (total plus the clean/faulted fault-exposure split), the
+// window bookkeeping, and — with FastReads — confirmation of op.best, which
+// this completion just proved is stored at a quorum.
 func (a *StoreNode) finish(e *sim.Env, op *storeOp) {
-	if e.OpsRecorded() {
-		desc := KeyedOpDesc{Key: op.key, Kind: op.kind, Arg: op.arg}
-		if op.kind == ReadOp {
-			desc.Ret = op.bestVal
-		}
-		e.Return(op.seq, desc)
+	desc := sim.OpDesc{Key: op.key, Kind: uint8(op.kind), Arg: int64(op.arg)}
+	if op.kind == ReadOp {
+		desc.Ret = int64(op.bestVal)
 	}
+	e.Return(op.seq, desc)
 	d := a.steps - op.invoke
 	a.lat.Observe(d)
 	if op.faulted {
@@ -1328,9 +1316,7 @@ func (a *StoreNode) start(e *sim.Env) {
 			a.queues[sh] = a.queues[sh][1:]
 			a.opSeq++
 			a.rid++
-			if e.OpsRecorded() {
-				e.Invoke(a.opSeq, KeyedOpDesc{Key: op.Key, Kind: op.Kind, Arg: op.Arg})
-			}
+			e.Invoke(a.opSeq, sim.OpDesc{Key: op.Key, Kind: uint8(op.Kind), Arg: int64(op.Arg)})
 			pend := storeOp{
 				key:      op.Key,
 				shard:    sh,

@@ -272,7 +272,7 @@ func TestStoreFastReadCrashShardDegradesIdentically(t *testing.T) {
 			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 				t.Fatalf("fastreads=%v seed %d: %v", on, seed, err)
 			}
-			for key, ops := range ExtractKeyedOps(res.Trace) {
+			for key, ops := range KeyedOps(res.Ops) {
 				if m.Shard(key) != dead {
 					continue
 				}

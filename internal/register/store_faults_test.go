@@ -19,7 +19,7 @@ func runStoreFaulted(t *testing.T, f *dist.FailurePattern, s dist.ProcSet, cfg S
 	if err != nil {
 		t.Fatal(err)
 	}
-	simCfg.OmitMessages = false
+	simCfg.DisableTrace = false
 	simCfg.Scheduler = sim.NewRandomScheduler(seed)
 	res, err := sim.Run(simCfg)
 	if err != nil {

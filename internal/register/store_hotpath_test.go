@@ -7,10 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
-// storeAllocRunner builds a reusable store runner (SimConfig) over a
-// generated workload on failure pattern f, for the allocation tripwire:
-// untraced, or traced without messages as StoreSweep runs.
-func storeAllocRunner(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.FaultPlan, f *dist.FailurePattern, traced bool) *sim.Runner {
+// storeAllocRunner builds a reusable store runner over a generated workload
+// on failure pattern f, for the allocation tripwire: the untraced run
+// SimConfig defines, as StoreSweep runs it.
+func storeAllocRunner(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.FaultPlan, f *dist.FailurePattern) *sim.Runner {
 	t.Helper()
 	const n = 5
 	s := dist.RangeSet(1, 3)
@@ -25,9 +25,6 @@ func storeAllocRunner(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.F
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !traced {
-		simCfg.DisableTrace, simCfg.OmitMessages = true, false
-	}
 	r, err := sim.NewRunner(simCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -35,10 +32,10 @@ func storeAllocRunner(t *testing.T, cfg StoreConfig, opsPerClient int, fp *sim.F
 	return r
 }
 
-// measureStoreAllocs returns the average allocations, executed steps and
-// completed operations of one run of the runner, after a warmup run that
-// fills every buffer and pool high-water mark.
-func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps, ops float64) {
+// measureStoreAllocs returns the average allocations and executed steps of
+// one run of the runner, after a warmup run that fills every buffer and pool
+// high-water mark.
+func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps float64) {
 	t.Helper()
 	// Warm every amortized capacity (inbox rings, send buffers, pools) over
 	// several schedules, so the measured runs only ever see buffers at
@@ -50,7 +47,6 @@ func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps, o
 	}
 	seed := int64(1)
 	var stepsSeen []int64
-	var opsSeen int
 	avg := testing.AllocsPerRun(runs, func() {
 		res, err := r.Reset(seed).Run()
 		if err != nil {
@@ -61,20 +57,15 @@ func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps, o
 		}
 		stepsSeen = append(stepsSeen, res.Steps)
 		seed++
-		for _, a := range res.Automata {
-			opsSeen += a.(*StoreNode).CompletedOps()
-		}
 	})
 	// AllocsPerRun calls the closure once extra as its own warmup; drop that
-	// call's steps so the average matches the measured runs. Every run
-	// completes every scripted op, so the ops average is the same with or
-	// without that call.
+	// call's steps so the average matches the measured runs.
 	stepsSeen = stepsSeen[1:]
 	var sum int64
 	for _, s := range stepsSeen {
 		sum += s
 	}
-	return avg, float64(sum) / float64(len(stepsSeen)), float64(opsSeen) / float64(len(stepsSeen)+1)
+	return avg, float64(sum) / float64(len(stepsSeen))
 }
 
 // TestStoreAllocsPerStep is the E21 tripwire: the steady-state store step
@@ -82,13 +73,12 @@ func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps, o
 // result, pool warmup to the in-flight high-water mark) is excluded by a
 // marginal measurement: two runners differing only in script length have
 // identical setup, so the allocation difference divided by the step
-// difference is the pure steady-state cost per step — and must be ≈ 0.
+// difference is the pure steady-state cost per step — and must be ≈ 0. Every
+// row runs StoreSweep's configuration, op log included.
 //
-// The sweep row runs StoreSweep's configuration: traced without messages,
-// under faults and a recovery. Its op records are boxed into the trace, so
-// its marginal cost is bounded per completed op instead: at most 3 (the
-// Invoke and Return descriptors plus trace growth), which leaves no room for
-// a batch allocation on any of an op's sends.
+// The sweep rows also run StoreSweep's check on the measured runner: the
+// zero-allocation step holds with an op log that records one Return per
+// completed op and verifies as StoreSweep verifies it.
 func TestStoreAllocsPerStep(t *testing.T) {
 	// The faulted case pins the retransmit path and the runner's
 	// drop/duplicate refcount adjustments: lost pooled batches recycle
@@ -108,11 +98,11 @@ func TestStoreAllocsPerStep(t *testing.T) {
 		return f
 	}()
 	for _, tc := range []struct {
-		name   string
-		cfg    StoreConfig
-		fp     *sim.FaultPlan
-		pat    *dist.FailurePattern
-		traced bool
+		name  string
+		cfg   StoreConfig
+		fp    *sim.FaultPlan
+		pat   *dist.FailurePattern
+		sweep bool
 	}{
 		{"batched", StoreConfig{Keys: 12, Window: 8}, nil, nil, false},
 		{"piggyback+adaptive", StoreConfig{Keys: 12, Window: 8, Piggyback: true, AdaptiveWindow: true}, nil, nil, false},
@@ -138,8 +128,7 @@ func TestStoreAllocsPerStep(t *testing.T) {
 		}, faults, recovery, true},
 		// The non-piggybacked frame paths: one frame per entry, parked
 		// per-shard request snapshots, and the benchmark's n=128
-		// configuration (adaptive windows, retransmission, fast reads) on
-		// StoreSweep's message-free trace.
+		// configuration (adaptive windows, retransmission, fast reads).
 		{"unbatched", StoreConfig{
 			Keys: 12, Shards: 4, Window: 8, DisableBatching: true,
 			Retransmit: true, RTO: 16,
@@ -160,19 +149,14 @@ func TestStoreAllocsPerStep(t *testing.T) {
 			if pat == nil {
 				pat = dist.NewFailurePattern(5)
 			}
-			short := storeAllocRunner(t, tc.cfg, 6, tc.fp, pat, tc.traced)
-			long := storeAllocRunner(t, tc.cfg, 48, tc.fp, pat, tc.traced)
-			aShort, sShort, oShort := measureStoreAllocs(t, short, 10)
-			aLong, sLong, oLong := measureStoreAllocs(t, long, 10)
+			short := storeAllocRunner(t, tc.cfg, 6, tc.fp, pat)
+			long := storeAllocRunner(t, tc.cfg, 48, tc.fp, pat)
+			aShort, sShort := measureStoreAllocs(t, short, 10)
+			aLong, sLong := measureStoreAllocs(t, long, 10)
 			if sLong-sShort < 500 {
 				t.Fatalf("step gap too small to measure: %0.f vs %0.f", sShort, sLong)
 			}
-			if tc.traced {
-				if perOp := (aLong - aShort) / (oLong - oShort); perOp > 3 {
-					t.Fatalf("traced store op allocates %.2f times (short %.1f allocs over %.0f ops, long %.1f over %.0f)",
-						perOp, aShort, oShort, aLong, oLong)
-				}
-			} else if marginal := (aLong - aShort) / (sLong - sShort); marginal > 0.02 {
+			if marginal := (aLong - aShort) / (sLong - sShort); marginal > 0.02 {
 				t.Fatalf("steady-state store step allocates: %.4f allocs/step (short %.1f allocs over %.0f steps, long %.1f over %.0f)",
 					marginal, aShort, sShort, aLong, sLong)
 			}
@@ -186,6 +170,27 @@ func TestStoreAllocsPerStep(t *testing.T) {
 				}
 				if node := res.Automata[4].(*StoreNode); node.ReplicaStateBytes() == 0 {
 					t.Fatal("recovered replica never repopulated — the recovery row exercised nothing")
+				}
+			}
+			if tc.sweep {
+				res, err := long.Reset(51).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				returns, completed := 0, 0
+				for _, op := range res.Ops {
+					if op.Return {
+						returns++
+					}
+				}
+				for _, a := range res.Automata {
+					completed += a.(*StoreNode).CompletedOps()
+				}
+				if completed == 0 || returns != completed {
+					t.Fatalf("op log holds %d returns for %d completed ops", returns, completed)
+				}
+				if err := VerifyStoreRunReach(res, pat.Correct(), nil); err != nil {
+					t.Fatal(err)
 				}
 			}
 		})

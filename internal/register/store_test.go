@@ -63,7 +63,7 @@ func TestStoreSequentialKeyed(t *testing.T) {
 		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		byKey := ExtractKeyedOps(res.Trace)
+		byKey := KeyedOps(res.Ops)
 		if got := len(byKey[0]); got != 3 {
 			t.Fatalf("seed %d: key 0 has %d ops, want 3", seed, got)
 		}
@@ -93,7 +93,7 @@ type keyedInterval struct {
 func intervalsByProc(t *testing.T, res *sim.Result) map[dist.ProcID][]keyedInterval {
 	t.Helper()
 	out := make(map[dist.ProcID][]keyedInterval)
-	for key, ops := range ExtractKeyedOps(res.Trace) {
+	for key, ops := range KeyedOps(res.Ops) {
 		for _, o := range ops {
 			if !o.Complete {
 				continue
@@ -245,7 +245,7 @@ func TestStoreReadOnlyWorkload(t *testing.T) {
 	if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 		t.Fatal(err)
 	}
-	for key, ops := range ExtractKeyedOps(res.Trace) {
+	for key, ops := range KeyedOps(res.Ops) {
 		for _, o := range ops {
 			if o.Kind != ReadOp {
 				t.Fatalf("read-only workload executed %v on key %d", o, key)
@@ -416,7 +416,7 @@ func TestStoreShardCrashOnlyDegradesItsOwnShard(t *testing.T) {
 		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
 			t.Fatalf("seed %d (crash@%d): %v", seed, int64(crashAt), err)
 		}
-		byKey := ExtractKeyedOps(res.Trace)
+		byKey := KeyedOps(res.Ops)
 		for key, ops := range byKey {
 			if m.Shard(key) == dead {
 				continue

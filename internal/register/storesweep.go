@@ -90,14 +90,15 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 // definition of a store run, which StoreSweep gives each of its workers. It
 // holds a fresh StoreProgram and Σ_S oracle, the EffectiveMaxSteps budget, a
 // stop condition that holds once every correct client has finished its work
-// on the available shards it can reach, the fault plan, StallLimit, and a
-// trace without messages (the checker reads only operation records). cfg is
-// validated as StoreSweep validates it.
+// on the available shards it can reach, the fault plan and StallLimit. It
+// is untraced (DisableTrace): the checker reads the run's op log
+// (sim.Result.Ops), which every run keeps. cfg is validated as StoreSweep
+// validates it.
 //
 // A caller that needs another run shape flips sim.Config fields on the
-// result: DisableTrace (with OmitMessages cleared) for an untraced run,
-// OmitMessages cleared for a full trace, or its own Scheduler. Every call
-// returns fresh per-runner state, so one config serves one runner.
+// result: DisableTrace cleared for a full trace, or its own Scheduler.
+// Every call returns fresh per-runner state, so one config serves one
+// runner.
 func (cfg StoreSweepConfig) SimConfig() (sim.Config, error) {
 	run, err := cfg.validate()
 	if err != nil {
@@ -200,8 +201,8 @@ func (r *storeRun) simConfig() sim.Config {
 		MaxSteps:     r.maxSteps,
 		StopWhen:     newStoreStopCursor(r.clients, r.avail, r.masks).done,
 		Faults:       cfg.Faults,
-		OmitMessages: true,
 		StallLimit:   cfg.StallLimit,
+		DisableTrace: true,
 	}
 }
 
@@ -310,8 +311,8 @@ func (c *storeStopCursor) done(sn *sim.Snapshot) bool {
 // reach, while its minority-side operations may stay parked — the
 // graceful-degradation verdict. Linearizability is checked on the full
 // recorded history either way: parked operations never returned, so they
-// cannot violate. The run must come from a StoreProgram with tracing
-// enabled.
+// cannot violate. The run must come from a StoreProgram; traced or not, its
+// history is the op log (sim.Result.Ops).
 func VerifyStoreRunReach(res *sim.Result, correct dist.ProcSet, masks []ShardSet) error {
 	for _, a := range res.Automata {
 		node, ok := a.(*StoreNode)
@@ -327,8 +328,5 @@ func VerifyStoreRunReach(res *sim.Result, correct dist.ProcSet, masks []ShardSet
 				int(node.self), node.completed, node.scriptLen, avail, len(node.pend), res.Reason)
 		}
 	}
-	if res.Trace == nil {
-		return fmt.Errorf("register: store verification needs the run trace (DisableTrace must be off)")
-	}
-	return CheckKeyedLinearizable(ExtractKeyedOps(res.Trace), 0)
+	return CheckKeyedLinearizable(KeyedOps(res.Ops), 0)
 }

@@ -69,15 +69,11 @@ type Env struct {
 
 	delivered *Message
 	// ownDelivered grants the stepping automaton ownership of the delivered
-	// payload's buffers (see DeliveredOwned). Set by the Runner whenever the
-	// trace records no messages; never set by the explorer, whose branches
-	// share pending messages.
+	// payload's buffers (see DeliveredOwned). Set by the Runner on untraced
+	// runs; never set by the explorer, whose branches share pending
+	// messages.
 	ownDelivered bool
-	// opsMuted drops Invoke/Return records: the Runner sets it on untraced
-	// runs, where nothing would ever read them, so automata on the hot path
-	// do not pay the interface boxing of their op descriptors.
-	opsMuted bool
-	layer    Layer
+	layer        Layer
 	// The failure detector queried by QueryFD: queryFD when non-nil (stacked
 	// layers bind the emulator below once), else history (the oracle, bound
 	// once per runner — no per-step closure).
@@ -89,7 +85,10 @@ type Env struct {
 	sends    []sendReq
 	decided  bool
 	decision any
-	ops      []opEvent
+	// ops receives Invoke/Return records stamped with now and self. The
+	// Runner's Env keeps it across the steps of a run: it is the run's op
+	// log (Result.Ops), truncated only by Reset.
+	ops []OpEvent
 }
 
 type sendReq struct {
@@ -98,10 +97,26 @@ type sendReq struct {
 	payload any
 }
 
-type opEvent struct {
-	ret     bool
-	seq     int64
-	payload any
+// OpDesc describes one shared-object operation: the object's key, the
+// operation kind, its argument and, on a Return, its result. It is a fixed
+// size value, so recording an operation boxes nothing. Its meaning belongs
+// to the automaton (package register reads Kind as a register.OpKind).
+type OpDesc struct {
+	Key  int
+	Kind uint8
+	Arg  int64
+	Ret  int64
+}
+
+// OpEvent is one record of a run's op log: process P invoked (or, when
+// Return is set, completed) operation Op at tick T. Seq is the automaton's
+// own correlation number, which pairs a Return with its Invoke.
+type OpEvent struct {
+	T      dist.Time
+	P      dist.ProcID
+	Seq    int64
+	Return bool
+	Op     OpDesc
 }
 
 // Self returns the identity of the stepping process.
@@ -134,11 +149,9 @@ func (e *Env) Delivered() (payload any, from dist.ProcID, ok bool) {
 //     delivery whose DeliveredOwned is true.
 //   - When DeliveredOwned reports true, the runtime guarantees that no
 //     other component references the delivered payload after this step.
-//     The Runner grants it whenever the trace holds no message payloads:
-//     on untraced runs (Config.DisableTrace) and on runs whose trace omits
-//     messages (Config.OmitMessages). Neither the trace nor any checker can
-//     then observe the payload later; operation records, which the latter
-//     keeps, carry the automaton's own descriptors, not payloads.
+//     The Runner grants it on untraced runs (Config.DisableTrace), where
+//     no trace holds a payload; operation records, which every run keeps,
+//     carry the automaton's own descriptors, not payloads.
 //   - When it reports false the payload must be treated as immutable
 //     shared state. The explorer always reports false — its branches share
 //     pending messages, and a recycled payload would mutate sibling
@@ -195,29 +208,17 @@ func (e *Env) Decide(v any) {
 	e.decision = v
 }
 
-// OpsRecorded reports whether Invoke/Return records are kept this run.
-// They exist only in the trace, so the Runner mutes them on untraced runs;
-// automata on a hot path should gate their Invoke/Return calls on this so
-// the op descriptor is never boxed at the call site (escape analysis cannot
-// elide the conversion to any even when Invoke drops the record).
-func (e *Env) OpsRecorded() bool { return !e.opsMuted }
-
 // Invoke records the invocation of a shared-object operation (for
 // linearizability checking). seq correlates the invocation with its Return.
-// Muted on untraced runs (see OpsRecorded).
-func (e *Env) Invoke(seq int64, desc any) {
-	if e.opsMuted {
-		return
-	}
-	e.ops = append(e.ops, opEvent{ret: false, seq: seq, payload: desc})
+// The record is stamped with the step's process and time, which the
+// automaton itself never sees.
+func (e *Env) Invoke(seq int64, op OpDesc) {
+	e.ops = append(e.ops, OpEvent{T: e.now, P: e.self, Seq: seq, Op: op})
 }
 
 // Return records the response of a previously invoked operation.
-func (e *Env) Return(seq int64, desc any) {
-	if e.opsMuted {
-		return
-	}
-	e.ops = append(e.ops, opEvent{ret: true, seq: seq, payload: desc})
+func (e *Env) Return(seq int64, op OpDesc) {
+	e.ops = append(e.ops, OpEvent{T: e.now, P: e.self, Seq: seq, Return: true, Op: op})
 }
 
 // Stack composes protocol layers into one automaton per the failure-detector
@@ -269,7 +270,6 @@ func (s *Stack) Step(e *Env) {
 		sub.now = e.now
 		sub.delivered = nil
 		sub.ownDelivered = false
-		sub.opsMuted = e.opsMuted
 		sub.fdCache = nil
 		sub.fdQueried = false
 		sub.sends = sub.sends[:0]

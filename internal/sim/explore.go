@@ -38,10 +38,11 @@ type ExploreConfig struct {
 	// converge. Default 0 (history constant from the start).
 	TimeCap dist.Time
 	// Workers sets the size of the worker pool that expands each depth
-	// level of the search in parallel. 0 means GOMAXPROCS. Results are
-	// bit-identical for every worker count: the search is level-synchronous
-	// and the reported violation is the minimal-depth one with the smallest
-	// canonical state hash (ties broken by witness text).
+	// level of the search in parallel. 0 means GOMAXPROCS; a negative value
+	// is an error. Results are bit-identical for every worker count: the
+	// search is level-synchronous and the reported violation is the
+	// minimal-depth one with the smallest canonical state hash (ties broken
+	// by witness text).
 	//
 	// With Workers > 1, History, Check and CheckAutomata are called
 	// concurrently from multiple goroutines and must be safe for that:
@@ -111,8 +112,11 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 			return nil, fmt.Errorf("sim: crash of p%d at %d not before TimeCap %d", int(p), int64(c), int64(cfg.TimeCap))
 		}
 	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("sim: ExploreConfig.Workers must not be negative, got %d", cfg.Workers)
+	}
 	workers := cfg.Workers
-	if workers <= 0 {
+	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 

@@ -6,17 +6,15 @@ import (
 	"repro/internal/dist"
 )
 
-// leaseProbe records what the runtime told it about payload ownership and
-// op recording — the observable half of the send-buffer lease contract.
+// leaseProbe records what the runtime told it about payload ownership —
+// the observable half of the send-buffer lease contract.
 type leaseProbe struct {
-	self        dist.ProcID
-	sawOwned    bool // a delivery with DeliveredOwned() == true
-	sawShared   bool // a delivery with DeliveredOwned() == false
-	opsRecorded bool
+	self      dist.ProcID
+	sawOwned  bool // a delivery with DeliveredOwned() == true
+	sawShared bool // a delivery with DeliveredOwned() == false
 }
 
 func (a *leaseProbe) Step(e *Env) {
-	a.opsRecorded = e.OpsRecorded()
 	if _, from, ok := e.Delivered(); ok {
 		if e.DeliveredOwned() {
 			a.sawOwned = true
@@ -39,7 +37,7 @@ func (a *leaseProbe) Snapshot() Automaton {
 	return &c
 }
 
-func runLeaseProbes(t *testing.T, disableTrace, omitMessages bool) []*leaseProbe {
+func runLeaseProbes(t *testing.T, disableTrace bool) []*leaseProbe {
 	t.Helper()
 	probes := make([]*leaseProbe, 2)
 	res, err := Run(Config{
@@ -52,7 +50,6 @@ func runLeaseProbes(t *testing.T, disableTrace, omitMessages bool) []*leaseProbe
 		Scheduler:    NewRandomScheduler(1),
 		MaxSteps:     200,
 		DisableTrace: disableTrace,
-		OmitMessages: omitMessages,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,40 +62,21 @@ func runLeaseProbes(t *testing.T, disableTrace, omitMessages bool) []*leaseProbe
 
 // TestRunnerGrantsPayloadOwnershipOnlyUntraced pins the lease contract on
 // the Runner: ownership of delivered payloads is granted exactly when no
-// trace records messages (nothing else retains the payload), and op records
-// are muted exactly when tracing is off.
+// trace records messages (nothing else retains the payload).
 func TestRunnerGrantsPayloadOwnershipOnlyUntraced(t *testing.T) {
-	for _, p := range runLeaseProbes(t, false, false) {
+	for _, p := range runLeaseProbes(t, false) {
 		if p.sawOwned {
 			t.Fatalf("p%d was granted payload ownership on a traced run", int(p.self))
 		}
-		if !p.opsRecorded {
-			t.Fatalf("p%d saw ops muted on a traced run", int(p.self))
-		}
 	}
-	untraced := runLeaseProbes(t, true, false)
+	untraced := runLeaseProbes(t, true)
 	for _, p := range untraced {
 		if p.sawShared {
 			t.Fatalf("p%d was denied payload ownership on an untraced run", int(p.self))
 		}
-		if p.opsRecorded {
-			t.Fatalf("p%d saw ops recorded on an untraced run", int(p.self))
-		}
 	}
 	if !untraced[0].sawOwned && !untraced[1].sawOwned {
 		t.Fatal("no probe ever observed an owned delivery")
-	}
-	messageFree := runLeaseProbes(t, false, true)
-	for _, p := range messageFree {
-		if p.sawShared {
-			t.Fatalf("p%d was denied payload ownership on a run whose trace omits messages", int(p.self))
-		}
-		if !p.opsRecorded {
-			t.Fatalf("p%d saw ops muted on a run whose trace omits messages", int(p.self))
-		}
-	}
-	if !messageFree[0].sawOwned && !messageFree[1].sawOwned {
-		t.Fatal("no probe ever observed an owned delivery on a message-free trace")
 	}
 }
 

@@ -27,7 +27,7 @@ const (
 	// ReasonAllCrashed: no process is alive anymore.
 	ReasonAllCrashed
 	// ReasonStalled: Config.StallLimit ticks elapsed with no progress (no
-	// delivery, no send, no decision, no recorded operation event) — the
+	// delivery, no send, no decision, no operation record) — the
 	// livelock guard for lossy runs without retransmission.
 	ReasonStalled
 )
@@ -80,7 +80,7 @@ type Config struct {
 	Faults *FaultPlan
 	// StallLimit, when > 0, ends the run with ReasonStalled after that many
 	// consecutive ticks without progress (no message delivered, none sent,
-	// no decision, no operation event). It is the livelock guard for runs
+	// no decision, no operation record). It is the livelock guard for runs
 	// where loss can strand a protocol that never retransmits; a protocol
 	// that retransmits (even at a capped backoff probe rate) keeps sending
 	// and is never declared stalled.
@@ -92,17 +92,9 @@ type Config struct {
 	// call of a run sees Snapshot.Now() == 0; a condition that keeps state
 	// across calls may reset it there.
 	StopWhen func(s *Snapshot) bool
-	// DisableTrace skips event recording (benchmarks on the hot path).
+	// DisableTrace skips event recording (benchmarks, sweeps). The op log
+	// (Result.Ops) is kept either way.
 	DisableTrace bool
-	// OmitMessages keeps message traffic out of the trace: it records
-	// operation, decide, emulator, crash and recover events but no Step,
-	// Send or Drop events. With no message payload in the trace, delivered
-	// payloads are leased to their receivers (Env.DeliveredOwned) exactly as
-	// on untraced runs, while operation records stay on. ReplayScript needs
-	// Step events, so a full trace of such a run comes from running its
-	// seed again without OmitMessages: the schedule is the same. It cannot
-	// be combined with DisableTrace.
-	OmitMessages bool
 }
 
 // Result is the outcome of a run.
@@ -116,6 +108,11 @@ type Result struct {
 	Decisions  map[dist.ProcID]any
 	DecideTime map[dist.ProcID]dist.Time
 	Trace      *trace.Trace
+	// Ops is the run's op log: every Invoke and Return record in the order
+	// the steps made them, on every run, traced or not. A recovered
+	// process's pre-crash records stay in it. It is the Runner's buffer and
+	// stays valid until the next Reset.
+	Ops []OpEvent
 	// Automata holds each process's final automaton (index p-1), so tests
 	// can inspect emulator outputs and internal state post-run.
 	Automata []Automaton
@@ -262,11 +259,10 @@ type Runner struct {
 	decidedSet dist.ProcSet
 	correct    dist.ProcSet
 
-	tr *trace.Trace
-	// msgTr is tr when the trace records message events (Step, Send, Drop),
-	// else nil. A nil msgTr means no trace holds a message payload, which
-	// is what grants the payload lease (Env.DeliveredOwned).
-	msgTr     *trace.Trace
+	// tr is the run's trace, nil on untraced runs. A nil tr means no trace
+	// holds a message payload, which is what grants the payload lease
+	// (Env.DeliveredOwned).
+	tr        *trace.Trace
 	lastEmu   []any
 	hasEmu    []bool
 	delivered Message // scratch copy of the message handed to the stepping automaton
@@ -357,9 +353,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.StallLimit < 0 {
 		return nil, errors.New("sim: Config.StallLimit is negative")
 	}
-	if cfg.OmitMessages && cfg.DisableTrace {
-		return nil, errors.New("sim: Config.OmitMessages needs a trace, but DisableTrace is set")
-	}
 
 	r := &Runner{
 		cfg:        cfg,
@@ -437,12 +430,12 @@ func (r *Runner) reset() {
 	r.recoverPos = 0
 	r.aliveNext = 0
 	// Messages still in flight when the last run stopped give their leased
-	// payloads back, exactly as at a recovery (r.msgTr is still the last
+	// payloads back, exactly as at a recovery (r.tr is still the last
 	// run's here): a pool leaking a slot per parked message would make
 	// every run re-allocate and re-grow payloads, coupling its allocations
 	// to the runs before it.
 	for i := range r.inboxes {
-		r.inboxes[i].wipe(r.msgTr == nil)
+		r.inboxes[i].wipe(r.tr == nil)
 	}
 	for i := 0; i < r.n; i++ {
 		r.decisions[i] = nil
@@ -461,13 +454,11 @@ func (r *Runner) reset() {
 		r.built = true
 	}
 
-	r.tr, r.msgTr = nil, nil
+	r.tr = nil
 	if !r.cfg.DisableTrace {
 		r.tr = &trace.Trace{}
-		if !r.cfg.OmitMessages {
-			r.msgTr = r.tr
-		}
 	}
+	r.env.ops = r.env.ops[:0]
 
 	// Record initial emulator outputs at time -1 so OutputAt is defined from
 	// the very first step.
@@ -496,6 +487,7 @@ func (r *Runner) Run() (*Result, error) {
 		Decisions:    make(map[dist.ProcID]any, r.decidedSet.Len()),
 		DecideTime:   make(map[dist.ProcID]dist.Time, r.decidedSet.Len()),
 		Trace:        r.tr,
+		Ops:          r.env.ops,
 		Automata:     r.automata,
 		MessagesSent: r.sent,
 
@@ -570,12 +562,10 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 	e.n = r.n
 	e.now = t
 	e.delivered = msg
-	// Unless the trace records messages, nothing retains a payload beyond
-	// its delivery step, so the automaton may take ownership of delivered
-	// buffers (the send-buffer lease contract; see Env.DeliveredOwned).
-	// Untraced runs also skip op recording (Env.OpsRecorded).
-	e.ownDelivered = r.msgTr == nil
-	e.opsMuted = r.tr == nil
+	// Untraced, nothing retains a payload beyond its delivery step, so the
+	// automaton may take ownership of delivered buffers (the send-buffer
+	// lease contract; see Env.DeliveredOwned).
+	e.ownDelivered = r.tr == nil
 	e.layer = 0
 	e.queryFD = nil
 	e.fdCache = nil
@@ -583,15 +573,15 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 	e.sends = e.sends[:0]
 	e.decided = false
 	e.decision = nil
-	e.ops = e.ops[:0]
+	ops := len(e.ops) // e.ops[ops:] will hold this step's op records
 
 	r.automata[p-1].Step(e)
 	r.steps++
-	if msg != nil || len(e.sends) > 0 || e.decided || len(e.ops) > 0 {
+	if msg != nil || len(e.sends) > 0 || e.decided || len(e.ops) > ops {
 		r.lastProgress = t
 	}
 
-	if r.msgTr != nil {
+	if r.tr != nil {
 		ev := trace.Event{T: t, P: p, Kind: trace.StepKind}
 		if msg != nil {
 			ev.Delivered = true
@@ -603,15 +593,15 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		if e.fdQueried {
 			ev.FD = e.fdCache
 		}
-		r.msgTr.Append(ev)
+		r.tr.Append(ev)
 	}
 
 	for _, sr := range e.sends {
 		r.seq++
 		r.sent++
 		m := Message{Seq: r.seq, From: p, To: sr.to, Sent: t, Layer: sr.layer, Payload: sr.payload}
-		if r.msgTr != nil {
-			r.msgTr.Append(trace.Event{T: t, P: p, Kind: trace.SendKind, To: sr.to, Layer: int8(sr.layer), Seq: m.Seq, Payload: sr.payload})
+		if r.tr != nil {
+			r.tr.Append(trace.Event{T: t, P: p, Kind: trace.SendKind, To: sr.to, Layer: int8(sr.layer), Seq: m.Seq, Payload: sr.payload})
 		}
 		fp := r.cfg.Faults
 		if fp == nil {
@@ -622,8 +612,8 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		if drop {
 			r.sent--
 			r.dropped++
-			if r.msgTr != nil {
-				r.msgTr.Append(trace.Event{T: t, P: p, Kind: trace.DropKind, To: sr.to, Layer: int8(sr.layer), Seq: m.Seq, Payload: sr.payload})
+			if r.tr != nil {
+				r.tr.Append(trace.Event{T: t, P: p, Kind: trace.DropKind, To: sr.to, Layer: int8(sr.layer), Seq: m.Seq, Payload: sr.payload})
 			} else if rc, ok := sr.payload.(RefCounted); ok {
 				// The sender pre-counted this delivery in the payload's
 				// lease refcount (Env.DeliveredOwned); give the lost copy's
@@ -645,8 +635,8 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 			}
 			m2 := m
 			m2.Seq = r.seq
-			if r.msgTr != nil {
-				r.msgTr.Append(trace.Event{T: t, P: p, Kind: trace.SendKind, To: sr.to, Layer: int8(sr.layer), Seq: m2.Seq, Payload: sr.payload})
+			if r.tr != nil {
+				r.tr.Append(trace.Event{T: t, P: p, Kind: trace.SendKind, To: sr.to, Layer: int8(sr.layer), Seq: m2.Seq, Payload: sr.payload})
 			} else if rc, ok := sr.payload.(RefCounted); ok {
 				// The extra copy is one more delivery than the sender
 				// leased for; account for it before it is enqueued.
@@ -667,12 +657,14 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		r.record(trace.Event{T: t, P: p, Kind: trace.DecideKind, Payload: e.decision})
 	}
 
-	for _, op := range e.ops {
-		kind := trace.InvokeKind
-		if op.ret {
-			kind = trace.ReturnKind
+	if r.tr != nil {
+		for _, op := range e.ops[ops:] {
+			kind := trace.InvokeKind
+			if op.Return {
+				kind = trace.ReturnKind
+			}
+			r.tr.Append(trace.Event{T: t, P: p, Kind: kind, Seq: op.Seq, Payload: op.Op})
 		}
-		r.record(trace.Event{T: t, P: p, Kind: kind, Seq: op.seq, Payload: op.payload})
 	}
 
 	if emu, ok := r.automata[p-1].(Emulator); ok {
@@ -729,7 +721,7 @@ func (r *Runner) applyRecoveries(t dist.Time) {
 			rec.Recover()
 		}
 		r.automata[p-1] = a
-		r.inboxes[p].wipe(r.msgTr == nil)
+		r.inboxes[p].wipe(r.tr == nil)
 		if r.decidedSet.Contains(p) {
 			r.decidedSet = r.decidedSet.Remove(p)
 			r.decisions[p-1] = nil

@@ -259,8 +259,9 @@ func Idle(count int64) []Choice {
 // same process delivering the same message (matched by sequence number), and
 // times without a recorded step become idle ticks. Replaying a deterministic
 // automaton against this script reproduces its observation sequence exactly —
-// the mechanical form of the proofs' "takes the same steps as in r". The
-// trace must record messages: a Config.OmitMessages trace has no steps.
+// the mechanical form of the proofs' "takes the same steps as in r". An
+// untraced run (Config.DisableTrace) has no trace to replay; running its
+// seed again with a trace reproduces the same schedule.
 func ReplayScript(tr *trace.Trace, upTo dist.Time) []Choice {
 	steps := make(map[dist.Time]trace.Event)
 	for _, e := range tr.Events() {

@@ -38,6 +38,7 @@ type Config struct {
 	// Seeds is the number of runs. Required.
 	Seeds int64
 	// Workers sets the pool size; 0 means GOMAXPROCS (capped at Seeds).
+	// A negative value is an error.
 	Workers int
 	// Check, when non-nil, judges each finished run; a non-nil error marks
 	// the seed as failing. The result is valid only during the call. Check
@@ -319,8 +320,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Seeds <= 0 {
 		return nil, fmt.Errorf("sweep: Config.Seeds must be positive, got %d", cfg.Seeds)
 	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("sweep: Config.Workers must not be negative, got %d", cfg.Workers)
+	}
 	workers := cfg.Workers
-	if workers <= 0 {
+	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if int64(workers) > cfg.Seeds {

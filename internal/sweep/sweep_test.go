@@ -107,6 +107,16 @@ func TestSweepConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsNegativeWorkers: a negative pool size is an error naming
+// the field, not a silent GOMAXPROCS.
+func TestSweepRejectsNegativeWorkers(t *testing.T) {
+	mkSim, _, _ := fig2Config(3)
+	_, err := Run(Config{Sim: mkSim, Seeds: 5, Workers: -1})
+	if err == nil || !strings.Contains(err.Error(), "Workers") {
+		t.Fatalf("Workers: -1 gave %v, want an error naming Workers", err)
+	}
+}
+
 func TestHistMergeEdgeCases(t *testing.T) {
 	// Empty into empty: still empty.
 	var h, empty Hist

@@ -29,21 +29,24 @@ func Render(tr *Trace, opt RenderOptions) string {
 		opt.MaxRows = 200
 	}
 	var b strings.Builder
-	rows := 0
+	rows, more := 0, 0
 	for _, e := range tr.Events() {
 		if e.T < opt.From || (opt.To > 0 && e.T > opt.To) {
 			continue
-		}
-		if rows >= opt.MaxRows {
-			fmt.Fprintf(&b, "... (%d more events)\n", tr.Len()-rows)
-			break
 		}
 		line := describe(e)
 		if line == "" {
 			continue
 		}
+		if rows == opt.MaxRows {
+			more++
+			continue
+		}
 		fmt.Fprintf(&b, "t=%-6d p%-3d %s\n", int64(e.T), int(e.P), line)
 		rows++
+	}
+	if more > 0 {
+		fmt.Fprintf(&b, "... (%d more events)\n", more)
 	}
 	return b.String()
 }
@@ -74,6 +77,8 @@ func describe(e Event) string {
 		return fmt.Sprintf("return %v", e.Payload)
 	case CrashKind:
 		return "CRASH"
+	case RecoverKind:
+		return "RECOVER"
 	case DropKind:
 		return fmt.Sprintf("DROP  %v to p%d (loss)", e.Payload, int(e.To))
 	default:

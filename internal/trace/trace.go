@@ -91,8 +91,9 @@ func (k Kind) String() string {
 //   - DecideKind: P decided Payload at T.
 //   - EmuKind: P's emulated failure-detector output changed to Payload at T.
 //   - InvokeKind/ReturnKind: P invoked/completed an operation described by
-//     Payload at T; Seq correlates the pair.
+//     Payload (a sim.OpDesc in runner traces) at T; Seq correlates the pair.
 //   - CrashKind: P crashed at T.
+//   - RecoverKind: P recovered at T.
 type Event struct {
 	T         dist.Time
 	P         dist.ProcID
