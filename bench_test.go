@@ -338,25 +338,22 @@ func BenchmarkABDRegister(b *testing.B) {
 // {p1,p2,p3} on a failure-free pattern, 12 zipf-skewed ops per client.
 //
 // E17 is throughput vs the client pipelining window (window > 1 must
-// strictly beat window = 1 on the same seed set); E18 is the
-// request-batching ablation (one message per request instead of one batch
-// per step), visible in msgs/op. E19 shards the same key space across
-// disjoint replica groups at the E17 window=8 operating point:
+// strictly beat window = 1 on the same seed set). E19 shards the same key
+// space across disjoint replica groups at the E17 window=8 operating point:
 // replica-B/node must shrink with the shard count while shards=1 stays
-// within noise of E17's window=8 row. E20 turns batching off on the sharded
-// store. E21 is the allocation trajectory of the pooled hot path, read off
-// every row's allocs/op (the steady-state-zero tripwire is
-// TestStoreAllocsPerStep). E22 turns reply piggybacking on at the E19
-// operating points — msgs/op must fall strictly below the matching E19
-// row. E23 compares a fixed window against the AIMD per-shard controller
-// under a whole-group shard crash. E24 turns the adversarial network on
-// (loss, duplication, bounded extra delay) with retransmission armed, and
-// E25 adds a partition that heals mid-run; every op still completes, and
-// the price shows up as retransmits/op, drops/op and dups/op. E26–E28
-// trade tail latency for msgs/op with bounded-delay cross-step coalescing:
-// closed loop (D=0 must match the E22 shards=4 row exactly), open loop at
-// roughly 80% of closed-loop capacity, and open-loop overload where
-// queueing delay dominates. E29/E30 are the multi-word scale points. E31–
+// within noise of E17's window=8 row. E21 is the allocation trajectory of
+// the pooled hot path, read off every row's allocs/op (the
+// steady-state-zero tripwire is TestStoreAllocsPerStep). E22 turns reply
+// piggybacking on at the E19 operating points — msgs/op must fall strictly
+// below the matching E19 row. E23 compares a fixed window against the AIMD
+// per-shard controller under a whole-group shard crash. E24 turns the
+// adversarial network on (loss, duplication, bounded extra delay) with
+// retransmission armed, and E25 adds a partition that heals mid-run; every
+// op still completes, and the price shows up as retransmits/op, drops/op
+// and dups/op. E27/E28 are open-loop arrivals at the E22 shards=4 point:
+// roughly 80% of closed-loop capacity, and overload, where queueing delay
+// dominates the tail. E18, E20 and E26 (the batching-off and coalescing
+// ablations) are retired. E29/E30 are the multi-word scale points. E31–
 // E33 are the fast-read experiments: read-heavy failure-free (msgs/op ≥ 30%
 // and read p50 halved vs the identical two-phase row), the E25 network,
 // and the E29 scale point. E35 is the crash-recovery row.
@@ -376,16 +373,12 @@ func BenchmarkStore(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		rows = append(rows, row(benchName("window", w), register.StoreConfig{Keys: keys, Window: w}))
 	}
-	// E18: batching off at the widest window.
-	rows = append(rows, row("window=8-nobatch", register.StoreConfig{Keys: keys, Window: 8, DisableBatching: true}))
 	// E19: replica state and throughput vs shard count at window=8
 	// (shards=1 doubles as the E17 window=8 parity check).
 	for _, sc := range []int{1, 2, 4} {
 		rows = append(rows, row(benchName("shards", sc), register.StoreConfig{Keys: keys, Shards: sc, Window: 8}))
 	}
 	rows = append(rows,
-		// E20: the batching ablation on the sharded store.
-		row("shards=4-nobatch", register.StoreConfig{Keys: keys, Shards: 4, Window: 8, DisableBatching: true}),
 		// E22: reply piggybacking at the E19 operating points.
 		row("shards=1-piggyback", register.StoreConfig{Keys: keys, Window: 8, Piggyback: true}),
 		row("shards=4-piggyback", register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true}),
@@ -406,23 +399,17 @@ func BenchmarkStore(b *testing.B) {
 			Keys: keys, Shards: 2, Window: 2, AdaptiveWindow: true, MaxWindow: 4,
 		}),
 	)
-	coalesced := register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true}
+	piggyback4 := register.StoreConfig{Keys: keys, Shards: 4, Window: 8, Piggyback: true}
 	for _, tc := range []struct {
-		prefix string
-		gap    int // open-loop mean arrival gap; 0 = closed loop
+		name string
+		gap  int // open-loop mean arrival gap
 	}{
-		{"coalesce", 0},          // E26: closed loop
-		{"openloop-coalesce", 5}, // E27: ~80% of closed-loop capacity
-		{"overload-coalesce", 2}, // E28: arrivals faster than service
+		{"openloop", 5}, // E27: ~80% of closed-loop capacity
+		{"overload", 2}, // E28: arrivals faster than service
 	} {
-		for _, d := range []int{0, 2, 8} {
-			store := coalesced
-			store.CoalesceDelay = d
-			if tc.gap > 0 {
-				store.OpenLoop, store.ArrivalGap, store.ArrivalJitter = true, tc.gap, true
-			}
-			rows = append(rows, row(benchName(tc.prefix, d), store))
-		}
+		store := piggyback4
+		store.OpenLoop, store.ArrivalGap, store.ArrivalJitter = true, tc.gap, true
+		rows = append(rows, row(tc.name, store))
 	}
 	// E31: the fast-read operating point — read-heavy zipf (write ratio
 	// 0.1), failure-free, at the E22 shards=4 piggyback configuration. The
@@ -432,9 +419,9 @@ func BenchmarkStore(b *testing.B) {
 		r.wl.WriteRatio = 0.1
 		return r
 	}
-	fastReads := coalesced
+	fastReads := piggyback4
 	fastReads.FastReads = true
-	rows = append(rows, readHeavy("readheavy-fastread-off", coalesced), readHeavy("readheavy-fastread-on", fastReads))
+	rows = append(rows, readHeavy("readheavy-fastread-off", piggyback4), readHeavy("readheavy-fastread-on", fastReads))
 	// E29/E30 (and E33 with fast reads): systems past the old 64-process
 	// ceiling with one client per shard group, retransmission and adaptive
 	// windows armed, under 3% loss, 3% duplication, up to 3 ticks of extra

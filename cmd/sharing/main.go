@@ -90,11 +90,11 @@ subcommands:
   register        -n 5 -seed 1
   store           -n 5 -keys 16 -shards 1 -clients 3 -window 4 -ops 16
                   -seeds 20 -workers 0 -skew 1.2 -write 0.5 -crash "5@40"
-                  -crashshard "1@40" -recover "5@120" -nobatch -piggyback
+                  -crashshard "1@40" -recover "5@120" -piggyback
                   -adaptive -maxwindow 16 -stall 16
                   -loss 0.05 -dup 0.05 -delay 3 -faultseed 7 -partition "1:2@20-60"
                   -retransmit -rto 32 -maxrto 256 -stalllimit 20000
-                  -openloop -rate 0.25 -coalesce 2 -fastread
+                  -openloop -rate 0.25 -fastread
   consensus       -n 5 -seed 1 -crash "5"  [fault mode: -recover "5@200" -loss 0.05
                   -dup 0.05 -delay 3 -partition "1>2@30-120" -seeds 20 -workers 0]
   counterexample  lemma7|lemma11|lemma15|tightness  [-n 5 -k 2 -seed 1]
@@ -458,7 +458,6 @@ func cmdStore(args []string) error {
 	recov := fs.String("recover", "", "recovery list, e.g. \"5@120\": the crashed process rejoins at t with its volatile state lost (pair each entry with a -crash/-crashshard entry strictly before t; recovered processes stay outside the correctness set)")
 	skew := fs.Float64("skew", 1.2, "zipf skew within each shard's keys (0 = uniform)")
 	write := fs.Float64("write", register.DefaultWriteRatio, "write ratio (0 = read-only)")
-	nobatch := fs.Bool("nobatch", false, "disable request batching (one message per request)")
 	piggyback := fs.Bool("piggyback", false, "fold all same-destination traffic of a step (requests of every shard plus pending replies) into one frame per (src,dst)")
 	adaptive := fs.Bool("adaptive", false, "replace the fixed per-shard window with the AIMD controller (grows while ops complete, halves on shard stall)")
 	maxWindow := fs.Int("maxwindow", 0, "adaptive growth cap (0 = 4×window; requires -adaptive)")
@@ -474,7 +473,6 @@ func cmdStore(args []string) error {
 	stallLimit := fs.Int64("stalllimit", 0, "end a run that makes no progress for this many ticks with reason \"stalled\" (0 = off)")
 	openLoop := fs.Bool("openloop", false, "open-loop clients: ops become eligible on a jittered seeded arrival schedule instead of on window refill, and latency is measured from arrival (queueing delay included)")
 	rate := fs.Float64("rate", 0, "open-loop offered load in ops per client step; the mean inter-arrival gap is round(1/rate) (0 = back-to-back arrivals; requires -openloop)")
-	coalesce := fs.Int("coalesce", 0, "bounded-delay cross-step coalescing: park an under-filled batch/frame up to this many steps to merge same-destination traffic (0 = off)")
 	fastRead := fs.Bool("fastread", false, "one-phase fast reads: elide the write-back round when the phase-1 quorum is unanimous or its max timestamp is already confirmed at a quorum (composes with every other flag; off = wire-identical to two-phase)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -491,12 +489,10 @@ func cmdStore(args []string) error {
 		return fmt.Errorf("-stalllimit %d is negative", *stallLimit)
 	}
 	storeCfg := register.StoreConfig{
-		Keys: *keys, Shards: *shards, Window: *window,
-		DisableBatching: *nobatch, Piggyback: *piggyback,
+		Keys: *keys, Shards: *shards, Window: *window, Piggyback: *piggyback,
 		AdaptiveWindow: *adaptive, MaxWindow: *maxWindow, StallSteps: *stall,
 		Retransmit: *retransmit, RTO: *rto, MaxRTO: *maxRTO,
-		OpenLoop: *openLoop, ArrivalJitter: *openLoop,
-		CoalesceDelay: *coalesce, FastReads: *fastRead,
+		OpenLoop: *openLoop, ArrivalJitter: *openLoop, FastReads: *fastRead,
 	}
 	if *openLoop {
 		storeCfg.ArrivalSeed = *wseed // decorrelate arrivals from the scheduler seeds
@@ -585,10 +581,10 @@ func cmdStore(args []string) error {
 	if *adaptive {
 		windowDesc = fmt.Sprintf("window=%d..%d(adaptive)", *window, storeCfg.EffectiveMaxWindow())
 	}
-	fmt.Printf("store on %v, S=%v, keys=%d shards=%d %s batching=%v piggyback=%v: %d runs × %d scripted ops (%d guaranteed at correct clients)\n",
-		f, s, *keys, shardMap.Shards(), windowDesc, !*nobatch, *piggyback, res.Runs, register.TotalKeyedOps(scripts), opsPerRun)
-	if *openLoop || *coalesce > 0 {
-		fmt.Printf("  load: openloop=%v gap=%d(jittered) coalesce=%d\n", *openLoop, sweepCfg.Store.EffectiveArrivalGap(), *coalesce)
+	fmt.Printf("store on %v, S=%v, keys=%d shards=%d %s piggyback=%v: %d runs × %d scripted ops (%d guaranteed at correct clients)\n",
+		f, s, *keys, shardMap.Shards(), windowDesc, *piggyback, res.Runs, register.TotalKeyedOps(scripts), opsPerRun)
+	if *openLoop {
+		fmt.Printf("  load: openloop gap=%d(jittered)\n", sweepCfg.Store.EffectiveArrivalGap())
 	}
 	if faults != nil {
 		fmt.Printf("  faults: loss=%.3g dup=%.3g maxdelay=%d seed=%d retransmit=%v",
@@ -830,6 +826,9 @@ func cmdEmulate(args []string) error {
 	horizon := int64(500)
 	switch which {
 	case "fig3":
+		if *n < 2 {
+			return fmt.Errorf("fig3 demo needs n ≥ 2 for the pair {p1,p2}, got %d", *n)
+		}
 		pair := dist.NewProcSet(1, 2)
 		res, err := sim.Run(sim.Config{
 			Pattern: f, History: fd.NewSigmaS(f, pair, 20), Program: core.Fig3Program(pair),

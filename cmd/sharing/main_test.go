@@ -15,7 +15,7 @@ func TestSubcommandsSucceed(t *testing.T) {
 		{"register", "-n", "5"},
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "3", "-workers", "2"},
 		{"store", "-n", "5", "-keys", "6", "-clients", "2", "-window", "3", "-ops", "6", "-seeds", "2", "-crash", "5@30"},
-		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "1", "-ops", "4", "-seeds", "2", "-write", "0", "-nobatch"},
+		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "1", "-ops", "4", "-seeds", "2", "-write", "0"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "3", "-workers", "2"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-ops", "6", "-seeds", "2", "-crashshard", "2@30"},
 		{"store", "-n", "6", "-keys", "8", "-shards", "2", "-clients", "2", "-ops", "6", "-seeds", "2", "-skew", "0"},
@@ -24,18 +24,17 @@ func TestSubcommandsSucceed(t *testing.T) {
 			"-adaptive", "-maxwindow", "6", "-stall", "8", "-piggyback", "-crashshard", "2@30"},
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "3", "-openloop", "-rate", "0.25"},
 		{"store", "-n", "6", "-keys", "8", "-shards", "2", "-clients", "2", "-window", "4", "-ops", "8", "-seeds", "3",
-			"-piggyback", "-openloop", "-rate", "0.5", "-coalesce", "2"},
-		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2", "-coalesce", "4"},
+			"-piggyback", "-openloop", "-rate", "0.5"},
 		{"store", "-n", "5", "-keys", "8", "-shards", "2", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "3", "-fastread"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
 			"-fastread", "-piggyback", "-adaptive", "-maxwindow", "6", "-stall", "8", "-crashshard", "2@30"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
 			"-fastread", "-retransmit", "-rto", "16", "-loss", "0.05", "-partition", "1:2@20-80", "-stalllimit", "5000"},
-		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2", "-fastread", "-nobatch"},
 		{"store", "-n", "5", "-keys", "8", "-shards", "2", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
 			"-crash", "5@40", "-recover", "5@120", "-loss", "0.05", "-retransmit", "-stalllimit", "5000"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
 			"-partition", "0>1@20-80", "-retransmit", "-rto", "16"},
+		{"store", "-n", "128", "-seeds", "2"}, // one 128-member group: the step budget scales with the group
 		{"consensus", "-n", "4"},
 		{"consensus", "-n", "4", "-seeds", "3", "-loss", "0.05", "-dup", "0.05", "-delay", "2"},
 		{"consensus", "-n", "5", "-seeds", "2", "-crash", "4@40", "-recover", "4@200", "-loss", "0.05"},
@@ -74,6 +73,9 @@ func TestSubcommandsFail(t *testing.T) {
 		{"counterexample", "bogus"},
 		{"emulate"},
 		{"emulate", "bogus"},
+		{"emulate", "fig3", "-n", "1"},        // no pair {p1,p2} in a one-process system
+		{"lattice", "-n", "4", "-runs", "-1"}, // would silently run the default seed count
+		{"hierarchy", "-n", "5", "-k", "2", "-runs", "-1"}, // would silently run the default seed count
 		{"kset", "-n", "4", "-k", "3"},
 		{"setagreement", "-n", "3", "-crash", "1,2,3"},
 		{"setagreement", "-n", "5", "-crash", "3,3@40"}, // duplicate crash entry
@@ -87,13 +89,13 @@ func TestSubcommandsFail(t *testing.T) {
 		{"store", "-n", "6", "-keys", "6", "-shards", "3", "-skew", "0.9"},                        // zipf undefined for s ≤ 1
 		{"store", "-n", "6", "-keys", "6", "-shards", "3", "-crash", "2", "-crashshard", "1"},     // p2 crashed twice
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-window", "0"},                       // window below 1
-		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-piggyback", "-nobatch"},             // piggyback silently disabled
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-maxwindow", "8"},                    // controller knob without -adaptive
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-adaptive", "-maxwindow", "2"},       // cap below start window (default 4)
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-rate", "0.5"},                       // -rate needs -openloop
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-openloop", "-rate", "-1"},           // negative rate
-		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-coalesce", "-2"},                    // negative delay budget
-		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-nobatch", "-coalesce", "2"},         // nothing to merge unbatched
+		{"store", "-skew", "Inf"},                                                                 // would hang inside rand.Zipf
+		{"store", "-skew", "NaN"},                                                                 // would silently draw uniform keys
+		{"store", "-write", "NaN"},                                                                // would silently build a read-only workload
 		{"store", "-n", "5", "-keys", "8", "-clients", "2", "-recover", "5@120"},                  // recovery without a crash
 		{"store", "-n", "5", "-keys", "8", "-clients", "2", "-crash", "5@40", "-recover", "5@30"}, // recovery before the crash
 		{"store", "-n", "5", "-keys", "8", "-clients", "2", "-crash", "5@40", "-recover", "5"},    // recovery needs a time

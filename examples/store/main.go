@@ -119,13 +119,11 @@ func main() {
 	// seeded schedule instead; at a gap below the store's service rate the
 	// queue grows and, since latency is measured from *arrival*, the
 	// percentile report shows the queueing delay the closed-loop numbers
-	// structurally cannot. Bounded-delay coalescing (CoalesceDelay) then
-	// trades a few steps of parking for fewer messages per op.
+	// structurally cannot.
 	overload := register.StoreConfig{
 		Keys: keys, Shards: shards, Window: 3,
 		Piggyback: true,
 		OpenLoop:  true, ArrivalGap: 1, ArrivalJitter: true, ArrivalSeed: 5,
-		CoalesceDelay: 2,
 	}
 	healthy := dist.NewFailurePattern(n) // failure-free: pure load, no crashes
 	lres, err := register.StoreSweep(register.StoreSweepConfig{
@@ -142,8 +140,8 @@ func main() {
 	if lres.Failures > 0 {
 		log.Fatalf("overload verification failed (seed %d): %v", lres.FirstFailSeed, lres.FirstFailErr)
 	}
-	fmt.Printf("\nopen-loop overload (gap=%d jittered, coalesce=%d): %d runs × %d ops\n",
-		overload.EffectiveArrivalGap(), overload.CoalesceDelay, lres.Runs, register.TotalKeyedOps(scripts))
+	fmt.Printf("\nopen-loop overload (gap=%d jittered): %d runs × %d ops\n",
+		overload.EffectiveArrivalGap(), lres.Runs, register.TotalKeyedOps(scripts))
 	fmt.Printf("  msgs:  %s\n", lres.Msgs.String())
 	fmt.Printf("  lat:   p50=%d p99=%d p99.9=%d steps | %s\n",
 		lres.Lat.Quantile(0.50), lres.Lat.Quantile(0.99), lres.Lat.Quantile(0.999), lres.Lat.String())

@@ -67,8 +67,8 @@ type Config struct {
 	// Seed drives schedules.
 	Seed int64
 	// Runs is the number of seeds each reduction edge's emulation is
-	// validated across (default 3); Workers the sweep pool size
-	// (0 = GOMAXPROCS).
+	// validated across (0 = the default 3; negative is an error); Workers
+	// the sweep pool size (0 = GOMAXPROCS).
 	Runs    int64
 	Workers int
 }
@@ -85,7 +85,10 @@ func Build(cfg Config) (*Report, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 600
 	}
-	if cfg.Runs <= 0 {
+	if cfg.Runs < 0 {
+		return nil, fmt.Errorf("hierarchy: Config.Runs must not be negative, got %d", cfg.Runs)
+	}
+	if cfg.Runs == 0 {
 		cfg.Runs = 3
 	}
 	rep := &Report{N: cfg.N, K: cfg.K}

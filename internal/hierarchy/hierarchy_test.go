@@ -42,4 +42,7 @@ func TestBuildRejectsBadParams(t *testing.T) {
 	if _, err := Build(Config{N: 6, K: 4}); err == nil {
 		t.Fatal("k>n/2 accepted")
 	}
+	if _, err := Build(Config{N: 6, K: 2, Runs: -1}); err == nil || !strings.Contains(err.Error(), "Runs") {
+		t.Fatalf("negative Runs: got %v, want an error naming Runs", err)
+	}
 }

@@ -47,8 +47,8 @@ type Report struct {
 type Config struct {
 	// N is the system size (≥ 4 so that every k ≤ n/2 row is non-trivial).
 	N int
-	// RunsPerRelation is the number of seeds for the positive rows.
-	// Default 5.
+	// RunsPerRelation is the number of seeds for the positive rows: 0
+	// means the default 5, and a negative value is an error.
 	RunsPerRelation int
 	// Seed is the base seed.
 	Seed int64
@@ -65,7 +65,10 @@ func Build(cfg Config) (*Report, error) {
 	if cfg.N < 4 {
 		return nil, fmt.Errorf("lattice: need n ≥ 4, got %d", cfg.N)
 	}
-	if cfg.RunsPerRelation <= 0 {
+	if cfg.RunsPerRelation < 0 {
+		return nil, fmt.Errorf("lattice: Config.RunsPerRelation must not be negative, got %d", cfg.RunsPerRelation)
+	}
+	if cfg.RunsPerRelation == 0 {
 		cfg.RunsPerRelation = 5
 	}
 	rep := &Report{N: cfg.N}

@@ -44,3 +44,10 @@ func TestBuildRejectsTinySystems(t *testing.T) {
 		t.Fatal("expected error for n < 4")
 	}
 }
+
+func TestBuildRejectsNegativeRuns(t *testing.T) {
+	_, err := Build(Config{N: 4, RunsPerRelation: -1})
+	if err == nil || !strings.Contains(err.Error(), "RunsPerRelation") {
+		t.Fatalf("got %v, want an error naming RunsPerRelation", err)
+	}
+}

@@ -34,21 +34,18 @@ func (o KeyedOp) String() string {
 //
 //  1. Without piggybacking a replica answers while it processes a delivery,
 //     before its own client requests go out: one reply frame per delivery,
-//     sent at once and never parked.
+//     sent at once.
 //  2. Without piggybacking a node's requests travel as one snapshot frame
 //     per (shard, kind, step), shared by every member of the shard's replica
 //     group (refs counts the recipients; a request never reaches a process
-//     outside its shard's group). With CoalesceDelay > 0 an under-filled
-//     snapshot parks per (shard, kind), and a full window flushes early.
+//     outside its shard's group).
 //  3. With piggybacking (StoreConfig.Piggyback, the E22 row) everything a
 //     node has for one destination in one step — requests of every shard
 //     plus the step's replies — folds into one frame per destination, sent
 //     in first-touch order: shards ascending, then members ascending, then
-//     the reply destination. These frames park by age only.
+//     the reply destination.
 //
-// With batching disabled (StoreConfig.DisableBatching, the E18/E20 ablation)
-// a frame holds at most one entry, so every request and every reply pays its
-// own message.
+// Every frame leaves in the step that filled it.
 //
 // Frames travel as pointers and are pooled: on untraced runs (every
 // StoreSweep run) the receiver owns a delivered frame
@@ -176,15 +173,9 @@ type StoreConfig struct {
 	// waits without blocking other shards). Must be ≥ 1; 1 disables
 	// pipelining. With AdaptiveWindow it is the controller's start value.
 	Window int
-	// DisableBatching caps every frame at one entry, so each request and
-	// each reply pays its own message instead of sharing one frame per
-	// (shard, kind, step) (E18/E20).
-	DisableBatching bool
 	// Piggyback folds all of a step's same-destination traffic — query and
 	// store request snapshots across shards plus the step's pending replies —
-	// into one combined frame per (src, dst) pair (E22). Rejected together
-	// with DisableBatching, which would silently disable it (one entry per
-	// message leaves nothing to fold).
+	// into one combined frame per (src, dst) pair (E22).
 	Piggyback bool
 	// AdaptiveWindow replaces the fixed per-shard window with an AIMD
 	// controller per (client, shard): the window grows by one per completed
@@ -236,18 +227,6 @@ type StoreConfig struct {
 	// ArrivalSeed decorrelates the jittered arrival schedule from the
 	// workload and scheduler seeds. Requires OpenLoop.
 	ArrivalSeed int64
-	// CoalesceDelay D > 0 enables bounded-delay cross-step coalescing: an
-	// under-filled outgoing request snapshot (or piggyback frame) may park for
-	// up to D of the sender's scheduled steps to merge with later
-	// same-destination traffic before flushing — a bounded, measured
-	// latency increase traded for fewer msgs/op. A parked snapshot flushes
-	// early once it already carries a full window of entries (nothing more
-	// can join until a completion, which the parked snapshot itself gates).
-	// Retransmission timers stretch by 2D so parking never triggers
-	// spurious retransmits. 0 keeps the flush-every-step path; rejected
-	// together with DisableBatching (one entry per message leaves nothing
-	// to merge).
-	CoalesceDelay int
 	// FastReads enables the one-phase ABD read optimization: a read whose
 	// phase-1 quorum replies unanimously with one timestamp completes
 	// immediately — the value is provably already stored at that quorum,
@@ -262,8 +241,8 @@ type StoreConfig struct {
 	// crashed writer's partial phase 2 that no quorum holds. Reads that
 	// cannot elide fall back to the standard write-back unchanged (timers
 	// and latency origins intact). Off, the wire traffic is byte-identical
-	// to a build without the feature; on, it composes with batching,
-	// piggybacking, coalescing, retransmission and fault injection, so no
+	// to a build without the feature; on, it composes with piggybacking,
+	// open-loop arrivals, retransmission and fault injection, so no
 	// combination is rejected.
 	FastReads bool
 }
@@ -349,10 +328,9 @@ func (c StoreConfig) EffectiveMaxWindow() int { return c.maxWindow() }
 func (c StoreConfig) EffectiveArrivalGap() int { return c.arrivalGap() }
 
 // Validate rejects configurations that would otherwise produce a silently
-// empty, undefined or self-defeating run: a non-positive key space, a window
-// below 1, a shard count the n-process system cannot host, piggybacking
-// combined with DisableBatching (which would silently disable it), or
-// controller knobs without the controller.
+// empty or undefined run: a non-positive key space, a window below 1, a
+// shard count the n-process system cannot host, or controller knobs without
+// the controller.
 func (c StoreConfig) Validate(n int) error {
 	_, err := c.ShardMap(n)
 	return err
@@ -370,9 +348,6 @@ func (c StoreConfig) ShardMap(n int) (*ShardMap, error) {
 	}
 	if c.Shards < 0 {
 		return nil, fmt.Errorf("register: store shard count %d is negative", c.Shards)
-	}
-	if c.Piggyback && c.DisableBatching {
-		return nil, fmt.Errorf("register: Piggyback with DisableBatching would be silently ignored (one entry per message leaves nothing to fold); enable at most one")
 	}
 	if c.MaxWindow < 0 {
 		return nil, fmt.Errorf("register: store MaxWindow %d is negative", c.MaxWindow)
@@ -403,12 +378,6 @@ func (c StoreConfig) ShardMap(n int) (*ShardMap, error) {
 	}
 	if !c.OpenLoop && (c.ArrivalGap != 0 || c.ArrivalJitter || c.ArrivalSeed != 0) {
 		return nil, fmt.Errorf("register: ArrivalGap/ArrivalJitter/ArrivalSeed require OpenLoop")
-	}
-	if c.CoalesceDelay < 0 {
-		return nil, fmt.Errorf("register: store CoalesceDelay %d is negative", c.CoalesceDelay)
-	}
-	if c.CoalesceDelay > 0 && c.DisableBatching {
-		return nil, fmt.Errorf("register: CoalesceDelay with DisableBatching has nothing to merge (one entry per message); enable at most one")
 	}
 	return NewShardMap(n, c.Keys, c.shards())
 }
@@ -528,8 +497,8 @@ type StoreNode struct {
 
 	// Per-step per-shard request accumulators, consumed and cleared by
 	// flush (see the send-order rules above the wire types). dirty holds
-	// the shards whose qOut or sOut is non-empty (parked ones included), so
-	// flush visits only those.
+	// the shards whose qOut or sOut is non-empty, so flush visits only
+	// those.
 	qOut  [][]queryEntry
 	sOut  [][]storeEntry
 	dirty ShardSet
@@ -549,8 +518,7 @@ type StoreNode struct {
 
 	// Piggyback assembly state: the frame under construction per
 	// destination (indexed by ProcID; nil when absent) plus the
-	// deterministic flush order. With coalescing a frame may stay under
-	// construction across steps.
+	// deterministic flush order.
 	outFrame []*storeFrame
 	outDsts  []dist.ProcID
 
@@ -566,17 +534,6 @@ type StoreNode struct {
 	latFaulted sweep.Hist
 	fastReads  int64
 	fallbacks  int64
-
-	// Bounded-delay coalescing state (allocated only when CoalesceDelay >
-	// 0, see park): clock is the node's scheduled-step count — it ticks for
-	// replicas too, which park reply frames — and the held-time arrays hold
-	// the clock at which each parked accumulator (qHeldT/sHeldT per shard)
-	// or piggyback frame (frameT per destination) first parked, -1 when
-	// nothing is parked.
-	clock  int64
-	qHeldT []int64
-	sHeldT []int64
-	frameT []int64
 
 	// noWriteBack is the E12b ablation, set only by tests: every read
 	// skips its write-back round, which is exactly the elision the
@@ -628,13 +585,6 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 	if cfg.Piggyback {
 		a.outFrame = make([]*storeFrame, n+1)
 	}
-	if cfg.CoalesceDelay > 0 {
-		if cfg.Piggyback {
-			a.frameT = unparked(n + 1)
-		} else {
-			a.qHeldT, a.sHeldT = unparked(m.Shards()), unparked(m.Shards())
-		}
-	}
 	if s.Contains(self) {
 		if cfg.FastReads {
 			a.confClient = make([]Timestamp, m.Keys())
@@ -653,12 +603,6 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 		outCap := winCap
 		if cfg.Retransmit {
 			outCap *= 2
-		}
-		if cfg.CoalesceDelay > 0 {
-			// A parked accumulator merges up to CoalesceDelay steps of
-			// traffic before flushing; size for that high-water mark so
-			// parking never grows the buffers mid-measurement.
-			outCap *= cfg.CoalesceDelay + 2
 		}
 		for sh := 0; sh < m.Shards(); sh++ {
 			a.qOut[sh] = make([]queryEntry, 0, outCap)
@@ -690,15 +634,6 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 		}
 	}
 	return a
-}
-
-// unparked returns k held-time slots, none parked.
-func unparked(k int) []int64 {
-	held := make([]int64, k)
-	for i := range held {
-		held[i] = -1
-	}
-	return held
 }
 
 // StoreProgram builds a sim.Program running a StoreNode at every process of
@@ -866,7 +801,6 @@ func (a *StoreNode) locate(key int) (sh, loc int, ok bool) {
 
 // Step implements sim.Automaton.
 func (a *StoreNode) Step(e *sim.Env) {
-	a.clock++ // scheduled-step clock: coalescing deadlines at clients and replicas
 	if payload, from, ok := e.Delivered(); ok {
 		a.onMessage(e, payload, from)
 	}
@@ -889,8 +823,8 @@ func (a *StoreNode) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 	if !ok {
 		return
 	}
-	a.serveQueries(e, f.Q, from)
-	a.serveStores(e, f.S, from)
+	a.serveQueries(f.Q, from)
+	a.serveStores(f.S, from)
 	a.absorbQueryReps(f.QR, from)
 	a.absorbStoreReps(f.SR, from)
 	if !a.cfg.Piggyback {
@@ -906,10 +840,10 @@ func (a *StoreNode) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 
 // serveQueries answers query requests from the node's replica state into
 // the delivery's reply frame.
-func (a *StoreNode) serveQueries(e *sim.Env, entries []queryEntry, from dist.ProcID) {
+func (a *StoreNode) serveQueries(entries []queryEntry, from dist.ProcID) {
 	for _, q := range entries {
 		if sh, loc, ok := a.locate(q.Key); ok { // else misrouted: not this node's shard
-			f := a.replyFrame(e, from)
+			f := a.replyFrame(from)
 			f.QR = append(f.QR, a.answerQuery(q, sh, loc))
 		}
 	}
@@ -934,25 +868,21 @@ func (a *StoreNode) answerQuery(q queryEntry, sh, loc int) queryRepEntry {
 
 // serveStores applies store (phase-2) requests to the replica state and
 // acknowledges them into the delivery's reply frame.
-func (a *StoreNode) serveStores(e *sim.Env, entries []storeEntry, from dist.ProcID) {
+func (a *StoreNode) serveStores(entries []storeEntry, from dist.ProcID) {
 	for _, s := range entries {
 		if sh, loc, ok := a.locate(s.Key); ok {
 			if a.ts[sh][loc].Less(s.TS) {
 				a.ts[sh][loc], a.val[sh][loc] = s.TS, s.V
 			}
-			f := a.replyFrame(e, from)
+			f := a.replyFrame(from)
 			f.SR = append(f.SR, storeRepEntry{Key: s.Key, RID: s.RID})
 		}
 	}
 }
 
 // replyFrame returns the frame the next reply to from joins, leasing it on
-// the delivery's first reply. With batching disabled a frame holds at most
-// one entry, so a non-empty reply frame departs first.
-func (a *StoreNode) replyFrame(e *sim.Env, from dist.ProcID) *storeFrame {
-	if a.rep != nil && a.cfg.DisableBatching {
-		a.sendReply(e)
-	}
+// the delivery's first reply.
+func (a *StoreNode) replyFrame(from dist.ProcID) *storeFrame {
 	if a.rep == nil {
 		a.rep, a.repDst = a.pool.get(), from
 	}
@@ -1092,17 +1022,9 @@ func (a *StoreNode) retransmit() {
 	if !a.cfg.Retransmit || len(a.pend) == 0 {
 		return
 	}
-	// Coalescing parks a request for up to CoalesceDelay steps in this
-	// node's own accumulators — the timer restarts when it actually departs
-	// (restamp), so the local park never burns RTO
-	// budget — and parks its reply for up to CoalesceDelay *replica* steps,
-	// which this client cannot observe. The 2D slack covers the not-yet-
-	// departed window plus the replica-side park, so a parked-but-healthy
-	// exchange never looks lost.
-	slack := 2 * int64(a.cfg.CoalesceDelay)
 	for i := range a.pend {
 		op := &a.pend[i]
-		if a.steps-op.lastSend < int64(op.rto)+slack {
+		if a.steps-op.lastSend < int64(op.rto) {
 			continue
 		}
 		op.lastSend = a.steps
@@ -1124,38 +1046,6 @@ func (a *StoreNode) retransmit() {
 			a.sOut[op.shard] = append(a.sOut[op.shard], storeEntry{Key: op.key, RID: op.rid, TS: op.best, V: op.bestVal})
 		}
 		a.dirty = a.dirty.Add(op.shard)
-	}
-}
-
-// restamp resets the retransmission timer of every outstanding op whose
-// current-phase request departs in f: f.Q carries phase-1 requests, f.S
-// phase-2 ones. Coalescing may park a request in the sender's own
-// accumulators for up to CoalesceDelay steps; the RTO measures the network
-// round trip, which only starts at departure. Matching is by (key, rid), so
-// stale entries of a superseded phase restamp nothing. Without coalescing a
-// request departs in the step that queued it, whose clock its timer already
-// holds, so there is nothing to do.
-func (a *StoreNode) restamp(f *storeFrame) {
-	if a.cfg.CoalesceDelay == 0 || !a.cfg.Retransmit {
-		return
-	}
-	for i := range a.pend {
-		op := &a.pend[i]
-		if op.phase == 1 {
-			for _, q := range f.Q {
-				if q.Key == op.key && q.RID == op.rid {
-					op.lastSend = a.steps
-					break
-				}
-			}
-		} else {
-			for _, s := range f.S {
-				if s.Key == op.key && s.RID == op.rid {
-					op.lastSend = a.steps
-					break
-				}
-			}
-		}
 	}
 }
 
@@ -1356,23 +1246,18 @@ func (a *StoreNode) start(e *sim.Env) {
 // request snapshots (rule 2) or their fold into per-destination frames
 // together with the step's replies (rule 3). Requests only travel to their
 // shard's replica group — the routing that keeps quorum traffic off
-// processes outside the group. With coalescing armed an under-filled
-// accumulator or frame may park across steps (see park); a snapshot frame
-// is leased only at send time, so parking costs no extra pool traffic.
-// Shards flush in increasing order, the dirty ones only; a parked
-// accumulator keeps its shard dirty.
+// processes outside the group. Shards flush in increasing order, the dirty
+// ones only.
 func (a *StoreNode) flush(e *sim.Env) {
 	a.dirty.ForEach(func(sh int) {
 		if len(a.qOut[sh]) > 0 {
-			flushRequests(a, e, sh, &a.qOut[sh], a.qHeldT, querySection)
+			flushRequests(a, e, sh, &a.qOut[sh], querySection)
 		}
 		if len(a.sOut[sh]) > 0 {
-			flushRequests(a, e, sh, &a.sOut[sh], a.sHeldT, storeSection)
-		}
-		if len(a.qOut[sh]) == 0 && len(a.sOut[sh]) == 0 {
-			a.dirty = a.dirty.Remove(sh)
+			flushRequests(a, e, sh, &a.sOut[sh], storeSection)
 		}
 	})
+	a.dirty = ShardSet{}
 	if r := a.rep; r != nil {
 		// Piggybacking: the step's replies join the reply destination's
 		// frame, touched after every request frame.
@@ -1382,38 +1267,24 @@ func (a *StoreNode) flush(e *sim.Env) {
 		f.SR = append(f.SR, r.SR...)
 		a.pool.put(r)
 	}
-	// Lease order — and thus send order — survives parking through the
-	// in-place compaction of outDsts. Replicas park their reply frames on
-	// the same clock: their Step ticks it even though the client block
-	// never runs there.
-	kept := a.outDsts[:0]
 	for _, p := range a.outDsts {
-		if a.park(a.frameT, int(p), false) {
-			kept = append(kept, p)
-			continue
-		}
 		f := a.outFrame[p]
 		a.outFrame[p] = nil
-		a.restamp(f)
 		f.refs = 1
 		e.Send(p, f)
 	}
-	a.outDsts = kept
+	a.outDsts = a.outDsts[:0]
 }
 
 func querySection(f *storeFrame) *[]queryEntry { return &f.Q }
 func storeSection(f *storeFrame) *[]storeEntry { return &f.S }
 
 // flushRequests flushes one non-empty (shard, kind) request accumulator —
-// section picks the frame section of its kind — unless it parks. With
-// piggybacking the entries fold into the frame under construction of every
-// other group member; otherwise one snapshot frame goes to the whole group,
-// or one frame per entry with batching disabled.
-func flushRequests[E queryEntry | storeEntry](a *StoreNode, e *sim.Env, sh int, out *[]E, held []int64, section func(*storeFrame) *[]E) {
+// section picks the frame section of its kind. With piggybacking the
+// entries fold into the frame under construction of every other group
+// member; otherwise one snapshot frame goes to the whole group.
+func flushRequests[E queryEntry | storeEntry](a *StoreNode, e *sim.Env, sh int, out *[]E, section func(*storeFrame) *[]E) {
 	entries := *out
-	if a.park(held, sh, len(entries) >= a.winFor(sh)) {
-		return
-	}
 	*out = entries[:0]
 	group := a.shards.Group(sh).Remove(a.self) // the local replica answered in-process
 	if a.cfg.Piggyback {
@@ -1425,47 +1296,18 @@ func flushRequests[E queryEntry | storeEntry](a *StoreNode, e *sim.Env, sh int, 
 		}
 		return
 	}
-	per := len(entries)
-	if a.cfg.DisableBatching {
-		per = 1
+	if group.IsEmpty() {
+		return
 	}
-	for i := 0; i < len(entries); i += per {
-		f := a.pool.get()
-		sec := section(f)
-		*sec = append(*sec, entries[i:i+per]...)
-		a.restamp(f)
-		f.refs = int32(group.Len())
-		if f.refs == 0 {
-			a.pool.put(f)
-			continue
-		}
-		for set := group; !set.IsEmpty(); {
-			p := set.Min()
-			set = set.Remove(p)
-			e.Send(p, f)
-		}
+	f := a.pool.get()
+	sec := section(f)
+	*sec = append(*sec, entries...)
+	f.refs = int32(group.Len())
+	for set := group; !set.IsEmpty(); {
+		p := set.Min()
+		set = set.Remove(p)
+		e.Send(p, f)
 	}
-}
-
-// park reports whether parked slot i of held — an accumulator or a frame —
-// should keep waiting for more same-destination traffic: its age is below
-// the CoalesceDelay budget and it is not full (a full window cannot grow —
-// every slot already contributed, and the completions that would free slots
-// are gated on this very flush, so waiting longer is pure latency loss).
-// The age counts from the first flush that parked the slot; a slot that
-// departs is reset. Without coalescing held is nil and nothing parks.
-func (a *StoreNode) park(held []int64, i int, full bool) bool {
-	if held == nil {
-		return false
-	}
-	if held[i] < 0 {
-		held[i] = a.clock
-	}
-	if a.clock-held[i] < int64(a.cfg.CoalesceDelay) && !full {
-		return true
-	}
-	held[i] = -1
-	return false
 }
 
 // frameFor returns the frame under construction for destination p, leasing

@@ -37,11 +37,11 @@ func TestStoreFastReadsOffByteIdentical(t *testing.T) {
 		{"piggyback+retransmit", StoreConfig{Keys: 8, Shards: 2, Window: 4, Piggyback: true, Retransmit: true, RTO: 16}, wl(8, 2, 10, 11),
 			[4]uint64{0x21537c6900867ab3, 0x4beac58cb0bb2e6b, 0xa25975f6ae3af178, 0x934a0fdf61f709c1}},
 		{"fullstack", StoreConfig{
-			Keys: 12, Shards: 4, Window: 8, Piggyback: true, CoalesceDelay: 2,
+			Keys: 12, Shards: 4, Window: 8, Piggyback: true,
 			OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
 			Retransmit: true, RTO: 16,
 		}, wl(12, 4, 10, 11),
-			[4]uint64{0xf39090fc97a6add5, 0x015f707857bdcaaf, 0x4296481e72d4ebdc, 0xa7005fd9bded16fe}},
+			[4]uint64{0x9fa63ce1275ee4a1, 0x1dde9c0559bdf7f4, 0x8f572cefbf55dad4, 0xfdca13d6f0012b12}},
 	}
 	for _, tc := range cases {
 		for seed := int64(0); seed < 4; seed++ {

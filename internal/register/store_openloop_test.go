@@ -8,16 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// TestStoreCoalesceConfigGates pins the construction-time rejections of the
-// open-loop and coalescing knobs.
-func TestStoreCoalesceConfigGates(t *testing.T) {
+// TestStoreOpenLoopConfigGates pins the construction-time rejections of the
+// open-loop arrival knobs.
+func TestStoreOpenLoopConfigGates(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  StoreConfig
 		want string
 	}{
-		{"negative coalesce delay", StoreConfig{Keys: 2, Window: 1, CoalesceDelay: -1}, "negative"},
-		{"coalesce with batching disabled", StoreConfig{Keys: 2, Window: 1, DisableBatching: true, CoalesceDelay: 2}, "DisableBatching"},
 		{"negative arrival gap", StoreConfig{Keys: 2, Window: 1, OpenLoop: true, ArrivalGap: -3}, "negative"},
 		{"arrival gap without open loop", StoreConfig{Keys: 2, Window: 1, ArrivalGap: 4}, "OpenLoop"},
 		{"arrival jitter without open loop", StoreConfig{Keys: 2, Window: 1, ArrivalJitter: true}, "OpenLoop"},
@@ -29,10 +27,9 @@ func TestStoreCoalesceConfigGates(t *testing.T) {
 	}
 	// The valid combinations construct fine.
 	for _, cfg := range []StoreConfig{
-		{Keys: 2, Window: 1, CoalesceDelay: 4},
 		{Keys: 2, Window: 1, OpenLoop: true},
 		{Keys: 2, Window: 1, OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true, ArrivalSeed: 9},
-		{Keys: 2, Window: 2, Piggyback: true, CoalesceDelay: 2, OpenLoop: true, ArrivalGap: 2},
+		{Keys: 2, Window: 2, Piggyback: true, OpenLoop: true, ArrivalGap: 2},
 	} {
 		if err := cfg.Validate(4); err != nil {
 			t.Errorf("valid config rejected: %+v: %v", cfg, err)
@@ -119,80 +116,12 @@ func TestStoreOpenLoopLatencyIncludesQueueing(t *testing.T) {
 	}
 }
 
-// TestStoreCoalesceReducesMessages is the payoff: under open-loop load that
-// under-fills batches, a positive delay budget merges cross-step traffic
-// and sends strictly fewer messages than D=0, with every run still
-// verifying.
-func TestStoreCoalesceReducesMessages(t *testing.T) {
-	const n = 5
-	f := dist.NewFailurePattern(n)
-	s := dist.NewProcSet(1, 2)
-	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
-		N: n, S: s, Keys: 8, Shards: 2, OpsPerClient: 12, WriteRatio: -1, Seed: 17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := StoreConfig{
-		Keys: 8, Shards: 2, Window: 8, Piggyback: true,
-		OpenLoop: true, ArrivalGap: 4, ArrivalJitter: true, ArrivalSeed: 1,
-	}
-	merged := base
-	merged.CoalesceDelay = 4
-	var msgs0, msgsD int64
-	for seed := int64(0); seed < 4; seed++ {
-		r0 := runStore(t, f, s, base, scripts, 10, seed)
-		rD := runStore(t, f, s, merged, scripts, 10, seed)
-		for _, res := range []*sim.Result{r0, rD} {
-			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-		}
-		msgs0 += r0.MessagesSent
-		msgsD += rD.MessagesSent
-	}
-	if msgsD >= msgs0 {
-		t.Fatalf("coalescing at D=4 sent %d msgs vs %d at D=0 — no cross-step merging", msgsD, msgs0)
-	}
-}
-
-// TestStoreCoalesceRetransmitFree pins the RTO slack: a parked request or
-// reply frame delays its own traffic by up to D steps at each end, and the
-// retransmission deadline absorbs exactly that budget — so a failure-free
-// coalescing run never retransmits.
-func TestStoreCoalesceRetransmitFree(t *testing.T) {
-	const n = 5
-	f := dist.NewFailurePattern(n)
-	s := dist.NewProcSet(1, 2)
-	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
-		N: n, S: s, Keys: 8, Shards: 2, OpsPerClient: 12, WriteRatio: -1, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := StoreConfig{
-		Keys: 8, Shards: 2, Window: 4, Piggyback: true,
-		Retransmit: true, RTO: 16, CoalesceDelay: 8,
-		OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
-	}
-	for seed := int64(0); seed < 4; seed++ {
-		res := runStore(t, f, s, cfg, scripts, 10, seed)
-		if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, p := range s.Members() {
-			if rt := res.Automata[p-1].(*StoreNode).Retransmits(); rt != 0 {
-				t.Fatalf("seed %d: p%d retransmitted %d times in a failure-free coalescing run", seed, int(p), rt)
-			}
-		}
-	}
-}
-
-// TestStoreCoalesceSweepWorkerIndependent is the full-composition acceptance
-// scenario: coalescing + piggybacking + open-loop arrivals + retransmission
-// + loss/duplication/partition faults on the sweep engine — all aggregates,
-// the per-op latency histogram included, bit-identical at workers 1, 2, 8.
-func TestStoreCoalesceSweepWorkerIndependent(t *testing.T) {
+// TestStoreOpenLoopSweepWorkerIndependent is the full-composition acceptance
+// scenario: open-loop arrivals + piggybacking + adaptive windows +
+// retransmission + loss/duplication/partition faults on the sweep engine —
+// all aggregates, the per-op latency histogram included, bit-identical at
+// workers 1, 2, 8.
+func TestStoreOpenLoopSweepWorkerIndependent(t *testing.T) {
 	const n, shards = 6, 3
 	s := dist.NewProcSet(1, 2, 3)
 	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
@@ -208,8 +137,7 @@ func TestStoreCoalesceSweepWorkerIndependent(t *testing.T) {
 			Keys: 9, Shards: shards, Window: 2, Piggyback: true,
 			AdaptiveWindow: true, MaxWindow: 6, StallSteps: 8,
 			Retransmit: true, RTO: 16,
-			CoalesceDelay: 2,
-			OpenLoop:      true, ArrivalGap: 3, ArrivalJitter: true, ArrivalSeed: 7,
+			OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true, ArrivalSeed: 7,
 		},
 		Scripts: scripts,
 		Stab:    20,

@@ -180,32 +180,6 @@ func TestStorePipeliningReducesTimeToCompletion(t *testing.T) {
 	}
 }
 
-func TestStoreBatchingReducesMessages(t *testing.T) {
-	const n = 5
-	f := dist.NewFailurePattern(n)
-	s := dist.NewProcSet(1, 2)
-	scripts, err := GenerateStoreWorkload(StoreWorkloadConfig{
-		N: n, S: s, Keys: 8, OpsPerClient: 10, WriteRatio: -1, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := make(map[bool]int64)
-	for _, disable := range []bool{false, true} {
-		for seed := int64(0); seed < 6; seed++ {
-			res := runStore(t, f, s, StoreConfig{Keys: 8, Window: 4, DisableBatching: disable}, scripts, 10, seed)
-			if err := VerifyStoreRunReach(res, f.Correct(), nil); err != nil {
-				t.Fatalf("batching=%v seed %d: %v", !disable, seed, err)
-			}
-			msgs[disable] += res.MessagesSent
-		}
-	}
-	if msgs[false] >= msgs[true] {
-		t.Fatalf("batched runs sent %d messages, unbatched %d — batching must reduce message count",
-			msgs[false], msgs[true])
-	}
-}
-
 func TestStoreSurvivesCrashes(t *testing.T) {
 	const n = 6
 	s := dist.NewProcSet(1, 2, 3)
@@ -278,7 +252,6 @@ func TestStoreProgramConstructionErrors(t *testing.T) {
 		{"negative shards", StoreConfig{Keys: 2, Window: 1, Shards: -1}, valid},
 		{"more shards than keys", StoreConfig{Keys: 2, Window: 1, Shards: 3}, valid},
 		{"more shards than processes", StoreConfig{Keys: 8, Window: 1, Shards: 4}, valid},
-		{"piggyback with batching disabled", StoreConfig{Keys: 2, Window: 1, Piggyback: true, DisableBatching: true}, valid},
 		{"script outside S", StoreConfig{Keys: 2, Window: 1}, [][]KeyedOp{nil, nil, {{Key: 0, Kind: ReadOp}}}},
 		{"key out of range", StoreConfig{Keys: 2, Window: 1}, [][]KeyedOp{{{Key: 2, Kind: ReadOp}}}},
 		{"negative key", StoreConfig{Keys: 2, Window: 1}, [][]KeyedOp{{{Key: -1, Kind: ReadOp}}}},
@@ -295,7 +268,6 @@ func TestStoreConfigValidate(t *testing.T) {
 	for name, cfg := range map[string]StoreConfig{
 		"plain":               {Keys: 4, Shards: 2, Window: 3},
 		"piggyback":           {Keys: 4, Window: 2, Piggyback: true},
-		"batching off":        {Keys: 4, Window: 2, DisableBatching: true},
 		"adaptive defaults":   {Keys: 4, Window: 2, AdaptiveWindow: true},
 		"adaptive configured": {Keys: 4, Window: 2, AdaptiveWindow: true, MaxWindow: 8, StallSteps: 10},
 		"adaptive max=window": {Keys: 4, Window: 2, AdaptiveWindow: true, MaxWindow: 2},
@@ -306,10 +278,9 @@ func TestStoreConfigValidate(t *testing.T) {
 		"fastread full stack": {
 			Keys: 4, Shards: 2, Window: 3, Piggyback: true, FastReads: true,
 			AdaptiveWindow: true, MaxWindow: 8, StallSteps: 10,
-			CoalesceDelay: 2, OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
+			OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
 			Retransmit: true, RTO: 16,
 		},
-		"fastread unbatched": {Keys: 4, Window: 2, DisableBatching: true, FastReads: true},
 	} {
 		if err := cfg.Validate(5); err != nil {
 			t.Fatalf("%s: valid config rejected: %v", name, err)
@@ -323,7 +294,6 @@ func TestStoreConfigValidate(t *testing.T) {
 		"negative shards":       {Keys: 2, Window: 1, Shards: -2},
 		"shards > keys":         {Keys: 2, Window: 1, Shards: 3},
 		"shards > n":            {Keys: 16, Window: 1, Shards: 6},
-		"piggyback + nobatch":   {Keys: 2, Window: 1, Piggyback: true, DisableBatching: true},
 		"negative maxwindow":    {Keys: 2, Window: 1, AdaptiveWindow: true, MaxWindow: -4},
 		"maxwindow < window":    {Keys: 2, Window: 4, AdaptiveWindow: true, MaxWindow: 2},
 		"negative stall":        {Keys: 2, Window: 1, AdaptiveWindow: true, StallSteps: -1},

@@ -71,10 +71,10 @@ func wireHash(res *sim.Result) uint64 {
 // hash), and which entries each carries — to canonical-stream hashes over
 // four scheduler seeds per tier. The tiers cover the non-piggybacked paths
 // the FastReads-off goldens (TestStoreFastReadsOffByteIdentical: batched,
-// piggyback+retransmit, the piggyback+coalesce full stack) leave open:
-// one message per entry, bounded-delay parking of per-shard request
-// snapshots, and the faulted adaptive fast-read store the n=128 benchmark
-// runs, here at n=5.
+// piggyback+retransmit, the piggyback+open-loop full stack) leave open:
+// per-shard request snapshots under open-loop arrivals and retransmission,
+// and the faulted adaptive fast-read store the n=128 benchmark runs, here
+// at n=5.
 func TestStoreWireGolden(t *testing.T) {
 	const n = 5
 	s := dist.NewProcSet(1, 2)
@@ -98,14 +98,12 @@ func TestStoreWireGolden(t *testing.T) {
 		scripts [][]KeyedOp
 		golden  [4]uint64
 	}{
-		{"unbatched", StoreConfig{Keys: 8, Shards: 2, Window: 4, DisableBatching: true}, nil, nil, wl(8, 2),
-			[4]uint64{0x57a578d2b4781c0b, 0x34e466bdbc7258ce, 0x8d3f35ecc5c037f8, 0xa327d64c55e9d8f9}},
-		{"batched+coalesce", StoreConfig{
-			Keys: 12, Shards: 4, Window: 8, CoalesceDelay: 2,
+		{"batched+openloop+retransmit", StoreConfig{
+			Keys: 12, Shards: 4, Window: 8,
 			OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
 			Retransmit: true, RTO: 16,
 		}, nil, nil, wl(12, 4),
-			[4]uint64{0x0d59bc52684c3e3d, 0x05c23201a123fd04, 0xf07a3e035373b268, 0x4043d6fd90319704}},
+			[4]uint64{0xd74892ed60a66286, 0x593ef1ff9e15f0b9, 0xcc199d718291de6c, 0x947ced4ec6aa671e}},
 		{"batched+adaptive+retransmit+fastreads+faults", StoreConfig{
 			Keys: 8, Shards: 2, Window: 2,
 			AdaptiveWindow: true, MaxWindow: 6, StallSteps: 8,

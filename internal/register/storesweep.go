@@ -207,15 +207,23 @@ func (r *storeRun) simConfig() sim.Config {
 }
 
 // EffectiveMaxSteps returns the per-run step budget after defaulting: the
-// configured MaxSteps, else a generous budget derived from the script volume
-// and stretched past the last finite partition heal (a healed partition only
-// delays; the budget must leave room for parked operations to drain after
-// it).
+// configured MaxSteps, else a generous budget derived from the script volume,
+// scaled for replica groups above 64 members and stretched past the last
+// finite partition heal (a healed partition only delays; the budget must
+// leave room for parked operations to drain after it).
 func (cfg StoreSweepConfig) EffectiveMaxSteps() int64 {
 	if cfg.MaxSteps > 0 {
 		return cfg.MaxSteps
 	}
 	ms := 20_000 + 2_000*int64(TotalKeyedOps(cfg.Scripts))
+	// Every op's quorum round trip fans out to g members and waits for
+	// each of them to be scheduled among n processes, so a run's ticks
+	// grow with g². Groups of up to 64 members keep the flat budget; a
+	// larger group scales it by g²/2048 = 2·(g/64)², which leaves more
+	// than 2× headroom over the ticks measured at g = 100, 128 and 256.
+	if g := cfg.largestGroup(); g > 64 {
+		ms = ms * int64(g*g) / 2048
+	}
 	if cfg.Faults != nil {
 		for _, pt := range cfg.Faults.Partitions {
 			if pt.Until != dist.NoCrash && 2*int64(pt.Until) > ms {
@@ -224,6 +232,24 @@ func (cfg StoreSweepConfig) EffectiveMaxSteps() int64 {
 		}
 	}
 	return ms
+}
+
+// largestGroup returns the member count of the largest replica group the
+// store builds, or 0 when the configuration is invalid (validation reports
+// that).
+func (cfg StoreSweepConfig) largestGroup() int {
+	if cfg.Pattern == nil {
+		return 0
+	}
+	m, err := cfg.Store.ShardMap(cfg.Pattern.N())
+	if err != nil {
+		return 0
+	}
+	g := 0
+	for sh := 0; sh < m.Shards(); sh++ {
+		g = max(g, m.Group(sh).Len())
+	}
+	return g
 }
 
 // StoreReach computes, per client, the set of shards whose correct

@@ -2,6 +2,7 @@ package register
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/dist"
@@ -66,6 +67,15 @@ func GenerateStoreWorkload(cfg StoreWorkloadConfig) ([][]KeyedOp, error) {
 		// below a million writes per client; beyond that, values would
 		// collide and CheckKeyedLinearizable would refuse the history.
 		return nil, fmt.Errorf("register: OpsPerClient %d exceeds the 1e6 unique-write-value budget", cfg.OpsPerClient)
+	}
+	// NaN slips past every range test below (a NaN ratio would build a
+	// read-only workload, a NaN skew a uniform one) and +Inf hangs
+	// rand.Zipf, so both knobs must be finite first.
+	if math.IsNaN(cfg.WriteRatio) || math.IsInf(cfg.WriteRatio, 0) {
+		return nil, fmt.Errorf("register: store workload WriteRatio must be finite, got %g", cfg.WriteRatio)
+	}
+	if math.IsNaN(cfg.Skew) || math.IsInf(cfg.Skew, 0) {
+		return nil, fmt.Errorf("register: store workload Skew must be finite, got %g", cfg.Skew)
 	}
 	if cfg.WriteRatio > 1 {
 		return nil, fmt.Errorf("register: WriteRatio %g outside [0,1]", cfg.WriteRatio)

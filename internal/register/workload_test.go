@@ -1,7 +1,9 @@
 package register
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -160,6 +162,24 @@ func TestGenerateStoreWorkloadRejectsOverBudget(t *testing.T) {
 		N: 3, S: dist.NewProcSet(1, 2), Keys: 2, OpsPerClient: 4, WriteRatio: 1.5, Seed: 1,
 	}); err == nil {
 		t.Fatal("WriteRatio above 1 must be rejected")
+	}
+}
+
+// TestGenerateStoreWorkloadRejectsNonFiniteKnobs pins the finiteness gate:
+// NaN passes every range comparison (a NaN write ratio used to build a
+// read-only workload that verified vacuously, a NaN skew a uniform one) and
+// an infinite skew hung inside rand.Zipf.
+func TestGenerateStoreWorkloadRejectsNonFiniteKnobs(t *testing.T) {
+	base := StoreWorkloadConfig{N: 4, S: dist.NewProcSet(1, 2), Keys: 4, OpsPerClient: 6, WriteRatio: -1, Seed: 1}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ratio, skew := base, base
+		ratio.WriteRatio = v
+		skew.Skew = v
+		for field, cfg := range map[string]StoreWorkloadConfig{"WriteRatio": ratio, "Skew": skew} {
+			if _, err := GenerateStoreWorkload(cfg); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%s %g: got %v, want an error naming %s", field, v, err, field)
+			}
+		}
 	}
 }
 
