@@ -449,7 +449,7 @@ type shardWin struct {
 type StoreNode struct {
 	self   dist.ProcID
 	n      int
-	s      dist.ProcSet
+	client bool // self ∈ S: only members of S run the client half
 	cfg    StoreConfig
 	shards *ShardMap
 
@@ -467,8 +467,9 @@ type StoreNode struct {
 	confClient []Timestamp
 
 	// Client state: the script split into per-shard FIFO queues (script
-	// order within each shard, which keys make per-key program order), one
-	// window controller per shard.
+	// order within each shard, which keys make per-key program order; nil
+	// for shards the script never touches), one window controller per
+	// shard.
 	queues    [][]queuedOp
 	scriptLen int
 	opSeq     int64
@@ -484,7 +485,9 @@ type StoreNode struct {
 	doneMask ShardSet // shards that completed an op this client step
 	load     []int    // outstanding ops per shard, maintained on start/complete
 	// busy holds the shards with queued or outstanding ops, maintained where
-	// queues fill and drain and ops finish, so DoneOn is one set test.
+	// queues fill and drain and ops finish, so DoneOn is one set test and
+	// start and adaptWindows visit only these shards. Invariants: load[sh]
+	// > 0 implies sh ∈ busy, and sh ∉ busy implies win[sh].idle == 0.
 	busy ShardSet
 
 	// Retransmission state (Retransmit only): the client's own step clock
@@ -496,9 +499,9 @@ type StoreNode struct {
 	retransmits int64
 
 	// Per-step per-shard request accumulators, consumed and cleared by
-	// flush (see the send-order rules above the wire types). dirty holds
-	// the shards whose qOut or sOut is non-empty, so flush visits only
-	// those.
+	// flush (see the send-order rules above the wire types); nil for shards
+	// the script never touches. dirty holds the shards whose qOut or sOut is
+	// non-empty, so flush visits only those.
 	qOut  [][]queryEntry
 	sOut  [][]storeEntry
 	dirty ShardSet
@@ -541,7 +544,7 @@ type StoreNode struct {
 	noWriteBack bool
 }
 
-var _ sim.Automaton = (*StoreNode)(nil)
+var _ sim.Quiescent = (*StoreNode)(nil)
 
 var _ sim.RefCounted = (*storeFrame)(nil)
 
@@ -553,7 +556,7 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 	a := &StoreNode{
 		self:   self,
 		n:      n,
-		s:      s,
+		client: s.Contains(self),
 		cfg:    cfg,
 		shards: m,
 		maxWin: cfg.maxWindow(),
@@ -585,29 +588,19 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 	if cfg.Piggyback {
 		a.outFrame = make([]*storeFrame, n+1)
 	}
-	if s.Contains(self) {
+	if a.client {
 		if cfg.FastReads {
 			a.confClient = make([]Timestamp, m.Keys())
 		}
-		// Client buffers at their window-bound high-water marks: growing
-		// them per run would make per-run allocations scale with how full
-		// the windows get, i.e. with script length.
+		// Client buffers at their high-water marks, sized by the node's own
+		// script: growing them per run would make per-run allocations scale
+		// with how full the windows get. A shard holds at most a window of
+		// outstanding ops, and never more than the script routes to it.
 		winCap := cfg.window()
 		if cfg.AdaptiveWindow {
 			winCap = a.maxWin
 		}
-		a.pend = make([]storeOp, 0, winCap*m.Shards())
-		// With retransmission a step may re-send a full window on top of the
-		// window it starts, so the accumulators get double headroom to keep
-		// retransmit bursts off the allocator.
-		outCap := winCap
-		if cfg.Retransmit {
-			outCap *= 2
-		}
-		for sh := 0; sh < m.Shards(); sh++ {
-			a.qOut[sh] = make([]queryEntry, 0, outCap)
-			a.sOut[sh] = make([]storeEntry, 0, outCap)
-		}
+		a.pend = make([]storeOp, 0, min(winCap*m.Shards(), len(script)))
 		a.scriptLen = len(script)
 		// Exact per-shard queue capacities: append-growth here would scale
 		// construction allocations with script length, muddying the
@@ -616,8 +609,20 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 		for _, op := range script {
 			a.load[m.Shard(op.Key)]++
 		}
-		for sh := range a.queues {
-			a.queues[sh] = make([]queuedOp, 0, a.load[sh])
+		for sh, ops := range a.load {
+			if ops == 0 {
+				continue // untouched: no queue, no accumulators
+			}
+			a.queues[sh] = make([]queuedOp, 0, ops)
+			// With retransmission a step may re-send a full window on top
+			// of the window it starts, so the accumulators get double
+			// headroom to keep retransmit bursts off the allocator.
+			outCap := min(winCap, ops)
+			if cfg.Retransmit {
+				outCap *= 2
+			}
+			a.qOut[sh] = make([]queryEntry, 0, outCap)
+			a.sOut[sh] = make([]storeEntry, 0, outCap)
 			a.load[sh] = 0
 		}
 		// Open-loop arrival schedule: the cumulative jittered (or fixed)
@@ -747,6 +752,13 @@ func (a *StoreNode) ReplicaStateBytes() int {
 	return total
 }
 
+// Quiescent implements sim.Quiescent: a node that is not an active client —
+// it is outside S, or nothing is queued or outstanding on any shard — acts
+// only on deliveries. Its null step skips the client half, and flush, which
+// leaves every per-step accumulator empty at the end of each step, has
+// nothing to send.
+func (a *StoreNode) Quiescent() bool { return !a.client || a.busy.IsEmpty() }
+
 // Recover implements sim.Recoverable: the runner calls it on the fresh
 // post-recovery instance, which must shed everything that was volatile in
 // the crashed process. Replica data is nilled (not zeroed in place) so it is
@@ -804,7 +816,7 @@ func (a *StoreNode) Step(e *sim.Env) {
 	if payload, from, ok := e.Delivered(); ok {
 		a.onMessage(e, payload, from)
 	}
-	if a.s.Contains(a.self) && !a.Done() {
+	if a.client && !a.Done() {
 		a.steps++
 		a.doneMask = ShardSet{}
 		a.advance(e)
@@ -986,17 +998,19 @@ func (a *StoreNode) noteCompletion(sh int) {
 // shard that held outstanding ops for stall consecutive client steps
 // without completing any (a stalled or dead quorum — backpressure) has its
 // window halved, decaying to the floor of 1 under a fully crashed group.
+// Only busy shards can hold outstanding ops; every other shard's stall
+// clock is already zero (finish zeroes it as the shard leaves busy).
 // Controller state is a pure function of the node's observation sequence,
 // so sweep verdicts stay bit-identical across worker counts.
 func (a *StoreNode) adaptWindows() {
 	if !a.cfg.AdaptiveWindow {
 		return
 	}
-	for sh := range a.win {
+	a.busy.ForEach(func(sh int) {
 		w := &a.win[sh]
 		if a.doneMask.Has(sh) || a.load[sh] == 0 {
 			w.idle = 0
-			continue
+			return
 		}
 		w.idle++
 		if w.idle >= a.stall {
@@ -1007,7 +1021,7 @@ func (a *StoreNode) adaptWindows() {
 				w.cur = 1
 			}
 		}
-	}
+	})
 }
 
 // retransmit re-sends the current-phase request of every outstanding op
@@ -1156,7 +1170,10 @@ func (a *StoreNode) finish(e *sim.Env, op *storeOp) {
 	a.completed++
 	a.load[op.shard]--
 	if a.load[op.shard] == 0 && len(a.queues[op.shard]) == 0 {
+		// adaptWindows visits only busy shards, so the completion zeroes
+		// the stall clock of a shard leaving the set here.
 		a.busy = a.busy.Remove(op.shard)
+		a.win[op.shard].idle = 0
 	}
 	a.noteCompletion(op.shard)
 	if a.cfg.FastReads {
@@ -1186,9 +1203,11 @@ func (a *StoreNode) noteConfirmed(key int, ts Timestamp) {
 // flowing, so a slow or dead shard never stalls the rest). Under OpenLoop
 // an op additionally waits for its arrival step: the window only gates how
 // many eligible ops run at once, and time queued past arrival is charged to
-// the op's measured latency.
+// the op's measured latency. Only busy shards have queued ops; they are
+// visited in increasing order, so rids and op sequence numbers follow shard
+// order.
 func (a *StoreNode) start(e *sim.Env) {
-	for sh := range a.queues {
+	a.busy.ForEach(func(sh int) {
 		w := a.winFor(sh)
 		for len(a.queues[sh]) > 0 && a.shardLoad(sh) < w {
 			head := a.queues[sh][0]
@@ -1238,7 +1257,7 @@ func (a *StoreNode) start(e *sim.Env) {
 			a.qOut[sh] = append(a.qOut[sh], q)
 			a.dirty = a.dirty.Add(sh)
 		}
-	}
+	})
 }
 
 // flush sends what the step produced and clears every per-step

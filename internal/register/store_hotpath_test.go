@@ -193,6 +193,56 @@ func TestStoreAllocsPerStep(t *testing.T) {
 	}
 }
 
+// TestStoreClientBuffersSizedByScript pins the client buffers to the
+// node's own script: a 4-op client on 16 shards gets room for 4 pending ops,
+// not a window on every shard, and queues and request accumulators only on
+// the shards its script touches, each at most a window (doubled for
+// retransmission) and at most the ops routed there. A pure replica gets
+// none of them.
+func TestStoreClientBuffersSizedByScript(t *testing.T) {
+	cfg := StoreConfig{
+		Keys: 64, Shards: 16, Window: 2,
+		AdaptiveWindow: true, MaxWindow: 6, StallSteps: 8,
+		Retransmit: true, RTO: 24, MaxRTO: 96,
+	}
+	m, err := cfg.ShardMap(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keys 0 and 16 live on shard 0, key 5 on shard 5.
+	script := []KeyedOp{
+		{Key: 0, Kind: WriteOp, Arg: 1}, {Key: 16, Kind: ReadOp},
+		{Key: 0, Kind: ReadOp}, {Key: 5, Kind: WriteOp, Arg: 2},
+	}
+	ops := map[int]int{0: 3, 5: 1}
+	client := newStoreNode(1, 128, dist.NewProcSet(1), cfg, m, script, &framePool{})
+	if got := cap(client.pend); got != len(script) {
+		t.Fatalf("cap(pend) = %d, want the script's %d ops", got, len(script))
+	}
+	for sh := 0; sh < m.Shards(); sh++ {
+		q, qo, so := cap(client.queues[sh]), cap(client.qOut[sh]), cap(client.sOut[sh])
+		want := [3]int{}
+		if k := ops[sh]; k > 0 {
+			want = [3]int{k, 2 * min(cfg.MaxWindow, k), 2 * min(cfg.MaxWindow, k)}
+		}
+		if got := [3]int{q, qo, so}; got != want {
+			t.Fatalf("shard %d: queue/qOut/sOut capacities %v, want %v", sh, got, want)
+		}
+		if want[0] == 0 && (client.queues[sh] != nil || client.qOut[sh] != nil || client.sOut[sh] != nil) {
+			t.Fatalf("untouched shard %d holds client buffers", sh)
+		}
+	}
+	replica := newStoreNode(2, 128, dist.NewProcSet(1), cfg, m, nil, &framePool{})
+	if replica.pend != nil {
+		t.Fatalf("a replica holds a pending-op buffer of capacity %d", cap(replica.pend))
+	}
+	for sh := 0; sh < m.Shards(); sh++ {
+		if replica.queues[sh] != nil || replica.qOut[sh] != nil || replica.sOut[sh] != nil {
+			t.Fatalf("replica holds client buffers on shard %d", sh)
+		}
+	}
+}
+
 // TestStorePiggybackReducesMessages pins the E22 mechanism: folding a
 // step's same-destination traffic (query+store request batches plus
 // pending replies) into one frame per (src, dst) pair sends strictly fewer
@@ -284,7 +334,10 @@ func TestAdaptiveControllerEdges(t *testing.T) {
 	// Multiplicative decrease: with ops outstanding and no completions, every
 	// StallSteps client steps halve the window — 6 → 3 → 1 — and further
 	// stalls keep it pinned at the floor of 1.
-	a.load[0] = 1 // one op outstanding on shard 0
+	// One op outstanding on shard 0, which therefore is busy: the state a
+	// node reaches by starting an op there.
+	a.load[0] = 1
+	a.busy = a.busy.Add(0)
 	stall := func(steps int) {
 		for i := 0; i < steps; i++ {
 			a.doneMask = ShardSet{}

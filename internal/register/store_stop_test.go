@@ -187,9 +187,11 @@ func doneOnScan(a *StoreNode, avail ShardSet) bool {
 // against a scan: DoneOn (and Done) against doneOnScan for the full, the
 // available and one rotating single-shard set, and the dirty-shard set
 // against the non-empty request accumulators (both empty between steps,
-// because every flush sends what it holds). The runs cover loss,
-// duplication, delay, a healing partition, and a client and a replica that
-// crash and recover.
+// because every flush sends what it holds). It also checks the invariants
+// that let start and adaptWindows visit only busy shards: a shard with
+// outstanding ops is busy, and a shard that is not busy has a zero stall
+// clock. The runs cover loss, duplication, delay, a healing partition, and
+// a client and a replica that crash and recover.
 func TestStoreShardSetsMatchScan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=128 runs are a long test")
@@ -243,6 +245,13 @@ func TestStoreShardSetsMatchScan(t *testing.T) {
 					for sh := 0; sh < m.Shards(); sh++ {
 						if got, want := node.dirty.Has(sh), len(node.qOut[sh])+len(node.sOut[sh]) > 0; got != want {
 							t.Fatalf("t=%d p%d: shard %d dirty = %v, its accumulators are non-empty = %v", now, int(p), sh, got, want)
+						}
+						// start and adaptWindows visit only busy shards.
+						if node.load[sh] > 0 && !node.busy.Has(sh) {
+							t.Fatalf("t=%d p%d: shard %d holds %d ops but is not busy", now, int(p), sh, node.load[sh])
+						}
+						if !node.busy.Has(sh) && node.win[sh].idle != 0 {
+							t.Fatalf("t=%d p%d: idle shard %d keeps a stall clock of %d", now, int(p), sh, node.win[sh].idle)
 						}
 					}
 				}

@@ -28,30 +28,36 @@ func wireStream(res *sim.Result) []string {
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "t=%d p%d->p%d seq=%d", int64(ev.T), int(ev.P), int(ev.To), ev.Seq)
-		v := reflect.ValueOf(ev.Payload).Elem()
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Field(i)
-			if f.Kind() != reflect.Slice {
-				continue
-			}
-			for j := 0; j < f.Len(); j++ {
-				switch x := f.Index(j).Interface().(type) {
-				case queryEntry:
-					fmt.Fprintf(&b, " Q(%d,%d,%s)", x.Key, x.RID, wireTS(x.CTS))
-				case storeEntry:
-					fmt.Fprintf(&b, " S(%d,%d,%s,%d)", x.Key, x.RID, wireTS(x.TS), int64(x.V))
-				case queryRepEntry:
-					fmt.Fprintf(&b, " QR(%d,%d,%s,%d,%s)", x.Key, x.RID, wireTS(x.TS), int64(x.V), wireTS(x.CTS))
-				case storeRepEntry:
-					fmt.Fprintf(&b, " SR(%d,%d)", x.Key, x.RID)
-				default:
-					panic(fmt.Sprintf("wireStream: unknown wire entry type %T", x))
-				}
-			}
-		}
+		writeWireEntries(&b, ev.Payload)
 		out = append(out, b.String())
 	}
 	return out
+}
+
+// writeWireEntries renders every entry a payload carries, as wireStream
+// describes.
+func writeWireEntries(b *strings.Builder, payload any) {
+	v := reflect.ValueOf(payload).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Slice {
+			continue
+		}
+		for j := 0; j < f.Len(); j++ {
+			switch x := f.Index(j).Interface().(type) {
+			case queryEntry:
+				fmt.Fprintf(b, " Q(%d,%d,%s)", x.Key, x.RID, wireTS(x.CTS))
+			case storeEntry:
+				fmt.Fprintf(b, " S(%d,%d,%s,%d)", x.Key, x.RID, wireTS(x.TS), int64(x.V))
+			case queryRepEntry:
+				fmt.Fprintf(b, " QR(%d,%d,%s,%d,%s)", x.Key, x.RID, wireTS(x.TS), int64(x.V), wireTS(x.CTS))
+			case storeRepEntry:
+				fmt.Fprintf(b, " SR(%d,%d)", x.Key, x.RID)
+			default:
+				panic(fmt.Sprintf("wireStream: unknown wire entry type %T", x))
+			}
+		}
+	}
 }
 
 func wireTS(ts Timestamp) string { return fmt.Sprintf("%d.%d", ts.Seq, int(ts.PID)) }

@@ -342,7 +342,7 @@ func (c *storeStopCursor) done(sn *sim.Snapshot) bool {
 func VerifyStoreRunReach(res *sim.Result, correct dist.ProcSet, masks []ShardSet) error {
 	for _, a := range res.Automata {
 		node, ok := a.(*StoreNode)
-		if !ok || !node.s.Contains(node.self) || !correct.Contains(node.self) {
+		if !ok || !node.client || !correct.Contains(node.self) {
 			continue
 		}
 		avail := node.shards.Available(correct)

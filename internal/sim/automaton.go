@@ -40,6 +40,19 @@ type Emulator interface {
 	Output() any
 }
 
+// Quiescent is implemented by automata that can prove a null step would do
+// nothing. While Quiescent reports true, a step that delivers no message
+// must change no state, send nothing, record no operation, query no failure
+// detector, decide nothing and leave any Emulator output unchanged. The
+// Runner then skips such a step's computation: the step still counts in
+// Result.Steps and the schedule, and a traced run still records its
+// StepKind event, so the run is the one the full step would have produced.
+// Quiescent must be a pure read.
+type Quiescent interface {
+	Automaton
+	Quiescent() bool
+}
+
 // Recoverable is implemented by automata that support crash-recovery with
 // volatile-state loss. When a process recovers, the Runner instantiates a
 // fresh automaton from the Program and then calls Recover on it, letting the

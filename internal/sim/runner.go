@@ -99,9 +99,10 @@ type Config struct {
 
 // Result is the outcome of a run.
 type Result struct {
-	// Steps counts executed automaton steps; Ticks counts elapsed model
-	// time, including idle ticks where no process stepped. Trace times and
-	// MaxSteps are in ticks.
+	// Steps counts automaton steps, including the null steps of Quiescent
+	// automata that the runner counts without computing them; Ticks counts
+	// elapsed model time, including idle ticks where no process stepped.
+	// Trace times and MaxSteps are in ticks.
 	Steps      int64
 	Ticks      int64
 	Reason     StopReason
@@ -213,7 +214,7 @@ func (s *Snapshot) AllCorrectDecided() bool { return s.r.allCorrectDecided() }
 // EmuOutput returns the current emulated failure-detector output of p when
 // p's automaton is an Emulator, else nil.
 func (s *Snapshot) EmuOutput(p dist.ProcID) any {
-	if emu, ok := s.r.automata[p-1].(Emulator); ok {
+	if emu := s.r.emus[p-1]; emu != nil {
 		return emu.Output()
 	}
 	return nil
@@ -252,7 +253,12 @@ type Runner struct {
 	lastProgress dist.Time // last tick that delivered, sent, decided or recorded an op
 
 	automata []Automaton
-	inboxes  []inbox // indexed by ProcID (slot 0 unused)
+	// emus and quiet hold each automaton's Emulator and Quiescent views (nil
+	// where it implements neither), resolved by install when the automaton
+	// is built or swapped in by a recovery, never per step.
+	emus    []Emulator
+	quiet   []Quiescent
+	inboxes []inbox // indexed by ProcID (slot 0 unused)
 
 	decisions  []any       // indexed by ProcID-1
 	decideTime []dist.Time // indexed by ProcID-1
@@ -263,8 +269,7 @@ type Runner struct {
 	// holds a message payload, which is what grants the payload lease
 	// (Env.DeliveredOwned).
 	tr        *trace.Trace
-	lastEmu   []any
-	hasEmu    []bool
+	lastEmu   []any   // each Emulator's last recorded output
 	delivered Message // scratch copy of the message handed to the stepping automaton
 
 	crashEvents   []crashEvent
@@ -362,7 +367,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 		decideTime: make([]dist.Time, n),
 		correct:    cfg.Pattern.Correct(),
 		lastEmu:    make([]any, n),
-		hasEmu:     make([]bool, n),
+		emus:       make([]Emulator, n),
+		quiet:      make([]Quiescent, n),
 	}
 	r.snap = Snapshot{r: r}
 	r.view = View{
@@ -441,7 +447,6 @@ func (r *Runner) reset() {
 		r.decisions[i] = nil
 		r.decideTime[i] = 0
 		r.lastEmu[i] = nil
-		r.hasEmu[i] = false
 	}
 
 	// Fresh automata: the Program owns per-run process state. The slice is
@@ -449,7 +454,7 @@ func (r *Runner) reset() {
 	if !r.built {
 		r.automata = make([]Automaton, r.n)
 		for p := dist.ProcID(1); int(p) <= r.n; p++ {
-			r.automata[p-1] = r.cfg.Program(p, r.n)
+			r.install(p, r.cfg.Program(p, r.n))
 		}
 		r.built = true
 	}
@@ -463,12 +468,20 @@ func (r *Runner) reset() {
 	// Record initial emulator outputs at time -1 so OutputAt is defined from
 	// the very first step.
 	for p := dist.ProcID(1); int(p) <= r.n; p++ {
-		if emu, ok := r.automata[p-1].(Emulator); ok {
+		if emu := r.emus[p-1]; emu != nil {
 			out := emu.Output()
-			r.lastEmu[p-1], r.hasEmu[p-1] = out, true
+			r.lastEmu[p-1] = out
 			r.record(trace.Event{T: -1, P: p, Kind: trace.EmuKind, Payload: out})
 		}
 	}
+}
+
+// install sets p's automaton to a and resolves its optional Emulator and
+// Quiescent views, so the step path makes no type assertion.
+func (r *Runner) install(p dist.ProcID, a Automaton) {
+	r.automata[p-1] = a
+	r.emus[p-1], _ = a.(Emulator)
+	r.quiet[p-1], _ = a.(Quiescent)
 }
 
 // Run executes the prepared run to completion. It may be called once per
@@ -536,9 +549,19 @@ func (r *Runner) loop() StopReason {
 				return ReasonSchedulerDone
 			}
 			msg := r.pickMessage(p, t, choice)
-			r.step(p, t, msg)
-			if r.err != nil {
-				return ReasonSchedulerDone
+			if q := r.quiet[p-1]; msg == nil && q != nil && q.Quiescent() {
+				// A null step of a quiescent automaton does nothing (the
+				// Quiescent contract): it is counted and, traced, recorded
+				// as the full step would record it, but not computed.
+				r.steps++
+				if r.tr != nil {
+					r.tr.Append(trace.Event{T: t, P: p, Kind: trace.StepKind})
+				}
+			} else {
+				r.step(p, t, msg)
+				if r.err != nil {
+					return ReasonSchedulerDone
+				}
 			}
 		}
 		if r.cfg.StopWhen != nil && r.cfg.StopWhen(&r.snap) {
@@ -667,10 +690,11 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		}
 	}
 
-	if emu, ok := r.automata[p-1].(Emulator); ok {
-		out := emu.Output()
-		if !r.hasEmu[p-1] || !valuesEqual(out, r.lastEmu[p-1]) {
-			r.lastEmu[p-1], r.hasEmu[p-1] = out, true
+	if emu := r.emus[p-1]; emu != nil {
+		// reset and install recorded every Emulator's output, so lastEmu
+		// always holds the one to compare against.
+		if out := emu.Output(); !valuesEqual(out, r.lastEmu[p-1]) {
+			r.lastEmu[p-1] = out
 			r.record(trace.Event{T: t, P: p, Kind: trace.EmuKind, Payload: out})
 		}
 	}
@@ -720,7 +744,7 @@ func (r *Runner) applyRecoveries(t dist.Time) {
 		if rec, ok := a.(Recoverable); ok {
 			rec.Recover()
 		}
-		r.automata[p-1] = a
+		r.install(p, a)
 		r.inboxes[p].wipe(r.tr == nil)
 		if r.decidedSet.Contains(p) {
 			r.decidedSet = r.decidedSet.Remove(p)
@@ -728,9 +752,9 @@ func (r *Runner) applyRecoveries(t dist.Time) {
 			r.decideTime[p-1] = 0
 		}
 		r.record(trace.Event{T: re.t, P: p, Kind: trace.RecoverKind})
-		if emu, ok := a.(Emulator); ok {
+		if emu := r.emus[p-1]; emu != nil {
 			out := emu.Output()
-			r.lastEmu[p-1], r.hasEmu[p-1] = out, true
+			r.lastEmu[p-1] = out
 			r.record(trace.Event{T: re.t, P: p, Kind: trace.EmuKind, Payload: out})
 		}
 	}

@@ -5,16 +5,20 @@
 #   scripts/bench_pair.sh REV [--runs K] [--seconds S] [--workload W] [--seed N]
 #
 # REV is checked out in a detached git worktree under .bench_build/, then
-# bench/run.sh runs alternately on REV and on the working tree, K times
-# (default 5) per workload, S seconds each (default 5). Alternating keeps a
-# slow spell of the host from landing on one side only: on a shared host one
+# bench/run.sh runs K pairs (default 5) of one run on REV and one on the
+# working tree, S seconds each (default 5). Odd pairs run REV first and even
+# pairs the working tree first, so neither a slow spell of the host nor the
+# position within a pair lands on one side only: on a shared host one
 # commit's throughput can spread by half between single runs, so one run of
 # each side cannot size a change.
 #
-# For every end-to-end metric the script prints the median over the K runs
-# of each side and the ratio new/old. Whether a ratio above 1 is a gain
-# depends on the metric's direction in BENCHMARK.json (ops_per_s: higher is
-# better; the rest: lower). The script exits non-zero if any run fails.
+# For every metric the script prints each side's quartiles over its K runs
+# (q1, median, q3), the ratio of the medians new/old, and in how many pairs
+# the new run beat the old one in the metric's direction from BENCHMARK.json
+# ("better": higher or lower; ties count for neither side, and "-" marks a
+# metric without a direction). A gain is claimed only when new wins at least
+# nine tenths of the pairs and the medians differ by more than old's
+# q3 - q1. The script exits non-zero if any run fails.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ "${1#-}" != "$1" ]; then
@@ -54,29 +58,57 @@ one() {
 	tail -n 1 "$out/$1.log" >"$out/$1.$k"
 }
 for k in $(seq 1 "$runs"); do
-	one old "$base"
-	one new "$root"
+	if [ $((k % 2)) -eq 1 ]; then
+		one old "$base"
+		one new "$root"
+	else
+		one new "$root"
+		one old "$base"
+	fi
 	echo "pair $k/$runs done" >&2
 done
 
-# metrics SIDE: one "name value" line per metric of every run of SIDE.
+# metrics SIDE: one "name pair value" line per metric of every run of SIDE.
 metrics() {
 	for k in $(seq 1 "$runs"); do
-		grep -o '"[^"]*":{"value":[^,}]*' "$out/$1.$k" | sed 's/^"\([^"]*\)":{"value":/\1 /'
+		grep -o '"[^"]*":{"value":[^,}]*' "$out/$1.$k" | sed "s/^\"\\([^\"]*\\)\":{\"value\":/\\1 $k /"
 	done
 }
-# medians: "name median" per metric, from "name value" lines on stdin.
-medians() {
-	sort -k1,1 -k2,2g | awk '
-		function flush() { if (n) print name, (n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2) }
-		$1 != name { flush(); name = $1; n = 0 }
-		{ v[++n] = $2 }
-		END { flush() }'
-}
-metrics old | medians >"$out/old.med"
-metrics new | medians >"$out/new.med"
-printf '%-42s %14s %14s %8s\n' metric "old($rev)" new ratio
-join "$out/old.med" "$out/new.med" | awk '{
-	r = ($2 == 0) ? ($3 == 0 ? 1 : "inf") : sprintf("%.3f", $3 / $2)
-	printf "%-42s %14.6g %14.6g %8s\n", $1, $2, $3, r
-}'
+metrics old >"$out/old.all"
+metrics new >"$out/new.all"
+# "name better" per metric BENCHMARK.json declares. A run of every workload
+# prefixes each metric with its workload's name, which the lookup strips.
+tr -d ' \n' <"$root/BENCHMARK.json" | grep -o '"name":"[^"]*","unit":"[^"]*","better":"[^"]*"' |
+	sed 's/^"name":"\([^"]*\)".*"better":"\([^"]*\)"$/\1 \2/' >"$out/better"
+printf '%-42s %32s %32s %7s %5s\n' metric "old($rev) q1/med/q3" "new q1/med/q3" ratio wins
+awk -v runs="$runs" '
+	FILENAME ~ /better$/ { better[$1] = $2; next }
+	FILENAME ~ /old.all$/ { old[$1, $2] = $3; names[$1] = 1; next }
+	{ new[$1, $2] = $3 }
+	# quart sorts the n values of a[1..n] and sets q[1..3] to their
+	# quartiles, interpolated between order statistics.
+	function quart(a, n, q,    i, j, t, h, lo) {
+		for (i = 2; i <= n; i++)
+			for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+		for (i = 1; i <= 3; i++) {
+			h = (n - 1) * i / 4 + 1; lo = int(h)
+			q[i] = (lo >= n) ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+		}
+	}
+	END {
+		for (name in names) {
+			m = name; if (!(m in better)) sub(/^[^.]*\./, "", m)
+			dir = better[m]; n = 0; wins = 0
+			delete o; delete w
+			for (k = 1; k <= runs; k++) {
+				if (!((name, k) in old) || !((name, k) in new)) continue
+				o[++n] = old[name, k]; w[n] = new[name, k]
+				if (dir == "higher" && w[n] > o[n] || dir == "lower" && w[n] < o[n]) wins++
+			}
+			if (n == 0) continue
+			quart(o, n, qo); quart(w, n, qn)
+			r = (qo[2] == 0) ? (qn[2] == 0 ? "1" : "inf") : sprintf("%.3f", qn[2] / qo[2])
+			printf "%-42s %10.4g %10.4g %10.4g %10.4g %10.4g %10.4g %7s %5s\n", name,
+				qo[1], qo[2], qo[3], qn[1], qn[2], qn[3], r, (dir == "" ? "-" : wins "/" n)
+		}
+	}' "$out/better" "$out/old.all" "$out/new.all" | sort
