@@ -1,12 +1,12 @@
-// Shared flag-parsing and validation helpers for the sharing subcommands.
-// Every subcommand turns user-supplied flags into simulator configuration
-// through these functions, so malformed input becomes a clear error instead
-// of a panic deep inside dist (which treats bad arguments as programmer
-// error) — and the boilerplate lives in one tested place instead of being
-// repeated per subcommand.
+// Shared flag-parsing helpers for the sharing subcommands: the list
+// grammars (-crash, -crashshard, -recover, -partition), the fault flags that
+// store and consensus share, and the few rules that guard the CLI's own
+// composition. Range rules on a config's fields live in the package whose
+// entry point consumes it; these helpers only turn user text into values.
 package main
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"strconv"
@@ -14,21 +14,14 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/register"
+	"repro/internal/sim"
 )
 
-// checkN validates a user-supplied system size before it reaches dist
-// (which panics on programmer error, not user input).
-func checkN(n int) error {
-	if n < 1 || n > dist.MaxProcs {
-		return fmt.Errorf("-n %d outside 1..%d", n, dist.MaxProcs)
-	}
-	return nil
-}
-
-// newPattern builds the failure-free pattern of a validated system size.
+// newPattern builds the failure-free pattern of a system size, rejecting a
+// size that dist would panic on.
 func newPattern(n int) (*dist.FailurePattern, error) {
-	if err := checkN(n); err != nil {
-		return nil, err
+	if n < 1 || n > dist.MaxProcs {
+		return nil, fmt.Errorf("-n %d outside 1..%d", n, dist.MaxProcs)
 	}
 	return dist.NewFailurePattern(n), nil
 }
@@ -52,81 +45,36 @@ func crashPattern(n int, spec string) (*dist.FailurePattern, error) {
 // "3,4" crashes p3 and p4 at time 0, "3@40,4" crashes p3 at time 40 and p4
 // at time 0.
 func parseCrash(f *dist.FailurePattern, spec string) error {
-	if spec == "" {
+	err := parseTimedList("-crash", spec, "process", 1, f.N(), false, func(p int, t dist.Time) error {
+		f.CrashAt(dist.ProcID(p), t)
 		return nil
-	}
-	var seen dist.ProcSet
-	for _, entry := range strings.Split(spec, ",") {
-		procPart, timePart, timed := strings.Cut(strings.TrimSpace(entry), "@")
-		p, err := strconv.Atoi(procPart)
-		if err != nil {
-			return fmt.Errorf("bad -crash list %q: entry %q: process must be a number", spec, entry)
-		}
-		if p < 1 || p > f.N() {
-			return fmt.Errorf("-crash process p%d outside 1..%d", p, f.N())
-		}
-		if seen.Contains(dist.ProcID(p)) {
-			return fmt.Errorf("bad -crash list %q: p%d appears twice (a process crashes at most once)", spec, p)
-		}
-		seen = seen.Add(dist.ProcID(p))
-		t := int64(0)
-		if timed {
-			t, err = strconv.ParseInt(timePart, 10, 64)
-			if err != nil || t < 0 {
-				return fmt.Errorf("bad -crash list %q: entry %q: time must be a non-negative number", spec, entry)
-			}
-		}
-		f.CrashAt(dist.ProcID(p), dist.Time(t))
-	}
-	if !f.InEnvironment() {
+	})
+	if err == nil && !f.InEnvironment() {
 		return fmt.Errorf("-crash list kills every process")
 	}
-	return nil
+	return err
 }
 
 // parseShardCrash applies a -crashshard list to the pattern. Entries are
 // comma-separated like -crash, but name shards: "1" crashes every member of
 // shard 1's replica group at time 0, "1@40,2" at time 40 and shard 2's at
 // time 0 — the whole-group failures that make exactly those shards
-// unavailable. A shard listed twice is rejected with a clear error (like
-// parseCrash: a process crashes at most once), as is a member already
-// crashed by -crash.
+// unavailable. A member already crashed by -crash is an error: a process
+// crashes at most once.
 func parseShardCrash(f *dist.FailurePattern, m *register.ShardMap, spec string) error {
-	if spec == "" {
-		return nil
-	}
-	seen := make([]bool, m.Shards())
-	for _, entry := range strings.Split(spec, ",") {
-		shardPart, timePart, timed := strings.Cut(strings.TrimSpace(entry), "@")
-		sh, err := strconv.Atoi(shardPart)
-		if err != nil {
-			return fmt.Errorf("bad -crashshard list %q: entry %q: shard must be a number", spec, entry)
-		}
-		if sh < 0 || sh >= m.Shards() {
-			return fmt.Errorf("-crashshard shard %d outside 0..%d", sh, m.Shards()-1)
-		}
-		if seen[sh] {
-			return fmt.Errorf("bad -crashshard list %q: shard %d appears twice (a replica group crashes at most once)", spec, sh)
-		}
-		seen[sh] = true
-		t := int64(0)
-		if timed {
-			t, err = strconv.ParseInt(timePart, 10, 64)
-			if err != nil || t < 0 {
-				return fmt.Errorf("bad -crashshard list %q: entry %q: time must be a non-negative number", spec, entry)
-			}
-		}
+	err := parseTimedList("-crashshard", spec, "shard", 0, m.Shards()-1, false, func(sh int, t dist.Time) error {
 		for _, p := range m.Group(sh).Members() {
 			if f.CrashTime(p) != dist.NoCrash {
 				return fmt.Errorf("-crashshard %d: p%d already crashed (a process crashes at most once)", sh, int(p))
 			}
-			f.CrashAt(p, dist.Time(t))
+			f.CrashAt(p, t)
 		}
-	}
-	if !f.InEnvironment() {
+		return nil
+	})
+	if err == nil && !f.InEnvironment() {
 		return fmt.Errorf("-crashshard list %q kills every process", spec)
 	}
-	return nil
+	return err
 }
 
 // parseRecover applies a -recover list to the pattern. Entries are comma-
@@ -137,38 +85,54 @@ func parseShardCrash(f *dist.FailurePattern, m *register.ShardMap, spec string) 
 // a process that never crashes cannot recover, and the recovery must come
 // strictly after the crash.
 func parseRecover(f *dist.FailurePattern, spec string) error {
+	return parseTimedList("-recover", spec, "process", 1, f.N(), true, func(p int, t dist.Time) error {
+		crash := f.CrashTime(dist.ProcID(p))
+		if crash == dist.NoCrash {
+			return fmt.Errorf("-recover p%d@%d: p%d never crashes (pair it with a -crash/-crashshard entry)", p, int64(t), p)
+		}
+		if t <= crash {
+			return fmt.Errorf("-recover p%d@%d: recovery must come strictly after the crash at %d", p, int64(t), int64(crash))
+		}
+		f.RecoverAt(dist.ProcID(p), t)
+		return nil
+	})
+}
+
+// parseTimedList is the grammar -crash, -crashshard and -recover share:
+// comma-separated entries "i" or "i@t", where i is a noun number in lo..hi
+// listed at most once (a process crashes, and recovers, at most once) and t
+// a non-negative time, 0 when omitted unless needTime. apply takes each
+// entry in order.
+func parseTimedList(name, spec, noun string, lo, hi int, needTime bool, apply func(i int, t dist.Time) error) error {
 	if spec == "" {
 		return nil
 	}
-	var seen dist.ProcSet
+	seen := make(map[int]bool)
 	for _, entry := range strings.Split(spec, ",") {
-		procPart, timePart, timed := strings.Cut(strings.TrimSpace(entry), "@")
-		if !timed {
-			return fmt.Errorf("bad -recover list %q: entry %q: want p@t (a recovery needs its time)", spec, entry)
+		idPart, timePart, timed := strings.Cut(strings.TrimSpace(entry), "@")
+		if needTime && !timed {
+			return fmt.Errorf("bad %s list %q: entry %q: want p@t (an entry needs its time)", name, spec, entry)
 		}
-		p, err := strconv.Atoi(procPart)
+		i, err := strconv.Atoi(idPart)
 		if err != nil {
-			return fmt.Errorf("bad -recover list %q: entry %q: process must be a number", spec, entry)
+			return fmt.Errorf("bad %s list %q: entry %q: %s must be a number", name, spec, entry, noun)
 		}
-		if p < 1 || p > f.N() {
-			return fmt.Errorf("-recover process p%d outside 1..%d", p, f.N())
+		if i < lo || i > hi {
+			return fmt.Errorf("%s %s %d outside %d..%d", name, noun, i, lo, hi)
 		}
-		if seen.Contains(dist.ProcID(p)) {
-			return fmt.Errorf("bad -recover list %q: p%d appears twice (a process recovers at most once)", spec, p)
+		if seen[i] {
+			return fmt.Errorf("bad %s list %q: %s %d appears twice", name, spec, noun, i)
 		}
-		seen = seen.Add(dist.ProcID(p))
-		t, err := strconv.ParseInt(timePart, 10, 64)
-		if err != nil || t < 0 {
-			return fmt.Errorf("bad -recover list %q: entry %q: time must be a non-negative number", spec, entry)
+		seen[i] = true
+		t := int64(0)
+		if timed {
+			if t, err = strconv.ParseInt(timePart, 10, 64); err != nil || t < 0 {
+				return fmt.Errorf("bad %s list %q: entry %q: time must be a non-negative number", name, spec, entry)
+			}
 		}
-		crash := f.CrashTime(dist.ProcID(p))
-		if crash == dist.NoCrash {
-			return fmt.Errorf("-recover p%d@%d: p%d never crashes (pair it with a -crash/-crashshard entry)", p, t, p)
+		if err := apply(i, dist.Time(t)); err != nil {
+			return err
 		}
-		if dist.Time(t) <= crash {
-			return fmt.Errorf("-recover p%d@%d: recovery must come strictly after the crash at %d", p, t, int64(crash))
-		}
-		f.RecoverAt(dist.ProcID(p), dist.Time(t))
 	}
 	return nil
 }
@@ -264,6 +228,48 @@ func parsePartitionList(spec, noun string, side func(tok string) (dist.ProcSet, 
 		})
 	}
 	return out, nil
+}
+
+// faultFlags are the fault knobs that store and consensus share: -recover
+// on the failure pattern, and -loss, -dup, -delay, -faultseed and
+// -partition on the network. -stalllimit binds straight into the caller's
+// config.
+type faultFlags struct {
+	recover, partition string
+	plan               sim.FaultPlan
+}
+
+// bindFaultFlags registers the shared fault flags on fs.
+func bindFaultFlags(fs *flag.FlagSet, stallLimit *int64) *faultFlags {
+	ff := &faultFlags{}
+	fs.StringVar(&ff.recover, "recover", "", "recovery list, e.g. \"5@120\": the crashed process rejoins at t with its volatile state lost (pair each entry with a crash strictly before t; recovered processes stay outside the correctness set)")
+	fs.Float64Var(&ff.plan.Loss, "loss", 0, "per-message loss probability in [0,1) (store: requires -retransmit)")
+	fs.Float64Var(&ff.plan.Dup, "dup", 0, "per-message duplication probability in [0,1)")
+	fs.Int64Var((*int64)(&ff.plan.MaxDelay), "delay", 0, "maximum extra per-message delivery delay in ticks")
+	fs.Int64Var(&ff.plan.Seed, "faultseed", 0, "fault-plan seed, mixed with each run's scheduler seed")
+	fs.StringVar(&ff.partition, "partition", "", "scripted partitions, e.g. \"1:2@20-60\" symmetric or \"1>2@20-60\" one-way; the sides are shards (store: requires -retransmit, t2 may be \"inf\") or processes (consensus: must heal)")
+	fs.Int64Var(stallLimit, "stalllimit", 0, "end a run that makes no progress for this many ticks with reason \"stalled\" (0 = off)")
+	return ff
+}
+
+// apply adds the -recover list to f and returns the fault plan, with the
+// -partition sides resolved by parsePartitions. The plan is nil when no
+// network knob is set; any set knob, NaN and negatives included, builds
+// it, so the consuming package's FaultPlan.Validate sees and rejects it.
+func (ff *faultFlags) apply(f *dist.FailurePattern, parsePartitions func(spec string) ([]dist.Partition, error)) (*sim.FaultPlan, error) {
+	if err := parseRecover(f, ff.recover); err != nil {
+		return nil, err
+	}
+	pts, err := parsePartitions(ff.partition)
+	if err != nil {
+		return nil, err
+	}
+	if ff.plan.Loss == 0 && ff.plan.Dup == 0 && ff.plan.MaxDelay == 0 && len(pts) == 0 {
+		return nil, nil
+	}
+	plan := ff.plan
+	plan.Partitions = pts
+	return &plan, nil
 }
 
 // openLoopGap turns the -openloop/-rate pair into the store's mean

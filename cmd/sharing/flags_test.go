@@ -558,3 +558,75 @@ func TestRaisedCeilings(t *testing.T) {
 		t.Fatalf("clientSet(200,150) = %v, %v", s, err)
 	}
 }
+
+// FuzzParseLists drives the list grammars as the store and consensus
+// subcommands compose them — -crash, then -crashshard on a shard map (shard
+// form) or nothing (process form), then -recover and -partition through
+// faultFlags.apply — and checks that whatever the parsers accept, the
+// packages accept: the pattern keeps a correct process, every recovery
+// comes strictly after its crash, and every partition and the fault plan
+// validate against n. Parsers must never panic.
+func FuzzParseLists(f *testing.F) {
+	for _, seed := range []struct {
+		n, shards                            int
+		crash, crashShard, recov, partitions string
+		byShard                              bool
+	}{
+		{5, 1, "3@40,4", "", "3@120,4@5", "1:2@30-120, 2>3@10-50", false},
+		{5, 1, " 2 , 5@7 ", "", "", "1:2@inf-5", false},
+		{5, 1, "3,3@40", "", "3@39", "2>2@0-5", false},
+		{5, 1, "1,2,3,4,5@100", "", "", "", false},
+		{5, 1, "3@40,4", "", "3@120,3@200", "0:2@0-5", false},
+		{6, 3, "", "1@40,2", "2@50", "1:2@20-60", true},
+		{6, 3, "5@10", "1", "", "0:1@5-inf, 1>2@20-60", true},
+		{6, 3, "", "0,1,2", "", "1:1@0-5", true},
+		{6, 3, "", "1@2@3", "", "1:2@9-3", true},
+		{128, 128, "100@40,128", "100@10", "128@50", "100:127@0-50", true},
+	} {
+		f.Add(seed.n, seed.shards, seed.crash, seed.crashShard, seed.recov, seed.partitions, seed.byShard)
+	}
+	f.Fuzz(func(t *testing.T, n, shards int, crash, crashShard, recov, partitions string, byShard bool) {
+		fp, err := crashPattern(n, crash)
+		if err != nil {
+			return
+		}
+		parse := func(spec string) ([]dist.Partition, error) { return parseProcPartition(n, spec) }
+		if byShard {
+			m, err := register.NewShardMap(n, shards, shards)
+			if err != nil {
+				return
+			}
+			if err := parseShardCrash(fp, m, crashShard); err != nil {
+				return
+			}
+			parse = func(spec string) ([]dist.Partition, error) { return parsePartition(m, spec) }
+		}
+		ff := &faultFlags{recover: recov, partition: partitions}
+		plan, err := ff.apply(fp, parse)
+		if err != nil {
+			return
+		}
+		if !fp.InEnvironment() {
+			t.Fatalf("accepted a pattern with no correct process: %v", fp)
+		}
+		for p := dist.ProcID(1); int(p) <= n; p++ {
+			if r := fp.RecoverTime(p); r != dist.NoCrash && r <= fp.CrashTime(p) {
+				t.Fatalf("p%d recovers at %d, not after its crash at %d", int(p), int64(r), int64(fp.CrashTime(p)))
+			}
+		}
+		if plan == nil {
+			if partitions != "" {
+				t.Fatalf("partition list %q accepted without a plan", partitions)
+			}
+			return
+		}
+		for i, pt := range plan.Partitions {
+			if err := pt.Validate(n); err != nil {
+				t.Fatalf("accepted partition %d %+v: %v", i, pt, err)
+			}
+		}
+		if err := plan.Validate(n); err != nil {
+			t.Fatalf("accepted fault plan %+v: %v", plan, err)
+		}
+	})
+}

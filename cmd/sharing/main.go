@@ -1,17 +1,22 @@
 // Command sharing is the CLI front-end of the reproduction of "Sharing is
 // Harder than Agreeing" (Delporte-Gallet, Fauconnier, Guerraoui, PODC 2008).
+// It parses flags straight into the packages' configs and composes them;
+// every range rule on a config lives in the package that consumes it.
 //
-// Subcommands:
+// Subcommands ("sharing <subcommand> -h" lists a subcommand's flags):
 //
 //	lattice         regenerate the Figure 1 hardness lattice
 //	setagreement    run Figure 2 (set agreement from σ)
 //	kset            run Figure 4 ((n−k)-set agreement from σ₂ₖ)
 //	register        run the ABD S-register over Σ_S and check linearizability
-//	consensus       run the Ω+Σ consensus baseline
+//	store           sweep the sharded keyed register store and check every key's history
+//	consensus       run the Ω+Σ consensus baseline, a seed sweep under faults
 //	counterexample  run a refutation harness (lemma7 | lemma11 | lemma15 | tightness)
 //	emulate         run an emulation and validate the emulated history (fig3 | fig5 | fig6)
 //	majority-sigma  emulate Σ from a correct majority and validate it
 //	hierarchy       derive the failure-detector strictness chains
+//	explore         model-check Figure 2 or 4 over every schedule up to -depth
+//	sweep           sweep seeds of Figure 2, Figure 4 or consensus per crash scenario
 package main
 
 import (
@@ -34,6 +39,29 @@ import (
 	"repro/internal/sweep"
 )
 
+// subcommand is one row of the CLI: its name, the one-line summary that
+// usage and the package comment print, and the function that parses its
+// flags and runs it.
+type subcommand struct {
+	name, summary string
+	run           func(args []string) error
+}
+
+var subcommands = []subcommand{
+	{"lattice", "regenerate the Figure 1 hardness lattice", cmdLattice},
+	{"setagreement", "run Figure 2 (set agreement from σ)", cmdSetAgreement},
+	{"kset", "run Figure 4 ((n−k)-set agreement from σ₂ₖ)", cmdKSet},
+	{"register", "run the ABD S-register over Σ_S and check linearizability", cmdRegister},
+	{"store", "sweep the sharded keyed register store and check every key's history", cmdStore},
+	{"consensus", "run the Ω+Σ consensus baseline, a seed sweep under faults", cmdConsensus},
+	{"counterexample", "run a refutation harness (lemma7 | lemma11 | lemma15 | tightness)", cmdCounterexample},
+	{"emulate", "run an emulation and validate the emulated history (fig3 | fig5 | fig6)", cmdEmulate},
+	{"majority-sigma", "emulate Σ from a correct majority and validate it", cmdMajoritySigma},
+	{"hierarchy", "derive the failure-detector strictness chains", cmdHierarchy},
+	{"explore", "model-check Figure 2 or 4 over every schedule up to -depth", cmdExplore},
+	{"sweep", "sweep seeds of Figure 2, Figure 4 or consensus per crash scenario", cmdSweep},
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sharing:", err)
@@ -46,63 +74,26 @@ func run(args []string) error {
 		usage()
 		return fmt.Errorf("missing subcommand")
 	}
-	switch args[0] {
-	case "lattice":
-		return cmdLattice(args[1:])
-	case "setagreement":
-		return cmdSetAgreement(args[1:])
-	case "kset":
-		return cmdKSet(args[1:])
-	case "register":
-		return cmdRegister(args[1:])
-	case "store":
-		return cmdStore(args[1:])
-	case "consensus":
-		return cmdConsensus(args[1:])
-	case "counterexample":
-		return cmdCounterexample(args[1:])
-	case "emulate":
-		return cmdEmulate(args[1:])
-	case "majority-sigma":
-		return cmdMajoritySigma(args[1:])
-	case "hierarchy":
-		return cmdHierarchy(args[1:])
-	case "explore":
-		return cmdExplore(args[1:])
-	case "sweep":
-		return cmdSweep(args[1:])
-	case "help", "-h", "--help":
+	if args[0] == "help" || args[0] == "-h" || args[0] == "--help" {
 		usage()
 		return nil
-	default:
-		usage()
-		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
+	for _, c := range subcommands {
+		if c.name == args[0] {
+			return c.run(args[1:])
+		}
+	}
+	usage()
+	return fmt.Errorf("unknown subcommand %q", args[0])
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: sharing <subcommand> [flags]
-
-subcommands:
-  lattice         -n 6 -runs 5 -seed 1 -workers 0
-  setagreement    -n 5 -seed 1 -crash "3,4"
-  kset            -n 6 -k 2 -seed 1 -crash "5"
-  register        -n 5 -seed 1
-  store           -n 5 -keys 16 -shards 1 -clients 3 -window 4 -ops 16
-                  -seeds 20 -workers 0 -skew 1.2 -write 0.5 -crash "5@40"
-                  -crashshard "1@40" -recover "5@120" -piggyback
-                  -adaptive -maxwindow 16 -stall 16
-                  -loss 0.05 -dup 0.05 -delay 3 -faultseed 7 -partition "1:2@20-60"
-                  -retransmit -rto 32 -maxrto 256 -stalllimit 20000
-                  -openloop -rate 0.25 -fastread
-  consensus       -n 5 -seed 1 -crash "5"  [fault mode: -recover "5@200" -loss 0.05
-                  -dup 0.05 -delay 3 -partition "1>2@30-120" -seeds 20 -workers 0]
-  counterexample  lemma7|lemma11|lemma15|tightness  [-n 5 -k 2 -seed 1]
-  emulate         fig3|fig5|fig6  [-n 5 -seed 1]
-  majority-sigma  -n 5 -seed 1
-  hierarchy       -n 6 -k 2 -seed 1 -runs 3 -workers 0
-  explore         -fig fig2|fig4 -n 3 -k 1 -depth 12 -states 1048576 -workers 0 -crash "3"
-  sweep           -fig fig2|fig4|consensus -n 5 -k 2 -seeds 200 -workers 0 -scenarios ";5;5@40"
+	fmt.Fprint(os.Stderr, "usage: sharing <subcommand> [flags]\n\nsubcommands:\n")
+	for _, c := range subcommands {
+		fmt.Fprintf(os.Stderr, "  %-16s%s\n", c.name, c.summary)
+	}
+	fmt.Fprintln(os.Stderr, `
+"sharing <subcommand> -h" lists a subcommand's flags.
 
 crash lists are comma-separated processes with optional crash times:
 "3,4" crashes p3 and p4 at time 0, "3@40,4" crashes p3 at time 40.
@@ -111,20 +102,9 @@ process rejoins with its volatile state lost). partition entries cut
 "i:j" both ways or "i>j" one-way during [t1,t2).`)
 }
 
-func cmdHierarchy(args []string) error {
-	fs := flag.NewFlagSet("hierarchy", flag.ContinueOnError)
-	n := fs.Int("n", 6, "system size")
-	k := fs.Int("k", 2, "k (σ₂ₖ side)")
-	seed := fs.Int64("seed", 1, "seed")
-	runs := fs.Int64("runs", 3, "seeds per reduction edge")
-	workers := fs.Int("workers", 0, "sweep workers (0 = GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := checkN(*n); err != nil {
-		return err
-	}
-	rep, err := hierarchy.Build(hierarchy.Config{N: *n, K: *k, Seed: *seed, Runs: *runs, Workers: *workers})
+// printReport prints a lattice or hierarchy report, or returns the error
+// that built none.
+func printReport[R interface{ Render() string }](rep R, err error) error {
 	if err != nil {
 		return err
 	}
@@ -132,60 +112,151 @@ func cmdHierarchy(args []string) error {
 	return nil
 }
 
+func cmdHierarchy(args []string) error {
+	var cfg hierarchy.Config
+	fs := flag.NewFlagSet("hierarchy", flag.ContinueOnError)
+	fs.IntVar(&cfg.N, "n", 6, "system size")
+	fs.IntVar(&cfg.K, "k", 2, "k (σ₂ₖ side)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "seed")
+	fs.Int64Var(&cfg.Runs, "runs", 3, "seeds per reduction edge")
+	fs.IntVar(&cfg.Workers, "workers", 0, "sweep workers (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return printReport(hierarchy.Build(cfg))
+}
+
+func cmdLattice(args []string) error {
+	var cfg lattice.Config
+	fs := flag.NewFlagSet("lattice", flag.ContinueOnError)
+	fs.IntVar(&cfg.N, "n", 6, "system size")
+	fs.IntVar(&cfg.RunsPerRelation, "runs", 5, "runs per positive relation")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "base seed")
+	fs.IntVar(&cfg.Workers, "workers", 0, "sweep workers (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return printReport(lattice.Build(cfg))
+}
+
+// sigmaTask is one σ-side set-agreement experiment: fig2 runs Figure 2 over
+// σ with the active pair {p1,p2} and solves (n−1)-set agreement; fig4 runs
+// Figure 4 over σ₂ₖ with the active set {p1..p2k} and solves (n−k)-set
+// agreement.
+type sigmaTask struct {
+	name, oracle string
+	active       dist.ProcSet
+	history      sim.History
+	program      sim.Program
+	props        []agreement.Value
+	k            int // the task is k-set agreement
+}
+
+// newSigmaTask builds fig's oracle, stabilizing at stab, its program and its
+// task on the pattern f; k sizes fig4's active set. The oracle pre-boxes its
+// outputs and is read-only, so one instance serves every sweep worker.
+func newSigmaTask(fig string, f *dist.FailurePattern, k int, stab dist.Time) (*sigmaTask, error) {
+	n := f.N()
+	t := &sigmaTask{props: agreement.DistinctProposals(n)}
+	var err error
+	switch fig {
+	case "fig2":
+		t.name, t.oracle, t.active, t.k = "Figure 2", "σ", dist.NewProcSet(1, 2), n-1
+		t.history, err = core.NewSigmaOracle(f, t.active, stab, core.SigmaCanonical)
+		t.program = core.Fig2Program(t.props)
+	case "fig4":
+		if t.active, err = activeSet(n, k); err != nil {
+			return nil, err
+		}
+		t.name, t.oracle, t.k = "Figure 4", "σ₂ₖ", n-k
+		t.history, err = core.NewSigmaKOracle(f, t.active, stab, core.SigmaKCanonical)
+		t.program = core.Fig4Program(t.props)
+	default:
+		return nil, fmt.Errorf("unknown -fig %q", fig)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// runSigmaTask runs fig once on a seeded random schedule and prints the
+// task verdict and the decisions.
+func runSigmaTask(fig string, n, k int, seed int64, crash string) error {
+	f, err := crashPattern(n, crash)
+	if err != nil {
+		return err
+	}
+	t, err := newSigmaTask(fig, f, k, 20)
+	if err != nil {
+		return err
+	}
+	res, err := sim.Run(sim.Config{
+		Pattern: f, History: t.history, Program: t.program,
+		Scheduler: sim.NewRandomScheduler(seed), StopWhenDecided: true,
+	})
+	if err != nil {
+		return err
+	}
+	rep := agreement.Check(f, t.k, t.props, res)
+	fmt.Printf("%s on %v (%s active %v): %s\n", t.name, f, t.oracle, t.active, rep)
+	printDecisions(rep.Decisions)
+	return nil
+}
+
+func cmdSetAgreement(args []string) error {
+	fs := flag.NewFlagSet("setagreement", flag.ContinueOnError)
+	n := fs.Int("n", 5, "system size")
+	seed := fs.Int64("seed", 1, "scheduler seed")
+	crash := fs.String("crash", "", "processes crashed from time 0, e.g. \"3,4\"")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return runSigmaTask("fig2", *n, 0, *seed, *crash)
+}
+
+func cmdKSet(args []string) error {
+	fs := flag.NewFlagSet("kset", flag.ContinueOnError)
+	n := fs.Int("n", 6, "system size")
+	k := fs.Int("k", 2, "k (active set has 2k processes)")
+	seed := fs.Int64("seed", 1, "scheduler seed")
+	crash := fs.String("crash", "", "processes crashed from time 0")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return runSigmaTask("fig4", *n, *k, *seed, *crash)
+}
+
 // cmdExplore bounded-model-checks a figure: every interleaving and message
 // reordering up to -depth is enumerated on a -workers pool and checked
 // against the task's safety properties.
 func cmdExplore(args []string) error {
+	cfg := sim.ExploreConfig{TimeCap: 1}
 	fs := flag.NewFlagSet("explore", flag.ContinueOnError)
 	fig := fs.String("fig", "fig2", "algorithm to model-check: fig2|fig4")
 	n := fs.Int("n", 3, "system size")
 	k := fs.Int("k", 1, "k (fig4: active set has 2k processes)")
-	depth := fs.Int("depth", 12, "schedule-length bound")
-	states := fs.Int("states", 1<<20, "visited-state soft cap")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.MaxDepth, "depth", 12, "schedule-length bound")
+	fs.IntVar(&cfg.MaxStates, "states", 1<<20, "visited-state soft cap")
+	fs.IntVar(&cfg.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	crash := fs.String("crash", "", "crash list; exploration runs under TimeCap 1, so only time-0 crashes are admissible")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *depth < 1 || *states < 1 {
-		return fmt.Errorf("explore needs -depth ≥ 1 and -states ≥ 1, got -depth %d -states %d", *depth, *states)
+	// sim.Explore reads 0 as its default, so an explicit bound must be ≥ 1.
+	if cfg.MaxDepth < 1 || cfg.MaxStates < 1 {
+		return fmt.Errorf("explore needs -depth ≥ 1 and -states ≥ 1, got -depth %d -states %d", cfg.MaxDepth, cfg.MaxStates)
 	}
 	f, err := crashPattern(*n, *crash)
 	if err != nil {
 		return err
 	}
-	props := agreement.DistinctProposals(*n)
-	cfg := sim.ExploreConfig{
-		Pattern:   f,
-		MaxDepth:  *depth,
-		MaxStates: *states,
-		TimeCap:   1,
-		Workers:   *workers,
+	t, err := newSigmaTask(*fig, f, *k, 1)
+	if err != nil {
+		return err
 	}
-	var taskK int
-	switch *fig {
-	case "fig2":
-		oracle, err := core.NewSigmaOracle(f, dist.NewProcSet(1, 2), 1, core.SigmaCanonical)
-		if err != nil {
-			return err
-		}
-		cfg.History, cfg.Program = oracle, core.Fig2Program(props)
-		taskK = *n - 1
-	case "fig4":
-		active, err := activeSet(*n, *k)
-		if err != nil {
-			return err
-		}
-		oracle, err := core.NewSigmaKOracle(f, active, 1, core.SigmaKCanonical)
-		if err != nil {
-			return err
-		}
-		cfg.History, cfg.Program = oracle, core.Fig4Program(props)
-		taskK = *n - *k
-	default:
-		return fmt.Errorf("explore: unknown -fig %q (want fig2|fig4)", *fig)
-	}
-	cfg.Check = agreement.SafetyCheck(taskK, props)
+	cfg.Pattern, cfg.History, cfg.Program = f, t.history, t.program
+	cfg.Check = agreement.SafetyCheck(t.k, t.props)
 	start := time.Now()
 	res, err := sim.Explore(cfg)
 	if err != nil {
@@ -196,22 +267,23 @@ func cmdExplore(args []string) error {
 		*fig, f, res.StatesVisited, res.StepsExecuted, elapsed.Round(time.Millisecond),
 		float64(res.StatesVisited)/elapsed.Seconds(), res.Truncated)
 	if res.Violation != "" {
-		return fmt.Errorf("%s violates %d-set agreement at depth %d: %s", *fig, taskK, res.ViolationDepth, res.Violation)
+		return fmt.Errorf("%s violates %d-set agreement at depth %d: %s", *fig, t.k, res.ViolationDepth, res.Violation)
 	}
-	fmt.Printf("no reachable violation of %d-set agreement safety within depth %d\n", taskK, *depth)
+	fmt.Printf("no reachable violation of %d-set agreement safety within depth %d\n", t.k, cfg.MaxDepth)
 	return nil
 }
 
 // cmdSweep runs -seeds seeded runs per crash scenario on the concurrent
 // sweep engine and prints aggregate statistics per scenario.
 func cmdSweep(args []string) error {
+	var cfg sweep.Config
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fig := fs.String("fig", "fig2", "workload: fig2|fig4|consensus")
 	n := fs.Int("n", 5, "system size")
 	k := fs.Int("k", 2, "k (fig4: active set has 2k processes)")
-	seeds := fs.Int64("seeds", 200, "seeds per scenario")
-	seedStart := fs.Int64("seed", 0, "first seed")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.Int64Var(&cfg.Seeds, "seeds", 200, "seeds per scenario")
+	fs.Int64Var(&cfg.SeedStart, "seed", 0, "first seed")
+	fs.IntVar(&cfg.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	scenarios := fs.String("scenarios", "", `semicolon-separated crash scenarios (empty entry = failure-free); default ";N;N@40" (failure-free, pN initially dead, pN crashing mid-run)`)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -220,45 +292,14 @@ func cmdSweep(args []string) error {
 	if *scenarios != "" {
 		specs = strings.Split(*scenarios, ";")
 	}
-	props := agreement.DistinctProposals(*n)
 	for _, spec := range specs {
 		f, err := crashPattern(*n, spec)
 		if err != nil {
 			return err
 		}
-		var mkSim func() sim.Config
-		var taskK int
-		switch *fig {
-		case "fig2":
-			oracle, err := core.NewSigmaOracle(f, dist.NewProcSet(1, 2), 20, core.SigmaCanonical)
-			if err != nil {
-				return err
-			}
-			mkSim = func() sim.Config {
-				return sim.Config{
-					Pattern: f, History: oracle, Program: core.Fig2Program(props),
-					StopWhenDecided: true, DisableTrace: true,
-				}
-			}
-			taskK = *n - 1
-		case "fig4":
-			active, err := activeSet(*n, *k)
-			if err != nil {
-				return err
-			}
-			oracle, err := core.NewSigmaKOracle(f, active, 20, core.SigmaKCanonical)
-			if err != nil {
-				return err
-			}
-			mkSim = func() sim.Config {
-				return sim.Config{
-					Pattern: f, History: oracle, Program: core.Fig4Program(props),
-					StopWhenDecided: true, DisableTrace: true,
-				}
-			}
-			taskK = *n - *k
-		case "consensus":
-			mkSim = func() sim.Config {
+		props, taskK := agreement.DistinctProposals(*n), 1
+		if *fig == "consensus" {
+			cfg.Sim = func() sim.Config {
 				// The Ω+Σ oracle caches its last boxed output, so every
 				// worker builds its own.
 				return sim.Config{
@@ -266,23 +307,27 @@ func cmdSweep(args []string) error {
 					MaxSteps: 200_000, StopWhenDecided: true, DisableTrace: true,
 				}
 			}
-			taskK = 1
-		default:
-			return fmt.Errorf("sweep: unknown -fig %q (want fig2|fig4|consensus)", *fig)
+		} else {
+			t, err := newSigmaTask(*fig, f, *k, 20)
+			if err != nil {
+				return err
+			}
+			props, taskK = t.props, t.k
+			cfg.Sim = func() sim.Config {
+				return sim.Config{
+					Pattern: f, History: t.history, Program: t.program,
+					StopWhenDecided: true, DisableTrace: true,
+				}
+			}
+		}
+		cfg.Check = func(seed int64, r *sim.Result) error {
+			if rep := agreement.Check(f, taskK, props, r); !rep.OK() {
+				return fmt.Errorf("%s", rep)
+			}
+			return nil
 		}
 		start := time.Now()
-		res, err := sweep.Run(sweep.Config{
-			Sim:       mkSim,
-			SeedStart: *seedStart,
-			Seeds:     *seeds,
-			Workers:   *workers,
-			Check: func(seed int64, r *sim.Result) error {
-				if rep := agreement.Check(f, taskK, props, r); !rep.OK() {
-					return fmt.Errorf("%s", rep)
-				}
-				return nil
-			},
-		})
+		res, err := sweep.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -299,91 +344,6 @@ func cmdSweep(args []string) error {
 				*fig, scenName, res.Failures, res.Runs, taskK, res.FirstFailSeed, res.FirstFailErr)
 		}
 	}
-	return nil
-}
-
-func cmdLattice(args []string) error {
-	fs := flag.NewFlagSet("lattice", flag.ContinueOnError)
-	n := fs.Int("n", 6, "system size")
-	runs := fs.Int("runs", 5, "runs per positive relation")
-	seed := fs.Int64("seed", 1, "base seed")
-	workers := fs.Int("workers", 0, "sweep workers (0 = GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := checkN(*n); err != nil {
-		return err
-	}
-	rep, err := lattice.Build(lattice.Config{N: *n, RunsPerRelation: *runs, Seed: *seed, Workers: *workers})
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Render())
-	return nil
-}
-
-func cmdSetAgreement(args []string) error {
-	fs := flag.NewFlagSet("setagreement", flag.ContinueOnError)
-	n := fs.Int("n", 5, "system size")
-	seed := fs.Int64("seed", 1, "scheduler seed")
-	crash := fs.String("crash", "", "processes crashed from time 0, e.g. \"3,4\"")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	f, err := crashPattern(*n, *crash)
-	if err != nil {
-		return err
-	}
-	props := agreement.DistinctProposals(*n)
-	oracle, err := core.NewSigmaOracle(f, dist.NewProcSet(1, 2), 20, core.SigmaCanonical)
-	if err != nil {
-		return err
-	}
-	res, err := sim.Run(sim.Config{
-		Pattern: f, History: oracle, Program: core.Fig2Program(props),
-		Scheduler: sim.NewRandomScheduler(*seed), StopWhenDecided: true,
-	})
-	if err != nil {
-		return err
-	}
-	rep := agreement.Check(f, *n-1, props, res)
-	fmt.Printf("Figure 2 on %v (σ active {p1,p2}): %s\n", f, rep)
-	printDecisions(rep.Decisions)
-	return nil
-}
-
-func cmdKSet(args []string) error {
-	fs := flag.NewFlagSet("kset", flag.ContinueOnError)
-	n := fs.Int("n", 6, "system size")
-	k := fs.Int("k", 2, "k (active set has 2k processes)")
-	seed := fs.Int64("seed", 1, "scheduler seed")
-	crash := fs.String("crash", "", "processes crashed from time 0")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	f, err := crashPattern(*n, *crash)
-	if err != nil {
-		return err
-	}
-	active, err := activeSet(*n, *k)
-	if err != nil {
-		return err
-	}
-	props := agreement.DistinctProposals(*n)
-	oracle, err := core.NewSigmaKOracle(f, active, 20, core.SigmaKCanonical)
-	if err != nil {
-		return err
-	}
-	res, err := sim.Run(sim.Config{
-		Pattern: f, History: oracle, Program: core.Fig4Program(props),
-		Scheduler: sim.NewRandomScheduler(*seed), StopWhenDecided: true,
-	})
-	if err != nil {
-		return err
-	}
-	rep := agreement.Check(f, *n-*k, props, res)
-	fmt.Printf("Figure 4 on %v (σ₂ₖ active %v): %s\n", f, active, rep)
-	printDecisions(rep.Decisions)
 	return nil
 }
 
@@ -442,117 +402,73 @@ func cmdRegister(args []string) error {
 // group; the sweep verdict then demands that only that shard's operations
 // stall.
 func cmdStore(args []string) error {
+	var (
+		sc register.StoreSweepConfig
+		wl register.StoreWorkloadConfig
+	)
 	fs := flag.NewFlagSet("store", flag.ContinueOnError)
-	n := fs.Int("n", 5, "system size")
-	keys := fs.Int("keys", 16, "number of keyed registers")
-	shards := fs.Int("shards", 1, "replica-group shards the key space is partitioned across")
+	fs.IntVar(&wl.N, "n", 5, "system size")
+	fs.IntVar(&wl.Keys, "keys", 16, "number of keyed registers")
+	fs.IntVar(&wl.Shards, "shards", 1, "replica-group shards the key space is partitioned across")
 	clients := fs.Int("clients", 3, "store members: S = {p1..pClients}")
-	window := fs.Int("window", 4, "client pipelining window per shard (outstanding ops on distinct keys)")
-	ops := fs.Int("ops", 16, "scripted ops per client")
-	seeds := fs.Int64("seeds", 20, "scheduler seeds to sweep")
-	seedStart := fs.Int64("seed", 0, "first scheduler seed")
-	wseed := fs.Int64("wseed", 1, "workload generator seed")
-	workers := fs.Int("workers", 0, "sweep workers (0 = GOMAXPROCS)")
+	fs.IntVar(&sc.Store.Window, "window", 4, "client pipelining window per shard (outstanding ops on distinct keys)")
+	fs.IntVar(&wl.OpsPerClient, "ops", 16, "scripted ops per client")
+	fs.Int64Var(&sc.Seeds, "seeds", 20, "scheduler seeds to sweep")
+	fs.Int64Var(&sc.SeedStart, "seed", 0, "first scheduler seed")
+	fs.Int64Var(&wl.Seed, "wseed", 1, "workload generator seed")
+	fs.IntVar(&sc.Workers, "workers", 0, "sweep workers (0 = GOMAXPROCS)")
 	crash := fs.String("crash", "", "crash list, e.g. \"5,4@40\"")
 	crashShard := fs.String("crashshard", "", "crash a whole shard's replica group, e.g. \"1\" or \"1@40\"")
-	recov := fs.String("recover", "", "recovery list, e.g. \"5@120\": the crashed process rejoins at t with its volatile state lost (pair each entry with a -crash/-crashshard entry strictly before t; recovered processes stay outside the correctness set)")
-	skew := fs.Float64("skew", 1.2, "zipf skew within each shard's keys (0 = uniform)")
-	write := fs.Float64("write", register.DefaultWriteRatio, "write ratio (0 = read-only)")
-	piggyback := fs.Bool("piggyback", false, "fold all same-destination traffic of a step (requests of every shard plus pending replies) into one frame per (src,dst)")
-	adaptive := fs.Bool("adaptive", false, "replace the fixed per-shard window with the AIMD controller (grows while ops complete, halves on shard stall)")
-	maxWindow := fs.Int("maxwindow", 0, "adaptive growth cap (0 = 4×window; requires -adaptive)")
-	stall := fs.Int("stall", 0, "client steps a shard may stall before its window halves (0 = default; requires -adaptive)")
-	loss := fs.Float64("loss", 0, "per-message loss probability in [0,1) (requires -retransmit)")
-	dup := fs.Float64("dup", 0, "per-message duplication probability in [0,1)")
-	delay := fs.Int64("delay", 0, "maximum extra per-message delivery delay in ticks")
-	faultSeed := fs.Int64("faultseed", 0, "fault-plan seed, mixed with each run's scheduler seed")
-	partition := fs.String("partition", "", "scripted shard partitions, e.g. \"1:2@20-60\" symmetric or \"1>2@20-60\" one-way (t2 may be \"inf\"; requires -retransmit)")
-	retransmit := fs.Bool("retransmit", false, "arm per-op retransmission with exponential backoff (required under -loss / -partition)")
-	rto := fs.Int("rto", 0, "initial retransmission timeout in client steps (0 = default; requires -retransmit)")
-	maxRTO := fs.Int("maxrto", 0, "retransmission backoff cap in client steps (0 = 8×rto; requires -retransmit)")
-	stallLimit := fs.Int64("stalllimit", 0, "end a run that makes no progress for this many ticks with reason \"stalled\" (0 = off)")
-	openLoop := fs.Bool("openloop", false, "open-loop clients: ops become eligible on a jittered seeded arrival schedule instead of on window refill, and latency is measured from arrival (queueing delay included)")
+	fs.Float64Var(&wl.Skew, "skew", 1.2, "zipf skew within each shard's keys (0 = uniform)")
+	fs.Float64Var(&wl.WriteRatio, "write", register.DefaultWriteRatio, "write ratio (0 = read-only)")
+	fs.BoolVar(&sc.Store.Piggyback, "piggyback", false, "fold all same-destination traffic of a step (requests of every shard plus pending replies) into one frame per (src,dst)")
+	fs.BoolVar(&sc.Store.AdaptiveWindow, "adaptive", false, "replace the fixed per-shard window with the AIMD controller (grows while ops complete, halves on shard stall)")
+	fs.IntVar(&sc.Store.MaxWindow, "maxwindow", 0, "adaptive growth cap (0 = 4×window; requires -adaptive)")
+	fs.IntVar(&sc.Store.StallSteps, "stall", 0, "client steps a shard may stall before its window halves (0 = default; requires -adaptive)")
+	faults := bindFaultFlags(fs, &sc.StallLimit)
+	fs.BoolVar(&sc.Store.Retransmit, "retransmit", false, "arm per-op retransmission with exponential backoff (required under -loss / -partition)")
+	fs.IntVar(&sc.Store.RTO, "rto", 0, "initial retransmission timeout in client steps (0 = default; requires -retransmit)")
+	fs.IntVar(&sc.Store.MaxRTO, "maxrto", 0, "retransmission backoff cap in client steps (0 = 8×rto; requires -retransmit)")
+	fs.BoolVar(&sc.Store.OpenLoop, "openloop", false, "open-loop clients: ops become eligible on a jittered seeded arrival schedule instead of on window refill, and latency is measured from arrival (queueing delay included)")
 	rate := fs.Float64("rate", 0, "open-loop offered load in ops per client step; the mean inter-arrival gap is round(1/rate) (0 = back-to-back arrivals; requires -openloop)")
-	fastRead := fs.Bool("fastread", false, "one-phase fast reads: elide the write-back round when the phase-1 quorum is unanimous or its max timestamp is already confirmed at a quorum (composes with every other flag; off = wire-identical to two-phase)")
+	fs.BoolVar(&sc.Store.FastReads, "fastread", false, "one-phase fast reads: elide the write-back round when the phase-1 quorum is unanimous or its max timestamp is already confirmed at a quorum (composes with every other flag; off = wire-identical to two-phase)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	f, err := crashPattern(*n, *crash)
+	f, err := crashPattern(wl.N, *crash)
 	if err != nil {
 		return err
 	}
-	s, err := clientSet(*n, *clients)
-	if err != nil {
+	if wl.S, err = clientSet(wl.N, *clients); err != nil {
 		return err
 	}
-	if *stallLimit < 0 {
-		return fmt.Errorf("-stalllimit %d is negative", *stallLimit)
+	sc.Pattern, sc.S = f, wl.S
+	sc.Store.Keys, sc.Store.Shards = wl.Keys, wl.Shards
+	if sc.Store.OpenLoop {
+		sc.Store.ArrivalJitter = true
+		sc.Store.ArrivalSeed = wl.Seed // decorrelate arrivals from the scheduler seeds
 	}
-	storeCfg := register.StoreConfig{
-		Keys: *keys, Shards: *shards, Window: *window, Piggyback: *piggyback,
-		AdaptiveWindow: *adaptive, MaxWindow: *maxWindow, StallSteps: *stall,
-		Retransmit: *retransmit, RTO: *rto, MaxRTO: *maxRTO,
-		OpenLoop: *openLoop, ArrivalJitter: *openLoop, FastReads: *fastRead,
-	}
-	if *openLoop {
-		storeCfg.ArrivalSeed = *wseed // decorrelate arrivals from the scheduler seeds
-	}
-	shardMap, err := storeCfg.ShardMap(*n) // validates the whole store config
+	shardMap, err := sc.Store.ShardMap(wl.N) // validates the whole store config
 	if err != nil {
 		return err
 	}
 	if err := parseShardCrash(f, shardMap, *crashShard); err != nil {
 		return err
 	}
-	if err := parseRecover(f, *recov); err != nil {
-		return err
-	}
-	partitions, err := parsePartition(shardMap, *partition)
+	sc.Faults, err = faults.apply(f, func(spec string) ([]dist.Partition, error) { return parsePartition(shardMap, spec) })
 	if err != nil {
 		return err
 	}
-	var faults *sim.FaultPlan
-	// Any set knob — NaN and negatives included — builds the plan, so
-	// FaultPlan.Validate sees and rejects it.
-	if *loss != 0 || *dup != 0 || *delay != 0 || len(partitions) > 0 {
-		faults = &sim.FaultPlan{
-			Seed: *faultSeed, Loss: *loss, Dup: *dup,
-			MaxDelay: dist.Time(*delay), Partitions: partitions,
-		}
-		if err := faults.Validate(*n); err != nil {
-			return err
-		}
-		if (*loss > 0 || len(partitions) > 0) && !*retransmit {
-			return fmt.Errorf("-loss/-partition can park operations forever without -retransmit")
-		}
-	}
-	scripts, err := register.GenerateStoreWorkload(register.StoreWorkloadConfig{
-		N: *n, S: s, Keys: *keys, Shards: *shards, OpsPerClient: *ops,
-		WriteRatio: *write, Skew: *skew, Seed: *wseed,
-	})
-	if err != nil {
+	if sc.Scripts, err = register.GenerateStoreWorkload(wl); err != nil {
 		return err
-	}
-	sweepCfg := register.StoreSweepConfig{
-		Pattern:    f,
-		S:          s,
-		Store:      storeCfg,
-		Scripts:    scripts,
-		SeedStart:  *seedStart,
-		Seeds:      *seeds,
-		Workers:    *workers,
-		Faults:     faults,
-		StallLimit: *stallLimit,
 	}
 	// The arrival gap is bounded by the run's step budget, which depends on
 	// the scripts and the partitions; it does not change the budget.
-	gap, err := openLoopGap(*openLoop, *rate, sweepCfg.EffectiveMaxSteps())
-	if err != nil {
+	if sc.Store.ArrivalGap, err = openLoopGap(sc.Store.OpenLoop, *rate, sc.EffectiveMaxSteps()); err != nil {
 		return err
 	}
-	sweepCfg.Store.ArrivalGap = gap
 	start := time.Now()
-	res, err := register.StoreSweep(sweepCfg)
+	res, err := register.StoreSweep(sc)
 	if err != nil {
 		return err
 	}
@@ -563,33 +479,33 @@ func cmdStore(args []string) error {
 	// or partitioned-away shard may never complete, either of which would
 	// inflate the headline number.
 	avail := shardMap.Available(f.Correct())
-	masks := register.StoreReach(shardMap, faults, f.Correct(), s,
-		dist.Time(sweepCfg.EffectiveMaxSteps()))
+	masks := register.StoreReach(shardMap, sc.Faults, f.Correct(), sc.S,
+		dist.Time(sc.EffectiveMaxSteps()))
 	opsPerRun := int64(0)
-	for _, p := range s.Intersect(f.Correct()).Members() {
+	for _, p := range sc.S.Intersect(f.Correct()).Members() {
 		reach := avail
 		if masks != nil {
 			reach = reach.Intersect(masks[p])
 		}
-		for _, op := range scripts[p-1] {
+		for _, op := range sc.Scripts[p-1] {
 			if reach.Has(shardMap.Shard(op.Key)) {
 				opsPerRun++
 			}
 		}
 	}
-	windowDesc := fmt.Sprintf("window=%d", *window)
-	if *adaptive {
-		windowDesc = fmt.Sprintf("window=%d..%d(adaptive)", *window, storeCfg.EffectiveMaxWindow())
+	windowDesc := fmt.Sprintf("window=%d", sc.Store.Window)
+	if sc.Store.AdaptiveWindow {
+		windowDesc = fmt.Sprintf("window=%d..%d(adaptive)", sc.Store.Window, sc.Store.EffectiveMaxWindow())
 	}
 	fmt.Printf("store on %v, S=%v, keys=%d shards=%d %s piggyback=%v: %d runs × %d scripted ops (%d guaranteed at correct clients)\n",
-		f, s, *keys, shardMap.Shards(), windowDesc, *piggyback, res.Runs, register.TotalKeyedOps(scripts), opsPerRun)
-	if *openLoop {
-		fmt.Printf("  load: openloop gap=%d(jittered)\n", sweepCfg.Store.EffectiveArrivalGap())
+		f, sc.S, wl.Keys, shardMap.Shards(), windowDesc, sc.Store.Piggyback, res.Runs, register.TotalKeyedOps(sc.Scripts), opsPerRun)
+	if sc.Store.OpenLoop {
+		fmt.Printf("  load: openloop gap=%d(jittered)\n", sc.Store.EffectiveArrivalGap())
 	}
-	if faults != nil {
+	if sc.Faults != nil {
 		fmt.Printf("  faults: loss=%.3g dup=%.3g maxdelay=%d seed=%d retransmit=%v",
-			faults.Loss, faults.Dup, int64(faults.MaxDelay), faults.Seed, *retransmit)
-		for _, pt := range faults.Partitions {
+			sc.Faults.Loss, sc.Faults.Dup, int64(sc.Faults.MaxDelay), sc.Faults.Seed, sc.Store.Retransmit)
+		for _, pt := range sc.Faults.Partitions {
 			fmt.Printf(" partition=%v", pt)
 		}
 		fmt.Println()
@@ -604,7 +520,7 @@ func cmdStore(args []string) error {
 		}
 	}
 	if masks != nil {
-		for _, p := range s.Intersect(f.Correct()).Members() {
+		for _, p := range sc.S.Intersect(f.Correct()).Members() {
 			if cut := avail.Minus(masks[p]); !cut.IsEmpty() {
 				fmt.Printf("  client p%d partitioned from shard(s) %s past the horizon: those ops park, the rest must complete\n",
 					int(p), shardBits(cut, shardMap.Shards()))
@@ -631,7 +547,7 @@ func cmdStore(args []string) error {
 		fmt.Printf("  lat/faulted: p50=%d p99=%d steps (%d ops)\n",
 			res.LatFaulted.Quantile(0.50), res.LatFaulted.Quantile(0.99), res.LatFaulted.Count)
 	}
-	if *fastRead {
+	if sc.Store.FastReads {
 		fmt.Printf("  fastreads: %d one-phase reads, %d write-back fallbacks across %d runs\n",
 			res.FastReads.Sum, res.Fallbacks.Sum, res.Runs)
 	}
@@ -670,78 +586,62 @@ func shardBits(mask register.ShardSet, shards int) string {
 // recovered process, which must relearn the decision from the periodic
 // decide re-broadcast after its volatile-state wipe.
 func cmdConsensus(args []string) error {
+	var sc consensus.SweepConfig
 	fs := flag.NewFlagSet("consensus", flag.ContinueOnError)
 	n := fs.Int("n", 5, "system size")
-	seed := fs.Int64("seed", 1, "scheduler seed (first seed in fault mode)")
+	fs.Int64Var(&sc.SeedStart, "seed", 1, "scheduler seed (first seed in fault mode)")
 	crash := fs.String("crash", "", "crash list, e.g. \"5\" or \"4@60\"")
-	recov := fs.String("recover", "", "recovery list, e.g. \"4@200\": the crashed process rejoins with its volatile state lost and must relearn the decision (pair with a -crash entry strictly before t)")
-	seeds := fs.Int64("seeds", 20, "seeds per sweep (fault mode only)")
-	workers := fs.Int("workers", 0, "sweep workers in fault mode (0 = GOMAXPROCS)")
-	loss := fs.Float64("loss", 0, "per-message loss probability in [0,1)")
-	dup := fs.Float64("dup", 0, "per-message duplication probability in [0,1)")
-	delay := fs.Int64("delay", 0, "maximum extra per-message delivery delay in ticks")
-	faultSeed := fs.Int64("faultseed", 0, "fault-plan seed, mixed with each run's scheduler seed")
-	partition := fs.String("partition", "", "scripted process partitions, e.g. \"1:2@30-120\" symmetric or \"1>2@30-120\" one-way (must heal: consensus termination needs the quorum back)")
-	stallLimit := fs.Int64("stalllimit", 0, "end a run that makes no progress for this many ticks with reason \"stalled\" (0 = off)")
+	fs.Int64Var(&sc.Seeds, "seeds", 20, "seeds per sweep (fault mode only)")
+	fs.IntVar(&sc.Workers, "workers", 0, "sweep workers in fault mode (0 = GOMAXPROCS)")
+	faults := bindFaultFlags(fs, &sc.StallLimit)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *stallLimit < 0 {
-		return fmt.Errorf("-stalllimit %d is negative", *stallLimit)
 	}
 	f, err := crashPattern(*n, *crash)
 	if err != nil {
 		return err
 	}
-	if err := parseRecover(f, *recov); err != nil {
-		return err
-	}
-	partitions, err := parseProcPartition(*n, *partition)
+	sc.Faults, err = faults.apply(f, func(spec string) ([]dist.Partition, error) { return parseProcPartition(*n, spec) })
 	if err != nil {
 		return err
 	}
-	var faults *sim.FaultPlan
-	// Any set knob — NaN and negatives included — builds the plan, so
-	// FaultPlan.Validate sees and rejects it.
-	if *loss != 0 || *dup != 0 || *delay != 0 || len(partitions) > 0 {
-		faults = &sim.FaultPlan{
-			Seed: *faultSeed, Loss: *loss, Dup: *dup,
-			MaxDelay: dist.Time(*delay), Partitions: partitions,
+	sc.Pattern, sc.Proposals = f, agreement.DistinctProposals(*n)
+	if sc.Faults == nil && !f.HasRecoveries() {
+		// The single run has no seed range, pool or fault plan to apply
+		// these to.
+		var unused error
+		fs.Visit(func(fl *flag.Flag) {
+			if unused == nil && (fl.Name == "seeds" || fl.Name == "workers" || fl.Name == "faultseed") {
+				unused = fmt.Errorf("-%s applies only in fault mode (set -recover, -loss, -dup, -delay or -partition)", fl.Name)
+			}
+		})
+		if unused != nil {
+			return unused
 		}
-	}
-	props := agreement.DistinctProposals(*n)
-	if faults == nil && !f.HasRecoveries() {
 		res, err := sim.Run(sim.Config{
-			Pattern: f, History: consensus.NewOracle(f, 25), Program: consensus.Program(props),
-			Scheduler: sim.NewRandomScheduler(*seed), MaxSteps: 200_000, StopWhenDecided: true,
+			Pattern: f, History: consensus.NewOracle(f, 25), Program: consensus.Program(sc.Proposals),
+			Scheduler: sim.NewRandomScheduler(sc.SeedStart), MaxSteps: 200_000, StopWhenDecided: true,
+			StallLimit: sc.StallLimit,
 		})
 		if err != nil {
 			return err
 		}
-		rep := agreement.Check(f, 1, props, res)
+		rep := agreement.Check(f, 1, sc.Proposals, res)
 		fmt.Printf("Ω+Σ consensus on %v: %s\n", f, rep)
 		printDecisions(rep.Decisions)
 		return nil
 	}
 	start := time.Now()
-	res, err := consensus.Sweep(consensus.SweepConfig{
-		Pattern:    f,
-		Proposals:  props,
-		Faults:     faults,
-		StallLimit: *stallLimit,
-		SeedStart:  *seed,
-		Seeds:      *seeds,
-		Workers:    *workers,
-	})
+	res, err := consensus.Sweep(sc)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 	fmt.Printf("Ω+Σ consensus under faults on %v: %s\n", f, res)
-	if faults != nil {
+	if sc.Faults != nil {
 		fmt.Printf("  faults: loss=%.3g dup=%.3g maxdelay=%d seed=%d",
-			faults.Loss, faults.Dup, int64(faults.MaxDelay), faults.Seed)
-		for _, pt := range faults.Partitions {
+			sc.Faults.Loss, sc.Faults.Dup, int64(sc.Faults.MaxDelay), sc.Faults.Seed)
+		for _, pt := range sc.Faults.Partitions {
 			fmt.Printf(" partition=%v", pt)
 		}
 		fmt.Println()
@@ -768,18 +668,12 @@ func cmdCounterexample(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if err := checkN(*n); err != nil {
-		return err
-	}
 	var (
 		cert *separation.Certificate
 		err  error
 	)
 	switch which {
 	case "lemma7":
-		if *n < 3 {
-			return fmt.Errorf("lemma7 needs -n ≥ 3 (S = {p1,p2} plus an auxiliary correct process), got %d", *n)
-		}
 		cert, err = separation.Lemma7(separation.Lemma7Config{
 			N:         *n,
 			Candidate: separation.HeartbeatCandidate(dist.NewProcSet(1, 2), 10),
@@ -823,57 +717,46 @@ func cmdEmulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	horizon := int64(500)
+	const horizon = 500
+	end, from := dist.Time(horizon), dist.Time(horizon*3/4)
+	var (
+		name    string
+		history sim.History
+		program sim.Program
+		check   func(fd.History) []fd.Violation
+	)
 	switch which {
 	case "fig3":
 		if *n < 2 {
 			return fmt.Errorf("fig3 demo needs n ≥ 2 for the pair {p1,p2}, got %d", *n)
 		}
 		pair := dist.NewProcSet(1, 2)
-		res, err := sim.Run(sim.Config{
-			Pattern: f, History: fd.NewSigmaS(f, pair, 20), Program: core.Fig3Program(pair),
-			Scheduler: sim.NewRandomScheduler(*seed), MaxSteps: horizon,
-		})
-		if err != nil {
-			return err
-		}
-		hist := &fd.RecordedHistory{Trace: res.Trace}
-		vs := core.CheckSigma(f, pair, hist, dist.Time(horizon), dist.Time(horizon*3/4))
-		return reportEmulation("Figure 3: σ from Σ{p,q}", vs)
+		name, history, program = "Figure 3: σ from Σ{p,q}", fd.NewSigmaS(f, pair, 20), core.Fig3Program(pair)
+		check = func(h fd.History) []fd.Violation { return core.CheckSigma(f, pair, h, end, from) }
 	case "fig5":
-		x := dist.RangeSet(1, 4)
 		if *n < 4 {
 			return fmt.Errorf("fig5 demo needs n ≥ 4")
 		}
-		res, err := sim.Run(sim.Config{
-			Pattern: f, History: fd.NewSigmaS(f, x, 20), Program: core.Fig5Program(x),
-			Scheduler: sim.NewRandomScheduler(*seed), MaxSteps: horizon,
-		})
-		if err != nil {
-			return err
-		}
-		hist := &fd.RecordedHistory{Trace: res.Trace}
-		vs := core.CheckSigmaK(f, x, hist, dist.Time(horizon), dist.Time(horizon*3/4))
-		return reportEmulation("Figure 5: σ|X| from Σ_X", vs)
+		x := dist.RangeSet(1, 4)
+		name, history, program = "Figure 5: σ|X| from Σ_X", fd.NewSigmaS(f, x, 20), core.Fig5Program(x)
+		check = func(h fd.History) []fd.Violation { return core.CheckSigmaK(f, x, h, end, from) }
 	case "fig6":
-		pair := dist.NewProcSet(1, 2)
-		oracle, err := core.NewSigmaOracle(f, pair, 25, core.SigmaCanonical)
-		if err != nil {
+		if history, err = core.NewSigmaOracle(f, dist.NewProcSet(1, 2), 25, core.SigmaCanonical); err != nil {
 			return err
 		}
-		res, err := sim.Run(sim.Config{
-			Pattern: f, History: oracle, Program: core.Fig6Program(),
-			Scheduler: sim.NewRandomScheduler(*seed), MaxSteps: horizon,
-		})
-		if err != nil {
-			return err
-		}
-		hist := &fd.RecordedHistory{Trace: res.Trace}
-		vs := fd.CheckAntiOmega(f, hist, dist.Time(horizon), dist.Time(horizon*3/4))
-		return reportEmulation("Figure 6: anti-Ω from σ", vs)
+		name, program = "Figure 6: anti-Ω from σ", core.Fig6Program()
+		check = func(h fd.History) []fd.Violation { return fd.CheckAntiOmega(f, h, end, from) }
 	default:
 		return fmt.Errorf("unknown emulation %q", which)
 	}
+	res, err := sim.Run(sim.Config{
+		Pattern: f, History: history, Program: program,
+		Scheduler: sim.NewRandomScheduler(*seed), MaxSteps: horizon,
+	})
+	if err != nil {
+		return err
+	}
+	return reportEmulation(name, check(&fd.RecordedHistory{Trace: res.Trace}))
 }
 
 func cmdMajoritySigma(args []string) error {

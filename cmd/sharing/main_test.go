@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 )
@@ -103,6 +106,8 @@ func TestSubcommandsFail(t *testing.T) {
 		{"consensus", "-n", "4", "-loss", "0.05", "-partition", "1:2@10-inf"},                     // consensus needs the partition to heal
 		{"consensus", "-n", "4", "-loss", "1.5"},                                                  // loss outside [0,1)
 		{"consensus", "-n", "4", "-dup", "NaN"},                                                   // NaN is no probability
+		{"consensus", "-n", "4", "-workers", "-1"},                                                // the single run has no pool
+		{"consensus", "-n", "4", "-seeds", "0"},                                                   // the single run has no seed range
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-loss", "NaN", "-retransmit"},        // NaN is no probability
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-loss", "-0.5", "-retransmit"},       // negative loss
 		{"store", "-n", "4", "-keys", "4", "-clients", "2", "-openloop", "-rate", "NaN"},          // non-finite rate
@@ -143,10 +148,16 @@ func TestSubcommandErrorsNameTheCause(t *testing.T) {
 		want string
 	}{
 		{[]string{"store", "-loss", "2"}, "FaultPlan.Loss"},
-		{[]string{"store", "-stalllimit", "-1"}, "-stalllimit -1 is negative"},
-		{[]string{"consensus", "-stalllimit", "-1"}, "-stalllimit -1 is negative"},
-		{[]string{"consensus", "-loss", "0.05", "-stalllimit", "-1"}, "-stalllimit -1 is negative"},
+		{[]string{"store", "-stalllimit", "-1"}, "StallLimit -1 is negative"},
+		{[]string{"consensus", "-stalllimit", "-1"}, "StallLimit -1 is negative"},
+		{[]string{"consensus", "-loss", "0.05", "-stalllimit", "-1"}, "StallLimit -1 is negative"},
 		{[]string{"store", "-openloop", "-rate", "1e-300"}, "beyond the run's budget"},
+		{[]string{"lattice", "-n", "300"}, "lattice: need 4 ≤ n ≤ 256"},
+		{[]string{"hierarchy", "-n", "300", "-k", "2"}, "hierarchy: need 4 ≤ n ≤ 256"},
+		{[]string{"counterexample", "lemma7", "-n", "2"}, "Lemma 7 needs 3 ≤ n ≤ 256"},
+		{[]string{"sweep", "-fig", "fig2", "-seed", "-1", "-seeds", "2"}, "seed range"},
+		{[]string{"consensus", "-n", "4", "-workers", "-1"}, "-workers applies only in fault mode"},
+		{[]string{"consensus", "-n", "4", "-faultseed", "3"}, "-faultseed applies only in fault mode"},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -162,5 +173,20 @@ func TestParseCrash(t *testing.T) {
 	if err := run([]string{"setagreement", "-n", "5", "-crash", "x"}); err == nil ||
 		!strings.Contains(err.Error(), "bad -crash") {
 		t.Fatalf("err=%v", err)
+	}
+}
+
+// TestPackageCommentListsEverySubcommand keeps the package comment's
+// subcommand list in step with the subcommand table that usage prints.
+func TestPackageCommentListsEverySubcommand(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := file.Doc.Text()
+	for _, c := range subcommands {
+		if line := fmt.Sprintf("\t%-16s%s\n", c.name, c.summary); !strings.Contains(doc, line) {
+			t.Errorf("package comment lacks %q", line)
+		}
 	}
 }

@@ -60,7 +60,8 @@ type Report struct {
 
 // Config parameterizes Build.
 type Config struct {
-	// N is the system size (≥ 4); K the register half-size for the σₖ side.
+	// N is the system size (4..dist.MaxProcs); K the register half-size
+	// for the σₖ side.
 	N, K int
 	// Horizon bounds emulation runs. Default 600.
 	Horizon int64
@@ -76,8 +77,8 @@ type Config struct {
 // Build derives and verifies every edge. Any failed verification returns an
 // error: the hierarchy must be fully machine-checked or not reported at all.
 func Build(cfg Config) (*Report, error) {
-	if cfg.N < 4 {
-		return nil, fmt.Errorf("hierarchy: need n ≥ 4, got %d", cfg.N)
+	if cfg.N < 4 || cfg.N > dist.MaxProcs {
+		return nil, fmt.Errorf("hierarchy: need 4 ≤ n ≤ %d, got %d", dist.MaxProcs, cfg.N)
 	}
 	if cfg.K < 1 || 2*cfg.K > cfg.N {
 		return nil, fmt.Errorf("hierarchy: need 1 ≤ k ≤ n/2, got k=%d", cfg.K)

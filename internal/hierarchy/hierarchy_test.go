@@ -3,6 +3,8 @@ package hierarchy
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/dist"
 )
 
 func TestBuild(t *testing.T) {
@@ -41,6 +43,9 @@ func TestBuildRejectsBadParams(t *testing.T) {
 	}
 	if _, err := Build(Config{N: 6, K: 4}); err == nil {
 		t.Fatal("k>n/2 accepted")
+	}
+	if _, err := Build(Config{N: dist.MaxProcs + 1, K: 2}); err == nil || !strings.Contains(err.Error(), "hierarchy: need 4 ≤ n ≤ 256") {
+		t.Fatalf("n past MaxProcs: got %v, want an error naming the size range", err)
 	}
 	if _, err := Build(Config{N: 6, K: 2, Runs: -1}); err == nil || !strings.Contains(err.Error(), "Runs") {
 		t.Fatalf("negative Runs: got %v, want an error naming Runs", err)

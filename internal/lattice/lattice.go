@@ -45,7 +45,8 @@ type Report struct {
 
 // Config tunes the lattice driver.
 type Config struct {
-	// N is the system size (≥ 4 so that every k ≤ n/2 row is non-trivial).
+	// N is the system size, 4..dist.MaxProcs (≥ 4 so that every k ≤ n/2
+	// row is non-trivial).
 	N int
 	// RunsPerRelation is the number of seeds for the positive rows: 0
 	// means the default 5, and a negative value is an error.
@@ -62,8 +63,8 @@ type Config struct {
 // produce a certificate — either would mean the reproduction diverges from
 // the paper.
 func Build(cfg Config) (*Report, error) {
-	if cfg.N < 4 {
-		return nil, fmt.Errorf("lattice: need n ≥ 4, got %d", cfg.N)
+	if cfg.N < 4 || cfg.N > dist.MaxProcs {
+		return nil, fmt.Errorf("lattice: need 4 ≤ n ≤ %d, got %d", dist.MaxProcs, cfg.N)
 	}
 	if cfg.RunsPerRelation < 0 {
 		return nil, fmt.Errorf("lattice: Config.RunsPerRelation must not be negative, got %d", cfg.RunsPerRelation)

@@ -3,6 +3,9 @@ package lattice
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/dist"
 )
 
 func TestBuildSmall(t *testing.T) {
@@ -42,6 +45,19 @@ func TestBuildMatchesPaperShape(t *testing.T) {
 func TestBuildRejectsTinySystems(t *testing.T) {
 	if _, err := Build(Config{N: 3}); err == nil {
 		t.Fatal("expected error for n < 4")
+	}
+}
+
+// TestBuildRejectsOversizedSystems: a system past dist.MaxProcs is an
+// error up front, not a panic inside dist or a run of minutes.
+func TestBuildRejectsOversizedSystems(t *testing.T) {
+	start := time.Now()
+	_, err := Build(Config{N: dist.MaxProcs + 1})
+	if err == nil || !strings.Contains(err.Error(), "lattice: need 4 ≤ n ≤ 256") {
+		t.Fatalf("got %v, want an error naming the size range", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("rejection took %v", d)
 	}
 }
 

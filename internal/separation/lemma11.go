@@ -12,7 +12,7 @@ import (
 // Lemma11Config parameterizes the Lemma 11 construction: no algorithm
 // emulates Σ_X₂ₖ from σ₂ₖ.
 type Lemma11Config struct {
-	// N is the system size. X is the 2k-process set whose Σ_X the candidate
+	// N is the system size (at most dist.MaxProcs). X is the 2k-process set whose Σ_X the candidate
 	// claims to emulate; default {1..2k}.
 	N, K int
 	X    dist.ProcSet
@@ -25,6 +25,9 @@ type Lemma11Config struct {
 }
 
 func (c *Lemma11Config) defaults() error {
+	if c.N > dist.MaxProcs {
+		return fmt.Errorf("separation: Lemma 11 needs n ≤ %d, got %d", dist.MaxProcs, c.N)
+	}
 	if c.K < 1 || 2*c.K > c.N {
 		return fmt.Errorf("separation: need 1 ≤ k ≤ n/2, got n=%d k=%d", c.N, c.K)
 	}

@@ -17,7 +17,7 @@ type AlgorithmProgram func(self dist.ProcID, n int, proposal agreement.Value) si
 // Lemma15Config parameterizes the Lemma 15 construction: no algorithm
 // implements set agreement with anti-Ω in message passing.
 type Lemma15Config struct {
-	// N is the system size (≥ 2).
+	// N is the system size, 2..dist.MaxProcs.
 	N int
 	// Candidate is the algorithm under refutation.
 	Candidate AlgorithmProgram
@@ -41,8 +41,8 @@ type Lemma15Config struct {
 // comparison), so all n proposals are decided: set agreement's bound of n−1
 // distinct values is violated.
 func Lemma15(cfg Lemma15Config) (*Certificate, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("separation: Lemma 15 needs n ≥ 2, got %d", cfg.N)
+	if cfg.N < 2 || cfg.N > dist.MaxProcs {
+		return nil, fmt.Errorf("separation: Lemma 15 needs 2 ≤ n ≤ %d, got %d", dist.MaxProcs, cfg.N)
 	}
 	if cfg.Candidate == nil {
 		return nil, fmt.Errorf("separation: Lemma15Config.Candidate is required")

@@ -56,7 +56,7 @@ type EmulatorProgram func(self dist.ProcID, n int) sim.Emulator
 
 // Lemma7Config parameterizes the Lemma 7 construction.
 type Lemma7Config struct {
-	// N is the system size (≥ 3). Default 3.
+	// N is the system size, 3..dist.MaxProcs.
 	N int
 	// P, Q form the pair whose Σ₍p,q₎ the candidate claims to emulate
 	// (defaults p1, p2); Aux is the auxiliary correct process of the proof
@@ -72,9 +72,9 @@ type Lemma7Config struct {
 	Seed int64
 }
 
-func (c *Lemma7Config) defaults() {
-	if c.N < 3 {
-		c.N = 3
+func (c *Lemma7Config) defaults() error {
+	if c.N < 3 || c.N > dist.MaxProcs {
+		return fmt.Errorf("separation: Lemma 7 needs 3 ≤ n ≤ %d, got %d", dist.MaxProcs, c.N)
 	}
 	if c.P == dist.None {
 		c.P, c.Q, c.Aux = 1, 2, 3
@@ -82,6 +82,7 @@ func (c *Lemma7Config) defaults() {
 	if c.Horizon <= 0 {
 		c.Horizon = 4000
 	}
+	return nil
 }
 
 // Lemma7 executes the two-run construction of Lemma 7 against the candidate
@@ -104,7 +105,9 @@ func (c *Lemma7Config) defaults() {
 // which ranges over *all* time pairs, including times before crashes — is
 // violated.
 func Lemma7(cfg Lemma7Config) (*Certificate, error) {
-	cfg.defaults()
+	if err := cfg.defaults(); err != nil {
+		return nil, err
+	}
 	if cfg.Candidate == nil {
 		return nil, fmt.Errorf("separation: Lemma7Config.Candidate is required")
 	}

@@ -170,3 +170,37 @@ func TestTightness(t *testing.T) {
 		}
 	}
 }
+
+// TestEntryPointsRejectOutOfRangeN: every refutation harness rejects a
+// system size it cannot build with an error naming its range, instead of a
+// panic inside dist (n past MaxProcs) or a silent resize (Lemma 7 at n < 3).
+func TestEntryPointsRejectOutOfRangeN(t *testing.T) {
+	const n = dist.MaxProcs + 1
+	pair := dist.NewProcSet(1, 2)
+	for _, tc := range []struct {
+		name string
+		run  func() (*Certificate, error)
+		want string
+	}{
+		{"Lemma7", func() (*Certificate, error) {
+			return Lemma7(Lemma7Config{N: n, Candidate: HeartbeatCandidate(pair, 10)})
+		}, "Lemma 7 needs 3 ≤ n ≤ 256"},
+		{"Lemma7 n=2", func() (*Certificate, error) {
+			return Lemma7(Lemma7Config{N: 2, Candidate: HeartbeatCandidate(pair, 10)})
+		}, "Lemma 7 needs 3 ≤ n ≤ 256, got 2"},
+		{"Lemma11", func() (*Certificate, error) {
+			return Lemma11(Lemma11Config{N: n, K: 2, Candidate: HeartbeatSetCandidate(dist.RangeSet(1, 4), 10)})
+		}, "Lemma 11 needs n ≤ 256"},
+		{"Lemma15", func() (*Certificate, error) {
+			return Lemma15(Lemma15Config{N: n, Candidate: EagerMinCandidate(8)})
+		}, "Lemma 15 needs 2 ≤ n ≤ 256"},
+		{"Tightness", func() (*Certificate, error) {
+			return Tightness(TightnessConfig{N: n, K: 2})
+		}, "tightness needs n ≤ 256"},
+	} {
+		cert, err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, %v; want an error containing %q", tc.name, cert, err, tc.want)
+		}
+	}
+}

@@ -11,7 +11,7 @@ import (
 
 // TightnessConfig parameterizes the Theorem 12/13 tightness experiment.
 type TightnessConfig struct {
-	// N, K as in the paper, 1 ≤ k ≤ n/2.
+	// N, K as in the paper, 1 ≤ k ≤ n/2 and n ≤ dist.MaxProcs.
 	N, K int
 	// Seed drives the fair scheduler.
 	Seed int64
@@ -37,6 +37,9 @@ type TightnessConfig struct {
 // impossibility in shared memory [Saks-Zaharoglou, Herlihy-Shavit,
 // Borowsky-Gafni], which is not executable; see DESIGN.md.
 func Tightness(cfg TightnessConfig) (*Certificate, error) {
+	if cfg.N > dist.MaxProcs {
+		return nil, fmt.Errorf("separation: tightness needs n ≤ %d, got %d", dist.MaxProcs, cfg.N)
+	}
 	if cfg.K < 1 || 2*cfg.K > cfg.N {
 		return nil, fmt.Errorf("separation: need 1 ≤ k ≤ n/2, got n=%d k=%d", cfg.N, cfg.K)
 	}

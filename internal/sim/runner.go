@@ -356,7 +356,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 	}
 	if cfg.StallLimit < 0 {
-		return nil, errors.New("sim: Config.StallLimit is negative")
+		return nil, fmt.Errorf("sim: Config.StallLimit %d is negative", cfg.StallLimit)
 	}
 
 	r := &Runner{

@@ -14,6 +14,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"strings"
@@ -33,7 +34,9 @@ type Config struct {
 	// Program functions) are fine.
 	Sim func() sim.Config
 	// SeedStart is the first seed; the sweep runs seeds
-	// [SeedStart, SeedStart+Seeds).
+	// [SeedStart, SeedStart+Seeds), which must lie within [0, MaxInt64]:
+	// SeedStart is non-negative (Result.FirstFailSeed uses -1 for "none")
+	// and SeedStart+Seeds does not overflow.
 	SeedStart int64
 	// Seeds is the number of runs. Required.
 	Seeds int64
@@ -319,6 +322,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Seeds <= 0 {
 		return nil, fmt.Errorf("sweep: Config.Seeds must be positive, got %d", cfg.Seeds)
+	}
+	if cfg.SeedStart < 0 || cfg.SeedStart > math.MaxInt64-cfg.Seeds {
+		return nil, fmt.Errorf("sweep: seed range [%d, %d+%d) outside [0, MaxInt64]", cfg.SeedStart, cfg.SeedStart, cfg.Seeds)
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("sweep: Config.Workers must not be negative, got %d", cfg.Workers)

@@ -117,6 +117,28 @@ func TestSweepRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsSeedRangeOutsideInt64: a negative first seed would collide
+// with FirstFailSeed's -1 "none", and an overflowing end would silently run
+// fewer seeds; both are errors naming the seed range.
+func TestSweepRejectsSeedRangeOutsideInt64(t *testing.T) {
+	mkSim, _, _ := fig2Config(3)
+	for _, tc := range []struct{ start, seeds int64 }{
+		{-1, 2},
+		{-10, 10},
+		{math.MaxInt64, 2},
+		{math.MaxInt64 - 1, 2},
+	} {
+		_, err := Run(Config{Sim: mkSim, SeedStart: tc.start, Seeds: tc.seeds})
+		if err == nil || !strings.Contains(err.Error(), "seed range") {
+			t.Errorf("SeedStart %d, Seeds %d: got %v, want an error naming the seed range", tc.start, tc.seeds, err)
+		}
+	}
+	res, err := Run(Config{Sim: mkSim, SeedStart: math.MaxInt64 - 2, Seeds: 2})
+	if err != nil || res.Runs != 2 {
+		t.Fatalf("the last seeds below MaxInt64: %v, %v", res, err)
+	}
+}
+
 func TestHistMergeEdgeCases(t *testing.T) {
 	// Empty into empty: still empty.
 	var h, empty Hist
