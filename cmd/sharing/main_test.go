@@ -44,6 +44,7 @@ func TestSubcommandsSucceed(t *testing.T) {
 		{"consensus", "-n", "4", "-seeds", "2", "-partition", "1>2@30-120", "-workers", "2"},
 		{"counterexample", "lemma7", "-n", "4"},
 		{"counterexample", "lemma11", "-n", "5", "-k", "2"},
+		{"counterexample", "lemma11", "-n", "6", "-k", "3"}, // n = 2k: the two-halves construction
 		{"counterexample", "lemma15", "-n", "3"},
 		{"counterexample", "tightness", "-n", "6", "-k", "2"},
 		{"emulate", "fig3"},
