@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -56,6 +57,28 @@ func TestCheckSigmaRejectsDisjointNonEmpty(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("disjoint singleton outputs accepted")
+	}
+}
+
+// TestCheckSigmaWitnessOrderIsStable: the one {p1} vs {p2} witness names
+// p1's output first on every call, not in map order.
+func TestCheckSigmaWitnessOrderIsStable(t *testing.T) {
+	f := dist.NewFailurePattern(3)
+	a := dist.NewProcSet(1, 2)
+	bad := sim.HistoryFunc(func(p dist.ProcID, tm dist.Time) any {
+		if a.Contains(p) {
+			return SigmaOut{Trusted: dist.NewProcSet(p)}
+		}
+		return SigmaOut{Bottom: true}
+	})
+	first := CheckSigma(f, a, bad, 20, 10)
+	if len(first) != 1 || first[0].Witness != "H(p1,0)={p1} ∩ H(p2,0)={p2} = ∅" {
+		t.Fatalf("got %v, want the one p1 vs p2 witness", first)
+	}
+	for i := 0; i < 100; i++ {
+		if got := CheckSigma(f, a, bad, 20, 10); !slices.Equal(got, first) {
+			t.Fatalf("call %d: %v, first call: %v", i, got, first)
+		}
 	}
 }
 
@@ -135,6 +158,25 @@ func TestCheckSigmaKRejectsDisjointTrust(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("disjoint (X,A) trust sets accepted")
+	}
+}
+
+// TestCheckSigmaKWitnessOrderIsStable: with four singleton trust sets the
+// witnesses are listed in first-output order on every call.
+func TestCheckSigmaKWitnessOrderIsStable(t *testing.T) {
+	f := dist.NewFailurePattern(4)
+	a := dist.RangeSet(1, 4)
+	bad := sim.HistoryFunc(func(p dist.ProcID, tm dist.Time) any {
+		return SigmaKOut{Trusted: dist.NewProcSet(p), Active: a}
+	})
+	first := CheckSigmaK(f, a, bad, 20, 10)
+	if len(first) != 6 || first[0].Witness != "H(p1,0)=({p1},·) ∩ H(p2,0)=({p2},·) = ∅" {
+		t.Fatalf("got %v, want the six pairs starting with p1 vs p2", first)
+	}
+	for i := 0; i < 100; i++ {
+		if got := CheckSigmaK(f, a, bad, 20, 10); !slices.Equal(got, first) {
+			t.Fatalf("call %d: %v, first call: %v", i, got, first)
+		}
 	}
 }
 

@@ -105,10 +105,12 @@ func CheckSigma(f *dist.FailurePattern, a dist.ProcSet, h fd.History, horizon, s
 	correct := f.Correct()
 
 	type src struct {
-		p dist.ProcID
-		t dist.Time
+		set dist.ProcSet
+		p   dist.ProcID
+		t   dist.Time
 	}
-	nonEmpty := make(map[dist.ProcSet]src)
+	var nonEmpty []src // distinct trust sets, in first-output order (p, then t)
+	seen := make(map[dist.ProcSet]bool)
 
 	for _, p := range f.All().Members() {
 		lastBad := dist.Time(-1)   // completeness: trusted ⊄ Correct
@@ -137,8 +139,9 @@ func CheckSigma(f *dist.FailurePattern, a dist.ProcSet, h fd.History, horizon, s
 			}
 			if so.Trusted.IsEmpty() {
 				lastEmpty = t
-			} else if _, seen := nonEmpty[so.Trusted]; !seen {
-				nonEmpty[so.Trusted] = src{p: p, t: t}
+			} else if !seen[so.Trusted] {
+				seen[so.Trusted] = true
+				nonEmpty = append(nonEmpty, src{set: so.Trusted, p: p, t: t})
 			}
 			if correct.Contains(p) && !so.Trusted.SubsetOf(correct) {
 				lastBad = t
@@ -154,17 +157,12 @@ func CheckSigma(f *dist.FailurePattern, a dist.ProcSet, h fd.History, horizon, s
 		}
 	}
 
-	var sets []dist.ProcSet
-	for s := range nonEmpty {
-		sets = append(sets, s)
-	}
-	for i := 0; i < len(sets); i++ {
-		for j := i; j < len(sets); j++ {
-			if !sets[i].Intersects(sets[j]) {
-				x, y := nonEmpty[sets[i]], nonEmpty[sets[j]]
+	for i, x := range nonEmpty {
+		for _, y := range nonEmpty[i:] {
+			if !x.set.Intersects(y.set) {
 				out = append(out, fd.Violation{Property: "intersection",
 					Witness: fmt.Sprintf("H(p%d,%d)=%v ∩ H(p%d,%d)=%v = ∅",
-						int(x.p), int64(x.t), sets[i], int(y.p), int64(y.t), sets[j])})
+						int(x.p), int64(x.t), x.set, int(y.p), int64(y.t), y.set)})
 			}
 		}
 	}

@@ -134,10 +134,12 @@ func CheckSigmaS(f *dist.FailurePattern, s dist.ProcSet, h History, horizon, sta
 	correct := f.Correct()
 
 	type src struct {
-		p dist.ProcID
-		t dist.Time
+		set dist.ProcSet
+		p   dist.ProcID
+		t   dist.Time
 	}
-	lists := make(map[dist.ProcSet]src)
+	var lists []src // distinct trust sets, in first-output order (p, then t)
+	seen := make(map[dist.ProcSet]bool)
 	for _, p := range f.All().Members() {
 		lastBad := dist.Time(-1)
 		for t := dist.Time(0); t < horizon; t++ {
@@ -166,8 +168,9 @@ func CheckSigmaS(f *dist.FailurePattern, s dist.ProcSet, h History, horizon, sta
 					Witness: fmt.Sprintf("H(p%d,%d) = ∅", int(p), int64(t))})
 				return out
 			}
-			if _, seen := lists[tl.Trusted]; !seen {
-				lists[tl.Trusted] = src{p: p, t: t}
+			if !seen[tl.Trusted] {
+				seen[tl.Trusted] = true
+				lists = append(lists, src{set: tl.Trusted, p: p, t: t})
 			}
 			if correct.Contains(p) && !tl.Trusted.SubsetOf(correct) {
 				lastBad = t
@@ -179,17 +182,12 @@ func CheckSigmaS(f *dist.FailurePattern, s dist.ProcSet, h History, horizon, sta
 		}
 	}
 	// Intersection over the distinct lists actually output.
-	var all []dist.ProcSet
-	for l := range lists {
-		all = append(all, l)
-	}
-	for i := 0; i < len(all); i++ {
-		for j := i; j < len(all); j++ {
-			if !all[i].Intersects(all[j]) {
-				a, b := lists[all[i]], lists[all[j]]
+	for i, a := range lists {
+		for _, b := range lists[i:] {
+			if !a.set.Intersects(b.set) {
 				out = append(out, Violation{Property: "intersection",
 					Witness: fmt.Sprintf("H(p%d,%d)=%v ∩ H(p%d,%d)=%v = ∅",
-						int(a.p), int64(a.t), all[i], int(b.p), int64(b.t), all[j])})
+						int(a.p), int64(a.t), a.set, int(b.p), int64(b.t), b.set)})
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -62,6 +63,24 @@ func TestCheckSigmaSRejectsDisjointLists(t *testing.T) {
 	}
 	if vs[len(vs)-1].Property != "intersection" {
 		t.Fatalf("got %v, want intersection violation", vs)
+	}
+}
+
+// TestCheckSigmaSWitnessOrderIsStable: the intersection witnesses are
+// listed in first-output order (p, then t) on every call, not in map order.
+func TestCheckSigmaSWitnessOrderIsStable(t *testing.T) {
+	f := dist.NewFailurePattern(4)
+	singletons := sim.HistoryFunc(func(p dist.ProcID, tm dist.Time) any {
+		return TrustList{Trusted: dist.NewProcSet(p)}
+	})
+	first := CheckSigmaS(f, f.All(), singletons, 10, 5)
+	if len(first) != 6 || first[0].Witness != "H(p1,0)={p1} ∩ H(p2,0)={p2} = ∅" {
+		t.Fatalf("got %v, want the six pairs starting with p1 vs p2", first)
+	}
+	for i := 0; i < 100; i++ {
+		if got := CheckSigmaS(f, f.All(), singletons, 10, 5); !slices.Equal(got, first) {
+			t.Fatalf("call %d: %v, first call: %v", i, got, first)
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/fd"
 	"repro/internal/separation"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 // EdgeKind distinguishes reductions from separations.
@@ -98,7 +97,8 @@ func Build(cfg Config) (*Report, error) {
 	f := dist.CrashPattern(cfg.N, dist.ProcID(cfg.N)) // one crashed process
 
 	// σ ⪯ Σ{p,q} (Figure 3 / Lemma 6).
-	err := sweepEmu(f, cfg, func() sim.History { return fd.NewSigmaS(f, pair, 20) }, core.Fig3Program(pair),
+	err := validate(cfg, f, func() sim.History { return fd.NewSigmaS(f, pair, 20) },
+		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig3(p, pair) },
 		func(h fd.History) []fd.Violation {
 			return core.CheckSigma(f, pair, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
@@ -123,7 +123,8 @@ func Build(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = sweepEmu(f, cfg, func() sim.History { return sigmaOracle }, core.Fig6Program(),
+	err = validate(cfg, f, func() sim.History { return sigmaOracle },
+		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig6(p, n) },
 		func(h fd.History) []fd.Violation {
 			return fd.CheckAntiOmega(f, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
@@ -145,7 +146,8 @@ func Build(cfg Config) (*Report, error) {
 		fmt.Sprintf("Corollary 17: σ solves set agreement (E1) but anti-Ω does not — %s", cert15))
 
 	// σₖ side: σ₂ₖ ⪯ Σ_X₂ₖ (Figure 5 / Lemma 10).
-	err = sweepEmu(f, cfg, func() sim.History { return fd.NewSigmaS(f, x, 20) }, core.Fig5Program(x),
+	err = validate(cfg, f, func() sim.History { return fd.NewSigmaS(f, x, 20) },
+		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig5(p, x) },
 		func(h fd.History) []fd.Violation {
 			return core.CheckSigmaK(f, x, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
@@ -175,38 +177,18 @@ func (r *Report) add(from, to string, kind EdgeKind, evidence string) {
 	r.Edges = append(r.Edges, Edge{From: from, To: to, Kind: kind, Evidence: evidence})
 }
 
-// sweepEmu validates one reduction edge across cfg.Runs seeds on the
-// concurrent sweep engine: each run's recorded trace is replayed as an
-// emulated history and checked against the target class definition. mkHist
-// is called once per worker (Σ_S oracles cache state and must not be
-// shared).
-func sweepEmu(f *dist.FailurePattern, cfg Config, mkHist func() sim.History, prog sim.Program, check func(fd.History) []fd.Violation) error {
-	res, err := sweep.Run(sweep.Config{
-		Sim: func() sim.Config {
-			return sim.Config{
-				Pattern:  f,
-				History:  mkHist(),
-				Program:  prog,
-				MaxSteps: cfg.Horizon,
-			}
-		},
-		SeedStart: cfg.Seed,
-		Seeds:     cfg.Runs,
-		Workers:   cfg.Workers,
-		Check: func(seed int64, r *sim.Result) error {
-			if vs := check(&fd.RecordedHistory{Trace: r.Trace}); len(vs) != 0 {
-				return fmt.Errorf("seed %d: %v", seed, vs)
-			}
-			return nil
-		},
+// validate checks one reduction edge with separation.Search across
+// cfg.Runs seeds: every run's emulated history must pass check. mkHist is
+// called once per worker (Σ_S oracles cache state and must not be shared).
+func validate(cfg Config, f *dist.FailurePattern, mkHist func() sim.History, emu separation.EmulatorProgram, check func(fd.History) []fd.Violation) error {
+	res, err := separation.Search(separation.SearchConfig{
+		Pattern: f, History: mkHist, Candidate: emu, Check: check,
+		Horizon: cfg.Horizon, SeedStart: cfg.Seed, Seeds: cfg.Runs, Workers: cfg.Workers,
 	})
-	if err != nil {
-		return err
+	if err == nil && res.Failures > 0 {
+		err = res.FirstFailErr
 	}
-	if res.Failures > 0 {
-		return res.FirstFailErr
-	}
-	return nil
+	return err
 }
 
 // Render prints the hierarchy with the strict chains made explicit.

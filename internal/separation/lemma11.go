@@ -6,14 +6,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Lemma11Config parameterizes the Lemma 11 construction: no algorithm
 // emulates Σ_X₂ₖ from σ₂ₖ.
 type Lemma11Config struct {
-	// N is the system size (at most dist.MaxProcs). X is the 2k-process set whose Σ_X the candidate
-	// claims to emulate; default {1..2k}.
+	// N is the system size (at most dist.MaxProcs). X ⊆ Π is the
+	// 2k-process set whose Σ_X the candidate claims to emulate; default
+	// {1..2k}.
 	N, K int
 	X    dist.ProcSet
 	// Candidate is the emulation under refutation (outputs fd.TrustList).
@@ -36,6 +36,9 @@ func (c *Lemma11Config) defaults() error {
 	}
 	if c.X.Len() != 2*c.K {
 		return fmt.Errorf("separation: |X|=%d, want 2k=%d", c.X.Len(), 2*c.K)
+	}
+	if !c.X.SubsetOf(dist.FullSet(c.N)) {
+		return fmt.Errorf("separation: Lemma 11 needs X ⊆ Π=%v, got X=%v", dist.FullSet(c.N), c.X)
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 6000
@@ -64,6 +67,16 @@ func Lemma11(cfg Lemma11Config) (*Certificate, error) {
 	return lemma11General(cfg)
 }
 
+// sigmaK is the σ₂ₖ history (trusted, X) at the members of X, ⊥ elsewhere.
+func sigmaK(x, trusted dist.ProcSet) sim.HistoryFunc {
+	return func(id dist.ProcID, t dist.Time) any {
+		if !x.Contains(id) {
+			return core.SigmaKOut{Bottom: true}
+		}
+		return core.SigmaKOut{Trusted: trusted, Active: x}
+	}
+}
+
 // lemma11General: n > 2k. Run r: p = min(X) and an auxiliary process outside
 // X are correct; σ₂ₖ outputs (∅, X) forever. Completeness forces
 // output_p ⊆ {p, aux}. Run r′: only q (another member of X) is correct, the
@@ -73,103 +86,29 @@ func lemma11General(cfg Lemma11Config) (*Certificate, error) {
 	p := cfg.X.Min()
 	q := cfg.X.Remove(p).Min()
 	aux := dist.FullSet(cfg.N).Minus(cfg.X).Min()
-
-	idle := core.SigmaKOut{Active: cfg.X} // (∅, X)
-	histR := sim.HistoryFunc(func(id dist.ProcID, t dist.Time) any {
-		if !cfg.X.Contains(id) {
-			return core.SigmaKOut{Bottom: true}
-		}
-		return idle
-	})
-
-	fr := dist.NewFailurePattern(cfg.N)
-	for id := dist.ProcID(1); int(id) <= cfg.N; id++ {
-		if id != p && id != aux {
-			fr.CrashAt(id, 0)
-		}
-	}
-	target := dist.NewProcSet(p, aux)
-	prog := func(id dist.ProcID, n int) sim.Automaton { return cfg.Candidate(id, n) }
-	resR, err := sim.Run(sim.Config{
-		Pattern:   fr,
-		History:   histR,
-		Program:   prog,
-		Scheduler: sim.NewRandomScheduler(cfg.Seed),
-		MaxSteps:  cfg.Horizon,
-		StopWhen: func(s *sim.Snapshot) bool {
-			return trustListWithin(s.EmuOutput(p), target)
-		},
-	})
+	target, qSet := dist.NewProcSet(p, aux), dist.NewProcSet(q)
+	res, err := (&twoRun{
+		lemma: "Lemma 11", n: cfg.N, candidate: cfg.Candidate, horizon: cfg.Horizon, seed: cfg.Seed,
+		first: target, p: p, history: sigmaK(cfg.X, dist.ProcSet{}),
+		second: qSet, q: q, after: sigmaK(cfg.X, qSet),
+	}).run()
 	if err != nil {
-		return nil, fmt.Errorf("separation: lemma 11 run r: %w", err)
+		return nil, err
 	}
-	if resR.Reason != sim.ReasonStopCond {
-		return &Certificate{
-			Lemma:    "Lemma 11",
-			Property: "completeness",
-			Detail: fmt.Sprintf("in run r (Correct={p%d,p%d}, σ₂ₖ idle) output_p%d never became ⊆ %v within %d steps",
-				int(p), int(aux), int(p), target, cfg.Horizon),
-		}, nil
+	cert := &Certificate{Lemma: "Lemma 11", Property: "completeness", ReplayVerified: res.replayOK}
+	switch res.outcome {
+	case stuckInR:
+		cert.Detail = fmt.Sprintf("in run r (Correct={p%d,p%d}, σ₂ₖ idle) output_p%d never became ⊆ %v within %d steps",
+			int(p), int(aux), int(p), target, cfg.Horizon)
+	case stuckInR2:
+		cert.Detail = fmt.Sprintf("in run r′ (only p%d correct) output_p%d never became ⊆ {p%d} within %d steps",
+			int(q), int(q), int(q), cfg.Horizon)
+	default:
+		cert.Property = "intersection"
+		cert.Detail = fmt.Sprintf("output_p%d(t₁=%d)=%v ∩ output_p%d(t₂=%d)=%v = ∅",
+			int(p), int64(res.t1), res.outP, int(q), int64(res.t2), res.outQ)
 	}
-	t1 := dist.Time(resR.Ticks - 1)
-	outP, _ := trace.OutputAt(resR.Trace, p, t1)
-
-	fr2 := dist.NewFailurePattern(cfg.N)
-	for id := dist.ProcID(1); int(id) <= cfg.N; id++ {
-		switch id {
-		case q:
-		case p, aux:
-			fr2.CrashAt(id, t1+1)
-		default:
-			fr2.CrashAt(id, 0)
-		}
-	}
-	qSet := dist.NewProcSet(q)
-	histR2 := sim.HistoryFunc(func(id dist.ProcID, t dist.Time) any {
-		if !cfg.X.Contains(id) {
-			return core.SigmaKOut{Bottom: true}
-		}
-		if t <= t1 {
-			return idle
-		}
-		return core.SigmaKOut{Trusted: qSet, Active: cfg.X}
-	})
-	resR2, err := sim.Run(sim.Config{
-		Pattern: fr2,
-		History: histR2,
-		Program: prog,
-		Scheduler: &sim.ScriptedScheduler{
-			Script: sim.ReplayScript(resR.Trace, t1),
-			Then:   sim.NewRandomScheduler(cfg.Seed + 1),
-		},
-		MaxSteps: int64(t1) + 1 + cfg.Horizon,
-		StopWhen: func(s *sim.Snapshot) bool {
-			return s.Now() > t1 && trustListWithin(s.EmuOutput(q), qSet)
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("separation: lemma 11 run r': %w", err)
-	}
-	replayOK := trace.IndistinguishableTo(resR.Trace, resR2.Trace, p, -1) &&
-		trace.IndistinguishableTo(resR.Trace, resR2.Trace, aux, -1)
-	if resR2.Reason != sim.ReasonStopCond {
-		return &Certificate{
-			Lemma:          "Lemma 11",
-			Property:       "completeness",
-			ReplayVerified: replayOK,
-			Detail: fmt.Sprintf("in run r′ (only p%d correct) output_p%d never became ⊆ {p%d} within %d steps",
-				int(q), int(q), int(q), cfg.Horizon),
-		}, nil
-	}
-	t2 := dist.Time(resR2.Ticks - 1)
-	outQ, _ := trace.OutputAt(resR2.Trace, q, t2)
-	return &Certificate{
-		Lemma:          "Lemma 11",
-		Property:       "intersection",
-		ReplayVerified: replayOK,
-		Detail: fmt.Sprintf("output_p%d(t₁=%d)=%v ∩ output_p%d(t₂=%d)=%v = ∅",
-			int(p), int64(t1), outP, int(q), int64(t2), outQ),
-	}, nil
+	return cert, nil
 }
 
 // lemma11Tight: n = 2k. With one correct process per half, σₙ may output
@@ -186,87 +125,28 @@ func lemma11Tight(cfg Lemma11Config) (*Certificate, error) {
 	low, high := core.Halves(cfg.X)
 	l1, h1 := low.Min(), high.Min()
 	l2, h2 := low.Remove(l1).Min(), high.Remove(h1).Min()
-
-	idle := core.SigmaKOut{Active: cfg.X} // (∅, Π)
-	hist := sim.HistoryFunc(func(id dist.ProcID, t dist.Time) any { return idle })
-
-	fr := dist.NewFailurePattern(cfg.N)
-	for id := dist.ProcID(1); int(id) <= cfg.N; id++ {
-		if id != l1 && id != h1 {
-			fr.CrashAt(id, 0)
-		}
-	}
-	pair1 := dist.NewProcSet(l1, h1)
-	prog := func(id dist.ProcID, n int) sim.Automaton { return cfg.Candidate(id, n) }
-	resR, err := sim.Run(sim.Config{
-		Pattern:   fr,
-		History:   hist,
-		Program:   prog,
-		Scheduler: sim.NewRandomScheduler(cfg.Seed),
-		MaxSteps:  cfg.Horizon,
-		StopWhen: func(s *sim.Snapshot) bool {
-			return trustListWithin(s.EmuOutput(l1), pair1)
-		},
-	})
+	pair1, pair2 := dist.NewProcSet(l1, h1), dist.NewProcSet(l2, h2)
+	idle := sigmaK(cfg.X, dist.ProcSet{}) // (∅, Π)
+	res, err := (&twoRun{
+		lemma: "Lemma 11 (n=2k)", n: cfg.N, candidate: cfg.Candidate, horizon: cfg.Horizon, seed: cfg.Seed,
+		first: pair1, p: l1, history: idle,
+		second: pair2, q: l2, after: idle,
+	}).run()
 	if err != nil {
-		return nil, fmt.Errorf("separation: lemma 11 (n=2k) run r: %w", err)
+		return nil, err
 	}
-	if resR.Reason != sim.ReasonStopCond {
-		return &Certificate{
-			Lemma:    "Lemma 11 (n=2k)",
-			Property: "completeness",
-			Detail: fmt.Sprintf("in run r (Correct=%v, history (∅,Π)) output_p%d never became ⊆ %v within %d steps",
-				pair1, int(l1), pair1, cfg.Horizon),
-		}, nil
+	cert := &Certificate{Lemma: "Lemma 11 (n=2k)", Property: "completeness", ReplayVerified: res.replayOK}
+	switch res.outcome {
+	case stuckInR:
+		cert.Detail = fmt.Sprintf("in run r (Correct=%v, history (∅,Π)) output_p%d never became ⊆ %v within %d steps",
+			pair1, int(l1), pair1, cfg.Horizon)
+	case stuckInR2:
+		cert.Detail = fmt.Sprintf("in run r′ (Correct=%v) output_p%d never became ⊆ %v within %d steps",
+			pair2, int(l2), pair2, cfg.Horizon)
+	default:
+		cert.Property = "intersection"
+		cert.Detail = fmt.Sprintf("output_p%d(t₁=%d)=%v ∩ output_p%d(t₂=%d)=%v = ∅",
+			int(l1), int64(res.t1), res.outP, int(l2), int64(res.t2), res.outQ)
 	}
-	t1 := dist.Time(resR.Ticks - 1)
-	out1, _ := trace.OutputAt(resR.Trace, l1, t1)
-
-	fr2 := dist.NewFailurePattern(cfg.N)
-	for id := dist.ProcID(1); int(id) <= cfg.N; id++ {
-		switch id {
-		case l2, h2:
-		case l1, h1:
-			fr2.CrashAt(id, t1+1)
-		default:
-			fr2.CrashAt(id, 0)
-		}
-	}
-	pair2 := dist.NewProcSet(l2, h2)
-	resR2, err := sim.Run(sim.Config{
-		Pattern: fr2,
-		History: hist,
-		Program: prog,
-		Scheduler: &sim.ScriptedScheduler{
-			Script: sim.ReplayScript(resR.Trace, t1),
-			Then:   sim.NewRandomScheduler(cfg.Seed + 1),
-		},
-		MaxSteps: int64(t1) + 1 + cfg.Horizon,
-		StopWhen: func(s *sim.Snapshot) bool {
-			return s.Now() > t1 && trustListWithin(s.EmuOutput(l2), pair2)
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("separation: lemma 11 (n=2k) run r': %w", err)
-	}
-	replayOK := trace.IndistinguishableTo(resR.Trace, resR2.Trace, l1, -1) &&
-		trace.IndistinguishableTo(resR.Trace, resR2.Trace, h1, -1)
-	if resR2.Reason != sim.ReasonStopCond {
-		return &Certificate{
-			Lemma:          "Lemma 11 (n=2k)",
-			Property:       "completeness",
-			ReplayVerified: replayOK,
-			Detail: fmt.Sprintf("in run r′ (Correct=%v) output_p%d never became ⊆ %v within %d steps",
-				pair2, int(l2), pair2, cfg.Horizon),
-		}, nil
-	}
-	t2 := dist.Time(resR2.Ticks - 1)
-	out2, _ := trace.OutputAt(resR2.Trace, l2, t2)
-	return &Certificate{
-		Lemma:          "Lemma 11 (n=2k)",
-		Property:       "intersection",
-		ReplayVerified: replayOK,
-		Detail: fmt.Sprintf("output_p%d(t₁=%d)=%v ∩ output_p%d(t₂=%d)=%v = ∅",
-			int(l1), int64(t1), out1, int(l2), int64(t2), out2),
-	}, nil
+	return cert, nil
 }

@@ -21,7 +21,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fd"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Certificate is the verdict of a refutation harness: the property the
@@ -58,9 +57,9 @@ type EmulatorProgram func(self dist.ProcID, n int) sim.Emulator
 type Lemma7Config struct {
 	// N is the system size, 3..dist.MaxProcs.
 	N int
-	// P, Q form the pair whose Σ₍p,q₎ the candidate claims to emulate
-	// (defaults p1, p2); Aux is the auxiliary correct process of the proof
-	// (default p3).
+	// P, Q form the pair whose Σ₍p,q₎ the candidate claims to emulate;
+	// Aux is the auxiliary correct process of the proof. Set all three,
+	// distinct and in 1..N, or none (defaults p1, p2, p3).
 	P, Q, Aux dist.ProcID
 	// Candidate is the emulation under refutation. Its Output must be an
 	// fd.TrustList.
@@ -76,8 +75,12 @@ func (c *Lemma7Config) defaults() error {
 	if c.N < 3 || c.N > dist.MaxProcs {
 		return fmt.Errorf("separation: Lemma 7 needs 3 ≤ n ≤ %d, got %d", dist.MaxProcs, c.N)
 	}
-	if c.P == dist.None {
+	if c.P == dist.None && c.Q == dist.None && c.Aux == dist.None {
 		c.P, c.Q, c.Aux = 1, 2, 3
+	}
+	if s := dist.NewProcSet(c.P, c.Q, c.Aux); s.Len() != 3 || !s.SubsetOf(dist.FullSet(c.N)) {
+		return fmt.Errorf("separation: Lemma 7 needs P, Q and Aux distinct in 1..%d (or all unset), got %d, %d, %d",
+			c.N, int(c.P), int(c.Q), int(c.Aux))
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 4000
@@ -112,112 +115,34 @@ func Lemma7(cfg Lemma7Config) (*Certificate, error) {
 		return nil, fmt.Errorf("separation: Lemma7Config.Candidate is required")
 	}
 	pair := dist.NewProcSet(cfg.P, cfg.Q)
-	pairOnly := pair
-
-	// ---- Run r ----
-	fr := dist.NewFailurePattern(cfg.N)
-	for id := dist.ProcID(1); int(id) <= cfg.N; id++ {
-		if id != cfg.P && id != cfg.Aux {
-			fr.CrashAt(id, 0)
-		}
-	}
-	sigmaR := sigmaConstant(pair, dist.ProcSet{}) // ∅ at actives forever
-
-	target := dist.NewProcSet(cfg.Aux, cfg.P)
-	prog := func(p dist.ProcID, n int) sim.Automaton { return cfg.Candidate(p, n) }
-	resR, err := sim.Run(sim.Config{
-		Pattern:   fr,
-		History:   sigmaR,
-		Program:   prog,
-		Scheduler: sim.NewRandomScheduler(cfg.Seed),
-		MaxSteps:  cfg.Horizon,
-		StopWhen: func(s *sim.Snapshot) bool {
-			return trustListWithin(s.EmuOutput(cfg.P), target)
-		},
-	})
+	target, qSet := dist.NewProcSet(cfg.Aux, cfg.P), dist.NewProcSet(cfg.Q)
+	res, err := (&twoRun{
+		lemma: "Lemma 7", n: cfg.N, candidate: cfg.Candidate, horizon: cfg.Horizon, seed: cfg.Seed,
+		first: target, p: cfg.P, history: sigmaConstant(pair, dist.ProcSet{}),
+		second: qSet, q: cfg.Q, after: sigmaConstant(pair, qSet),
+	}).run()
 	if err != nil {
-		return nil, fmt.Errorf("separation: run r: %w", err)
+		return nil, err
 	}
-	if resR.Reason != sim.ReasonStopCond {
-		return &Certificate{
-			Lemma:    "Lemma 7",
-			Property: "completeness",
-			Detail: fmt.Sprintf("in run r (Correct={p%d,p%d}, σ silent) output_p%d never became ⊆ %v within %d steps",
-				int(cfg.P), int(cfg.Aux), int(cfg.P), target, cfg.Horizon),
-		}, nil
+	cert := &Certificate{Lemma: "Lemma 7", Property: "completeness", ReplayVerified: res.replayOK}
+	switch res.outcome {
+	case stuckInR:
+		cert.Detail = fmt.Sprintf("in run r (Correct={p%d,p%d}, σ silent) output_p%d never became ⊆ %v within %d steps",
+			int(cfg.P), int(cfg.Aux), int(cfg.P), target, cfg.Horizon)
+	case stuckInR2:
+		cert.Detail = fmt.Sprintf("in run r′ (only p%d correct) output_p%d never became ⊆ {p%d} within %d steps",
+			int(cfg.Q), int(cfg.Q), int(cfg.Q), cfg.Horizon)
+	default:
+		cert.Property = "intersection"
+		cert.ReplayVerified = res.replayOK && sameTrust(res.outP, res.outPr2)
+		cert.Detail = fmt.Sprintf("output_p%d(t₁=%d)=%v and output_p%d(t₂=%d)=%v are disjoint (replayed prefix gives %v at p%d in r′)",
+			int(cfg.P), int64(res.t1), res.outP, int(cfg.Q), int64(res.t2), res.outQ, res.outPr2, int(cfg.P))
 	}
-	t1 := dist.Time(resR.Ticks - 1) // the step at which the condition held
-	outP, _ := trace.OutputAt(resR.Trace, cfg.P, t1)
-
-	// ---- Run r′ ----
-	fr2 := dist.NewFailurePattern(cfg.N)
-	for id := dist.ProcID(1); int(id) <= cfg.N; id++ {
-		switch id {
-		case cfg.Q:
-			// correct
-		case cfg.P, cfg.Aux:
-			fr2.CrashAt(id, t1+1)
-		default:
-			fr2.CrashAt(id, 0)
-		}
-	}
-	// σ history H′: ∅ until t₁ at the actives, {q} afterwards.
-	qSet := dist.NewProcSet(cfg.Q)
-	sigmaR2 := sim.HistoryFunc(func(p dist.ProcID, t dist.Time) any {
-		if !pairOnly.Contains(p) {
-			return core.SigmaOut{Bottom: true}
-		}
-		if t <= t1 {
-			return core.SigmaOut{}
-		}
-		return core.SigmaOut{Trusted: qSet}
-	})
-
-	resR2, err := sim.Run(sim.Config{
-		Pattern: fr2,
-		History: sigmaR2,
-		Program: prog,
-		Scheduler: &sim.ScriptedScheduler{
-			Script: sim.ReplayScript(resR.Trace, t1),
-			Then:   sim.NewRandomScheduler(cfg.Seed + 1),
-		},
-		MaxSteps: int64(t1) + 1 + cfg.Horizon,
-		StopWhen: func(s *sim.Snapshot) bool {
-			return s.Now() > t1 && trustListWithin(s.EmuOutput(cfg.Q), qSet)
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("separation: run r': %w", err)
-	}
-
-	replayOK := trace.IndistinguishableTo(resR.Trace, resR2.Trace, cfg.P, -1) &&
-		trace.IndistinguishableTo(resR.Trace, resR2.Trace, cfg.Aux, -1)
-
-	if resR2.Reason != sim.ReasonStopCond {
-		return &Certificate{
-			Lemma:          "Lemma 7",
-			Property:       "completeness",
-			ReplayVerified: replayOK,
-			Detail: fmt.Sprintf("in run r′ (only p%d correct) output_p%d never became ⊆ {p%d} within %d steps",
-				int(cfg.Q), int(cfg.Q), int(cfg.Q), cfg.Horizon),
-		}, nil
-	}
-	t2 := dist.Time(resR2.Ticks - 1)
-	outQ, _ := trace.OutputAt(resR2.Trace, cfg.Q, t2)
-	outPr2, _ := trace.OutputAt(resR2.Trace, cfg.P, t1)
-
-	detail := fmt.Sprintf("output_p%d(t₁=%d)=%v and output_p%d(t₂=%d)=%v are disjoint (replayed prefix gives %v at p%d in r′)",
-		int(cfg.P), int64(t1), outP, int(cfg.Q), int64(t2), outQ, outPr2, int(cfg.P))
-	return &Certificate{
-		Lemma:          "Lemma 7",
-		Property:       "intersection",
-		ReplayVerified: replayOK && sameTrust(outP, outPr2),
-		Detail:         detail,
-	}, nil
+	return cert, nil
 }
 
-// sigmaConstant is the constant σ history used by run r: every active
-// process observes the same trusted set forever, non-actives observe ⊥.
+// sigmaConstant is a constant σ history: every active process observes the
+// same trusted set forever, non-actives observe ⊥.
 func sigmaConstant(active dist.ProcSet, trusted dist.ProcSet) sim.HistoryFunc {
 	return func(p dist.ProcID, t dist.Time) any {
 		if !active.Contains(p) {

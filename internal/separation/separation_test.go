@@ -204,3 +204,63 @@ func TestEntryPointsRejectOutOfRangeN(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedShapesAreRejected: a Lemma 7 triple that is not three
+// distinct processes of Π, or a Lemma 11 X outside Π, is a setup error —
+// each of these shapes used to yield an intersection certificate.
+func TestMalformedShapesAreRejected(t *testing.T) {
+	pair := dist.NewProcSet(1, 2)
+	lemma7 := func(p, q, aux dist.ProcID) func() (*Certificate, error) {
+		return func() (*Certificate, error) {
+			return Lemma7(Lemma7Config{N: 3, P: p, Q: q, Aux: aux, Candidate: HeartbeatCandidate(pair, 10), Seed: 1})
+		}
+	}
+	lemma11 := func(n int) func() (*Certificate, error) {
+		x := dist.NewProcSet(1, 2, 3, 9)
+		return func() (*Certificate, error) {
+			return Lemma11(Lemma11Config{N: n, K: 2, X: x, Candidate: HeartbeatSetCandidate(x, 10), Seed: 1})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (*Certificate, error)
+		want string
+	}{
+		{"lemma7 Q = P", lemma7(1, 1, 3), "P, Q and Aux distinct in 1..3"},
+		{"lemma7 Aux = Q", lemma7(1, 2, 2), "P, Q and Aux distinct in 1..3"},
+		{"lemma7 Aux unset", lemma7(1, 2, 0), "P, Q and Aux distinct in 1..3"},
+		{"lemma7 Aux outside Π", lemma7(1, 2, 9), "P, Q and Aux distinct in 1..3"},
+		{"lemma11 X ⊄ Π at n=2k", lemma11(4), "X ⊆ Π={p1,p2,p3,p4}"},
+		{"lemma11 X ⊄ Π at n>2k", lemma11(5), "X ⊆ Π={p1,p2,p3,p4,p5}"},
+	} {
+		cert, err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, %v; want an error containing %q", tc.name, cert, err, tc.want)
+		}
+	}
+}
+
+// TestTwoRunRejectsMalformedSets: the shared construction refuses every
+// shape it cannot turn into an Intersection argument, naming the sets.
+func TestTwoRunRejectsMalformedSets(t *testing.T) {
+	hist := sigmaConstant(dist.NewProcSet(1, 2), dist.ProcSet{})
+	for _, tc := range []struct {
+		name          string
+		first, second dist.ProcSet
+		p, q          dist.ProcID
+		want          string
+	}{
+		{"empty", dist.NewProcSet(1, 3), dist.ProcSet{}, 1, 2, "must be non-empty"},
+		{"overlap", dist.NewProcSet(1, 3), dist.NewProcSet(1), 1, 1, "{p1,p3} (r) and {p1} (r′) overlap"},
+		{"outside Π", dist.NewProcSet(1, 9), dist.NewProcSet(2), 1, 2, "not inside Π={p1,p2,p3}"},
+		{"watched outside", dist.NewProcSet(1, 3), dist.NewProcSet(2), 1, 3, "p3 ∈ {p2} (r′) must lie"},
+	} {
+		_, err := (&twoRun{
+			lemma: "test", n: 3, candidate: HeartbeatCandidate(dist.NewProcSet(1, 2), 10), horizon: 100,
+			first: tc.first, p: tc.p, history: hist, second: tc.second, q: tc.q, after: hist,
+		}).run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -60,7 +60,7 @@ func Tightness(cfg TightnessConfig) (*Certificate, error) {
 	}
 	props := agreement.DistinctProposals(n)
 
-	decidedLow := make(map[dist.ProcID]bool, low.Len())
+	var decidedLow dist.ProcSet
 	res, err := sim.Run(sim.Config{
 		Pattern:   f,
 		History:   oracle,
@@ -72,23 +72,15 @@ func Tightness(cfg TightnessConfig) (*Certificate, error) {
 		// process exit its loop on σ₂ₖ information alone, before any (D, ·)
 		// value — a neighbour's or a non-active's — can be adopted.
 		DeliveryFilter: func(m *sim.Message, now dist.Time) bool {
-			if !active.Contains(m.To) {
-				return true
-			}
-			for _, p := range low.Members() {
-				if !decidedLow[p] {
-					return false
-				}
-			}
-			return true
+			return !active.Contains(m.To) || low.SubsetOf(decidedLow)
 		},
 		StopWhenDecided: true,
 		StopWhen: func(s *sim.Snapshot) bool {
-			for _, p := range low.Members() {
+			low.ForEach(func(p dist.ProcID) {
 				if _, ok := s.Decided(p); ok {
-					decidedLow[p] = true
+					decidedLow = decidedLow.Add(p)
 				}
-			}
+			})
 			return false
 		},
 	})

@@ -16,9 +16,9 @@ const (
 	// DeliverAuto receives the oldest deliverable pending message, or takes
 	// a null step when none is pending.
 	DeliverAuto DeliverMode = iota + 1
-	// DeliverNone forces a null step even when messages are pending. The
-	// runner's fairness watchdog is bypassed; scripted schedules use this to
-	// realize the finite unfair prefixes the impossibility proofs need.
+	// DeliverNone forces a null step even when messages are pending;
+	// scripted schedules use this to realize the finite unfair prefixes the
+	// impossibility proofs need.
 	DeliverNone
 	// DeliverMatch receives the oldest deliverable pending message matching
 	// the choice's Match predicate, or takes a null step when none matches.
@@ -53,9 +53,10 @@ type Scheduler interface {
 
 // RandomScheduler is a seeded, fair scheduler: every alive process keeps
 // taking steps (bounded bypass) and every pending message is eventually
-// delivered (the runner force-delivers messages older than MaxDelay whenever
-// the receiver steps with DeliverAuto). It models the asynchronous
-// adversary used to exercise algorithms across many interleavings.
+// delivered as long as NullProb < 1 (a step of a process with messages
+// pending is a DeliverAuto step, which takes the oldest deliverable message,
+// with probability 1−NullProb). It models the asynchronous adversary used
+// to exercise algorithms across many interleavings.
 type RandomScheduler struct {
 	// rng is created from seed by the first Next or Reseed, whichever comes
 	// first: seeding costs more than setting up a small run, and a runner
@@ -165,8 +166,9 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 
 	mode := DeliverAuto
 	if v.Pending(pick) > 0 && s.rng.Float64() < s.NullProb {
-		// Occasional null steps despite pending messages; the runner's
-		// MaxDelay watchdog still guarantees eventual delivery.
+		// Occasional null steps despite pending messages; since NullProb < 1
+		// the receiver's DeliverAuto steps still take its oldest
+		// deliverable message eventually.
 		mode = DeliverNone
 	}
 	return Choice{Proc: pick, Mode: mode}, true

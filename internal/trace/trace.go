@@ -166,8 +166,7 @@ func LocalView(tr *Trace, p dist.ProcID) []Observation {
 
 // IndistinguishableTo reports whether the first `steps` steps of process p
 // look identical in the two traces (steps < 0 compares the shorter prefix of
-// both). Payloads and FD values are compared with reflect-free equality via
-// fmt.Sprintf fallback when the dynamic types are not comparable.
+// both). Payloads and FD values are compared with reflect.DeepEqual.
 func IndistinguishableTo(a, b *Trace, p dist.ProcID, steps int) bool {
 	va, vb := LocalView(a, p), LocalView(b, p)
 	n := len(va)
