@@ -35,6 +35,22 @@ func safetyCheck(k int, props []agreement.Value) func(map[dist.ProcID]any) strin
 	}
 }
 
+// exploreCounts pins an exploration's size: a change to the explorer's step
+// semantics that changes which states are reachable shows up here.
+type exploreCounts struct {
+	states, steps int64
+	truncated     bool
+}
+
+func checkCounts(t *testing.T, f *dist.FailurePattern, res *sim.ExploreResult, want exploreCounts) {
+	t.Helper()
+	got := exploreCounts{res.StatesVisited, res.StepsExecuted, res.Truncated}
+	if got != want {
+		t.Errorf("%v: %d states, %d steps, truncated=%v; want %d, %d, %v",
+			f, got.states, got.steps, got.truncated, want.states, want.steps, want.truncated)
+	}
+}
+
 // TestFig2ExhaustiveSafety model-checks Figure 2 for n = 3: across EVERY
 // interleaving and message reordering (up to the depth bound), no reachable
 // state violates Agreement or Validity. This upgrades the sampled evidence
@@ -42,13 +58,17 @@ func safetyCheck(k int, props []agreement.Value) func(map[dist.ProcID]any) strin
 func TestFig2ExhaustiveSafety(t *testing.T) {
 	const n = 3
 	props := agreement.DistinctProposals(n)
-	patterns := []*dist.FailurePattern{
-		dist.NewFailurePattern(n),
-		dist.CrashPattern(n, 3),
-		dist.CrashPattern(n, 2),
-		dist.CrashPattern(n, 2, 3),
+	cases := []struct {
+		f    *dist.FailurePattern
+		want exploreCounts
+	}{
+		{dist.NewFailurePattern(n), exploreCounts{8564, 64540, true}},
+		{dist.CrashPattern(n, 3), exploreCounts{20, 60, false}},
+		{dist.CrashPattern(n, 2), exploreCounts{33, 112, false}},
+		{dist.CrashPattern(n, 2, 3), exploreCounts{4, 4, false}},
 	}
-	for _, f := range patterns {
+	for _, tc := range cases {
+		f := tc.f
 		oracle, err := NewSigmaOracle(f, dist.NewProcSet(1, 2), 1, SigmaCanonical)
 		if err != nil {
 			t.Fatal(err)
@@ -67,10 +87,7 @@ func TestFig2ExhaustiveSafety(t *testing.T) {
 		if res.Violation != "" {
 			t.Fatalf("%v: %s (depth %d)", f, res.Violation, res.ViolationDepth)
 		}
-		if res.StatesVisited == 0 {
-			t.Fatalf("%v: nothing explored", f)
-		}
-		t.Logf("%v: %d states, %d steps, truncated=%v", f, res.StatesVisited, res.StepsExecuted, res.Truncated)
+		checkCounts(t, f, res, tc.want)
 	}
 }
 
@@ -79,11 +96,15 @@ func TestFig4ExhaustiveSafety(t *testing.T) {
 	const n, k = 4, 1
 	props := agreement.DistinctProposals(n)
 	active := dist.RangeSet(1, 2)
-	patterns := []*dist.FailurePattern{
-		dist.CrashPattern(n, 3, 4),
-		dist.CrashPattern(n, 2, 3, 4),
+	cases := []struct {
+		f    *dist.FailurePattern
+		want exploreCounts
+	}{
+		{dist.CrashPattern(n, 3, 4), exploreCounts{77, 273, false}},
+		{dist.CrashPattern(n, 2, 3, 4), exploreCounts{4, 4, false}},
 	}
-	for _, f := range patterns {
+	for _, tc := range cases {
+		f := tc.f
 		oracle, err := NewSigmaKOracle(f, active, 1, SigmaKCanonical)
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +123,7 @@ func TestFig4ExhaustiveSafety(t *testing.T) {
 		if res.Violation != "" {
 			t.Fatalf("%v: %s (depth %d)", f, res.Violation, res.ViolationDepth)
 		}
-		t.Logf("%v: %d states, %d steps, truncated=%v", f, res.StatesVisited, res.StepsExecuted, res.Truncated)
+		checkCounts(t, f, res, tc.want)
 	}
 }
 

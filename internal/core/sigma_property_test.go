@@ -106,7 +106,7 @@ func TestFig3ExhaustiveWellFormedness(t *testing.T) {
 	if res.Violation != "" {
 		t.Fatalf("%s (depth %d)", res.Violation, res.ViolationDepth)
 	}
-	t.Logf("%d states, %d steps, truncated=%v", res.StatesVisited, res.StepsExecuted, res.Truncated)
+	checkCounts(t, f, res, exploreCounts{12, 24, false})
 }
 
 // fig3Snapshot wraps Fig3 with a Snapshot method for exploration.
