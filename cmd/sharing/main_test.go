@@ -120,6 +120,7 @@ func TestSubcommandsFail(t *testing.T) {
 		{"explore", "-fig", "fig2", "-n", "3", "-states", "0"},   // would silently become the default cap
 		{"explore", "-fig", "fig2", "-n", "3", "-workers", "-1"}, // would silently become GOMAXPROCS
 		{"counterexample", "lemma7", "-n", "1"},                  // would silently run at n=3
+		{"counterexample", "tightness", "-n", "2", "-k", "1"},    // (n−k−1)-set agreement is vacuous
 		{"majority-sigma", "-n", "1"},                            // crashes the only process
 		{"majority-sigma", "-n", "2"},                            // crashes half the system
 		{"sweep", "-fig", "bogus", "-seeds", "2"},
@@ -157,6 +158,8 @@ func TestSubcommandErrorsNameTheCause(t *testing.T) {
 		{[]string{"hierarchy", "-n", "300", "-k", "2"}, "hierarchy: need 4 ≤ n ≤ 256"},
 		{[]string{"counterexample", "lemma7", "-n", "2"}, "Lemma 7 needs 3 ≤ n ≤ 256"},
 		{[]string{"sweep", "-fig", "fig2", "-seed", "-1", "-seeds", "2"}, "seed range"},
+		{[]string{"hierarchy", "-n", "5", "-k", "2", "-seed", "-1"}, "seed range"},
+		{[]string{"counterexample", "tightness", "-n", "2", "-k", "1"}, "(n−k−1)-set agreement is then vacuous"},
 		{[]string{"consensus", "-n", "4", "-workers", "-1"}, "-workers applies only in fault mode"},
 		{[]string{"consensus", "-n", "4", "-faultseed", "3"}, "-faultseed applies only in fault mode"},
 	} {

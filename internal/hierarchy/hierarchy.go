@@ -97,13 +97,13 @@ func Build(cfg Config) (*Report, error) {
 	f := dist.CrashPattern(cfg.N, dist.ProcID(cfg.N)) // one crashed process
 
 	// σ ⪯ Σ{p,q} (Figure 3 / Lemma 6).
-	err := validate(cfg, f, func() sim.History { return fd.NewSigmaS(f, pair, 20) },
+	err := validate(cfg, 3, f, func() sim.History { return fd.NewSigmaS(f, pair, 20) },
 		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig3(p, pair) },
 		func(h fd.History) []fd.Violation {
 			return core.CheckSigma(f, pair, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
 	if err != nil {
-		return nil, fmt.Errorf("hierarchy: Fig 3 emulation invalid: %w", err)
+		return nil, err
 	}
 	rep.add("σ", "Σ{p1,p2}", Reduction,
 		fmt.Sprintf("Figure 3 emulation; emulated histories pass the Definition 3 checker (%d seeds)", cfg.Runs))
@@ -123,13 +123,13 @@ func Build(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = validate(cfg, f, func() sim.History { return sigmaOracle },
+	err = validate(cfg, 6, f, func() sim.History { return sigmaOracle },
 		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig6(p, n) },
 		func(h fd.History) []fd.Violation {
 			return fd.CheckAntiOmega(f, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
 	if err != nil {
-		return nil, fmt.Errorf("hierarchy: Fig 6 emulation invalid: %w", err)
+		return nil, err
 	}
 	rep.add("anti-Ω", "σ", Reduction,
 		fmt.Sprintf("Figure 6 emulation; emulated histories pass the anti-Ω checker (%d seeds)", cfg.Runs))
@@ -146,13 +146,13 @@ func Build(cfg Config) (*Report, error) {
 		fmt.Sprintf("Corollary 17: σ solves set agreement (E1) but anti-Ω does not — %s", cert15))
 
 	// σₖ side: σ₂ₖ ⪯ Σ_X₂ₖ (Figure 5 / Lemma 10).
-	err = validate(cfg, f, func() sim.History { return fd.NewSigmaS(f, x, 20) },
+	err = validate(cfg, 5, f, func() sim.History { return fd.NewSigmaS(f, x, 20) },
 		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig5(p, x) },
 		func(h fd.History) []fd.Violation {
 			return core.CheckSigmaK(f, x, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
 	if err != nil {
-		return nil, fmt.Errorf("hierarchy: Fig 5 emulation invalid: %w", err)
+		return nil, err
 	}
 	sk := fmt.Sprintf("σ%d", 2*cfg.K)
 	sx := fmt.Sprintf("Σ_X%d", 2*cfg.K)
@@ -177,18 +177,23 @@ func (r *Report) add(from, to string, kind EdgeKind, evidence string) {
 	r.Edges = append(r.Edges, Edge{From: from, To: to, Kind: kind, Evidence: evidence})
 }
 
-// validate checks one reduction edge with separation.Search across
-// cfg.Runs seeds: every run's emulated history must pass check. mkHist is
-// called once per worker (Σ_S oracles cache state and must not be shared).
-func validate(cfg Config, f *dist.FailurePattern, mkHist func() sim.History, emu separation.EmulatorProgram, check func(fd.History) []fd.Violation) error {
+// validate checks the reduction edge of Figure fig with separation.Search
+// across cfg.Runs seeds: every run's emulated history must pass check. Only
+// a run that fails the check makes the emulation invalid; a Search error is
+// a config error and is returned as it is. mkHist is called once per worker
+// (Σ_S oracles cache state and must not be shared).
+func validate(cfg Config, fig int, f *dist.FailurePattern, mkHist func() sim.History, emu separation.EmulatorProgram, check func(fd.History) []fd.Violation) error {
 	res, err := separation.Search(separation.SearchConfig{
 		Pattern: f, History: mkHist, Candidate: emu, Check: check,
 		Horizon: cfg.Horizon, SeedStart: cfg.Seed, Seeds: cfg.Runs, Workers: cfg.Workers,
 	})
-	if err == nil && res.Failures > 0 {
-		err = res.FirstFailErr
+	if err != nil {
+		return err
 	}
-	return err
+	if res.Failures > 0 {
+		return fmt.Errorf("hierarchy: Fig %d emulation invalid: %w", fig, res.FirstFailErr)
+	}
+	return nil
 }
 
 // Render prints the hierarchy with the strict chains made explicit.

@@ -50,4 +50,9 @@ func TestBuildRejectsBadParams(t *testing.T) {
 	if _, err := Build(Config{N: 6, K: 2, Runs: -1}); err == nil || !strings.Contains(err.Error(), "Runs") {
 		t.Fatalf("negative Runs: got %v, want an error naming Runs", err)
 	}
+	// A bad seed is a config error, not a failed emulation.
+	if _, err := Build(Config{N: 5, K: 2, Seed: -1}); err == nil || !strings.Contains(err.Error(), "seed range") ||
+		strings.Contains(err.Error(), "invalid") {
+		t.Fatalf("negative Seed: got %v, want an error naming the seed range that does not say invalid", err)
+	}
 }

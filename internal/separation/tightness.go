@@ -11,7 +11,7 @@ import (
 
 // TightnessConfig parameterizes the Theorem 12/13 tightness experiment.
 type TightnessConfig struct {
-	// N, K as in the paper, 1 ≤ k ≤ n/2 and n ≤ dist.MaxProcs.
+	// N, K as in the paper, 1 ≤ k ≤ n/2, n−k ≥ 2 and n ≤ dist.MaxProcs.
 	N, K int
 	// Seed drives the fair scheduler.
 	Seed int64
@@ -42,6 +42,9 @@ func Tightness(cfg TightnessConfig) (*Certificate, error) {
 	}
 	if cfg.K < 1 || 2*cfg.K > cfg.N {
 		return nil, fmt.Errorf("separation: need 1 ≤ k ≤ n/2, got n=%d k=%d", cfg.N, cfg.K)
+	}
+	if cfg.N-cfg.K < 2 {
+		return nil, fmt.Errorf("separation: tightness needs n−k ≥ 2, got n=%d k=%d: (n−k−1)-set agreement is then vacuous", cfg.N, cfg.K)
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 20_000

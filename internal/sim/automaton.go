@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/dist"
 )
 
@@ -72,9 +74,9 @@ type Recoverable interface {
 type Program func(p dist.ProcID, n int) Automaton
 
 // Env is the step context handed to Automaton.Step. It is valid only for the
-// duration of the call. The runner reuses one Env (and each Stack one Env
-// per layer) across all steps of a run, so a step on the hot path allocates
-// nothing beyond what the automaton itself does.
+// duration of the call. The runner and each explorer worker reuse one Env
+// (and each Stack one Env per layer) across all steps, so a step on the hot
+// path allocates nothing beyond what the automaton itself does.
 type Env struct {
 	self dist.ProcID
 	n    int
@@ -86,22 +88,50 @@ type Env struct {
 	// runs; never set by the explorer, whose branches share pending
 	// messages.
 	ownDelivered bool
-	layer        Layer
-	// The failure detector queried by QueryFD: queryFD when non-nil (stacked
-	// layers bind the emulator below once), else history (the oracle, bound
-	// once per runner — no per-step closure).
+	// layer, queryFD and history are bindings, which step leaves alone.
+	// QueryFD queries queryFD when non-nil (stacked layers bind the emulator
+	// below), else history (the oracle — no per-step closure).
+	layer     Layer
 	queryFD   func() any
 	history   History
 	fdCache   any
 	fdQueried bool
 
-	sends    []sendReq
-	decided  bool
-	decision any
-	// ops receives Invoke/Return records stamped with now and self. The
-	// Runner's Env keeps it across the steps of a run: it is the run's op
-	// log (Result.Ops), truncated only by Reset.
-	ops []OpEvent
+	// The step's effects, which its caller applies after Step returns.
+	sends     []sendReq
+	decisions []any     // every Decide call of the step, in order
+	ops       []OpEvent // Invoke/Return records stamped with now and self
+}
+
+// step is the one step of the Runner, the explorer and Stack: it resets e as
+// the context of process p of n at tick t, delivering msg (nil for a null
+// step) whose payload a owns when own is set, and steps a. The step's
+// effects stay in e until the next step: sends, Decide calls and op records.
+func (e *Env) step(a Automaton, p dist.ProcID, n int, t dist.Time, msg *Message, own bool) {
+	e.self, e.n, e.now = p, n, t
+	e.delivered, e.ownDelivered = msg, own
+	e.fdCache, e.fdQueried = nil, false
+	e.sends = e.sends[:0]
+	e.decisions = e.decisions[:0]
+	e.ops = e.ops[:0]
+	a.Step(e)
+}
+
+// decision applies Decide's double-decision rule to the step just taken in e
+// by a process whose earlier decision is prior when had is set. It returns
+// the step's decision, if any (ok), or an ErrDoubleDecision error naming the
+// process, the tick and both values.
+func (e *Env) decision(prior any, had bool) (v any, ok bool, err error) {
+	d := e.decisions
+	switch {
+	case len(d) == 0:
+		return nil, false, nil
+	case !had && len(d) == 1:
+		return d[0], true, nil
+	case !had:
+		prior, d = d[0], d[1:]
+	}
+	return nil, false, fmt.Errorf("%w: p%d at t=%d (%v, then %v)", ErrDoubleDecision, int(e.self), int64(e.now), prior, d[0])
 }
 
 type sendReq struct {
@@ -214,12 +244,13 @@ func (e *Env) BroadcastAll(payload any) {
 	}
 }
 
-// Decide records the irrevocable decision of a task value. Deciding twice is
-// a protocol error surfaced in the run result.
-func (e *Env) Decide(v any) {
-	e.decided = true
-	e.decision = v
-}
+// Decide records the irrevocable decision of a task value. A process
+// decides at most once: calling Decide twice in one step (directly or
+// through two Stack layers), or again after an earlier decision, is a double
+// decision. Run fails it with ErrDoubleDecision, and Explore reports it as a
+// violation witness naming the process and both values. A process that
+// recovers has forgotten its earlier decision and may decide again.
+func (e *Env) Decide(v any) { e.decisions = append(e.decisions, v) }
 
 // Invoke records the invocation of a shared-object operation (for
 // linearizability checking). seq correlates the invocation with its Return.
@@ -274,35 +305,20 @@ func NewStack(layers ...Automaton) *Stack {
 }
 
 // Step advances every layer once. The delivered message (if any) is visible
-// only to the layer it was addressed to.
+// only to the layer it was addressed to. Every layer's Decide calls are the
+// process's.
 func (s *Stack) Step(e *Env) {
+	// The bottom layer queries whatever failure detector the stack does.
+	s.subs[0].queryFD, s.subs[0].history = e.queryFD, e.history
 	for i, layer := range s.layers {
-		sub := &s.subs[i]
-		sub.self = e.self
-		sub.n = e.n
-		sub.now = e.now
-		sub.delivered = nil
-		sub.ownDelivered = false
-		sub.fdCache = nil
-		sub.fdQueried = false
-		sub.sends = sub.sends[:0]
-		sub.decided = false
-		sub.decision = nil
-		sub.ops = sub.ops[:0]
+		var msg *Message
 		if e.delivered != nil && e.delivered.Layer == Layer(i) {
-			sub.delivered = e.delivered
-			sub.ownDelivered = e.ownDelivered
+			msg = e.delivered
 		}
-		if i == 0 {
-			sub.queryFD = e.queryFD
-			sub.history = e.history
-		}
-		layer.Step(sub)
+		sub := &s.subs[i]
+		sub.step(layer, e.self, e.n, e.now, msg, e.ownDelivered)
 		e.sends = append(e.sends, sub.sends...)
-		if sub.decided && !e.decided {
-			e.decided = true
-			e.decision = sub.decision
-		}
+		e.decisions = append(e.decisions, sub.decisions...)
 		e.ops = append(e.ops, sub.ops...)
 	}
 }

@@ -89,7 +89,8 @@ var ErrNotSnapshotter = errors.New("sim: explore requires Snapshotter automata")
 // It checks the safety predicate in every reachable state, so an empty
 // result Violation means no reachable interleaving (within bounds) violates
 // the property — a bounded model-checking guarantee strictly stronger than
-// the seeded sampling of Run.
+// the seeded sampling of Run. Each branch takes Run's step, a double decision
+// (see Env.Decide) is a violation, and a pattern with recoveries is rejected.
 //
 // The search is a level-synchronous breadth-first traversal: states are
 // canonicalized to a binary encoding (StateEncoder fast path, fmt fallback),
@@ -110,6 +111,9 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	for p := dist.ProcID(1); int(p) <= n; p++ {
 		if c := cfg.Pattern.CrashTime(p); c != dist.NoCrash && c >= cfg.TimeCap && cfg.TimeCap > 0 {
 			return nil, fmt.Errorf("sim: crash of p%d at %d not before TimeCap %d", int(p), int64(c), int64(cfg.TimeCap))
+		}
+		if rc := cfg.Pattern.RecoverTime(p); rc != dist.NoCrash {
+			return nil, fmt.Errorf("sim: explore does not model recoveries, but p%d recovers at %d", int(p), int64(rc))
 		}
 	}
 	if cfg.Workers < 0 {
@@ -365,45 +369,39 @@ func (w *xworker) branch(s *xstate, depth int, p dist.ProcID, msgIdx int) {
 	}
 
 	env := &w.env
-	env.self = p
-	env.n = w.e.n
-	env.now = c.t
-	env.delivered = delivered
-	env.ownDelivered = false // pending messages are shared across branches
-	env.layer = 0
-	env.queryFD = nil
-	env.fdCache = nil
-	env.fdQueried = false
-	env.sends = env.sends[:0]
-	env.decided = false
-	env.decision = nil
-	env.ops = env.ops[:0]
-
-	c.automata[p-1].Step(env)
+	// Pending messages are shared across branches, so no delivery is owned.
+	env.step(c.automata[p-1], p, w.e.n, c.t, delivered, false)
 	w.steps++
 
 	for _, sr := range env.sends {
 		h := w.msgHash(p, sr.layer, sr.payload)
 		c.queues[sr.to] = append(c.queues[sr.to], xmsg{from: p, layer: sr.layer, payload: sr.payload, h: h})
 	}
-	if env.decided && !c.decided.Contains(p) {
+	var vio string
+	if v, ok, err := env.decision(c.decisions[p-1], c.decided.Contains(p)); err != nil {
+		vio = err.Error()
+	} else if ok {
 		c.decided = c.decided.Add(p)
-		c.decisions[p-1] = env.decision
+		c.decisions[p-1] = v
 	}
 	c.t++
-	w.admit(c, depth+1)
+	w.admit(c, depth+1, vio)
 }
 
 // admit checks the child state and either schedules it for the next level,
-// records its violation, or drops it (duplicate or out of bounds). Checks
-// run before deduplication and before the depth cut, mirroring the depth-
-// first engine this replaced: violations at the depth boundary are still
-// reported.
-func (w *xworker) admit(c *xstate, depth int) {
+// records its violation, or drops it (duplicate or out of bounds); vio, when
+// set, is the step's own violation, which stands in for the state checks.
+// Checks run before deduplication and before the depth cut, mirroring the
+// depth-first engine this replaced: violations at the depth boundary are
+// still reported.
+func (w *xworker) admit(c *xstate, depth int, vio string) {
 	h := w.hashState(c)
-	if v := w.checkState(c); v != "" {
-		if !w.vioFound || h < w.vioHash || (h == w.vioHash && v < w.vio) {
-			w.vioFound, w.vio, w.vioHash = true, v, h
+	if vio == "" {
+		vio = w.checkState(c)
+	}
+	if vio != "" {
+		if !w.vioFound || h < w.vioHash || (h == w.vioHash && vio < w.vio) {
+			w.vioFound, w.vio, w.vioHash = true, vio, h
 		}
 		w.release(c)
 		return

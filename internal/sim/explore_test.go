@@ -151,6 +151,22 @@ func TestExploreCrashAfterTimeCapRejected(t *testing.T) {
 	}
 }
 
+// TestExploreRejectsRecoveries: the explorer does not model a recovery (a
+// fresh automaton, the inbox wipe), so a pattern with one is rejected
+// rather than reported as explored.
+func TestExploreRejectsRecoveries(t *testing.T) {
+	f := dist.NewFailurePattern(3)
+	f.CrashAt(1, 1)
+	f.RecoverAt(1, 5)
+	_, err := Explore(ExploreConfig{
+		Pattern: f, History: nilHistory(), Program: pingProgram(),
+		MaxDepth: 8, Check: noViolation,
+	})
+	if err == nil || !strings.Contains(err.Error(), "p1 recovers at 5") {
+		t.Fatalf("a pattern where p1 recovers must be rejected naming p1, got err=%v", err)
+	}
+}
+
 func TestExploreMissingConfigRejected(t *testing.T) {
 	f := dist.NewFailurePattern(2)
 	if _, err := Explore(ExploreConfig{Pattern: f, History: nilHistory(), Program: pingProgram(), MaxDepth: 2}); err == nil {

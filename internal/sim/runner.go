@@ -290,8 +290,9 @@ type Runner struct {
 	// keeps instead of building another set.
 	built bool
 
-	view View // reused scheduler view; Pending/Decided bound once
-	env  Env  // reused step context
+	view View      // reused scheduler view; Pending/Decided bound once
+	env  Env       // reused step context
+	ops  []OpEvent // the run's op log (Result.Ops), truncated only by reset
 	snap Snapshot
 
 	ran bool
@@ -463,7 +464,7 @@ func (r *Runner) reset() {
 	if !r.cfg.DisableTrace {
 		r.tr = &trace.Trace{}
 	}
-	r.env.ops = r.env.ops[:0]
+	r.ops = r.ops[:0]
 
 	// Record initial emulator outputs at time -1 so OutputAt is defined from
 	// the very first step.
@@ -500,7 +501,7 @@ func (r *Runner) Run() (*Result, error) {
 		Decisions:    make(map[dist.ProcID]any, r.decidedSet.Len()),
 		DecideTime:   make(map[dist.ProcID]dist.Time, r.decidedSet.Len()),
 		Trace:        r.tr,
-		Ops:          r.env.ops,
+		Ops:          r.ops,
 		Automata:     r.automata,
 		MessagesSent: r.sent,
 
@@ -581,26 +582,10 @@ func (r *Runner) loop() StopReason {
 
 func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 	e := &r.env
-	e.self = p
-	e.n = r.n
-	e.now = t
-	e.delivered = msg
-	// Untraced, nothing retains a payload beyond its delivery step, so the
-	// automaton may take ownership of delivered buffers (the send-buffer
-	// lease contract; see Env.DeliveredOwned).
-	e.ownDelivered = r.tr == nil
-	e.layer = 0
-	e.queryFD = nil
-	e.fdCache = nil
-	e.fdQueried = false
-	e.sends = e.sends[:0]
-	e.decided = false
-	e.decision = nil
-	ops := len(e.ops) // e.ops[ops:] will hold this step's op records
-
-	r.automata[p-1].Step(e)
+	// Untraced, the automaton owns its delivery (see r.tr).
+	e.step(r.automata[p-1], p, r.n, t, msg, r.tr == nil)
 	r.steps++
-	if msg != nil || len(e.sends) > 0 || e.decided || len(e.ops) > ops {
+	if msg != nil || len(e.sends) > 0 || len(e.decisions) > 0 || len(e.ops) > 0 {
 		r.lastProgress = t
 	}
 
@@ -669,19 +654,19 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		}
 	}
 
-	if e.decided {
-		if r.decidedSet.Contains(p) {
-			r.err = fmt.Errorf("%w: p%d at t=%d", ErrDoubleDecision, int(p), int64(t))
-			return
-		}
-		r.decisions[p-1] = e.decision
+	if v, ok, err := e.decision(r.decisions[p-1], r.decidedSet.Contains(p)); err != nil {
+		r.err = err
+		return
+	} else if ok {
+		r.decisions[p-1] = v
 		r.decideTime[p-1] = t
 		r.decidedSet = r.decidedSet.Add(p)
-		r.record(trace.Event{T: t, P: p, Kind: trace.DecideKind, Payload: e.decision})
+		r.record(trace.Event{T: t, P: p, Kind: trace.DecideKind, Payload: v})
 	}
 
+	r.ops = append(r.ops, e.ops...)
 	if r.tr != nil {
-		for _, op := range e.ops[ops:] {
+		for _, op := range e.ops {
 			kind := trace.InvokeKind
 			if op.Return {
 				kind = trace.ReturnKind

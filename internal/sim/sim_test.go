@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -114,19 +116,90 @@ func TestScriptedCrashedChoiceSkipped(t *testing.T) {
 	}
 }
 
-type doubleDecider struct{}
+// stepDecider decides its step count at every step: 1, then 2, ...
+type stepDecider struct{ steps int }
 
-func (d *doubleDecider) Step(e *Env) { e.Decide(1) }
+func (a *stepDecider) Step(e *Env) {
+	a.steps++
+	e.Decide(a.steps)
+}
 
+func (a *stepDecider) Snapshot() Automaton {
+	cp := *a
+	return &cp
+}
+
+// firstStepDecider decides each of vs, in order, in its first step. It is
+// an Emulator, so it can be an inner Stack layer.
+type firstStepDecider struct {
+	vs   []int
+	done bool
+}
+
+func (a *firstStepDecider) Step(e *Env) {
+	if !a.done {
+		for _, v := range a.vs {
+			e.Decide(v)
+		}
+		a.done = true
+	}
+}
+
+func (a *firstStepDecider) Output() any { return nil }
+
+// TestDoubleDecisionIsError checks the one double-decision rule in every
+// place a process can decide twice: on two steps, twice in one step, and in
+// two Stack layers of one step. The runner fails the run and the explorer
+// reports a violation; both name the process and the two values.
 func TestDoubleDecisionIsError(t *testing.T) {
 	f := dist.NewFailurePattern(1)
-	_, err := Run(Config{
-		Pattern: f, History: nilHistory(),
-		Program:   func(dist.ProcID, int) Automaton { return &doubleDecider{} },
-		Scheduler: &RoundRobinScheduler{}, MaxSteps: 10,
-	})
-	if !errors.Is(err, ErrDoubleDecision) {
-		t.Fatalf("err=%v, want ErrDoubleDecision", err)
+	run := func(a Automaton) (string, error) {
+		_, err := Run(Config{
+			Pattern: f, History: nilHistory(),
+			Program:   func(dist.ProcID, int) Automaton { return a },
+			Scheduler: &RoundRobinScheduler{}, MaxSteps: 10,
+		})
+		if !errors.Is(err, ErrDoubleDecision) {
+			return "", fmt.Errorf("err=%v, want ErrDoubleDecision", err)
+		}
+		return err.Error(), nil
+	}
+	cases := []struct {
+		name string
+		want string
+		got  func() (string, error)
+	}{
+		{"Run, on two steps", "p1 at t=1 (1, then 2)", func() (string, error) {
+			return run(&stepDecider{})
+		}},
+		{"Run, twice in one step", "p1 at t=0 (1, then 2)", func() (string, error) {
+			return run(&firstStepDecider{vs: []int{1, 2}})
+		}},
+		{"Run, two Stack layers", "p1 at t=0 (1, then 2)", func() (string, error) {
+			return run(NewStack(&firstStepDecider{vs: []int{1}}, &firstStepDecider{vs: []int{2}}))
+		}},
+		{"Explore, on two steps", "p1 at t=1 (1, then 2)", func() (string, error) {
+			res, err := Explore(ExploreConfig{
+				Pattern: f, History: nilHistory(),
+				Program:  func(dist.ProcID, int) Automaton { return &stepDecider{} },
+				MaxDepth: 4, Check: noViolation,
+			})
+			if err != nil {
+				return "", err
+			}
+			if res.ViolationDepth != 2 {
+				return "", fmt.Errorf("violation %q at depth %d, want depth 2", res.Violation, res.ViolationDepth)
+			}
+			return res.Violation, nil
+		}},
+	}
+	for _, tc := range cases {
+		got, err := tc.got()
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if !strings.Contains(got, "decided twice") || !strings.Contains(got, tc.want) {
+			t.Errorf("%s: %q, want a double decision naming %q", tc.name, got, tc.want)
+		}
 	}
 }
 
