@@ -588,6 +588,7 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 	if msg != nil || len(e.sends) > 0 || len(e.decisions) > 0 || len(e.ops) > 0 {
 		r.lastProgress = t
 	}
+	r.ops = append(r.ops, e.ops...)
 
 	if r.tr != nil {
 		ev := trace.Event{T: t, P: p, Kind: trace.StepKind}
@@ -664,7 +665,6 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		r.record(trace.Event{T: t, P: p, Kind: trace.DecideKind, Payload: v})
 	}
 
-	r.ops = append(r.ops, e.ops...)
 	if r.tr != nil {
 		for _, op := range e.ops {
 			kind := trace.InvokeKind

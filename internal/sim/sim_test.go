@@ -129,6 +129,14 @@ func (a *stepDecider) Snapshot() Automaton {
 	return &cp
 }
 
+// doubleDecider decides 1 at every step, so its second step decides the same
+// value again.
+type doubleDecider struct{}
+
+func (d *doubleDecider) Step(e *Env) { e.Decide(1) }
+
+func (d *doubleDecider) Snapshot() Automaton { return d }
+
 // firstStepDecider decides each of vs, in order, in its first step. It is
 // an Emulator, so it can be an inner Stack layer.
 type firstStepDecider struct {
@@ -149,8 +157,9 @@ func (a *firstStepDecider) Output() any { return nil }
 
 // TestDoubleDecisionIsError checks the one double-decision rule in every
 // place a process can decide twice: on two steps, twice in one step, and in
-// two Stack layers of one step. The runner fails the run and the explorer
-// reports a violation; both name the process and the two values.
+// two Stack layers of one step, each with a second value that differs from
+// the first and with the same value again. The runner fails the run and the
+// explorer reports a violation; both name the process and the two values.
 func TestDoubleDecisionIsError(t *testing.T) {
 	f := dist.NewFailurePattern(1)
 	run := func(a Automaton) (string, error) {
@@ -163,6 +172,20 @@ func TestDoubleDecisionIsError(t *testing.T) {
 			return "", fmt.Errorf("err=%v, want ErrDoubleDecision", err)
 		}
 		return err.Error(), nil
+	}
+	explore := func(a Automaton) (string, error) {
+		res, err := Explore(ExploreConfig{
+			Pattern: f, History: nilHistory(),
+			Program:  func(dist.ProcID, int) Automaton { return a },
+			MaxDepth: 4, Check: noViolation,
+		})
+		if err != nil {
+			return "", err
+		}
+		if res.ViolationDepth != 2 {
+			return "", fmt.Errorf("violation %q at depth %d, want depth 2", res.Violation, res.ViolationDepth)
+		}
+		return res.Violation, nil
 	}
 	cases := []struct {
 		name string
@@ -179,18 +202,19 @@ func TestDoubleDecisionIsError(t *testing.T) {
 			return run(NewStack(&firstStepDecider{vs: []int{1}}, &firstStepDecider{vs: []int{2}}))
 		}},
 		{"Explore, on two steps", "p1 at t=1 (1, then 2)", func() (string, error) {
-			res, err := Explore(ExploreConfig{
-				Pattern: f, History: nilHistory(),
-				Program:  func(dist.ProcID, int) Automaton { return &stepDecider{} },
-				MaxDepth: 4, Check: noViolation,
-			})
-			if err != nil {
-				return "", err
-			}
-			if res.ViolationDepth != 2 {
-				return "", fmt.Errorf("violation %q at depth %d, want depth 2", res.Violation, res.ViolationDepth)
-			}
-			return res.Violation, nil
+			return explore(&stepDecider{})
+		}},
+		{"Run, the same value on two steps", "p1 at t=1 (1, then 1)", func() (string, error) {
+			return run(&doubleDecider{})
+		}},
+		{"Run, the same value twice in one step", "p1 at t=0 (1, then 1)", func() (string, error) {
+			return run(&firstStepDecider{vs: []int{1, 1}})
+		}},
+		{"Run, the same value in two Stack layers", "p1 at t=0 (1, then 1)", func() (string, error) {
+			return run(NewStack(&firstStepDecider{vs: []int{1}}, &firstStepDecider{vs: []int{1}}))
+		}},
+		{"Explore, the same value on two steps", "p1 at t=1 (1, then 1)", func() (string, error) {
+			return explore(&doubleDecider{})
 		}},
 	}
 	for _, tc := range cases {
@@ -200,6 +224,31 @@ func TestDoubleDecisionIsError(t *testing.T) {
 		} else if !strings.Contains(got, "decided twice") || !strings.Contains(got, tc.want) {
 			t.Errorf("%s: %q, want a double decision naming %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// opDoubleDecider records an Invoke and decides at every step.
+type opDoubleDecider struct{ steps int64 }
+
+func (a *opDoubleDecider) Step(e *Env) {
+	a.steps++
+	e.Invoke(a.steps, OpDesc{})
+	e.Decide(1)
+}
+
+// TestDoubleDecisionKeepsStepOps checks that the run a double decision fails
+// still returns the failing step's op records in Result.Ops.
+func TestDoubleDecisionKeepsStepOps(t *testing.T) {
+	res, err := Run(Config{
+		Pattern: dist.NewFailurePattern(1), History: nilHistory(),
+		Program:   func(dist.ProcID, int) Automaton { return &opDoubleDecider{} },
+		Scheduler: &RoundRobinScheduler{}, MaxSteps: 10,
+	})
+	if !errors.Is(err, ErrDoubleDecision) {
+		t.Fatalf("err=%v, want ErrDoubleDecision", err)
+	}
+	if len(res.Ops) != 2 || res.Ops[1].Seq != 2 || res.Ops[1].T != 1 {
+		t.Fatalf("ops=%+v, want the Invokes of both steps", res.Ops)
 	}
 }
 
