@@ -723,7 +723,7 @@ func cmdEmulate(args []string) error {
 		name    string
 		history sim.History
 		program sim.Program
-		check   func(fd.History) []fd.Violation
+		check   func(sim.History) []fd.Violation
 	)
 	switch which {
 	case "fig3":
@@ -732,20 +732,20 @@ func cmdEmulate(args []string) error {
 		}
 		pair := dist.NewProcSet(1, 2)
 		name, history, program = "Figure 3: σ from Σ{p,q}", fd.NewSigmaS(f, pair, 20), core.Fig3Program(pair)
-		check = func(h fd.History) []fd.Violation { return core.CheckSigma(f, pair, h, end, from) }
+		check = func(h sim.History) []fd.Violation { return core.CheckSigma(f, pair, h, end, from) }
 	case "fig5":
 		if *n < 4 {
 			return fmt.Errorf("fig5 demo needs n ≥ 4")
 		}
 		x := dist.RangeSet(1, 4)
 		name, history, program = "Figure 5: σ|X| from Σ_X", fd.NewSigmaS(f, x, 20), core.Fig5Program(x)
-		check = func(h fd.History) []fd.Violation { return core.CheckSigmaK(f, x, h, end, from) }
+		check = func(h sim.History) []fd.Violation { return core.CheckSigmaK(f, x, h, end, from) }
 	case "fig6":
 		if history, err = core.NewSigmaOracle(f, dist.NewProcSet(1, 2), 25, core.SigmaCanonical); err != nil {
 			return err
 		}
 		name, program = "Figure 6: anti-Ω from σ", core.Fig6Program()
-		check = func(h fd.History) []fd.Violation { return fd.CheckAntiOmega(f, h, end, from) }
+		check = func(h sim.History) []fd.Violation { return fd.CheckAntiOmega(f, h, end, from) }
 	default:
 		return fmt.Errorf("unknown emulation %q", which)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/fd"
+	"repro/internal/sim"
 )
 
 // SigmaOut is the output range of σ (Definition 3): ⊥ at every process
@@ -95,76 +96,28 @@ func (o *SigmaOracle) Output(p dist.ProcID, t dist.Time) any {
 	return o.stabOut
 }
 
-// CheckSigma verifies a history against Definition 3 for active pair a over
-// the finite horizon: Well-formedness, Completeness (stabilized by stabBy),
-// Intersection (over all sampled outputs, including those of processes that
-// later crash — the property ranges over all time pairs), and
-// Non-triviality.
-func CheckSigma(f *dist.FailurePattern, a dist.ProcSet, h fd.History, horizon, stabBy dist.Time) []fd.Violation {
-	var out []fd.Violation
-	correct := f.Correct()
-
-	type src struct {
-		set dist.ProcSet
-		p   dist.ProcID
-		t   dist.Time
-	}
-	var nonEmpty []src // distinct trust sets, in first-output order (p, then t)
-	seen := make(map[dist.ProcSet]bool)
-
-	for _, p := range f.All().Members() {
-		lastBad := dist.Time(-1)   // completeness: trusted ⊄ Correct
-		lastEmpty := dist.Time(-1) // non-triviality: output = ∅
-		for t := dist.Time(0); t < horizon; t++ {
-			raw := h.Output(p, t)
-			so, ok := raw.(SigmaOut)
-			if !ok {
-				return append(out, fd.Violation{Property: "well-formedness",
-					Witness: fmt.Sprintf("H(p%d,%d) has type %T, want SigmaOut", int(p), int64(t), raw)})
+// CheckSigma verifies a history against Definition 3 for active pair a with
+// fd.CheckTrust: trusted sets lie in A, and when Correct ⊆ A no active
+// process outputs ∅ after stabBy (Non-triviality).
+func CheckSigma(f *dist.FailurePattern, a dist.ProcSet, h sim.History, horizon, stabBy dist.Time) []fd.Violation {
+	nonTrivial := f.Correct().SubsetOf(a)
+	return fd.CheckTrust(f, fd.TrustClass{
+		Members: a, Name: "A", Type: "SigmaOut",
+		Decode: func(v any) (fd.TrustList, bool) {
+			so, ok := v.(SigmaOut)
+			return fd.TrustList(so), ok
+		},
+		Shape: func(v any) string {
+			if !v.(SigmaOut).Trusted.SubsetOf(a) {
+				return fmt.Sprintf("⊄ A=%v", a)
 			}
-			if !a.Contains(p) {
-				if !so.Bottom {
-					return append(out, fd.Violation{Property: "well-formedness",
-						Witness: fmt.Sprintf("p%d ∉ A outputs %v, want ⊥", int(p), so)})
-				}
-				continue
+			return ""
+		},
+		NonTrivial: func(p dist.ProcID, t, deadline dist.Time) string {
+			if !nonTrivial {
+				return ""
 			}
-			if so.Bottom {
-				return append(out, fd.Violation{Property: "well-formedness",
-					Witness: fmt.Sprintf("p%d ∈ A outputs ⊥ at t=%d", int(p), int64(t))})
-			}
-			if !so.Trusted.SubsetOf(a) {
-				return append(out, fd.Violation{Property: "well-formedness",
-					Witness: fmt.Sprintf("H(p%d,%d)=%v ⊄ A=%v", int(p), int64(t), so.Trusted, a)})
-			}
-			if so.Trusted.IsEmpty() {
-				lastEmpty = t
-			} else if !seen[so.Trusted] {
-				seen[so.Trusted] = true
-				nonEmpty = append(nonEmpty, src{set: so.Trusted, p: p, t: t})
-			}
-			if correct.Contains(p) && !so.Trusted.SubsetOf(correct) {
-				lastBad = t
-			}
-		}
-		if a.Contains(p) && correct.Contains(p) && lastBad >= stabBy {
-			out = append(out, fd.Violation{Property: "completeness",
-				Witness: fmt.Sprintf("p%d still trusts a faulty process at t=%d (deadline %d)", int(p), int64(lastBad), int64(stabBy))})
-		}
-		if a.Contains(p) && correct.SubsetOf(a) && lastEmpty >= stabBy {
-			out = append(out, fd.Violation{Property: "non-triviality",
-				Witness: fmt.Sprintf("Correct ⊆ A but H(p%d,%d)=∅ after deadline %d", int(p), int64(lastEmpty), int64(stabBy))})
-		}
-	}
-
-	for i, x := range nonEmpty {
-		for _, y := range nonEmpty[i:] {
-			if !x.set.Intersects(y.set) {
-				out = append(out, fd.Violation{Property: "intersection",
-					Witness: fmt.Sprintf("H(p%d,%d)=%v ∩ H(p%d,%d)=%v = ∅",
-						int(x.p), int64(x.t), x.set, int(y.p), int64(y.t), y.set)})
-			}
-		}
-	}
-	return out
+			return fmt.Sprintf("Correct ⊆ A but H(p%d,%d)=∅ after deadline %d", int(p), int64(t), int64(deadline))
+		},
+	}, h, horizon, stabBy)
 }

@@ -17,7 +17,7 @@ import (
 // so the oracles must never break it.
 func TestFact5OnOracles(t *testing.T) {
 	pair := dist.NewProcSet(1, 2)
-	check := func(h fd.History, f *dist.FailurePattern) error {
+	check := func(h sim.History, f *dist.FailurePattern) error {
 		const horizon = 200
 		saw := map[dist.ProcID]bool{}
 		for _, q := range pair.Members() {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/fd"
+	"repro/internal/sim"
 )
 
 // SigmaKOut is the output range of σₖ (Definition 9): ⊥ at processes outside
@@ -155,79 +156,32 @@ func (o *SigmaKOracle) Output(p dist.ProcID, t dist.Time) any {
 	return o.stabOut
 }
 
-// CheckSigmaK verifies a history against Definition 9 for active set a over
-// the finite horizon.
-func CheckSigmaK(f *dist.FailurePattern, a dist.ProcSet, h fd.History, horizon, stabBy dist.Time) []fd.Violation {
-	var out []fd.Violation
+// CheckSigmaK verifies a history against Definition 9 for active set a with
+// fd.CheckTrust: outputs are ∅ or (X ⊆ A, A), and when Correct lies inside
+// one half of A no correct active process is left without trust after
+// stabBy (Non-triviality).
+func CheckSigmaK(f *dist.FailurePattern, a dist.ProcSet, h sim.History, horizon, stabBy dist.Time) []fd.Violation {
 	correct := f.Correct()
 	low, high := Halves(a)
-	nonTrivialApplies := correct.SubsetOf(low) || correct.SubsetOf(high)
-
-	type src struct {
-		set dist.ProcSet
-		p   dist.ProcID
-		t   dist.Time
-	}
-	var nonEmpty []src // distinct trust sets, in first-output order (p, then t)
-	seen := make(map[dist.ProcSet]bool)
-
-	for _, p := range f.All().Members() {
-		lastBad := dist.Time(-1)
-		lastIdle := dist.Time(-1)
-		for t := dist.Time(0); t < horizon; t++ {
-			raw := h.Output(p, t)
-			so, ok := raw.(SigmaKOut)
-			if !ok {
-				return append(out, fd.Violation{Property: "well-formedness",
-					Witness: fmt.Sprintf("H(p%d,%d) has type %T, want SigmaKOut", int(p), int64(t), raw)})
+	nonTrivial := correct.SubsetOf(low) || correct.SubsetOf(high)
+	return fd.CheckTrust(f, fd.TrustClass{
+		Members: a, Name: "A", Type: "SigmaKOut",
+		Decode: func(v any) (fd.TrustList, bool) {
+			so, ok := v.(SigmaKOut)
+			return fd.TrustList{Bottom: so.Bottom, Trusted: so.TrustPart()}, ok
+		},
+		Shape: func(v any) string {
+			if so := v.(SigmaKOut); !so.Empty && (so.Active != a || !so.Trusted.SubsetOf(a)) {
+				return fmt.Sprintf("not of form (X⊆A, A) for A=%v", a)
 			}
-			if !a.Contains(p) {
-				if !so.Bottom {
-					return append(out, fd.Violation{Property: "well-formedness",
-						Witness: fmt.Sprintf("p%d ∉ A outputs %v, want ⊥", int(p), so)})
-				}
-				continue
+			return ""
+		},
+		NonTrivial: func(p dist.ProcID, t, deadline dist.Time) string {
+			if !nonTrivial || !correct.Contains(p) {
+				return ""
 			}
-			if so.Bottom {
-				return append(out, fd.Violation{Property: "well-formedness",
-					Witness: fmt.Sprintf("p%d ∈ A outputs ⊥ at t=%d", int(p), int64(t))})
-			}
-			if so.Empty {
-				lastIdle = t
-				continue
-			}
-			if so.Active != a || !so.Trusted.SubsetOf(a) {
-				return append(out, fd.Violation{Property: "well-formedness",
-					Witness: fmt.Sprintf("H(p%d,%d)=%v not of form (X⊆A, A) for A=%v", int(p), int64(t), so, a)})
-			}
-			if so.Trusted.IsEmpty() {
-				lastIdle = t
-			} else if !seen[so.Trusted] {
-				seen[so.Trusted] = true
-				nonEmpty = append(nonEmpty, src{set: so.Trusted, p: p, t: t})
-			}
-			if correct.Contains(p) && !so.Trusted.IsEmpty() && !so.Trusted.SubsetOf(correct) {
-				lastBad = t
-			}
-		}
-		if a.Contains(p) && correct.Contains(p) && lastBad >= stabBy {
-			out = append(out, fd.Violation{Property: "completeness",
-				Witness: fmt.Sprintf("p%d still trusts a faulty process at t=%d (deadline %d)", int(p), int64(lastBad), int64(stabBy))})
-		}
-		if a.Contains(p) && correct.Contains(p) && nonTrivialApplies && lastIdle >= stabBy {
-			out = append(out, fd.Violation{Property: "non-triviality",
-				Witness: fmt.Sprintf("Correct inside one half of A but H(p%d,%d) carries no trust after deadline %d", int(p), int64(lastIdle), int64(stabBy))})
-		}
-	}
-
-	for i, x := range nonEmpty {
-		for _, y := range nonEmpty[i:] {
-			if !x.set.Intersects(y.set) {
-				out = append(out, fd.Violation{Property: "intersection",
-					Witness: fmt.Sprintf("H(p%d,%d)=(%v,·) ∩ H(p%d,%d)=(%v,·) = ∅",
-						int(x.p), int64(x.t), x.set, int(y.p), int64(y.t), y.set)})
-			}
-		}
-	}
-	return out
+			return fmt.Sprintf("Correct inside one half of A but H(p%d,%d) carries no trust after deadline %d", int(p), int64(t), int64(deadline))
+		},
+		SetFormat: "(%v,·)",
+	}, h, horizon, stabBy)
 }

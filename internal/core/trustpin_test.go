@@ -94,9 +94,9 @@ func TestTrustCheckerVerdictsPinned(t *testing.T) {
 			[]fd.Violation{in("H(p2,4) = ∅")}},
 		{"sigmaS/completeness", sigmaS(crash4, s123, always(fd.TrustList{Trusted: a4})),
 			[]fd.Violation{
-				co("p1 still trusts a faulty process at t=19 (stabilization deadline 10)"),
-				co("p2 still trusts a faulty process at t=19 (stabilization deadline 10)"),
-				co("p3 still trusts a faulty process at t=19 (stabilization deadline 10)"),
+				co("p1 still trusts a faulty process at t=19 (deadline 10)"),
+				co("p2 still trusts a faulty process at t=19 (deadline 10)"),
+				co("p3 still trusts a faulty process at t=19 (deadline 10)"),
 			}},
 		{"sigmaS/completeness-met", sigmaS(crash4, s123, at(0, 10, fd.TrustList{Trusted: a4}, fd.TrustList{Trusted: s123})), nil},
 		{"sigmaS/disjoint-pairs", sigmaS(n4, a4, single), []fd.Violation{
@@ -113,9 +113,9 @@ func TestTrustCheckerVerdictsPinned(t *testing.T) {
 			}
 			return fd.TrustList{Trusted: dist.NewProcSet(p)}
 		}), []fd.Violation{
-			co("p1 still trusts a faulty process at t=11 (stabilization deadline 10)"),
-			co("p2 still trusts a faulty process at t=11 (stabilization deadline 10)"),
-			co("p3 still trusts a faulty process at t=11 (stabilization deadline 10)"),
+			co("p1 still trusts a faulty process at t=11 (deadline 10)"),
+			co("p2 still trusts a faulty process at t=11 (deadline 10)"),
+			co("p3 still trusts a faulty process at t=11 (deadline 10)"),
 			in("H(p1,0)={p1,p4} ∩ H(p2,12)={p2} = ∅"),
 			in("H(p1,0)={p1,p4} ∩ H(p3,12)={p3} = ∅"),
 			in("H(p1,12)={p1} ∩ H(p2,0)={p2,p4} = ∅"),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
+	"repro/internal/sim"
 )
 
 // OmegaOracle is a valid Ω history: eventually every process is given the
@@ -36,7 +37,7 @@ func (o *OmegaOracle) leader() dist.ProcID {
 
 // CheckOmega verifies that from stabBy on, every correct process is output
 // the same correct leader.
-func CheckOmega(f *dist.FailurePattern, h History, horizon, stabBy dist.Time) []Violation {
+func CheckOmega(f *dist.FailurePattern, h sim.History, horizon, stabBy dist.Time) []Violation {
 	var out []Violation
 	leader := dist.None
 	for _, p := range f.Correct().Members() {
@@ -107,7 +108,7 @@ func (o *EventuallyPerfectOracle) Output(p dist.ProcID, t dist.Time) any {
 
 // CheckPerfect verifies strong accuracy over the horizon and strong
 // completeness by the deadline.
-func CheckPerfect(f *dist.FailurePattern, h History, horizon, completeBy dist.Time) []Violation {
+func CheckPerfect(f *dist.FailurePattern, h sim.History, horizon, completeBy dist.Time) []Violation {
 	var out []Violation
 	for _, p := range f.Correct().Members() {
 		for t := dist.Time(0); t < horizon; t++ {
@@ -165,7 +166,7 @@ func (o *AntiOmegaOracle) shielded() dist.ProcID {
 
 // CheckAntiOmega verifies that over [stabBy, horizon) the outputs observed
 // at correct processes exclude at least one correct process.
-func CheckAntiOmega(f *dist.FailurePattern, h History, horizon, stabBy dist.Time) []Violation {
+func CheckAntiOmega(f *dist.FailurePattern, h sim.History, horizon, stabBy dist.Time) []Violation {
 	var returned dist.ProcSet
 	for _, p := range f.Correct().Members() {
 		for t := stabBy; t < horizon; t++ {
@@ -190,12 +191,12 @@ func CheckAntiOmega(f *dist.FailurePattern, h History, horizon, stabBy dist.Time
 // histories recorded from traces freeze at the last pre-crash output; this
 // wrapper restores the convention for property checking while keeping all
 // pre-crash outputs (which the Intersection property ranges over) intact.
-func ClampCrashedToPi(h History, f *dist.FailurePattern, s dist.ProcSet) History {
+func ClampCrashedToPi(h sim.History, f *dist.FailurePattern, s dist.ProcSet) sim.History {
 	return clampedHistory{h: h, f: f, s: s}
 }
 
 type clampedHistory struct {
-	h History
+	h sim.History
 	f *dist.FailurePattern
 	s dist.ProcSet
 }

@@ -7,18 +7,21 @@
 // environments (Section 2.2 remark).
 //
 // The paper's own σ/σₖ family lives in package core, next to the algorithms
-// that use it.
+// that use it; its checkers, like CheckSigmaS, describe their class to the
+// one trust-list scan, CheckTrust.
 package fd
 
 import (
 	"fmt"
 
 	"repro/internal/dist"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // TrustList is the output range of the Σ_S family: ⊥ at processes outside
-// S, and a list of trusted processes at members of S.
+// S, and a list of trusted processes at members of S. It is also the view
+// CheckTrust takes of any trust-list class's output.
 type TrustList struct {
 	Bottom  bool
 	Trusted dist.ProcSet
@@ -42,9 +45,9 @@ func (o TrustList) String() string {
 // and Correct(F) afterwards; both choices always contain Correct(F), which
 // is what makes Intersection hold across arbitrary time pairs.
 type SigmaSOracle struct {
-	F    *dist.FailurePattern
-	S    dist.ProcSet
-	Stab dist.Time // stabilization time; 0 stabilizes immediately
+	f    *dist.FailurePattern
+	s    dist.ProcSet
+	stab dist.Time // stabilization time; 0 stabilizes immediately
 
 	// Boxed outputs, cached so the simulator's per-step query path does not
 	// allocate. lastAlive memoizes the pre-stabilization output, which only
@@ -58,7 +61,7 @@ type SigmaSOracle struct {
 // stabilizing at stab.
 func NewSigmaS(f *dist.FailurePattern, s dist.ProcSet, stab dist.Time) *SigmaSOracle {
 	return &SigmaSOracle{
-		F: f, S: s, Stab: stab,
+		f: f, s: s, stab: stab,
 		bottomOut:  TrustList{Bottom: true},
 		piOut:      TrustList{Trusted: f.All()},
 		correctOut: TrustList{Trusted: f.Correct()},
@@ -72,27 +75,18 @@ func NewSigma(f *dist.FailurePattern, stab dist.Time) *SigmaSOracle {
 
 // Output implements the history H(p, t).
 func (o *SigmaSOracle) Output(p dist.ProcID, t dist.Time) any {
-	if !o.S.Contains(p) {
-		if o.bottomOut == nil { // zero-value oracle built without NewSigmaS
-			o.bottomOut = TrustList{Bottom: true}
-		}
+	if !o.s.Contains(p) {
 		return o.bottomOut
 	}
-	if !o.F.Alive(p, t) {
-		if o.piOut == nil {
-			o.piOut = TrustList{Trusted: o.F.All()}
-		}
+	if !o.f.Alive(p, t) {
 		return o.piOut // crashed member of S outputs Π
 	}
-	if t < o.Stab {
-		alive := o.F.AliveAt(t)
+	if t < o.stab {
+		alive := o.f.AliveAt(t)
 		if o.lastAliveOut == nil || alive != o.lastAlive {
 			o.lastAlive, o.lastAliveOut = alive, TrustList{Trusted: alive}
 		}
 		return o.lastAliveOut
-	}
-	if o.correctOut == nil {
-		o.correctOut = TrustList{Trusted: o.F.Correct()}
 	}
 	return o.correctOut
 }
@@ -109,28 +103,54 @@ func (v Violation) Error() string {
 	return fmt.Sprintf("%s violated: %s", v.Property, v.Witness)
 }
 
-// History is the failure-detector history interface consumed by checkers.
-// It is structurally identical to sim.History; the duplication keeps fd free
-// of a dependency on the simulator.
-type History interface {
-	Output(p dist.ProcID, t dist.Time) any
+// CheckSigmaS verifies a Σ_S history with CheckTrust: members of S output
+// TrustList values and non-members ⊥, every two trust lists intersect (so
+// an empty list is itself a violation), and correct members trust only
+// correct processes from stabBy on.
+func CheckSigmaS(f *dist.FailurePattern, s dist.ProcSet, h sim.History, horizon, stabBy dist.Time) []Violation {
+	return CheckTrust(f, TrustClass{
+		Members: s, Name: "S", Type: "TrustList",
+		Decode: func(v any) (TrustList, bool) {
+			tl, ok := v.(TrustList)
+			return tl, ok
+		},
+	}, h, horizon, stabBy)
 }
 
-// CheckSigmaS verifies a Σ_S history over the finite horizon [0, horizon):
-//
-//   - Well-formedness: members of S output TrustList values, non-members ⊥.
-//   - Intersection: every two non-⊥ trust lists (over all members and all
-//     sampled times) intersect. An empty list is itself a violation.
-//   - Completeness: for every correct member p of S, the suffix of outputs
-//     starting at the last change before the horizon is a subset of
-//     Correct(F); the stabilization must happen by stabBy.
+// TrustClass describes a trust-list failure-detector class (Σ_S, σ, σₖ) to
+// CheckTrust: processes outside Members output ⊥, members a trusted set.
+type TrustClass struct {
+	Members dist.ProcSet
+	Name    string // how witnesses name Members: "S", "A"
+	Type    string // the output type's name, for wrong-type witnesses
+	// Decode reads an output; ok is false when it has the wrong type.
+	Decode func(v any) (out TrustList, ok bool)
+	// Shape, if set, names the rule a member's non-⊥ output breaks, or "".
+	Shape func(v any) string
+	// NonTrivial, if set, makes ∅ an idle output rather than an
+	// Intersection violation, and returns the Non-triviality witness for
+	// member p idle at t ≥ deadline, or "" when the rule does not bind p.
+	NonTrivial func(p dist.ProcID, t, deadline dist.Time) string
+	SetFormat  string // a trusted set in Intersection witnesses; "" is "%v"
+}
+
+// CheckTrust verifies history h against class c over the finite horizon
+// [0, horizon), scanning processes, then times. The first ill-formed output
+// ends the scan. Otherwise it reports, member by member, Completeness (a
+// correct member still trusts a faulty process at or after stabBy) and
+// Non-triviality, then every disjoint pair of distinct non-empty trusted
+// sets, each named by its first output in (p, t) order; the sets range
+// over all times, crashed members included.
 //
 // The horizon replaces the model's "eventually": the checker demands
 // stabilization within the window, which is sound for the oracle and
 // emulation histories this repository produces (they stabilize by
 // construction or the test fails — a deliberately strict reading).
-func CheckSigmaS(f *dist.FailurePattern, s dist.ProcSet, h History, horizon, stabBy dist.Time) []Violation {
+func CheckTrust(f *dist.FailurePattern, c TrustClass, h sim.History, horizon, stabBy dist.Time) []Violation {
 	var out []Violation
+	wellFormed := func(format string, args ...any) []Violation {
+		return append(out, Violation{Property: "well-formedness", Witness: fmt.Sprintf(format, args...)})
+	}
 	correct := f.Correct()
 
 	type src struct {
@@ -138,56 +158,66 @@ func CheckSigmaS(f *dist.FailurePattern, s dist.ProcSet, h History, horizon, sta
 		p   dist.ProcID
 		t   dist.Time
 	}
-	var lists []src // distinct trust sets, in first-output order (p, then t)
+	var sets []src // distinct non-empty trusted sets, in first-output order
 	seen := make(map[dist.ProcSet]bool)
 	for _, p := range f.All().Members() {
-		lastBad := dist.Time(-1)
+		member := c.Members.Contains(p)
+		lastBad, lastIdle := dist.Time(-1), dist.Time(-1) // last faulty trust, last ∅
 		for t := dist.Time(0); t < horizon; t++ {
 			raw := h.Output(p, t)
-			tl, ok := raw.(TrustList)
-			if !ok {
-				out = append(out, Violation{Property: "well-formedness",
-					Witness: fmt.Sprintf("H(p%d,%d) has type %T, want TrustList", int(p), int64(t), raw)})
-				return out
+			o, ok := c.Decode(raw)
+			switch {
+			case !ok:
+				return wellFormed("H(p%d,%d) has type %T, want %s", int(p), int64(t), raw, c.Type)
+			case !member && !o.Bottom:
+				return wellFormed("p%d ∉ %s outputs %v, want ⊥", int(p), c.Name, raw)
+			case !member:
+				continue
+			case o.Bottom:
+				return wellFormed("p%d ∈ %s outputs ⊥ at t=%d", int(p), c.Name, int64(t))
 			}
-			if !s.Contains(p) {
-				if !tl.Bottom {
-					out = append(out, Violation{Property: "well-formedness",
-						Witness: fmt.Sprintf("p%d ∉ S outputs %v, want ⊥", int(p), tl)})
-					return out
+			if c.Shape != nil {
+				if rule := c.Shape(raw); rule != "" {
+					return wellFormed("H(p%d,%d)=%v %s", int(p), int64(t), raw, rule)
 				}
+			}
+			if o.Trusted.IsEmpty() {
+				if c.NonTrivial == nil {
+					return append(out, Violation{Property: "intersection",
+						Witness: fmt.Sprintf("H(p%d,%d) = ∅", int(p), int64(t))})
+				}
+				lastIdle = t
 				continue
 			}
-			if tl.Bottom {
-				out = append(out, Violation{Property: "well-formedness",
-					Witness: fmt.Sprintf("p%d ∈ S outputs ⊥ at t=%d", int(p), int64(t))})
-				return out
+			if !seen[o.Trusted] {
+				seen[o.Trusted] = true
+				sets = append(sets, src{set: o.Trusted, p: p, t: t})
 			}
-			if tl.Trusted.IsEmpty() {
-				out = append(out, Violation{Property: "intersection",
-					Witness: fmt.Sprintf("H(p%d,%d) = ∅", int(p), int64(t))})
-				return out
-			}
-			if !seen[tl.Trusted] {
-				seen[tl.Trusted] = true
-				lists = append(lists, src{set: tl.Trusted, p: p, t: t})
-			}
-			if correct.Contains(p) && !tl.Trusted.SubsetOf(correct) {
+			if correct.Contains(p) && !o.Trusted.SubsetOf(correct) {
 				lastBad = t
 			}
 		}
-		if correct.Contains(p) && s.Contains(p) && lastBad >= stabBy {
+		if member && correct.Contains(p) && lastBad >= stabBy {
 			out = append(out, Violation{Property: "completeness",
-				Witness: fmt.Sprintf("p%d still trusts a faulty process at t=%d (stabilization deadline %d)", int(p), int64(lastBad), int64(stabBy))})
+				Witness: fmt.Sprintf("p%d still trusts a faulty process at t=%d (deadline %d)", int(p), int64(lastBad), int64(stabBy))})
+		}
+		if member && c.NonTrivial != nil && lastIdle >= stabBy {
+			if w := c.NonTrivial(p, lastIdle, stabBy); w != "" {
+				out = append(out, Violation{Property: "non-triviality", Witness: w})
+			}
 		}
 	}
-	// Intersection over the distinct lists actually output.
-	for i, a := range lists {
-		for _, b := range lists[i:] {
+
+	set := c.SetFormat
+	if set == "" {
+		set = "%v"
+	}
+	disjoint := "H(p%d,%d)=" + set + " ∩ H(p%d,%d)=" + set + " = ∅"
+	for i, a := range sets {
+		for _, b := range sets[i:] {
 			if !a.set.Intersects(b.set) {
 				out = append(out, Violation{Property: "intersection",
-					Witness: fmt.Sprintf("H(p%d,%d)=%v ∩ H(p%d,%d)=%v = ∅",
-						int(a.p), int64(a.t), a.set, int(b.p), int64(b.t), b.set)})
+					Witness: fmt.Sprintf(disjoint, int(a.p), int64(a.t), a.set, int(b.p), int64(b.t), b.set)})
 			}
 		}
 	}
@@ -203,9 +233,9 @@ type RecordedHistory struct {
 	Default any
 }
 
-var _ History = (*RecordedHistory)(nil)
+var _ sim.History = (*RecordedHistory)(nil)
 
-// Output implements History.
+// Output implements sim.History.
 func (r *RecordedHistory) Output(p dist.ProcID, t dist.Time) any {
 	if v, ok := trace.OutputAt(r.Trace, p, t); ok {
 		return v

@@ -99,7 +99,7 @@ func Build(cfg Config) (*Report, error) {
 	// σ ⪯ Σ{p,q} (Figure 3 / Lemma 6).
 	err := validate(cfg, 3, f, func() sim.History { return fd.NewSigmaS(f, pair, 20) },
 		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig3(p, pair) },
-		func(h fd.History) []fd.Violation {
+		func(h sim.History) []fd.Violation {
 			return core.CheckSigma(f, pair, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
 	if err != nil {
@@ -125,7 +125,7 @@ func Build(cfg Config) (*Report, error) {
 	}
 	err = validate(cfg, 6, f, func() sim.History { return sigmaOracle },
 		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig6(p, n) },
-		func(h fd.History) []fd.Violation {
+		func(h sim.History) []fd.Violation {
 			return fd.CheckAntiOmega(f, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
 	if err != nil {
@@ -148,7 +148,7 @@ func Build(cfg Config) (*Report, error) {
 	// σₖ side: σ₂ₖ ⪯ Σ_X₂ₖ (Figure 5 / Lemma 10).
 	err = validate(cfg, 5, f, func() sim.History { return fd.NewSigmaS(f, x, 20) },
 		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig5(p, x) },
-		func(h fd.History) []fd.Violation {
+		func(h sim.History) []fd.Violation {
 			return core.CheckSigmaK(f, x, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
 	if err != nil {
@@ -182,7 +182,7 @@ func (r *Report) add(from, to string, kind EdgeKind, evidence string) {
 // a run that fails the check makes the emulation invalid; a Search error is
 // a config error and is returned as it is. mkHist is called once per worker
 // (Σ_S oracles cache state and must not be shared).
-func validate(cfg Config, fig int, f *dist.FailurePattern, mkHist func() sim.History, emu separation.EmulatorProgram, check func(fd.History) []fd.Violation) error {
+func validate(cfg Config, fig int, f *dist.FailurePattern, mkHist func() sim.History, emu separation.EmulatorProgram, check func(sim.History) []fd.Violation) error {
 	res, err := separation.Search(separation.SearchConfig{
 		Pattern: f, History: mkHist, Candidate: emu, Check: check,
 		Horizon: cfg.Horizon, SeedStart: cfg.Seed, Seeds: cfg.Runs, Workers: cfg.Workers,

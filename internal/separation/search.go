@@ -24,7 +24,7 @@ type SearchConfig struct {
 	// Check validates one run's emulated history (e.g. fd.CheckSigmaS or
 	// core.CheckSigma applied over the horizon). It is called concurrently
 	// from every worker and must be safe for concurrent use.
-	Check func(h fd.History) []fd.Violation
+	Check func(h sim.History) []fd.Violation
 	// Horizon bounds each run. Default 2000.
 	Horizon int64
 	// SeedStart and Seeds give the swept range (Seeds default 32).

@@ -21,7 +21,7 @@ func TestSearchRefutesStubbornCandidate(t *testing.T) {
 			Pattern:   f,
 			History:   func() sim.History { return sigmaConstant(pair, dist.ProcSet{}) },
 			Candidate: StubbornCandidate(pair),
-			Check: func(h fd.History) []fd.Violation {
+			Check: func(h sim.History) []fd.Violation {
 				return fd.CheckSigmaS(f, pair, h, horizon, horizon*3/4)
 			},
 			Horizon:   horizon,
@@ -60,7 +60,7 @@ func TestSearchCannotRefuteHeartbeatCandidate(t *testing.T) {
 		Pattern:   f,
 		History:   func() sim.History { return sigmaConstant(pair, dist.ProcSet{}) },
 		Candidate: HeartbeatCandidate(pair, 10),
-		Check: func(h fd.History) []fd.Violation {
+		Check: func(h sim.History) []fd.Violation {
 			return fd.CheckSigmaS(f, pair, h, horizon, horizon*3/4)
 		},
 		Horizon: horizon,
