@@ -121,7 +121,9 @@ func (o *AnchoredSigmaKOracle) Output(p dist.ProcID, t dist.Time) any {
 }
 
 // mix is a SplitMix64-style stateless hash over (seed, p, t): oracle outputs
-// must be pure functions of the query, never of query order.
+// must be pure functions of the query, never of query order. It folds its
+// inputs differently from sim.Mix, and the anchored oracles' outputs (and
+// the runs pinned on them) depend on exactly this folding.
 func mix(seed, p, t uint64) uint64 {
 	z := seed ^ (p * 0x9e3779b97f4a7c15) ^ (t * 0xbf58476d1ce4e5b9)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

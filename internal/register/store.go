@@ -296,25 +296,17 @@ func (c StoreConfig) arrivalGap() int {
 	return 1
 }
 
-// arrivalMix is the splitmix64-style finalizer sim.FaultPlan uses: arrival
-// schedules are a pure function of (seed, client, index), never of execution
-// order, which keeps sweeps bit-identical across worker counts.
-func arrivalMix(a, b uint64) uint64 {
-	z := a + b*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // arrivalGapAt returns the inter-arrival gap preceding scripted op idx of
 // client self: the fixed mean, or an exponential-ish jittered draw with that
 // mean (0-step gaps model bursts; the 53-bit hash bounds the tail at ~37×).
+// The draw is a pure function of (ArrivalSeed, client, index), never of
+// execution order, which keeps sweeps bit-identical across worker counts.
 func (c StoreConfig) arrivalGapAt(self dist.ProcID, idx int) int64 {
 	g := int64(c.arrivalGap())
 	if !c.ArrivalJitter {
 		return g
 	}
-	u := float64(arrivalMix(uint64(c.ArrivalSeed)*0xD1342543DE82EF95+uint64(self), uint64(idx))>>11) / (1 << 53)
+	u := float64(sim.Mix(uint64(c.ArrivalSeed)*0xD1342543DE82EF95+uint64(self), uint64(idx))>>11) / (1 << 53)
 	return int64(-math.Log1p(-u)*float64(g) + 0.5)
 }
 

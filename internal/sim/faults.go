@@ -111,27 +111,28 @@ func (fp *FaultPlan) CutThrough(p, q dist.ProcID, horizon dist.Time) bool {
 // and the extra delivery delay of the original and of the copy. Pure in
 // (fp.Seed, runSeed, seq).
 func (fp *FaultPlan) decide(runSeed, seq int64) (drop, dup bool, delay, dupDelay dist.Time) {
-	h := faultMix(uint64(fp.Seed)^uint64(runSeed)*0x9E3779B97F4A7C15, uint64(seq))
-	if fp.Loss > 0 && unitFloat(faultMix(h, 1)) < fp.Loss {
+	h := Mix(uint64(fp.Seed)^uint64(runSeed)*0x9E3779B97F4A7C15, uint64(seq))
+	if fp.Loss > 0 && unitFloat(Mix(h, 1)) < fp.Loss {
 		return true, false, 0, 0
 	}
-	if fp.Dup > 0 && unitFloat(faultMix(h, 2)) < fp.Dup {
+	if fp.Dup > 0 && unitFloat(Mix(h, 2)) < fp.Dup {
 		dup = true
 	}
 	if fp.MaxDelay > 0 {
 		span := uint64(fp.MaxDelay) + 1
-		delay = dist.Time(faultMix(h, 3) % span)
-		dupDelay = dist.Time(faultMix(h, 4) % span)
+		delay = dist.Time(Mix(h, 3) % span)
+		dupDelay = dist.Time(Mix(h, 4) % span)
 	}
 	return
 }
 
-// faultMix combines two words into a well-mixed 64-bit value (splitmix64's
-// finalizer over their sum). Used instead of a stateful PRNG so fault
-// decisions depend only on the message identity, not on how many random
-// numbers were drawn before — a requirement for worker-count-independent
-// sweeps.
-func faultMix(a, b uint64) uint64 {
+// Mix combines two words into a well-mixed 64-bit value (splitmix64's
+// finalizer over their sum). Fault decisions and the store's jittered
+// arrival schedules use it instead of a stateful PRNG, so they depend only
+// on the identity of what they decide (a message, a client's op index), not
+// on how many random numbers were drawn before — a requirement for
+// worker-count-independent sweeps.
+func Mix(a, b uint64) uint64 {
 	z := a + b*0x9E3779B97F4A7C15
 	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
 	z = (z ^ z>>27) * 0x94D049BB133111EB
