@@ -460,9 +460,16 @@ func (r *Runner) reset() {
 		r.built = true
 	}
 
-	r.tr = nil
-	if !r.cfg.DisableTrace {
-		r.tr = &trace.Trace{}
+	// A traced run gets a new trace (the last one went out with its
+	// result), sized like the last run's so it does not regrow from empty.
+	if r.cfg.DisableTrace {
+		r.tr = nil
+	} else {
+		hint := 0
+		if r.tr != nil {
+			hint = r.tr.Len()
+		}
+		r.tr = trace.New(hint)
 	}
 	r.ops = r.ops[:0]
 

@@ -293,3 +293,41 @@ func TestRunnerBuildsAutomataOncePerRun(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedRunDoesNotRegrowItsTrace: a reused traced runner sizes each
+// run's trace from the last run's event count, so its per-run allocations
+// exceed the untraced runner's by a constant (the trace, its event array,
+// a regrowth when a run outgrows the last), not by one regrowth per
+// doubling of the event count. steadyState records no ops, whose OpDesc
+// payloads would box per event.
+func TestTracedRunDoesNotRegrowItsTrace(t *testing.T) {
+	perRun := func(traced bool) float64 {
+		r, err := NewRunner(Config{
+			Pattern:   dist.NewFailurePattern(4),
+			History:   nilHistory(),
+			Program:   func(p dist.ProcID, n int) Automaton { return &steadyState{self: p} },
+			Scheduler: NewRandomScheduler(0), MaxSteps: 20000, DisableTrace: !traced,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Reset(1).Run() // warm buffers and the size hint
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced && res.Trace.Len() < 20000 {
+			t.Fatalf("warm-up run recorded %d events, want ≥ 20000", res.Trace.Len())
+		}
+		seed := int64(2)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := r.Reset(seed).Run(); err != nil {
+				t.Fatal(err)
+			}
+			seed++
+		})
+	}
+	traced, untraced := perRun(true), perRun(false)
+	if extra := traced - untraced; extra > 4 {
+		t.Fatalf("a traced run allocates %.1f times, an untraced one %.1f: %.1f extra, want ≤ 4", traced, untraced, extra)
+	}
+}

@@ -112,6 +112,10 @@ type Trace struct {
 	events []Event
 }
 
+// New returns an empty trace with room for sizeHint events, so a run whose
+// length is known roughly in advance does not regrow the trace as it goes.
+func New(sizeHint int) *Trace { return &Trace{events: make([]Event, 0, sizeHint)} }
+
 // Append adds an event to the trace.
 func (tr *Trace) Append(e Event) { tr.events = append(tr.events, e) }
 
