@@ -49,12 +49,30 @@ mkdir -p "$out"
 git -C "$root" worktree remove --force "$base" 2>/dev/null || rm -rf "$base"
 git -C "$root" worktree prune
 git -C "$root" worktree add --detach --quiet "$base" "$rev"
-trap 'git -C "$root" worktree remove --force "$base"; git -C "$root" worktree prune' EXIT
+# Each run is a background job in its own process group (set -m), so that
+# stopping the script stops the whole run (bench/run.sh, its go build, the
+# bench binary) before the worktree it runs from is removed. The script
+# waits on the job rather than running it in the foreground so that INT
+# and TERM reach their traps at once, not when the run ends.
+set -m
+child=
+stop_child() {
+	if [ -n "$child" ]; then
+		kill -TERM -- -"$child" 2>/dev/null || true
+		wait "$child" 2>/dev/null || true
+	fi
+}
+trap 'stop_child; git -C "$root" worktree remove --force "$base"; git -C "$root" worktree prune' EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
 
 # one SIDE DIR: runs the benchmark in checkout DIR and keeps the JSON line
 # of its standard output as $out/SIDE.K.
 one() {
-	bash "$2/bench/run.sh" --workload "$workload" --seconds "$seconds" --seed "$seed" >"$out/$1.log"
+	bash "$2/bench/run.sh" --workload "$workload" --seconds "$seconds" --seed "$seed" >"$out/$1.log" &
+	child=$!
+	wait "$child"
+	child=
 	tail -n 1 "$out/$1.log" >"$out/$1.$k"
 }
 for k in $(seq 1 "$runs"); do
