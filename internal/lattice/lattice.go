@@ -8,9 +8,10 @@
 //
 // The positive direction is established constructively: Σ_X₂ₖ is turned into
 // σ₂ₖ by Figure 5 and σ₂ₖ into (n−k)-set agreement by Figure 4, composed in
-// one protocol stack and model-checked across schedules; the special row
-// k = 1 additionally runs Figure 3 + Figure 2 (set agreement from a
-// 2-register's failure information, Theorem 2).
+// one protocol stack and run on sampled seeds (RunsPerRelation per failure
+// pattern), each run checked for (n−k)-set agreement. The row is sampled,
+// not model-checked: the bounded exhaustive checks of Figures 2–4 live in
+// package core's tests.
 package lattice
 
 import (

@@ -22,8 +22,9 @@ type RenderOptions struct {
 //	t=12  p2  step  recv (1,101) from p1   fd={p1,p2}
 //	t=13  p3  DECIDE 303
 //
-// It is a debugging and teaching aid used by the examples; checkers never
-// parse it.
+// It is a debugging and teaching aid; checkers never parse it. Nothing in
+// the repository calls it yet: it is kept as the renderer for a failing
+// run's replayed timeline.
 func Render(tr *Trace, opt RenderOptions) string {
 	if opt.MaxRows <= 0 {
 		opt.MaxRows = 200

@@ -2,18 +2,19 @@
 // steps, message sends, decisions, emulated failure-detector output changes
 // and shared-object operation invocations/responses.
 //
-// Traces serve three purposes in this repository:
+// Traces serve two purposes in this repository:
 //
-//  1. Property checking. The k-set agreement checker, the register
-//     linearizability checker and the failure-detector class checkers all
-//     consume traces.
+//  1. Emulated failure-detector histories. When an algorithm emulates a
+//     failure detector (Figures 3, 5 and 6), the emulated history H(p, t) is
+//     the recorded sequence of output-variable changes, which the
+//     failure-detector class checkers judge through fd.RecordedHistory.
 //  2. Indistinguishability arguments. The impossibility proofs of the paper
 //     (Lemmas 7, 11 and 15) construct pairs of runs that some process cannot
 //     tell apart; LocalView and IndistinguishableTo verify our scripted
 //     reconstructions really are indistinguishable.
-//  3. Emulated failure-detector histories. When an algorithm emulates a
-//     failure detector (Figures 3, 5 and 6), the emulated history H(p, t) is
-//     the recorded sequence of output-variable changes.
+//
+// The agreement and linearizability checkers do not read traces: they
+// read a run's sim.Result and its op log.
 package trace
 
 import (
