@@ -51,4 +51,7 @@ func main() {
 			fmt.Printf("  p%d crashed before deciding\n", int(p))
 		}
 	}
+	if !report.OK() {
+		log.Fatal("set agreement violated")
+	}
 }

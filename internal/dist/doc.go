@@ -12,11 +12,12 @@
 //     cardinality is a popcount per word. ProcSet is a comparable value
 //     type, so it can key maps and be compared with ==, and every method is
 //     pure and allocation-free (except Members and String).
-//   - FailurePattern pre-sorts its crash events and caches the alive-set
-//     prefix per distinct crash time, so the runner's per-step AliveAt and
-//     Correct calls are allocation-free lookups.
+//   - FailurePattern keeps its crash and recovery transitions sorted in the
+//     order a run applies them, with the down set per distinct transition
+//     time, so AliveAt and Correct are allocation-free lookups and the
+//     runner walks Transitions with one cursor.
 //
 // All operations on ProcSet are pure (they return a new set); operations on
-// FailurePattern mutate it during setup (CrashAt) and are read-only during a
-// run.
+// FailurePattern mutate it during setup (CrashAt, RecoverAt) and every read
+// is pure, so one pattern can be shared by concurrent runs.
 package dist

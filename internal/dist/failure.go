@@ -1,8 +1,9 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -19,10 +20,11 @@ import (
 // notion of correct(F) — recovered processes rejoin as untrusted learners.
 //
 // Patterns are built once (NewFailurePattern + CrashAt + RecoverAt) and then
-// read by runs. Transitions are sorted and the cumulative down set per
-// distinct transition time is cached on first read, so the per-step AliveAt
-// and Correct queries are allocation-free lookups. Setup and reads must not
-// be interleaved concurrently.
+// only read: every CrashAt and RecoverAt rebuilds the sorted transitions and
+// the cumulative down set per distinct transition time, so every read —
+// AliveAt, Transitions, Correct — is pure and allocation-free, and one
+// pattern may be read by any number of goroutines at once. Setup must not
+// overlap reads.
 type FailurePattern struct {
 	n      int
 	all    ProcSet            // FullSet(n), cached: All() sits on per-step paths
@@ -31,8 +33,16 @@ type FailurePattern struct {
 	faulty ProcSet
 	recset ProcSet // processes with a recovery scheduled
 
-	dirty  bool
-	events []downStep // sorted by time, cumulative down sets
+	trans []Transition // in the order a run applies them (see Transitions)
+	downs []downStep   // one per distinct transition time, increasing
+}
+
+// Transition is one change of F: process P crashes at time T, or recovers
+// at T when Recover is set.
+type Transition struct {
+	T       Time
+	P       ProcID
+	Recover bool
 }
 
 type downStep struct {
@@ -94,7 +104,7 @@ func (f *FailurePattern) CrashAt(p ProcID, t Time) {
 	} else {
 		f.faulty = f.faulty.Add(p)
 	}
-	f.dirty = true
+	f.rebuild()
 }
 
 // RecoverAt records that p, which must already have a crash time, recovers
@@ -109,7 +119,7 @@ func (f *FailurePattern) RecoverAt(p ProcID, t Time) {
 	if t == NoCrash {
 		f.recov[p] = NoCrash
 		f.recset = f.recset.Remove(p)
-		f.dirty = true
+		f.rebuild()
 		return
 	}
 	if f.crash[p] == NoCrash {
@@ -120,7 +130,7 @@ func (f *FailurePattern) RecoverAt(p ProcID, t Time) {
 	}
 	f.recov[p] = t
 	f.recset = f.recset.Add(p)
-	f.dirty = true
+	f.rebuild()
 }
 
 // RecoverTime returns p's recovery time, or NoCrash if p never recovers.
@@ -170,19 +180,15 @@ func (f *FailurePattern) InEnvironment() bool { return !f.Correct().IsEmpty() }
 // Faulty returns Π \ correct(F).
 func (f *FailurePattern) Faulty() ProcSet { return f.faulty }
 
-// AliveAt returns Π \ F(t), the processes taking steps at time t. After the
-// first call (which sorts the crash/recovery transitions) it is a binary
-// search over at most 2·MaxProcs cached entries and does not allocate.
+// AliveAt returns Π \ F(t), the processes taking steps at time t: a binary
+// search over at most 2·MaxProcs cached down sets.
 func (f *FailurePattern) AliveAt(t Time) ProcSet {
-	if f.dirty {
-		f.finalize()
-	}
-	ev := f.events
-	// Find the last event with ev.t ≤ t.
-	lo, hi := 0, len(ev)
+	ds := f.downs
+	// Find the last step with ds.t ≤ t.
+	lo, hi := 0, len(ds)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ev[mid].t <= t {
+		if ds[mid].t <= t {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -191,40 +197,52 @@ func (f *FailurePattern) AliveAt(t Time) ProcSet {
 	if lo == 0 {
 		return f.All()
 	}
-	return f.All().Minus(ev[lo-1].down)
+	return f.All().Minus(ds[lo-1].down)
 }
 
-// finalize sorts crash and recovery transitions and builds the cumulative
-// down set per distinct transition time.
-func (f *FailurePattern) finalize() {
-	type transition struct {
-		t  Time
-		p  ProcID
-		up bool // recovery: p leaves the down set at t
-	}
-	var order []transition
+// Transitions returns F's crashes and recoveries in the order a run applies
+// them: by time, crashes before recoveries at one time, then by process.
+// The slice is F's own and must not be modified.
+func (f *FailurePattern) Transitions() []Transition { return f.trans }
+
+// rebuild sorts the transitions and builds the cumulative down set per
+// distinct transition time. Both are new slices, so a slice an earlier read
+// handed out keeps its contents.
+func (f *FailurePattern) rebuild() {
+	trans := make([]Transition, 0, f.faulty.Len()+f.recset.Len())
 	f.faulty.ForEach(func(p ProcID) {
-		order = append(order, transition{t: f.crash[p], p: p})
+		trans = append(trans, Transition{T: f.crash[p], P: p})
 		if f.recov[p] != NoCrash {
-			order = append(order, transition{t: f.recov[p], p: p, up: true})
+			trans = append(trans, Transition{T: f.recov[p], P: p, Recover: true})
 		}
 	})
-	sort.Slice(order, func(i, j int) bool { return order[i].t < order[j].t })
-	f.events = f.events[:0]
-	var down ProcSet
-	for _, e := range order {
-		if e.up {
-			down = down.Remove(e.p)
-		} else {
-			down = down.Add(e.p)
+	slices.SortFunc(trans, func(a, b Transition) int {
+		switch {
+		case a.T != b.T:
+			return cmp.Compare(a.T, b.T)
+		case a.Recover != b.Recover:
+			if a.Recover {
+				return 1
+			}
+			return -1
 		}
-		if k := len(f.events); k > 0 && f.events[k-1].t == e.t {
-			f.events[k-1].down = down
+		return cmp.Compare(a.P, b.P)
+	})
+	downs := make([]downStep, 0, len(trans))
+	var down ProcSet
+	for _, x := range trans {
+		if x.Recover {
+			down = down.Remove(x.P)
 		} else {
-			f.events = append(f.events, downStep{t: e.t, down: down})
+			down = down.Add(x.P)
+		}
+		if k := len(downs); k > 0 && downs[k-1].t == x.T {
+			downs[k-1].down = down
+		} else {
+			downs = append(downs, downStep{t: x.T, down: down})
 		}
 	}
-	f.dirty = false
+	f.trans, f.downs = trans, downs
 }
 
 // String renders the pattern as n and its crash/recovery schedule.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -105,13 +106,49 @@ func TestRecoveryAliveIntervals(t *testing.T) {
 		t.Fatalf("String() = %q, want crash and recovery rendered", got)
 	}
 
-	// Mutating after a cached AliveAt read must invalidate the cache.
+	// Mutating after an AliveAt read must rebuild the schedule.
 	f.RecoverAt(4, 200)
 	if got, want := f.AliveAt(150), NewProcSet(1, 2, 3, 5); got != want {
 		t.Fatalf("AliveAt(150) after late RecoverAt = %v, want %v", got, want)
 	}
 	if got, want := f.AliveAt(200), NewProcSet(1, 2, 3, 4, 5); got != want {
 		t.Fatalf("AliveAt(200) after late RecoverAt = %v, want %v", got, want)
+	}
+}
+
+// TestTransitionsOrder pins the order a run applies F's transitions in: by
+// time, crashes before recoveries at one time, then by process, with
+// eighteen processes crashing at one time.
+func TestTransitionsOrder(t *testing.T) {
+	f := NewFailurePattern(20)
+	for p := ProcID(20); p >= 3; p-- {
+		f.CrashAt(p, 5)
+	}
+	f.CrashAt(1, 0)
+	f.RecoverAt(1, 5)
+	f.RecoverAt(7, 9)
+	f.RecoverAt(4, 9)
+	f.CrashAt(2, 9)
+
+	want := []Transition{{T: 0, P: 1}}
+	for p := ProcID(3); p <= 20; p++ {
+		want = append(want, Transition{T: 5, P: p})
+	}
+	want = append(want, Transition{T: 5, P: 1, Recover: true},
+		Transition{T: 9, P: 2},
+		Transition{T: 9, P: 4, Recover: true}, Transition{T: 9, P: 7, Recover: true})
+	if got := f.Transitions(); !slices.Equal(got, want) {
+		t.Fatalf("Transitions() = %v,\nwant %v", got, want)
+	}
+
+	// A slice handed out earlier keeps its contents across later setup.
+	before := f.Transitions()
+	f.CrashAt(2, NoCrash)
+	if len(before) != len(want) || before[len(want)-3] != (Transition{T: 9, P: 2}) {
+		t.Fatalf("CrashAt rewrote a slice Transitions handed out: %v", before)
+	}
+	if got := f.Transitions(); len(got) != len(want)-1 {
+		t.Fatalf("Transitions() after un-crashing p2 = %v", got)
 	}
 }
 

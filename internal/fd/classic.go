@@ -65,75 +65,6 @@ func CheckOmega(f *dist.FailurePattern, h sim.History, horizon, stabBy dist.Time
 	return out
 }
 
-// Suspects is the output range of the P/◇P family: the set of processes the
-// detector currently suspects of having crashed.
-type Suspects struct {
-	Suspected dist.ProcSet
-}
-
-// PerfectOracle is a valid P history: strong accuracy (no process suspected
-// before it crashes) and strong completeness (every crashed process is
-// eventually suspected, here after Lag ticks).
-type PerfectOracle struct {
-	F   *dist.FailurePattern
-	Lag dist.Time // detection delay; 0 detects instantly
-}
-
-// Output implements the history H(p, t).
-func (o *PerfectOracle) Output(p dist.ProcID, t dist.Time) any {
-	cut := t - o.Lag
-	if cut < 0 {
-		cut = 0
-	}
-	return Suspects{Suspected: o.F.All().Minus(o.F.AliveAt(cut))}
-}
-
-// EventuallyPerfectOracle is a valid ◇P history: arbitrary suspicions before
-// the stabilization time, exact crash knowledge afterwards.
-type EventuallyPerfectOracle struct {
-	F    *dist.FailurePattern
-	Stab dist.Time
-}
-
-// Output implements the history H(p, t).
-func (o *EventuallyPerfectOracle) Output(p dist.ProcID, t dist.Time) any {
-	if t < o.Stab {
-		// Wrong suspicions are permitted finitely often: suspect everyone
-		// but the querier and a rotating peer.
-		keep := dist.ProcID(1 + (int64(t) % int64(o.F.N())))
-		return Suspects{Suspected: o.F.All().Remove(p).Remove(keep)}
-	}
-	return Suspects{Suspected: o.F.All().Minus(o.F.AliveAt(t))}
-}
-
-// CheckPerfect verifies strong accuracy over the horizon and strong
-// completeness by the deadline.
-func CheckPerfect(f *dist.FailurePattern, h sim.History, horizon, completeBy dist.Time) []Violation {
-	var out []Violation
-	for _, p := range f.Correct().Members() {
-		for t := dist.Time(0); t < horizon; t++ {
-			raw := h.Output(p, t)
-			s, ok := raw.(Suspects)
-			if !ok {
-				return append(out, Violation{Property: "well-formedness",
-					Witness: fmt.Sprintf("H(p%d,%d) has type %T, want Suspects", int(p), int64(t), raw)})
-			}
-			crashed := f.All().Minus(f.AliveAt(t))
-			if !s.Suspected.SubsetOf(crashed) {
-				out = append(out, Violation{Property: "strong-accuracy",
-					Witness: fmt.Sprintf("p%d suspects %v at t=%d but crashed=%v", int(p), s.Suspected, int64(t), crashed)})
-				return out
-			}
-			if t >= completeBy && !f.All().Minus(f.Correct()).SubsetOf(s.Suspected) {
-				out = append(out, Violation{Property: "strong-completeness",
-					Witness: fmt.Sprintf("p%d misses a crashed process at t=%d", int(p), int64(t))})
-				return out
-			}
-		}
-	}
-	return out
-}
-
 // AntiOmegaOracle is a valid anti-Ω history (Zieliński): each query returns
 // a process id, and some correct process's id is returned only finitely many
 // times. The Shielded process (default max(Correct)) is the one protected

@@ -1,10 +1,10 @@
 // Package fd implements the failure-detector formalism of Chandra and Toueg
 // as used by the paper: oracle histories parameterized by a failure pattern,
 // the quorum failure detector family Σ_S (the weakest failure detector to
-// implement an S-register, Proposition 1), the classic detectors the related
-// work compares against (Ω, P, ◇P, anti-Ω), property checkers for each
-// class, and a message-passing implementation of Σ_S for majority-correct
-// environments (Section 2.2 remark).
+// implement an S-register, Proposition 1), the classic detectors the
+// separations and the consensus half use (Ω, anti-Ω), property checkers for
+// each class, and a message-passing implementation of Σ_S for
+// majority-correct environments (Section 2.2 remark).
 //
 // The paper's own σ/σₖ family lives in package core, next to the algorithms
 // that use it; its checkers, like CheckSigmaS, describe their class to the
@@ -12,7 +12,9 @@
 package fd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/sim"
@@ -44,28 +46,38 @@ func (o TrustList) String() string {
 // The canonical history outputs the alive set before the stabilization time
 // and Correct(F) afterwards; both choices always contain Correct(F), which
 // is what makes Intersection hold across arbitrary time pairs.
+//
+// Every output is boxed by NewSigmaS, so Output neither allocates nor
+// writes and one oracle may serve concurrent runs. The pattern must not
+// change after NewSigmaS.
 type SigmaSOracle struct {
 	f    *dist.FailurePattern
 	s    dist.ProcSet
 	stab dist.Time // stabilization time; 0 stabilizes immediately
 
-	// Boxed outputs, cached so the simulator's per-step query path does not
-	// allocate. lastAlive memoizes the pre-stabilization output, which only
-	// changes when a crash changes the alive set.
 	bottomOut, piOut, correctOut any
-	lastAlive                    dist.ProcSet
-	lastAliveOut                 any
+	// early[i] is the pre-stabilization output from the time of f's
+	// transition i on; before the first transition every process is alive
+	// and the output is piOut. It covers the transitions below stab.
+	early []any
 }
 
 // NewSigmaS returns the canonical Σ_S oracle for pattern f, shared-by set s,
 // stabilizing at stab.
 func NewSigmaS(f *dist.FailurePattern, s dist.ProcSet, stab dist.Time) *SigmaSOracle {
-	return &SigmaSOracle{
+	o := &SigmaSOracle{
 		f: f, s: s, stab: stab,
 		bottomOut:  TrustList{Bottom: true},
 		piOut:      TrustList{Trusted: f.All()},
 		correctOut: TrustList{Trusted: f.Correct()},
 	}
+	for _, x := range f.Transitions() {
+		if x.T >= stab {
+			break
+		}
+		o.early = append(o.early, TrustList{Trusted: f.AliveAt(x.T)})
+	}
+	return o
 }
 
 // NewSigma returns the canonical Σ = Σ_Π oracle.
@@ -82,11 +94,12 @@ func (o *SigmaSOracle) Output(p dist.ProcID, t dist.Time) any {
 		return o.piOut // crashed member of S outputs Π
 	}
 	if t < o.stab {
-		alive := o.f.AliveAt(t)
-		if o.lastAliveOut == nil || alive != o.lastAlive {
-			o.lastAlive, o.lastAliveOut = alive, TrustList{Trusted: alive}
+		// k counts the transitions at or before t.
+		k, _ := slices.BinarySearchFunc(o.f.Transitions()[:len(o.early)], t+1, func(x dist.Transition, t dist.Time) int { return cmp.Compare(x.T, t) })
+		if k == 0 {
+			return o.piOut
 		}
-		return o.lastAliveOut
+		return o.early[k-1]
 	}
 	return o.correctOut
 }

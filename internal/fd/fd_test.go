@@ -2,6 +2,7 @@ package fd
 
 import (
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +28,53 @@ func TestSigmaSOracleValid(t *testing.T) {
 				t.Fatalf("%v S=%v: %v", f, s, vs)
 			}
 		}
+	}
+}
+
+// TestFailurePatternConcurrentFirstReads has eight goroutines make the
+// first reads of a freshly built pattern, with a crash and a recovery, and
+// of a fresh Σ_S oracle on it, all before stabilization. Reads never write,
+// so the race detector stays quiet, every goroutine sees the history the
+// pattern defines, and Output does not allocate.
+func TestFailurePatternConcurrentFirstReads(t *testing.T) {
+	const n, stab = 5, 60
+	f := dist.NewFailurePattern(n)
+	f.CrashAt(3, 10)
+	f.RecoverAt(3, 30)
+	f.CrashAt(5, 20)
+	o := NewSigmaS(f, f.All(), stab)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for tm := dist.Time(0); tm < stab; tm++ {
+				var alive dist.ProcSet
+				for p := dist.ProcID(1); p <= n; p++ {
+					if f.Alive(p, tm) {
+						alive = alive.Add(p)
+					}
+				}
+				if got := f.AliveAt(tm); got != alive {
+					t.Errorf("AliveAt(%d) = %v, want %v", int64(tm), got, alive)
+					return
+				}
+				for p := dist.ProcID(1); p <= n; p++ {
+					want := TrustList{Trusted: alive}
+					if !alive.Contains(p) {
+						want.Trusted = f.All()
+					}
+					if got := o.Output(p, tm); got != want {
+						t.Errorf("H(p%d, %d) = %v, want %v", int(p), int64(tm), got, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if a := testing.AllocsPerRun(100, func() { o.Output(1, 25) }); a != 0 {
+		t.Fatalf("Output allocates %.1f times per call", a)
 	}
 }
 
@@ -123,29 +171,6 @@ func TestCheckOmegaRejectsFlapping(t *testing.T) {
 	})
 	if vs := CheckOmega(f, bad, 100, 50); len(vs) == 0 {
 		t.Fatal("flapping leader accepted")
-	}
-}
-
-func TestPerfectOracleValid(t *testing.T) {
-	f := dist.NewFailurePattern(5)
-	f.CrashAt(3, 10)
-	o := &PerfectOracle{F: f, Lag: 5}
-	if vs := CheckPerfect(f, o, 100, 40); len(vs) != 0 {
-		t.Fatalf("%v", vs)
-	}
-}
-
-func TestEventuallyPerfectOracleEventuallyAccurate(t *testing.T) {
-	f := dist.CrashPattern(5, 4)
-	o := &EventuallyPerfectOracle{F: f, Stab: 30}
-	// After stabilization ◇P behaves like P.
-	for _, p := range f.Correct().Members() {
-		for tm := dist.Time(30); tm < 80; tm++ {
-			s := o.Output(p, tm).(Suspects)
-			if s.Suspected != dist.NewProcSet(4) {
-				t.Fatalf("H(p%d,%d)=%v", int(p), int64(tm), s)
-			}
-		}
 	}
 }
 

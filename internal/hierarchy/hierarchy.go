@@ -97,7 +97,7 @@ func Build(cfg Config) (*Report, error) {
 	f := dist.CrashPattern(cfg.N, dist.ProcID(cfg.N)) // one crashed process
 
 	// σ ⪯ Σ{p,q} (Figure 3 / Lemma 6).
-	err := validate(cfg, 3, f, func() sim.History { return fd.NewSigmaS(f, pair, 20) },
+	err := validate(cfg, 3, f, fd.NewSigmaS(f, pair, 20),
 		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig3(p, pair) },
 		func(h sim.History) []fd.Violation {
 			return core.CheckSigma(f, pair, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
@@ -117,13 +117,12 @@ func Build(cfg Config) (*Report, error) {
 	}
 	rep.add("Σ{p1,p2}", "σ", Separation, cert.String())
 
-	// anti-Ω ⪯ σ (Figure 6 / Lemma 16). The σ oracle pre-boxes its outputs
-	// and is read-only after construction, so one instance serves the pool.
+	// anti-Ω ⪯ σ (Figure 6 / Lemma 16).
 	sigmaOracle, err := core.NewSigmaOracle(f, pair, 25, core.SigmaCanonical)
 	if err != nil {
 		return nil, err
 	}
-	err = validate(cfg, 6, f, func() sim.History { return sigmaOracle },
+	err = validate(cfg, 6, f, sigmaOracle,
 		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig6(p, n) },
 		func(h sim.History) []fd.Violation {
 			return fd.CheckAntiOmega(f, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
@@ -146,7 +145,7 @@ func Build(cfg Config) (*Report, error) {
 		fmt.Sprintf("Corollary 17: σ solves set agreement (E1) but anti-Ω does not — %s", cert15))
 
 	// σₖ side: σ₂ₖ ⪯ Σ_X₂ₖ (Figure 5 / Lemma 10).
-	err = validate(cfg, 5, f, func() sim.History { return fd.NewSigmaS(f, x, 20) },
+	err = validate(cfg, 5, f, fd.NewSigmaS(f, x, 20),
 		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig5(p, x) },
 		func(h sim.History) []fd.Violation {
 			return core.CheckSigmaK(f, x, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
@@ -180,11 +179,10 @@ func (r *Report) add(from, to string, kind EdgeKind, evidence string) {
 // validate checks the reduction edge of Figure fig with separation.Search
 // across cfg.Runs seeds: every run's emulated history must pass check. Only
 // a run that fails the check makes the emulation invalid; a Search error is
-// a config error and is returned as it is. mkHist is called once per worker
-// (Σ_S oracles cache state and must not be shared).
-func validate(cfg Config, fig int, f *dist.FailurePattern, mkHist func() sim.History, emu separation.EmulatorProgram, check func(sim.History) []fd.Violation) error {
+// a config error and is returned as it is.
+func validate(cfg Config, fig int, f *dist.FailurePattern, h sim.History, emu separation.EmulatorProgram, check func(sim.History) []fd.Violation) error {
 	res, err := separation.Search(separation.SearchConfig{
-		Pattern: f, History: mkHist, Candidate: emu, Check: check,
+		Pattern: f, History: h, Candidate: emu, Check: check,
 		Horizon: cfg.Horizon, SeedStart: cfg.Seed, Seeds: cfg.Runs, Workers: cfg.Workers,
 	})
 	if err != nil {

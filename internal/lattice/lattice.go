@@ -106,14 +106,14 @@ func buildK(cfg Config, k int) ([]Relation, error) {
 		prog := func(p dist.ProcID, nn int) sim.Automaton {
 			return sim.NewStack(core.NewFig5(p, x), core.NewFig4(p, nn, props[p-1]))
 		}
-		// One sweep per pattern: each worker owns a runner and a fresh
-		// Σ_X oracle (SigmaSOracle caches its last output and must not be
-		// shared across workers).
+		// One sweep per pattern: each worker owns a runner, and all of them
+		// read one Σ_X oracle.
+		sigmaX := fd.NewSigmaS(f, x, 20)
 		res, err := sweep.Run(sweep.Config{
 			Sim: func() sim.Config {
 				return sim.Config{
 					Pattern:         f,
-					History:         fd.NewSigmaS(f, x, 20),
+					History:         sigmaX,
 					Program:         prog,
 					StopWhenDecided: true,
 					DisableTrace:    true,

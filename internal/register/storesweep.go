@@ -88,7 +88,7 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 
 // SimConfig returns the runner configuration of one store run: the one
 // definition of a store run, which StoreSweep gives each of its workers. It
-// holds a fresh StoreProgram and Σ_S oracle, the EffectiveMaxSteps budget, a
+// holds a fresh StoreProgram, a Σ_S oracle, the EffectiveMaxSteps budget, a
 // stop condition that holds once every correct client has finished its work
 // on the available shards it can reach, the fault plan and StallLimit. It
 // is untraced (DisableTrace): the checker reads the run's op log
@@ -110,7 +110,7 @@ func (cfg StoreSweepConfig) SimConfig() (sim.Config, error) {
 // storeRun is a validated StoreSweepConfig plus what all of its runs share.
 type storeRun struct {
 	cfg      StoreSweepConfig
-	stab     dist.Time
+	sigma    *fd.SigmaSOracle // read by every runner
 	maxSteps int64
 	correct  dist.ProcSet
 	clients  dist.ProcSet // correct members of S
@@ -146,10 +146,11 @@ func (cfg StoreSweepConfig) validate() (*storeRun, error) {
 			return nil, fmt.Errorf("register: faults with loss or partitions need Store.Retransmit — a lost request would strand its operation forever")
 		}
 	}
-	run := &storeRun{cfg: cfg, stab: cfg.Stab, maxSteps: cfg.EffectiveMaxSteps()}
-	if run.stab <= 0 {
-		run.stab = 20
+	stab := cfg.Stab
+	if stab <= 0 {
+		stab = 20
 	}
+	run := &storeRun{cfg: cfg, sigma: fd.NewSigmaS(cfg.Pattern, cfg.S, stab), maxSteps: cfg.EffectiveMaxSteps()}
 	run.correct = cfg.Pattern.Correct()
 	run.clients = cfg.S.Intersect(run.correct)
 	if run.clients.IsEmpty() {
@@ -185,9 +186,9 @@ func (cfg StoreSweepConfig) validate() (*storeRun, error) {
 	return run, nil
 }
 
-// simConfig builds one runner's configuration. The state is per runner: Σ_S
-// oracles memoize boxed outputs, a store program's nodes share one payload
-// pool, and the stop cursor remembers how far the current run has finished.
+// simConfig builds one runner's configuration. The state is per runner: a
+// store program's nodes share one payload pool, and the stop cursor
+// remembers how far the current run has finished. The Σ_S oracle is shared.
 func (r *storeRun) simConfig() sim.Config {
 	cfg := r.cfg
 	prog, err := StoreProgram(cfg.Pattern.N(), cfg.S, cfg.Store, cfg.Scripts)
@@ -196,7 +197,7 @@ func (r *storeRun) simConfig() sim.Config {
 	}
 	return sim.Config{
 		Pattern:      cfg.Pattern,
-		History:      fd.NewSigmaS(cfg.Pattern, cfg.S, r.stab),
+		History:      r.sigma,
 		Program:      prog,
 		MaxSteps:     r.maxSteps,
 		StopWhen:     newStoreStopCursor(r.clients, r.avail, r.masks).done,

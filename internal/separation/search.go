@@ -15,10 +15,10 @@ import (
 type SearchConfig struct {
 	// Pattern is the failure pattern of every run.
 	Pattern *dist.FailurePattern
-	// History builds the underlying oracle history. It is called once per
-	// worker; stateful oracles (Σ_S) must be built fresh per call,
-	// pre-boxed read-only oracles may be shared.
-	History func() sim.History
+	// History is the underlying oracle history. Every worker reads it
+	// concurrently, so its Output must not write (Σ_S and the other
+	// pre-boxed oracles do not).
+	History sim.History
 	// Candidate is the emulation under test.
 	Candidate EmulatorProgram
 	// Check validates one run's emulated history (e.g. fd.CheckSigmaS or
@@ -61,7 +61,7 @@ func Search(cfg SearchConfig) (*sweep.Result, error) {
 		Sim: func() sim.Config {
 			return sim.Config{
 				Pattern:  cfg.Pattern,
-				History:  cfg.History(),
+				History:  cfg.History,
 				Program:  prog,
 				MaxSteps: cfg.Horizon,
 			}

@@ -19,7 +19,7 @@ func TestSearchRefutesStubbornCandidate(t *testing.T) {
 	mk := func(workers int) SearchConfig {
 		return SearchConfig{
 			Pattern:   f,
-			History:   func() sim.History { return sigmaConstant(pair, dist.ProcSet{}) },
+			History:   sigmaConstant(pair, dist.ProcSet{}),
 			Candidate: StubbornCandidate(pair),
 			Check: func(h sim.History) []fd.Violation {
 				return fd.CheckSigmaS(f, pair, h, horizon, horizon*3/4)
@@ -58,7 +58,7 @@ func TestSearchCannotRefuteHeartbeatCandidate(t *testing.T) {
 	const horizon = 800
 	res, err := Search(SearchConfig{
 		Pattern:   f,
-		History:   func() sim.History { return sigmaConstant(pair, dist.ProcSet{}) },
+		History:   sigmaConstant(pair, dist.ProcSet{}),
 		Candidate: HeartbeatCandidate(pair, 10),
 		Check: func(h sim.History) []fd.Violation {
 			return fd.CheckSigmaS(f, pair, h, horizon, horizon*3/4)

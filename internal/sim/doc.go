@@ -8,7 +8,9 @@
 // A run advances one step per tick of the global clock: the scheduler picks
 // a process, that process receives at most one pending message, queries its
 // failure-detector history once, updates its state and sends messages.
-// Crashed processes never step again. Channels are reliable: delivery can be
+// The runner applies the failure pattern's transitions in order: a crashed
+// process takes no step until it recovers, if ever, with a fresh automaton.
+// Channels are reliable: delivery can be
 // delayed arbitrarily (and adversarially, via DeliveryFilter and scripted
 // schedules) but the fair schedulers deliver every message to a correct
 // process eventually.

@@ -46,10 +46,10 @@ type ExploreConfig struct {
 	//
 	// With Workers > 1, History, Check and CheckAutomata are called
 	// concurrently from multiple goroutines and must be safe for that:
-	// pure functions and pre-boxed read-only oracles (SigmaOracle,
-	// SigmaKOracle, agreement.SafetyCheck) are; histories that cache state
-	// in Output — notably fd.SigmaSOracle — and stateful Check closures
-	// are not, and require Workers: 1.
+	// pure functions and pre-boxed read-only oracles (fd.SigmaSOracle,
+	// core's SigmaOracle and SigmaKOracle, agreement.SafetyCheck) are;
+	// histories that cache state in Output — notably consensus.Oracle — and
+	// stateful Check closures are not, and require Workers: 1.
 	Workers int
 	// Check is the safety predicate evaluated on the decision map in every
 	// reachable state; a non-empty string is a violation witness. The map
@@ -108,12 +108,12 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		cfg.MaxStates = 1 << 20
 	}
 	n := cfg.Pattern.N()
-	for p := dist.ProcID(1); int(p) <= n; p++ {
-		if c := cfg.Pattern.CrashTime(p); c != dist.NoCrash && c >= cfg.TimeCap && cfg.TimeCap > 0 {
-			return nil, fmt.Errorf("sim: crash of p%d at %d not before TimeCap %d", int(p), int64(c), int64(cfg.TimeCap))
+	for _, x := range cfg.Pattern.Transitions() {
+		if x.Recover {
+			return nil, fmt.Errorf("sim: explore does not model recoveries, but p%d recovers at %d", int(x.P), int64(x.T))
 		}
-		if rc := cfg.Pattern.RecoverTime(p); rc != dist.NoCrash {
-			return nil, fmt.Errorf("sim: explore does not model recoveries, but p%d recovers at %d", int(p), int64(rc))
+		if cfg.TimeCap > 0 && x.T >= cfg.TimeCap {
+			return nil, fmt.Errorf("sim: crash of p%d at %d not before TimeCap %d", int(x.P), int64(x.T), int64(cfg.TimeCap))
 		}
 	}
 	if cfg.Workers < 0 {
@@ -136,7 +136,6 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		}
 		root.automata[p-1] = a
 	}
-	cfg.Pattern.AliveAt(0) // finalize the crash schedule before going parallel
 
 	e := &explorer{cfg: cfg, n: n, workers: workers}
 	for i := range e.shards {

@@ -77,6 +77,49 @@ func TestRunnerRecoveryFreshAutomaton(t *testing.T) {
 	}
 }
 
+// TestRunnerTransitionOrder pins the order crashes and recoveries enter the
+// trace: the pattern's own transition order. Eighteen processes crashing at
+// one tick are listed by process, and a crash and another process's
+// recovery at one tick list the crash first.
+func TestRunnerTransitionOrder(t *testing.T) {
+	const n = 20
+	f := dist.NewFailurePattern(n)
+	f.CrashAt(1, 2)
+	f.RecoverAt(1, 7)
+	f.CrashAt(2, 7)
+	for p := dist.ProcID(3); p <= n; p++ {
+		f.CrashAt(p, 5)
+	}
+	res, err := Run(Config{
+		Pattern: f, History: nilHistory(),
+		Program:   func(dist.ProcID, int) Automaton { return &beaconAutomaton{} },
+		Scheduler: &RoundRobinScheduler{}, MaxSteps: 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []trace.Event{{T: 2, P: 1, Kind: trace.CrashKind}}
+	for p := dist.ProcID(3); p <= n; p++ {
+		want = append(want, trace.Event{T: 5, P: p, Kind: trace.CrashKind})
+	}
+	want = append(want, trace.Event{T: 7, P: 2, Kind: trace.CrashKind}, trace.Event{T: 7, P: 1, Kind: trace.RecoverKind})
+	var got []trace.Event
+	for _, e := range res.Trace.Events() {
+		if e.Kind == trace.CrashKind || e.Kind == trace.RecoverKind {
+			got = append(got, trace.Event{T: e.T, P: e.P, Kind: e.Kind})
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d crash and recovery events, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d is %v p%d at t=%d, want %v p%d at t=%d", i,
+				got[i].Kind, int(got[i].P), int64(got[i].T), want[i].Kind, int(want[i].P), int64(want[i].T))
+		}
+	}
+}
+
 // TestRunnerRecoveryWipesInbox: messages parked in a process's inbox while it
 // was down die with the incarnation — the recovered process must not receive
 // pre-crash sends (channels are process-to-incarnation, and a retransmitting

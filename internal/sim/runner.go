@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/trace"
@@ -134,32 +133,13 @@ func (r *Result) Decision(p dist.ProcID) (any, bool) {
 	return v, ok
 }
 
-// DistinctDecisions returns the number of distinct decided values.
-func (r *Result) DistinctDecisions() int {
-	seen := make([]any, 0, len(r.Decisions))
-	for _, v := range r.Decisions {
-		dup := false
-		for _, w := range seen {
-			if valuesEqual(v, w) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen = append(seen, v)
-		}
-	}
-	return len(seen)
-}
-
 // valuesEqual compares two dynamic values, using == when the dynamic type
 // supports it and falling back to reflect.DeepEqual for non-comparable
 // types (slices, maps) and for top-level pointers, which == would compare
-// by identity while DeepEqual compares pointees. Emulator outputs and
-// decisions are almost always small comparable values (ProcSet, TrustList,
-// ints), so the hot path never enters reflect. Residual caveat, accepted
-// for speed: a pointer nested inside a comparable struct still compares by
-// identity.
+// by identity while DeepEqual compares pointees. Emulator outputs are almost
+// always small comparable values (ProcSet, TrustList, ints), so the hot path
+// never enters reflect. Residual caveat, accepted for speed: a pointer
+// nested inside a comparable struct still compares by identity.
 func valuesEqual(a, b any) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -207,9 +187,6 @@ func (s *Snapshot) Decided(p dist.ProcID) (any, bool) {
 	}
 	return s.r.decisions[p-1], true
 }
-
-// AllCorrectDecided reports whether every correct process has decided.
-func (s *Snapshot) AllCorrectDecided() bool { return s.r.allCorrectDecided() }
 
 // EmuOutput returns the current emulated failure-detector output of p when
 // p's automaton is an Emulator, else nil.
@@ -272,15 +249,12 @@ type Runner struct {
 	lastEmu   []any   // each Emulator's last recorded output
 	delivered Message // scratch copy of the message handed to the stepping automaton
 
-	crashEvents   []crashEvent
-	crashPos      int
-	recoverEvents []crashEvent
-	recoverPos    int
-
-	// The alive set changes only at crash and recovery ticks, so it is
-	// cached until aliveNext, the next such tick.
-	alive     dist.ProcSet
-	aliveNext dist.Time
+	// trans is the pattern's crash and recovery schedule and next the first
+	// transition the run has not applied yet; alive is the alive set those
+	// applied so far leave.
+	trans []dist.Transition
+	next  int
+	alive dist.ProcSet
 	// bounds holds every finite partition From and Until in increasing
 	// order: the ticks at which a FaultPlan can change which queued
 	// messages are blocked (see pendingCount).
@@ -297,11 +271,6 @@ type Runner struct {
 
 	ran bool
 	err error
-}
-
-type crashEvent struct {
-	t dist.Time
-	p dist.ProcID
 }
 
 var (
@@ -380,18 +349,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r.env.history = cfg.History
 	// The pattern is part of the configured system and must not change over
-	// the runner's lifetime (Correct above is cached on the same premise),
-	// so the sorted crash schedule is built once here, not per Reset.
-	for p := dist.ProcID(1); int(p) <= n; p++ {
-		if c := cfg.Pattern.CrashTime(p); c != dist.NoCrash {
-			r.crashEvents = append(r.crashEvents, crashEvent{t: c, p: p})
-		}
-		if rc := cfg.Pattern.RecoverTime(p); rc != dist.NoCrash {
-			r.recoverEvents = append(r.recoverEvents, crashEvent{t: rc, p: p})
-		}
-	}
-	sort.Slice(r.crashEvents, func(i, j int) bool { return r.crashEvents[i].t < r.crashEvents[j].t })
-	sort.Slice(r.recoverEvents, func(i, j int) bool { return r.recoverEvents[i].t < r.recoverEvents[j].t })
+	// the runner's lifetime (Correct above is cached on the same premise).
+	r.trans = cfg.Pattern.Transitions()
 	if cfg.Faults != nil {
 		for _, pt := range cfg.Faults.Partitions {
 			r.bounds = append(r.bounds, pt.From)
@@ -433,9 +392,8 @@ func (r *Runner) reset() {
 	r.err = nil
 	r.ran = false
 	r.decidedSet = dist.ProcSet{}
-	r.crashPos = 0
-	r.recoverPos = 0
-	r.aliveNext = 0
+	r.next = 0
+	r.alive = r.cfg.Pattern.All()
 	// Messages still in flight when the last run stopped give their leased
 	// payloads back, exactly as at a recovery (r.tr is still the last
 	// run's here): a pool leaking a slot per parked message would make
@@ -532,10 +490,9 @@ func (r *Runner) viewDecided(p dist.ProcID) bool { return r.decidedSet.Contains(
 func (r *Runner) loop() StopReason {
 	for ; int64(r.now) < r.cfg.MaxSteps; r.now++ {
 		t := r.now
-		r.emitCrashes(t)
-		r.applyRecoveries(t)
-		if t >= r.aliveNext {
-			r.refreshAlive(t)
+		for r.next < len(r.trans) && r.trans[r.next].T <= t {
+			r.apply(r.trans[r.next])
+			r.next++
 		}
 		alive := r.alive
 		if alive.IsEmpty() {
@@ -698,57 +655,38 @@ func (r *Runner) record(e trace.Event) {
 	}
 }
 
-// refreshAlive caches the alive set of tick t, which emitCrashes and
-// applyRecoveries have reached, until the next crash or recovery tick.
-func (r *Runner) refreshAlive(t dist.Time) {
-	r.alive = r.cfg.Pattern.AliveAt(t)
-	r.aliveNext = dist.NoCrash
-	if r.crashPos < len(r.crashEvents) {
-		r.aliveNext = r.crashEvents[r.crashPos].t
+// apply makes transition x of the pattern effective. A crash takes its
+// process out of the alive set. A recovery puts it back with a fresh
+// automaton from the Program (volatile state is lost; the Recoverable hook
+// lets layered automata drop state a fresh instance would otherwise
+// resurrect, e.g. a store client's script), drops its parked inbox entries
+// and forgets any pre-crash decision — the process may legitimately
+// re-decide after relearning the value, so the double-decision guard must
+// not fire.
+func (r *Runner) apply(x dist.Transition) {
+	p := x.P
+	if !x.Recover {
+		r.alive = r.alive.Remove(p)
+		r.record(trace.Event{T: x.T, P: p, Kind: trace.CrashKind})
+		return
 	}
-	if r.recoverPos < len(r.recoverEvents) {
-		r.aliveNext = min(r.aliveNext, r.recoverEvents[r.recoverPos].t)
+	r.alive = r.alive.Add(p)
+	a := r.cfg.Program(p, r.n)
+	if rec, ok := a.(Recoverable); ok {
+		rec.Recover()
 	}
-}
-
-func (r *Runner) emitCrashes(t dist.Time) {
-	for r.crashPos < len(r.crashEvents) && r.crashEvents[r.crashPos].t <= t {
-		ce := r.crashEvents[r.crashPos]
-		r.record(trace.Event{T: ce.t, P: ce.p, Kind: trace.CrashKind})
-		r.crashPos++
+	r.install(p, a)
+	r.inboxes[p].wipe(r.tr == nil)
+	if r.decidedSet.Contains(p) {
+		r.decidedSet = r.decidedSet.Remove(p)
+		r.decisions[p-1] = nil
+		r.decideTime[p-1] = 0
 	}
-}
-
-// applyRecoveries makes pending recoveries effective: the recovering process
-// gets a fresh zero-value automaton from the Program (volatile state is
-// lost; the Recoverable hook lets layered automata drop state a fresh
-// instance would otherwise resurrect, e.g. a store client's script), its
-// parked inbox entries are dropped, and any pre-crash decision is forgotten
-// — the process may legitimately re-decide after relearning the value, so
-// the double-decision guard must not fire. A pattern without recoveries
-// never enters the loop body, keeping recovery-free runs byte-identical.
-func (r *Runner) applyRecoveries(t dist.Time) {
-	for r.recoverPos < len(r.recoverEvents) && r.recoverEvents[r.recoverPos].t <= t {
-		re := r.recoverEvents[r.recoverPos]
-		r.recoverPos++
-		p := re.p
-		a := r.cfg.Program(p, r.n)
-		if rec, ok := a.(Recoverable); ok {
-			rec.Recover()
-		}
-		r.install(p, a)
-		r.inboxes[p].wipe(r.tr == nil)
-		if r.decidedSet.Contains(p) {
-			r.decidedSet = r.decidedSet.Remove(p)
-			r.decisions[p-1] = nil
-			r.decideTime[p-1] = 0
-		}
-		r.record(trace.Event{T: re.t, P: p, Kind: trace.RecoverKind})
-		if emu := r.emus[p-1]; emu != nil {
-			out := emu.Output()
-			r.lastEmu[p-1] = out
-			r.record(trace.Event{T: re.t, P: p, Kind: trace.EmuKind, Payload: out})
-		}
+	r.record(trace.Event{T: x.T, P: p, Kind: trace.RecoverKind})
+	if emu := r.emus[p-1]; emu != nil {
+		out := emu.Output()
+		r.lastEmu[p-1] = out
+		r.record(trace.Event{T: x.T, P: p, Kind: trace.EmuKind, Payload: out})
 	}
 }
 

@@ -53,22 +53,19 @@ type Scheduler interface {
 
 // RandomScheduler is a seeded, fair scheduler: every alive process keeps
 // taking steps (bounded bypass) and every pending message is eventually
-// delivered as long as NullProb < 1 (a step of a process with messages
-// pending is a DeliverAuto step, which takes the oldest deliverable message,
-// with probability 1−NullProb). It models the asynchronous adversary used
-// to exercise algorithms across many interleavings.
+// delivered (a step of a process with messages pending is a DeliverAuto
+// step, which takes the oldest deliverable message, with probability
+// 1−nullProb). It models the asynchronous adversary used to exercise
+// algorithms across many interleavings.
 type RandomScheduler struct {
 	// rng is created from seed by the first Next or Reseed, whichever comes
 	// first: seeding costs more than setting up a small run, and a runner
 	// reseeds its scheduler on every Reset.
 	rng  *rand.Rand
 	seed int64
-	// NullProb is the probability that a step with pending messages is
-	// nevertheless a null step (exercises "wait" loops). Default 0.25.
-	NullProb float64
-	// MaxSkip bounds how many consecutive scheduler picks may bypass an
-	// alive process. Default 4n.
-	MaxSkip int
+	// maxSkip, when positive, bounds how many consecutive scheduler picks
+	// may bypass an alive process in place of the default 4n.
+	maxSkip int
 
 	lastStep [dist.MaxProcs + 1]int64
 	tick     int64
@@ -84,6 +81,10 @@ type RandomScheduler struct {
 	prev, next [dist.MaxProcs + 2]uint16
 }
 
+// nullProb is the probability that a step with pending messages is
+// nevertheless a null step (exercises "wait" loops).
+const nullProb = 0.25
+
 // The list sentinels: no process has identifier 0 or MaxProcs+1.
 const (
 	lruHead = 0
@@ -95,7 +96,7 @@ var _ Reseeder = (*RandomScheduler)(nil)
 
 // NewRandomScheduler returns a fair random scheduler with the given seed.
 func NewRandomScheduler(seed int64) *RandomScheduler {
-	return &RandomScheduler{seed: seed, NullProb: 0.25}
+	return &RandomScheduler{seed: seed}
 }
 
 // Reseed rewinds the scheduler to the state NewRandomScheduler(seed) would
@@ -148,7 +149,7 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 		s.rng = rand.New(rand.NewSource(s.seed))
 	}
 	s.tick++
-	maxSkip := s.MaxSkip
+	maxSkip := s.maxSkip
 	if maxSkip <= 0 {
 		maxSkip = 4 * v.N
 	}
@@ -165,8 +166,8 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 	s.linkAfter(x, s.prev[lruTail])
 
 	mode := DeliverAuto
-	if v.Pending(pick) > 0 && s.rng.Float64() < s.NullProb {
-		// Occasional null steps despite pending messages; since NullProb < 1
+	if v.Pending(pick) > 0 && s.rng.Float64() < nullProb {
+		// Occasional null steps despite pending messages; since nullProb < 1
 		// the receiver's DeliverAuto steps still take its oldest
 		// deliverable message eventually.
 		mode = DeliverNone

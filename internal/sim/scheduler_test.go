@@ -12,8 +12,7 @@ import (
 // for choice. bypasses counts the picks the bypass made.
 type scanScheduler struct {
 	rng      *rand.Rand
-	NullProb float64
-	MaxSkip  int
+	maxSkip  int
 	bypasses int
 
 	lastStep [dist.MaxProcs + 1]int64
@@ -38,7 +37,7 @@ func (s *scanScheduler) Next(v *View) (Choice, bool) {
 		return Choice{}, false
 	}
 	s.tick++
-	maxSkip := s.MaxSkip
+	maxSkip := s.maxSkip
 	if maxSkip <= 0 {
 		maxSkip = 4 * v.N
 	}
@@ -58,7 +57,7 @@ func (s *scanScheduler) Next(v *View) (Choice, bool) {
 	s.lastStep[pick] = s.tick
 
 	mode := DeliverAuto
-	if v.Pending(pick) > 0 && s.rng.Float64() < s.NullProb {
+	if v.Pending(pick) > 0 && s.rng.Float64() < nullProb {
 		mode = DeliverNone
 	}
 	return Choice{Proc: pick, Mode: mode}, true
@@ -67,14 +66,14 @@ func (s *scanScheduler) Next(v *View) (Choice, bool) {
 // TestRandomSchedulerMatchesScan drives RandomScheduler and the reference
 // scan through the same random alive-set sequences — crashes, recoveries,
 // an emptied system and mid-sequence reseeds — and requires identical
-// choices at every tick, with MaxSkip small enough that the bypass fires.
+// choices at every tick, with maxSkip small enough that the bypass fires.
 func TestRandomSchedulerMatchesScan(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 63, 64, 65, 128, 256} {
 		for _, maxSkip := range []int{1, n/2 + 1, 0} {
 			const seed = 11
 			got := NewRandomScheduler(seed)
-			want := &scanScheduler{rng: rand.New(rand.NewSource(seed)), NullProb: got.NullProb}
-			got.MaxSkip, want.MaxSkip = maxSkip, maxSkip
+			want := &scanScheduler{rng: rand.New(rand.NewSource(seed))}
+			got.maxSkip, want.maxSkip = maxSkip, maxSkip
 			drive := rand.New(rand.NewSource(int64(n*1000 + maxSkip)))
 			v := View{
 				N:       n,
@@ -103,12 +102,12 @@ func TestRandomSchedulerMatchesScan(t *testing.T) {
 				c1, ok1 := got.Next(&v)
 				c2, ok2 := want.Next(&v)
 				if ok1 != ok2 || c1.Proc != c2.Proc || c1.Mode != c2.Mode {
-					t.Fatalf("n=%d MaxSkip=%d tick %d alive %v: list picked (%v, p%d, %d), scan (%v, p%d, %d)",
+					t.Fatalf("n=%d maxSkip=%d tick %d alive %v: list picked (%v, p%d, %d), scan (%v, p%d, %d)",
 						n, maxSkip, tick, v.Alive, ok1, int(c1.Proc), c1.Mode, ok2, int(c2.Proc), c2.Mode)
 				}
 			}
 			if maxSkip == 1 && n > 1 && want.bypasses == 0 {
-				t.Fatalf("n=%d MaxSkip=1: the bypass never fired, so nothing was compared", n)
+				t.Fatalf("n=%d maxSkip=1: the bypass never fired, so nothing was compared", n)
 			}
 		}
 	}

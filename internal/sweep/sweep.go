@@ -30,8 +30,8 @@ type Config struct {
 	// per worker, and every call must return an independently usable
 	// config: a nil Scheduler (each runner then owns a seeded scheduler)
 	// or a fresh one, and fresh instances of any stateful History or
-	// callback. Shared read-only components (patterns, pre-boxed oracles,
-	// Program functions) are fine.
+	// callback (consensus.Oracle). Shared read-only components (patterns,
+	// Σ_S and the other pre-boxed oracles, Program functions) are fine.
 	Sim func() sim.Config
 	// SeedStart is the first seed; the sweep runs seeds
 	// [SeedStart, SeedStart+Seeds), which must lie within [0, MaxInt64]:
@@ -313,9 +313,8 @@ func (r *Result) merge(o *Result) {
 
 // Run executes the sweep and returns the aggregate. The seed range is
 // partitioned into contiguous per-worker blocks; runners are constructed
-// serially (lazily initialized shared state such as a FailurePattern's
-// crash schedule is finalized before any concurrency starts) and only the
-// run loops execute in parallel.
+// serially and only the run loops execute in parallel, so workers may share
+// anything whose reads are pure: a FailurePattern, a Σ_S oracle.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Sim == nil {
 		return nil, errors.New("sweep: Config.Sim is required")
@@ -352,9 +351,6 @@ func Run(cfg Config) (*Result, error) {
 			count++
 		}
 		simCfg := cfg.Sim()
-		if simCfg.Pattern != nil {
-			simCfg.Pattern.AliveAt(0) // finalize before going parallel
-		}
 		runner, err := sim.NewRunner(simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: worker %d: %w", w, err)

@@ -199,19 +199,6 @@ func obsEqual(x, y Observation) bool {
 	return reflect.DeepEqual(x.Payload, y.Payload) && reflect.DeepEqual(x.FD, y.FD)
 }
 
-// Decisions collects the decided value of each process that decided.
-func Decisions(tr *Trace) map[dist.ProcID]any {
-	out := make(map[dist.ProcID]any)
-	for _, e := range tr.events {
-		if e.Kind == DecideKind {
-			if _, dup := out[e.P]; !dup {
-				out[e.P] = e.Payload
-			}
-		}
-	}
-	return out
-}
-
 // OutputAt returns the emulated failure-detector output of p at time t
 // according to the recorded EmuKind events (the value set by the last change
 // at or before t). ok is false when p has no recorded output by t.

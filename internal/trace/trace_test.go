@@ -54,16 +54,6 @@ func TestIndistinguishable(t *testing.T) {
 	}
 }
 
-func TestDecisions(t *testing.T) {
-	var tr Trace
-	tr.Append(Event{T: 1, P: 2, Kind: DecideKind, Payload: 42})
-	tr.Append(Event{T: 3, P: 1, Kind: DecideKind, Payload: 43})
-	d := Decisions(&tr)
-	if len(d) != 2 || d[2] != 42 || d[1] != 43 {
-		t.Fatalf("Decisions=%v", d)
-	}
-}
-
 func TestOutputAt(t *testing.T) {
 	var tr Trace
 	tr.Append(Event{T: -1, P: 1, Kind: EmuKind, Payload: "init"})
