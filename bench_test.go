@@ -612,17 +612,23 @@ func sharedAdversary() *sim.FaultPlan {
 	}
 }
 
+// consensusRunner runs the one consensus run, sc.SimConfig, on the
+// runner's own random scheduler, which Reset reseeds.
+func consensusRunner(b *testing.B, sc consensus.SweepConfig) *sim.Runner {
+	cfg, err := sc.SimConfig()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return newRunner(b, cfg)
+}
+
 // BenchmarkConsensus regenerates experiment E13: the Ω+Σ baseline.
 func BenchmarkConsensus(b *testing.B) {
 	for _, n := range []int{3, 5, 9} {
 		b.Run(benchName("n", n), func(b *testing.B) {
 			f := dist.NewFailurePattern(n)
 			props := agreement.DistinctProposals(n)
-			r := newRunner(b, sim.Config{
-				Pattern: f, History: consensus.NewOracle(f, 25), Program: consensus.Program(props),
-				Scheduler: sim.NewRandomScheduler(0), MaxSteps: 200_000,
-				StopWhenDecided: true, DisableTrace: true,
-			})
+			r := consensusRunner(b, consensus.SweepConfig{Pattern: f, Proposals: props})
 			var steps, msgs int64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -657,17 +663,7 @@ func BenchmarkConsensusFaults(b *testing.B) {
 	run := func(b *testing.B, f *dist.FailurePattern) {
 		props := agreement.DistinctProposals(n)
 		target := f.Correct().Union(f.Recovering())
-		r := newRunner(b, sim.Config{
-			Pattern: f, History: consensus.NewOracle(f, 25), Program: consensus.Program(props),
-			Scheduler: sim.NewRandomScheduler(0), MaxSteps: 200_000, DisableTrace: true,
-			Faults: sharedAdversary(),
-			StopWhen: func(sn *sim.Snapshot) bool {
-				return target.AllSatisfy(func(p dist.ProcID) bool {
-					_, ok := sn.Decided(p)
-					return ok
-				})
-			},
-		})
+		r := consensusRunner(b, consensus.SweepConfig{Pattern: f, Proposals: props, Faults: sharedAdversary()})
 		var steps, msgs, decisions, drops, dups int64
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -297,37 +297,34 @@ func cmdSweep(args []string) error {
 		if err != nil {
 			return err
 		}
-		props, taskK := agreement.DistinctProposals(*n), 1
+		start := time.Now()
+		taskK := 1
+		var res *sweep.Result
 		if *fig == "consensus" {
-			cfg.Sim = func() sim.Config {
-				// The Ω+Σ oracle caches its last boxed output, so every
-				// worker builds its own.
-				return sim.Config{
-					Pattern: f, History: consensus.NewOracle(f, 25), Program: consensus.Program(props),
-					MaxSteps: 200_000, StopWhenDecided: true, DisableTrace: true,
-				}
-			}
+			res, err = consensus.Sweep(consensus.SweepConfig{
+				Pattern: f, Proposals: agreement.DistinctProposals(*n),
+				SeedStart: cfg.SeedStart, Seeds: cfg.Seeds, Workers: cfg.Workers,
+			})
 		} else {
-			t, err := newSigmaTask(*fig, f, *k, 20)
-			if err != nil {
+			var t *sigmaTask
+			if t, err = newSigmaTask(*fig, f, *k, 20); err != nil {
 				return err
 			}
-			props, taskK = t.props, t.k
+			taskK = t.k
 			cfg.Sim = func() sim.Config {
 				return sim.Config{
 					Pattern: f, History: t.history, Program: t.program,
 					StopWhenDecided: true, DisableTrace: true,
 				}
 			}
-		}
-		cfg.Check = func(seed int64, r *sim.Result) error {
-			if rep := agreement.Check(f, taskK, props, r); !rep.OK() {
-				return fmt.Errorf("%s", rep)
+			cfg.Check = func(seed int64, r *sim.Result) error {
+				if rep := agreement.Check(f, t.k, t.props, r); !rep.OK() {
+					return fmt.Errorf("%s", rep)
+				}
+				return nil
 			}
-			return nil
+			res, err = sweep.Run(cfg)
 		}
-		start := time.Now()
-		res, err := sweep.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -618,11 +615,12 @@ func cmdConsensus(args []string) error {
 		if unused != nil {
 			return unused
 		}
-		res, err := sim.Run(sim.Config{
-			Pattern: f, History: consensus.NewOracle(f, 25), Program: consensus.Program(sc.Proposals),
-			Scheduler: sim.NewRandomScheduler(sc.SeedStart), MaxSteps: 200_000, StopWhenDecided: true,
-			StallLimit: sc.StallLimit,
-		})
+		cfg, err := sc.SimConfig()
+		if err != nil {
+			return err
+		}
+		cfg.Scheduler = sim.NewRandomScheduler(sc.SeedStart)
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return err
 		}

@@ -124,7 +124,12 @@ func Check(f *dist.FailurePattern, k int, proposals []Value, res *sim.Result) Re
 		valid[v] = true
 	}
 
-	for p, raw := range res.Decisions {
+	// Identity order, not map order: one result, one violation text.
+	for p := dist.ProcID(1); int(p) <= f.N(); p++ {
+		raw, decided := res.Decisions[p]
+		if !decided {
+			continue
+		}
 		v, ok := raw.(Value)
 		if !ok {
 			rep.Violations = append(rep.Violations,
@@ -139,13 +144,13 @@ func Check(f *dist.FailurePattern, k int, proposals []Value, res *sim.Result) Re
 	}
 
 	// Termination: every correct process must have decided within the run.
-	for _, p := range f.Correct().Members() {
+	f.Correct().ForEach(func(p dist.ProcID) {
 		if _, ok := rep.Decisions[p]; !ok {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("termination: correct process p%d never decided (run ended: %s after %d steps)",
 					int(p), res.Reason, res.Steps))
 		}
-	}
+	})
 
 	// Agreement: at most k distinct decided values.
 	seen := make(map[Value]bool, len(rep.Decisions))

@@ -11,48 +11,77 @@
 package consensus
 
 import (
+	"slices"
+
 	"repro/internal/agreement"
 	"repro/internal/dist"
-	"repro/internal/fd"
 	"repro/internal/sim"
 )
 
 // FD is the composite failure-detector output consumed by the protocol.
 type FD struct {
-	// Leader is the current Ω output.
-	Leader dist.ProcID
-	// Trusted is the current Σ output.
-	Trusted dist.ProcSet
+	Leader  dist.ProcID  // the current Ω output
+	Trusted dist.ProcSet // the current Σ output
 }
 
-// Oracle combines an Ω oracle and a Σ oracle into the composite history.
+// Oracle is the composite Ω+Σ history: the leader of fd.OmegaOracle paired
+// with the trusted set of fd.NewSigma, Π at a crashed process. Before stab Ω
+// rotates through the alive set (slot t mod |alive|) and Σ outputs that set;
+// from stab on they give min(Correct) and Correct(F). NewOracle boxes every
+// output, so Output neither allocates nor writes and one oracle may serve
+// concurrent runs. The pattern must not change after NewOracle.
 type Oracle struct {
-	Omega *fd.OmegaOracle
-	Sigma *fd.SigmaSOracle
-
-	// last/lastAny memoize the boxed output: consecutive queries mostly see
-	// the same (leader, trusted) pair, so the query path rarely allocates.
-	last    FD
-	lastAny any
+	f    *dist.FailurePattern
+	stab dist.Time
+	// from holds the start of each alive-set interval below stab and outs
+	// its outputs: per leader slot, an alive process's, then a crashed one's.
+	from []dist.Time
+	outs [][]any
+	late [2]any // from stab on: alive, crashed
 }
 
-// NewOracle builds the composite Ω+Σ oracle for pattern f.
+// NewOracle builds the composite Ω+Σ oracle for pattern f, stabilizing at
+// stab.
 func NewOracle(f *dist.FailurePattern, stab dist.Time) *Oracle {
-	return &Oracle{
-		Omega: &fd.OmegaOracle{F: f, Stab: stab},
-		Sigma: fd.NewSigma(f, stab),
+	leader, pi := f.Correct().Min(), f.All()
+	o := &Oracle{f: f, stab: stab, late: [2]any{FD{leader, f.Correct()}, FD{leader, pi}}}
+	add := func(t dist.Time) {
+		alive := f.AliveAt(t)
+		outs := make([]any, 0, 2*max(alive.Len(), 1))
+		for i := range max(alive.Len(), 1) {
+			l := leader // an empty alive set falls back to the eventual leader
+			if !alive.IsEmpty() {
+				l = alive.Nth(i)
+			}
+			outs = append(outs, FD{l, alive}, FD{l, pi})
+		}
+		o.from, o.outs = append(o.from, t), append(o.outs, outs)
 	}
+	start := dist.Time(0)
+	for _, x := range f.Transitions() {
+		if x.T > start && x.T < stab {
+			add(start)
+			start = x.T
+		}
+	}
+	if start < stab {
+		add(start)
+	}
+	return o
 }
 
 // Output implements the history H(p, t).
 func (o *Oracle) Output(p dist.ProcID, t dist.Time) any {
-	leader, _ := o.Omega.Output(p, t).(dist.ProcID)
-	tl, _ := o.Sigma.Output(p, t).(fd.TrustList)
-	v := FD{Leader: leader, Trusted: tl.Trusted}
-	if o.lastAny == nil || v != o.last {
-		o.last, o.lastAny = v, v
+	crashed := 0
+	if !o.f.Alive(p, t) {
+		crashed = 1
 	}
-	return o.lastAny
+	if t >= o.stab {
+		return o.late[crashed]
+	}
+	i, _ := slices.BinarySearch(o.from, t+1) // intervals starting at or before t
+	outs := o.outs[i-1]
+	return outs[2*(int(t)%(len(outs)/2))+crashed]
 }
 
 // Ballot identifies a proposal attempt; ballots of distinct processes never
@@ -87,14 +116,13 @@ type Node struct {
 	accV     agreement.Value
 
 	// Proposer state.
-	ballot    Ballot
-	phase     int // 0 idle, 1 collecting promises, 2 collecting accepts
-	promises  dist.ProcSet
-	bestB     Ballot
-	bestV     agreement.Value
-	accepts   dist.ProcSet
-	stall     int
-	threshold int
+	ballot   Ballot
+	phase    int // 0 idle, 1 collecting promises, 2 collecting accepts
+	promises dist.ProcSet
+	bestB    Ballot
+	bestV    agreement.Value
+	accepts  dist.ProcSet
+	stall    int // own steps toward the next retry (retryEvery)
 
 	decided    bool
 	decidedVal agreement.Value
@@ -102,17 +130,15 @@ type Node struct {
 
 var _ sim.Automaton = (*Node)(nil)
 
-// NewNode builds the consensus automaton for process self proposing v.
-// stallThreshold bounds how many of its own steps a leader waits for a
-// quorum before retrying with a higher ballot.
-func NewNode(self dist.ProcID, n int, v agreement.Value, stallThreshold int) *Node {
-	return &Node{self: self, n: n, v: v, threshold: stallThreshold}
-}
+// retryEvery is how many of its own steps a leader waits for a quorum
+// before retrying with a higher ballot, and a decided process waits between
+// decide re-broadcasts.
+const retryEvery = 24
 
 // Program builds a Program from per-process proposals (index ProcID-1).
 func Program(proposals []agreement.Value) sim.Program {
 	return func(p dist.ProcID, n int) sim.Automaton {
-		return NewNode(p, n, proposals[p-1], 24)
+		return &Node{self: p, n: n, v: proposals[p-1]}
 	}
 }
 
@@ -129,7 +155,7 @@ func (a *Node) Step(e *sim.Env) {
 		// re-sent, so agreement cannot be disturbed, and fault-free runs end
 		// before the first re-broadcast fires (StopWhenDecided).
 		a.stall++
-		if a.stall >= a.threshold {
+		if a.stall >= retryEvery {
 			a.stall = 0
 			e.BroadcastAll(decideMsg{Val: a.decidedVal})
 		}
@@ -246,7 +272,7 @@ func (a *Node) selfAccept(b Ballot, v agreement.Value) {
 
 func (a *Node) maybeRetry(e *sim.Env) {
 	a.stall++
-	if a.stall >= a.threshold {
+	if a.stall >= retryEvery {
 		a.newBallot(e)
 	}
 }

@@ -8,22 +8,28 @@ import (
 	"repro/internal/sim"
 )
 
+// runConsensus runs the one consensus run, SimConfig, on a random schedule
+// of seed.
 func runConsensus(t *testing.T, f *dist.FailurePattern, stab dist.Time, seed int64) agreement.Report {
 	t.Helper()
-	n := f.N()
-	props := agreement.DistinctProposals(n)
-	res, err := sim.Run(sim.Config{
-		Pattern:         f,
-		History:         NewOracle(f, stab),
-		Program:         Program(props),
-		Scheduler:       sim.NewRandomScheduler(seed),
-		MaxSteps:        int64(200_000),
-		StopWhenDecided: true,
-	})
+	props := agreement.DistinctProposals(f.N())
+	res := runSeed(t, SweepConfig{Pattern: f, Proposals: props, Stab: stab}, seed)
+	return agreement.Check(f, 1, props, res)
+}
+
+// runSeed runs sc.SimConfig() once on a random schedule of seed.
+func runSeed(t *testing.T, sc SweepConfig, seed int64) *sim.Result {
+	t.Helper()
+	cfg, err := sc.SimConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scheduler = sim.NewRandomScheduler(seed)
+	res, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}
-	return agreement.Check(f, 1, props, res)
+	return res
 }
 
 func TestConsensusAllCorrect(t *testing.T) {
@@ -87,17 +93,7 @@ func TestConsensusSolvesKSetForAllK(t *testing.T) {
 	// for every k ≥ 1 — the strong-information anchor of the spectrum.
 	f := dist.CrashPattern(6, 6)
 	props := agreement.DistinctProposals(6)
-	res, err := sim.Run(sim.Config{
-		Pattern:         f,
-		History:         NewOracle(f, 30),
-		Program:         Program(props),
-		Scheduler:       sim.NewRandomScheduler(3),
-		MaxSteps:        int64(200_000),
-		StopWhenDecided: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSeed(t, SweepConfig{Pattern: f, Proposals: props, Stab: 30}, 3)
 	for k := 1; k <= 5; k++ {
 		if rep := agreement.Check(f, k, props, res); !rep.OK() {
 			t.Fatalf("k=%d: %s", k, rep)
@@ -127,17 +123,7 @@ func TestConsensusDecidedValueIsAProposal(t *testing.T) {
 	props := agreement.DistinctProposals(n)
 	for seed := int64(0); seed < 20; seed++ {
 		f := dist.NewFailurePattern(n)
-		res, err := sim.Run(sim.Config{
-			Pattern:         f,
-			History:         NewOracle(f, 150),
-			Program:         Program(props),
-			Scheduler:       sim.NewRandomScheduler(seed),
-			MaxSteps:        int64(300_000),
-			StopWhenDecided: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runSeed(t, SweepConfig{Pattern: f, Proposals: props, Stab: 150, MaxSteps: 300_000}, seed)
 		rep := agreement.Check(f, 1, props, res)
 		if !rep.OK() {
 			t.Fatalf("seed=%d: %s", seed, rep)

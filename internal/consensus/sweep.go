@@ -37,28 +37,46 @@ type SweepConfig struct {
 	Workers int
 }
 
-// Sweep runs seeded consensus runs under the configured fault plan and
-// aggregates them. Each run must uphold validity and uniform agreement
-// (agreement.Check with k = 1) and must terminate: every correct process
-// decides, and so does every recovered process — a process that lost its
-// volatile state to a crash relearns the decision from the periodic
-// decideMsg re-broadcast, which is exactly the liveness property loss +
-// recovery threaten. Aggregates are bit-identical across worker counts
-// (fault decisions are pure in (plan seed ⊕ run seed, message seq), and the
-// sweep only folds order-independent statistics).
+// Sweep runs seeded consensus runs, all workers on the one SimConfig and so
+// on one shared Oracle, and aggregates them. Each run must uphold validity
+// and uniform agreement and must terminate: every correct process decides,
+// and so does every recovered process, which relearns the decision from the
+// periodic decideMsg re-broadcast — the liveness property loss + recovery
+// threaten. Aggregates are bit-identical across worker counts (fault
+// decisions are pure in (plan seed ⊕ run seed, message seq), and the sweep
+// only folds order-independent statistics).
 func Sweep(cfg SweepConfig) (*sweep.Result, error) {
+	sc, err := cfg.SimConfig()
+	if err != nil {
+		return nil, err
+	}
+	return sweep.Run(sweep.Config{
+		SeedStart: cfg.SeedStart,
+		Seeds:     cfg.Seeds,
+		Workers:   cfg.Workers,
+		Sim:       func() sim.Config { return sc },
+		Check:     cfg.check,
+	})
+}
+
+// SimConfig returns the one definition of a consensus run, validated: the
+// Ω+Σ oracle, the horizon (stretched to twice the last partition heal), the
+// fault plan and a stop once every correct and recovered process decided.
+// It is untraced and has no Scheduler (a runner then owns a seeded one);
+// callers may set both. It is read-only, so it serves many runners at once.
+func (cfg SweepConfig) SimConfig() (sim.Config, error) {
 	f := cfg.Pattern
 	if f == nil {
-		return nil, errors.New("consensus: SweepConfig.Pattern is required")
+		return sim.Config{}, errors.New("consensus: SweepConfig.Pattern is required")
 	}
 	if !f.InEnvironment() {
-		return nil, errors.New("consensus: pattern crashes every process")
+		return sim.Config{}, errors.New("consensus: pattern crashes every process")
 	}
 	if cfg.StallLimit < 0 {
-		return nil, fmt.Errorf("consensus: SweepConfig.StallLimit %d is negative", cfg.StallLimit)
+		return sim.Config{}, fmt.Errorf("consensus: SweepConfig.StallLimit %d is negative", cfg.StallLimit)
 	}
 	if len(cfg.Proposals) != f.N() {
-		return nil, fmt.Errorf("consensus: %d proposals for %d processes", len(cfg.Proposals), f.N())
+		return sim.Config{}, fmt.Errorf("consensus: %d proposals for %d processes", len(cfg.Proposals), f.N())
 	}
 	stab := cfg.Stab
 	if stab <= 0 {
@@ -70,62 +88,54 @@ func Sweep(cfg SweepConfig) (*sweep.Result, error) {
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(f.N()); err != nil {
-			return nil, err
+			return sim.Config{}, err
 		}
 		// A partition that never heals can legitimately park the protocol
 		// forever only if it cuts no quorum; rather than reason about that
 		// here, demand heals inside the horizon like the store sweep does.
 		for i, pt := range cfg.Faults.Partitions {
-			if pt.Until != dist.NoCrash && 2*int64(pt.Until) > maxSteps {
-				maxSteps = 2 * int64(pt.Until)
-			}
 			if pt.Until == dist.NoCrash {
-				return nil, fmt.Errorf("consensus: Partitions[%d] never heals; consensus termination needs the full quorum reachable eventually", i)
+				return sim.Config{}, fmt.Errorf("consensus: Partitions[%d] never heals; consensus termination needs the full quorum reachable eventually", i)
 			}
+			maxSteps = max(maxSteps, 2*int64(pt.Until))
 		}
 	}
-	// Termination targets: the correct processes, plus every recovered one —
-	// recovery restores liveness, and the decide re-broadcast must let the
-	// wiped process relearn the chosen value.
+	// Termination targets: the correct processes, plus every recovered one,
+	// which must relearn the chosen value from the decide re-broadcast.
 	target := f.Correct().Union(f.Recovering())
-	prog := Program(cfg.Proposals)
-	return sweep.Run(sweep.Config{
-		SeedStart: cfg.SeedStart,
-		Seeds:     cfg.Seeds,
-		Workers:   cfg.Workers,
-		Sim: func() sim.Config {
-			return sim.Config{
-				Pattern:    f,
-				History:    NewOracle(f, stab), // fresh per worker: the oracle memoizes boxed outputs
-				Program:    prog,
-				MaxSteps:   maxSteps,
-				Faults:     cfg.Faults,
-				StallLimit: cfg.StallLimit,
-				StopWhen: func(sn *sim.Snapshot) bool {
-					return target.AllSatisfy(func(p dist.ProcID) bool {
-						_, ok := sn.Decided(p)
-						return ok
-					})
-				},
-				DisableTrace: true,
-			}
-		},
-		Check: func(seed int64, res *sim.Result) error {
-			rep := agreement.Check(f, 1, cfg.Proposals, res)
-			if len(rep.Violations) > 0 {
-				return fmt.Errorf("seed %d: %s", seed, strings.Join(rep.Violations, "; "))
-			}
-			var missing []string
-			f.Recovering().ForEach(func(p dist.ProcID) {
-				if _, ok := res.Decisions[p]; !ok {
-					missing = append(missing, fmt.Sprintf("p%d", int(p)))
-				}
+	return sim.Config{
+		Pattern:    f,
+		History:    NewOracle(f, stab),
+		Program:    Program(cfg.Proposals),
+		MaxSteps:   maxSteps,
+		Faults:     cfg.Faults,
+		StallLimit: cfg.StallLimit,
+		StopWhen: func(sn *sim.Snapshot) bool {
+			return target.AllSatisfy(func(p dist.ProcID) bool {
+				_, ok := sn.Decided(p)
+				return ok
 			})
-			if len(missing) > 0 {
-				return fmt.Errorf("seed %d: recovered process(es) %s never relearned the decision (run ended: %s after %d steps)",
-					seed, strings.Join(missing, ","), res.Reason, res.Steps)
-			}
-			return nil
 		},
+		DisableTrace: true,
+	}, nil
+}
+
+// check is Sweep's verdict on one run: agreement.Check with k = 1, and a
+// decision at every recovered process.
+func (cfg SweepConfig) check(seed int64, res *sim.Result) error {
+	rep := agreement.Check(cfg.Pattern, 1, cfg.Proposals, res)
+	if len(rep.Violations) > 0 {
+		return fmt.Errorf("seed %d: %s", seed, strings.Join(rep.Violations, "; "))
+	}
+	var missing []string
+	cfg.Pattern.Recovering().ForEach(func(p dist.ProcID) {
+		if _, ok := res.Decisions[p]; !ok {
+			missing = append(missing, fmt.Sprintf("p%d", int(p)))
+		}
 	})
+	if len(missing) > 0 {
+		return fmt.Errorf("seed %d: recovered process(es) %s never relearned the decision (run ended: %s after %d steps)",
+			seed, strings.Join(missing, ","), res.Reason, res.Steps)
+	}
+	return nil
 }

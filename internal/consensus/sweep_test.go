@@ -146,3 +146,33 @@ func TestConsensusSweepRejectsBadSetups(t *testing.T) {
 		t.Errorf("negative StallLimit: got %v, want an error naming SweepConfig.StallLimit", err)
 	}
 }
+
+// TestSimConfigReproducesSweepRuns replays single seeds of the faulted
+// sweep on one runner built from SimConfig: Runner.Reset(s) must give the
+// Steps and MessagesSent that Sweep aggregates for seed s.
+func TestSimConfigReproducesSweepRuns(t *testing.T) {
+	sc := faultedSweepConfig(1, 1)
+	cfg, err := sc.SimConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		sc.SeedStart = seed
+		agg, err := Sweep(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Reset(seed).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if agg.Failures > 0 || res.Steps != agg.Steps.Sum || res.MessagesSent != agg.Msgs.Sum {
+			t.Fatalf("seed %d: runner steps=%d msgs=%d, sweep steps=%d msgs=%d (failures %d)",
+				seed, res.Steps, res.MessagesSent, agg.Steps.Sum, agg.Msgs.Sum, agg.Failures)
+		}
+	}
+}

@@ -79,8 +79,6 @@ const (
 	// the active processes learn about failures of the low half only. Used
 	// by the tightness experiment (E7) to drive the Figure 4 loop exits.
 	SigmaKTrustLow
-	// SigmaKTrustHigh is the symmetric one-sided history.
-	SigmaKTrustHigh
 )
 
 // SigmaKOracle generates valid σₖ histories for a fixed active set. Its
@@ -117,20 +115,11 @@ func NewSigmaKOracle(f *dist.FailurePattern, a dist.ProcSet, stab dist.Time, mod
 		if correct.Intersect(low).IsEmpty() && (correct.SubsetOf(low) || correct.SubsetOf(high)) {
 			return nil, fmt.Errorf("core: SigmaKTrustLow invalid: no correct process in the low half of %v", a)
 		}
-	case SigmaKTrustHigh:
-		if correct.Intersect(high).IsEmpty() && (correct.SubsetOf(low) || correct.SubsetOf(high)) {
-			return nil, fmt.Errorf("core: SigmaKTrustHigh invalid: no correct process in the high half of %v", a)
-		}
 	}
 	o := &SigmaKOracle{f: f, a: a, stab: stab, mode: mode}
-	var trust dist.ProcSet
-	switch mode {
-	case SigmaKTrustLow:
+	trust := correct.Intersect(a)
+	if mode == SigmaKTrustLow {
 		trust = correct.Intersect(low)
-	case SigmaKTrustHigh:
-		trust = correct.Intersect(high)
-	default:
-		trust = correct.Intersect(a)
 	}
 	o.bottomOut = SigmaKOut{Bottom: true}
 	o.idleOut = SigmaKOut{Active: a}

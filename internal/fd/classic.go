@@ -8,31 +8,21 @@ import (
 )
 
 // OmegaOracle is a valid Ω history: eventually every process is given the
-// same correct leader. Before the stabilization time it rotates through the
-// alive processes (arbitrary wrong outputs are allowed finitely often).
+// same correct leader, min(Correct). Before the stabilization time it
+// rotates through the alive processes (arbitrary wrong outputs are allowed
+// finitely often).
 type OmegaOracle struct {
-	F      *dist.FailurePattern
-	Leader dist.ProcID // must be correct; zero value selects min(Correct)
-	Stab   dist.Time
+	F    *dist.FailurePattern
+	Stab dist.Time
 }
 
 // Output implements the history H(p, t); the range is dist.ProcID.
 func (o *OmegaOracle) Output(p dist.ProcID, t dist.Time) any {
-	if t >= o.Stab {
-		return o.leader()
-	}
 	alive := o.F.AliveAt(t)
-	if alive.IsEmpty() {
-		return o.leader()
+	if t >= o.Stab || alive.IsEmpty() {
+		return o.F.Correct().Min()
 	}
 	return alive.Nth(int(t) % alive.Len())
-}
-
-func (o *OmegaOracle) leader() dist.ProcID {
-	if o.Leader != dist.None {
-		return o.Leader
-	}
-	return o.F.Correct().Min()
 }
 
 // CheckOmega verifies that from stabBy on, every correct process is output
@@ -67,12 +57,11 @@ func CheckOmega(f *dist.FailurePattern, h sim.History, horizon, stabBy dist.Time
 
 // AntiOmegaOracle is a valid anti-Ω history (Zieliński): each query returns
 // a process id, and some correct process's id is returned only finitely many
-// times. The Shielded process (default max(Correct)) is the one protected
-// after the stabilization time; before it, outputs rotate arbitrarily.
+// times. The shielded process, max(Correct), is the one protected after the
+// stabilization time; before it, outputs rotate arbitrarily.
 type AntiOmegaOracle struct {
-	F        *dist.FailurePattern
-	Shielded dist.ProcID // must be correct; zero value selects max(Correct)
-	Stab     dist.Time
+	F    *dist.FailurePattern
+	Stab dist.Time
 }
 
 // Output implements the history H(p, t); the range is dist.ProcID.
@@ -80,19 +69,12 @@ func (o *AntiOmegaOracle) Output(p dist.ProcID, t dist.Time) any {
 	if t < o.Stab {
 		return dist.ProcID(1 + ((int64(t) + int64(p)) % int64(o.F.N())))
 	}
-	sh := o.shielded()
+	sh := o.F.Correct().Max()
 	out := o.F.All().Remove(sh).Min()
 	if out == dist.None {
 		return sh // degenerate n=1 system
 	}
 	return out
-}
-
-func (o *AntiOmegaOracle) shielded() dist.ProcID {
-	if o.Shielded != dist.None {
-		return o.Shielded
-	}
-	return o.F.Correct().Max()
 }
 
 // CheckAntiOmega verifies that over [stabBy, horizon) the outputs observed

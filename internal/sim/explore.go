@@ -47,9 +47,9 @@ type ExploreConfig struct {
 	// With Workers > 1, History, Check and CheckAutomata are called
 	// concurrently from multiple goroutines and must be safe for that:
 	// pure functions and pre-boxed read-only oracles (fd.SigmaSOracle,
-	// core's SigmaOracle and SigmaKOracle, agreement.SafetyCheck) are;
-	// histories that cache state in Output — notably consensus.Oracle — and
-	// stateful Check closures are not, and require Workers: 1.
+	// core's SigmaOracle and SigmaKOracle, consensus.Oracle,
+	// agreement.SafetyCheck) are; stateful Check closures are not, and
+	// require Workers: 1.
 	Workers int
 	// Check is the safety predicate evaluated on the decision map in every
 	// reachable state; a non-empty string is a violation witness. The map

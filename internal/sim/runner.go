@@ -264,7 +264,7 @@ type Runner struct {
 	// keeps instead of building another set.
 	built bool
 
-	view View      // reused scheduler view; Pending/Decided bound once
+	view View      // reused scheduler view; Pending bound once
 	env  Env       // reused step context
 	ops  []OpEvent // the run's op log (Result.Ops), truncated only by reset
 	snap Snapshot
@@ -341,12 +341,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		quiet:      make([]Quiescent, n),
 	}
 	r.snap = Snapshot{r: r}
-	r.view = View{
-		N:       n,
-		Correct: r.correct,
-		Pending: r.viewPending,
-		Decided: r.viewDecided,
-	}
+	r.view = View{N: n, Pending: r.viewPending}
 	r.env.history = cfg.History
 	// The pattern is part of the configured system and must not change over
 	// the runner's lifetime (Correct above is cached on the same premise).
@@ -481,11 +476,9 @@ func (r *Runner) Run() (*Result, error) {
 	return res, r.err
 }
 
-// viewPending and viewDecided back the scheduler view; binding them as
-// method values once per runner replaces the per-step closure pair.
+// viewPending backs the scheduler view; binding it as a method value once
+// per runner replaces a per-step closure.
 func (r *Runner) viewPending(p dist.ProcID) int { return r.pendingCount(p, r.now) }
-
-func (r *Runner) viewDecided(p dist.ProcID) bool { return r.decidedSet.Contains(p) }
 
 func (r *Runner) loop() StopReason {
 	for ; int64(r.now) < r.cfg.MaxSteps; r.now++ {
@@ -498,7 +491,7 @@ func (r *Runner) loop() StopReason {
 		if alive.IsEmpty() {
 			return ReasonAllCrashed
 		}
-		if r.cfg.StopWhenDecided && r.allCorrectDecided() {
+		if r.cfg.StopWhenDecided && r.correct.SubsetOf(r.decidedSet) {
 			return ReasonAllDecided
 		}
 		r.view.Now = t
@@ -533,7 +526,7 @@ func (r *Runner) loop() StopReason {
 			r.now++
 			return ReasonStopCond
 		}
-		if r.cfg.StopWhenDecided && r.allCorrectDecided() {
+		if r.cfg.StopWhenDecided && r.correct.SubsetOf(r.decidedSet) {
 			r.now++
 			return ReasonAllDecided
 		}
@@ -800,8 +793,4 @@ func (r *Runner) pickMessage(p dist.ProcID, t dist.Time, c Choice) *Message {
 		return &r.delivered
 	}
 	return nil
-}
-
-func (r *Runner) allCorrectDecided() bool {
-	return r.correct.SubsetOf(r.decidedSet)
 }

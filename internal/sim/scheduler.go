@@ -36,14 +36,11 @@ type Choice struct {
 // View is the read-only state a scheduler may inspect. Schedulers model the
 // adversary, so they see everything (unlike processes).
 type View struct {
-	Now     dist.Time
-	N       int
-	Alive   dist.ProcSet // processes that have not crashed at Now
-	Correct dist.ProcSet
+	Now   dist.Time
+	N     int
+	Alive dist.ProcSet // processes that have not crashed at Now
 	// Pending returns the number of deliverable messages queued for p.
 	Pending func(p dist.ProcID) int
-	// Decided reports whether p has decided.
-	Decided func(p dist.ProcID) bool
 }
 
 // Scheduler picks the next step of a run. Returning ok=false ends the run.

@@ -29,9 +29,10 @@ type Config struct {
 	// Sim builds the simulation config for one worker. It is called once
 	// per worker, and every call must return an independently usable
 	// config: a nil Scheduler (each runner then owns a seeded scheduler)
-	// or a fresh one, and fresh instances of any stateful History or
-	// callback (consensus.Oracle). Shared read-only components (patterns,
-	// Σ_S and the other pre-boxed oracles, Program functions) are fine.
+	// or a fresh one, and fresh instances of anything that keeps state
+	// across calls (a History, StopWhen or Program that writes). Shared
+	// read-only components (patterns, the pre-boxed oracles, pure stop
+	// conditions and Program functions) are fine.
 	Sim func() sim.Config
 	// SeedStart is the first seed; the sweep runs seeds
 	// [SeedStart, SeedStart+Seeds), which must lie within [0, MaxInt64]:
