@@ -144,8 +144,9 @@ func Check(f *dist.FailurePattern, k int, proposals []Value, res *sim.Result) Re
 	}
 
 	// Termination: every correct process must have decided within the run.
+	// A wrong-typed decision is still a decision, already reported above.
 	f.Correct().ForEach(func(p dist.ProcID) {
-		if _, ok := rep.Decisions[p]; !ok {
+		if _, ok := res.Decisions[p]; !ok {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("termination: correct process p%d never decided (run ended: %s after %d steps)",
 					int(p), res.Reason, res.Steps))

@@ -128,7 +128,7 @@ type Node struct {
 	decidedVal agreement.Value
 }
 
-var _ sim.Automaton = (*Node)(nil)
+var _ sim.Rewinder = (*Node)(nil)
 
 // retryEvery is how many of its own steps a leader waits for a quorum
 // before retrying with a higher ballot, and a decided process waits between
@@ -141,6 +141,10 @@ func Program(proposals []agreement.Value) sim.Program {
 		return &Node{self: p, n: n, v: proposals[p-1]}
 	}
 }
+
+// Rewind implements sim.Rewinder: everything but the process's identity,
+// system size and proposal is per-run state, and starts at zero.
+func (a *Node) Rewind() { *a = Node{self: a.self, n: a.n, v: a.v} }
 
 // Step implements sim.Automaton.
 func (a *Node) Step(e *sim.Env) {

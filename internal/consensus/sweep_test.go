@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,6 +174,72 @@ func TestSimConfigReproducesSweepRuns(t *testing.T) {
 		if agg.Failures > 0 || res.Steps != agg.Steps.Sum || res.MessagesSent != agg.Msgs.Sum {
 			t.Fatalf("seed %d: runner steps=%d msgs=%d, sweep steps=%d msgs=%d (failures %d)",
 				seed, res.Steps, res.MessagesSent, agg.Steps.Sum, agg.Msgs.Sum, agg.Failures)
+		}
+	}
+}
+
+// TestRewoundRunnerMatchesFresh runs seeds A, B, A on one runner, whose
+// Nodes are rewound in place between runs, and requires the second A to be
+// the run a fresh runner makes of A: every Result scalar, the op log, the
+// decisions and their times, and every node's state. p3 crashes and recovers, so one
+// rewind also happens mid-run.
+func TestRewoundRunnerMatchesFresh(t *testing.T) {
+	sc := faultedSweepConfig(1, 1)
+	sc.Pattern = dist.NewFailurePattern(5)
+	sc.Pattern.CrashAt(3, 40)
+	sc.Pattern.RecoverAt(3, 200)
+	cfg, err := sc.SimConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, err := sim.NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const a, b = 3, 4
+	for _, seed := range []int64{a, b} {
+		if _, err := reused.Reset(seed).Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := reused.Reset(a).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := sim.NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Reset(a).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.check(a, got); err != nil {
+		t.Fatal(err)
+	}
+	type scalars struct {
+		Steps, Ticks                       int64
+		Reason                             sim.StopReason
+		Sent, Dropped, Duplicated, Delayed int64
+		Decisions                          map[dist.ProcID]any
+		DecideTime                         map[dist.ProcID]dist.Time
+		Ops                                []sim.OpEvent
+	}
+	scalarsOf := func(r *sim.Result) scalars {
+		return scalars{r.Steps, r.Ticks, r.Reason, r.MessagesSent, r.MessagesDropped, r.MessagesDuplicated, r.MessagesDelayed, r.Decisions, r.DecideTime, r.Ops}
+	}
+	if g, w := scalarsOf(got), scalarsOf(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("rewound run differs from fresh:\n rewound %+v\n   fresh %+v", g, w)
+	}
+	if got.MessagesDropped == 0 || got.MessagesDuplicated == 0 {
+		t.Fatal("the faults never fired")
+	}
+	if _, ok := got.Decisions[3]; !ok || got.DecideTime[3] < 200 {
+		t.Fatal("recovered p3 did not decide after its recovery")
+	}
+	for i := range got.Automata {
+		if g, w := got.Automata[i].(*Node), want.Automata[i].(*Node); *g != *w {
+			t.Fatalf("p%d: rewound node %+v, fresh %+v", i+1, *g, *w)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 //
 // A crashed process may additionally *recover* at a later time (RecoverAt):
 // it is down during [crash, recover) and alive again from the recovery time
-// on, with its volatile state lost (the simulator rebuilds the automaton).
+// on, with its volatile state lost (the simulator resets its automaton).
 // Recovery restores liveness, not correctness: a process that ever crashes
 // stays in Faulty()/outside Correct(), matching the paper's crash-stop
 // notion of correct(F) — recovered processes rejoin as untrusted learners.

@@ -26,7 +26,7 @@ import (
 // linearizable because p2's read pushes the new value to a full quorum
 // before returning — also with fast reads on, whose rule must refuse to
 // elide p2's write-back because its phase-1 replies disagree.
-func runInversionScenario(t *testing.T, writeBack, fastReads bool) (ops []OpRecord, linearizable bool, fallbacks int64) {
+func runInversionScenario(t *testing.T, writeBack, fastReads bool) (res *sim.Result, ops []OpRecord, linearizable bool, fallbacks int64) {
 	t.Helper()
 	const n = 5
 	f := dist.NewFailurePattern(n)
@@ -80,7 +80,7 @@ func runInversionScenario(t *testing.T, writeBack, fastReads bool) (ops []OpReco
 		script = append(script, sim.Steps(sim.DeliverAuto, 1, 3, 4, 5)...)
 	}
 
-	res, err := sim.Run(sim.Config{
+	res, err = sim.Run(sim.Config{
 		Pattern:   f,
 		History:   hist,
 		Program:   prog,
@@ -108,11 +108,11 @@ func runInversionScenario(t *testing.T, writeBack, fastReads bool) (ops []OpReco
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ops, linearizable, res.Automata[1].(*StoreNode).ReadFallbacks()
+	return res, ops, linearizable, res.Automata[1].(*StoreNode).ReadFallbacks()
 }
 
 func TestNoWriteBackBreaksAtomicity(t *testing.T) {
-	ops, linearizable, _ := runInversionScenario(t, false, false)
+	res, ops, linearizable, _ := runInversionScenario(t, false, false)
 	if linearizable {
 		t.Fatalf("expected a new/old inversion without write-back, but the history linearizes:\n%s",
 			ExplainNonLinearizable(ops))
@@ -140,11 +140,17 @@ func TestNoWriteBackBreaksAtomicity(t *testing.T) {
 	wantErrMentions(t, CheckKeyedLinearizable(map[int][]OpRecord{0: ops}, 0),
 		"the backward zone of value 42 ("+r2.String(),
 		"lies inside the forward zone of initial value 0", "before "+r3.String()+" is invoked")
+	// The sweep's check pairs the op log in its own scratch, and must
+	// reject the run with exactly the text of the map-based wrappers.
+	want := CheckKeyedLinearizable(KeyedOps(res.Ops), 0)
+	if got := VerifyStoreRunReach(res, dist.FullSet(5), nil); got == nil || want == nil || got.Error() != want.Error() {
+		t.Fatalf("VerifyStoreRunReach says\n%v\nCheckKeyedLinearizable says\n%v", got, want)
+	}
 }
 
 func TestWriteBackRestoresAtomicity(t *testing.T) {
 	for _, fastReads := range []bool{false, true} {
-		ops, linearizable, fallbacks := runInversionScenario(t, true, fastReads)
+		_, ops, linearizable, fallbacks := runInversionScenario(t, true, fastReads)
 		if !linearizable {
 			t.Fatalf("fastReads=%v: with write-back the same schedule must linearize:\n%s", fastReads, ExplainNonLinearizable(ops))
 		}

@@ -3,12 +3,12 @@ package register
 import (
 	"cmp"
 	"fmt"
-	"iter"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/sim"
@@ -43,51 +43,130 @@ func (o OpRecord) String() string {
 
 // KeyedOps groups a store run's op log (sim.Result.Ops) into per-key
 // operation records, each key's history ordered by invocation time.
-func KeyedOps(ops []sim.OpEvent) map[int][]OpRecord { return groupOps(slices.Values(ops)) }
+func KeyedOps(ops []sim.OpEvent) map[int][]OpRecord {
+	var h keyedHistories
+	h.fill(ops)
+	return h.byKey()
+}
 
 // ExtractKeyedOps does for a run trace what KeyedOps does for an op log: it
 // reads the trace's Invoke/Return events into the same records.
 func ExtractKeyedOps(tr *trace.Trace) map[int][]OpRecord {
-	return groupOps(func(yield func(sim.OpEvent) bool) {
-		for _, e := range tr.Events() {
-			op, ok := e.Payload.(sim.OpDesc)
-			if !ok || e.Kind != trace.InvokeKind && e.Kind != trace.ReturnKind {
-				continue
-			}
-			if !yield(sim.OpEvent{T: e.T, P: e.P, Seq: e.Seq, Return: e.Kind == trace.ReturnKind, Op: op}) {
-				return
-			}
+	var ops []sim.OpEvent
+	for _, e := range tr.Events() {
+		if op, ok := e.Payload.(sim.OpDesc); ok && (e.Kind == trace.InvokeKind || e.Kind == trace.ReturnKind) {
+			ops = append(ops, sim.OpEvent{T: e.T, P: e.P, Seq: e.Seq, Return: e.Kind == trace.ReturnKind, Op: op})
 		}
-	})
+	}
+	return KeyedOps(ops)
 }
 
-// groupOps pairs op records into per-key histories: a Return completes the
-// latest Invoke of the same (process, seq), and a Return without one is
-// ignored. Each key's history is ordered by invocation time.
-func groupOps(events iter.Seq[sim.OpEvent]) map[int][]OpRecord {
-	type ik struct {
-		p   dist.ProcID
-		seq int64
+// keyedHistories is an op log paired into per-key histories without maps:
+// the history of key lo+i is recs[off[i]:off[i+1]], in invocation order. A
+// Return completes the latest earlier Invoke of the same (process, seq), the
+// last such Return wins, and a Return without one is ignored. Every buffer
+// is reused by the next fill.
+type keyedHistories struct {
+	lo   int
+	recs []OpRecord
+	off  []int
+	// Pairing scratch: the log's positions sorted by (process, seq,
+	// position), and per position the Return that completes it, or -1.
+	order []int32
+	ret   []int32
+	zc    zoneChecker
+}
+
+// historiesPool hands each concurrent VerifyStoreRunReach its own scratch.
+var historiesPool = sync.Pool{New: func() any { return new(keyedHistories) }}
+
+// fill pairs ops, which must be in tick order as every op log and trace is,
+// into h. The offsets span the keys the log invokes, from the least to the
+// greatest: store keys are dense.
+func (h *keyedHistories) fill(ops []sim.OpEvent) {
+	h.order = h.order[:0]
+	h.ret = h.ret[:0]
+	for i := range ops {
+		h.order = append(h.order, int32(i))
+		h.ret = append(h.ret, -1)
 	}
-	type slot struct{ key, idx int }
-	idx := make(map[ik]slot)
-	byKey := make(map[int][]OpRecord)
-	for ev := range events {
-		k, op := ik{p: ev.P, seq: ev.Seq}, ev.Op
-		if !ev.Return {
-			idx[k] = slot{key: op.Key, idx: len(byKey[op.Key])}
-			byKey[op.Key] = append(byKey[op.Key], OpRecord{
-				Proc: ev.P, Seq: ev.Seq, Kind: OpKind(op.Kind), Arg: Value(op.Arg), Invoked: ev.T,
-			})
-		} else if s, found := idx[k]; found {
-			o := &byKey[s.key][s.idx]
-			o.Returned, o.Ret, o.Complete = ev.T, Value(op.Ret), true
+	slices.SortFunc(h.order, func(a, b int32) int {
+		x, y := &ops[a], &ops[b]
+		return cmp.Or(cmp.Compare(x.P, y.P), cmp.Compare(x.Seq, y.Seq), cmp.Compare(a, b))
+	})
+	inv, lo, hi := int32(-1), math.MaxInt, math.MinInt
+	for j, i := range h.order {
+		ev := &ops[i]
+		if j > 0 && (ops[h.order[j-1]].P != ev.P || ops[h.order[j-1]].Seq != ev.Seq) {
+			inv = -1
+		}
+		switch {
+		case !ev.Return:
+			inv = i
+			lo, hi = min(lo, ev.Op.Key), max(hi, ev.Op.Key)
+		case inv >= 0:
+			h.ret[inv] = i
 		}
 	}
-	for _, ops := range byKey {
-		sort.SliceStable(ops, func(i, j int) bool { return ops[i].Invoked < ops[j].Invoked })
+	h.lo = lo
+	h.off = h.off[:0]
+	h.recs = h.recs[:0]
+	if lo > hi {
+		return // no Invoke
 	}
-	return byKey
+	// One counting pass by key: off[k-lo+1] counts key k's ops, then holds
+	// where its next record goes, which ends as the start of key k+1.
+	h.off = append(h.off, make([]int, hi-lo+2)...)
+	for i := range ops {
+		if !ops[i].Return {
+			h.off[ops[i].Op.Key-lo+1]++
+		}
+	}
+	for k := 1; k < len(h.off); k++ {
+		h.off[k] += h.off[k-1]
+	}
+	h.recs = slices.Grow(h.recs, h.off[len(h.off)-1])[:h.off[len(h.off)-1]]
+	copy(h.off[1:], h.off) // off[k-lo+1] is now the start of key k
+	for i := range ops {
+		ev := &ops[i]
+		if ev.Return {
+			continue
+		}
+		at := &h.off[ev.Op.Key-lo+1]
+		o := OpRecord{Proc: ev.P, Seq: ev.Seq, Kind: OpKind(ev.Op.Kind), Arg: Value(ev.Op.Arg), Invoked: ev.T}
+		if r := h.ret[i]; r >= 0 {
+			o.Returned, o.Ret, o.Complete = ops[r].T, Value(ops[r].Op.Ret), true
+		}
+		h.recs[*at] = o
+		*at++
+	}
+}
+
+// keys returns the number of keys the offsets span.
+func (h *keyedHistories) keys() int { return max(len(h.off)-1, 0) }
+
+// history returns the history of key h.lo+i.
+func (h *keyedHistories) history(i int) []OpRecord { return h.recs[h.off[i]:h.off[i+1]:h.off[i+1]] }
+
+// byKey returns the non-empty histories as a map, sharing h's records.
+func (h *keyedHistories) byKey() map[int][]OpRecord {
+	m := make(map[int][]OpRecord)
+	for i := range h.keys() {
+		if ops := h.history(i); len(ops) > 0 {
+			m[h.lo+i] = ops
+		}
+	}
+	return m
+}
+
+// check is CheckKeyedLinearizable on h's histories.
+func (h *keyedHistories) check(initial Value) error {
+	for i := range h.keys() {
+		if err := h.zc.checkKey(h.lo+i, h.history(i), initial); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CheckKeyedLinearizable runs the register checker independently on every
@@ -98,23 +177,24 @@ func groupOps(events iter.Seq[sim.OpEvent]) map[int][]OpRecord {
 // that witness it, then lists the key's history; a key that breaks the
 // unique-write precondition is reported as an error of its own.
 func CheckKeyedLinearizable(byKey map[int][]OpRecord, initial Value) error {
-	keys := make([]int, 0, len(byKey))
-	maxWrites := 0
-	for k, ops := range byKey {
-		keys = append(keys, k)
-		maxWrites = max(maxWrites, countWrites(ops))
+	var c zoneChecker
+	for _, k := range slices.Sorted(maps.Keys(byKey)) {
+		if err := c.checkKey(k, byKey[k], initial); err != nil {
+			return err
+		}
 	}
-	sort.Ints(keys)
-	c := zoneChecker{cl: make([]cluster, 0, maxWrites+1)}
-	for _, k := range keys {
-		ops := byKey[k]
-		witness, err := c.check(ops, initial)
-		if err != nil {
-			return fmt.Errorf("key %d: %w", k, err)
-		}
-		if witness != "" {
-			return fmt.Errorf("key %d: %s\n%s", k, witness, ExplainNonLinearizable(ops))
-		}
+	return nil
+}
+
+// checkKey checks key k's history, reporting a rejection as
+// CheckKeyedLinearizable does.
+func (c *zoneChecker) checkKey(k int, ops []OpRecord, initial Value) error {
+	witness, err := c.check(ops, initial)
+	if err != nil {
+		return fmt.Errorf("key %d: %w", k, err)
+	}
+	if witness != "" {
+		return fmt.Errorf("key %d: %s\n%s", k, witness, ExplainNonLinearizable(ops))
 	}
 	return nil
 }

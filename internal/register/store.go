@@ -458,10 +458,13 @@ type StoreNode struct {
 	conf       [][]Timestamp
 	confClient []Timestamp
 
-	// Client state: the script split into per-shard FIFO queues (script
-	// order within each shard, which keys make per-key program order; nil
-	// for shards the script never touches), one window controller per
-	// shard.
+	// Client state (nil at a pure replica): the script with its arrival
+	// steps, grouped by shard and in script order within each shard, and
+	// the per-shard FIFO queues that slice it (script order within a shard
+	// keeps per-key program order; nil for shards the script never
+	// touches). Queues are only ever resliced, never written, so Rewind
+	// restores them from script.
+	script    []queuedOp
 	queues    [][]queuedOp
 	scriptLen int
 	opSeq     int64
@@ -536,14 +539,17 @@ type StoreNode struct {
 	noWriteBack bool
 }
 
-var _ sim.Quiescent = (*StoreNode)(nil)
+var (
+	_ sim.Quiescent = (*StoreNode)(nil)
+	_ sim.Rewinder  = (*StoreNode)(nil)
+)
 
 var _ sim.RefCounted = (*storeFrame)(nil)
 
 // newStoreNode builds the store automaton for process self over the given
 // shard map. It trusts its arguments — StoreProgram validates them — except
 // that a script at a process outside S is ignored, enforcing the S-register
-// access restriction at run time too.
+// access restriction at run time too. Only a member of S gets client state.
 func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *ShardMap, script []KeyedOp, pool *framePool) *StoreNode {
 	a := &StoreNode{
 		self:   self,
@@ -558,79 +564,156 @@ func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *S
 		pool:   pool,
 		ts:     make([][]Timestamp, m.Shards()),
 		val:    make([][]Value, m.Shards()),
-		queues: make([][]queuedOp, m.Shards()),
-		win:    make([]shardWin, m.Shards()),
-		load:   make([]int, m.Shards()),
-		qOut:   make([][]queryEntry, m.Shards()),
-		sOut:   make([][]storeEntry, m.Shards()),
 	}
 	if cfg.FastReads {
 		a.conf = make([][]Timestamp, m.Shards())
-	}
-	for sh := 0; sh < m.Shards(); sh++ {
-		a.win[sh].cur = cfg.window()
-		if m.Owns(self, sh) {
-			a.ts[sh] = make([]Timestamp, m.KeysIn(sh))
-			a.val[sh] = make([]Value, m.KeysIn(sh))
-			if cfg.FastReads {
-				a.conf[sh] = make([]Timestamp, m.KeysIn(sh))
-			}
-		}
 	}
 	if cfg.Piggyback {
 		a.outFrame = make([]*storeFrame, n+1)
 	}
 	if a.client {
-		if cfg.FastReads {
-			a.confClient = make([]Timestamp, m.Keys())
+		a.buildClient(script)
+	}
+	a.restart()
+	return a
+}
+
+// buildClient allocates the client half for script. Client buffers sit at
+// their high-water marks, sized by the node's own script: growing them per
+// run would make per-run allocations scale with how full the windows get.
+// A shard holds at most a window of outstanding ops, and never more than
+// the script routes to it.
+func (a *StoreNode) buildClient(script []KeyedOp) {
+	cfg, m := a.cfg, a.shards
+	if cfg.FastReads {
+		a.confClient = make([]Timestamp, m.Keys())
+	}
+	a.queues = make([][]queuedOp, m.Shards())
+	a.win = make([]shardWin, m.Shards())
+	a.load = make([]int, m.Shards())
+	a.qOut = make([][]queryEntry, m.Shards())
+	a.sOut = make([][]storeEntry, m.Shards())
+	winCap := cfg.window()
+	if cfg.AdaptiveWindow {
+		winCap = a.maxWin
+	}
+	a.pend = make([]storeOp, 0, min(winCap*m.Shards(), len(script)))
+	// One counting pass by shard: load counts each shard's ops, then holds
+	// the offset where the shard's next op goes (restart zeroes it).
+	for _, op := range script {
+		a.load[m.Shard(op.Key)]++
+	}
+	next := 0
+	for sh, ops := range a.load {
+		a.load[sh] = next
+		next += ops
+		if ops == 0 {
+			continue // untouched: no accumulators
 		}
-		// Client buffers at their high-water marks, sized by the node's own
-		// script: growing them per run would make per-run allocations scale
-		// with how full the windows get. A shard holds at most a window of
-		// outstanding ops, and never more than the script routes to it.
-		winCap := cfg.window()
-		if cfg.AdaptiveWindow {
-			winCap = a.maxWin
+		// With retransmission a step may re-send a full window on top of
+		// the window it starts, so the accumulators get double headroom
+		// to keep retransmit bursts off the allocator.
+		outCap := min(winCap, ops)
+		if cfg.Retransmit {
+			outCap *= 2
 		}
-		a.pend = make([]storeOp, 0, min(winCap*m.Shards(), len(script)))
-		a.scriptLen = len(script)
-		// Exact per-shard queue capacities: append-growth here would scale
-		// construction allocations with script length, muddying the
-		// steady-state-zero measurement that excludes fixed setup. The live
-		// load counters double as the counting scratch (zeroed after).
-		for _, op := range script {
-			a.load[m.Shard(op.Key)]++
+		a.qOut[sh] = make([]queryEntry, 0, outCap)
+		a.sOut[sh] = make([]storeEntry, 0, outCap)
+	}
+	// Open-loop arrival schedule: the cumulative jittered (or fixed) gaps
+	// over the script, assigned in script order so per-shard FIFO queues
+	// stay arrival-ordered. Closed loop leaves every arrival 0.
+	a.script = make([]queuedOp, len(script))
+	arr := int64(0)
+	for idx, op := range script {
+		if cfg.OpenLoop && idx > 0 {
+			arr += cfg.arrivalGapAt(a.self, idx)
 		}
-		for sh, ops := range a.load {
-			if ops == 0 {
-				continue // untouched: no queue, no accumulators
-			}
-			a.queues[sh] = make([]queuedOp, 0, ops)
-			// With retransmission a step may re-send a full window on top
-			// of the window it starts, so the accumulators get double
-			// headroom to keep retransmit bursts off the allocator.
-			outCap := min(winCap, ops)
-			if cfg.Retransmit {
-				outCap *= 2
-			}
-			a.qOut[sh] = make([]queryEntry, 0, outCap)
-			a.sOut[sh] = make([]storeEntry, 0, outCap)
-			a.load[sh] = 0
+		sh := m.Shard(op.Key)
+		a.script[a.load[sh]] = queuedOp{op: op, arrival: arr}
+		a.load[sh]++
+	}
+}
+
+// Rewind implements sim.Rewinder: it keeps the node's wiring and buffers,
+// zeroes every counter and restores the constructed state. flush leaves
+// the per-step accumulators (qOut, sOut, outFrame, outDsts) empty at the
+// end of every step, so they are kept as they are.
+func (a *StoreNode) Rewind() {
+	*a = StoreNode{
+		self:        a.self,
+		n:           a.n,
+		client:      a.client,
+		cfg:         a.cfg,
+		shards:      a.shards,
+		ts:          a.ts,
+		val:         a.val,
+		conf:        a.conf,
+		confClient:  a.confClient,
+		script:      a.script,
+		queues:      a.queues,
+		pend:        a.pend[:0],
+		win:         a.win,
+		maxWin:      a.maxWin,
+		stall:       a.stall,
+		load:        a.load,
+		rto0:        a.rto0,
+		maxRTO:      a.maxRTO,
+		qOut:        a.qOut,
+		sOut:        a.sOut,
+		pool:        a.pool,
+		outFrame:    a.outFrame,
+		outDsts:     a.outDsts,
+		noWriteBack: a.noWriteBack,
+	}
+	a.restart()
+}
+
+// restart puts the node's buffers in the constructed state: zero replica
+// state on every owned shard, the full script queued, every window at its
+// start value. Construction and Rewind both end with it.
+func (a *StoreNode) restart() {
+	for sh := range a.ts {
+		if !a.shards.Owns(a.self, sh) {
+			continue
 		}
-		// Open-loop arrival schedule: the cumulative jittered (or fixed)
-		// gaps over the script, assigned in script order so per-shard FIFO
-		// queues stay arrival-ordered. Closed loop leaves every arrival 0.
-		arr := int64(0)
-		for idx, op := range script {
-			if cfg.OpenLoop && idx > 0 {
-				arr += cfg.arrivalGapAt(self, idx)
-			}
-			sh := m.Shard(op.Key)
-			a.queues[sh] = append(a.queues[sh], queuedOp{op: op, arrival: arr})
-			a.busy = a.busy.Add(sh)
+		k := a.shards.KeysIn(sh)
+		a.ts[sh] = zeroed(a.ts[sh], k)
+		a.val[sh] = zeroed(a.val[sh], k)
+		if a.conf != nil {
+			a.conf[sh] = zeroed(a.conf[sh], k)
 		}
 	}
-	return a
+	if !a.client {
+		return
+	}
+	clear(a.confClient)
+	clear(a.load)
+	clear(a.queues)
+	for lo := 0; lo < len(a.script); {
+		sh := a.shards.Shard(a.script[lo].op.Key)
+		hi := lo + 1
+		for hi < len(a.script) && a.shards.Shard(a.script[hi].op.Key) == sh {
+			hi++
+		}
+		a.queues[sh] = a.script[lo:hi:hi]
+		a.busy = a.busy.Add(sh)
+		lo = hi
+	}
+	a.scriptLen = len(a.script)
+	for sh := range a.win {
+		a.win[sh] = shardWin{cur: a.cfg.window()}
+	}
+}
+
+// zeroed returns s cleared, or a new zero slice of length n when s is nil
+// (Recover nils a replica's state).
+func zeroed[T any](s []T, n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	clear(s)
+	return s
 }
 
 // StoreProgram builds a sim.Program running a StoreNode at every process of
@@ -751,9 +834,9 @@ func (a *StoreNode) ReplicaStateBytes() int {
 // nothing to send.
 func (a *StoreNode) Quiescent() bool { return !a.client || a.busy.IsEmpty() }
 
-// Recover implements sim.Recoverable: the runner calls it on the fresh
-// post-recovery instance, which must shed everything that was volatile in
-// the crashed process. Replica data is nilled (not zeroed in place) so it is
+// Recover implements sim.Recoverable: the runner calls it on the
+// post-recovery instance, rewound to its constructed state, which must shed
+// everything that was volatile in the crashed process. Replica data is nilled (not zeroed in place) so it is
 // visibly gone — ReplicaStateBytes drops to 0 — and repopulated exclusively
 // through the protocol: locate re-allocates a shard's slices on first touch
 // by an incoming store/write-back, and the zero timestamps a rejoined

@@ -69,7 +69,7 @@ func measureStoreAllocs(t *testing.T, r *sim.Runner, runs int) (allocs, steps fl
 }
 
 // TestStoreAllocsPerStep is the E21 tripwire: the steady-state store step
-// path allocates nothing. Per-run setup (fresh automata on Reset, the
+// path allocates nothing. Per-run setup (rewinding the automata, the
 // result, pool warmup to the in-flight high-water mark) is excluded by a
 // marginal measurement: two runners differing only in script length have
 // identical setup, so the allocation difference divided by the step
@@ -87,7 +87,7 @@ func TestStoreAllocsPerStep(t *testing.T) {
 	// through the same pooled accumulators as first sends.
 	faults := &sim.FaultPlan{Seed: 33, Loss: 0.05, Dup: 0.05, MaxDelay: 2}
 	// The recovery row wipes a replica of shard 0 (group {1,5}) mid-run and
-	// brings it back: the recovery transient (the fresh automaton, the lazy
+	// brings it back: the recovery transient (the rewound automaton, the lazy
 	// replica re-allocation on first post-recovery touch) is per-run setup
 	// shared by both runners, so the marginal cost per step must still be
 	// zero.
@@ -198,7 +198,7 @@ func TestStoreAllocsPerStep(t *testing.T) {
 // not a window on every shard, and queues and request accumulators only on
 // the shards its script touches, each at most a window (doubled for
 // retransmission) and at most the ops routed there. A pure replica gets
-// none of them.
+// none of them, not even the per-shard outer slices.
 func TestStoreClientBuffersSizedByScript(t *testing.T) {
 	cfg := StoreConfig{
 		Keys: 64, Shards: 16, Window: 2,
@@ -236,10 +236,9 @@ func TestStoreClientBuffersSizedByScript(t *testing.T) {
 	if replica.pend != nil {
 		t.Fatalf("a replica holds a pending-op buffer of capacity %d", cap(replica.pend))
 	}
-	for sh := 0; sh < m.Shards(); sh++ {
-		if replica.queues[sh] != nil || replica.qOut[sh] != nil || replica.sOut[sh] != nil {
-			t.Fatalf("replica holds client buffers on shard %d", sh)
-		}
+	if replica.script != nil || replica.queues != nil || replica.qOut != nil || replica.sOut != nil ||
+		replica.win != nil || replica.load != nil || replica.confClient != nil {
+		t.Fatal("a pure replica holds per-shard client buffers")
 	}
 }
 

@@ -291,7 +291,7 @@ func StoreReach(m *ShardMap, fp *sim.FaultPlan, correct, clients dist.ProcSet, h
 // one run at a time: it holds once every client has finished its work on
 // its shards (DoneOn). A correct client's DoneOn answer is monotone within a
 // run: its queues are filled at construction and only drain, and recovery
-// only rebuilds processes that crashed, which are never correct. So once a
+// only rewinds processes that crashed, which are never correct. So once a
 // client is done it stays done, and the cursor re-checks only the lowest
 // client not yet done, advancing past finished ones. It rewinds at tick 0,
 // where every run's first StopWhen call lands (sim.Config.StopWhen).
@@ -355,5 +355,8 @@ func VerifyStoreRunReach(res *sim.Result, correct dist.ProcSet, masks []ShardSet
 				int(node.self), node.completed, node.scriptLen, avail, len(node.pend), res.Reason)
 		}
 	}
-	return CheckKeyedLinearizable(KeyedOps(res.Ops), 0)
+	h := historiesPool.Get().(*keyedHistories)
+	defer historiesPool.Put(h)
+	h.fill(res.Ops)
+	return h.check(0)
 }

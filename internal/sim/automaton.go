@@ -55,22 +55,34 @@ type Quiescent interface {
 	Quiescent() bool
 }
 
+// Rewinder is implemented by automata that can return to the state their
+// Program built them in without being rebuilt. After Rewind the automaton
+// must act exactly as a fresh instance from the same Program for the same
+// process would; it may keep its buffers. The Runner rewinds a Rewinder in
+// place at every Reset after its first run and at every recovery, so the
+// Program runs only when the Runner first builds its set.
+type Rewinder interface {
+	Automaton
+	Rewind()
+}
+
 // Recoverable is implemented by automata that support crash-recovery with
-// volatile-state loss. When a process recovers, the Runner instantiates a
-// fresh automaton from the Program and then calls Recover on it, letting the
-// automaton drop state a fresh instance would otherwise resurrect: a store
-// client's operation script (its pending ops died with the process — a
-// recovered process must not replay writes whose values may already be in
-// the system) and any replica data that must be repopulated through the
-// protocol rather than reborn by the constructor. Wiring — shard maps,
-// buffers, pools — stays.
+// volatile-state loss. When a process recovers, the Runner rewinds its
+// automaton in place (Rewinder) or instantiates a fresh one from the
+// Program, and then calls Recover on it, letting the automaton drop state a
+// fresh instance would otherwise resurrect: a store client's operation
+// script (its pending ops died with the process — a recovered process must
+// not replay writes whose values may already be in the system) and any
+// replica data that must be repopulated through the protocol rather than
+// reborn by the constructor. Wiring — shard maps, buffers, pools — stays.
 type Recoverable interface {
 	Automaton
 	Recover()
 }
 
 // Program instantiates the automaton run by process p in a system of n
-// processes. It is called once per process before the run starts.
+// processes. A Runner calls it once per process when it builds its set, and
+// again at a Reset or a recovery only for automata that are not Rewinders.
 type Program func(p dist.ProcID, n int) Automaton
 
 // Env is the step context handed to Automaton.Step. It is valid only for the

@@ -9,11 +9,11 @@
 // a process, that process receives at most one pending message, queries its
 // failure-detector history once, updates its state and sends messages.
 // The runner applies the failure pattern's transitions in order: a crashed
-// process takes no step until it recovers, if ever, with a fresh automaton.
-// Channels are reliable: delivery can be
-// delayed arbitrarily (and adversarially, via DeliveryFilter and scripted
-// schedules) but the fair schedulers deliver every message to a correct
-// process eventually.
+// process takes no step until it recovers, if ever, with its automaton back
+// in the constructed state (rewound in place, or fresh from the Program).
+// Channels are reliable: delivery can be delayed arbitrarily (and
+// adversarially, via DeliveryFilter and scripted schedules) but the fair
+// schedulers deliver every message to a correct process eventually.
 //
 // # Drivers
 //

@@ -114,7 +114,10 @@ type Result struct {
 	// stays valid until the next Reset.
 	Ops []OpEvent
 	// Automata holds each process's final automaton (index p-1), so tests
-	// can inspect emulator outputs and internal state post-run.
+	// can inspect emulator outputs and internal state post-run. Like Ops it
+	// is the Runner's buffer and stays valid until the next Reset, which
+	// rewinds Rewinder automata in place. Writing into the slice does not
+	// change the Runner's own set.
 	Automata []Automaton
 	// MessagesSent counts all messages enqueued during the run.
 	MessagesSent int64
@@ -230,6 +233,7 @@ type Runner struct {
 	lastProgress dist.Time // last tick that delivered, sent, decided or recorded an op
 
 	automata []Automaton
+	out      []Automaton // Result.Automata: a copy of automata made by Run
 	// emus and quiet hold each automaton's Emulator and Quiescent views (nil
 	// where it implements neither), resolved by install when the automaton
 	// is built or swapped in by a recovery, never per step.
@@ -260,8 +264,8 @@ type Runner struct {
 	// messages are blocked (see pendingCount).
 	bounds []dist.Time
 	// built reports that automata holds instances no run has stepped yet
-	// (built by a reset, not handed out by a Result), which the next reset
-	// keeps instead of building another set.
+	// (built by NewRunner or rewound by a reset), which the next reset keeps
+	// as they are.
 	built bool
 
 	view View      // reused scheduler view; Pending bound once
@@ -337,8 +341,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 		decideTime: make([]dist.Time, n),
 		correct:    cfg.Pattern.Correct(),
 		lastEmu:    make([]any, n),
+		automata:   make([]Automaton, n),
+		out:        make([]Automaton, n),
 		emus:       make([]Emulator, n),
 		quiet:      make([]Quiescent, n),
+		built:      true,
 	}
 	r.snap = Snapshot{r: r}
 	r.view = View{N: n, Pending: r.viewPending}
@@ -355,17 +362,22 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 		slices.Sort(r.bounds)
 	}
+	for p := dist.ProcID(1); int(p) <= n; p++ {
+		r.install(p, cfg.Program(p, n))
+	}
 	r.reset()
 	return r, nil
 }
 
-// Reset rewinds the runner for another run of the same system: fresh
-// automata from the Program, empty inboxes and decision state, time zero.
-// Automata that no run has stepped yet (those NewRunner built) are kept, so
-// NewRunner followed by Reset builds each process's automaton once.
-// The scheduler is reseeded when it implements Reseeder (NewRandomScheduler
-// does); scripted schedulers can instead be swapped via fresh configs. Reset
-// returns the runner for chaining.
+// Reset rewinds the runner for another run of the same system: automata in
+// their constructed state, empty inboxes and decision state, time zero. A
+// Rewinder automaton is rewound in place; any other is built afresh by the
+// Program. Automata that no run has stepped yet (those NewRunner built) are
+// kept as they are, so NewRunner followed by Reset builds each process's
+// automaton once. The last Result's Automata and Ops are reused, and so are
+// valid only until Reset. The scheduler is reseeded when it implements
+// Reseeder (NewRandomScheduler does); scripted schedulers can instead be
+// swapped via fresh configs. Reset returns the runner for chaining.
 func (r *Runner) Reset(seed int64) *Runner {
 	if rs, ok := r.cfg.Scheduler.(Reseeder); ok {
 		rs.Reseed(seed)
@@ -403,12 +415,9 @@ func (r *Runner) reset() {
 		r.lastEmu[i] = nil
 	}
 
-	// Fresh automata: the Program owns per-run process state. The slice is
-	// reallocated (not reused) because results hand it out for inspection.
 	if !r.built {
-		r.automata = make([]Automaton, r.n)
 		for p := dist.ProcID(1); int(p) <= r.n; p++ {
-			r.install(p, r.cfg.Program(p, r.n))
+			r.renew(p)
 		}
 		r.built = true
 	}
@@ -445,6 +454,16 @@ func (r *Runner) install(p dist.ProcID, a Automaton) {
 	r.quiet[p-1], _ = a.(Quiescent)
 }
 
+// renew returns p's automaton to its constructed state: rewound in place
+// when it is a Rewinder, else replaced by a fresh one from the Program.
+func (r *Runner) renew(p dist.ProcID) {
+	if rw, ok := r.automata[p-1].(Rewinder); ok {
+		rw.Rewind()
+		return
+	}
+	r.install(p, r.cfg.Program(p, r.n))
+}
+
 // Run executes the prepared run to completion. It may be called once per
 // Reset.
 func (r *Runner) Run() (*Result, error) {
@@ -452,8 +471,9 @@ func (r *Runner) Run() (*Result, error) {
 		return nil, errors.New("sim: Runner.Run called twice without Reset")
 	}
 	r.ran = true
-	r.built = false // the run steps the automata and its Result hands them out
+	r.built = false // the run steps the automata
 	reason := r.loop()
+	copy(r.out, r.automata)
 	res := &Result{
 		Steps:        r.steps,
 		Ticks:        int64(r.now),
@@ -462,7 +482,7 @@ func (r *Runner) Run() (*Result, error) {
 		DecideTime:   make(map[dist.ProcID]dist.Time, r.decidedSet.Len()),
 		Trace:        r.tr,
 		Ops:          r.ops,
-		Automata:     r.automata,
+		Automata:     r.out,
 		MessagesSent: r.sent,
 
 		MessagesDropped:    r.dropped,
@@ -649,13 +669,13 @@ func (r *Runner) record(e trace.Event) {
 }
 
 // apply makes transition x of the pattern effective. A crash takes its
-// process out of the alive set. A recovery puts it back with a fresh
-// automaton from the Program (volatile state is lost; the Recoverable hook
-// lets layered automata drop state a fresh instance would otherwise
-// resurrect, e.g. a store client's script), drops its parked inbox entries
-// and forgets any pre-crash decision — the process may legitimately
-// re-decide after relearning the value, so the double-decision guard must
-// not fire.
+// process out of the alive set. A recovery puts it back with its automaton
+// in the constructed state, rewound in place or fresh from the Program
+// (volatile state is lost; the Recoverable hook lets layered automata drop
+// state a fresh instance would otherwise resurrect, e.g. a store client's
+// script), drops its parked inbox entries and forgets any pre-crash
+// decision — the process may legitimately re-decide after relearning the
+// value, so the double-decision guard must not fire.
 func (r *Runner) apply(x dist.Transition) {
 	p := x.P
 	if !x.Recover {
@@ -664,11 +684,10 @@ func (r *Runner) apply(x dist.Transition) {
 		return
 	}
 	r.alive = r.alive.Add(p)
-	a := r.cfg.Program(p, r.n)
-	if rec, ok := a.(Recoverable); ok {
+	r.renew(p)
+	if rec, ok := r.automata[p-1].(Recoverable); ok {
 		rec.Recover()
 	}
-	r.install(p, a)
 	r.inboxes[p].wipe(r.tr == nil)
 	if r.decidedSet.Contains(p) {
 		r.decidedSet = r.decidedSet.Remove(p)

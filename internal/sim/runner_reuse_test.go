@@ -262,7 +262,8 @@ func TestRunnerSteadyStateStepIsAllocationFree(t *testing.T) {
 
 // TestRunnerBuildsAutomataOncePerRun counts Program calls: NewRunner followed
 // by Reset(seed) and Run builds each process's automaton exactly once, plus
-// once per recovery, and every later Reset builds a fresh set for its run.
+// once per recovery, and every later Reset builds a fresh set for its run
+// when the automata are no Rewinders.
 func TestRunnerBuildsAutomataOncePerRun(t *testing.T) {
 	const n = 4
 	f := dist.NewFailurePattern(n)
@@ -291,6 +292,58 @@ func TestRunnerBuildsAutomataOncePerRun(t *testing.T) {
 		if want := int(seed) * (n + 1); calls != want {
 			t.Fatalf("after run %d the Program was called %d times, want %d", seed, calls, want)
 		}
+	}
+}
+
+// rewindEcho is an echoAutomaton that rewinds in place, counting its
+// rewinds in *rewinds.
+type rewindEcho struct {
+	echoAutomaton
+	rewinds *int
+}
+
+func (a *rewindEcho) Rewind() {
+	a.echoAutomaton = echoAutomaton{self: a.self}
+	*a.rewinds++
+}
+
+// TestRunnerRewindsRewinders is TestRunnerBuildsAutomataOncePerRun for
+// Rewinder automata: the Program runs only when NewRunner builds the set,
+// every Reset after a run rewinds all n automata in place, and every
+// recovery rewinds the recovered one. Writing into a Result's Automata
+// leaves the runner's own set alone.
+func TestRunnerRewindsRewinders(t *testing.T) {
+	const n = 4
+	f := dist.NewFailurePattern(n)
+	f.CrashAt(2, 5)
+	f.RecoverAt(2, 20)
+	calls, rewinds := 0, 0
+	r, err := NewRunner(Config{
+		Pattern: f, History: nilHistory(),
+		Program: func(p dist.ProcID, n int) Automaton {
+			calls++
+			return &rewindEcho{echoAutomaton: echoAutomaton{self: p}, rewinds: &rewinds}
+		},
+		MaxSteps: 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := r.Reset(seed).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ticks < 20 {
+			t.Fatalf("seed %d ended at tick %d, before the recovery", seed, res.Ticks)
+		}
+		if calls != n {
+			t.Fatalf("after run %d the Program was called %d times, want %d", seed, calls, n)
+		}
+		if want := int(seed-1)*n + int(seed); rewinds != want {
+			t.Fatalf("after run %d the runner rewound %d times, want %d", seed, rewinds, want)
+		}
+		clear(res.Automata)
 	}
 }
 
