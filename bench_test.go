@@ -722,6 +722,7 @@ func BenchmarkAblationStackVsOracle(b *testing.B) {
 			Pattern: f, History: oracle, Program: core.Fig4Program(props),
 			Scheduler: sim.NewRandomScheduler(0), StopWhenDecided: true, DisableTrace: true,
 		})
+		var steps, msgs int64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, err := r.Reset(int64(i)).Run()
@@ -731,7 +732,10 @@ func BenchmarkAblationStackVsOracle(b *testing.B) {
 			if rep := agreement.Check(f, n-k, props, res); !rep.OK() {
 				b.Fatal(rep)
 			}
+			steps += res.Steps
+			msgs += res.MessagesSent
 		}
+		reportRun(b, steps, msgs)
 	})
 	b.Run("stacked", func(b *testing.B) {
 		prog := func(p dist.ProcID, nn int) sim.Automaton {
@@ -741,6 +745,7 @@ func BenchmarkAblationStackVsOracle(b *testing.B) {
 			Pattern: f, History: fd.NewSigmaS(f, x, 20), Program: prog,
 			Scheduler: sim.NewRandomScheduler(0), StopWhenDecided: true, DisableTrace: true,
 		})
+		var steps, msgs int64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, err := r.Reset(int64(i)).Run()
@@ -750,7 +755,10 @@ func BenchmarkAblationStackVsOracle(b *testing.B) {
 			if rep := agreement.Check(f, n-k, props, res); !rep.OK() {
 				b.Fatal(rep)
 			}
+			steps += res.Steps
+			msgs += res.MessagesSent
 		}
+		reportRun(b, steps, msgs)
 	})
 }
 
@@ -769,6 +777,7 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 			Pattern: f, History: oracle, Program: core.Fig2Program(props),
 			Scheduler: sched, StopWhenDecided: true, DisableTrace: true,
 		})
+		var steps, msgs int64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			seed := int64(i)
@@ -782,7 +791,10 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 			if rep := agreement.Check(f, n-1, props, res); !rep.OK() {
 				b.Fatal(rep)
 			}
+			steps += res.Steps
+			msgs += res.MessagesSent
 		}
+		reportRun(b, steps, msgs)
 	}
 	b.Run("random", func(b *testing.B) {
 		run(b, sim.NewRandomScheduler(0), true)
