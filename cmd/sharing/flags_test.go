@@ -398,36 +398,16 @@ func TestParseProcPartition(t *testing.T) {
 // elision rule only fires on provably-confirmed quorums, so no other flag is
 // silently defeated (the composed cases live in TestSubcommandsSucceed).
 func TestStoreFastReadFlagRoundTrip(t *testing.T) {
-	capture := func(args ...string) string {
-		t.Helper()
-		old := os.Stdout
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = w
-		runErr := run(args)
-		w.Close()
-		os.Stdout = old
-		out, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if runErr != nil {
-			t.Fatalf("%v: %v\n%s", args, runErr, out)
-		}
-		return string(out)
-	}
 	base := []string{"store", "-n", "5", "-keys", "8", "-shards", "2", "-clients", "2",
 		"-window", "2", "-ops", "8", "-seeds", "3", "-write", "0.2"}
-	on := capture(append(base, "-fastread")...)
+	on := captureStdout(t, append(base, "-fastread")...)
 	if !strings.Contains(on, "fastreads:") {
 		t.Fatalf("-fastread run must print the fast-read counters:\n%s", on)
 	}
 	if strings.Contains(on, "fastreads: 0 one-phase") {
 		t.Fatalf("read-heavy failure-free run elided no write-backs:\n%s", on)
 	}
-	off := capture(base...)
+	off := captureStdout(t, base...)
 	if strings.Contains(off, "fastreads:") {
 		t.Fatalf("two-phase run must not print fast-read counters:\n%s", off)
 	}
@@ -629,4 +609,27 @@ func FuzzParseLists(f *testing.F) {
 			t.Fatalf("accepted fault plan %+v: %v", plan, err)
 		}
 	})
+}
+
+// captureStdout runs the CLI on args and returns what it printed to stdout,
+// failing the test if the run fails. The output must fit the pipe buffer.
+func captureStdout(t *testing.T, args ...string) string {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	runErr := run(args)
+	w.Close()
+	os.Stdout = old
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatalf("%v: %v\n%s", args, runErr, out)
+	}
+	return string(out)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -192,5 +194,38 @@ func TestPackageCommentListsEverySubcommand(t *testing.T) {
 		if line := fmt.Sprintf("\t%-16s%s\n", c.name, c.summary); !strings.Contains(doc, line) {
 			t.Errorf("package comment lacks %q", line)
 		}
+	}
+}
+
+// timing matches the wall-clock part of the sweep and explore summaries.
+var timing = regexp.MustCompile(`in \S+ \([^)]* (runs|states)/sec\)`)
+
+// TestSigmaTaskOutputPinned holds the σ-task subcommands (Figure 2, Figure 4
+// and the Fig. 5 ∘ Fig. 4 lattice row) to the output recorded in
+// testdata/sigma_task_output.golden, with elapsed times and rates masked:
+// every run is seeded, so any change to a schedule, a decision or a
+// verdict shows up as a diff.
+func TestSigmaTaskOutputPinned(t *testing.T) {
+	var b strings.Builder
+	for _, args := range [][]string{
+		{"setagreement"},
+		{"setagreement", "-n", "8", "-crash", "3@10,4", "-seed", "7"},
+		{"kset", "-n", "6", "-k", "2", "-crash", "5"},
+		{"sweep", "-fig", "fig2"},
+		{"sweep", "-fig", "fig4"},
+		{"explore", "-fig", "fig2"},
+		{"explore", "-fig", "fig4"},
+		{"counterexample", "tightness"},
+		{"lattice", "-n", "4", "-runs", "2"},
+	} {
+		fmt.Fprintf(&b, "$ sharing %s\n%s", strings.Join(args, " "), captureStdout(t, args...))
+	}
+	got := timing.ReplaceAllString(b.String(), "in <elapsed> (<rate> $1/sec)")
+	want, err := os.ReadFile("testdata/sigma_task_output.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("σ-task output differs from testdata/sigma_task_output.golden; got:\n%s", got)
 	}
 }
