@@ -47,36 +47,40 @@ func newRunner(b *testing.B, cfg sim.Config) *sim.Runner {
 	return r
 }
 
+// benchTask runs task once per iteration on one runner driven by sched,
+// checks every run against the task and reports the schedule's cost.
+func benchTask(b *testing.B, task core.TaskConfig, sched sim.Scheduler) {
+	b.Helper()
+	cfg, err := task.SimConfig()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Scheduler = sched
+	r := newRunner(b, cfg)
+	var steps, msgs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := r.Reset(int64(i)).Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := task.Check(int64(i), res); err != nil {
+			b.Fatal(err)
+		}
+		steps += res.Steps
+		msgs += res.MessagesSent
+	}
+	reportRun(b, steps, msgs)
+}
+
 // BenchmarkFig2SetAgreement regenerates experiment E1: Figure 2 (set
 // agreement from σ) across system sizes.
 func BenchmarkFig2SetAgreement(b *testing.B) {
 	for _, n := range []int{3, 5, 8, 12, 16} {
 		b.Run(benchName("n", n), func(b *testing.B) {
-			f := dist.NewFailurePattern(n)
-			props := agreement.DistinctProposals(n)
-			oracle, err := core.NewSigmaOracle(f, dist.NewProcSet(1, 2), 20, core.SigmaCanonical)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := newRunner(b, sim.Config{
-				Pattern: f, History: oracle, Program: core.Fig2Program(props),
-				Scheduler: sim.NewRandomScheduler(0), StopWhenDecided: true, DisableTrace: true,
-			})
-			var steps, msgs int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := r.Reset(int64(i)).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep := agreement.Check(f, n-1, props, res); !rep.OK() {
-					b.Fatal(rep)
-				}
-				steps += res.Steps
-				msgs += res.MessagesSent
-			}
-			reportRun(b, steps, msgs)
+			task := core.TaskConfig{Task: core.TaskFig2, Pattern: dist.NewFailurePattern(n)}
+			benchTask(b, task, sim.NewRandomScheduler(0))
 		})
 	}
 }
@@ -109,32 +113,8 @@ func BenchmarkFig3Emulation(b *testing.B) {
 func BenchmarkFig4KSetAgreement(b *testing.B) {
 	for _, tc := range []struct{ n, k int }{{6, 1}, {6, 3}, {10, 2}, {10, 5}, {16, 4}} {
 		b.Run(benchName("n", tc.n)+benchName("_k", tc.k), func(b *testing.B) {
-			f := dist.NewFailurePattern(tc.n)
-			props := agreement.DistinctProposals(tc.n)
-			active := dist.RangeSet(1, dist.ProcID(2*tc.k))
-			oracle, err := core.NewSigmaKOracle(f, active, 20, core.SigmaKCanonical)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := newRunner(b, sim.Config{
-				Pattern: f, History: oracle, Program: core.Fig4Program(props),
-				Scheduler: sim.NewRandomScheduler(0), StopWhenDecided: true, DisableTrace: true,
-			})
-			var steps, msgs int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := r.Reset(int64(i)).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep := agreement.Check(f, tc.n-tc.k, props, res); !rep.OK() {
-					b.Fatal(rep)
-				}
-				steps += res.Steps
-				msgs += res.MessagesSent
-			}
-			reportRun(b, steps, msgs)
+			task := core.TaskConfig{Task: core.TaskFig4, Pattern: dist.NewFailurePattern(tc.n), K: tc.k}
+			benchTask(b, task, sim.NewRandomScheduler(0))
 		})
 	}
 }
@@ -708,99 +688,25 @@ func BenchmarkConsensusFaults(b *testing.B) {
 // costs compared to querying a σ₂ₖ oracle directly — the design-choice
 // ablation called out in DESIGN.md (layered reductions vs fused oracles).
 func BenchmarkAblationStackVsOracle(b *testing.B) {
-	const n, k = 8, 2
-	f := dist.NewFailurePattern(n)
-	props := agreement.DistinctProposals(n)
-	x := dist.RangeSet(1, dist.ProcID(2*k))
-
+	f := dist.NewFailurePattern(8)
 	b.Run("oracle", func(b *testing.B) {
-		oracle, err := core.NewSigmaKOracle(f, x, 20, core.SigmaKCanonical)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := newRunner(b, sim.Config{
-			Pattern: f, History: oracle, Program: core.Fig4Program(props),
-			Scheduler: sim.NewRandomScheduler(0), StopWhenDecided: true, DisableTrace: true,
-		})
-		var steps, msgs int64
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := r.Reset(int64(i)).Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep := agreement.Check(f, n-k, props, res); !rep.OK() {
-				b.Fatal(rep)
-			}
-			steps += res.Steps
-			msgs += res.MessagesSent
-		}
-		reportRun(b, steps, msgs)
+		benchTask(b, core.TaskConfig{Task: core.TaskFig4, Pattern: f, K: 2}, sim.NewRandomScheduler(0))
 	})
 	b.Run("stacked", func(b *testing.B) {
-		prog := func(p dist.ProcID, nn int) sim.Automaton {
-			return sim.NewStack(core.NewFig5(p, x), core.NewFig4(p, nn, props[p-1]))
-		}
-		r := newRunner(b, sim.Config{
-			Pattern: f, History: fd.NewSigmaS(f, x, 20), Program: prog,
-			Scheduler: sim.NewRandomScheduler(0), StopWhenDecided: true, DisableTrace: true,
-		})
-		var steps, msgs int64
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := r.Reset(int64(i)).Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep := agreement.Check(f, n-k, props, res); !rep.OK() {
-				b.Fatal(rep)
-			}
-			steps += res.Steps
-			msgs += res.MessagesSent
-		}
-		reportRun(b, steps, msgs)
+		benchTask(b, core.TaskConfig{Task: core.TaskStack, Pattern: f, K: 2}, sim.NewRandomScheduler(0))
 	})
 }
 
 // BenchmarkAblationSchedulers compares the random fair scheduler against
 // round-robin on the same workload (Figure 2): interleaving breadth vs speed.
+// Round-robin ignores the run seed, so every one of its runs is the same.
 func BenchmarkAblationSchedulers(b *testing.B) {
-	const n = 6
-	f := dist.NewFailurePattern(n)
-	props := agreement.DistinctProposals(n)
-	oracle, err := core.NewSigmaOracle(f, dist.NewProcSet(1, 2), 20, core.SigmaCanonical)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, sched sim.Scheduler, reseed bool) {
-		r := newRunner(b, sim.Config{
-			Pattern: f, History: oracle, Program: core.Fig2Program(props),
-			Scheduler: sched, StopWhenDecided: true, DisableTrace: true,
-		})
-		var steps, msgs int64
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			seed := int64(i)
-			if !reseed {
-				seed = 0 // round-robin ignores it; Reset still rewinds state
-			}
-			res, err := r.Reset(seed).Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep := agreement.Check(f, n-1, props, res); !rep.OK() {
-				b.Fatal(rep)
-			}
-			steps += res.Steps
-			msgs += res.MessagesSent
-		}
-		reportRun(b, steps, msgs)
-	}
+	task := core.TaskConfig{Task: core.TaskFig2, Pattern: dist.NewFailurePattern(6)}
 	b.Run("random", func(b *testing.B) {
-		run(b, sim.NewRandomScheduler(0), true)
+		benchTask(b, task, sim.NewRandomScheduler(0))
 	})
 	b.Run("roundrobin", func(b *testing.B) {
-		run(b, &sim.RoundRobinScheduler{}, false)
+		benchTask(b, task, &sim.RoundRobinScheduler{})
 	})
 }
 
@@ -833,10 +739,8 @@ func workerCounts() []int {
 // check (states/sec is the headline metric; results are bit-identical
 // across worker counts, asserted by TestFig2ExploreWorkerDeterminism).
 func BenchmarkExplorer(b *testing.B) {
-	const n = 3
-	props := agreement.DistinctProposals(n)
-	f := dist.NewFailurePattern(n)
-	oracle, err := core.NewSigmaOracle(f, dist.NewProcSet(1, 2), 1, core.SigmaCanonical)
+	task := core.TaskConfig{Task: core.TaskFig2, Pattern: dist.NewFailurePattern(3), Stab: 1}
+	sc, err := task.SimConfig()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -847,13 +751,13 @@ func BenchmarkExplorer(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := sim.Explore(sim.ExploreConfig{
-					Pattern:  f,
-					History:  oracle,
-					Program:  core.Fig2Program(props),
+					Pattern:  sc.Pattern,
+					History:  sc.History,
+					Program:  sc.Program,
 					MaxDepth: 14,
 					TimeCap:  1,
 					Workers:  w,
-					Check:    agreement.SafetyCheck(n-1, props),
+					Check:    task.Safety(),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -876,18 +780,11 @@ func BenchmarkExplorer(b *testing.B) {
 // throughput (Figure 2, 64 seeds per op) across pool sizes. Aggregates are
 // bit-identical across worker counts (TestSweepWorkerDeterminism).
 func BenchmarkSweep(b *testing.B) {
-	const n, seeds = 6, 64
-	f := dist.NewFailurePattern(n)
-	props := agreement.DistinctProposals(n)
-	oracle, err := core.NewSigmaOracle(f, dist.NewProcSet(1, 2), 20, core.SigmaCanonical)
+	const seeds = 64
+	task := core.TaskConfig{Task: core.TaskFig2, Pattern: dist.NewFailurePattern(6)}
+	sc, err := task.SimConfig()
 	if err != nil {
 		b.Fatal(err)
-	}
-	mkSim := func() sim.Config {
-		return sim.Config{
-			Pattern: f, History: oracle, Program: core.Fig2Program(props),
-			StopWhenDecided: true, DisableTrace: true,
-		}
 	}
 	for _, w := range workerCounts() {
 		b.Run(benchName("workers", w), func(b *testing.B) {
@@ -896,16 +793,11 @@ func BenchmarkSweep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := sweep.Run(sweep.Config{
-					Sim:       mkSim,
+					Sim:       func() sim.Config { return sc },
 					SeedStart: int64(i) * seeds,
 					Seeds:     seeds,
 					Workers:   w,
-					Check: func(seed int64, r *sim.Result) error {
-						if rep := agreement.Check(f, n-1, props, r); !rep.OK() {
-							return fmt.Errorf("seed %d: %s", seed, rep)
-						}
-						return nil
-					},
+					Check:     task.Check,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -308,15 +308,3 @@ func clientSet(n, clients int) (dist.ProcSet, error) {
 	}
 	return dist.RangeSet(1, dist.ProcID(clients)), nil
 }
-
-// activeSet validates -k against the system size and returns the 2k-process
-// active set {p1..p2k} that the σ₂ₖ constructions use.
-func activeSet(n, k int) (dist.ProcSet, error) {
-	if k < 1 {
-		return dist.ProcSet{}, fmt.Errorf("-k %d must be at least 1", k)
-	}
-	if 2*k > n {
-		return dist.ProcSet{}, fmt.Errorf("need 2k ≤ n, got k=%d n=%d", k, n)
-	}
-	return dist.RangeSet(1, dist.ProcID(2*k)), nil
-}

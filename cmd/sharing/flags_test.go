@@ -425,18 +425,6 @@ func TestClientSet(t *testing.T) {
 	}
 }
 
-func TestActiveSet(t *testing.T) {
-	s, err := activeSet(6, 2)
-	if err != nil || s != dist.RangeSet(1, 4) {
-		t.Fatalf("activeSet(6,2) = %v, %v", s, err)
-	}
-	for _, bad := range [][2]int{{6, 0}, {6, -1}, {5, 3}} {
-		if _, err := activeSet(bad[0], bad[1]); err == nil {
-			t.Fatalf("activeSet(%d,%d) accepted", bad[0], bad[1])
-		}
-	}
-}
-
 func TestOpenLoopGap(t *testing.T) {
 	for _, tc := range []struct {
 		openLoop bool

@@ -139,67 +139,37 @@ func cmdLattice(args []string) error {
 	return printReport(lattice.Build(cfg))
 }
 
-// sigmaTask is one σ-side set-agreement experiment: fig2 runs Figure 2 over
-// σ with the active pair {p1,p2} and solves (n−1)-set agreement; fig4 runs
-// Figure 4 over σ₂ₖ with the active set {p1..p2k} and solves (n−k)-set
-// agreement.
-type sigmaTask struct {
-	name, oracle string
-	active       dist.ProcSet
-	history      sim.History
-	program      sim.Program
-	props        []agreement.Value
-	k            int // the task is k-set agreement
-}
-
-// newSigmaTask builds fig's oracle, stabilizing at stab, its program and its
-// task on the pattern f; k sizes fig4's active set. The oracle pre-boxes its
-// outputs and is read-only, so one instance serves every sweep worker.
-func newSigmaTask(fig string, f *dist.FailurePattern, k int, stab dist.Time) (*sigmaTask, error) {
-	n := f.N()
-	t := &sigmaTask{props: agreement.DistinctProposals(n)}
-	var err error
+// figTask maps -fig onto its σ task on f. Figure 2 is the k = 1 task, so
+// fig2 ignores k.
+func figTask(fig string, f *dist.FailurePattern, k int) (core.TaskConfig, error) {
 	switch fig {
 	case "fig2":
-		t.name, t.oracle, t.active, t.k = "Figure 2", "σ", dist.NewProcSet(1, 2), n-1
-		t.history, err = core.NewSigmaOracle(f, t.active, stab, core.SigmaCanonical)
-		t.program = core.Fig2Program(t.props)
+		return core.TaskConfig{Task: core.TaskFig2, Pattern: f}, nil
 	case "fig4":
-		if t.active, err = activeSet(n, k); err != nil {
-			return nil, err
-		}
-		t.name, t.oracle, t.k = "Figure 4", "σ₂ₖ", n-k
-		t.history, err = core.NewSigmaKOracle(f, t.active, stab, core.SigmaKCanonical)
-		t.program = core.Fig4Program(t.props)
-	default:
-		return nil, fmt.Errorf("unknown -fig %q", fig)
+		return core.TaskConfig{Task: core.TaskFig4, Pattern: f, K: k}, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+	return core.TaskConfig{}, fmt.Errorf("unknown -fig %q", fig)
 }
 
-// runSigmaTask runs fig once on a seeded random schedule and prints the
-// task verdict and the decisions.
-func runSigmaTask(fig string, n, k int, seed int64, crash string) error {
+// runSigmaTask runs task once on a seeded random schedule and prints the
+// task verdict and the decisions; oracle names the failure detector.
+func runSigmaTask(task core.TaskConfig, oracle string, n int, seed int64, crash string) error {
 	f, err := crashPattern(n, crash)
 	if err != nil {
 		return err
 	}
-	t, err := newSigmaTask(fig, f, k, 20)
+	task.Pattern = f
+	cfg, err := task.SimConfig()
 	if err != nil {
 		return err
 	}
-	res, err := sim.Run(sim.Config{
-		Pattern: f, History: t.history, Program: t.program,
-		Scheduler: sim.NewRandomScheduler(seed), StopWhenDecided: true,
-	})
+	cfg.Scheduler = sim.NewRandomScheduler(seed)
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
-	rep := agreement.Check(f, t.k, t.props, res)
-	fmt.Printf("%s on %v (%s active %v): %s\n", t.name, f, t.oracle, t.active, rep)
+	rep := task.Report(res)
+	fmt.Printf("%v on %v (%s active %v): %s\n", task.Task, f, oracle, task.Active(), rep)
 	printDecisions(rep.Decisions)
 	return nil
 }
@@ -212,7 +182,7 @@ func cmdSetAgreement(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return runSigmaTask("fig2", *n, 0, *seed, *crash)
+	return runSigmaTask(core.TaskConfig{Task: core.TaskFig2}, "σ", *n, *seed, *crash)
 }
 
 func cmdKSet(args []string) error {
@@ -224,7 +194,7 @@ func cmdKSet(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return runSigmaTask("fig4", *n, *k, *seed, *crash)
+	return runSigmaTask(core.TaskConfig{Task: core.TaskFig4, K: *k}, "σ₂ₖ", *n, *seed, *crash)
 }
 
 // cmdExplore bounded-model-checks a figure: every interleaving and message
@@ -251,12 +221,16 @@ func cmdExplore(args []string) error {
 	if err != nil {
 		return err
 	}
-	t, err := newSigmaTask(*fig, f, *k, 1)
+	task, err := figTask(*fig, f, *k)
 	if err != nil {
 		return err
 	}
-	cfg.Pattern, cfg.History, cfg.Program = f, t.history, t.program
-	cfg.Check = agreement.SafetyCheck(t.k, t.props)
+	task.Stab = 1
+	sc, err := task.SimConfig()
+	if err != nil {
+		return err
+	}
+	cfg.Pattern, cfg.History, cfg.Program, cfg.Check = f, sc.History, sc.Program, task.Safety()
 	start := time.Now()
 	res, err := sim.Explore(cfg)
 	if err != nil {
@@ -267,9 +241,9 @@ func cmdExplore(args []string) error {
 		*fig, f, res.StatesVisited, res.StepsExecuted, elapsed.Round(time.Millisecond),
 		float64(res.StatesVisited)/elapsed.Seconds(), res.Truncated)
 	if res.Violation != "" {
-		return fmt.Errorf("%s violates %d-set agreement at depth %d: %s", *fig, t.k, res.ViolationDepth, res.Violation)
+		return fmt.Errorf("%s violates %d-set agreement at depth %d: %s", *fig, task.SetK(), res.ViolationDepth, res.Violation)
 	}
-	fmt.Printf("no reachable violation of %d-set agreement safety within depth %d\n", t.k, cfg.MaxDepth)
+	fmt.Printf("no reachable violation of %d-set agreement safety within depth %d\n", task.SetK(), cfg.MaxDepth)
 	return nil
 }
 
@@ -306,23 +280,18 @@ func cmdSweep(args []string) error {
 				SeedStart: cfg.SeedStart, Seeds: cfg.Seeds, Workers: cfg.Workers,
 			})
 		} else {
-			var t *sigmaTask
-			if t, err = newSigmaTask(*fig, f, *k, 20); err != nil {
+			var (
+				task core.TaskConfig
+				sc   sim.Config
+			)
+			if task, err = figTask(*fig, f, *k); err != nil {
 				return err
 			}
-			taskK = t.k
-			cfg.Sim = func() sim.Config {
-				return sim.Config{
-					Pattern: f, History: t.history, Program: t.program,
-					StopWhenDecided: true, DisableTrace: true,
-				}
+			if sc, err = task.SimConfig(); err != nil {
+				return err
 			}
-			cfg.Check = func(seed int64, r *sim.Result) error {
-				if rep := agreement.Check(f, t.k, t.props, r); !rep.OK() {
-					return fmt.Errorf("%s", rep)
-				}
-				return nil
-			}
+			taskK = task.SetK()
+			cfg.Sim, cfg.Check = func() sim.Config { return sc }, task.Check
 			res, err = sweep.Run(cfg)
 		}
 		if err != nil {

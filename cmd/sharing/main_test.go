@@ -164,6 +164,9 @@ func TestSubcommandErrorsNameTheCause(t *testing.T) {
 		{[]string{"counterexample", "tightness", "-n", "2", "-k", "1"}, "(n−k−1)-set agreement is then vacuous"},
 		{[]string{"consensus", "-n", "4", "-workers", "-1"}, "-workers applies only in fault mode"},
 		{[]string{"consensus", "-n", "4", "-faultseed", "3"}, "-faultseed applies only in fault mode"},
+		{[]string{"setagreement", "-n", "1"}, "Figure 2 needs 2k ≤ n for its active set {p1..p2k}, got k=1 n=1"},
+		{[]string{"kset", "-k", "0"}, "Figure 4 needs k ≥ 1, got k=0"},
+		{[]string{"kset", "-n", "4", "-k", "3"}, "Figure 4 needs 2k ≤ n for its active set {p1..p2k}, got k=3 n=4"},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -11,10 +11,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/fd"
 	"repro/internal/sim"
 )
 
@@ -23,33 +21,28 @@ func main() {
 	fmt.Printf("n = %d: Σ_X₂ₖ →(Fig 5)→ σ₂ₖ →(Fig 4)→ (n−k)-set agreement\n", n)
 	fmt.Printf("%-4s %-10s %-8s %-9s %s\n", "k", "|X|=2k", "bound", "distinct", "status")
 	for k := 1; 2*k <= n; k++ {
-		x := dist.RangeSet(1, dist.ProcID(2*k))
-		props := agreement.DistinctProposals(n)
 		pattern := dist.NewFailurePattern(n)
 		// Crash one active and one non-active process mid-run when possible.
 		pattern.CrashAt(1, 15)
 		if 2*k < n {
 			pattern.CrashAt(dist.ProcID(n), 25)
 		}
-		prog := func(p dist.ProcID, nn int) sim.Automaton {
-			return sim.NewStack(core.NewFig5(p, x), core.NewFig4(p, nn, props[p-1]))
-		}
-		res, err := sim.Run(sim.Config{
-			Pattern:         pattern,
-			History:         fd.NewSigmaS(pattern, x, 40),
-			Program:         prog,
-			Scheduler:       sim.NewRandomScheduler(int64(k)),
-			StopWhenDecided: true,
-		})
+		task := core.TaskConfig{Task: core.TaskStack, Pattern: pattern, K: k, Stab: 40}
+		cfg, err := task.SimConfig()
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := agreement.Check(pattern, n-k, props, res)
+		cfg.Scheduler = sim.NewRandomScheduler(int64(k))
+		res, err := sim.Run(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep := task.Report(res)
 		status := "ok"
 		if !rep.OK() {
 			status = rep.String()
 		}
-		fmt.Printf("%-4d %-10d %-8d %-9d %s\n", k, 2*k, n-k, rep.Distinct, status)
+		fmt.Printf("%-4d %-10d %-8d %-9d %s\n", k, 2*k, task.SetK(), rep.Distinct, status)
 		if !rep.OK() {
 			log.Fatal("bound violated — reproduction bug")
 		}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/sim"
@@ -20,29 +19,23 @@ func main() {
 	pattern := dist.NewFailurePattern(n)
 	pattern.CrashAt(4, 12)
 
-	// σ selects {p1, p2} as the active pair; the canonical valid history
-	// stabilizes at time 20.
-	oracle, err := core.NewSigmaOracle(pattern, dist.NewProcSet(1, 2), 20, core.SigmaCanonical)
+	// Every process proposes a distinct value and runs Figure 2 over σ,
+	// whose active pair is {p1, p2}; the canonical valid history stabilizes
+	// at time 20.
+	task := core.TaskConfig{Task: core.TaskFig2, Pattern: pattern}
+	cfg, err := task.SimConfig()
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg.Scheduler = sim.NewRandomScheduler(42)
+	res, err := sim.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Every process proposes a distinct value and runs Figure 2.
-	proposals := agreement.DistinctProposals(n)
-	res, err := sim.Run(sim.Config{
-		Pattern:         pattern,
-		History:         oracle,
-		Program:         core.Fig2Program(proposals),
-		Scheduler:       sim.NewRandomScheduler(42),
-		StopWhenDecided: true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	report := agreement.Check(pattern, n-1, proposals, res)
+	report := task.Report(res)
 	fmt.Printf("pattern:   %v\n", pattern)
-	fmt.Printf("proposals: %v\n", proposals)
+	fmt.Printf("proposals: %v\n", task.Proposals())
 	fmt.Printf("result:    %s (after %d steps, %d messages)\n", report, res.Steps, res.MessagesSent)
 	for p := dist.ProcID(1); p <= n; p++ {
 		if v, ok := report.Decisions[p]; ok {

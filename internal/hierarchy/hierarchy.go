@@ -98,7 +98,7 @@ func Build(cfg Config) (*Report, error) {
 
 	// σ ⪯ Σ{p,q} (Figure 3 / Lemma 6).
 	err := validate(cfg, 3, f, fd.NewSigmaS(f, pair, 20),
-		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig3(p, pair) },
+		core.Fig3Program(pair),
 		func(h sim.History) []fd.Violation {
 			return core.CheckSigma(f, pair, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
@@ -123,7 +123,7 @@ func Build(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	err = validate(cfg, 6, f, sigmaOracle,
-		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig6(p, n) },
+		core.Fig6Program(),
 		func(h sim.History) []fd.Violation {
 			return fd.CheckAntiOmega(f, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
@@ -146,7 +146,7 @@ func Build(cfg Config) (*Report, error) {
 
 	// σₖ side: σ₂ₖ ⪯ Σ_X₂ₖ (Figure 5 / Lemma 10).
 	err = validate(cfg, 5, f, fd.NewSigmaS(f, x, 20),
-		func(p dist.ProcID, n int) sim.Emulator { return core.NewFig5(p, x) },
+		core.Fig5Program(x),
 		func(h sim.History) []fd.Violation {
 			return core.CheckSigmaK(f, x, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
 		})
@@ -176,11 +176,13 @@ func (r *Report) add(from, to string, kind EdgeKind, evidence string) {
 	r.Edges = append(r.Edges, Edge{From: from, To: to, Kind: kind, Evidence: evidence})
 }
 
-// validate checks the reduction edge of Figure fig with separation.Search
-// across cfg.Runs seeds: every run's emulated history must pass check. Only
-// a run that fails the check makes the emulation invalid; a Search error is
-// a config error and is returned as it is.
-func validate(cfg Config, fig int, f *dist.FailurePattern, h sim.History, emu separation.EmulatorProgram, check func(sim.History) []fd.Violation) error {
+// validate checks the reduction edge of Figure fig, whose emulator automata
+// prog builds, with separation.Search across cfg.Runs seeds: every run's
+// emulated history must pass check. Only a run that fails the check makes
+// the emulation invalid; a Search error is a config error and is returned
+// as it is.
+func validate(cfg Config, fig int, f *dist.FailurePattern, h sim.History, prog sim.Program, check func(sim.History) []fd.Violation) error {
+	emu := func(p dist.ProcID, n int) sim.Emulator { return prog(p, n).(sim.Emulator) }
 	res, err := separation.Search(separation.SearchConfig{
 		Pattern: f, History: h, Candidate: emu, Check: check,
 		Horizon: cfg.Horizon, SeedStart: cfg.Seed, Seeds: cfg.Runs, Workers: cfg.Workers,

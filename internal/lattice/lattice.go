@@ -18,10 +18,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/fd"
 	"repro/internal/separation"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -102,32 +100,19 @@ func buildK(cfg Config, k int) ([]Relation, error) {
 		if !f.InEnvironment() {
 			continue
 		}
-		props := agreement.DistinctProposals(n)
-		prog := func(p dist.ProcID, nn int) sim.Automaton {
-			return sim.NewStack(core.NewFig5(p, x), core.NewFig4(p, nn, props[p-1]))
-		}
 		// One sweep per pattern: each worker owns a runner, and all of them
 		// read one Σ_X oracle.
-		sigmaX := fd.NewSigmaS(f, x, 20)
+		task := core.TaskConfig{Task: core.TaskStack, Pattern: f, K: k}
+		sc, err := task.SimConfig()
+		if err != nil {
+			return nil, err
+		}
 		res, err := sweep.Run(sweep.Config{
-			Sim: func() sim.Config {
-				return sim.Config{
-					Pattern:         f,
-					History:         sigmaX,
-					Program:         prog,
-					StopWhenDecided: true,
-					DisableTrace:    true,
-				}
-			},
+			Sim:       func() sim.Config { return sc },
 			SeedStart: cfg.Seed,
 			Seeds:     int64(cfg.RunsPerRelation),
 			Workers:   cfg.Workers,
-			Check: func(seed int64, r *sim.Result) error {
-				if rep := agreement.Check(f, n-k, props, r); !rep.OK() {
-					return fmt.Errorf("seed %d: %s", seed, rep)
-				}
-				return nil
-			},
+			Check:     task.Check,
 		})
 		if err != nil {
 			return nil, err

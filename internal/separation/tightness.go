@@ -3,7 +3,6 @@ package separation
 import (
 	"fmt"
 
-	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/sim"
@@ -50,47 +49,42 @@ func Tightness(cfg TightnessConfig) (*Certificate, error) {
 		cfg.Horizon = 20_000
 	}
 	n, k := cfg.N, cfg.K
-	active := dist.RangeSet(1, dist.ProcID(2*k))
+	task := core.TaskConfig{Task: core.TaskFig4, Pattern: dist.NewFailurePattern(n), K: k}
+	f, active := task.Pattern, task.Active()
 	low, high := core.Halves(active)
-
-	f := dist.NewFailurePattern(n)
 	for _, p := range high.Members() {
 		f.CrashAt(p, 0)
 	}
-	oracle, err := core.NewSigmaKOracle(f, active, 3, core.SigmaKTrustLow)
+	run, err := task.SimConfig()
 	if err != nil {
+		return nil, err
+	}
+	// The adversary: the one-sided history and the delivery filter below.
+	if run.History, err = core.NewSigmaKOracle(f, active, 3, core.SigmaKTrustLow); err != nil {
 		return nil, fmt.Errorf("separation: tightness oracle: %w", err)
 	}
-	props := agreement.DistinctProposals(n)
-
 	var decidedLow dist.ProcSet
-	res, err := sim.Run(sim.Config{
-		Pattern:   f,
-		History:   oracle,
-		Program:   core.Fig4Program(props),
-		Scheduler: sim.NewRandomScheduler(cfg.Seed),
-		MaxSteps:  cfg.Horizon,
-		// Delay every message into the active set until all low-half
-		// processes decided: the asynchronous adversary makes each low
-		// process exit its loop on σ₂ₖ information alone, before any (D, ·)
-		// value — a neighbour's or a non-active's — can be adopted.
-		DeliveryFilter: func(m *sim.Message, now dist.Time) bool {
-			return !active.Contains(m.To) || low.SubsetOf(decidedLow)
-		},
-		StopWhenDecided: true,
-		StopWhen: func(s *sim.Snapshot) bool {
-			low.ForEach(func(p dist.ProcID) {
-				if _, ok := s.Decided(p); ok {
-					decidedLow = decidedLow.Add(p)
-				}
-			})
-			return false
-		},
-	})
+	run.Scheduler, run.MaxSteps = sim.NewRandomScheduler(cfg.Seed), cfg.Horizon
+	// Delay every message into the active set until all low-half processes
+	// decided: the asynchronous adversary makes each low process exit its
+	// loop on σ₂ₖ information alone, before any (D, ·) value — a
+	// neighbour's or a non-active's — can be adopted.
+	run.DeliveryFilter = func(m *sim.Message, now dist.Time) bool {
+		return !active.Contains(m.To) || low.SubsetOf(decidedLow)
+	}
+	run.StopWhen = func(s *sim.Snapshot) bool {
+		low.ForEach(func(p dist.ProcID) {
+			if _, ok := s.Decided(p); ok {
+				decidedLow = decidedLow.Add(p)
+			}
+		})
+		return false
+	}
+	res, err := sim.Run(run)
 	if err != nil {
 		return nil, fmt.Errorf("separation: tightness run: %w", err)
 	}
-	rep := agreement.Check(f, n-k, props, res)
+	rep := task.Report(res)
 	if !rep.OK() {
 		return nil, fmt.Errorf("separation: tightness run unexpectedly violates (n−k)-set agreement: %s", rep)
 	}

@@ -6,40 +6,26 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/sim"
 )
 
-func fig2Config(n int) (func() sim.Config, []agreement.Value, *dist.FailurePattern) {
-	f := dist.NewFailurePattern(n)
-	props := agreement.DistinctProposals(n)
-	return func() sim.Config {
-		oracle, err := core.NewSigmaOracle(f, dist.NewProcSet(1, 2), 20, core.SigmaCanonical)
-		if err != nil {
-			panic(err)
-		}
-		return sim.Config{
-			Pattern: f, History: oracle, Program: core.Fig2Program(props),
-			StopWhenDecided: true, DisableTrace: true,
-		}
-	}, props, f
+// fig2Config is the Figure 2 task on n correct processes: every worker
+// shares its one SimConfig, and so one σ oracle and one program.
+func fig2Config(n int) (func() sim.Config, core.TaskConfig) {
+	task := core.TaskConfig{Task: core.TaskFig2, Pattern: dist.NewFailurePattern(n)}
+	sc, err := task.SimConfig()
+	if err != nil {
+		panic(err)
+	}
+	return func() sim.Config { return sc }, task
 }
 
 func TestSweepAggregates(t *testing.T) {
 	const n, seeds = 4, 25
-	mkSim, props, f := fig2Config(n)
-	res, err := Run(Config{
-		Sim:   mkSim,
-		Seeds: seeds,
-		Check: func(seed int64, r *sim.Result) error {
-			if rep := agreement.Check(f, n-1, props, r); !rep.OK() {
-				return fmt.Errorf("seed %d: %s", seed, rep)
-			}
-			return nil
-		},
-	})
+	mkSim, task := fig2Config(n)
+	res, err := Run(Config{Sim: mkSim, Seeds: seeds, Check: task.Check})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +54,7 @@ func TestSweepAggregates(t *testing.T) {
 // bit-identical for every worker count and partition.
 func TestSweepWorkerDeterminism(t *testing.T) {
 	const n, seeds = 4, 24
-	mkSim, _, _ := fig2Config(n)
+	mkSim, _ := fig2Config(n)
 	check := func(seed int64, r *sim.Result) error {
 		// A seed-dependent verdict makes FirstFailSeed selection visible.
 		if seed%7 == 3 {
@@ -101,7 +87,7 @@ func TestSweepConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Seeds: 5}); err == nil {
 		t.Fatal("nil Sim must be rejected")
 	}
-	mkSim, _, _ := fig2Config(3)
+	mkSim, _ := fig2Config(3)
 	if _, err := Run(Config{Sim: mkSim, Seeds: 0}); err == nil {
 		t.Fatal("zero Seeds must be rejected")
 	}
@@ -110,7 +96,7 @@ func TestSweepConfigValidation(t *testing.T) {
 // TestSweepRejectsNegativeWorkers: a negative pool size is an error naming
 // the field, not a silent GOMAXPROCS.
 func TestSweepRejectsNegativeWorkers(t *testing.T) {
-	mkSim, _, _ := fig2Config(3)
+	mkSim, _ := fig2Config(3)
 	_, err := Run(Config{Sim: mkSim, Seeds: 5, Workers: -1})
 	if err == nil || !strings.Contains(err.Error(), "Workers") {
 		t.Fatalf("Workers: -1 gave %v, want an error naming Workers", err)
@@ -121,7 +107,7 @@ func TestSweepRejectsNegativeWorkers(t *testing.T) {
 // with FirstFailSeed's -1 "none", and an overflowing end would silently run
 // fewer seeds; both are errors naming the seed range.
 func TestSweepRejectsSeedRangeOutsideInt64(t *testing.T) {
-	mkSim, _, _ := fig2Config(3)
+	mkSim, _ := fig2Config(3)
 	for _, tc := range []struct{ start, seeds int64 }{
 		{-1, 2},
 		{-10, 10},
