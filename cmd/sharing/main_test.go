@@ -175,6 +175,19 @@ func TestSubcommandErrorsNameTheCause(t *testing.T) {
 	}
 }
 
+// TestSweepFailureNamesSeedOnce pins a failing sweep's error to one
+// mention of the first failing seed: the CLI prints it beside the run's
+// verdict, and the verdict itself leaves it out.
+func TestSweepFailureNamesSeedOnce(t *testing.T) {
+	err := run([]string{"consensus", "-n", "5", "-seeds", "3", "-loss", "0.9", "-stalllimit", "200"})
+	if err == nil {
+		t.Fatal("90% loss without retransmission let every run decide")
+	}
+	if got := strings.Count(err.Error(), "seed 1"); got != 1 {
+		t.Fatalf("the error names seed 1 %d times, want once: %v", got, err)
+	}
+}
+
 func TestParseCrash(t *testing.T) {
 	if err := run([]string{"setagreement", "-n", "5", "-crash", "2,3,4"}); err != nil {
 		t.Fatal(err)

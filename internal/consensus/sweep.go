@@ -121,11 +121,12 @@ func (cfg SweepConfig) SimConfig() (sim.Config, error) {
 }
 
 // check is Sweep's verdict on one run: agreement.Check with k = 1, and a
-// decision at every recovered process.
-func (cfg SweepConfig) check(seed int64, res *sim.Result) error {
+// decision at every recovered process. It leaves the seed out, because the
+// sweep reports it beside the error (FirstFailSeed).
+func (cfg SweepConfig) check(_ int64, res *sim.Result) error {
 	rep := agreement.Check(cfg.Pattern, 1, cfg.Proposals, res)
 	if len(rep.Violations) > 0 {
-		return fmt.Errorf("seed %d: %s", seed, strings.Join(rep.Violations, "; "))
+		return errors.New(strings.Join(rep.Violations, "; "))
 	}
 	var missing []string
 	cfg.Pattern.Recovering().ForEach(func(p dist.ProcID) {
@@ -134,8 +135,8 @@ func (cfg SweepConfig) check(seed int64, res *sim.Result) error {
 		}
 	})
 	if len(missing) > 0 {
-		return fmt.Errorf("seed %d: recovered process(es) %s never relearned the decision (run ended: %s after %d steps)",
-			seed, strings.Join(missing, ","), res.Reason, res.Steps)
+		return fmt.Errorf("recovered process(es) %s never relearned the decision (run ended: %s after %d steps)",
+			strings.Join(missing, ","), res.Reason, res.Steps)
 	}
 	return nil
 }

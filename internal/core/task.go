@@ -101,10 +101,11 @@ func (c TaskConfig) Report(res *sim.Result) agreement.Report {
 	return agreement.Check(c.Pattern, c.SetK(), c.Proposals(), res)
 }
 
-// Check is the sweep verdict: nil, or the seed and the violations.
-func (c TaskConfig) Check(seed int64, res *sim.Result) error {
+// Check is the sweep verdict: nil, or the violations. It leaves the seed
+// out, because the sweep reports it beside the error (FirstFailSeed).
+func (c TaskConfig) Check(_ int64, res *sim.Result) error {
 	if rep := c.Report(res); !rep.OK() {
-		return fmt.Errorf("seed %d: %s", seed, rep)
+		return errors.New(rep.String())
 	}
 	return nil
 }

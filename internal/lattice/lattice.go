@@ -118,7 +118,7 @@ func buildK(cfg Config, k int) ([]Relation, error) {
 			return nil, err
 		}
 		if res.Failures > 0 {
-			return nil, fmt.Errorf("positive row failed on %v: %v", f, res.FirstFailErr)
+			return nil, fmt.Errorf("positive row failed on %v (first seed %d: %v)", f, res.FirstFailSeed, res.FirstFailErr)
 		}
 		runs += res.Runs
 	}

@@ -144,7 +144,7 @@ func TestABDNonMembersNeverOperate(t *testing.T) {
 		if p == 4 { // p4 ∉ S
 			script = []KeyedOp{{Kind: WriteOp, Arg: 9}}
 		}
-		return newStoreNode(p, nn, s, oneRegister, m, script, pool)
+		return newStoreNode(p, nn, s, &oneRegister, m, script, pool)
 	}
 	res, err := sim.Run(sim.Config{
 		Pattern: f, History: fd.NewSigmaS(f, s, 10), Program: prog,

@@ -124,3 +124,14 @@ func (m *ShardMap) String() string {
 	}
 	return b.String()
 }
+
+// offset returns where shard sh's keys start in a replica slice laid out
+// flat over the keys of the owned shards in increasing shard order: the
+// number of keys on the owned shards below sh. Striping gives each of the
+// first Keys mod Shards shards one key more than the rest, so two ranks
+// make it O(1), without a per-process table. offset(owned, Shards()) is
+// the owned key count.
+func (m *ShardMap) offset(owned ShardSet, sh int) int {
+	q, r := m.keys/m.shards, m.keys%m.shards
+	return q*owned.rank(sh) + owned.rank(min(sh, r))
+}

@@ -120,6 +120,19 @@ func (s ShardSet) Len() int {
 	return n
 }
 
+// rank returns the number of members below sh.
+func (s ShardSet) rank(sh int) int {
+	n := 0
+	for w := 0; w < shardWords && 64*w < sh; w++ {
+		word := s[w]
+		if rest := sh - 64*w; rest < 64 {
+			word &= uint64(1)<<uint(rest) - 1
+		}
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
 // Intersects reports whether s ∩ t ≠ ∅.
 func (s ShardSet) Intersects(t ShardSet) bool {
 	for i := range s {

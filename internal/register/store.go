@@ -434,36 +434,71 @@ type shardWin struct {
 // StoreNode is the per-process automaton of the sharded keyed register
 // store: one ABD replica for every key of the shards the process belongs to
 // plus, at members of S, a pipelined multi-key client that routes each
-// operation to its shard's replica group. Replica state is sparse — only
-// owned shards allocate their dense per-local-key Timestamp/Value slices —
-// quorum tracking is per outstanding op against Σ_{S_i} = the shard's
-// group, and each shard's traffic shares the process's single message layer.
+// operation to its shard's replica group. A node is as large as its role:
+// the replica state is flat over the keys of the owned shards only, and the
+// client half sits behind a pointer that is nil at a pure replica. Quorum
+// tracking is per outstanding op against Σ_{S_i} = the shard's group, and
+// each shard's traffic shares the process's single message layer.
 type StoreNode struct {
 	self   dist.ProcID
-	n      int
-	client bool // self ∈ S: only members of S run the client half
-	cfg    StoreConfig
+	cfg    *StoreConfig // one copy, shared by the nodes of a program instantiation
 	shards *ShardMap
 
-	// Replica state, sparse per shard: ts[sh]/val[sh] are nil unless self
-	// belongs to shard sh's group, else dense over the shard's local keys.
-	ts  [][]Timestamp
-	val [][]Value
+	// Replica state, one flat slice each over the keys of the owned shards:
+	// key k of owned shard sh sits at shards.offset(owned, sh) + Local(k).
+	// held is the owned shards whose state is live — all of them, except
+	// after Recover, where a shard rejoins on its first protocol touch
+	// (locate). conf (FastReads only, else nil) holds per owned key the
+	// highest ts this replica knows to have reached a full quorum,
+	// invariant conf ≤ ts.
+	owned, held ShardSet
+	ts          []Timestamp
+	val         []Value
+	conf        []Timestamp
 
-	// Confirmed timestamps (FastReads only, else nil): conf mirrors ts's
-	// sparse shape — per owned key, the highest ts this replica knows to
-	// have reached a full quorum, invariant conf ≤ ts — and confClient is
-	// the client-side equivalent, dense over every key, piggybacked on
-	// outgoing queries (queryEntry.CTS).
-	conf       [][]Timestamp
+	// The client half, nil at a pure replica (self ∉ S). Embedded, so client
+	// code reads its fields directly; every path a pure replica takes checks
+	// it first.
+	*storeClient
+
+	// Pooled frames (see framePool): filled only when sim grants the
+	// receiver ownership of delivered payloads. Shared across the nodes of
+	// one program instantiation by StoreProgram.
+	pool *framePool
+
+	// The reply frame of the delivery being served, leased on the first
+	// reply, and its destination — a step delivers at most one message, so
+	// its replies have one destination. Without piggybacking it is sent
+	// before the step ends; with piggybacking flush folds it into the
+	// destination's frame.
+	rep    *storeFrame
+	repDst dist.ProcID
+
+	// Piggyback assembly state: the frame under construction per
+	// destination (indexed by ProcID; nil when absent) plus the
+	// deterministic flush order.
+	outFrame []*storeFrame
+	outDsts  []dist.ProcID
+
+	// noWriteBack is the E12b ablation, set only by tests: every read
+	// skips its write-back round, which is exactly the elision the
+	// fast-read rule guards against. Reads are then regular but not atomic.
+	noWriteBack bool
+}
+
+// storeClient is the client half of a StoreNode, allocated only at members
+// of S.
+type storeClient struct {
+	// confClient (FastReads only, else nil) is the client-side confirmed
+	// timestamp, dense over every key, piggybacked on outgoing queries
+	// (queryEntry.CTS).
 	confClient []Timestamp
 
-	// Client state (nil at a pure replica): the script with its arrival
-	// steps, grouped by shard and in script order within each shard, and
-	// the per-shard FIFO queues that slice it (script order within a shard
-	// keeps per-key program order; nil for shards the script never
-	// touches). Queues are only ever resliced, never written, so Rewind
-	// restores them from script.
+	// The script with its arrival steps, grouped by shard and in script
+	// order within each shard, and the per-shard FIFO queues that slice it
+	// (script order within a shard keeps per-key program order; nil for
+	// shards the script never touches). Queues are only ever resliced,
+	// never written, so Rewind restores them from script.
 	script    []queuedOp
 	queues    [][]queuedOp
 	scriptLen int
@@ -501,25 +536,6 @@ type StoreNode struct {
 	sOut  [][]storeEntry
 	dirty ShardSet
 
-	// Pooled frames (see framePool): filled only when sim grants the
-	// receiver ownership of delivered payloads. Shared across the nodes of
-	// one program instantiation by StoreProgram.
-	pool *framePool
-
-	// The reply frame of the delivery being served, leased on the first
-	// reply, and its destination — a step delivers at most one message, so
-	// its replies have one destination. Without piggybacking it is sent
-	// before the step ends; with piggybacking flush folds it into the
-	// destination's frame.
-	rep    *storeFrame
-	repDst dist.ProcID
-
-	// Piggyback assembly state: the frame under construction per
-	// destination (indexed by ProcID; nil when absent) plus the
-	// deterministic flush order.
-	outFrame []*storeFrame
-	outDsts  []dist.ProcID
-
 	// Per-op latency observations in the client's own steps, one per
 	// completed op, recorded in the pend slots (op records carry no client
 	// steps) and drained by sweeps through LatencyHist.
@@ -532,11 +548,6 @@ type StoreNode struct {
 	latFaulted sweep.Hist
 	fastReads  int64
 	fallbacks  int64
-
-	// noWriteBack is the E12b ablation, set only by tests: every read
-	// skips its write-back round, which is exactly the elision the
-	// fast-read rule guards against. Reads are then regular but not atomic.
-	noWriteBack bool
 }
 
 var (
@@ -550,62 +561,62 @@ var _ sim.RefCounted = (*storeFrame)(nil)
 // shard map. It trusts its arguments — StoreProgram validates them — except
 // that a script at a process outside S is ignored, enforcing the S-register
 // access restriction at run time too. Only a member of S gets client state.
-func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg StoreConfig, m *ShardMap, script []KeyedOp, pool *framePool) *StoreNode {
-	a := &StoreNode{
-		self:   self,
-		n:      n,
-		client: s.Contains(self),
-		cfg:    cfg,
-		shards: m,
-		maxWin: cfg.maxWindow(),
-		stall:  cfg.stallSteps(),
-		rto0:   cfg.rto(),
-		maxRTO: cfg.maxRTO(),
-		pool:   pool,
-		ts:     make([][]Timestamp, m.Shards()),
-		val:    make([][]Value, m.Shards()),
+func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg *StoreConfig, m *ShardMap, script []KeyedOp, pool *framePool) *StoreNode {
+	a := &StoreNode{self: self, cfg: cfg, shards: m, pool: pool}
+	for sh := 0; sh < m.Shards(); sh++ {
+		if m.Owns(self, sh) {
+			a.owned = a.owned.Add(sh)
+		}
 	}
+	keys := m.offset(a.owned, m.Shards())
+	a.ts = make([]Timestamp, keys)
+	a.val = make([]Value, keys)
 	if cfg.FastReads {
-		a.conf = make([][]Timestamp, m.Shards())
+		a.conf = make([]Timestamp, keys)
 	}
 	if cfg.Piggyback {
 		a.outFrame = make([]*storeFrame, n+1)
 	}
-	if a.client {
-		a.buildClient(script)
+	if s.Contains(self) {
+		a.storeClient = newStoreClient(self, cfg, m, script)
 	}
 	a.restart()
 	return a
 }
 
-// buildClient allocates the client half for script. Client buffers sit at
-// their high-water marks, sized by the node's own script: growing them per
-// run would make per-run allocations scale with how full the windows get.
-// A shard holds at most a window of outstanding ops, and never more than
-// the script routes to it.
-func (a *StoreNode) buildClient(script []KeyedOp) {
-	cfg, m := a.cfg, a.shards
-	if cfg.FastReads {
-		a.confClient = make([]Timestamp, m.Keys())
+// newStoreClient allocates the client half for script. Client buffers sit
+// at their high-water marks, sized by the node's own script: growing them
+// per run would make per-run allocations scale with how full the windows
+// get. A shard holds at most a window of outstanding ops, and never more
+// than the script routes to it.
+func newStoreClient(self dist.ProcID, cfg *StoreConfig, m *ShardMap, script []KeyedOp) *storeClient {
+	c := &storeClient{
+		maxWin: cfg.maxWindow(),
+		stall:  cfg.stallSteps(),
+		rto0:   cfg.rto(),
+		maxRTO: cfg.maxRTO(),
+		queues: make([][]queuedOp, m.Shards()),
+		win:    make([]shardWin, m.Shards()),
+		load:   make([]int, m.Shards()),
+		qOut:   make([][]queryEntry, m.Shards()),
+		sOut:   make([][]storeEntry, m.Shards()),
 	}
-	a.queues = make([][]queuedOp, m.Shards())
-	a.win = make([]shardWin, m.Shards())
-	a.load = make([]int, m.Shards())
-	a.qOut = make([][]queryEntry, m.Shards())
-	a.sOut = make([][]storeEntry, m.Shards())
+	if cfg.FastReads {
+		c.confClient = make([]Timestamp, m.Keys())
+	}
 	winCap := cfg.window()
 	if cfg.AdaptiveWindow {
-		winCap = a.maxWin
+		winCap = c.maxWin
 	}
-	a.pend = make([]storeOp, 0, min(winCap*m.Shards(), len(script)))
+	c.pend = make([]storeOp, 0, min(winCap*m.Shards(), len(script)))
 	// One counting pass by shard: load counts each shard's ops, then holds
 	// the offset where the shard's next op goes (restart zeroes it).
 	for _, op := range script {
-		a.load[m.Shard(op.Key)]++
+		c.load[m.Shard(op.Key)]++
 	}
 	next := 0
-	for sh, ops := range a.load {
-		a.load[sh] = next
+	for sh, ops := range c.load {
+		c.load[sh] = next
 		next += ops
 		if ops == 0 {
 			continue // untouched: no accumulators
@@ -617,22 +628,23 @@ func (a *StoreNode) buildClient(script []KeyedOp) {
 		if cfg.Retransmit {
 			outCap *= 2
 		}
-		a.qOut[sh] = make([]queryEntry, 0, outCap)
-		a.sOut[sh] = make([]storeEntry, 0, outCap)
+		c.qOut[sh] = make([]queryEntry, 0, outCap)
+		c.sOut[sh] = make([]storeEntry, 0, outCap)
 	}
 	// Open-loop arrival schedule: the cumulative jittered (or fixed) gaps
 	// over the script, assigned in script order so per-shard FIFO queues
 	// stay arrival-ordered. Closed loop leaves every arrival 0.
-	a.script = make([]queuedOp, len(script))
+	c.script = make([]queuedOp, len(script))
 	arr := int64(0)
 	for idx, op := range script {
 		if cfg.OpenLoop && idx > 0 {
-			arr += cfg.arrivalGapAt(a.self, idx)
+			arr += cfg.arrivalGapAt(self, idx)
 		}
 		sh := m.Shard(op.Key)
-		a.script[a.load[sh]] = queuedOp{op: op, arrival: arr}
-		a.load[sh]++
+		c.script[c.load[sh]] = queuedOp{op: op, arrival: arr}
+		c.load[sh]++
 	}
+	return c
 }
 
 // Rewind implements sim.Rewinder: it keeps the node's wiring and buffers,
@@ -642,29 +654,33 @@ func (a *StoreNode) buildClient(script []KeyedOp) {
 func (a *StoreNode) Rewind() {
 	*a = StoreNode{
 		self:        a.self,
-		n:           a.n,
-		client:      a.client,
 		cfg:         a.cfg,
 		shards:      a.shards,
+		owned:       a.owned,
 		ts:          a.ts,
 		val:         a.val,
 		conf:        a.conf,
-		confClient:  a.confClient,
-		script:      a.script,
-		queues:      a.queues,
-		pend:        a.pend[:0],
-		win:         a.win,
-		maxWin:      a.maxWin,
-		stall:       a.stall,
-		load:        a.load,
-		rto0:        a.rto0,
-		maxRTO:      a.maxRTO,
-		qOut:        a.qOut,
-		sOut:        a.sOut,
+		storeClient: a.storeClient,
 		pool:        a.pool,
 		outFrame:    a.outFrame,
 		outDsts:     a.outDsts,
 		noWriteBack: a.noWriteBack,
+	}
+	if c := a.storeClient; c != nil {
+		*c = storeClient{
+			confClient: c.confClient,
+			script:     c.script,
+			queues:     c.queues,
+			pend:       c.pend[:0],
+			win:        c.win,
+			maxWin:     c.maxWin,
+			stall:      c.stall,
+			load:       c.load,
+			rto0:       c.rto0,
+			maxRTO:     c.maxRTO,
+			qOut:       c.qOut,
+			sOut:       c.sOut,
+		}
 	}
 	a.restart()
 }
@@ -673,47 +689,31 @@ func (a *StoreNode) Rewind() {
 // state on every owned shard, the full script queued, every window at its
 // start value. Construction and Rewind both end with it.
 func (a *StoreNode) restart() {
-	for sh := range a.ts {
-		if !a.shards.Owns(a.self, sh) {
-			continue
-		}
-		k := a.shards.KeysIn(sh)
-		a.ts[sh] = zeroed(a.ts[sh], k)
-		a.val[sh] = zeroed(a.val[sh], k)
-		if a.conf != nil {
-			a.conf[sh] = zeroed(a.conf[sh], k)
-		}
-	}
-	if !a.client {
+	a.held = a.owned
+	clear(a.ts)
+	clear(a.val)
+	clear(a.conf)
+	c := a.storeClient
+	if c == nil {
 		return
 	}
-	clear(a.confClient)
-	clear(a.load)
-	clear(a.queues)
-	for lo := 0; lo < len(a.script); {
-		sh := a.shards.Shard(a.script[lo].op.Key)
+	clear(c.confClient)
+	clear(c.load)
+	clear(c.queues)
+	for lo := 0; lo < len(c.script); {
+		sh := a.shards.Shard(c.script[lo].op.Key)
 		hi := lo + 1
-		for hi < len(a.script) && a.shards.Shard(a.script[hi].op.Key) == sh {
+		for hi < len(c.script) && a.shards.Shard(c.script[hi].op.Key) == sh {
 			hi++
 		}
-		a.queues[sh] = a.script[lo:hi:hi]
-		a.busy = a.busy.Add(sh)
+		c.queues[sh] = c.script[lo:hi:hi]
+		c.busy = c.busy.Add(sh)
 		lo = hi
 	}
-	a.scriptLen = len(a.script)
-	for sh := range a.win {
-		a.win[sh] = shardWin{cur: a.cfg.window()}
+	c.scriptLen = len(c.script)
+	for sh := range c.win {
+		c.win[sh] = shardWin{cur: a.cfg.window()}
 	}
-}
-
-// zeroed returns s cleared, or a new zero slice of length n when s is nil
-// (Recover nils a replica's state).
-func zeroed[T any](s []T, n int) []T {
-	if s == nil {
-		return make([]T, n)
-	}
-	clear(s)
-	return s
 }
 
 // StoreProgram builds a sim.Program running a StoreNode at every process of
@@ -729,6 +729,16 @@ func zeroed[T any](s []T, n int) []T {
 // safe for concurrent use by multiple runners — build one Program per
 // worker (StoreSweep does).
 func StoreProgram(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) (sim.Program, error) {
+	m, err := validateStore(n, s, cfg, scripts)
+	if err != nil {
+		return nil, err
+	}
+	return storeProgram(n, s, &cfg, m, scripts), nil
+}
+
+// validateStore is StoreProgram's construction-time validation. It returns
+// the shard map the store runs on.
+func validateStore(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) (*ShardMap, error) {
 	m, err := cfg.ShardMap(n) // the full construction-time validation
 	if err != nil {
 		return nil, err
@@ -750,6 +760,13 @@ func StoreProgram(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) (
 			}
 		}
 	}
+	return m, nil
+}
+
+// storeProgram builds the program of validated inputs (see validateStore):
+// every node reads the one cfg and shard map, which the caller must not
+// change afterwards, and the nodes share a fresh payload pool.
+func storeProgram(n int, s dist.ProcSet, cfg *StoreConfig, m *ShardMap, scripts [][]KeyedOp) sim.Program {
 	pool := &framePool{}
 	return func(p dist.ProcID, _ int) sim.Automaton {
 		var script []KeyedOp
@@ -757,74 +774,92 @@ func StoreProgram(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) (
 			script = scripts[p-1]
 		}
 		return newStoreNode(p, n, s, cfg, m, script, pool)
-	}, nil
+	}
+}
+
+// noClient stands in for the client half of a pure replica in the
+// accessors: every counter zero, every histogram empty, no busy shard. It
+// is shared, so callers must only read what the accessors return.
+var noClient storeClient
+
+// client returns the node's client half, or noClient at a pure replica.
+func (a *StoreNode) client() *storeClient {
+	if a.storeClient == nil {
+		return &noClient
+	}
+	return a.storeClient
 }
 
 // Done reports whether the node's script has fully executed and no
-// operation is outstanding on any shard.
-func (a *StoreNode) Done() bool { return a.busy.IsEmpty() }
+// operation is outstanding on any shard. A pure replica is always done.
+func (a *StoreNode) Done() bool { return a.client().busy.IsEmpty() }
 
 // DoneOn reports whether the node has finished all work destined to the
 // shards of the avail set: nothing queued for and nothing outstanding on
 // an available shard. Operations routed to unavailable shards (a fully
 // crashed replica group) can never complete and are excluded — a crash only
 // degrades its own shard.
-func (a *StoreNode) DoneOn(avail ShardSet) bool { return !a.busy.Intersects(avail) }
+func (a *StoreNode) DoneOn(avail ShardSet) bool { return !a.client().busy.Intersects(avail) }
 
 // CompletedOps returns the number of client operations this node completed.
-func (a *StoreNode) CompletedOps() int { return a.completed }
+func (a *StoreNode) CompletedOps() int { return a.client().completed }
 
 // Retransmits returns the number of phase re-sends this client performed
 // (zero without StoreConfig.Retransmit, and zero on failure-free runs —
 // retransmission is pay-only-on-fault).
-func (a *StoreNode) Retransmits() int64 { return a.retransmits }
+func (a *StoreNode) Retransmits() int64 { return a.client().retransmits }
 
 // ScriptedOps returns the length of the node's client script.
-func (a *StoreNode) ScriptedOps() int { return a.scriptLen }
+func (a *StoreNode) ScriptedOps() int { return a.client().scriptLen }
 
 // LatencyHist exposes the node's per-op latency observations in its own
 // client steps: one observation per completed op, measured from the op's
 // start (closed loop) or scripted arrival (open loop — queueing included).
 // Sweeps merge these exactly, so aggregated percentiles are bit-identical
-// across worker counts.
-func (a *StoreNode) LatencyHist() *sweep.Hist { return &a.lat }
+// across worker counts. A pure replica returns a shared empty histogram,
+// which callers must not modify.
+func (a *StoreNode) LatencyHist() *sweep.Hist { return &a.client().lat }
 
 // CleanLatencyHist and FaultedLatencyHist split the per-op latency
 // observations by fault exposure: an op that paid at least one
 // retransmission (which subsumes parking behind a partition — parked ops
 // keep retransmitting) lands in the faulted histogram, every other op in
 // the clean one. Together they partition LatencyHist exactly.
-func (a *StoreNode) CleanLatencyHist() *sweep.Hist   { return &a.latClean }
-func (a *StoreNode) FaultedLatencyHist() *sweep.Hist { return &a.latFaulted }
+func (a *StoreNode) CleanLatencyHist() *sweep.Hist   { return &a.client().latClean }
+func (a *StoreNode) FaultedLatencyHist() *sweep.Hist { return &a.client().latFaulted }
 
 // FastReads returns the number of reads this client completed in one phase
 // with the write-back elided; ReadFallbacks the reads that fell back to the
 // full two-phase protocol despite StoreConfig.FastReads. Both are zero with
 // the feature off.
-func (a *StoreNode) FastReads() int64     { return a.fastReads }
-func (a *StoreNode) ReadFallbacks() int64 { return a.fallbacks }
+func (a *StoreNode) FastReads() int64     { return a.client().fastReads }
+func (a *StoreNode) ReadFallbacks() int64 { return a.client().fallbacks }
 
 // Shards returns the shard map the node routes by.
 func (a *StoreNode) Shards() *ShardMap { return a.shards }
 
 // WindowOf returns the node's current pipelining window toward one shard:
 // the configured fixed window, or the adaptive controller's current value.
-func (a *StoreNode) WindowOf(sh int) int { return a.winFor(sh) }
+// A pure replica has no window and returns 0.
+func (a *StoreNode) WindowOf(sh int) int {
+	if a.storeClient == nil {
+		return 0
+	}
+	return a.winFor(sh)
+}
 
 // ReplicaStateBytes returns the bytes of per-key replica state this node
-// allocates — the E19 metric: with the key space fixed, sharding shrinks it
-// by the shard count, because a process only replicates its own shards.
-// FastReads adds the per-key confirmed timestamp only when enabled.
+// holds — the E19 metric: with the key space fixed, sharding shrinks it by
+// the shard count, because a process only replicates its own shards.
+// FastReads adds the per-key confirmed timestamp only when enabled. Right
+// after Recover it is 0, and it regrows shard by shard as the protocol
+// touches them.
 func (a *StoreNode) ReplicaStateBytes() int {
-	const perKey = int(unsafe.Sizeof(Timestamp{}) + unsafe.Sizeof(Value(0)))
-	total := 0
-	for sh := range a.ts {
-		total += len(a.ts[sh]) * perKey
+	perKey := int(unsafe.Sizeof(Timestamp{}) + unsafe.Sizeof(Value(0)))
+	if a.conf != nil {
+		perKey += int(unsafe.Sizeof(Timestamp{}))
 	}
-	for sh := range a.conf {
-		total += len(a.conf[sh]) * int(unsafe.Sizeof(Timestamp{}))
-	}
-	return total
+	return perKey * a.shards.offset(a.held, a.shards.Shards())
 }
 
 // Quiescent implements sim.Quiescent: a node that is not an active client —
@@ -832,58 +867,56 @@ func (a *StoreNode) ReplicaStateBytes() int {
 // only on deliveries. Its null step skips the client half, and flush, which
 // leaves every per-step accumulator empty at the end of each step, has
 // nothing to send.
-func (a *StoreNode) Quiescent() bool { return !a.client || a.busy.IsEmpty() }
+func (a *StoreNode) Quiescent() bool { return a.Done() }
 
 // Recover implements sim.Recoverable: the runner calls it on the
 // post-recovery instance, rewound to its constructed state, which must shed
-// everything that was volatile in the crashed process. Replica data is nilled (not zeroed in place) so it is
-// visibly gone — ReplicaStateBytes drops to 0 — and repopulated exclusively
-// through the protocol: locate re-allocates a shard's slices on first touch
-// by an incoming store/write-back, and the zero timestamps a rejoined
-// replica then answers with can only lose max-merges at clients, never
-// fake a confirmation (conf = 0 ≤ ts keeps the CTS invariant). The client
-// script dies with the process: its pending ops were volatile, and
-// replaying them would re-issue writes whose values may already be applied.
-// The recovered process rejoins as a replica-only learner.
+// everything that was volatile in the crashed process. Replica data is
+// zeroed in place and every shard leaves held, so it is visibly gone —
+// ReplicaStateBytes drops to 0 — and repopulated exclusively through the
+// protocol: locate returns a shard to held on its first touch by an
+// incoming store/write-back, and the zero timestamps a rejoined replica
+// then answers with can only lose max-merges at clients, never fake a
+// confirmation (conf = 0 ≤ ts keeps the CTS invariant). The client script
+// dies with the process: its pending ops were volatile, and replaying them
+// would re-issue writes whose values may already be applied. The recovered
+// process rejoins as a replica-only learner.
 func (a *StoreNode) Recover() {
-	for sh := range a.ts {
-		a.ts[sh] = nil
-		a.val[sh] = nil
+	a.held = ShardSet{}
+	clear(a.ts)
+	clear(a.val)
+	clear(a.conf)
+	c := a.storeClient
+	if c == nil {
+		return
 	}
-	for sh := range a.conf {
-		a.conf[sh] = nil
-	}
-	for sh := range a.queues {
-		a.queues[sh] = a.queues[sh][:0]
-		if a.load[sh] == 0 {
-			a.busy = a.busy.Remove(sh)
+	for sh := range c.queues {
+		c.queues[sh] = c.queues[sh][:0]
+		if c.load[sh] == 0 {
+			c.busy = c.busy.Remove(sh)
 		}
 	}
-	a.scriptLen = 0
+	c.scriptLen = 0
 }
 
-// locate resolves a key to its shard and local replica index at this node;
-// ok is false for keys out of range or shards this node does not replicate.
-// An owned shard whose slices are nil marks a recovered replica: its state
-// is lazily re-allocated (zero timestamps, zero values) on the first
-// protocol touch, so repopulation costs a one-time transient and then rides
-// the normal write-back/phase-2 paths allocation-free.
-func (a *StoreNode) locate(key int) (sh, loc int, ok bool) {
-	if key < 0 || key >= a.shards.Keys() {
-		return 0, 0, false
+// locate resolves a key to its index in the node's flat replica state; ok
+// is false for keys out of range or shards this node does not replicate.
+// The touch returns a recovered shard to held: its state was zeroed by
+// Recover (zero timestamps, zero values), and from here on it rides the
+// normal write-back/phase-2 paths.
+func (a *StoreNode) locate(key int) (i int, ok bool) {
+	m := a.shards
+	if key < 0 || key >= m.Keys() {
+		return 0, false
 	}
-	sh = a.shards.Shard(key)
-	if a.ts[sh] == nil {
-		if !a.shards.Owns(a.self, sh) {
-			return 0, 0, false
-		}
-		a.ts[sh] = make([]Timestamp, a.shards.KeysIn(sh))
-		a.val[sh] = make([]Value, a.shards.KeysIn(sh))
-		if a.cfg.FastReads && a.conf[sh] == nil {
-			a.conf[sh] = make([]Timestamp, a.shards.KeysIn(sh))
-		}
+	sh := m.Shard(key)
+	if !a.owned.Has(sh) {
+		return 0, false
 	}
-	return sh, a.shards.Local(key), true
+	if !a.held.Has(sh) {
+		a.held = a.held.Add(sh)
+	}
+	return m.offset(a.owned, sh) + m.Local(key), true
 }
 
 // Step implements sim.Automaton.
@@ -891,7 +924,7 @@ func (a *StoreNode) Step(e *sim.Env) {
 	if payload, from, ok := e.Delivered(); ok {
 		a.onMessage(e, payload, from)
 	}
-	if a.client && !a.Done() {
+	if !a.Done() {
 		a.steps++
 		a.doneMask = ShardSet{}
 		a.advance(e)
@@ -912,8 +945,10 @@ func (a *StoreNode) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 	}
 	a.serveQueries(f.Q, from)
 	a.serveStores(f.S, from)
-	a.absorbQueryReps(f.QR, from)
-	a.absorbStoreReps(f.SR, from)
+	if a.storeClient != nil { // replies only ever reach clients
+		a.absorbQueryReps(f.QR, from)
+		a.absorbStoreReps(f.SR, from)
+	}
 	if !a.cfg.Piggyback {
 		a.sendReply(e) // rule 1: replies go out before the client's requests
 	}
@@ -929,9 +964,9 @@ func (a *StoreNode) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 // the delivery's reply frame.
 func (a *StoreNode) serveQueries(entries []queryEntry, from dist.ProcID) {
 	for _, q := range entries {
-		if sh, loc, ok := a.locate(q.Key); ok { // else misrouted: not this node's shard
+		if i, ok := a.locate(q.Key); ok { // else misrouted: not this node's shard
 			f := a.replyFrame(from)
-			f.QR = append(f.QR, a.answerQuery(q, sh, loc))
+			f.QR = append(f.QR, a.answerQuery(q, i))
 		}
 	}
 }
@@ -942,13 +977,13 @@ func (a *StoreNode) serveQueries(entries []queryEntry, from dist.ProcID) {
 // may only be adopted by a replica that actually stores (at least) that
 // write, which is what keeps the conf ≤ ts invariant — and with it the
 // elision rule's safety — intact under any delivery order.
-func (a *StoreNode) answerQuery(q queryEntry, sh, loc int) queryRepEntry {
-	rep := queryRepEntry{Key: q.Key, RID: q.RID, TS: a.ts[sh][loc], V: a.val[sh][loc]}
+func (a *StoreNode) answerQuery(q queryEntry, i int) queryRepEntry {
+	rep := queryRepEntry{Key: q.Key, RID: q.RID, TS: a.ts[i], V: a.val[i]}
 	if a.cfg.FastReads {
-		if a.conf[sh][loc].Less(q.CTS) && !a.ts[sh][loc].Less(q.CTS) {
-			a.conf[sh][loc] = q.CTS
+		if a.conf[i].Less(q.CTS) && !a.ts[i].Less(q.CTS) {
+			a.conf[i] = q.CTS
 		}
-		rep.CTS = a.conf[sh][loc]
+		rep.CTS = a.conf[i]
 	}
 	return rep
 }
@@ -957,9 +992,9 @@ func (a *StoreNode) answerQuery(q queryEntry, sh, loc int) queryRepEntry {
 // acknowledges them into the delivery's reply frame.
 func (a *StoreNode) serveStores(entries []storeEntry, from dist.ProcID) {
 	for _, s := range entries {
-		if sh, loc, ok := a.locate(s.Key); ok {
-			if a.ts[sh][loc].Less(s.TS) {
-				a.ts[sh][loc], a.val[sh][loc] = s.TS, s.V
+		if i, ok := a.locate(s.Key); ok {
+			if a.ts[i].Less(s.TS) {
+				a.ts[i], a.val[i] = s.TS, s.V
 			}
 			f := a.replyFrame(from)
 			f.SR = append(f.SR, storeRepEntry{Key: s.Key, RID: s.RID})
@@ -1199,11 +1234,11 @@ func (a *StoreNode) advance(e *sim.Env) {
 			op.best, op.bestVal = st, v
 			op.lastSend = a.steps
 			op.rto = a.rto0
-			if sh, loc, owned := a.locate(op.key); owned {
+			if i, owned := a.locate(op.key); owned {
 				// The local replica stores and answers immediately.
 				op.acks = dist.NewProcSet(a.self)
-				if a.ts[sh][loc].Less(st) {
-					a.ts[sh][loc], a.val[sh][loc] = st, v
+				if a.ts[i].Less(st) {
+					a.ts[i], a.val[i] = st, v
 				}
 			}
 			a.sOut[op.shard] = append(a.sOut[op.shard], storeEntry{Key: op.key, RID: op.rid, TS: st, V: v})
@@ -1264,9 +1299,9 @@ func (a *StoreNode) noteConfirmed(key int, ts Timestamp) {
 	if a.confClient[key].Less(ts) {
 		a.confClient[key] = ts
 	}
-	if sh, loc, owned := a.locate(key); owned {
-		if a.conf[sh][loc].Less(ts) && !a.ts[sh][loc].Less(ts) {
-			a.conf[sh][loc] = ts
+	if i, owned := a.locate(key); owned {
+		if a.conf[i].Less(ts) && !a.ts[i].Less(ts) {
+			a.conf[i] = ts
 		}
 	}
 }
@@ -1313,14 +1348,14 @@ func (a *StoreNode) start(e *sim.Env) {
 				rto:      a.rto0,
 				invoke:   invoke,
 			}
-			if s, loc, owned := a.locate(op.Key); owned {
+			if i, owned := a.locate(op.Key); owned {
 				pend.acks = dist.NewProcSet(a.self)
-				pend.best, pend.bestVal = a.ts[s][loc], a.val[s][loc]
+				pend.best, pend.bestVal = a.ts[i], a.val[i]
 				if a.cfg.FastReads {
 					// The local self-answer is the op's first credited
 					// reply; it carries the local confirmed ts.
 					pend.sawReply = true
-					pend.bestConf = a.conf[s][loc]
+					pend.bestConf = a.conf[i]
 				}
 			}
 			a.pend = append(a.pend, pend)
@@ -1343,15 +1378,17 @@ func (a *StoreNode) start(e *sim.Env) {
 // processes outside the group. Shards flush in increasing order, the dirty
 // ones only.
 func (a *StoreNode) flush(e *sim.Env) {
-	a.dirty.ForEach(func(sh int) {
-		if len(a.qOut[sh]) > 0 {
-			flushRequests(a, e, sh, &a.qOut[sh], querySection)
-		}
-		if len(a.sOut[sh]) > 0 {
-			flushRequests(a, e, sh, &a.sOut[sh], storeSection)
-		}
-	})
-	a.dirty = ShardSet{}
+	if a.storeClient != nil {
+		a.dirty.ForEach(func(sh int) {
+			if len(a.qOut[sh]) > 0 {
+				flushRequests(a, e, sh, &a.qOut[sh], querySection)
+			}
+			if len(a.sOut[sh]) > 0 {
+				flushRequests(a, e, sh, &a.sOut[sh], storeSection)
+			}
+		})
+		a.dirty = ShardSet{}
+	}
 	if r := a.rep; r != nil {
 		// Piggybacking: the step's replies join the reply destination's
 		// frame, touched after every request frame.

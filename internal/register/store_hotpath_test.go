@@ -197,8 +197,8 @@ func TestStoreAllocsPerStep(t *testing.T) {
 // node's own script: a 4-op client on 16 shards gets room for 4 pending ops,
 // not a window on every shard, and queues and request accumulators only on
 // the shards its script touches, each at most a window (doubled for
-// retransmission) and at most the ops routed there. A pure replica gets
-// none of them, not even the per-shard outer slices.
+// retransmission) and at most the ops routed there. A pure replica gets no
+// client half at all.
 func TestStoreClientBuffersSizedByScript(t *testing.T) {
 	cfg := StoreConfig{
 		Keys: 64, Shards: 16, Window: 2,
@@ -215,7 +215,7 @@ func TestStoreClientBuffersSizedByScript(t *testing.T) {
 		{Key: 0, Kind: ReadOp}, {Key: 5, Kind: WriteOp, Arg: 2},
 	}
 	ops := map[int]int{0: 3, 5: 1}
-	client := newStoreNode(1, 128, dist.NewProcSet(1), cfg, m, script, &framePool{})
+	client := newStoreNode(1, 128, dist.NewProcSet(1), &cfg, m, script, &framePool{})
 	if got := cap(client.pend); got != len(script) {
 		t.Fatalf("cap(pend) = %d, want the script's %d ops", got, len(script))
 	}
@@ -232,13 +232,9 @@ func TestStoreClientBuffersSizedByScript(t *testing.T) {
 			t.Fatalf("untouched shard %d holds client buffers", sh)
 		}
 	}
-	replica := newStoreNode(2, 128, dist.NewProcSet(1), cfg, m, nil, &framePool{})
-	if replica.pend != nil {
-		t.Fatalf("a replica holds a pending-op buffer of capacity %d", cap(replica.pend))
-	}
-	if replica.script != nil || replica.queues != nil || replica.qOut != nil || replica.sOut != nil ||
-		replica.win != nil || replica.load != nil || replica.confClient != nil {
-		t.Fatal("a pure replica holds per-shard client buffers")
+	replica := newStoreNode(2, 128, dist.NewProcSet(1), &cfg, m, nil, &framePool{})
+	if replica.storeClient != nil {
+		t.Fatal("a pure replica holds a client half")
 	}
 }
 
@@ -318,7 +314,7 @@ func TestAdaptiveControllerEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newStoreNode(1, 4, dist.NewProcSet(1), cfg, m, nil, &framePool{})
+	a := newStoreNode(1, 4, dist.NewProcSet(1), &cfg, m, nil, &framePool{})
 	if got := a.WindowOf(0); got != 4 {
 		t.Fatalf("controller starts at %d, want the configured Window 4", got)
 	}

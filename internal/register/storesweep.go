@@ -110,6 +110,7 @@ func (cfg StoreSweepConfig) SimConfig() (sim.Config, error) {
 // storeRun is a validated StoreSweepConfig plus what all of its runs share.
 type storeRun struct {
 	cfg      StoreSweepConfig
+	shards   *ShardMap        // read by every runner's nodes
 	sigma    *fd.SigmaSOracle // read by every runner
 	maxSteps int64
 	correct  dist.ProcSet
@@ -128,13 +129,11 @@ func (cfg StoreSweepConfig) validate() (*storeRun, error) {
 		return nil, fmt.Errorf("register: StoreSweepConfig.StallLimit %d is negative", cfg.StallLimit)
 	}
 	n := cfg.Pattern.N()
-	// Construction-time validation; simConfig rebuilds the (then valid)
-	// program per runner, because a StoreProgram's nodes share a payload
-	// pool and must not be instantiated by concurrent runners.
-	if _, err := StoreProgram(n, cfg.S, cfg.Store, cfg.Scripts); err != nil {
-		return nil, err
-	}
-	shardMap, err := cfg.Store.ShardMap(n) // valid: StoreProgram validated cfg.Store
+	// StoreProgram's construction-time validation, once; simConfig builds
+	// a program per runner on the shard map it returns, because a store
+	// program's nodes share a payload pool and must not be instantiated by
+	// concurrent runners.
+	shardMap, err := validateStore(n, cfg.S, cfg.Store, cfg.Scripts)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +149,7 @@ func (cfg StoreSweepConfig) validate() (*storeRun, error) {
 	if stab <= 0 {
 		stab = 20
 	}
-	run := &storeRun{cfg: cfg, sigma: fd.NewSigmaS(cfg.Pattern, cfg.S, stab), maxSteps: cfg.EffectiveMaxSteps()}
+	run := &storeRun{cfg: cfg, shards: shardMap, sigma: fd.NewSigmaS(cfg.Pattern, cfg.S, stab), maxSteps: cfg.maxSteps(shardMap)}
 	run.correct = cfg.Pattern.Correct()
 	run.clients = cfg.S.Intersect(run.correct)
 	if run.clients.IsEmpty() {
@@ -188,17 +187,14 @@ func (cfg StoreSweepConfig) validate() (*storeRun, error) {
 
 // simConfig builds one runner's configuration. The state is per runner: a
 // store program's nodes share one payload pool, and the stop cursor
-// remembers how far the current run has finished. The Σ_S oracle is shared.
+// remembers how far the current run has finished. The Σ_S oracle, the
+// store config and the shard map are shared.
 func (r *storeRun) simConfig() sim.Config {
-	cfg := r.cfg
-	prog, err := StoreProgram(cfg.Pattern.N(), cfg.S, cfg.Store, cfg.Scripts)
-	if err != nil {
-		panic(err) // unreachable: validate built it from identical inputs
-	}
+	cfg := &r.cfg
 	return sim.Config{
 		Pattern:      cfg.Pattern,
 		History:      r.sigma,
-		Program:      prog,
+		Program:      storeProgram(cfg.Pattern.N(), cfg.S, &cfg.Store, r.shards, cfg.Scripts),
 		MaxSteps:     r.maxSteps,
 		StopWhen:     newStoreStopCursor(r.clients, r.avail, r.masks).done,
 		Faults:       cfg.Faults,
@@ -213,6 +209,16 @@ func (r *storeRun) simConfig() sim.Config {
 // finite partition heal (a healed partition only delays; the budget must
 // leave room for parked operations to drain after it).
 func (cfg StoreSweepConfig) EffectiveMaxSteps() int64 {
+	var m *ShardMap
+	if cfg.Pattern != nil {
+		m, _ = cfg.Store.ShardMap(cfg.Pattern.N()) // nil when invalid: validation reports that
+	}
+	return cfg.maxSteps(m)
+}
+
+// maxSteps is EffectiveMaxSteps on the store's shard map m (nil when the
+// configuration is invalid).
+func (cfg StoreSweepConfig) maxSteps(m *ShardMap) int64 {
 	if cfg.MaxSteps > 0 {
 		return cfg.MaxSteps
 	}
@@ -222,7 +228,7 @@ func (cfg StoreSweepConfig) EffectiveMaxSteps() int64 {
 	// grow with g². Groups of up to 64 members keep the flat budget; a
 	// larger group scales it by g²/2048 = 2·(g/64)², which leaves more
 	// than 2× headroom over the ticks measured at g = 100, 128 and 256.
-	if g := cfg.largestGroup(); g > 64 {
+	if g := largestGroup(m); g > 64 {
 		ms = ms * int64(g*g) / 2048
 	}
 	if cfg.Faults != nil {
@@ -235,15 +241,10 @@ func (cfg StoreSweepConfig) EffectiveMaxSteps() int64 {
 	return ms
 }
 
-// largestGroup returns the member count of the largest replica group the
-// store builds, or 0 when the configuration is invalid (validation reports
-// that).
-func (cfg StoreSweepConfig) largestGroup() int {
-	if cfg.Pattern == nil {
-		return 0
-	}
-	m, err := cfg.Store.ShardMap(cfg.Pattern.N())
-	if err != nil {
+// largestGroup returns the member count of m's largest replica group, or 0
+// for a nil map.
+func largestGroup(m *ShardMap) int {
+	if m == nil {
 		return 0
 	}
 	g := 0
@@ -343,7 +344,7 @@ func (c *storeStopCursor) done(sn *sim.Snapshot) bool {
 func VerifyStoreRunReach(res *sim.Result, correct dist.ProcSet, masks []ShardSet) error {
 	for _, a := range res.Automata {
 		node, ok := a.(*StoreNode)
-		if !ok || !node.client || !correct.Contains(node.self) {
+		if !ok || node.storeClient == nil || !correct.Contains(node.self) {
 			continue
 		}
 		avail := node.shards.Available(correct)

@@ -363,7 +363,7 @@ func (w *xworker) branch(s *xstate, depth int, p dist.ProcID, msgIdx int) {
 		m := q[msgIdx]
 		q[msgIdx] = q[len(q)-1] // queues are multisets; order-free removal
 		c.queues[p] = q[:len(q)-1]
-		w.delivered = Message{From: m.from, To: p, Layer: m.layer, Payload: m.payload, Sent: c.t}
+		w.delivered = Message{Sent: c.t, Payload: m.payload, From: m.from, To: p, Layer: m.layer}
 		delivered = &w.delivered
 	}
 

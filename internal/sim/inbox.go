@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/dist"
+import (
+	"math"
+
+	"repro/internal/dist"
+)
 
 // inbox is a process's queue of in-transit messages, laid out for the
 // runner's hot path: messages are stored by value in one growable buffer, so
@@ -24,11 +28,22 @@ type inbox struct {
 	readyUntil dist.Time
 }
 
+// inboxEntry is one queued message and the earliest time it may be
+// delivered (fault-injected extra delay). An entry delivered out of order
+// keeps its slot until the head cursor passes it, marked by the goneAt
+// sentinel in notBefore — no flag word, so an entry is a Message plus one
+// Time (48 B on 64-bit targets).
 type inboxEntry struct {
 	msg       Message
-	notBefore dist.Time // earliest delivery time (fault-injected extra delay)
-	gone      bool      // delivered out of order; slot awaits the head cursor
+	notBefore dist.Time
 }
+
+// goneAt is the notBefore of a tombstoned entry. It lies after every tick a
+// run reaches, so a tombstone is never deliverable either.
+const goneAt = dist.Time(math.MaxInt64)
+
+// gone reports whether the entry is a tombstone.
+func (e *inboxEntry) gone() bool { return e.notBefore == goneAt }
 
 // push appends a message to the queue, deliverable no earlier than notBefore.
 func (q *inbox) push(m Message, notBefore dist.Time) {
@@ -54,7 +69,7 @@ func (q *inbox) reset() {
 func (q *inbox) wipe(owned bool) {
 	if owned {
 		for i := q.head; i < len(q.buf); i++ {
-			if e := &q.buf[i]; !e.gone {
+			if e := &q.buf[i]; !e.gone() {
 				if rc, ok := e.msg.Payload.(RefCounted); ok {
 					rc.DropRef()
 				}
@@ -71,7 +86,7 @@ func (q *inbox) wipe(owned bool) {
 // O(backlog) instead of O(messages ever received). Every compaction drops
 // more than half the window, so deliveries stay amortized O(1).
 func (q *inbox) skipGone() {
-	for q.head < len(q.buf) && q.buf[q.head].gone {
+	for q.head < len(q.buf) && q.buf[q.head].gone() {
 		q.head++
 	}
 	if q.head == len(q.buf) {
@@ -82,7 +97,7 @@ func (q *inbox) skipGone() {
 	if dead := len(q.buf) - q.head - q.live; dead > 32 && dead > q.live {
 		w := 0
 		for i := q.head; i < len(q.buf); i++ {
-			if !q.buf[i].gone {
+			if !q.buf[i].gone() {
 				q.buf[w] = q.buf[i]
 				w++
 			}
@@ -105,7 +120,7 @@ func (q *inbox) take(i int) Message {
 	if i == q.head {
 		q.head++
 	} else {
-		q.buf[i].gone = true
+		q.buf[i].notBefore = goneAt
 	}
 	q.live--
 	q.skipGone()

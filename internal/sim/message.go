@@ -15,13 +15,17 @@ type Layer int8
 // Message is an immutable envelope in transit on the reliable channels.
 // Payloads are treated as immutable values: automata must not retain and
 // mutate a payload after sending it.
+//
+// Fields are ordered widest first, so the small ones share one word and a
+// Message carries no interior padding (40 B on 64-bit targets); every
+// composite literal names its fields.
 type Message struct {
 	Seq     int64 // globally unique, increasing in send order
+	Sent    dist.Time
+	Payload any
 	From    dist.ProcID
 	To      dist.ProcID
-	Sent    dist.Time
 	Layer   Layer
-	Payload any
 }
 
 // String renders the message for logs and test failures.

@@ -585,7 +585,7 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 	for _, sr := range e.sends {
 		r.seq++
 		r.sent++
-		m := Message{Seq: r.seq, From: p, To: sr.to, Sent: t, Layer: sr.layer, Payload: sr.payload}
+		m := Message{Seq: r.seq, Sent: t, Payload: sr.payload, From: p, To: sr.to, Layer: sr.layer}
 		if r.tr != nil {
 			r.tr.Append(trace.Event{T: t, P: p, Kind: trace.SendKind, To: sr.to, Layer: int8(sr.layer), Seq: m.Seq, Payload: sr.payload})
 		}
@@ -741,7 +741,7 @@ func (r *Runner) scanPending(q *inbox, t dist.Time) int {
 	cnt := 0
 	for i := q.head; i < len(q.buf); i++ {
 		e := &q.buf[i]
-		if !e.gone && r.deliverable(e, t) {
+		if !e.gone() && r.deliverable(e, t) {
 			cnt++
 		}
 	}
@@ -761,7 +761,7 @@ func (r *Runner) recount(q *inbox, t dist.Time) {
 	for i := q.head; i < len(q.buf); i++ {
 		e := &q.buf[i]
 		switch {
-		case e.gone:
+		case e.gone():
 		case e.notBefore > t:
 			q.readyUntil = min(q.readyUntil, e.notBefore)
 		case !cut || !r.cfg.Faults.Blocked(e.msg.From, e.msg.To, t):
@@ -797,7 +797,7 @@ func (r *Runner) pickMessage(p dist.ProcID, t dist.Time, c Choice) *Message {
 	q := &r.inboxes[p]
 	for i := q.head; i < len(q.buf); i++ {
 		e := &q.buf[i]
-		if e.gone || !r.deliverable(e, t) {
+		if e.gone() || !r.deliverable(e, t) {
 			continue
 		}
 		if c.Mode == DeliverMatch && (c.Match == nil || !c.Match(&e.msg)) {
