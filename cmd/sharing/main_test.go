@@ -217,7 +217,8 @@ func TestPackageCommentListsEverySubcommand(t *testing.T) {
 var timing = regexp.MustCompile(`in \S+ \([^)]* (runs|states)/sec\)`)
 
 // TestSigmaTaskOutputPinned holds the σ-task subcommands (Figure 2, Figure 4
-// and the Fig. 5 ∘ Fig. 4 lattice row) to the output recorded in
+// and the Fig. 5 ∘ Fig. 4 lattice row), with the two counterexamples whose
+// adversary delays messages (tightness, Lemma 15), to the output recorded in
 // testdata/sigma_task_output.golden, with elapsed times and rates masked:
 // every run is seeded, so any change to a schedule, a decision or a
 // verdict shows up as a diff.
@@ -232,6 +233,8 @@ func TestSigmaTaskOutputPinned(t *testing.T) {
 		{"explore", "-fig", "fig2"},
 		{"explore", "-fig", "fig4"},
 		{"counterexample", "tightness"},
+		{"counterexample", "lemma15", "-n", "3"},
+		{"counterexample", "lemma15", "-n", "8"},
 		{"lattice", "-n", "4", "-runs", "2"},
 	} {
 		fmt.Fprintf(&b, "$ sharing %s\n%s", strings.Join(args, " "), captureStdout(t, args...))

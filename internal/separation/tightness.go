@@ -36,20 +36,48 @@ type TightnessConfig struct {
 // impossibility in shared memory [Saks-Zaharoglou, Herlihy-Shavit,
 // Borowsky-Gafni], which is not executable; see DESIGN.md.
 func Tightness(cfg TightnessConfig) (*Certificate, error) {
+	run, task, err := tightnessRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.Run(run)
+	if err != nil {
+		return nil, fmt.Errorf("separation: tightness run: %w", err)
+	}
+	n, k := cfg.N, cfg.K
+	rep := task.Report(res)
+	if !rep.OK() {
+		return nil, fmt.Errorf("separation: tightness run unexpectedly violates (n−k)-set agreement: %s", rep)
+	}
+	if rep.Distinct != n-k {
+		return nil, fmt.Errorf("separation: tightness run decided %d distinct values, expected exactly n−k=%d", rep.Distinct, n-k)
+	}
+	return &Certificate{
+		Lemma:    "Tightness (Thm 13)",
+		Property: "agreement",
+		Detail: fmt.Sprintf("Figure 4 over σ₂ₖ decided exactly n−k=%d distinct values (n=%d, k=%d): the (n−k−1)-set agreement bound is unreachable on this route",
+			n-k, n, k),
+	}, nil
+}
+
+// tightnessRun validates cfg and builds the tightness run: Figure 4 over the
+// one-sided σ₂ₖ history, with the high half of the active set crashed at
+// time 0 and every message into the active set held until the low half
+// decided. It also returns the task whose Report judges the run.
+func tightnessRun(cfg TightnessConfig) (sim.Config, core.TaskConfig, error) {
 	if cfg.N > dist.MaxProcs {
-		return nil, fmt.Errorf("separation: tightness needs n ≤ %d, got %d", dist.MaxProcs, cfg.N)
+		return sim.Config{}, core.TaskConfig{}, fmt.Errorf("separation: tightness needs n ≤ %d, got %d", dist.MaxProcs, cfg.N)
 	}
 	if cfg.K < 1 || 2*cfg.K > cfg.N {
-		return nil, fmt.Errorf("separation: need 1 ≤ k ≤ n/2, got n=%d k=%d", cfg.N, cfg.K)
+		return sim.Config{}, core.TaskConfig{}, fmt.Errorf("separation: need 1 ≤ k ≤ n/2, got n=%d k=%d", cfg.N, cfg.K)
 	}
 	if cfg.N-cfg.K < 2 {
-		return nil, fmt.Errorf("separation: tightness needs n−k ≥ 2, got n=%d k=%d: (n−k−1)-set agreement is then vacuous", cfg.N, cfg.K)
+		return sim.Config{}, core.TaskConfig{}, fmt.Errorf("separation: tightness needs n−k ≥ 2, got n=%d k=%d: (n−k−1)-set agreement is then vacuous", cfg.N, cfg.K)
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 20_000
 	}
-	n, k := cfg.N, cfg.K
-	task := core.TaskConfig{Task: core.TaskFig4, Pattern: dist.NewFailurePattern(n), K: k}
+	task := core.TaskConfig{Task: core.TaskFig4, Pattern: dist.NewFailurePattern(cfg.N), K: cfg.K}
 	f, active := task.Pattern, task.Active()
 	low, high := core.Halves(active)
 	for _, p := range high.Members() {
@@ -57,11 +85,11 @@ func Tightness(cfg TightnessConfig) (*Certificate, error) {
 	}
 	run, err := task.SimConfig()
 	if err != nil {
-		return nil, err
+		return sim.Config{}, core.TaskConfig{}, err
 	}
 	// The adversary: the one-sided history and the delivery filter below.
 	if run.History, err = core.NewSigmaKOracle(f, active, 3, core.SigmaKTrustLow); err != nil {
-		return nil, fmt.Errorf("separation: tightness oracle: %w", err)
+		return sim.Config{}, core.TaskConfig{}, fmt.Errorf("separation: tightness oracle: %w", err)
 	}
 	var decidedLow dist.ProcSet
 	run.Scheduler, run.MaxSteps = sim.NewRandomScheduler(cfg.Seed), cfg.Horizon
@@ -80,21 +108,5 @@ func Tightness(cfg TightnessConfig) (*Certificate, error) {
 		})
 		return false
 	}
-	res, err := sim.Run(run)
-	if err != nil {
-		return nil, fmt.Errorf("separation: tightness run: %w", err)
-	}
-	rep := task.Report(res)
-	if !rep.OK() {
-		return nil, fmt.Errorf("separation: tightness run unexpectedly violates (n−k)-set agreement: %s", rep)
-	}
-	if rep.Distinct != n-k {
-		return nil, fmt.Errorf("separation: tightness run decided %d distinct values, expected exactly n−k=%d", rep.Distinct, n-k)
-	}
-	return &Certificate{
-		Lemma:    "Tightness (Thm 13)",
-		Property: "agreement",
-		Detail: fmt.Sprintf("Figure 4 over σ₂ₖ decided exactly n−k=%d distinct values (n=%d, k=%d): the (n−k−1)-set agreement bound is unreachable on this route",
-			n-k, n, k),
-	}, nil
+	return run, task, nil
 }
