@@ -9,9 +9,9 @@ import "fmt"
 // in neither side, communicate normally.
 //
 // Partitions model the paper's "messages are delayed until ..." adversary as
-// data instead of a DeliveryFilter closure: blocked messages are not lost,
-// they stay queued and become deliverable at heal time, so a healed
-// partition costs latency, never safety.
+// data: blocked messages are not lost, they stay queued and become
+// deliverable at heal time, so a healed partition costs latency, never
+// safety.
 //
 // OneWay makes the cut asymmetric: only messages from a process in A to a
 // process in B are blocked; B→A traffic flows normally. This models

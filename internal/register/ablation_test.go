@@ -80,22 +80,22 @@ func runInversionScenario(t *testing.T, writeBack, fastReads bool) (res *sim.Res
 		script = append(script, sim.Steps(sim.DeliverAuto, 1, 3, 4, 5)...)
 	}
 
+	// Through t = 900 every step passes over two kinds of message from p1:
+	// its store to anyone but p2 (the write stays pending at {1,2} only) and
+	// its query to p2 (p2's inbox stays clean for the store).
+	unheld := func(m *sim.Message) bool {
+		fr := m.Payload.(*storeFrame)
+		return m.From != 1 || (len(fr.S) == 0 || m.To == 2) && (len(fr.Q) == 0 || m.To != 2)
+	}
 	res, err = sim.Run(sim.Config{
-		Pattern:   f,
-		History:   hist,
-		Program:   prog,
-		Scheduler: &sim.ScriptedScheduler{Script: script, Then: sim.NewRandomScheduler(1)},
-		MaxSteps:  5000,
-		DeliveryFilter: func(m *sim.Message, now dist.Time) bool {
-			fr := m.Payload.(*storeFrame)
-			if len(fr.S) > 0 && m.From == 1 && m.To != 2 {
-				return now > 900 // the write stays pending at {1,2} only
-			}
-			if len(fr.Q) > 0 && m.From == 1 && m.To == 2 {
-				return now > 900 // keep p2's inbox clean for the store
-			}
-			return true
+		Pattern: f,
+		History: hist,
+		Program: prog,
+		Scheduler: &holdingScheduler{
+			Scheduler: &sim.ScriptedScheduler{Script: script, Then: sim.NewRandomScheduler(1)},
+			until:     900, match: unheld,
 		},
+		MaxSteps: 5000,
 		StopWhen: func(sn *sim.Snapshot) bool {
 			return sn.Automaton(2).(*StoreNode).Done() && sn.Automaton(3).(*StoreNode).Done() && sn.Now() > 950
 		},
@@ -109,6 +109,23 @@ func runInversionScenario(t *testing.T, writeBack, fastReads bool) (res *sim.Res
 		t.Fatal(err)
 	}
 	return res, ops, linearizable, res.Automata[1].(*StoreNode).ReadFallbacks()
+}
+
+// holdingScheduler turns every DeliverAuto step its inner scheduler picks
+// through tick until into a DeliverMatch on match: the step receives the
+// oldest deliverable message that match accepts, or none.
+type holdingScheduler struct {
+	sim.Scheduler
+	until dist.Time
+	match func(m *sim.Message) bool
+}
+
+func (h *holdingScheduler) Next(v *sim.View) (sim.Choice, bool) {
+	c, ok := h.Scheduler.Next(v)
+	if ok && c.Mode == sim.DeliverAuto && v.Now <= h.until {
+		c.Mode, c.Match = sim.DeliverMatch, h.match
+	}
+	return c, ok
 }
 
 func TestNoWriteBackBreaksAtomicity(t *testing.T) {

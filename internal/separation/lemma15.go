@@ -2,7 +2,6 @@ package separation
 
 import (
 	"fmt"
-	"reflect"
 
 	"repro/internal/agreement"
 	"repro/internal/dist"
@@ -50,22 +49,18 @@ func Lemma15(cfg Lemma15Config) (*Certificate, error) {
 		return nil, fmt.Errorf("separation: lemma 15 final run: %w", err)
 	}
 	n := cfg.N
-
 	replayOK := true
-	for i := 1; i <= n; i++ {
-		if !trace.IndistinguishableTo(segments[i-1].trace, res.Trace, dist.ProcID(i), -1) {
-			replayOK = false
-		}
-	}
 	distinct := make(map[agreement.Value]bool, n)
-	for p := dist.ProcID(1); int(p) <= n; p++ {
+	for i, seg := range segments {
+		p := dist.ProcID(i + 1)
+		replayOK = replayOK && trace.IndistinguishableTo(seg.trace, res.Trace, p, -1)
 		d, ok := res.Decision(p)
 		if !ok {
 			return nil, fmt.Errorf("separation: lemma 15 final run: p%d did not decide during its replayed segment", int(p))
 		}
 		v, okv := d.(agreement.Value)
-		if !okv || !reflect.DeepEqual(d, segments[p-1].decided) {
-			return nil, fmt.Errorf("separation: lemma 15 final run: p%d decided %v, expected replay of %v", int(p), d, segments[p-1].decided)
+		if !okv || v != seg.decided {
+			return nil, fmt.Errorf("separation: lemma 15 final run: p%d decided %v, expected replay of %v", int(p), d, seg.decided)
 		}
 		distinct[v] = true
 	}
@@ -78,12 +73,11 @@ func Lemma15(cfg Lemma15Config) (*Certificate, error) {
 	}, nil
 }
 
-// lemma15Segment is one solo run rᵢ: the ticks it spans, its trace and the
-// value its process decided.
+// lemma15Segment is one solo run rᵢ: its trace and the value its process
+// decided.
 type lemma15Segment struct {
-	start, end dist.Time
-	trace      *trace.Trace
-	decided    agreement.Value
+	trace   *trace.Trace
+	decided agreement.Value
 }
 
 // lemma15Runs validates cfg, executes the solo runs r₁..rₙ and returns the
@@ -117,18 +111,13 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 	}
 
 	segments := make([]lemma15Segment, 0, n)
+	var finalScript []sim.Choice
 	start := dist.Time(0)
 	for i := 1; i <= n; i++ {
 		pi := dist.ProcID(i)
-		fi := dist.NewFailurePattern(n)
-		for id := dist.ProcID(1); int(id) <= n; id++ {
-			if id != pi {
-				fi.CrashAt(id, 0)
-			}
-		}
+		fi := dist.CrashPattern(n, dist.FullSet(n).Remove(pi).Members()...)
 		// Solo history for rᵢ: rotate during the run (it only matters what
 		// pᵢ sees while it runs; the suffix is irrelevant once it decided).
-		// Everyone but pᵢ is crashed from time 0 and never steps.
 		hist := sim.HistoryFunc(func(id dist.ProcID, t dist.Time) any { return rotating(t) })
 		script := append(sim.Idle(int64(start)), sim.Steps(sim.DeliverAuto, int(cfg.SegmentHorizon), pi)...)
 		res, err := sim.Run(sim.Config{
@@ -161,10 +150,11 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 			}, nil
 		}
 		end := res.DecideTime[pi]
-		segments = append(segments, lemma15Segment{start: start, end: end, trace: res.Trace, decided: val})
+		segments = append(segments, lemma15Segment{trace: res.Trace, decided: val})
+		finalScript = append(finalScript, sim.ReplayScript(res.Trace, end)[start:]...)
 		start = end + 1
 	}
-	lastDecision := segments[len(segments)-1].end
+	lastDecision := start - 1 // rₙ's decision time
 
 	// Final run: everyone correct, segments replayed back-to-back, all
 	// messages delayed past the last decision, history stitched: rotating
@@ -176,9 +166,14 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 		}
 		return dist.ProcID(1)
 	})
-	var finalScript []sim.Choice
-	for _, seg := range segments {
-		finalScript = append(finalScript, sim.ReplayScript(seg.trace, seg.end)[seg.start:]...)
+	// "Messages sent by pᵢ are delayed after time tₙ": one partition per
+	// process cuts {pᵢ} from Π∖{pᵢ} through the last decision. A partition
+	// never separates a process from itself, so self-addressed messages
+	// flow and replay stays exact for candidates that message themselves.
+	cuts := make([]dist.Partition, n)
+	for i := range cuts {
+		p := dist.ProcID(i + 1)
+		cuts[i] = dist.Partition{A: dist.NewProcSet(p), B: dist.FullSet(n).Remove(p), Until: lastDecision + 1}
 	}
 	return sim.Config{
 		Pattern:   dist.NewFailurePattern(n),
@@ -186,11 +181,6 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 		Program:   program,
 		Scheduler: &sim.ScriptedScheduler{Script: finalScript},
 		MaxSteps:  int64(lastDecision) + 1,
-		DeliveryFilter: func(m *sim.Message, now dist.Time) bool {
-			// "Messages sent by pᵢ are delayed after time tₙ" — self-
-			// addressed messages are local and flow normally, so replay
-			// stays exact for candidates that message themselves.
-			return m.From == m.To || now > lastDecision
-		},
+		Faults:    &sim.FaultPlan{Partitions: cuts},
 	}, segments, nil, nil
 }

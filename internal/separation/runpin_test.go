@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -68,6 +69,16 @@ func TestAdversaryRunsPinned(t *testing.T) {
 		final, _, cert, err := lemma15Runs(Lemma15Config{N: tc.n, Candidate: tc.cand})
 		if err != nil || cert != nil {
 			t.Fatalf("lemma 15 %s: a solo run ended the construction: %v %v", tc.name, cert, err)
+		}
+		// Through the last decision every message between two processes is
+		// held, and a message to oneself is not.
+		last := dist.Time(final.MaxSteps - 1)
+		for p := dist.ProcID(1); int(p) <= tc.n; p++ {
+			for q := dist.ProcID(1); int(q) <= tc.n; q++ {
+				if got := final.Faults.Blocked(p, q, last); got != (p != q) {
+					t.Errorf("lemma 15 %s: p%d→p%d blocked = %v at t=%d", tc.name, int(p), int(q), got, int64(last))
+				}
+			}
 		}
 		res, err := sim.Run(final)
 		if err != nil {

@@ -77,36 +77,64 @@ func tightnessRun(cfg TightnessConfig) (sim.Config, core.TaskConfig, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 20_000
 	}
-	task := core.TaskConfig{Task: core.TaskFig4, Pattern: dist.NewFailurePattern(cfg.N), K: cfg.K}
-	f, active := task.Pattern, task.Active()
+	task := core.TaskConfig{Task: core.TaskFig4, K: cfg.K}
+	active := task.Active()
 	low, high := core.Halves(active)
-	for _, p := range high.Members() {
-		f.CrashAt(p, 0)
-	}
+	task.Pattern = dist.CrashPattern(cfg.N, high.Members()...)
 	run, err := task.SimConfig()
 	if err != nil {
 		return sim.Config{}, core.TaskConfig{}, err
 	}
-	// The adversary: the one-sided history and the delivery filter below.
-	if run.History, err = core.NewSigmaKOracle(f, active, 3, core.SigmaKTrustLow); err != nil {
+	// The adversary: the one-sided history and the holding scheduler below.
+	if run.History, err = core.NewSigmaKOracle(task.Pattern, active, 3, core.SigmaKTrustLow); err != nil {
 		return sim.Config{}, core.TaskConfig{}, fmt.Errorf("separation: tightness oracle: %w", err)
 	}
-	var decidedLow dist.ProcSet
-	run.Scheduler, run.MaxSteps = sim.NewRandomScheduler(cfg.Seed), cfg.Horizon
 	// Delay every message into the active set until all low-half processes
 	// decided: the asynchronous adversary makes each low process exit its
 	// loop on σ₂ₖ information alone, before any (D, ·) value — a
 	// neighbour's or a non-active's — can be adopted.
-	run.DeliveryFilter = func(m *sim.Message, now dist.Time) bool {
-		return !active.Contains(m.To) || low.SubsetOf(decidedLow)
-	}
+	hold := &holdScheduler{inner: sim.NewRandomScheduler(cfg.Seed), held: active, until: low}
+	hold.view.Pending = hold.heldPending // bound once, so Next allocates nothing
+	run.Scheduler, run.MaxSteps = hold, cfg.Horizon
 	run.StopWhen = func(s *sim.Snapshot) bool {
 		low.ForEach(func(p dist.ProcID) {
 			if _, ok := s.Decided(p); ok {
-				decidedLow = decidedLow.Add(p)
+				hold.decided = hold.decided.Add(p)
 			}
 		})
 		return false
 	}
 	return run, task, nil
+}
+
+// holdScheduler holds every message into held until every process of until
+// decided (the run's StopWhen records decided): the inner scheduler sees no
+// message pending at a held process, and a step it picks there is null.
+// RandomScheduler draws its null-step coin only when a message is pending,
+// so it draws as it would if the held messages were undeliverable.
+type holdScheduler struct {
+	inner                sim.Scheduler
+	held, until, decided dist.ProcSet
+	view                 sim.View              // the inner scheduler's view while holding
+	pending              func(dist.ProcID) int // the runner's Pending
+}
+
+func (h *holdScheduler) heldPending(p dist.ProcID) int {
+	if h.held.Contains(p) {
+		return 0
+	}
+	return h.pending(p)
+}
+
+// Next implements sim.Scheduler.
+func (h *holdScheduler) Next(v *sim.View) (sim.Choice, bool) {
+	if h.until.SubsetOf(h.decided) {
+		return h.inner.Next(v)
+	}
+	h.pending, h.view.Now, h.view.N, h.view.Alive = v.Pending, v.Now, v.N, v.Alive
+	c, ok := h.inner.Next(&h.view)
+	if ok && h.held.Contains(c.Proc) {
+		c.Mode = sim.DeliverNone
+	}
+	return c, ok
 }

@@ -12,8 +12,9 @@
 // process takes no step until it recovers, if ever, with its automaton back
 // in the constructed state (rewound in place, or fresh from the Program).
 // Channels are reliable: delivery can be delayed arbitrarily (and
-// adversarially, via DeliveryFilter and scripted schedules) but the fair
-// schedulers deliver every message to a correct process eventually.
+// adversarially, via FaultPlan partitions and delays and by schedulers that
+// pick which message a step receives, if any) but the fair schedulers
+// deliver every message to a correct process eventually.
 //
 // # Drivers
 //

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/dist"
+)
 
 // CheckCaches compares the runner's cached per-tick state with the same
 // state recomputed from scratch at the current tick: the alive set with
@@ -24,4 +28,16 @@ func (s *Snapshot) CheckCaches() (int, error) {
 		compared++
 	}
 	return compared, nil
+}
+
+// scanPending counts the entries of q deliverable at tick t: the reference
+// scan that a cached deliverable count must match.
+func (r *Runner) scanPending(q *inbox, t dist.Time) int {
+	cnt := 0
+	for i := q.head; i < len(q.buf); i++ {
+		if r.deliverable(&q.buf[i], t) {
+			cnt++
+		}
+	}
+	return cnt
 }

@@ -13,8 +13,8 @@ import (
 // head) is a cursor increment instead of the O(queue) copy-on-remove of a
 // slice-of-pointers queue.
 //
-// Deliveries from the middle of the queue (a DeliveryFilter or DeliverMatch
-// skipping older messages) tombstone the entry in place; the head cursor
+// Deliveries from the middle of the queue (DeliverMatch, a partition or a
+// delay skipping older messages) tombstone the entry in place; the head cursor
 // skips tombstones as it passes them. When the queue drains completely the
 // buffer is rewound to its start, reusing its capacity forever.
 type inbox struct {
@@ -51,21 +51,13 @@ func (q *inbox) push(m Message, notBefore dist.Time) {
 	q.live++
 }
 
-// reset empties the queue, keeping the buffer capacity.
-func (q *inbox) reset() {
-	q.buf = q.buf[:0]
-	q.head = 0
-	q.live = 0
-	q.readyUntil = 0
-}
-
-// wipe empties the queue at a process recovery. When payloads are leased
-// (owned: the trace records no messages) the sender pre-counted each parked
-// delivery in its payload's lease refcount (Env.DeliveredOwned), so every
-// live RefCounted entry must give its reference back before it is discarded
-// or the shared payload pool leaks a slot per dropped message. Runs whose
-// trace records messages never grant ownership; the trace retains the
-// payloads.
+// wipe empties the queue, keeping the buffer capacity, at a process
+// recovery and between runs. When payloads are leased (owned: the trace
+// records no messages) the sender pre-counted each parked delivery in its
+// payload's lease refcount (Env.DeliveredOwned), so every live RefCounted
+// entry must give its reference back before it is discarded or the shared
+// payload pool leaks a slot per dropped message. Runs whose trace records
+// messages never grant ownership; the trace retains the payloads.
 func (q *inbox) wipe(owned bool) {
 	if owned {
 		for i := q.head; i < len(q.buf); i++ {
@@ -76,13 +68,13 @@ func (q *inbox) wipe(owned bool) {
 			}
 		}
 	}
-	q.reset()
+	q.buf, q.head, q.live, q.readyUntil = q.buf[:0], 0, 0, 0
 }
 
 // skipGone advances head past tombstones, rewinds the drained buffer, and
 // compacts once dead entries dominate — both the consumed prefix and
-// tombstones scattered behind a blocked head (a DeliveryFilter can pin the
-// oldest message while later ones flow) — so the buffer and its scans stay
+// tombstones scattered behind a blocked head (a partition, a delay or a
+// DeliverMatch can pin the oldest message while later ones flow) — so the buffer and its scans stay
 // O(backlog) instead of O(messages ever received). Every compaction drops
 // more than half the window, so deliveries stay amortized O(1).
 func (q *inbox) skipGone() {

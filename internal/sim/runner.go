@@ -65,10 +65,6 @@ type Config struct {
 	// MaxSteps bounds the run's time horizon in ticks (the finite horizon
 	// standing in for the model's infinite runs). Defaults to 10_000·n.
 	MaxSteps int64
-	// DeliveryFilter, when non-nil, marks messages as temporarily
-	// undeliverable (the proofs' "messages are delayed until ..."). A
-	// message is deliverable at time t iff the filter returns true.
-	DeliveryFilter func(m *Message, now dist.Time) bool
 	// Faults, when non-nil, is the adversarial network applied to every
 	// message: seeded loss/duplication/extra delay and scripted partitions.
 	// Decisions are a pure function of (Faults.Seed ⊕ run seed, message
@@ -348,7 +344,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		built:      true,
 	}
 	r.snap = Snapshot{r: r}
-	r.view = View{N: n, Pending: r.viewPending}
+	r.view = View{N: n, Pending: r.pendingCount}
 	r.env.history = cfg.History
 	// The pattern is part of the configured system and must not change over
 	// the runner's lifetime (Correct above is cached on the same premise).
@@ -495,10 +491,6 @@ func (r *Runner) Run() (*Result, error) {
 	})
 	return res, r.err
 }
-
-// viewPending backs the scheduler view; binding it as a method value once
-// per runner replaces a per-step closure.
-func (r *Runner) viewPending(p dist.ProcID) int { return r.pendingCount(p, r.now) }
 
 func (r *Runner) loop() StopReason {
 	for ; int64(r.now) < r.cfg.MaxSteps; r.now++ {
@@ -702,50 +694,29 @@ func (r *Runner) apply(x dist.Transition) {
 	}
 }
 
+// deliverable reports whether entry e may be delivered at tick t: its
+// notBefore has passed (a tombstone's never does) and no partition of the
+// FaultPlan separates its sender from its receiver.
 func (r *Runner) deliverable(e *inboxEntry, t dist.Time) bool {
-	if e.notBefore > t {
-		return false
-	}
-	if fp := r.cfg.Faults; fp != nil && fp.Blocked(e.msg.From, e.msg.To, t) {
-		return false
-	}
-	if r.cfg.DeliveryFilter != nil && !r.cfg.DeliveryFilter(&e.msg, t) {
-		return false
-	}
-	return true
+	return e.notBefore <= t && (r.cfg.Faults == nil || !r.cfg.Faults.Blocked(e.msg.From, e.msg.To, t))
 }
 
-// pendingCount returns the number of messages deliverable to p at tick t.
-// Without a DeliveryFilter or a FaultPlan every live entry is deliverable
-// (notBefore is only ever set by fault-injected delay). Under a FaultPlan
-// alone the inbox caches an exact count, which enqueue and pickMessage
-// adjust and which goes stale only at a tick where deliverability can
-// change: a partition's From or Until, or a delayed entry's notBefore. A
-// DeliveryFilter is an arbitrary function of time, so its runs scan.
-func (r *Runner) pendingCount(p dist.ProcID, t dist.Time) int {
+// pendingCount backs the scheduler view's Pending, bound once per runner as
+// a method value: the number of messages deliverable to p at the current
+// tick. Without a FaultPlan every live entry is deliverable (notBefore is
+// only ever set by fault-injected delay). Under a FaultPlan the inbox caches
+// an exact count, which enqueue and pickMessage adjust and which goes stale
+// only at a tick where deliverability can change: a partition's From or
+// Until, or a delayed entry's notBefore.
+func (r *Runner) pendingCount(p dist.ProcID) int {
 	q := &r.inboxes[p]
-	if r.cfg.DeliveryFilter != nil {
-		return r.scanPending(q, t)
-	}
 	if r.cfg.Faults == nil {
 		return q.live
 	}
-	if t >= q.readyUntil {
-		r.recount(q, t)
+	if r.now >= q.readyUntil {
+		r.recount(q, r.now)
 	}
 	return q.ready
-}
-
-// scanPending counts the entries of q deliverable at tick t.
-func (r *Runner) scanPending(q *inbox, t dist.Time) int {
-	cnt := 0
-	for i := q.head; i < len(q.buf); i++ {
-		e := &q.buf[i]
-		if !e.gone() && r.deliverable(e, t) {
-			cnt++
-		}
-	}
-	return cnt
 }
 
 // recount rebuilds q's cached deliverable count at tick t and dates it: it
@@ -761,8 +732,7 @@ func (r *Runner) recount(q *inbox, t dist.Time) {
 	for i := q.head; i < len(q.buf); i++ {
 		e := &q.buf[i]
 		switch {
-		case e.gone():
-		case e.notBefore > t:
+		case e.notBefore > t: // a tombstone's goneAt leaves readyUntil as it is
 			q.readyUntil = min(q.readyUntil, e.notBefore)
 		case !cut || !r.cfg.Faults.Blocked(e.msg.From, e.msg.To, t):
 			q.ready++
@@ -797,10 +767,7 @@ func (r *Runner) pickMessage(p dist.ProcID, t dist.Time, c Choice) *Message {
 	q := &r.inboxes[p]
 	for i := q.head; i < len(q.buf); i++ {
 		e := &q.buf[i]
-		if e.gone() || !r.deliverable(e, t) {
-			continue
-		}
-		if c.Mode == DeliverMatch && (c.Match == nil || !c.Match(&e.msg)) {
+		if !r.deliverable(e, t) || c.Mode == DeliverMatch && (c.Match == nil || !c.Match(&e.msg)) {
 			continue
 		}
 		if t < q.readyUntil {

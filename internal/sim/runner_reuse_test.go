@@ -117,9 +117,9 @@ func TestValuesEqualUncomparableInsideComparable(t *testing.T) {
 }
 
 // TestInboxBlockedHeadStaysBounded pins the compaction bound: with the
-// oldest message pinned undeliverable while later traffic flows, tombstones
-// behind the blocked head must be reclaimed, keeping the buffer O(backlog)
-// instead of O(messages ever received).
+// oldest message never matched while later traffic flows, tombstones behind
+// the blocked head must be reclaimed, keeping the buffer O(backlog) instead
+// of O(messages ever received).
 func TestInboxBlockedHeadStaysBounded(t *testing.T) {
 	prog := func(p dist.ProcID, n int) Automaton {
 		return &sendScript{payloads: func() []any {
@@ -130,15 +130,15 @@ func TestInboxBlockedHeadStaysBounded(t *testing.T) {
 			return ps
 		}()}
 	}
+	unpinned := func(m *Message) bool { return m.Payload != "pinned" }
 	var script []Choice
 	for i := 0; i < 401; i++ { // p1 sends one message per step
 		script = append(script, Choice{Proc: 1, Mode: DeliverNone})
-		script = append(script, Choice{Proc: 2, Mode: DeliverAuto})
+		script = append(script, Choice{Proc: 2, Mode: DeliverMatch, Match: unpinned})
 	}
 	r, err := NewRunner(Config{
 		Pattern: dist.NewFailurePattern(2), History: nilHistory(), Program: prog,
 		Scheduler: &ScriptedScheduler{Script: script}, MaxSteps: 5000, DisableTrace: true,
-		DeliveryFilter: func(m *Message, now dist.Time) bool { return m.Payload != "pinned" },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -252,30 +252,6 @@ func TestDoubleDecisionKeepsStepOps(t *testing.T) {
 	}
 }
 
-func TestDeliveryFilterDelays(t *testing.T) {
-	f := dist.NewFailurePattern(2)
-	res, err := Run(Config{
-		Pattern: f, History: nilHistory(), Program: echoProgram,
-		Scheduler: &RoundRobinScheduler{},
-		MaxSteps:  200,
-		DeliveryFilter: func(m *Message, now dist.Time) bool {
-			return now >= 50
-		},
-		StopWhenDecided: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, tm := range res.DecideTime {
-		if tm < 50 {
-			t.Fatalf("p%d decided at %d despite the delivery filter", int(p), int64(tm))
-		}
-	}
-	if len(res.Decisions) != 2 {
-		t.Fatalf("decisions: %v", res.Decisions)
-	}
-}
-
 func TestIdleTicksAdvanceTime(t *testing.T) {
 	f := dist.NewFailurePattern(2)
 	script := append(Idle(25), Steps(DeliverAuto, 1, 1)...)
