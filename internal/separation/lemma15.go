@@ -168,8 +168,8 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 	})
 	// "Messages sent by pᵢ are delayed after time tₙ": one partition per
 	// process cuts {pᵢ} from Π∖{pᵢ} through the last decision. A partition
-	// never separates a process from itself, so self-addressed messages
-	// flow and replay stays exact for candidates that message themselves.
+	// never separates a process from itself, so self-addressed messages are
+	// local and stay deliverable, as they were in pᵢ's solo run.
 	cuts := make([]dist.Partition, n)
 	for i := range cuts {
 		p := dist.ProcID(i + 1)

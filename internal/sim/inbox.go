@@ -14,9 +14,9 @@ import (
 // slice-of-pointers queue.
 //
 // Deliveries from the middle of the queue (DeliverMatch, a partition or a
-// delay skipping older messages) tombstone the entry in place; the head cursor
-// skips tombstones as it passes them. When the queue drains completely the
-// buffer is rewound to its start, reusing its capacity forever.
+// delay skipping older messages) tombstone the entry in place; the head
+// cursor skips tombstones as it passes them. A drained queue rewinds its
+// buffer to the start, reusing its capacity forever.
 type inbox struct {
 	buf  []inboxEntry
 	head int // index of the oldest possibly-live entry
@@ -74,9 +74,10 @@ func (q *inbox) wipe(owned bool) {
 // skipGone advances head past tombstones, rewinds the drained buffer, and
 // compacts once dead entries dominate — both the consumed prefix and
 // tombstones scattered behind a blocked head (a partition, a delay or a
-// DeliverMatch can pin the oldest message while later ones flow) — so the buffer and its scans stay
-// O(backlog) instead of O(messages ever received). Every compaction drops
-// more than half the window, so deliveries stay amortized O(1).
+// DeliverMatch can pin the oldest message while later ones flow) — so the
+// buffer and its scans stay O(backlog) instead of O(messages ever
+// received). Every compaction drops more than half the window, so
+// deliveries stay amortized O(1).
 func (q *inbox) skipGone() {
 	for q.head < len(q.buf) && q.buf[q.head].gone() {
 		q.head++

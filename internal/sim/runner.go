@@ -694,9 +694,8 @@ func (r *Runner) apply(x dist.Transition) {
 	}
 }
 
-// deliverable reports whether entry e may be delivered at tick t: its
-// notBefore has passed (a tombstone's never does) and no partition of the
-// FaultPlan separates its sender from its receiver.
+// deliverable is the one deliverability rule: e's notBefore has passed (a
+// tombstone's never does) and no FaultPlan partition blocks it at tick t.
 func (r *Runner) deliverable(e *inboxEntry, t dist.Time) bool {
 	return e.notBefore <= t && (r.cfg.Faults == nil || !r.cfg.Faults.Blocked(e.msg.From, e.msg.To, t))
 }
@@ -767,7 +766,10 @@ func (r *Runner) pickMessage(p dist.ProcID, t dist.Time, c Choice) *Message {
 	q := &r.inboxes[p]
 	for i := q.head; i < len(q.buf); i++ {
 		e := &q.buf[i]
-		if !r.deliverable(e, t) || c.Mode == DeliverMatch && (c.Match == nil || !c.Match(&e.msg)) {
+		if !r.deliverable(e, t) {
+			continue
+		}
+		if c.Mode == DeliverMatch && (c.Match == nil || !c.Match(&e.msg)) {
 			continue
 		}
 		if t < q.readyUntil {
