@@ -853,8 +853,7 @@ func BenchmarkStoreSweepWorkers(b *testing.B) {
 				{A: dist.NewProcSet(1, 4), B: dist.NewProcSet(2, 5), From: 40, Until: 160},
 			},
 		},
-		StallLimit: 5000,
-		Seeds:      seeds,
+		Seeds: seeds,
 	}
 	for _, w := range []int{1, 2, 4} {
 		b.Run(benchName("workers", w), func(b *testing.B) {

@@ -34,23 +34,23 @@ func crashPattern(n int, spec string) (*dist.FailurePattern, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := parseCrash(f, spec); err != nil {
+	if err := parseCrash(f, "-crash", spec); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// parseCrash applies a crash list to the pattern. Entries are comma-
-// separated; each is a process number with an optional crash time:
-// "3,4" crashes p3 and p4 at time 0, "3@40,4" crashes p3 at time 40 and p4
-// at time 0.
-func parseCrash(f *dist.FailurePattern, spec string) error {
-	err := parseTimedList("-crash", spec, "process", 1, f.N(), false, func(p int, t dist.Time) error {
+// parseCrash applies a crash list to the pattern; name is what its errors
+// call the list. Entries are comma-separated; each is a process number with
+// an optional crash time: "3,4" crashes p3 and p4 at time 0, "3@40,4"
+// crashes p3 at time 40 and p4 at time 0.
+func parseCrash(f *dist.FailurePattern, name, spec string) error {
+	err := parseTimedList(name, spec, "process", 1, f.N(), false, func(p int, t dist.Time) error {
 		f.CrashAt(dist.ProcID(p), t)
 		return nil
 	})
 	if err == nil && !f.InEnvironment() {
-		return fmt.Errorf("-crash list kills every process")
+		return fmt.Errorf("%s list kills every process", name)
 	}
 	return err
 }
@@ -232,15 +232,14 @@ func parsePartitionList(spec, noun string, side func(tok string) (dist.ProcSet, 
 
 // faultFlags are the fault knobs that store and consensus share: -recover
 // on the failure pattern, and -loss, -dup, -delay, -faultseed and
-// -partition on the network. -stalllimit binds straight into the caller's
-// config.
+// -partition on the network.
 type faultFlags struct {
 	recover, partition string
 	plan               sim.FaultPlan
 }
 
 // bindFaultFlags registers the shared fault flags on fs.
-func bindFaultFlags(fs *flag.FlagSet, stallLimit *int64) *faultFlags {
+func bindFaultFlags(fs *flag.FlagSet) *faultFlags {
 	ff := &faultFlags{}
 	fs.StringVar(&ff.recover, "recover", "", "recovery list, e.g. \"5@120\": the crashed process rejoins at t with its volatile state lost (pair each entry with a crash strictly before t; recovered processes stay outside the correctness set)")
 	fs.Float64Var(&ff.plan.Loss, "loss", 0, "per-message loss probability in [0,1) (store: requires -retransmit)")
@@ -248,7 +247,6 @@ func bindFaultFlags(fs *flag.FlagSet, stallLimit *int64) *faultFlags {
 	fs.Int64Var((*int64)(&ff.plan.MaxDelay), "delay", 0, "maximum extra per-message delivery delay in ticks")
 	fs.Int64Var(&ff.plan.Seed, "faultseed", 0, "fault-plan seed, mixed with each run's scheduler seed")
 	fs.StringVar(&ff.partition, "partition", "", "scripted partitions, e.g. \"1:2@20-60\" symmetric or \"1>2@20-60\" one-way; the sides are shards (store: requires -retransmit, t2 may be \"inf\") or processes (consensus: must heal)")
-	fs.Int64Var(stallLimit, "stalllimit", 0, "end a run that makes no progress for this many ticks with reason \"stalled\" (0 = off)")
 	return ff
 }
 

@@ -43,7 +43,7 @@ func TestParseCrashSpec(t *testing.T) {
 	newF := func() *dist.FailurePattern { return dist.NewFailurePattern(5) }
 
 	f := newF()
-	if err := parseCrash(f, "3@40,4"); err != nil {
+	if err := parseCrash(f, "-crash", "3@40,4"); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.CrashTime(3); got != 40 {
@@ -57,7 +57,7 @@ func TestParseCrashSpec(t *testing.T) {
 	}
 
 	f = newF()
-	if err := parseCrash(f, " 2 , 5@7 "); err != nil {
+	if err := parseCrash(f, "-crash", " 2 , 5@7 "); err != nil {
 		t.Fatalf("spaces around entries must be accepted: %v", err)
 	}
 	if f.CrashTime(2) != 0 || f.CrashTime(5) != 7 {
@@ -65,7 +65,7 @@ func TestParseCrashSpec(t *testing.T) {
 	}
 
 	for _, bad := range []string{"x", "3@", "3@x", "3@-1", "@4", "0", "6", "3,,4", "3@1@2"} {
-		if err := parseCrash(newF(), bad); err == nil {
+		if err := parseCrash(newF(), "-crash", bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}
 	}
@@ -73,7 +73,7 @@ func TestParseCrashSpec(t *testing.T) {
 	// Duplicate process entries must be rejected instead of silently
 	// registering two crash events for one process.
 	for _, dup := range []string{"3,3", "3,3@40", "2@10,2@20", "1, 1"} {
-		err := parseCrash(newF(), dup)
+		err := parseCrash(newF(), "-crash", dup)
 		if err == nil || !strings.Contains(err.Error(), "twice") {
 			t.Fatalf("duplicate spec %q: err=%v", dup, err)
 		}
@@ -81,7 +81,7 @@ func TestParseCrashSpec(t *testing.T) {
 
 	// Timed crashes alone must not trip the kills-everyone guard: a process
 	// crashing at t > 0 is still faulty.
-	if err := parseCrash(newF(), "1,2,3,4,5@100"); err == nil {
+	if err := parseCrash(newF(), "-crash", "1,2,3,4,5@100"); err == nil {
 		t.Fatal("crashing every process (even late) must be rejected")
 	}
 }
@@ -122,7 +122,7 @@ func TestParseShardCrash(t *testing.T) {
 	// Overlap with -crash: a group member already crashed is an error, not
 	// a silent re-time.
 	f = newF()
-	if err := parseCrash(f, "5@10"); err != nil {
+	if err := parseCrash(f, "-crash", "5@10"); err != nil {
 		t.Fatal(err)
 	}
 	if err := parseShardCrash(f, m, "1"); err == nil || !strings.Contains(err.Error(), "already crashed") {
@@ -252,7 +252,7 @@ func TestParsePartition(t *testing.T) {
 func TestParseRecover(t *testing.T) {
 	newF := func() *dist.FailurePattern {
 		f := dist.NewFailurePattern(5)
-		if err := parseCrash(f, "3@40,4"); err != nil {
+		if err := parseCrash(f, "-crash", "3@40,4"); err != nil {
 			t.Fatal(err)
 		}
 		return f

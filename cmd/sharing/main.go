@@ -258,18 +258,24 @@ func cmdSweep(args []string) error {
 	fs.Int64Var(&cfg.Seeds, "seeds", 200, "seeds per scenario")
 	fs.Int64Var(&cfg.SeedStart, "seed", 0, "first seed")
 	fs.IntVar(&cfg.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	scenarios := fs.String("scenarios", "", `semicolon-separated crash scenarios (empty entry = failure-free); default ";N;N@40" (failure-free, pN initially dead, pN crashing mid-run)`)
+	scenarios := fs.String("scenarios", "", `semicolon-separated crash scenarios (empty entry = failure-free); default ";N;N@40" (failure-free, pN initially dead, pN crashing mid-run), failure-free only at N = 1`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	specs := []string{"", fmt.Sprintf("%d", *n), fmt.Sprintf("%d@40", *n)}
+	specs := []string{""}
+	if *n > 1 {
+		specs = append(specs, fmt.Sprintf("%d", *n), fmt.Sprintf("%d@40", *n))
+	}
 	if *scenarios != "" {
 		specs = strings.Split(*scenarios, ";")
 	}
 	for _, spec := range specs {
-		f, err := crashPattern(*n, spec)
+		f, err := newPattern(*n)
 		if err != nil {
 			return err
+		}
+		if err := parseCrash(f, "crash", spec); err != nil {
+			return fmt.Errorf("-scenarios entry %q: %w", spec, err)
 		}
 		start := time.Now()
 		taskK := 1
@@ -391,7 +397,7 @@ func cmdStore(args []string) error {
 	fs.BoolVar(&sc.Store.AdaptiveWindow, "adaptive", false, "replace the fixed per-shard window with the AIMD controller (grows while ops complete, halves on shard stall)")
 	fs.IntVar(&sc.Store.MaxWindow, "maxwindow", 0, "adaptive growth cap (0 = 4×window; requires -adaptive)")
 	fs.IntVar(&sc.Store.StallSteps, "stall", 0, "client steps a shard may stall before its window halves (0 = default; requires -adaptive)")
-	faults := bindFaultFlags(fs, &sc.StallLimit)
+	faults := bindFaultFlags(fs)
 	fs.BoolVar(&sc.Store.Retransmit, "retransmit", false, "arm per-op retransmission with exponential backoff (required under -loss / -partition)")
 	fs.IntVar(&sc.Store.RTO, "rto", 0, "initial retransmission timeout in client steps (0 = default; requires -retransmit)")
 	fs.IntVar(&sc.Store.MaxRTO, "maxrto", 0, "retransmission backoff cap in client steps (0 = 8×rto; requires -retransmit)")
@@ -559,7 +565,7 @@ func cmdConsensus(args []string) error {
 	crash := fs.String("crash", "", "crash list, e.g. \"5\" or \"4@60\"")
 	fs.Int64Var(&sc.Seeds, "seeds", 20, "seeds per sweep (fault mode only)")
 	fs.IntVar(&sc.Workers, "workers", 0, "sweep workers in fault mode (0 = GOMAXPROCS)")
-	faults := bindFaultFlags(fs, &sc.StallLimit)
+	faults := bindFaultFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

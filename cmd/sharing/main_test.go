@@ -34,12 +34,15 @@ func TestSubcommandsSucceed(t *testing.T) {
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
 			"-fastread", "-piggyback", "-adaptive", "-maxwindow", "6", "-stall", "8", "-crashshard", "2@30"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
-			"-fastread", "-retransmit", "-rto", "16", "-loss", "0.05", "-partition", "1:2@20-80", "-stalllimit", "5000"},
+			"-fastread", "-retransmit", "-rto", "16", "-loss", "0.05", "-partition", "1:2@20-80"},
 		{"store", "-n", "5", "-keys", "8", "-shards", "2", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
-			"-crash", "5@40", "-recover", "5@120", "-loss", "0.05", "-retransmit", "-stalllimit", "5000"},
+			"-crash", "5@40", "-recover", "5@120", "-loss", "0.05", "-retransmit"},
 		{"store", "-n", "6", "-keys", "9", "-shards", "3", "-clients", "2", "-window", "2", "-ops", "6", "-seeds", "2",
 			"-partition", "0>1@20-80", "-retransmit", "-rto", "16"},
 		{"store", "-n", "128", "-seeds", "2"}, // one 128-member group: the step budget scales with the group
+		// A 500-step mean arrival gap: the client sends and records nothing
+		// while it waits, and its run still finishes every op.
+		{"store", "-n", "5", "-clients", "1", "-ops", "6", "-seeds", "4", "-workers", "1", "-openloop", "-rate", "0.002"},
 		{"consensus", "-n", "4"},
 		{"consensus", "-n", "4", "-seeds", "3", "-loss", "0.05", "-dup", "0.05", "-delay", "2"},
 		{"consensus", "-n", "5", "-seeds", "2", "-crash", "4@40", "-recover", "4@200", "-loss", "0.05"},
@@ -62,6 +65,7 @@ func TestSubcommandsSucceed(t *testing.T) {
 		{"sweep", "-fig", "fig2", "-n", "4", "-seeds", "6", "-workers", "2"},
 		{"sweep", "-fig", "fig4", "-n", "4", "-k", "1", "-seeds", "4", "-scenarios", ";3@25"},
 		{"sweep", "-fig", "consensus", "-n", "4", "-seeds", "4", "-scenarios", "4@15"},
+		{"sweep", "-fig", "consensus", "-n", "1", "-seeds", "2"}, // the default scenarios shrink to failure-free
 		{"help"},
 	}
 	for _, args := range cases {
@@ -128,6 +132,7 @@ func TestSubcommandsFail(t *testing.T) {
 		{"sweep", "-fig", "bogus", "-seeds", "2"},
 		{"sweep", "-fig", "fig2", "-n", "3", "-seeds", "0"},
 		{"sweep", "-fig", "fig2", "-n", "3", "-seeds", "2", "-scenarios", "1,2,3"},
+		{"sweep", "-n", "5", "-scenarios", "9"}, // process outside 1..5
 		// -n past dist.MaxProcs is a user error, not a panic inside dist.
 		{"lattice", "-n", "300"},
 		{"hierarchy", "-n", "300", "-k", "2"},
@@ -152,9 +157,8 @@ func TestSubcommandErrorsNameTheCause(t *testing.T) {
 		want string
 	}{
 		{[]string{"store", "-loss", "2"}, "FaultPlan.Loss"},
-		{[]string{"store", "-stalllimit", "-1"}, "StallLimit -1 is negative"},
-		{[]string{"consensus", "-stalllimit", "-1"}, "StallLimit -1 is negative"},
-		{[]string{"consensus", "-loss", "0.05", "-stalllimit", "-1"}, "StallLimit -1 is negative"},
+		{[]string{"store", "-stalllimit", "100"}, "flag provided but not defined: -stalllimit"},
+		{[]string{"sweep", "-n", "5", "-scenarios", "9"}, `-scenarios entry "9": crash process 9 outside 1..5`},
 		{[]string{"store", "-openloop", "-rate", "1e-300"}, "beyond the run's budget"},
 		{[]string{"lattice", "-n", "300"}, "lattice: need 4 ≤ n ≤ 256"},
 		{[]string{"hierarchy", "-n", "300", "-k", "2"}, "hierarchy: need 4 ≤ n ≤ 256"},
@@ -179,7 +183,7 @@ func TestSubcommandErrorsNameTheCause(t *testing.T) {
 // mention of the first failing seed: the CLI prints it beside the run's
 // verdict, and the verdict itself leaves it out.
 func TestSweepFailureNamesSeedOnce(t *testing.T) {
-	err := run([]string{"consensus", "-n", "5", "-seeds", "3", "-loss", "0.9", "-stalllimit", "200"})
+	err := run([]string{"consensus", "-n", "5", "-seeds", "3", "-loss", "0.9"})
 	if err == nil {
 		t.Fatal("90% loss without retransmission let every run decide")
 	}

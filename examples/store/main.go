@@ -89,14 +89,13 @@ func main() {
 		faults.Loss, faults.Dup, int64(faults.MaxDelay), faults.Partitions[0])
 
 	res, err := register.StoreSweep(register.StoreSweepConfig{
-		Pattern:    pattern,
-		S:          s,
-		Store:      store,
-		Scripts:    scripts,
-		Stab:       120,
-		Seeds:      8,
-		Faults:     faults,
-		StallLimit: 50_000, // diagnose a livelock instead of burning MaxSteps
+		Pattern: pattern,
+		S:       s,
+		Store:   store,
+		Scripts: scripts,
+		Stab:    120,
+		Seeds:   8,
+		Faults:  faults,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -230,14 +229,13 @@ func main() {
 		Piggyback: true, Retransmit: true, RTO: 16,
 	}
 	rres, err := register.StoreSweep(register.StoreSweepConfig{
-		Pattern:    recPattern,
-		S:          s,
-		Store:      recCfg,
-		Scripts:    scripts,
-		Stab:       120,
-		Seeds:      8,
-		Faults:     oneWay,
-		StallLimit: 50_000,
+		Pattern: recPattern,
+		S:       s,
+		Store:   recCfg,
+		Scripts: scripts,
+		Stab:    120,
+		Seeds:   8,
+		Faults:  oneWay,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -249,11 +247,10 @@ func main() {
 	fmt.Printf("  store msgs: %s\n", rres.Msgs.String())
 
 	cres, err := consensus.Sweep(consensus.SweepConfig{
-		Pattern:    recPattern,
-		Proposals:  agreement.DistinctProposals(n),
-		Faults:     oneWay,
-		StallLimit: 50_000,
-		Seeds:      8,
+		Pattern:   recPattern,
+		Proposals: agreement.DistinctProposals(n),
+		Faults:    oneWay,
+		Seeds:     8,
 	})
 	if err != nil {
 		log.Fatal(err)

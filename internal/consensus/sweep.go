@@ -28,8 +28,6 @@ type SweepConfig struct {
 	MaxSteps int64
 	// Faults, when non-nil, is the adversarial network for every run.
 	Faults *sim.FaultPlan
-	// StallLimit, when > 0, ends no-progress runs early (see sim.Config).
-	StallLimit int64
 	// SeedStart/Seeds select the seed range; Seeds is required.
 	SeedStart int64
 	Seeds     int64
@@ -72,9 +70,6 @@ func (cfg SweepConfig) SimConfig() (sim.Config, error) {
 	if !f.InEnvironment() {
 		return sim.Config{}, errors.New("consensus: pattern crashes every process")
 	}
-	if cfg.StallLimit < 0 {
-		return sim.Config{}, fmt.Errorf("consensus: SweepConfig.StallLimit %d is negative", cfg.StallLimit)
-	}
 	if len(cfg.Proposals) != f.N() {
 		return sim.Config{}, fmt.Errorf("consensus: %d proposals for %d processes", len(cfg.Proposals), f.N())
 	}
@@ -104,12 +99,11 @@ func (cfg SweepConfig) SimConfig() (sim.Config, error) {
 	// which must relearn the chosen value from the decide re-broadcast.
 	target := f.Correct().Union(f.Recovering())
 	return sim.Config{
-		Pattern:    f,
-		History:    NewOracle(f, stab),
-		Program:    Program(cfg.Proposals),
-		MaxSteps:   maxSteps,
-		Faults:     cfg.Faults,
-		StallLimit: cfg.StallLimit,
+		Pattern:  f,
+		History:  NewOracle(f, stab),
+		Program:  Program(cfg.Proposals),
+		MaxSteps: maxSteps,
+		Faults:   cfg.Faults,
 		StopWhen: func(sn *sim.Snapshot) bool {
 			return target.AllSatisfy(func(p dist.ProcID) bool {
 				_, ok := sn.Decided(p)

@@ -2,7 +2,6 @@ package consensus
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/agreement"
@@ -28,9 +27,8 @@ func faultedSweepConfig(seeds int64, workers int) SweepConfig {
 				A: dist.NewProcSet(2), B: dist.NewProcSet(1, 3), From: 30, Until: 120, OneWay: true,
 			}},
 		},
-		StallLimit: 20_000,
-		Seeds:      seeds,
-		Workers:    workers,
+		Seeds:   seeds,
+		Workers: workers,
 	}
 }
 
@@ -94,8 +92,7 @@ func TestConsensusSweepCrashRecover(t *testing.T) {
 		Faults: &sim.FaultPlan{
 			Seed: 91, Loss: 0.05, Dup: 0.05, MaxDelay: 2,
 		},
-		StallLimit: 20_000,
-		Seeds:      seeds,
+		Seeds: seeds,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +136,7 @@ func TestConsensusSweepRejectsBadSetups(t *testing.T) {
 			t.Errorf("%s: Sweep accepted an invalid config", tc.name)
 		}
 	}
-	// A negative StallLimit fails up front, naming the field, not from
-	// inside a sweep worker.
-	neg := good
-	neg.StallLimit = -1
-	if _, err := Sweep(neg); err == nil || !strings.Contains(err.Error(), "SweepConfig.StallLimit") {
-		t.Errorf("negative StallLimit: got %v, want an error naming SweepConfig.StallLimit", err)
-	}
+
 }
 
 // TestSimConfigReproducesSweepRuns replays single seeds of the faulted

@@ -208,8 +208,7 @@ func fastReadFaultedSweepConfig(t *testing.T, seeds int64) StoreSweepConfig {
 			Seed: 99, Loss: 0.05, Dup: 0.05, MaxDelay: 3,
 			Partitions: []dist.Partition{{A: dist.NewProcSet(1, 4), B: dist.NewProcSet(2, 5), From: 40, Until: 160}},
 		},
-		StallLimit: 5000,
-		Seeds:      seeds,
+		Seeds: seeds,
 	}
 }
 

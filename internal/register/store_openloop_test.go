@@ -145,8 +145,7 @@ func TestStoreOpenLoopSweepWorkerIndependent(t *testing.T) {
 			Seed: 99, Loss: 0.05, Dup: 0.05, MaxDelay: 3,
 			Partitions: []dist.Partition{{A: dist.NewProcSet(1, 4), B: dist.NewProcSet(2, 5), From: 40, Until: 160}},
 		},
-		StallLimit: 5_000,
-		Seeds:      8,
+		Seeds: 8,
 	}
 	base := sweepWorkerIndependent(t, cfg, 2, 8)
 	if base.Dropped.Sum == 0 || base.Duplicated.Sum == 0 {

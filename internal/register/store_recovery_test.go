@@ -181,12 +181,11 @@ func TestStoreRecoverySweepWorkerIndependent(t *testing.T) {
 	f, s, cfg, scripts, fp := recoveryScenario(t)
 	sweepCfg := StoreSweepConfig{
 		Pattern: f, S: s,
-		Store:      cfg,
-		Scripts:    scripts,
-		Stab:       10,
-		Faults:     fp,
-		StallLimit: 10_000,
-		Seeds:      8,
+		Store:   cfg,
+		Scripts: scripts,
+		Stab:    10,
+		Faults:  fp,
+		Seeds:   8,
 	}
 	base := sweepWorkerIndependent(t, sweepCfg, 2, 8)
 	if base.Dropped.Sum == 0 || base.Duplicated.Sum == 0 {

@@ -49,9 +49,8 @@ func scaleSweepConfig(t *testing.T, seeds int64) StoreSweepConfig {
 				From: 60, Until: 240,
 			}},
 		},
-		StallLimit: 20_000,
-		Seeds:      seeds,
-		Workers:    1,
+		Seeds:   seeds,
+		Workers: 1,
 	}
 }
 

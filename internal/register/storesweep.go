@@ -32,10 +32,6 @@ type StoreSweepConfig struct {
 	// horizon (partitions that heal before the horizon block nothing), and
 	// minority-side operations must park without violating linearizability.
 	Faults *sim.FaultPlan
-	// StallLimit forwards sim.Config.StallLimit: end runs that make no
-	// progress for that many ticks with a diagnostic stop reason instead of
-	// burning the whole step budget (0 = off).
-	StallLimit int64
 	// SeedStart, Seeds and Workers configure the sweep (see sweep.Config).
 	SeedStart int64
 	Seeds     int64
@@ -90,10 +86,9 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 // definition of a store run, which StoreSweep gives each of its workers. It
 // holds a fresh StoreProgram, a Σ_S oracle, the EffectiveMaxSteps budget, a
 // stop condition that holds once every correct client has finished its work
-// on the available shards it can reach, the fault plan and StallLimit. It
-// is untraced (DisableTrace): the checker reads the run's op log
-// (sim.Result.Ops), which every run keeps. cfg is validated as StoreSweep
-// validates it.
+// on the available shards it can reach, and the fault plan. It is untraced
+// (DisableTrace): the checker reads the run's op log (sim.Result.Ops),
+// which every run keeps. cfg is validated as StoreSweep validates it.
 //
 // A caller that needs another run shape flips sim.Config fields on the
 // result: DisableTrace cleared for a full trace, or its own Scheduler.
@@ -124,9 +119,6 @@ type storeRun struct {
 func (cfg StoreSweepConfig) validate() (*storeRun, error) {
 	if cfg.Pattern == nil {
 		return nil, fmt.Errorf("register: StoreSweep needs a failure pattern")
-	}
-	if cfg.StallLimit < 0 {
-		return nil, fmt.Errorf("register: StoreSweepConfig.StallLimit %d is negative", cfg.StallLimit)
 	}
 	n := cfg.Pattern.N()
 	// StoreProgram's construction-time validation, once; simConfig builds
@@ -198,7 +190,6 @@ func (r *storeRun) simConfig() sim.Config {
 		MaxSteps:     r.maxSteps,
 		StopWhen:     newStoreStopCursor(r.clients, r.avail, r.masks).done,
 		Faults:       cfg.Faults,
-		StallLimit:   cfg.StallLimit,
 		DisableTrace: true,
 	}
 }

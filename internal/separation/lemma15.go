@@ -113,6 +113,10 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 	segments := make([]lemma15Segment, 0, n)
 	var finalScript []sim.Choice
 	start := dist.Time(0)
+	// sent counts the sends of r₁..rᵢ₋₁. Only pᵢ steps in segment i of the
+	// final run and partitions neither drop nor duplicate, so pᵢ's sends
+	// there are numbered after those, in rᵢ's order.
+	var sent int64
 	for i := 1; i <= n; i++ {
 		pi := dist.ProcID(i)
 		fi := dist.CrashPattern(n, dist.FullSet(n).Remove(pi).Members()...)
@@ -151,7 +155,8 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 		}
 		end := res.DecideTime[pi]
 		segments = append(segments, lemma15Segment{trace: res.Trace, decided: val})
-		finalScript = append(finalScript, sim.ReplayScript(res.Trace, end)[start:]...)
+		finalScript = append(finalScript, sim.ReplayScript(res.Trace, end, sent)[start:]...)
+		sent += res.MessagesSent
 		start = end + 1
 	}
 	lastDecision := start - 1 // rₙ's decision time

@@ -147,6 +147,40 @@ func TestLemma15DefeatsEagerMin(t *testing.T) {
 	}
 }
 
+// selfEcho sends its proposal to every process, itself included, at its
+// first step and decides it at its sixth, so its solo run delivers its own
+// message.
+type selfEcho struct {
+	v     agreement.Value
+	steps int
+}
+
+func (a *selfEcho) Step(e *sim.Env) {
+	a.steps++
+	switch a.steps {
+	case 1:
+		e.BroadcastAll(candidateVal{V: a.v, P: e.Self()})
+	case 6:
+		e.Decide(a.v)
+	}
+}
+
+// TestLemma15ReplaysSelfDeliveries: the final run replays each solo segment
+// after the earlier segments' sends, so a segment's self-delivery must be
+// matched under the final run's numbering for the replay to verify.
+func TestLemma15ReplaysSelfDeliveries(t *testing.T) {
+	cand := func(_ dist.ProcID, _ int, v agreement.Value) sim.Automaton { return &selfEcho{v: v} }
+	for n := 2; n <= 4; n++ {
+		cert, err := Lemma15(Lemma15Config{N: n, Candidate: cand})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if cert.Property != "agreement" || !cert.ReplayVerified {
+			t.Fatalf("n=%d: got %s, want a replay-verified agreement certificate", n, cert)
+		}
+	}
+}
+
 func TestLemma15SystemSizes(t *testing.T) {
 	for n := 2; n <= 8; n++ {
 		cert, err := Lemma15(Lemma15Config{N: n, Candidate: EagerMinCandidate(5)})

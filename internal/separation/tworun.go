@@ -119,7 +119,7 @@ func (c *twoRun) run() (twoRunResult, error) {
 		}),
 		Program: prog,
 		Scheduler: &sim.ScriptedScheduler{
-			Script: sim.ReplayScript(resR.Trace, t1),
+			Script: sim.ReplayScript(resR.Trace, t1, 0),
 			Then:   sim.NewRandomScheduler(c.seed + 1),
 		},
 		MaxSteps: int64(t1) + 1 + c.horizon,

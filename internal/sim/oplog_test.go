@@ -103,35 +103,3 @@ func TestOpLogMatchesTrace(t *testing.T) {
 		}
 	}
 }
-
-// opTicker sends nothing and invokes an operation every third step: its
-// only progress is its op records.
-type opTicker struct{ steps int }
-
-func (a *opTicker) Step(e *Env) {
-	a.steps++
-	if a.steps%3 == 0 {
-		e.Invoke(int64(a.steps), OpDesc{})
-	}
-}
-
-// TestOpRecordIsProgress: a step whose only event is an op record counts as
-// progress for StallLimit, traced or not.
-func TestOpRecordIsProgress(t *testing.T) {
-	for _, traced := range []bool{true, false} {
-		res, err := Run(Config{
-			Pattern: dist.NewFailurePattern(1), History: nilHistory(),
-			Program:      func(dist.ProcID, int) Automaton { return &opTicker{} },
-			MaxSteps:     200,
-			StallLimit:   10,
-			DisableTrace: !traced,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Reason != ReasonMaxSteps || len(res.Ops) == 0 {
-			t.Fatalf("traced=%v: run ended %s after %d ticks with %d op records, want max-steps",
-				traced, res.Reason, res.Ticks, len(res.Ops))
-		}
-	}
-}

@@ -100,7 +100,7 @@ func TestQuiescentSkipIsInvisible(t *testing.T) {
 				return a
 			},
 			Scheduler: NewRandomScheduler(1), Faults: fp,
-			MaxSteps: 600, StallLimit: 200,
+			MaxSteps:     600,
 			DisableTrace: !traced,
 			// Record whether p2 and p4 were quiescent just before their
 			// crashes and just after their recoveries.

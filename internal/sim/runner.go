@@ -25,10 +25,6 @@ const (
 	ReasonStopCond
 	// ReasonAllCrashed: no process is alive anymore.
 	ReasonAllCrashed
-	// ReasonStalled: Config.StallLimit ticks elapsed with no progress (no
-	// delivery, no send, no decision, no operation record) — the
-	// livelock guard for lossy runs without retransmission.
-	ReasonStalled
 )
 
 // String names the stop reason.
@@ -44,8 +40,6 @@ func (r StopReason) String() string {
 		return "stop-condition"
 	case ReasonAllCrashed:
 		return "all-crashed"
-	case ReasonStalled:
-		return "stalled"
 	default:
 		return fmt.Sprintf("reason(%d)", uint8(r))
 	}
@@ -73,13 +67,6 @@ type Config struct {
 	// Reset, so its runs use run seed 0 whatever Scheduler seed is passed.
 	// Nil costs nothing on the hot path.
 	Faults *FaultPlan
-	// StallLimit, when > 0, ends the run with ReasonStalled after that many
-	// consecutive ticks without progress (no message delivered, none sent,
-	// no decision, no operation record). It is the livelock guard for runs
-	// where loss can strand a protocol that never retransmits; a protocol
-	// that retransmits (even at a capped backoff probe rate) keeps sending
-	// and is never declared stalled.
-	StallLimit int64
 	// StopWhenDecided ends the run as soon as every correct process decided.
 	StopWhenDecided bool
 	// StopWhen, when non-nil, ends the run after any tick where it holds. It
@@ -222,11 +209,10 @@ type Runner struct {
 	seq   int64
 	sent  int64
 
-	runSeed      int64     // seed of the current run (fault decision stream)
-	dropped      int64     // messages discarded by loss
-	duplicated   int64     // extra copies enqueued by duplication
-	delayed      int64     // copies enqueued with a non-zero extra delay
-	lastProgress dist.Time // last tick that delivered, sent, decided or recorded an op
+	runSeed    int64 // seed of the current run (fault decision stream)
+	dropped    int64 // messages discarded by loss
+	duplicated int64 // extra copies enqueued by duplication
+	delayed    int64 // copies enqueued with a non-zero extra delay
 
 	automata []Automaton
 	out      []Automaton // Result.Automata: a copy of automata made by Run
@@ -325,9 +311,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 			return nil, err
 		}
 	}
-	if cfg.StallLimit < 0 {
-		return nil, fmt.Errorf("sim: Config.StallLimit %d is negative", cfg.StallLimit)
-	}
 
 	r := &Runner{
 		cfg:        cfg,
@@ -391,7 +374,6 @@ func (r *Runner) reset() {
 	r.dropped = 0
 	r.duplicated = 0
 	r.delayed = 0
-	r.lastProgress = 0
 	r.err = nil
 	r.ran = false
 	r.decidedSet = dist.ProcSet{}
@@ -542,9 +524,6 @@ func (r *Runner) loop() StopReason {
 			r.now++
 			return ReasonAllDecided
 		}
-		if r.cfg.StallLimit > 0 && int64(t-r.lastProgress) >= r.cfg.StallLimit {
-			return ReasonStalled
-		}
 	}
 	return ReasonMaxSteps
 }
@@ -554,9 +533,6 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 	// Untraced, the automaton owns its delivery (see r.tr).
 	e.step(r.automata[p-1], p, r.n, t, msg, r.tr == nil)
 	r.steps++
-	if msg != nil || len(e.sends) > 0 || len(e.decisions) > 0 || len(e.ops) > 0 {
-		r.lastProgress = t
-	}
 	r.ops = append(r.ops, e.ops...)
 
 	if r.tr != nil {

@@ -262,7 +262,11 @@ func Idle(count int64) []Choice {
 // the mechanical form of the proofs' "takes the same steps as in r". An
 // untraced run (Config.DisableTrace) has no trace to replay; running its
 // seed again with a trace reproduces the same schedule.
-func ReplayScript(tr *trace.Trace, upTo dist.Time) []Choice {
+//
+// seqBase shifts every matched sequence number: a replay that runs after
+// other sends of the new run, which took Seq 1..seqBase, passes their
+// count; a replay from the new run's start passes 0.
+func ReplayScript(tr *trace.Trace, upTo dist.Time, seqBase int64) []Choice {
 	steps := make(map[dist.Time]trace.Event)
 	for _, e := range tr.Events() {
 		if e.Kind == trace.StepKind && e.T <= upTo {
@@ -278,7 +282,7 @@ func ReplayScript(tr *trace.Trace, upTo dist.Time) []Choice {
 		}
 		c := Choice{Proc: e.P, Mode: DeliverNone}
 		if e.Delivered {
-			seq := e.Seq
+			seq := seqBase + e.Seq
 			c.Mode = DeliverMatch
 			c.Match = func(m *Message) bool { return m.Seq == seq }
 		}

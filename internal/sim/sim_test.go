@@ -307,7 +307,7 @@ func TestReplayScriptReproducesRun(t *testing.T) {
 	upTo := dist.Time(orig.Ticks - 1)
 	replay, err := Run(Config{
 		Pattern: f, History: nilHistory(), Program: echoProgram,
-		Scheduler: &ScriptedScheduler{Script: ReplayScript(orig.Trace, upTo)},
+		Scheduler: &ScriptedScheduler{Script: ReplayScript(orig.Trace, upTo, 0)},
 		MaxSteps:  orig.Ticks,
 	})
 	if err != nil {
