@@ -221,8 +221,9 @@ func TestPackageCommentListsEverySubcommand(t *testing.T) {
 var timing = regexp.MustCompile(`in \S+ \([^)]* (runs|states)/sec\)`)
 
 // TestSigmaTaskOutputPinned holds the σ-task subcommands (Figure 2, Figure 4
-// and the Fig. 5 ∘ Fig. 4 lattice row), with the two counterexamples whose
-// adversary delays messages (tightness, Lemma 15), to the output recorded in
+// and the Fig. 5 ∘ Fig. 4 lattice row), the failure-detector hierarchy and
+// the counterexamples (the two-run Lemmas 7 and 11, and the two whose
+// adversary delays messages: tightness, Lemma 15) to the output recorded in
 // testdata/sigma_task_output.golden, with elapsed times and rates masked:
 // every run is seeded, so any change to a schedule, a decision or a
 // verdict shows up as a diff.
@@ -240,6 +241,10 @@ func TestSigmaTaskOutputPinned(t *testing.T) {
 		{"counterexample", "lemma15", "-n", "3"},
 		{"counterexample", "lemma15", "-n", "8"},
 		{"lattice", "-n", "4", "-runs", "2"},
+		{"hierarchy", "-n", "5", "-k", "2"},
+		{"hierarchy", "-n", "6", "-k", "3", "-runs", "2", "-workers", "2"},
+		{"counterexample", "lemma7", "-n", "4"},
+		{"counterexample", "lemma11", "-n", "6", "-k", "3"},
 	} {
 		fmt.Fprintf(&b, "$ sharing %s\n%s", strings.Join(args, " "), captureStdout(t, args...))
 	}
