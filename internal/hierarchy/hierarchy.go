@@ -21,6 +21,7 @@ import (
 	"repro/internal/fd"
 	"repro/internal/separation"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // EdgeKind distinguishes reductions from separations.
@@ -62,8 +63,6 @@ type Config struct {
 	// N is the system size (4..dist.MaxProcs); K the register half-size
 	// for the σₖ side.
 	N, K int
-	// Horizon bounds emulation runs. Default 600.
-	Horizon int64
 	// Seed drives schedules.
 	Seed int64
 	// Runs is the number of seeds each reduction edge's emulation is
@@ -73,6 +72,10 @@ type Config struct {
 	Workers int
 }
 
+// horizon bounds every emulation run; each checker judges the emulated
+// history from 3/4 of it on.
+const horizon = 600
+
 // Build derives and verifies every edge. Any failed verification returns an
 // error: the hierarchy must be fully machine-checked or not reported at all.
 func Build(cfg Config) (*Report, error) {
@@ -81,9 +84,6 @@ func Build(cfg Config) (*Report, error) {
 	}
 	if cfg.K < 1 || 2*cfg.K > cfg.N {
 		return nil, fmt.Errorf("hierarchy: need 1 ≤ k ≤ n/2, got k=%d", cfg.K)
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 600
 	}
 	if cfg.Runs < 0 {
 		return nil, fmt.Errorf("hierarchy: Config.Runs must not be negative, got %d", cfg.Runs)
@@ -100,7 +100,7 @@ func Build(cfg Config) (*Report, error) {
 	err := validate(cfg, 3, f, fd.NewSigmaS(f, pair, 20),
 		core.Fig3Program(pair),
 		func(h sim.History) []fd.Violation {
-			return core.CheckSigma(f, pair, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
+			return core.CheckSigma(f, pair, h, horizon, horizon*3/4)
 		})
 	if err != nil {
 		return nil, err
@@ -125,7 +125,7 @@ func Build(cfg Config) (*Report, error) {
 	err = validate(cfg, 6, f, sigmaOracle,
 		core.Fig6Program(),
 		func(h sim.History) []fd.Violation {
-			return fd.CheckAntiOmega(f, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
+			return fd.CheckAntiOmega(f, h, horizon, horizon*3/4)
 		})
 	if err != nil {
 		return nil, err
@@ -148,7 +148,7 @@ func Build(cfg Config) (*Report, error) {
 	err = validate(cfg, 5, f, fd.NewSigmaS(f, x, 20),
 		core.Fig5Program(x),
 		func(h sim.History) []fd.Violation {
-			return core.CheckSigmaK(f, x, h, dist.Time(cfg.Horizon), dist.Time(cfg.Horizon*3/4))
+			return core.CheckSigmaK(f, x, h, horizon, horizon*3/4)
 		})
 	if err != nil {
 		return nil, err
@@ -177,21 +177,30 @@ func (r *Report) add(from, to string, kind EdgeKind, evidence string) {
 }
 
 // validate checks the reduction edge of Figure fig, whose emulator automata
-// prog builds, with separation.Search across cfg.Runs seeds: every run's
-// emulated history must pass check. Only a run that fails the check makes
-// the emulation invalid; a Search error is a config error and is returned
-// as it is.
+// prog builds, with one sweep across cfg.Runs seeds: every run's emulated
+// history, read off its trace, must pass check. Only a run that fails the
+// check makes the emulation invalid; a sweep error is a config error and is
+// returned as it is.
 func validate(cfg Config, fig int, f *dist.FailurePattern, h sim.History, prog sim.Program, check func(sim.History) []fd.Violation) error {
-	emu := func(p dist.ProcID, n int) sim.Emulator { return prog(p, n).(sim.Emulator) }
-	res, err := separation.Search(separation.SearchConfig{
-		Pattern: f, History: h, Candidate: emu, Check: check,
-		Horizon: cfg.Horizon, SeedStart: cfg.Seed, Seeds: cfg.Runs, Workers: cfg.Workers,
+	res, err := sweep.Run(sweep.Config{
+		Sim: func() sim.Config {
+			return sim.Config{Pattern: f, History: h, Program: prog, MaxSteps: horizon}
+		},
+		SeedStart: cfg.Seed,
+		Seeds:     cfg.Runs,
+		Workers:   cfg.Workers,
+		Check: func(_ int64, res *sim.Result) error {
+			if vs := check(&fd.RecordedHistory{Trace: res.Trace}); len(vs) != 0 {
+				return fmt.Errorf("%v", vs)
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		return err
 	}
 	if res.Failures > 0 {
-		return fmt.Errorf("hierarchy: Fig %d emulation invalid: %w", fig, res.FirstFailErr)
+		return fmt.Errorf("hierarchy: Fig %d emulation invalid (first seed %d: %w)", fig, res.FirstFailSeed, res.FirstFailErr)
 	}
 	return nil
 }

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/fd"
+	"repro/internal/sim"
 )
 
 func TestBuild(t *testing.T) {
@@ -54,5 +57,24 @@ func TestBuildRejectsBadParams(t *testing.T) {
 	if _, err := Build(Config{N: 5, K: 2, Seed: -1}); err == nil || !strings.Contains(err.Error(), "seed range") ||
 		strings.Contains(err.Error(), "invalid") {
 		t.Fatalf("negative Seed: got %v, want an error naming the seed range that does not say invalid", err)
+	}
+}
+
+// TestValidateReportsFirstFailingSeed: a reduction edge whose check rejects
+// every run is an invalid emulation, and the error names the figure and the
+// first failing seed once.
+func TestValidateReportsFirstFailingSeed(t *testing.T) {
+	pair := dist.NewProcSet(1, 2)
+	f := dist.CrashPattern(4, 4)
+	reject := func(sim.History) []fd.Violation {
+		return []fd.Violation{{Property: "test", Witness: "always"}}
+	}
+	err := validate(Config{N: 4, K: 1, Seed: 5, Runs: 3, Workers: 2}, 3, f, fd.NewSigmaS(f, pair, 20), core.Fig3Program(pair), reject)
+	if err == nil {
+		t.Fatal("a check that rejects every run validated the edge")
+	}
+	const want = "hierarchy: Fig 3 emulation invalid (first seed 5: [test violated: always])"
+	if err.Error() != want {
+		t.Fatalf("got %q, want %q", err, want)
 	}
 }

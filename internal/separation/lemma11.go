@@ -18,11 +18,12 @@ type Lemma11Config struct {
 	X    dist.ProcSet
 	// Candidate is the emulation under refutation (outputs fd.TrustList).
 	Candidate EmulatorProgram
-	// Horizon bounds each run. Default 6000.
-	Horizon int64
 	// Seed drives the fair schedule portions.
 	Seed int64
 }
+
+// lemma11Horizon bounds each run of Lemma 11.
+const lemma11Horizon = 6000
 
 func (c *Lemma11Config) defaults() error {
 	if c.N > dist.MaxProcs {
@@ -39,9 +40,6 @@ func (c *Lemma11Config) defaults() error {
 	}
 	if !c.X.SubsetOf(dist.FullSet(c.N)) {
 		return fmt.Errorf("separation: Lemma 11 needs X ⊆ Π=%v, got X=%v", dist.FullSet(c.N), c.X)
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 6000
 	}
 	if c.Candidate == nil {
 		return fmt.Errorf("separation: Lemma11Config.Candidate is required")
@@ -88,7 +86,7 @@ func lemma11General(cfg Lemma11Config) (*Certificate, error) {
 	aux := dist.FullSet(cfg.N).Minus(cfg.X).Min()
 	target, qSet := dist.NewProcSet(p, aux), dist.NewProcSet(q)
 	res, err := (&twoRun{
-		lemma: "Lemma 11", n: cfg.N, candidate: cfg.Candidate, horizon: cfg.Horizon, seed: cfg.Seed,
+		lemma: "Lemma 11", n: cfg.N, candidate: cfg.Candidate, horizon: lemma11Horizon, seed: cfg.Seed,
 		first: target, p: p, history: sigmaK(cfg.X, dist.ProcSet{}),
 		second: qSet, q: q, after: sigmaK(cfg.X, qSet),
 	}).run()
@@ -99,10 +97,10 @@ func lemma11General(cfg Lemma11Config) (*Certificate, error) {
 	switch res.outcome {
 	case stuckInR:
 		cert.Detail = fmt.Sprintf("in run r (Correct={p%d,p%d}, σ₂ₖ idle) output_p%d never became ⊆ %v within %d steps",
-			int(p), int(aux), int(p), target, cfg.Horizon)
+			int(p), int(aux), int(p), target, lemma11Horizon)
 	case stuckInR2:
 		cert.Detail = fmt.Sprintf("in run r′ (only p%d correct) output_p%d never became ⊆ {p%d} within %d steps",
-			int(q), int(q), int(q), cfg.Horizon)
+			int(q), int(q), int(q), lemma11Horizon)
 	default:
 		cert.Property = "intersection"
 		cert.Detail = fmt.Sprintf("output_p%d(t₁=%d)=%v ∩ output_p%d(t₂=%d)=%v = ∅",
@@ -128,7 +126,7 @@ func lemma11Tight(cfg Lemma11Config) (*Certificate, error) {
 	pair1, pair2 := dist.NewProcSet(l1, h1), dist.NewProcSet(l2, h2)
 	idle := sigmaK(cfg.X, dist.ProcSet{}) // (∅, Π)
 	res, err := (&twoRun{
-		lemma: "Lemma 11 (n=2k)", n: cfg.N, candidate: cfg.Candidate, horizon: cfg.Horizon, seed: cfg.Seed,
+		lemma: "Lemma 11 (n=2k)", n: cfg.N, candidate: cfg.Candidate, horizon: lemma11Horizon, seed: cfg.Seed,
 		first: pair1, p: l1, history: idle,
 		second: pair2, q: l2, after: idle,
 	}).run()
@@ -139,10 +137,10 @@ func lemma11Tight(cfg Lemma11Config) (*Certificate, error) {
 	switch res.outcome {
 	case stuckInR:
 		cert.Detail = fmt.Sprintf("in run r (Correct=%v, history (∅,Π)) output_p%d never became ⊆ %v within %d steps",
-			pair1, int(l1), pair1, cfg.Horizon)
+			pair1, int(l1), pair1, lemma11Horizon)
 	case stuckInR2:
 		cert.Detail = fmt.Sprintf("in run r′ (Correct=%v) output_p%d never became ⊆ %v within %d steps",
-			pair2, int(l2), pair2, cfg.Horizon)
+			pair2, int(l2), pair2, lemma11Horizon)
 	default:
 		cert.Property = "intersection"
 		cert.Detail = fmt.Sprintf("output_p%d(t₁=%d)=%v ∩ output_p%d(t₂=%d)=%v = ∅",

@@ -18,13 +18,13 @@ type AlgorithmProgram func(self dist.ProcID, n int, proposal agreement.Value) si
 type Lemma15Config struct {
 	// N is the system size, 2..dist.MaxProcs.
 	N int
-	// Candidate is the algorithm under refutation.
+	// Candidate is the algorithm under refutation. Process pᵢ proposes the
+	// distinct value agreement.DistinctProposals(N)[i−1].
 	Candidate AlgorithmProgram
-	// Proposals are the initial values (default DistinctProposals).
-	Proposals []agreement.Value
-	// SegmentHorizon bounds each solo run rᵢ. Default 2000.
-	SegmentHorizon int64
 }
+
+// lemma15SegmentHorizon bounds each solo run rᵢ of Lemma 15.
+const lemma15SegmentHorizon = 2000
 
 // Lemma15 executes the chain-of-runs construction of Lemma 15 against a
 // candidate set-agreement algorithm that queries anti-Ω.
@@ -91,15 +91,10 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 	if cfg.Candidate == nil {
 		return sim.Config{}, nil, nil, fmt.Errorf("separation: Lemma15Config.Candidate is required")
 	}
-	if cfg.Proposals == nil {
-		cfg.Proposals = agreement.DistinctProposals(cfg.N)
-	}
-	if cfg.SegmentHorizon <= 0 {
-		cfg.SegmentHorizon = 2000
-	}
 	n := cfg.N
+	proposals := agreement.DistinctProposals(n)
 	program := func(p dist.ProcID, nn int) sim.Automaton {
-		return cfg.Candidate(p, nn, cfg.Proposals[p-1])
+		return cfg.Candidate(p, nn, proposals[p-1])
 	}
 
 	// The rotating history used by every run: anti-Ω answers p₁, p₂, ... in
@@ -123,13 +118,13 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 		// Solo history for rᵢ: rotate during the run (it only matters what
 		// pᵢ sees while it runs; the suffix is irrelevant once it decided).
 		hist := sim.HistoryFunc(func(id dist.ProcID, t dist.Time) any { return rotating(t) })
-		script := append(sim.Idle(int64(start)), sim.Steps(sim.DeliverAuto, int(cfg.SegmentHorizon), pi)...)
+		script := append(sim.Idle(int64(start)), sim.Steps(sim.DeliverAuto, lemma15SegmentHorizon, pi)...)
 		res, err := sim.Run(sim.Config{
 			Pattern:         fi,
 			History:         hist,
 			Program:         program,
 			Scheduler:       &sim.ScriptedScheduler{Script: script},
-			MaxSteps:        int64(start) + cfg.SegmentHorizon,
+			MaxSteps:        int64(start) + lemma15SegmentHorizon,
 			StopWhenDecided: true,
 		})
 		if err != nil {
@@ -141,16 +136,16 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 				Lemma:    "Lemma 15",
 				Property: "termination",
 				Detail: fmt.Sprintf("in run r%d (only p%d correct, rotating anti-Ω) p%d never decided within %d steps",
-					i, i, i, cfg.SegmentHorizon),
+					i, i, i, lemma15SegmentHorizon),
 			}, nil
 		}
 		val, isVal := decided.(agreement.Value)
-		if !isVal || val != cfg.Proposals[i-1] {
+		if !isVal || val != proposals[i-1] {
 			return sim.Config{}, nil, &Certificate{
 				Lemma:    "Lemma 15",
 				Property: "validity",
 				Detail: fmt.Sprintf("in run r%d process p%d decided %v without receiving any message; only its own proposal %d is valid",
-					i, i, decided, int64(cfg.Proposals[i-1])),
+					i, i, decided, int64(proposals[i-1])),
 			}, nil
 		}
 		end := res.DecideTime[pi]

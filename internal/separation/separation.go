@@ -35,8 +35,8 @@ type Certificate struct {
 	// Detail is a human-readable witness.
 	Detail string
 	// ReplayVerified reports whether the harness mechanically confirmed the
-	// indistinguishability of the replayed prefixes (intersection/agreement
-	// certificates only).
+	// indistinguishability of the replayed prefixes and, for an
+	// intersection certificate, that output_p(t₁) is the same in both runs.
 	ReplayVerified bool
 }
 
@@ -64,12 +64,13 @@ type Lemma7Config struct {
 	// Candidate is the emulation under refutation. Its Output must be an
 	// fd.TrustList.
 	Candidate EmulatorProgram
-	// Horizon bounds each run ("eventually" must happen within it).
-	// Default 4000 steps.
-	Horizon int64
 	// Seed drives the fair schedule portions.
 	Seed int64
 }
+
+// lemma7Horizon bounds each run of Lemma 7: "eventually" must happen
+// within it.
+const lemma7Horizon = 4000
 
 func (c *Lemma7Config) defaults() error {
 	if c.N < 3 || c.N > dist.MaxProcs {
@@ -81,9 +82,6 @@ func (c *Lemma7Config) defaults() error {
 	if s := dist.NewProcSet(c.P, c.Q, c.Aux); s.Len() != 3 || !s.SubsetOf(dist.FullSet(c.N)) {
 		return fmt.Errorf("separation: Lemma 7 needs P, Q and Aux distinct in 1..%d (or all unset), got %d, %d, %d",
 			c.N, int(c.P), int(c.Q), int(c.Aux))
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 4000
 	}
 	return nil
 }
@@ -117,7 +115,7 @@ func Lemma7(cfg Lemma7Config) (*Certificate, error) {
 	pair := dist.NewProcSet(cfg.P, cfg.Q)
 	target, qSet := dist.NewProcSet(cfg.Aux, cfg.P), dist.NewProcSet(cfg.Q)
 	res, err := (&twoRun{
-		lemma: "Lemma 7", n: cfg.N, candidate: cfg.Candidate, horizon: cfg.Horizon, seed: cfg.Seed,
+		lemma: "Lemma 7", n: cfg.N, candidate: cfg.Candidate, horizon: lemma7Horizon, seed: cfg.Seed,
 		first: target, p: cfg.P, history: sigmaConstant(pair, dist.ProcSet{}),
 		second: qSet, q: cfg.Q, after: sigmaConstant(pair, qSet),
 	}).run()
@@ -128,13 +126,12 @@ func Lemma7(cfg Lemma7Config) (*Certificate, error) {
 	switch res.outcome {
 	case stuckInR:
 		cert.Detail = fmt.Sprintf("in run r (Correct={p%d,p%d}, σ silent) output_p%d never became ⊆ %v within %d steps",
-			int(cfg.P), int(cfg.Aux), int(cfg.P), target, cfg.Horizon)
+			int(cfg.P), int(cfg.Aux), int(cfg.P), target, lemma7Horizon)
 	case stuckInR2:
 		cert.Detail = fmt.Sprintf("in run r′ (only p%d correct) output_p%d never became ⊆ {p%d} within %d steps",
-			int(cfg.Q), int(cfg.Q), int(cfg.Q), cfg.Horizon)
+			int(cfg.Q), int(cfg.Q), int(cfg.Q), lemma7Horizon)
 	default:
 		cert.Property = "intersection"
-		cert.ReplayVerified = res.replayOK && sameTrust(res.outP, res.outPr2)
 		cert.Detail = fmt.Sprintf("output_p%d(t₁=%d)=%v and output_p%d(t₂=%d)=%v are disjoint (replayed prefix gives %v at p%d in r′)",
 			int(cfg.P), int64(res.t1), res.outP, int(cfg.Q), int64(res.t2), res.outQ, res.outPr2, int(cfg.P))
 	}
@@ -160,10 +157,4 @@ func trustListWithin(out any, bound dist.ProcSet) bool {
 		return false
 	}
 	return tl.Trusted.SubsetOf(bound)
-}
-
-func sameTrust(a, b any) bool {
-	x, okx := a.(fd.TrustList)
-	y, oky := b.(fd.TrustList)
-	return okx && oky && x == y
 }

@@ -14,9 +14,10 @@ type TightnessConfig struct {
 	N, K int
 	// Seed drives the fair scheduler.
 	Seed int64
-	// Horizon bounds the run. Default 20000.
-	Horizon int64
 }
+
+// tightnessHorizon bounds the tightness run.
+const tightnessHorizon = 20_000
 
 // Tightness exhibits a run in which Figure 4 over σ₂ₖ decides exactly n−k
 // distinct values — the executable content of Theorem 13: the failure
@@ -74,9 +75,6 @@ func tightnessRun(cfg TightnessConfig) (sim.Config, core.TaskConfig, error) {
 	if cfg.N-cfg.K < 2 {
 		return sim.Config{}, core.TaskConfig{}, fmt.Errorf("separation: tightness needs n−k ≥ 2, got n=%d k=%d: (n−k−1)-set agreement is then vacuous", cfg.N, cfg.K)
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 20_000
-	}
 	task := core.TaskConfig{Task: core.TaskFig4, K: cfg.K}
 	active := task.Active()
 	low, high := core.Halves(active)
@@ -95,7 +93,7 @@ func tightnessRun(cfg TightnessConfig) (sim.Config, core.TaskConfig, error) {
 	// neighbour's or a non-active's — can be adopted.
 	hold := &holdScheduler{inner: sim.NewRandomScheduler(cfg.Seed), held: active, until: low}
 	hold.view.Pending = hold.heldPending // bound once, so Next allocates nothing
-	run.Scheduler, run.MaxSteps = hold, cfg.Horizon
+	run.Scheduler, run.MaxSteps = hold, tightnessHorizon
 	run.StopWhen = func(s *sim.Snapshot) bool {
 		low.ForEach(func(p dist.ProcID) {
 			if _, ok := s.Decided(p); ok {

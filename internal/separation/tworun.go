@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
+	"repro/internal/fd"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -19,9 +20,10 @@ import (
 // history up to t₁ and after from then on. It stops at the first time
 // t₂ > t₁ at which output_q lies inside second.
 //
-// Every process of first must see the same local view in both runs (the
-// replay check), so output_p(t₁) is an output of r′ too; since first and
-// second are disjoint, it and output_q(t₂) break Intersection.
+// Every process of first must see the same local view in both runs, and
+// output_p(t₁) must be the same in both (the replay check), so it is an
+// output of r′ too; since first and second are disjoint, it and
+// output_q(t₂) break Intersection.
 type twoRun struct {
 	lemma     string // names the construction in errors
 	n         int
@@ -48,7 +50,7 @@ const (
 
 type twoRunResult struct {
 	outcome  twoRunOutcome
-	replayOK bool // every process of first saw the same local view in r and r′
+	replayOK bool // every process of first saw the same local view in r and r′, and output_p(t₁) agrees
 	t1, t2   dist.Time
 	outP     any // output_p(t₁) in r
 	outQ     any // output_q(t₂) in r′
@@ -140,5 +142,13 @@ func (c *twoRun) run() (twoRunResult, error) {
 	res.outP, _ = trace.OutputAt(resR.Trace, c.p, t1)
 	res.outQ, _ = trace.OutputAt(resR2.Trace, c.q, res.t2)
 	res.outPr2, _ = trace.OutputAt(resR2.Trace, c.p, t1)
+	res.replayOK = res.replayOK && sameTrust(res.outP, res.outPr2)
 	return res, nil
+}
+
+// sameTrust reports whether two emulated outputs are the same TrustList.
+func sameTrust(a, b any) bool {
+	x, okx := a.(fd.TrustList)
+	y, oky := b.(fd.TrustList)
+	return okx && oky && x == y
 }

@@ -3,8 +3,7 @@
 // reusable sim.Runner (Reset(seed) rewinds without reallocating), and
 // aggregates per-run statistics. Every experiment that used to iterate
 // seeds serially on one goroutine — the lattice's runs-per-relation loop,
-// the hierarchy's emulation validation, the separation candidate searches —
-// runs on this engine.
+// the hierarchy's emulation validation — runs on this engine.
 //
 // Aggregation is order-independent (sums, minima, histograms over per-seed
 // values computed in isolation), so a sweep's Result is bit-identical for
