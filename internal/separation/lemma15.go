@@ -23,8 +23,8 @@ type Lemma15Config struct {
 	Candidate AlgorithmProgram
 }
 
-// lemma15SegmentHorizon bounds each solo run rᵢ of Lemma 15.
-const lemma15SegmentHorizon = 2000
+// lemma15SoloHorizon bounds each solo run rᵢ of Lemma 15.
+const lemma15SoloHorizon = 2000
 
 // Lemma15 executes the chain-of-runs construction of Lemma 15 against a
 // candidate set-agreement algorithm that queries anti-Ω.
@@ -118,13 +118,13 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 		// Solo history for rᵢ: rotate during the run (it only matters what
 		// pᵢ sees while it runs; the suffix is irrelevant once it decided).
 		hist := sim.HistoryFunc(func(id dist.ProcID, t dist.Time) any { return rotating(t) })
-		script := append(sim.Idle(int64(start)), sim.Steps(sim.DeliverAuto, lemma15SegmentHorizon, pi)...)
+		script := append(sim.Idle(int64(start)), sim.Steps(sim.DeliverAuto, lemma15SoloHorizon, pi)...)
 		res, err := sim.Run(sim.Config{
 			Pattern:         fi,
 			History:         hist,
 			Program:         program,
 			Scheduler:       &sim.ScriptedScheduler{Script: script},
-			MaxSteps:        int64(start) + lemma15SegmentHorizon,
+			MaxSteps:        int64(start) + lemma15SoloHorizon,
 			StopWhenDecided: true,
 		})
 		if err != nil {
@@ -136,7 +136,7 @@ func lemma15Runs(cfg Lemma15Config) (sim.Config, []lemma15Segment, *Certificate,
 				Lemma:    "Lemma 15",
 				Property: "termination",
 				Detail: fmt.Sprintf("in run r%d (only p%d correct, rotating anti-Ω) p%d never decided within %d steps",
-					i, i, i, lemma15SegmentHorizon),
+					i, i, i, lemma15SoloHorizon),
 			}, nil
 		}
 		val, isVal := decided.(agreement.Value)
