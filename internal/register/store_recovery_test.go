@@ -36,7 +36,7 @@ func TestStoreRecoveryOffByteIdentical(t *testing.T) {
 			A: dist.NewProcSet(1, 4), B: dist.NewProcSet(2, 5), From: 40, Until: 160,
 		}},
 	}
-	golden := [4]uint64{0x3024a88696367edc, 0x7adb8b20d4ac75ec, 0xf64c6a0bf7c6815c, 0x7c636b29d3a53c84}
+	golden := [4]uint64{0x2d9f89392af46768, 0xd113e3d2cb03f7c8, 0x45cec1403a580849, 0x7bda90a9f3345f5a}
 	for seed := int64(0); seed < 4; seed++ {
 		res, _ := runStoreFaulted(t, f, s, cfg, scripts, fp, 10, seed)
 		if got := wireHash(res); got != golden[seed] {

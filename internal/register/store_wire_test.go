@@ -109,7 +109,7 @@ func TestStoreWireGolden(t *testing.T) {
 			OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
 			Retransmit: true, RTO: 16,
 		}, nil, nil, wl(12, 4),
-			[4]uint64{0xd74892ed60a66286, 0x593ef1ff9e15f0b9, 0xcc199d718291de6c, 0x947ced4ec6aa671e}},
+			[4]uint64{0x998912bac845e85c, 0xeb62a5e91f9f147e, 0xe8c5800c21dc8edc, 0xbd458f931f9c48f2}},
 		{"batched+adaptive+retransmit+fastreads+faults", StoreConfig{
 			Keys: 8, Shards: 2, Window: 2,
 			AdaptiveWindow: true, MaxWindow: 6, StallSteps: 8,
@@ -119,7 +119,7 @@ func TestStoreWireGolden(t *testing.T) {
 			Seed: 7, Loss: 0.03, Dup: 0.03, MaxDelay: 3,
 			Partitions: []dist.Partition{{A: dist.NewProcSet(1, 3, 5), B: dist.NewProcSet(2, 4), From: 60, Until: 300}},
 		}, wl(8, 2),
-			[4]uint64{0xf6740ada13b3af71, 0x5645b7014cfb7d3a, 0x1f370d2de905a232, 0xb85cc253137f76f5}},
+			[4]uint64{0x925ea1c7df5d299f, 0xa8e7f24405da1e3d, 0x96c5bf80b0c4ec25, 0xa8b9ec6e6be7ba9d}},
 	} {
 		pat := tc.pat
 		if pat == nil {

@@ -92,11 +92,11 @@ func TestAdversaryRunsPinned(t *testing.T) {
 		n, k int
 		want runPin
 	}{
-		{4, 1, runPin{10, 10, 12, sim.ReasonAllDecided, "p1@9 p3@4 p4@0", 0xc57cbbececac75fe}},
-		{5, 2, runPin{20, 20, 20, sim.ReasonAllDecided, "p1@8 p2@19 p5@0", 0xc5151ca1fb929516}},
-		{6, 3, runPin{10, 10, 30, sim.ReasonAllDecided, "p1@9 p2@8 p3@3", 0x232b7b67c9b87981}},
-		{8, 3, runPin{15, 15, 56, sim.ReasonAllDecided, "p1@12 p2@14 p3@9 p7@4 p8@3", 0x4bc629282ea59f68}},
-		{10, 5, runPin{23, 23, 90, sim.ReasonAllDecided, "p1@9 p2@8 p3@12 p4@22 p5@13", 0xe51a4d32a86b5f6c}},
+		{4, 1, runPin{17, 17, 12, sim.ReasonAllDecided, "p1@16 p3@0 p4@1", 0xfa50f11488a85906}},
+		{5, 2, runPin{18, 18, 20, sim.ReasonAllDecided, "p1@17 p2@4 p5@1", 0xb7780d9c5ef34e97}},
+		{6, 3, runPin{21, 21, 30, sim.ReasonAllDecided, "p1@20 p2@4 p3@5", 0xce98dcb4c06c5bd8}},
+		{8, 3, runPin{25, 25, 56, sim.ReasonAllDecided, "p1@17 p2@24 p3@5 p7@1 p8@2", 0xf25b58f55a506f81}},
+		{10, 5, runPin{33, 33, 90, sim.ReasonAllDecided, "p1@21 p2@32 p3@4 p4@9 p5@17", 0x281bf40a378c5ee3}},
 	} {
 		run, _, err := tightnessRun(TightnessConfig{N: tc.n, K: tc.k, Seed: 1})
 		if err != nil {

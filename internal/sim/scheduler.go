@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"math/rand"
+	"math/bits"
 
 	"repro/internal/dist"
 	"repro/internal/trace"
@@ -55,11 +55,7 @@ type Scheduler interface {
 // 1−nullProb). It models the asynchronous adversary used to exercise
 // algorithms across many interleavings.
 type RandomScheduler struct {
-	// rng is created from seed by the first Next or Reseed, whichever comes
-	// first: seeding costs more than setting up a small run, and a runner
-	// reseeds its scheduler on every Reset.
-	rng  *rand.Rand
-	seed int64
+	rng stream
 	// maxSkip, when positive, bounds how many consecutive scheduler picks
 	// may bypass an alive process in place of the default 4n.
 	maxSkip int
@@ -93,17 +89,13 @@ var _ Reseeder = (*RandomScheduler)(nil)
 
 // NewRandomScheduler returns a fair random scheduler with the given seed.
 func NewRandomScheduler(seed int64) *RandomScheduler {
-	return &RandomScheduler{seed: seed}
+	return &RandomScheduler{rng: stream{seed: uint64(seed)}}
 }
 
 // Reseed rewinds the scheduler to the state NewRandomScheduler(seed) would
 // produce, so one scheduler serves a whole seed sweep without reallocation.
 func (s *RandomScheduler) Reseed(seed int64) {
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(seed))
-	} else {
-		s.rng.Seed(seed)
-	}
+	s.rng = stream{seed: uint64(seed)}
 	s.tick = 0
 	s.lastStep = [dist.MaxProcs + 1]int64{}
 	s.rebuild()
@@ -142,9 +134,6 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 	if len(alive) == 0 {
 		return Choice{}, false
 	}
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(s.seed))
-	}
 	s.tick++
 	maxSkip := s.maxSkip
 	if maxSkip <= 0 {
@@ -155,7 +144,7 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 	// otherwise pick uniformly.
 	pick := dist.ProcID(s.next[lruHead])
 	if s.tick-s.lastStep[pick] <= int64(maxSkip) {
-		pick = alive[s.rng.Intn(len(alive))]
+		pick = alive[s.rng.intn(len(alive))]
 	}
 	s.lastStep[pick] = s.tick
 	x := uint16(pick)
@@ -163,7 +152,7 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 	s.linkAfter(x, s.prev[lruTail])
 
 	mode := DeliverAuto
-	if v.Pending(pick) > 0 && s.rng.Float64() < nullProb {
+	if v.Pending(pick) > 0 && s.rng.float64() < nullProb {
 		// Occasional null steps despite pending messages; since nullProb < 1
 		// the receiver's DeliverAuto steps still take its oldest
 		// deliverable message eventually.
@@ -171,6 +160,35 @@ func (s *RandomScheduler) Next(v *View) (Choice, bool) {
 	}
 	return Choice{Proc: pick, Mode: mode}, true
 }
+
+// stream is RandomScheduler's generator, a counter-based splitmix64 stream:
+// draw k = 1, 2, … of seed s is Mix(s, k), the k-th output of splitmix64
+// seeded with s (Steele, Lea & Flood, OOPSLA 2014). Setting it up is two
+// words, and a seed draws the same values on every architecture.
+type stream struct{ seed, k uint64 }
+
+// next returns the stream's next 64-bit draw.
+func (r *stream) next() uint64 {
+	r.k++
+	return Mix(r.seed, r.k)
+}
+
+// intn returns a uniform draw from [0, n) for n > 0: Lemire's multiply-shift
+// (ACM TOMACS 2019) with its rejection step, so every value is exactly
+// equally likely.
+func (r *stream) intn(n int) int {
+	bound := uint64(n)
+	hi, lo := bits.Mul64(r.next(), bound)
+	if lo < bound {
+		for thresh := -bound % bound; lo < thresh; {
+			hi, lo = bits.Mul64(r.next(), bound)
+		}
+	}
+	return int(hi)
+}
+
+// float64 returns a uniform draw from [0, 1) with 53-bit resolution.
+func (r *stream) float64() float64 { return unitFloat(r.next()) }
 
 // RoundRobinScheduler cycles through alive processes in identifier order and
 // always delivers the oldest pending message. It yields the canonical

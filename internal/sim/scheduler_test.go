@@ -11,7 +11,7 @@ import (
 // before its starvation list: the reference the list must reproduce choice
 // for choice. bypasses counts the picks the bypass made.
 type scanScheduler struct {
-	rng      *rand.Rand
+	rng      stream
 	maxSkip  int
 	bypasses int
 
@@ -22,7 +22,7 @@ type scanScheduler struct {
 }
 
 func (s *scanScheduler) Reseed(seed int64) {
-	s.rng.Seed(seed)
+	s.rng = stream{seed: uint64(seed)}
 	s.tick = 0
 	s.lastStep = [dist.MaxProcs + 1]int64{}
 }
@@ -50,14 +50,14 @@ func (s *scanScheduler) Next(v *View) (Choice, bool) {
 		}
 	}
 	if pick == dist.None {
-		pick = alive[s.rng.Intn(len(alive))]
+		pick = alive[s.rng.intn(len(alive))]
 	} else {
 		s.bypasses++
 	}
 	s.lastStep[pick] = s.tick
 
 	mode := DeliverAuto
-	if v.Pending(pick) > 0 && s.rng.Float64() < nullProb {
+	if v.Pending(pick) > 0 && s.rng.float64() < nullProb {
 		mode = DeliverNone
 	}
 	return Choice{Proc: pick, Mode: mode}, true
@@ -72,7 +72,7 @@ func TestRandomSchedulerMatchesScan(t *testing.T) {
 		for _, maxSkip := range []int{1, n/2 + 1, 0} {
 			const seed = 11
 			got := NewRandomScheduler(seed)
-			want := &scanScheduler{rng: rand.New(rand.NewSource(seed))}
+			want := &scanScheduler{rng: stream{seed: seed}}
 			got.maxSkip, want.maxSkip = maxSkip, maxSkip
 			drive := rand.New(rand.NewSource(int64(n*1000 + maxSkip)))
 			v := View{
