@@ -99,17 +99,12 @@ func (cfg SweepConfig) SimConfig() (sim.Config, error) {
 	// which must relearn the chosen value from the decide re-broadcast.
 	target := f.Correct().Union(f.Recovering())
 	return sim.Config{
-		Pattern:  f,
-		History:  NewOracle(f, stab),
-		Program:  Program(cfg.Proposals),
-		MaxSteps: maxSteps,
-		Faults:   cfg.Faults,
-		StopWhen: func(sn *sim.Snapshot) bool {
-			return target.AllSatisfy(func(p dist.ProcID) bool {
-				_, ok := sn.Decided(p)
-				return ok
-			})
-		},
+		Pattern:      f,
+		History:      NewOracle(f, stab),
+		Program:      Program(cfg.Proposals),
+		MaxSteps:     maxSteps,
+		Faults:       cfg.Faults,
+		StopWhen:     func(sn *sim.Snapshot) bool { return target.SubsetOf(sn.DecidedSet()) },
 		DisableTrace: true,
 	}, nil
 }

@@ -95,11 +95,7 @@ func tightnessRun(cfg TightnessConfig) (sim.Config, core.TaskConfig, error) {
 	hold.view.Pending = hold.heldPending // bound once, so Next allocates nothing
 	run.Scheduler, run.MaxSteps = hold, tightnessHorizon
 	run.StopWhen = func(s *sim.Snapshot) bool {
-		low.ForEach(func(p dist.ProcID) {
-			if _, ok := s.Decided(p); ok {
-				hold.decided = hold.decided.Add(p)
-			}
-		})
+		hold.decided = hold.decided.Union(s.DecidedSet().Intersect(low))
 		return false
 	}
 	return run, task, nil

@@ -77,6 +77,42 @@ func TestRunnerRecoveryFreshAutomaton(t *testing.T) {
 	}
 }
 
+// TestDecidedSetMatchesDecided holds Snapshot.DecidedSet to Snapshot.Decided
+// at every tick of the recovery run above: p2 decides, loses its decision at
+// its recovery and decides again, so the set both gains and loses a member.
+func TestDecidedSetMatchesDecided(t *testing.T) {
+	f := dist.NewFailurePattern(2)
+	f.CrashAt(2, 10)
+	f.RecoverAt(2, 30)
+	var cleared, checked bool
+	var prev dist.ProcSet
+	_, err := Run(Config{
+		Pattern: f, History: nilHistory(),
+		Program:   func(dist.ProcID, int) Automaton { return &beaconAutomaton{} },
+		Scheduler: &RoundRobinScheduler{}, MaxSteps: 200,
+		StopWhen: func(sn *Snapshot) bool {
+			var want dist.ProcSet
+			for p := dist.ProcID(1); p <= 2; p++ {
+				if _, ok := sn.Decided(p); ok {
+					want = want.Add(p)
+				}
+			}
+			if got := sn.DecidedSet(); got != want {
+				t.Fatalf("t=%d: DecidedSet %v, Decided reports %v", int64(sn.Now()), got, want)
+			}
+			cleared = cleared || prev.Contains(2) && !want.Contains(2)
+			prev, checked = want, true
+			return false
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !checked || !cleared {
+		t.Fatalf("checked=%v cleared=%v: the run never dropped p2's decision, so the recovery case went untested", checked, cleared)
+	}
+}
+
 // TestRunnerTransitionOrder pins the order crashes and recoveries enter the
 // trace: the pattern's own transition order. Eighteen processes crashing at
 // one tick are listed by process, and a crash and another process's

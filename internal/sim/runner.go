@@ -174,6 +174,10 @@ func (s *Snapshot) Decided(p dist.ProcID) (any, bool) {
 	return s.r.decisions[p-1], true
 }
 
+// DecidedSet returns the processes that have decided: those for which
+// Decided reports a decision.
+func (s *Snapshot) DecidedSet() dist.ProcSet { return s.r.decidedSet }
+
 // EmuOutput returns the current emulated failure-detector output of p when
 // p's automaton is an Emulator, else nil.
 func (s *Snapshot) EmuOutput(p dist.ProcID) any {
