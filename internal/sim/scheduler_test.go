@@ -187,17 +187,15 @@ func TestStreamReseedMatchesNew(t *testing.T) {
 	zero := &RandomScheduler{}
 	zero.Reseed(seed)
 	fresh := NewRandomScheduler(seed)
+	reseeded := map[string]*RandomScheduler{"reseeded after a run": used, "reseeded zero": zero}
 	v.Alive = dist.FullSet(n)
 	for i := 0; i < ticks; i++ {
 		v.Now = dist.Time(i)
 		want, _ := fresh.Next(&v)
-		for _, s := range []struct {
-			name string
-			s    *RandomScheduler
-		}{{"reseeded after a run", used}, {"reseeded zero", zero}} {
-			if got, _ := s.s.Next(&v); got.Proc != want.Proc || got.Mode != want.Mode {
+		for name, s := range reseeded {
+			if got, _ := s.Next(&v); got.Proc != want.Proc || got.Mode != want.Mode {
 				t.Fatalf("%s, tick %d: picked (p%d, %d), NewRandomScheduler (p%d, %d)",
-					s.name, i, int(got.Proc), got.Mode, int(want.Proc), want.Mode)
+					name, i, int(got.Proc), got.Mode, int(want.Proc), want.Mode)
 			}
 		}
 	}
@@ -240,15 +238,16 @@ func TestStreamIntnUniform(t *testing.T) {
 }
 
 // TestStreamIntnRejects drives intn's rejection step, which small bounds
-// almost never reach: for n = 2⁶² + 1 about a quarter of the raw draws fall
-// in the biased low zone and are drawn again, so a result takes 4/3 raw
-// draws on average, and every result stays below n.
+// almost never reach: for n = 3·2⁶¹ the biased low zone, 2⁶⁴ mod n = 2⁶²,
+// is a quarter of the raw draws, which are drawn again, so a result takes
+// 4/3 raw draws on average (rejecting every draw whose low word is below n
+// would take 8/5), and every result stays below n.
 func TestStreamIntnRejects(t *testing.T) {
 	if bits.UintSize < 64 {
 		t.Skip("needs a 64-bit int to hold a bound with a wide rejection zone")
 	}
 	const draws = 10_000
-	bound := uint64(1)<<62 + 1 // a variable, so 32-bit builds compile
+	bound := uint64(3) << 61 // a variable, so 32-bit builds compile
 	n := int(bound)
 	r := stream{seed: 3}
 	for i := 0; i < draws; i++ {
