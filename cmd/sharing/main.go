@@ -170,7 +170,7 @@ func runSigmaTask(task core.TaskConfig, oracle string, n int, seed int64, crash 
 	}
 	rep := task.Report(res)
 	fmt.Printf("%v on %v (%s active %v): %s\n", task.Task, f, oracle, task.Active(), rep)
-	printDecisions(rep.Decisions)
+	printDecisions(res.Decisions)
 	return nil
 }
 
@@ -601,7 +601,7 @@ func cmdConsensus(args []string) error {
 		}
 		rep := agreement.Check(f, 1, sc.Proposals, res)
 		fmt.Printf("Ω+Σ consensus on %v: %s\n", f, rep)
-		printDecisions(rep.Decisions)
+		printDecisions(res.Decisions)
 		return nil
 	}
 	start := time.Now()
@@ -772,9 +772,10 @@ func reportEmulation(name string, vs []fd.Violation) error {
 	return fmt.Errorf("%s: emulated history invalid", name)
 }
 
-func printDecisions(dec map[dist.ProcID]agreement.Value) {
+// printDecisions lists a run's agreement.Value decisions in identity order.
+func printDecisions(dec map[dist.ProcID]any) {
 	for p := dist.ProcID(1); p <= dist.MaxProcs; p++ {
-		if v, ok := dec[p]; ok {
+		if v, ok := dec[p].(agreement.Value); ok {
 			fmt.Printf("  p%d decided %d\n", int(p), int64(v))
 		}
 	}

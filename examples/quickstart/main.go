@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/sim"
@@ -38,7 +39,7 @@ func main() {
 	fmt.Printf("proposals: %v\n", task.Proposals())
 	fmt.Printf("result:    %s (after %d steps, %d messages)\n", report, res.Steps, res.MessagesSent)
 	for p := dist.ProcID(1); p <= n; p++ {
-		if v, ok := report.Decisions[p]; ok {
+		if v, ok := res.Decisions[p].(agreement.Value); ok {
 			fmt.Printf("  p%d decided %d at t=%d\n", int(p), int64(v), int64(res.DecideTime[p]))
 		} else {
 			fmt.Printf("  p%d crashed before deciding\n", int(p))

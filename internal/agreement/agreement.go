@@ -11,7 +11,7 @@ package agreement
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/sim"
@@ -49,8 +49,9 @@ type Report struct {
 	Violations []string
 	// Distinct is the number of distinct decided values.
 	Distinct int
-	// Decisions maps each process that decided to its decision.
-	Decisions map[dist.ProcID]Value
+	// Decided is the set of processes that decided a Value; the run's
+	// Result.Decisions holds what each decided.
+	Decided dist.ProcSet
 }
 
 // OK reports whether the run satisfied the task.
@@ -59,7 +60,7 @@ func (r Report) OK() bool { return len(r.Violations) == 0 }
 // String summarizes the report.
 func (r Report) String() string {
 	if r.OK() {
-		return fmt.Sprintf("ok: %d processes decided %d distinct value(s)", len(r.Decisions), r.Distinct)
+		return fmt.Sprintf("ok: %d processes decided %d distinct value(s)", r.Decided.Len(), r.Distinct)
 	}
 	return fmt.Sprintf("VIOLATED: %v", r.Violations)
 }
@@ -76,10 +77,6 @@ func (r Report) String() string {
 // no-violation hot path.
 func SafetyCheck(k int, proposals []Value) func(map[dist.ProcID]any) string {
 	n := len(proposals)
-	valid := make(map[Value]bool, n)
-	for _, v := range proposals {
-		valid[v] = true
-	}
 	return func(dec map[dist.ProcID]any) string {
 		var seen [dist.MaxProcs]Value
 		distinct := 0
@@ -92,17 +89,10 @@ func SafetyCheck(k int, proposals []Value) func(map[dist.ProcID]any) string {
 			if !isVal {
 				return fmt.Sprintf("p%d decided %v of type %T, want agreement.Value", int(p), raw, raw)
 			}
-			if !valid[v] {
+			if !slices.Contains(proposals, v) {
 				return fmt.Sprintf("validity: p%d decided %d, which no process proposed", int(p), int64(v))
 			}
-			dup := false
-			for i := 0; i < distinct; i++ {
-				if seen[i] == v {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if !slices.Contains(seen[:distinct], v) {
 				seen[distinct] = v
 				distinct++
 			}
@@ -115,14 +105,11 @@ func SafetyCheck(k int, proposals []Value) func(map[dist.ProcID]any) string {
 }
 
 // Check validates a finished run against k-set agreement with the given
-// proposals (indexed by ProcID-1).
+// proposals (indexed by ProcID-1). On a run that satisfies the task it
+// allocates nothing; only a violation is formatted.
 func Check(f *dist.FailurePattern, k int, proposals []Value, res *sim.Result) Report {
-	rep := Report{Decisions: make(map[dist.ProcID]Value, len(res.Decisions))}
-
-	valid := make(map[Value]bool, len(proposals))
-	for _, v := range proposals {
-		valid[v] = true
-	}
+	var rep Report
+	var seen [dist.MaxProcs]Value // the distinct decided values, in seen[:rep.Distinct]
 
 	// Identity order, not map order: one result, one violation text.
 	for p := dist.ProcID(1); int(p) <= f.N(); p++ {
@@ -136,10 +123,14 @@ func Check(f *dist.FailurePattern, k int, proposals []Value, res *sim.Result) Re
 				fmt.Sprintf("p%d decided %v of type %T, want agreement.Value", int(p), raw, raw))
 			continue
 		}
-		rep.Decisions[p] = v
-		if !valid[v] {
+		rep.Decided = rep.Decided.Add(p)
+		if !slices.Contains(proposals, v) {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("validity: p%d decided %d, which no process proposed", int(p), int64(v)))
+		}
+		if !slices.Contains(seen[:rep.Distinct], v) {
+			seen[rep.Distinct] = v
+			rep.Distinct++
 		}
 	}
 
@@ -154,17 +145,9 @@ func Check(f *dist.FailurePattern, k int, proposals []Value, res *sim.Result) Re
 	})
 
 	// Agreement: at most k distinct decided values.
-	seen := make(map[Value]bool, len(rep.Decisions))
-	for _, v := range rep.Decisions {
-		seen[v] = true
-	}
-	rep.Distinct = len(seen)
 	if rep.Distinct > k {
-		vals := make([]int64, 0, len(seen))
-		for v := range seen {
-			vals = append(vals, int64(v))
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		vals := slices.Clone(seen[:rep.Distinct])
+		slices.Sort(vals)
 		rep.Violations = append(rep.Violations,
 			fmt.Sprintf("agreement: %d distinct values decided %v, want ≤ %d", rep.Distinct, vals, k))
 	}

@@ -11,6 +11,7 @@
 package consensus
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/agreement"
@@ -88,27 +89,99 @@ func (o *Oracle) Output(p dist.ProcID, t dist.Time) any {
 // collide (b ≡ proposer−1 mod n).
 type Ballot int64
 
-// Protocol messages.
-type (
-	prepareMsg struct{ B Ballot }
-	promiseMsg struct {
-		B        Ballot
-		Accepted Ballot // highest ballot whose value the acceptor adopted; 0 = none
-		Val      agreement.Value
-	}
-	acceptMsg struct {
-		B   Ballot
-		Val agreement.Value
-	}
-	acceptedMsg struct{ B Ballot }
-	decideMsg   struct{ Val agreement.Value }
+// kind names what a frame carries.
+type kind uint8
+
+// Frame kinds: the two phases of a ballot (prepare/promise, accept/accepted)
+// and the decision.
+const (
+	prepare kind = iota + 1
+	promise
+	accept
+	accepted
+	decide
 )
+
+// frame is the one consensus message: Kind says which fields it carries.
+// Frames travel as pointers and are pooled under sim's send-buffer lease
+// contract, as the store's frames are: the sender sets refs to the number of
+// recipients, and on untraced runs (sim.Env.DeliveredOwned) each recipient
+// drops its reference once it has processed the frame, the last one handing
+// it back to the pool. A trace retains every payload, so on traced runs
+// ownership is never granted and the pool never fills.
+type frame struct {
+	B        Ballot
+	Accepted Ballot // promise: highest ballot whose value the acceptor adopted; 0 = none
+	Val      agreement.Value
+	pool     *framePool
+	refs     int32
+	Kind     kind
+}
+
+var _ sim.RefCounted = (*frame)(nil)
+
+// AddRef and DropRef implement sim.RefCounted, so the runner can account
+// for a copy it duplicates or drops by loss.
+func (f *frame) AddRef() { f.refs++ }
+func (f *frame) DropRef() {
+	if f.refs--; f.refs <= 0 {
+		f.pool.put(f)
+	}
+}
+
+// String renders the frame's kind and fields, never its pool or its
+// address, so a traced run renders the same text on every runner.
+func (f *frame) String() string {
+	switch f.Kind {
+	case prepare:
+		return fmt.Sprintf("prepare(b=%d)", int64(f.B))
+	case promise:
+		return fmt.Sprintf("promise(b=%d acc=%d v=%d)", int64(f.B), int64(f.Accepted), int64(f.Val))
+	case accept:
+		return fmt.Sprintf("accept(b=%d v=%d)", int64(f.B), int64(f.Val))
+	case accepted:
+		return fmt.Sprintf("accepted(b=%d)", int64(f.B))
+	case decide:
+		return fmt.Sprintf("decide(v=%d)", int64(f.Val))
+	}
+	return fmt.Sprintf("frame(kind=%d)", uint8(f.Kind))
+}
+
+// framePoolCap bounds the free list, so pool memory tracks the in-flight
+// high-water mark rather than the run length.
+const framePoolCap = 1024
+
+// framePool is a capped LIFO free list of frames. The nodes of one Program
+// call share it, since a frame one node leases is released by another; the
+// runner steps them one at a time, so it needs no lock, and it survives
+// Reset, so a reused runner stops allocating frames after its first runs.
+type framePool struct{ free []*frame }
+
+// get leases a frame of kind k carrying b, acc and v.
+func (p *framePool) get(k kind, b, acc Ballot, v agreement.Value) *frame {
+	var f *frame
+	if n := len(p.free); n > 0 {
+		f = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		f = &frame{pool: p}
+	}
+	f.Kind, f.B, f.Accepted, f.Val = k, b, acc, v
+	return f
+}
+
+func (p *framePool) put(f *frame) {
+	if len(p.free) < framePoolCap {
+		p.free = append(p.free, f)
+	}
+}
 
 // Node is the per-process consensus automaton.
 type Node struct {
 	self dist.ProcID
 	n    int
 	v    agreement.Value
+	pool *framePool // shared by the nodes of one Program call
 
 	// Acceptor state.
 	promised Ballot
@@ -136,15 +209,18 @@ var _ sim.Rewinder = (*Node)(nil)
 const retryEvery = 24
 
 // Program builds a Program from per-process proposals (index ProcID-1).
+// The nodes it builds share one frame pool, so the Program serves one
+// runner at a time.
 func Program(proposals []agreement.Value) sim.Program {
+	pool := &framePool{}
 	return func(p dist.ProcID, n int) sim.Automaton {
-		return &Node{self: p, n: n, v: proposals[p-1]}
+		return &Node{self: p, n: n, v: proposals[p-1], pool: pool}
 	}
 }
 
 // Rewind implements sim.Rewinder: everything but the process's identity,
-// system size and proposal is per-run state, and starts at zero.
-func (a *Node) Rewind() { *a = Node{self: a.self, n: a.n, v: a.v} }
+// system size, proposal and frame pool is per-run state, and starts at zero.
+func (a *Node) Rewind() { *a = Node{self: a.self, n: a.n, v: a.v, pool: a.pool} }
 
 // Step implements sim.Automaton.
 func (a *Node) Step(e *sim.Env) {
@@ -152,7 +228,7 @@ func (a *Node) Step(e *sim.Env) {
 		a.onMessage(e, payload, from)
 	}
 	if a.decided {
-		// Under message loss a decideMsg can vanish, stranding a peer that
+		// Under message loss a decide frame can vanish, stranding a peer that
 		// missed the quorum traffic — and a recovered process rejoins with no
 		// memory of the decision at all. Re-broadcast the decided value at
 		// the stall-retry cadence; only the single chosen value is ever
@@ -161,7 +237,7 @@ func (a *Node) Step(e *sim.Env) {
 		a.stall++
 		if a.stall >= retryEvery {
 			a.stall = 0
-			e.BroadcastAll(decideMsg{Val: a.decidedVal})
+			broadcastAll(e, a.pool.get(decide, 0, 0, a.decidedVal))
 		}
 		return
 	}
@@ -186,13 +262,13 @@ func (a *Node) Step(e *sim.Env) {
 			a.accepts = dist.ProcSet{}
 			a.bestV = v
 			a.selfAccept(a.ballot, v)
-			e.Broadcast(acceptMsg{B: a.ballot, Val: v})
+			broadcast(e, a.pool.get(accept, a.ballot, 0, v))
 			return
 		}
 		a.maybeRetry(e)
 	case 2:
 		if !out.Trusted.IsEmpty() && out.Trusted.SubsetOf(a.accepts) {
-			e.BroadcastAll(decideMsg{Val: a.bestV})
+			broadcastAll(e, a.pool.get(decide, 0, 0, a.bestV))
 			a.decide(e, a.bestV)
 			return
 		}
@@ -201,37 +277,63 @@ func (a *Node) Step(e *sim.Env) {
 }
 
 func (a *Node) onMessage(e *sim.Env, payload any, from dist.ProcID) {
-	switch m := payload.(type) {
-	case prepareMsg:
+	m, ok := payload.(*frame)
+	if !ok {
+		return
+	}
+	switch m.Kind {
+	case prepare:
 		if m.B > a.promised {
 			a.promised = m.B
 		}
 		if m.B >= a.promised {
-			e.Send(from, promiseMsg{B: m.B, Accepted: a.accB, Val: a.accV})
+			send(e, from, a.pool.get(promise, m.B, a.accB, a.accV))
 		}
-	case promiseMsg:
+	case promise:
 		if a.phase == 1 && m.B == a.ballot {
 			a.promises = a.promises.Add(from)
 			if m.Accepted > a.bestB {
 				a.bestB, a.bestV = m.Accepted, m.Val
 			}
 		}
-	case acceptMsg:
+	case accept:
 		if m.B >= a.promised {
 			a.promised = m.B
 			a.accB, a.accV = m.B, m.Val
-			e.Send(from, acceptedMsg{B: m.B})
+			send(e, from, a.pool.get(accepted, m.B, 0, 0))
 		}
-	case acceptedMsg:
+	case accepted:
 		if a.phase == 2 && m.B == a.ballot {
 			a.accepts = a.accepts.Add(from)
 		}
-	case decideMsg:
+	case decide:
 		if !a.decided {
-			e.BroadcastAll(decideMsg{Val: m.Val})
+			broadcastAll(e, a.pool.get(decide, 0, 0, m.Val))
 			a.decide(e, m.Val)
 		}
 	}
+	// On untraced runs the runner hands the delivered frame to this node,
+	// which drops its reference now that it has read the frame.
+	if e.DeliveredOwned() {
+		m.DropRef()
+	}
+}
+
+// send, broadcast and broadcastAll send a leased frame to one process, to
+// every other process or to all, counting one reference per recipient.
+func send(e *sim.Env, to dist.ProcID, f *frame) {
+	f.refs = 1
+	e.Send(to, f)
+}
+
+func broadcast(e *sim.Env, f *frame) {
+	f.refs = int32(e.N() - 1)
+	e.Broadcast(f)
+}
+
+func broadcastAll(e *sim.Env, f *frame) {
+	f.refs = int32(e.N())
+	e.BroadcastAll(f)
 }
 
 func (a *Node) newBallot(e *sim.Env) {
@@ -252,7 +354,7 @@ func (a *Node) newBallot(e *sim.Env) {
 	a.bestB, a.bestV = 0, 0
 	a.stall = 0
 	a.selfPromise(next)
-	e.Broadcast(prepareMsg{B: next})
+	broadcast(e, a.pool.get(prepare, next, 0, 0))
 }
 
 // selfPromise applies the proposer's own acceptor vote locally.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/dist"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // consensusFaultsConfig is the consensus-faults benchmark row: n = 6, p5
@@ -79,6 +80,86 @@ func TestConsensusRunsPinned(t *testing.T) {
 		got.decisions = decisionsOf(res)
 		if got != w {
 			t.Errorf("seed %d:\n got %+v\nwant %+v", seed, got, w)
+		}
+	}
+}
+
+// TestConsensusRunIsAllocationFree pins the agreeing half's steady state: a
+// runner warmed on the consensus-faults row then runs, resets and checks
+// agreement on the same seeds with no allocation at all — no boxed message,
+// no fresh Result or map, no map in the agreement check.
+func TestConsensusRunIsAllocationFree(t *testing.T) {
+	sc := consensusFaultsConfig()
+	cfg, err := sc.SimConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seeds = 16
+	seed := int64(0)
+	run := func() {
+		res, err := r.Reset(seed % seeds).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := agreement.Check(sc.Pattern, 1, sc.Proposals, res); !rep.OK() {
+			t.Fatalf("seed %d: %s", seed%seeds, rep)
+		}
+		seed++
+	}
+	for range seeds { // warm the inboxes, the frame pool and the result maps
+		run()
+	}
+	if allocs := testing.AllocsPerRun(2*seeds, run); allocs != 0 {
+		t.Fatalf("a warm consensus run allocates %v times, want 0", allocs)
+	}
+}
+
+// TestTracedConsensusRendersFrames: a frame renders its kind and fields and
+// nothing of its pool, so two runners render the same traced seed to the
+// same text.
+func TestTracedConsensusRendersFrames(t *testing.T) {
+	for _, tc := range []struct {
+		f    *frame
+		want string
+	}{
+		{&frame{Kind: prepare, B: 7}, "prepare(b=7)"},
+		{&frame{Kind: promise, B: 7, Accepted: 1, Val: 101}, "promise(b=7 acc=1 v=101)"},
+		{&frame{Kind: accept, B: 13, Val: 202}, "accept(b=13 v=202)"},
+		{&frame{Kind: accepted, B: 13}, "accepted(b=13)"},
+		{&frame{Kind: decide, Val: 101}, "decide(v=101)"},
+	} {
+		if got := tc.f.String(); got != tc.want {
+			t.Errorf("got %q, want %q", got, tc.want)
+		}
+	}
+	sc := consensusFaultsConfig()
+	render := func() string {
+		cfg, err := sc.SimConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.DisableTrace = false
+		r, err := sim.NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Reset(2).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trace.Render(res.Trace, trace.RenderOptions{N: 6, MaxRows: 1 << 20})
+	}
+	a, b := render(), render()
+	if a != b {
+		t.Fatal("two runners render the same traced seed differently")
+	}
+	for _, k := range []string{"prepare(", "promise(", "accept(", "accepted(", "decide("} {
+		if !strings.Contains(a, "send  "+k) {
+			t.Fatalf("the traced run sends no %s frame:\n%s", k, a)
 		}
 	}
 }

@@ -35,14 +35,15 @@ type SweepConfig struct {
 	Workers int
 }
 
-// Sweep runs seeded consensus runs, all workers on the one SimConfig and so
-// on one shared Oracle, and aggregates them. Each run must uphold validity
-// and uniform agreement and must terminate: every correct process decides,
-// and so does every recovered process, which relearns the decision from the
-// periodic decideMsg re-broadcast — the liveness property loss + recovery
-// threaten. Aggregates are bit-identical across worker counts (fault
-// decisions are pure in (plan seed ⊕ run seed, message seq), and the sweep
-// only folds order-independent statistics).
+// Sweep runs seeded consensus runs and aggregates them. Every worker runs
+// the one SimConfig with a Program of its own, since a Program's nodes share
+// a frame pool, and all of them read one shared Oracle. Each run must uphold
+// validity and uniform agreement and must terminate: every correct process
+// decides, and so does every recovered process, which relearns the decision
+// from the periodic decide re-broadcast — the liveness property loss +
+// recovery threaten. Aggregates are bit-identical across worker counts
+// (fault decisions are pure in (plan seed ⊕ run seed, message seq), and the
+// sweep only folds order-independent statistics).
 func Sweep(cfg SweepConfig) (*sweep.Result, error) {
 	sc, err := cfg.SimConfig()
 	if err != nil {
@@ -52,8 +53,12 @@ func Sweep(cfg SweepConfig) (*sweep.Result, error) {
 		SeedStart: cfg.SeedStart,
 		Seeds:     cfg.Seeds,
 		Workers:   cfg.Workers,
-		Sim:       func() sim.Config { return sc },
-		Check:     cfg.check,
+		Sim: func() sim.Config {
+			c := sc
+			c.Program = Program(cfg.Proposals)
+			return c
+		},
+		Check: cfg.check,
 	})
 }
 
@@ -61,7 +66,8 @@ func Sweep(cfg SweepConfig) (*sweep.Result, error) {
 // Ω+Σ oracle, the horizon (stretched to twice the last partition heal), the
 // fault plan and a stop once every correct and recovered process decided.
 // It is untraced and has no Scheduler (a runner then owns a seeded one);
-// callers may set both. It is read-only, so it serves many runners at once.
+// callers may set both. Its Program's nodes share a frame pool, so it serves
+// one runner at a time; every other part of it is read-only.
 func (cfg SweepConfig) SimConfig() (sim.Config, error) {
 	f := cfg.Pattern
 	if f == nil {

@@ -75,7 +75,7 @@ func TestConsensusSweepUnderFaultsWorkerIndependent(t *testing.T) {
 // crashes at t=40 — possibly after promising, accepting, even deciding — and
 // recovers at t=200 with everything forgotten. Agreement and validity must
 // hold across every seed, and the recovered process must relearn the decided
-// value from the periodic decideMsg re-broadcast (the Sweep's Check enforces
+// value from the periodic decide re-broadcast (the Sweep's Check enforces
 // that; termination of correct processes is agreement.Check's). Safety
 // survives because Σ's trusted sets converge to Correct(F), which excludes
 // the ever-crashed p3: every quorum contains all correct processes, so two

@@ -82,7 +82,7 @@ func TestFig2SingleCorrectActive(t *testing.T) {
 		if !rep.OK() {
 			t.Fatalf("seed=%d: %s", seed, rep)
 		}
-		if len(rep.Decisions) == 0 {
+		if rep.Decided.IsEmpty() {
 			t.Fatalf("seed=%d: no decisions", seed)
 		}
 	}

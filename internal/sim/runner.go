@@ -79,28 +79,33 @@ type Config struct {
 	DisableTrace bool
 }
 
-// Result is the outcome of a run.
+// Result is the outcome of a run. A Runner fills one Result per run and
+// returns the same one from every Run: its fields, the Decisions and
+// DecideTime maps included, are the Runner's buffers and stay valid until
+// the next Reset. Run clears both maps before it fills them, so they never
+// hold a process that did not decide in the run they describe. A caller
+// that keeps a result across runs copies what it needs first.
 type Result struct {
 	// Steps counts automaton steps, including the null steps of Quiescent
 	// automata that the runner counts without computing them; Ticks counts
 	// elapsed model time, including idle ticks where no process stepped.
 	// Trace times and MaxSteps are in ticks.
-	Steps      int64
-	Ticks      int64
-	Reason     StopReason
+	Steps  int64
+	Ticks  int64
+	Reason StopReason
+	// Decisions and DecideTime hold each process that decided, with its
+	// decision and its tick.
 	Decisions  map[dist.ProcID]any
 	DecideTime map[dist.ProcID]dist.Time
 	Trace      *trace.Trace
 	// Ops is the run's op log: every Invoke and Return record in the order
 	// the steps made them, on every run, traced or not. A recovered
-	// process's pre-crash records stay in it. It is the Runner's buffer and
-	// stays valid until the next Reset.
+	// process's pre-crash records stay in it.
 	Ops []OpEvent
 	// Automata holds each process's final automaton (index p-1), so tests
-	// can inspect emulator outputs and internal state post-run. Like Ops it
-	// is the Runner's buffer and stays valid until the next Reset, which
-	// rewinds Rewinder automata in place. Writing into the slice does not
-	// change the Runner's own set.
+	// can inspect emulator outputs and internal state post-run. The next
+	// Reset rewinds Rewinder automata in place. Writing into the slice does
+	// not change the Runner's own set.
 	Automata []Automaton
 	// MessagesSent counts all messages enqueued during the run.
 	MessagesSent int64
@@ -258,6 +263,7 @@ type Runner struct {
 	env  Env       // reused step context
 	ops  []OpEvent // the run's op log (Result.Ops), truncated only by reset
 	snap Snapshot
+	res  Result // what Run returns, refilled by every run
 
 	ran bool
 	err error
@@ -331,6 +337,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 		built:      true,
 	}
 	r.snap = Snapshot{r: r}
+	// Unsized: a run with no decision (every store run) never fills them.
+	r.res.Decisions = map[dist.ProcID]any{}
+	r.res.DecideTime = map[dist.ProcID]dist.Time{}
 	r.view = View{N: n, Pending: r.pendingCount}
 	r.env.history = cfg.History
 	// The pattern is part of the configured system and must not change over
@@ -357,10 +366,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 // Rewinder automaton is rewound in place; any other is built afresh by the
 // Program. Automata that no run has stepped yet (those NewRunner built) are
 // kept as they are, so NewRunner followed by Reset builds each process's
-// automaton once. The last Result's Automata and Ops are reused, and so are
-// valid only until Reset. The scheduler is reseeded when it implements
-// Reseeder (NewRandomScheduler does); scripted schedulers can instead be
-// swapped via fresh configs. Reset returns the runner for chaining.
+// automaton once. The last Result, its maps, Automata and Ops are the
+// runner's buffers, which the next Run refills, and so are valid only until
+// Reset. The scheduler is reseeded when it implements Reseeder
+// (NewRandomScheduler does); scripted schedulers can instead be swapped via
+// fresh configs. Reset returns the runner for chaining.
 func (r *Runner) Reset(seed int64) *Runner {
 	if rs, ok := r.cfg.Scheduler.(Reseeder); ok {
 		rs.Reseed(seed)
@@ -447,7 +457,7 @@ func (r *Runner) renew(p dist.ProcID) {
 }
 
 // Run executes the prepared run to completion. It may be called once per
-// Reset.
+// Reset, and returns the runner's one Result, refilled (see Result).
 func (r *Runner) Run() (*Result, error) {
 	if r.ran {
 		return nil, errors.New("sim: Runner.Run called twice without Reset")
@@ -456,12 +466,15 @@ func (r *Runner) Run() (*Result, error) {
 	r.built = false // the run steps the automata
 	reason := r.loop()
 	copy(r.out, r.automata)
-	res := &Result{
+	res := &r.res
+	clear(res.Decisions)
+	clear(res.DecideTime)
+	*res = Result{
 		Steps:        r.steps,
 		Ticks:        int64(r.now),
 		Reason:       reason,
-		Decisions:    make(map[dist.ProcID]any, r.decidedSet.Len()),
-		DecideTime:   make(map[dist.ProcID]dist.Time, r.decidedSet.Len()),
+		Decisions:    res.Decisions,
+		DecideTime:   res.DecideTime,
 		Trace:        r.tr,
 		Ops:          r.ops,
 		Automata:     r.out,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dist"
@@ -42,6 +43,69 @@ func TestRunnerResetMatchesOneShotRuns(t *testing.T) {
 				t.Fatalf("seed %d: p%d decided %v reused vs %v one-shot", seed, int(p), rv, v)
 			}
 		}
+	}
+}
+
+// decideFirst decides its own identity at its first step.
+type decideFirst struct {
+	self    dist.ProcID
+	decided bool
+}
+
+func (a *decideFirst) Step(e *Env) {
+	if !a.decided {
+		a.decided = true
+		e.Decide(int(a.self))
+	}
+}
+
+// TestReusedResultHoldsNoStaleDecision is the reused Result's contract: Run
+// returns the runner's one Result, and its Decisions and DecideTime hold
+// exactly the run's deciders, so a process that decided in the last run
+// and not in this one leaves no entry behind. Runs of three ticks let at
+// most three of the four processes decide, so consecutive seeds decide
+// different sets.
+func TestReusedResultHoldsNoStaleDecision(t *testing.T) {
+	mkCfg := func(seed int64) Config {
+		return Config{
+			Pattern: dist.NewFailurePattern(4), History: nilHistory(),
+			Program:   func(p dist.ProcID, n int) Automaton { return &decideFirst{self: p} },
+			Scheduler: NewRandomScheduler(seed), MaxSteps: 3,
+		}
+	}
+	r, err := NewRunner(mkCfg(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *Result
+	var lastDeciders dist.ProcSet
+	dropped := 0 // processes that decided in one run and not in the next
+	for seed := int64(0); seed < 20; seed++ {
+		res, err := r.Reset(seed).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last != nil && res != last {
+			t.Fatalf("seed %d: Run returned a new Result", seed)
+		}
+		last = res
+		want, err := Run(mkCfg(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Decisions, want.Decisions) || !reflect.DeepEqual(res.DecideTime, want.DecideTime) {
+			t.Fatalf("seed %d: reused result decided %v at %v, a fresh runner %v at %v",
+				seed, res.Decisions, res.DecideTime, want.Decisions, want.DecideTime)
+		}
+		var deciders dist.ProcSet
+		for p := range res.Decisions {
+			deciders = deciders.Add(p)
+		}
+		dropped += lastDeciders.Minus(deciders).Len()
+		lastDeciders = deciders
+	}
+	if dropped == 0 {
+		t.Fatal("no process decided in one run and not in the next: the scenario tests nothing")
 	}
 }
 
