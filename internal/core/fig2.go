@@ -40,11 +40,17 @@ type Fig2 struct {
 	v2   agreement.Value
 }
 
-var _ sim.Automaton = (*Fig2)(nil)
+var _ sim.Rewinder = (*Fig2)(nil)
 
 // NewFig2 returns the Figure 2 automaton for process self proposing v.
 func NewFig2(self dist.ProcID, v agreement.Value) *Fig2 {
 	return &Fig2{self: self, v: v, me: agreement.NoValue, you: agreement.NoValue}
+}
+
+// Rewind implements sim.Rewinder: it keeps the process and its proposal and
+// restores the state NewFig2 builds.
+func (a *Fig2) Rewind() {
+	*a = Fig2{self: a.self, v: a.v, me: agreement.NoValue, you: agreement.NoValue}
 }
 
 // Fig2Program builds a Program from per-process proposals (index ProcID-1).

@@ -3,6 +3,7 @@ package register
 import (
 	"fmt"
 	"math"
+	"sync"
 	"unsafe"
 
 	"repro/internal/dist"
@@ -125,8 +126,16 @@ const framePoolCap = 1024
 // and replies replica → client, so per-node pools would starve — each side
 // hoarding frames at its cap while the other allocates — while the shared
 // pool closes the cycle. It survives Reset, so a reused runner stops
-// allocating frames entirely after its first run.
+// allocating frames entirely after its first run, and it outlives its
+// program: every program draws its pool from framePools, and StoreSweep
+// gives its workers' pools back once their runners are released.
 type framePool struct{ free []*storeFrame }
+
+// framePools holds the frame pools of finished store sweeps. A pool holds
+// no state of the program that used it (get empties every frame it hands
+// out, and a frame's pool backref is the pool itself), so a new program
+// starts with the frames, and the entry capacities, of the last.
+var framePools = sync.Pool{New: func() any { return new(framePool) }}
 
 // get leases an empty frame.
 func (p *framePool) get() *storeFrame {
@@ -733,7 +742,8 @@ func StoreProgram(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) (
 	if err != nil {
 		return nil, err
 	}
-	return storeProgram(n, s, &cfg, m, scripts), nil
+	prog, _ := storeProgram(n, s, &cfg, m, scripts)
+	return prog, nil
 }
 
 // validateStore is StoreProgram's construction-time validation. It returns
@@ -765,16 +775,19 @@ func validateStore(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) 
 
 // storeProgram builds the program of validated inputs (see validateStore):
 // every node reads the one cfg and shard map, which the caller must not
-// change afterwards, and the nodes share a fresh payload pool.
-func storeProgram(n int, s dist.ProcSet, cfg *StoreConfig, m *ShardMap, scripts [][]KeyedOp) sim.Program {
-	pool := &framePool{}
+// change afterwards, and the nodes share a payload pool drawn from
+// framePools, which it returns. A caller may put the pool back once no
+// runner of the program steps again and every frame parked in a runner's
+// inboxes has come back (sim.Runner.Release).
+func storeProgram(n int, s dist.ProcSet, cfg *StoreConfig, m *ShardMap, scripts [][]KeyedOp) (sim.Program, *framePool) {
+	pool := framePools.Get().(*framePool)
 	return func(p dist.ProcID, _ int) sim.Automaton {
 		var script []KeyedOp
 		if int(p) <= len(scripts) {
 			script = scripts[p-1]
 		}
 		return newStoreNode(p, n, s, cfg, m, script, pool)
-	}
+	}, pool
 }
 
 // noClient stands in for the client half of a pure replica in the

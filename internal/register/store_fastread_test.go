@@ -6,13 +6,17 @@ import (
 	"repro/internal/dist"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 // TestStoreFastReadsOffByteIdentical pins the FastReads-off wire streams
 // (canonical wireStream hashes) across three config tiers and four scheduler
 // seeds each. The rendering includes every entry's CTS, so a nonzero CTS
 // leaking into a FastReads-off run — or any schedule change — breaks the
-// hash.
+// hash. The piggyback+retransmit tier runs under loss, duplication and
+// delay, and every one of its seeds must fold at least one frame and
+// retransmit at least once: a seed on which neither mechanism fires pins
+// nothing the batched tier does not.
 func TestStoreFastReadsOffByteIdentical(t *testing.T) {
 	const n = 5
 	f := dist.NewFailurePattern(n)
@@ -30,28 +34,65 @@ func TestStoreFastReadsOffByteIdentical(t *testing.T) {
 		name    string
 		cfg     StoreConfig
 		scripts [][]KeyedOp
+		faults  *sim.FaultPlan // a tier with faults must fold and retransmit on every seed
 		golden  [4]uint64
 	}{
-		{"batched", StoreConfig{Keys: 8, Shards: 2, Window: 4}, wl(8, 2, 10, 11),
+		{"batched", StoreConfig{Keys: 8, Shards: 2, Window: 4}, wl(8, 2, 10, 11), nil,
 			[4]uint64{0x1ab503e9783fd1ed, 0x746442e9e30b9df6, 0xb3e34cce7087aab1, 0x33aaf644f5e14214}},
 		{"piggyback+retransmit", StoreConfig{Keys: 8, Shards: 2, Window: 4, Piggyback: true, Retransmit: true, RTO: 16}, wl(8, 2, 10, 11),
-			[4]uint64{0x1ab503e9783fd1ed, 0x9eefb1f3853b1488, 0x368376d091e71659, 0xaaab20359d70e07f}},
+			&sim.FaultPlan{Seed: 7, Loss: 0.05, Dup: 0.05, MaxDelay: 3},
+			[4]uint64{0x9ecc580c6be50824, 0x6daf3255458c8aef, 0xb819824a22297125, 0xd0e98f9c1fa49ad3}},
 		{"fullstack", StoreConfig{
 			Keys: 12, Shards: 4, Window: 8, Piggyback: true,
 			OpenLoop: true, ArrivalGap: 3, ArrivalJitter: true,
 			Retransmit: true, RTO: 16,
-		}, wl(12, 4, 10, 11),
+		}, wl(12, 4, 10, 11), nil,
 			[4]uint64{0xe05d1bc59a2d1f00, 0xbfdb7a3967b04e92, 0xf90b135a574c26a1, 0xa85c13c98e47441a}},
 	}
 	for _, tc := range cases {
 		for seed := int64(0); seed < 4; seed++ {
-			res := runStore(t, f, s, tc.cfg, tc.scripts, 10, seed)
+			res, _ := runStoreFaulted(t, f, s, tc.cfg, tc.scripts, tc.faults, 10, seed)
 			if got := wireHash(res); got != tc.golden[seed] {
 				t.Errorf("%s seed %d: FastReads-off wire stream hash 0x%016x, want the golden 0x%016x — the off path is no longer byte-identical",
 					tc.name, seed, got, tc.golden[seed])
 			}
+			if tc.faults == nil {
+				continue
+			}
+			var retransmits int64
+			for _, a := range res.Automata {
+				retransmits += a.(*StoreNode).Retransmits()
+			}
+			if folded := foldedFrames(res); folded == 0 || retransmits == 0 {
+				t.Errorf("%s seed %d: %d folded frames and %d retransmits, want both above zero — the tier no longer exercises its own mechanisms",
+					tc.name, seed, folded, retransmits)
+			}
 		}
 	}
+}
+
+// foldedFrames counts the sends of a traced store run whose frame carries
+// requests together with entries of another section. Only piggybacking
+// builds such a frame: without it a request frame holds one (shard, kind)
+// snapshot and a reply frame holds replies only.
+func foldedFrames(res *sim.Result) int {
+	folded := 0
+	for _, ev := range res.Trace.Events() {
+		if ev.Kind != trace.SendKind {
+			continue
+		}
+		f := ev.Payload.(*storeFrame)
+		sections := 0
+		for _, n := range [...]int{len(f.Q), len(f.S), len(f.QR), len(f.SR)} {
+			if n > 0 {
+				sections++
+			}
+		}
+		if len(f.Q)+len(f.S) > 0 && sections > 1 {
+			folded++
+		}
+	}
+	return folded
 }
 
 // TestStoreFastReadQuorumTracking unit-tests the elision predicate directly

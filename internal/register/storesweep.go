@@ -51,8 +51,22 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// sweep.Run builds its runners serially and releases every one before
+	// it returns, which brings each parked frame back to its pool; then no
+	// runner steps a node of these pools again, so they go back for the
+	// next sweep.
+	var pools []*framePool
+	defer func() {
+		for _, p := range pools {
+			framePools.Put(p)
+		}
+	}()
 	return sweep.Run(sweep.Config{
-		Sim:       run.simConfig,
+		Sim: func() sim.Config {
+			c, pool := run.simConfig()
+			pools = append(pools, pool)
+			return c
+		},
 		SeedStart: cfg.SeedStart,
 		Seeds:     cfg.Seeds,
 		Workers:   cfg.Workers,
@@ -99,7 +113,8 @@ func (cfg StoreSweepConfig) SimConfig() (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	return run.simConfig(), nil
+	c, _ := run.simConfig()
+	return c, nil
 }
 
 // storeRun is a validated StoreSweepConfig plus what all of its runs share.
@@ -177,21 +192,23 @@ func (cfg StoreSweepConfig) validate() (*storeRun, error) {
 	return run, nil
 }
 
-// simConfig builds one runner's configuration. The state is per runner: a
-// store program's nodes share one payload pool, and the stop cursor
-// remembers how far the current run has finished. The Σ_S oracle, the
-// store config and the shard map are shared.
-func (r *storeRun) simConfig() sim.Config {
+// simConfig builds one runner's configuration and returns the frame pool
+// of its program. The state is per runner: a store program's nodes share
+// one payload pool, and the stop cursor remembers how far the current run
+// has finished. The Σ_S oracle, the store config and the shard map are
+// shared.
+func (r *storeRun) simConfig() (sim.Config, *framePool) {
 	cfg := &r.cfg
+	prog, pool := storeProgram(cfg.Pattern.N(), cfg.S, &cfg.Store, r.shards, cfg.Scripts)
 	return sim.Config{
 		Pattern:      cfg.Pattern,
 		History:      r.sigma,
-		Program:      storeProgram(cfg.Pattern.N(), cfg.S, &cfg.Store, r.shards, cfg.Scripts),
+		Program:      prog,
 		MaxSteps:     r.maxSteps,
 		StopWhen:     newStoreStopCursor(r.clients, r.avail, r.masks).done,
 		Faults:       cfg.Faults,
 		DisableTrace: true,
-	}
+	}, pool
 }
 
 // EffectiveMaxSteps returns the per-run step budget after defaulting: the

@@ -139,41 +139,63 @@ func (a *leaseSender) Snapshot() Automaton {
 
 // TestRunnerResetReleasesInFlightLeases: payloads still parked in an inbox
 // when a run stops give their references back at Reset, as at a recovery,
-// so a payload pool does not leak a slot per message left in flight. p2 is
-// crashed from the start, so every payload p1 sends is still parked when
-// the run stops. A traced run never grants ownership, and its payloads are
-// left alone.
+// and at Release, so a payload pool does not leak a slot per message left
+// in flight. p2 is crashed from the start, so every payload p1 sends is
+// still parked when the run stops. A traced run never grants ownership, and
+// its payloads are left alone. Release also clears every buffer of the set
+// it gives back up to its capacity, so the pooled set keeps no payload
+// alive.
 func TestRunnerResetReleasesInFlightLeases(t *testing.T) {
-	for _, traced := range []bool{false, true} {
-		refs := 0
-		f := dist.NewFailurePattern(2)
-		f.CrashAt(2, 0)
-		r, err := NewRunner(Config{
-			Pattern: f,
-			History: nilHistory(),
-			Program: func(p dist.ProcID, n int) Automaton {
-				return &leaseSender{self: p, refs: &refs}
-			},
-			Scheduler:    NewRandomScheduler(1),
-			MaxSteps:     20,
-			DisableTrace: !traced,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		parked := refs
-		if parked == 0 {
-			t.Fatalf("traced=%v: no payload left in flight — the release was never exercised", traced)
-		}
-		r.Reset(2)
-		switch {
-		case !traced && refs != 0:
-			t.Fatalf("untraced run: %d of %d in-flight payload references leaked across Reset", refs, parked)
-		case traced && refs != parked:
-			t.Fatalf("traced run: Reset moved the reference count %d → %d on payloads it never owned", parked, refs)
+	for _, end := range []string{"Reset", "Release"} {
+		for _, traced := range []bool{false, true} {
+			refs := 0
+			f := dist.NewFailurePattern(2)
+			f.CrashAt(2, 0)
+			r, err := NewRunner(Config{
+				Pattern: f,
+				History: nilHistory(),
+				Program: func(p dist.ProcID, n int) Automaton {
+					return &leaseSender{self: p, refs: &refs}
+				},
+				Scheduler:    NewRandomScheduler(1),
+				MaxSteps:     20,
+				DisableTrace: !traced,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+			parked := refs
+			if parked == 0 {
+				t.Fatalf("traced=%v: no payload left in flight — the release was never exercised", traced)
+			}
+			set := r.set
+			if end == "Reset" {
+				r.Reset(2)
+			} else {
+				r.Release()
+			}
+			switch {
+			case !traced && refs != 0:
+				t.Fatalf("untraced run: %d of %d in-flight payload references leaked across %s", refs, parked, end)
+			case traced && refs != parked:
+				t.Fatalf("traced run: %s moved the reference count %d → %d on payloads it never owned", end, parked, refs)
+			}
+			if end == "Reset" {
+				continue
+			}
+			for p, q := range set.q {
+				if len(q.buf) != 0 || q.live != 0 {
+					t.Fatalf("traced=%v: released p%d inbox holds %d entries (%d live)", traced, p, len(q.buf), q.live)
+				}
+				for i, e := range q.buf[:cap(q.buf)] {
+					if e.msg.Payload != nil {
+						t.Fatalf("traced=%v: released p%d inbox keeps a payload in slot %d of %d", traced, p, i, cap(q.buf))
+					}
+				}
+			}
 		}
 	}
 }

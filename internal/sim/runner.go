@@ -206,6 +206,12 @@ func (s *Snapshot) Automaton(p dist.ProcID) Automaton { return s.r.automata[p-1]
 //		res, err := r.Reset(seed).Run()
 //		...
 //	}
+//	r.Release()
+//
+// Release hands the runner's inbox set to a later runner that NewRunner
+// builds for at most as many processes, so a sweep that builds a runner
+// per generated workload does not regrow every inbox from empty. A
+// released set belongs to that pool, no longer to the runner.
 //
 // The zero-based package-level Run remains the one-shot convenience wrapper.
 // A Runner is not safe for concurrent use; Run may be called once per Reset.
@@ -228,9 +234,12 @@ type Runner struct {
 	// emus and quiet hold each automaton's Emulator and Quiescent views (nil
 	// where it implements neither), resolved by install when the automaton
 	// is built or swapped in by a recovery, never per step.
-	emus    []Emulator
-	quiet   []Quiescent
-	inboxes []inbox // indexed by ProcID (slot 0 unused)
+	emus  []Emulator
+	quiet []Quiescent
+	// set is the runner's inbox set and inboxes its queues, indexed by
+	// ProcID (slot 0 unused); both are nil once Release gave them back.
+	set     *inboxSet
+	inboxes []inbox
 
 	decisions  []any       // indexed by ProcID-1
 	decideTime []dist.Time // indexed by ProcID-1
@@ -298,7 +307,9 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // NewRunner validates cfg, sizes every buffer for its system and prepares
-// the first run. Call Run to execute it, and Reset between runs.
+// the first run. Call Run to execute it, and Reset between runs. Its inbox
+// set is one that a released runner of at least its size gave back, when
+// there is one (see Release), else a new one.
 func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Pattern == nil {
 		return nil, errors.New("sim: Config.Pattern is required")
@@ -325,7 +336,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r := &Runner{
 		cfg:        cfg,
 		n:          n,
-		inboxes:    make([]inbox, n+1),
 		decisions:  make([]any, n),
 		decideTime: make([]dist.Time, n),
 		correct:    cfg.Pattern.Correct(),
@@ -401,6 +411,10 @@ func (r *Runner) reset() {
 	for i := range r.inboxes {
 		r.inboxes[i].wipe(r.tr == nil)
 	}
+	if r.set == nil {
+		r.set = takeInboxSet(r.n)
+		r.inboxes = r.set.q
+	}
 	for i := 0; i < r.n; i++ {
 		r.decisions[i] = nil
 		r.decideTime[i] = 0
@@ -438,6 +452,26 @@ func (r *Runner) reset() {
 	}
 }
 
+// Release ends the runner's use of its inbox set: in-flight messages give
+// their leased payloads back, as at a Reset, every buffer is cleared up to
+// its capacity, so no payload stays reachable through it, and the set goes
+// to the pool that NewRunner draws from. From then on the set belongs to
+// that pool. Call Release once the last Result is no longer needed; a
+// released runner runs again only after a Reset, which takes a set anew.
+// Releasing twice is a no-op.
+func (r *Runner) Release() {
+	if r.set == nil {
+		return
+	}
+	for i := range r.inboxes {
+		q := &r.inboxes[i]
+		q.wipe(r.tr == nil)
+		clear(q.buf[:cap(q.buf)])
+	}
+	inboxSets.Put(r.set)
+	r.set, r.inboxes = nil, nil
+}
+
 // install sets p's automaton to a and resolves its optional Emulator and
 // Quiescent views, so the step path makes no type assertion.
 func (r *Runner) install(p dist.ProcID, a Automaton) {
@@ -461,6 +495,9 @@ func (r *Runner) renew(p dist.ProcID) {
 func (r *Runner) Run() (*Result, error) {
 	if r.ran {
 		return nil, errors.New("sim: Runner.Run called twice without Reset")
+	}
+	if r.set == nil {
+		return nil, errors.New("sim: Runner.Run after Release without Reset")
 	}
 	r.ran = true
 	r.built = false // the run steps the automata

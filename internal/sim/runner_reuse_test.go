@@ -46,6 +46,45 @@ func TestRunnerResetMatchesOneShotRuns(t *testing.T) {
 	}
 }
 
+// TestReleasedRunnerRunsAfterReset: a released runner's inbox set belongs
+// to the pool, so it does not run again until a Reset takes a set anew;
+// then it reproduces the run of a runner that was never released.
+// Releasing twice is a no-op.
+func TestReleasedRunnerRunsAfterReset(t *testing.T) {
+	f := dist.NewFailurePattern(4)
+	fp := &FaultPlan{Seed: 3, Loss: 0.1, Dup: 0.1, MaxDelay: 2}
+	mk := func() *Runner {
+		r, err := NewRunner(Config{Pattern: f, History: nilHistory(), Program: echoProgram, Faults: fp, MaxSteps: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want, err := mk().Reset(5).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := mk()
+	r.Release()
+	if _, err := r.Run(); err == nil {
+		t.Fatal("Run on a released runner without Reset succeeded")
+	}
+	r.Release()
+	for range 2 {
+		got, err := r.Reset(5).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Steps != want.Steps || got.Ticks != want.Ticks || got.MessagesSent != want.MessagesSent ||
+			got.MessagesDropped != want.MessagesDropped || !reflect.DeepEqual(got.Decisions, want.Decisions) {
+			t.Fatalf("released and reset runner: steps=%d ticks=%d msgs=%d dropped=%d decisions=%v, want %d %d %d %d %v",
+				got.Steps, got.Ticks, got.MessagesSent, got.MessagesDropped, got.Decisions,
+				want.Steps, want.Ticks, want.MessagesSent, want.MessagesDropped, want.Decisions)
+		}
+		r.Release()
+	}
+}
+
 // decideFirst decides its own identity at its first step.
 type decideFirst struct {
 	self    dist.ProcID

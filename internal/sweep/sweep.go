@@ -314,7 +314,9 @@ func (r *Result) merge(o *Result) {
 // Run executes the sweep and returns the aggregate. The seed range is
 // partitioned into contiguous per-worker blocks; runners are constructed
 // serially and only the run loops execute in parallel, so workers may share
-// anything whose reads are pure: a FailurePattern, a Σ_S oracle.
+// anything whose reads are pure: a FailurePattern, a Σ_S oracle. Once every
+// worker has finished, Run releases each runner (sim.Runner.Release), so
+// the next sweep's runners reuse their inbox sets.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Sim == nil {
 		return nil, errors.New("sweep: Config.Sim is required")
@@ -386,6 +388,7 @@ func Run(cfg Config) (*Result, error) {
 
 	total := &Result{FirstFailSeed: -1}
 	for _, j := range jobs {
+		j.runner.Release()
 		total.merge(&j.res)
 	}
 	return total, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -81,6 +82,46 @@ func TestSweepWorkerDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d diverged:\n  1: %+v\n  %d: %+v", w, base, w, got)
 		}
 	}
+}
+
+// TestPooledInboxSetsConcurrentSweeps runs sweeps of two system sizes at
+// once, two workers each. Every sweep releases its runners, and the next
+// runners take their inbox sets, resliced when the sizes differ; under
+// -race it fails on a set two runners share. Every sweep must match its
+// size's lone run.
+func TestPooledInboxSetsConcurrentSweeps(t *testing.T) {
+	sizes := []int{3, 6}
+	cfgs := make([]Config, len(sizes))
+	want := make([]*Result, len(sizes))
+	for i, n := range sizes {
+		mkSim, task := fig2Config(n)
+		cfgs[i] = Config{Sim: mkSim, Seeds: 40, Workers: 2, Check: task.Check}
+		var err error
+		if want[i], err = Run(cfgs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			i := g % len(cfgs)
+			for range 3 {
+				got, err := Run(cfgs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Runs != want[i].Runs || got.Decided != want[i].Decided || got.Failures != 0 ||
+					got.Steps != want[i].Steps || got.Msgs != want[i].Msgs {
+					t.Errorf("n=%d, concurrent sweep diverged:\n  %+v\nwant:\n  %+v", sizes[i], got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSweepConfigValidation(t *testing.T) {
