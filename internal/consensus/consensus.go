@@ -104,29 +104,38 @@ const (
 
 // frame is the one consensus message: Kind says which fields it carries.
 // Frames travel as pointers and are pooled under sim's send-buffer lease
-// contract, as the store's frames are: the sender sets refs to the number of
-// recipients, and on untraced runs (sim.Env.DeliveredOwned) each recipient
-// drops its reference once it has processed the frame, the last one handing
-// it back to the pool. A trace retains every payload, so on traced runs
-// ownership is never granted and the pool never fills.
+// contract, as the store's frames are: on untraced runs
+// (sim.Env.DeliveredOwned) every send counts one reference per recipient,
+// and each recipient drops its reference once it has processed the frame,
+// the last one handing it back to the runner's pool (sim.PoolOf). A trace
+// retains every payload, so on traced runs nothing is counted and the pool
+// never fills.
 type frame struct {
 	B        Ballot
 	Accepted Ballot // promise: highest ballot whose value the acceptor adopted; 0 = none
 	Val      agreement.Value
-	pool     *framePool
+	pool     *sim.Pool[frame] // the pool it was leased from
 	refs     int32
 	Kind     kind
 }
 
 var _ sim.RefCounted = (*frame)(nil)
 
-// AddRef and DropRef implement sim.RefCounted, so the runner can account
-// for a copy it duplicates or drops by loss.
+// AddRef and DropRef implement sim.RefCounted.
 func (f *frame) AddRef() { f.refs++ }
 func (f *frame) DropRef() {
 	if f.refs--; f.refs <= 0 {
-		f.pool.put(f)
+		f.pool.Put(f)
 	}
+}
+
+// lease leases a frame of kind k carrying b, acc and v from the runner's
+// pool.
+func lease(e *sim.Env, k kind, b, acc Ballot, v agreement.Value) *frame {
+	p := sim.PoolOf[frame](e)
+	f := p.Get()
+	*f = frame{B: b, Accepted: acc, Val: v, pool: p, Kind: k}
+	return f
 }
 
 // String renders the frame's kind and fields, never its pool or its
@@ -147,41 +156,11 @@ func (f *frame) String() string {
 	return fmt.Sprintf("frame(kind=%d)", uint8(f.Kind))
 }
 
-// framePoolCap bounds the free list, so pool memory tracks the in-flight
-// high-water mark rather than the run length.
-const framePoolCap = 1024
-
-// framePool is a capped LIFO free list of frames. The nodes of one Program
-// call share it, since a frame one node leases is released by another; the
-// runner steps them one at a time, so it needs no lock, and it survives
-// Reset, so a reused runner stops allocating frames after its first runs.
-type framePool struct{ free []*frame }
-
-// get leases a frame of kind k carrying b, acc and v.
-func (p *framePool) get(k kind, b, acc Ballot, v agreement.Value) *frame {
-	var f *frame
-	if n := len(p.free); n > 0 {
-		f = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		f = &frame{pool: p}
-	}
-	f.Kind, f.B, f.Accepted, f.Val = k, b, acc, v
-	return f
-}
-
-func (p *framePool) put(f *frame) {
-	if len(p.free) < framePoolCap {
-		p.free = append(p.free, f)
-	}
-}
-
 // Node is the per-process consensus automaton.
 type Node struct {
 	self dist.ProcID
 	n    int
 	v    agreement.Value
-	pool *framePool // shared by the nodes of one Program call
 
 	// Acceptor state.
 	promised Ballot
@@ -208,19 +187,17 @@ var _ sim.Rewinder = (*Node)(nil)
 // decide re-broadcasts.
 const retryEvery = 24
 
-// Program builds a Program from per-process proposals (index ProcID-1).
-// The nodes it builds share one frame pool, so the Program serves one
-// runner at a time.
+// Program builds a Program from per-process proposals (index ProcID-1). It
+// only reads them, so it serves any number of runners at once.
 func Program(proposals []agreement.Value) sim.Program {
-	pool := &framePool{}
 	return func(p dist.ProcID, n int) sim.Automaton {
-		return &Node{self: p, n: n, v: proposals[p-1], pool: pool}
+		return &Node{self: p, n: n, v: proposals[p-1]}
 	}
 }
 
 // Rewind implements sim.Rewinder: everything but the process's identity,
-// system size, proposal and frame pool is per-run state, and starts at zero.
-func (a *Node) Rewind() { *a = Node{self: a.self, n: a.n, v: a.v, pool: a.pool} }
+// system size and proposal is per-run state, and starts at zero.
+func (a *Node) Rewind() { *a = Node{self: a.self, n: a.n, v: a.v} }
 
 // Step implements sim.Automaton.
 func (a *Node) Step(e *sim.Env) {
@@ -233,11 +210,12 @@ func (a *Node) Step(e *sim.Env) {
 		// memory of the decision at all. Re-broadcast the decided value at
 		// the stall-retry cadence; only the single chosen value is ever
 		// re-sent, so agreement cannot be disturbed, and fault-free runs end
-		// before the first re-broadcast fires (StopWhenDecided).
+		// before the first re-broadcast fires (SweepConfig.SimConfig stops a
+		// run once every correct and recovered process has decided).
 		a.stall++
 		if a.stall >= retryEvery {
 			a.stall = 0
-			broadcastAll(e, a.pool.get(decide, 0, 0, a.decidedVal))
+			e.BroadcastAll(lease(e, decide, 0, 0, a.decidedVal))
 		}
 		return
 	}
@@ -262,13 +240,13 @@ func (a *Node) Step(e *sim.Env) {
 			a.accepts = dist.ProcSet{}
 			a.bestV = v
 			a.selfAccept(a.ballot, v)
-			broadcast(e, a.pool.get(accept, a.ballot, 0, v))
+			e.Broadcast(lease(e, accept, a.ballot, 0, v))
 			return
 		}
 		a.maybeRetry(e)
 	case 2:
 		if !out.Trusted.IsEmpty() && out.Trusted.SubsetOf(a.accepts) {
-			broadcastAll(e, a.pool.get(decide, 0, 0, a.bestV))
+			e.BroadcastAll(lease(e, decide, 0, 0, a.bestV))
 			a.decide(e, a.bestV)
 			return
 		}
@@ -287,7 +265,7 @@ func (a *Node) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 			a.promised = m.B
 		}
 		if m.B >= a.promised {
-			send(e, from, a.pool.get(promise, m.B, a.accB, a.accV))
+			e.Send(from, lease(e, promise, m.B, a.accB, a.accV))
 		}
 	case promise:
 		if a.phase == 1 && m.B == a.ballot {
@@ -300,7 +278,7 @@ func (a *Node) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 		if m.B >= a.promised {
 			a.promised = m.B
 			a.accB, a.accV = m.B, m.Val
-			send(e, from, a.pool.get(accepted, m.B, 0, 0))
+			e.Send(from, lease(e, accepted, m.B, 0, 0))
 		}
 	case accepted:
 		if a.phase == 2 && m.B == a.ballot {
@@ -308,7 +286,7 @@ func (a *Node) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 		}
 	case decide:
 		if !a.decided {
-			broadcastAll(e, a.pool.get(decide, 0, 0, m.Val))
+			e.BroadcastAll(lease(e, decide, 0, 0, m.Val))
 			a.decide(e, m.Val)
 		}
 	}
@@ -317,23 +295,6 @@ func (a *Node) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 	if e.DeliveredOwned() {
 		m.DropRef()
 	}
-}
-
-// send, broadcast and broadcastAll send a leased frame to one process, to
-// every other process or to all, counting one reference per recipient.
-func send(e *sim.Env, to dist.ProcID, f *frame) {
-	f.refs = 1
-	e.Send(to, f)
-}
-
-func broadcast(e *sim.Env, f *frame) {
-	f.refs = int32(e.N() - 1)
-	e.Broadcast(f)
-}
-
-func broadcastAll(e *sim.Env, f *frame) {
-	f.refs = int32(e.N())
-	e.BroadcastAll(f)
 }
 
 func (a *Node) newBallot(e *sim.Env) {
@@ -354,7 +315,7 @@ func (a *Node) newBallot(e *sim.Env) {
 	a.bestB, a.bestV = 0, 0
 	a.stall = 0
 	a.selfPromise(next)
-	broadcast(e, a.pool.get(prepare, next, 0, 0))
+	e.Broadcast(lease(e, prepare, next, 0, 0))
 }
 
 // selfPromise applies the proposer's own acceptor vote locally.

@@ -36,8 +36,8 @@ type SweepConfig struct {
 }
 
 // Sweep runs seeded consensus runs and aggregates them. Every worker runs
-// the one SimConfig with a Program of its own, since a Program's nodes share
-// a frame pool, and all of them read one shared Oracle. Each run must uphold
+// the one SimConfig, so all of them read one Program and one shared Oracle;
+// each runner leases frames from pools of its own. Each run must uphold
 // validity and uniform agreement and must terminate: every correct process
 // decides, and so does every recovered process, which relearns the decision
 // from the periodic decide re-broadcast — the liveness property loss +
@@ -53,12 +53,8 @@ func Sweep(cfg SweepConfig) (*sweep.Result, error) {
 		SeedStart: cfg.SeedStart,
 		Seeds:     cfg.Seeds,
 		Workers:   cfg.Workers,
-		Sim: func() sim.Config {
-			c := sc
-			c.Program = Program(cfg.Proposals)
-			return c
-		},
-		Check: cfg.check,
+		Sim:       func() sim.Config { return sc },
+		Check:     cfg.check,
 	})
 }
 
@@ -66,8 +62,8 @@ func Sweep(cfg SweepConfig) (*sweep.Result, error) {
 // Ω+Σ oracle, the horizon (stretched to twice the last partition heal), the
 // fault plan and a stop once every correct and recovered process decided.
 // It is untraced and has no Scheduler (a runner then owns a seeded one);
-// callers may set both. Its Program's nodes share a frame pool, so it serves
-// one runner at a time; every other part of it is read-only.
+// callers may set both. It is read-only, so one config serves any number of
+// runners at once.
 func (cfg SweepConfig) SimConfig() (sim.Config, error) {
 	f := cfg.Pattern
 	if f == nil {

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/agreement"
@@ -69,6 +70,48 @@ func TestConsensusSweepUnderFaultsWorkerIndependent(t *testing.T) {
 			t.Fatalf("workers=%d: aggregate differs from workers=1:\n%v\nvs\n%v", workers, res, base)
 		}
 	}
+}
+
+// TestConsensusPooledSweepsConcurrent runs faulted sweeps of two sizes at
+// once, two workers each, all on the one SimConfig per size, so runners
+// lease frames from pools that ride in inbox sets concurrent sweeps take
+// and give back; under -race it fails on any pool two runners share. Every
+// sweep must match its size's lone run.
+func TestConsensusPooledSweepsConcurrent(t *testing.T) {
+	cfgs := []SweepConfig{faultedSweepConfig(8, 2), faultedSweepConfig(8, 2)}
+	cfgs[1].Pattern = dist.NewFailurePattern(7)
+	cfgs[1].Proposals = []agreement.Value{1, 2, 3, 4, 5, 6, 7}
+	want := make([]string, len(cfgs))
+	for i, c := range cfgs {
+		res, err := Sweep(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failures != 0 || res.Dropped.Sum == 0 {
+			t.Fatalf("size %d, lone sweep: %s", c.Pattern.N(), res)
+		}
+		want[i] = res.String()
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			i := g % len(cfgs)
+			for range 3 {
+				res, err := Sweep(cfgs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := res.String(); got != want[i] {
+					t.Errorf("size %d, concurrent sweep:\n  %s\nwant:\n  %s", cfgs[i].Pattern.N(), got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestConsensusSweepCrashRecover is the volatile-state-loss scenario: p3

@@ -138,13 +138,12 @@ func TestABDNonMembersNeverOperate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := &framePool{}
 	prog := func(p dist.ProcID, nn int) sim.Automaton {
 		var script []KeyedOp
 		if p == 4 { // p4 ∉ S
 			script = []KeyedOp{{Kind: WriteOp, Arg: 9}}
 		}
-		return newStoreNode(p, nn, s, &oneRegister, m, script, pool)
+		return newStoreNode(p, nn, s, &oneRegister, m, script)
 	}
 	res, err := sim.Run(sim.Config{
 		Pattern: f, History: fd.NewSigmaS(f, s, 10), Program: prog,

@@ -3,7 +3,6 @@ package register
 import (
 	"fmt"
 	"math"
-	"sync"
 	"unsafe"
 
 	"repro/internal/dist"
@@ -38,8 +37,7 @@ func (o KeyedOp) String() string {
 //     sent at once.
 //  2. Without piggybacking a node's requests travel as one snapshot frame
 //     per (shard, kind, step), shared by every member of the shard's replica
-//     group (refs counts the recipients; a request never reaches a process
-//     outside its shard's group).
+//     group (a request never reaches a process outside its shard's group).
 //  3. With piggybacking (StoreConfig.Piggyback, the E22 row) everything a
 //     node has for one destination in one step — requests of every shard
 //     plus the step's replies — folds into one frame per destination, sent
@@ -49,11 +47,12 @@ func (o KeyedOp) String() string {
 // Every frame leaves in the step that filled it.
 //
 // Frames travel as pointers and are pooled: on untraced runs (every
-// StoreSweep run) the receiver owns a delivered frame
-// (sim.Env.DeliveredOwned) and recycles it into the pool once the last
-// recipient has processed it, which is what makes the steady-state step path
-// allocation-free. A trace retains every payload, so on traced runs
-// ownership is never granted, and the pool simply never fills.
+// StoreSweep run) each send counts one reference per recipient, the
+// receiver owns a delivered frame (sim.Env.DeliveredOwned), and the last
+// recipient to process it recycles it into the runner's pool (sim.PoolOf),
+// which is what makes the steady-state step path allocation-free. A trace
+// retains every payload, so on traced runs nothing is counted, and the
+// pool simply never fills.
 type (
 	queryEntry struct {
 		Key int
@@ -89,69 +88,27 @@ type (
 		QR   []queryRepEntry
 		SR   []storeRepEntry
 		refs int32
-		pool *framePool
+		pool *sim.Pool[storeFrame] // the pool it was leased from
 	}
 )
 
-// storeFrame implements sim.RefCounted so fault injection composes with the
-// lease contract: when the runner drops a copy by loss it returns the lost
-// delivery's reference (recycling the frame if it was the last), and when it
-// duplicates a copy it adds one before enqueueing. The pool backref is set at
-// lease time, so a dropped frame recycles into the pool of the program that
-// leased it.
+// storeFrame implements sim.RefCounted: the last reference dropped, by a
+// recipient or by the runner, recycles the frame into its pool.
 func (f *storeFrame) AddRef() { f.refs++ }
 func (f *storeFrame) DropRef() {
-	if release(&f.refs) {
-		f.pool.put(f)
+	if f.refs--; f.refs <= 0 {
+		f.pool.Put(f)
 	}
 }
 
-// release drops one reference and reports whether the caller held the last
-// one (the runner is single-threaded, so no atomics are needed).
-func release(refs *int32) bool {
-	*refs--
-	return *refs <= 0
-}
-
-// framePoolCap bounds the free list so pool memory tracks the in-flight
-// high-water mark, not run length. It must sit above the largest circulating
-// set (windows × shards × group fan-out, requests and replies together), or
-// the overflow drops re-allocate on the next lease and the steady state is
-// no longer allocation-free.
-const framePoolCap = 1024
-
-// framePool is a capped LIFO free list of recycled frames. One pool is
-// shared by every StoreNode of a program instantiation (the runner steps
-// automata single-threadedly, so no locking): requests flow client → replica
-// and replies replica → client, so per-node pools would starve — each side
-// hoarding frames at its cap while the other allocates — while the shared
-// pool closes the cycle. It survives Reset, so a reused runner stops
-// allocating frames entirely after its first run, and it outlives its
-// program: every program draws its pool from framePools, and StoreSweep
-// gives its workers' pools back once their runners are released.
-type framePool struct{ free []*storeFrame }
-
-// framePools holds the frame pools of finished store sweeps. A pool holds
-// no state of the program that used it (get empties every frame it hands
-// out, and a frame's pool backref is the pool itself), so a new program
-// starts with the frames, and the entry capacities, of the last.
-var framePools = sync.Pool{New: func() any { return new(framePool) }}
-
-// get leases an empty frame.
-func (p *framePool) get() *storeFrame {
-	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
-		p.free = p.free[:n-1]
-		f.Q, f.S, f.QR, f.SR = f.Q[:0], f.S[:0], f.QR[:0], f.SR[:0]
-		return f
-	}
-	return &storeFrame{pool: p}
-}
-
-func (p *framePool) put(f *storeFrame) {
-	if len(p.free) < framePoolCap {
-		p.free = append(p.free, f)
-	}
+// leaseFrame leases an empty frame from the runner's pool. A recycled frame
+// keeps its sections' capacities.
+func leaseFrame(e *sim.Env) *storeFrame {
+	p := sim.PoolOf[storeFrame](e)
+	f := p.Get()
+	f.Q, f.S, f.QR, f.SR = f.Q[:0], f.S[:0], f.QR[:0], f.SR[:0]
+	f.pool = p
+	return f
 }
 
 // DefaultStallSteps is the adaptive controller's default backpressure
@@ -470,11 +427,6 @@ type StoreNode struct {
 	// it first.
 	*storeClient
 
-	// Pooled frames (see framePool): filled only when sim grants the
-	// receiver ownership of delivered payloads. Shared across the nodes of
-	// one program instantiation by StoreProgram.
-	pool *framePool
-
 	// The reply frame of the delivery being served, leased on the first
 	// reply, and its destination — a step delivers at most one message, so
 	// its replies have one destination. Without piggybacking it is sent
@@ -570,8 +522,8 @@ var _ sim.RefCounted = (*storeFrame)(nil)
 // shard map. It trusts its arguments — StoreProgram validates them — except
 // that a script at a process outside S is ignored, enforcing the S-register
 // access restriction at run time too. Only a member of S gets client state.
-func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg *StoreConfig, m *ShardMap, script []KeyedOp, pool *framePool) *StoreNode {
-	a := &StoreNode{self: self, cfg: cfg, shards: m, pool: pool}
+func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg *StoreConfig, m *ShardMap, script []KeyedOp) *StoreNode {
+	a := &StoreNode{self: self, cfg: cfg, shards: m}
 	for sh := 0; sh < m.Shards(); sh++ {
 		if m.Owns(self, sh) {
 			a.owned = a.owned.Add(sh)
@@ -670,7 +622,6 @@ func (a *StoreNode) Rewind() {
 		val:         a.val,
 		conf:        a.conf,
 		storeClient: a.storeClient,
-		pool:        a.pool,
 		outFrame:    a.outFrame,
 		outDsts:     a.outDsts,
 		noWriteBack: a.noWriteBack,
@@ -730,20 +681,14 @@ func (a *StoreNode) restart() {
 // replicas). Invalid setups — a config rejected by StoreConfig.Validate, a
 // script attached to a process outside S, a key outside [0, Keys), an
 // unknown op kind — are construction-time errors. n must match the failure
-// pattern the program later runs under.
-//
-// The nodes of one instantiation share a payload pool that also survives
-// runner Resets, which is what keeps the steady-state step path
-// allocation-free on untraced runs. The returned Program is therefore NOT
-// safe for concurrent use by multiple runners — build one Program per
-// worker (StoreSweep does).
+// pattern the program later runs under. The Program only reads its inputs,
+// so it serves any number of runners at once.
 func StoreProgram(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) (sim.Program, error) {
 	m, err := validateStore(n, s, cfg, scripts)
 	if err != nil {
 		return nil, err
 	}
-	prog, _ := storeProgram(n, s, &cfg, m, scripts)
-	return prog, nil
+	return storeProgram(n, s, &cfg, m, scripts), nil
 }
 
 // validateStore is StoreProgram's construction-time validation. It returns
@@ -775,19 +720,15 @@ func validateStore(n int, s dist.ProcSet, cfg StoreConfig, scripts [][]KeyedOp) 
 
 // storeProgram builds the program of validated inputs (see validateStore):
 // every node reads the one cfg and shard map, which the caller must not
-// change afterwards, and the nodes share a payload pool drawn from
-// framePools, which it returns. A caller may put the pool back once no
-// runner of the program steps again and every frame parked in a runner's
-// inboxes has come back (sim.Runner.Release).
-func storeProgram(n int, s dist.ProcSet, cfg *StoreConfig, m *ShardMap, scripts [][]KeyedOp) (sim.Program, *framePool) {
-	pool := framePools.Get().(*framePool)
+// change afterwards.
+func storeProgram(n int, s dist.ProcSet, cfg *StoreConfig, m *ShardMap, scripts [][]KeyedOp) sim.Program {
 	return func(p dist.ProcID, _ int) sim.Automaton {
 		var script []KeyedOp
 		if int(p) <= len(scripts) {
 			script = scripts[p-1]
 		}
-		return newStoreNode(p, n, s, cfg, m, script, pool)
-	}, pool
+		return newStoreNode(p, n, s, cfg, m, script)
+	}
 }
 
 // noClient stands in for the client half of a pure replica in the
@@ -956,8 +897,8 @@ func (a *StoreNode) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 	if !ok {
 		return
 	}
-	a.serveQueries(f.Q, from)
-	a.serveStores(f.S, from)
+	a.serveQueries(e, f.Q, from)
+	a.serveStores(e, f.S, from)
 	if a.storeClient != nil { // replies only ever reach clients
 		a.absorbQueryReps(f.QR, from)
 		a.absorbStoreReps(f.SR, from)
@@ -968,17 +909,17 @@ func (a *StoreNode) onMessage(e *sim.Env, payload any, from dist.ProcID) {
 	// On untraced runs the runner transfers payload ownership to this node
 	// (sim's send-buffer lease contract): the last recipient of a frame
 	// recycles it once it is fully processed.
-	if e.DeliveredOwned() && release(&f.refs) {
-		a.pool.put(f)
+	if e.DeliveredOwned() {
+		f.DropRef()
 	}
 }
 
 // serveQueries answers query requests from the node's replica state into
 // the delivery's reply frame.
-func (a *StoreNode) serveQueries(entries []queryEntry, from dist.ProcID) {
+func (a *StoreNode) serveQueries(e *sim.Env, entries []queryEntry, from dist.ProcID) {
 	for _, q := range entries {
 		if i, ok := a.locate(q.Key); ok { // else misrouted: not this node's shard
-			f := a.replyFrame(from)
+			f := a.replyFrame(e, from)
 			f.QR = append(f.QR, a.answerQuery(q, i))
 		}
 	}
@@ -1003,13 +944,13 @@ func (a *StoreNode) answerQuery(q queryEntry, i int) queryRepEntry {
 
 // serveStores applies store (phase-2) requests to the replica state and
 // acknowledges them into the delivery's reply frame.
-func (a *StoreNode) serveStores(entries []storeEntry, from dist.ProcID) {
+func (a *StoreNode) serveStores(e *sim.Env, entries []storeEntry, from dist.ProcID) {
 	for _, s := range entries {
 		if i, ok := a.locate(s.Key); ok {
 			if a.ts[i].Less(s.TS) {
 				a.ts[i], a.val[i] = s.TS, s.V
 			}
-			f := a.replyFrame(from)
+			f := a.replyFrame(e, from)
 			f.SR = append(f.SR, storeRepEntry{Key: s.Key, RID: s.RID})
 		}
 	}
@@ -1017,9 +958,9 @@ func (a *StoreNode) serveStores(entries []storeEntry, from dist.ProcID) {
 
 // replyFrame returns the frame the next reply to from joins, leasing it on
 // the delivery's first reply.
-func (a *StoreNode) replyFrame(from dist.ProcID) *storeFrame {
+func (a *StoreNode) replyFrame(e *sim.Env, from dist.ProcID) *storeFrame {
 	if a.rep == nil {
-		a.rep, a.repDst = a.pool.get(), from
+		a.rep, a.repDst = leaseFrame(e), from
 	}
 	return a.rep
 }
@@ -1027,7 +968,6 @@ func (a *StoreNode) replyFrame(from dist.ProcID) *storeFrame {
 // sendReply sends the pending reply frame, if any.
 func (a *StoreNode) sendReply(e *sim.Env) {
 	if a.rep != nil {
-		a.rep.refs = 1
 		e.Send(a.repDst, a.rep)
 		a.rep = nil
 	}
@@ -1406,15 +1346,14 @@ func (a *StoreNode) flush(e *sim.Env) {
 		// Piggybacking: the step's replies join the reply destination's
 		// frame, touched after every request frame.
 		a.rep = nil
-		f := a.frameFor(a.repDst)
+		f := a.frameFor(e, a.repDst)
 		f.QR = append(f.QR, r.QR...)
 		f.SR = append(f.SR, r.SR...)
-		a.pool.put(r)
+		r.pool.Put(r) // never sent, so never counted
 	}
 	for _, p := range a.outDsts {
 		f := a.outFrame[p]
 		a.outFrame[p] = nil
-		f.refs = 1
 		e.Send(p, f)
 	}
 	a.outDsts = a.outDsts[:0]
@@ -1435,7 +1374,7 @@ func flushRequests[E queryEntry | storeEntry](a *StoreNode, e *sim.Env, sh int, 
 		for set := group; !set.IsEmpty(); {
 			p := set.Min()
 			set = set.Remove(p)
-			sec := section(a.frameFor(p))
+			sec := section(a.frameFor(e, p))
 			*sec = append(*sec, entries...)
 		}
 		return
@@ -1443,10 +1382,9 @@ func flushRequests[E queryEntry | storeEntry](a *StoreNode, e *sim.Env, sh int, 
 	if group.IsEmpty() {
 		return
 	}
-	f := a.pool.get()
+	f := leaseFrame(e)
 	sec := section(f)
 	*sec = append(*sec, entries...)
-	f.refs = int32(group.Len())
 	for set := group; !set.IsEmpty(); {
 		p := set.Min()
 		set = set.Remove(p)
@@ -1456,11 +1394,11 @@ func flushRequests[E queryEntry | storeEntry](a *StoreNode, e *sim.Env, sh int, 
 
 // frameFor returns the frame under construction for destination p, leasing
 // a pooled one on first use and recording the flush order.
-func (a *StoreNode) frameFor(p dist.ProcID) *storeFrame {
+func (a *StoreNode) frameFor(e *sim.Env, p dist.ProcID) *storeFrame {
 	if f := a.outFrame[p]; f != nil {
 		return f
 	}
-	f := a.pool.get()
+	f := leaseFrame(e)
 	a.outFrame[p] = f
 	a.outDsts = append(a.outDsts, p)
 	return f

@@ -107,7 +107,7 @@ func TestStoreFastReadQuorumTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := newStoreNode(4, n, dist.NewProcSet(4), &cfg, m, nil, &framePool{})
+	node := newStoreNode(4, n, dist.NewProcSet(4), &cfg, m, nil)
 	node.pend = append(node.pend, storeOp{key: 1, rid: 7, kind: ReadOp, phase: 1})
 	op := &node.pend[0]
 
@@ -150,7 +150,7 @@ func TestStoreFastReadQuorumTracking(t *testing.T) {
 	if node.fastReadEligible(&wop) {
 		t.Fatal("a write is never eligible for elision")
 	}
-	off := newStoreNode(4, n, dist.NewProcSet(4), &StoreConfig{Keys: 4, Window: 2}, m, nil, &framePool{})
+	off := newStoreNode(4, n, dist.NewProcSet(4), &StoreConfig{Keys: 4, Window: 2}, m, nil)
 	rop := storeOp{key: 1, kind: ReadOp, phase: 1}
 	if off.fastReadEligible(&rop) {
 		t.Fatal("FastReads off must never elide")
@@ -158,8 +158,8 @@ func TestStoreFastReadQuorumTracking(t *testing.T) {
 
 	// The confirmed-ts state is paid for only when the feature is on: 16
 	// bytes per owned key on top of the 24 for ts+val.
-	onOwner := newStoreNode(1, n, dist.NewProcSet(1), &cfg, m, nil, &framePool{})
-	offOwner := newStoreNode(1, n, dist.NewProcSet(1), &StoreConfig{Keys: 4, Window: 2}, m, nil, &framePool{})
+	onOwner := newStoreNode(1, n, dist.NewProcSet(1), &cfg, m, nil)
+	offOwner := newStoreNode(1, n, dist.NewProcSet(1), &StoreConfig{Keys: 4, Window: 2}, m, nil)
 	if on, off := onOwner.ReplicaStateBytes(), offOwner.ReplicaStateBytes(); on != off+4*16 {
 		t.Fatalf("FastReads replica bytes %d, want %d+64", on, off)
 	}

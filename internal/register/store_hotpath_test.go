@@ -215,7 +215,7 @@ func TestStoreClientBuffersSizedByScript(t *testing.T) {
 		{Key: 0, Kind: ReadOp}, {Key: 5, Kind: WriteOp, Arg: 2},
 	}
 	ops := map[int]int{0: 3, 5: 1}
-	client := newStoreNode(1, 128, dist.NewProcSet(1), &cfg, m, script, &framePool{})
+	client := newStoreNode(1, 128, dist.NewProcSet(1), &cfg, m, script)
 	if got := cap(client.pend); got != len(script) {
 		t.Fatalf("cap(pend) = %d, want the script's %d ops", got, len(script))
 	}
@@ -232,7 +232,7 @@ func TestStoreClientBuffersSizedByScript(t *testing.T) {
 			t.Fatalf("untouched shard %d holds client buffers", sh)
 		}
 	}
-	replica := newStoreNode(2, 128, dist.NewProcSet(1), &cfg, m, nil, &framePool{})
+	replica := newStoreNode(2, 128, dist.NewProcSet(1), &cfg, m, nil)
 	if replica.storeClient != nil {
 		t.Fatal("a pure replica holds a client half")
 	}
@@ -314,7 +314,7 @@ func TestAdaptiveControllerEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newStoreNode(1, 4, dist.NewProcSet(1), &cfg, m, nil, &framePool{})
+	a := newStoreNode(1, 4, dist.NewProcSet(1), &cfg, m, nil)
 	if got := a.WindowOf(0); got != 4 {
 		t.Fatalf("controller starts at %d, want the configured Window 4", got)
 	}

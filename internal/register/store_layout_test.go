@@ -95,7 +95,7 @@ func TestPureReplicaHasNoClientHalf(t *testing.T) {
 	}
 	// p40 replicates shard 39 mod 16 = 7; key 7 is the shard's first key.
 	ts := Timestamp{Seq: 1, PID: 3}
-	replica.serveStores([]storeEntry{{Key: 7, RID: 1, TS: ts, V: 5}}, 3)
+	replica.serveStores(&sim.Env{}, []storeEntry{{Key: 7, RID: 1, TS: ts, V: 5}}, 3)
 	if got := replica.ReplicaStateBytes(); got != wantBytes {
 		t.Fatalf("after its shard's first store the replica holds %d bytes, want %d", got, wantBytes)
 	}
@@ -120,7 +120,7 @@ func TestStoreReplicaLayoutOverlappingGroups(t *testing.T) {
 	cfg := StoreConfig{Keys: 7, Window: 1}
 	perKey := int(unsafe.Sizeof(Timestamp{}) + unsafe.Sizeof(Value(0)))
 	for p := dist.ProcID(1); p <= n; p++ {
-		a := newStoreNode(p, n, dist.ProcSet{}, &cfg, m, nil, &framePool{})
+		a := newStoreNode(p, n, dist.ProcSet{}, &cfg, m, nil)
 		next, keys := 0, 0
 		for sh := 0; sh < m.Shards(); sh++ {
 			if !m.Owns(p, sh) {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/agreement"
+	"repro/internal/consensus"
 	"repro/internal/dist"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -15,8 +17,10 @@ import (
 
 // pooledShapes are the runs of TestStorePooledBuffersInvisible, by name:
 // the n=128 faults sweep, an n=5 fast-read sweep under loss and
-// duplication, and one traced runner of a third shape (n=8, every process
-// a client, piggybacked). Each returns its aggregate rendered exactly.
+// duplication, an n=5 consensus sweep under loss, duplication, delay and a
+// crash-recovery, and one traced runner of a store shape (n=8, every
+// process a client, piggybacked). Each returns its aggregate rendered
+// exactly.
 var pooledShapes = map[string]func(t testing.TB) string{
 	"n128": func(t testing.TB) string {
 		cfg := faultsN128Config(t)
@@ -24,6 +28,25 @@ var pooledShapes = map[string]func(t testing.TB) string{
 		return pooledSweep(t, cfg)
 	},
 	"n5": func(t testing.TB) string { return pooledSweep(t, fastReadConfig(t, 5)) },
+	"consensus": func(t testing.TB) string {
+		f := dist.NewFailurePattern(5)
+		f.CrashAt(3, 40)
+		f.RecoverAt(3, 200)
+		res, err := consensus.Sweep(consensus.SweepConfig{
+			Pattern:   f,
+			Proposals: []agreement.Value{10, 20, 30, 40, 50},
+			Faults:    &sim.FaultPlan{Seed: 5, Loss: 0.05, Dup: 0.05, MaxDelay: 3},
+			Seeds:     16,
+			Workers:   1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failures != 0 || res.Dropped.Sum == 0 || res.Duplicated.Sum == 0 {
+			t.Fatalf("consensus sweep: %s", res)
+		}
+		return fmt.Sprintf("decided=%d steps=%v msgs=%v dropped=%v duplicated=%v", res.Decided, res.Steps, res.Msgs, res.Dropped, res.Duplicated)
+	},
 	"n8-traced": func(t testing.TB) string {
 		const n = 8
 		s := dist.RangeSet(1, n)
@@ -92,13 +115,14 @@ func aggregates(res *sweep.Result) string {
 // TestStorePooledBuffersInvisible).
 const pooledChildEnv = "REGISTER_POOLED_CHILD"
 
-// TestStorePooledBuffersInvisible holds the package-level buffer pools —
-// released runners' inbox sets (sim) and finished sweeps' frame pools — to
-// their contract: a run on reused buffers is the run on fresh ones. Each
-// shape runs first in a fresh process, where every pool is empty; then this
-// process runs them back to back, n128, n5, the traced n8 runner and n128
-// again, each on what the one before left, and every aggregate must match
-// the fresh one exactly.
+// TestStorePooledBuffersInvisible holds the package-level pool of released
+// runners' inbox sets (sim), with the payload pools they carry, to its
+// contract: a run on reused buffers is the run on fresh ones. Each shape
+// runs first in a fresh process, where every pool is empty; then this
+// process runs them back to back, n128, n5, the consensus sweep (on a set
+// that carried store frames), the traced n8 runner and n128 again, each on
+// what the one before left, and every aggregate must match the fresh one
+// exactly.
 func TestStorePooledBuffersInvisible(t *testing.T) {
 	if name := os.Getenv(pooledChildEnv); name != "" {
 		fmt.Printf("pooled-result %s\n", pooledShapes[name](t))
@@ -124,7 +148,7 @@ func TestStorePooledBuffersInvisible(t *testing.T) {
 			t.Fatalf("%s in a fresh process printed no result:\n%s", name, out)
 		}
 	}
-	for i, name := range []string{"n128", "n5", "n8-traced", "n128"} {
+	for i, name := range []string{"n128", "n5", "consensus", "n8-traced", "n128"} {
 		if got := pooledShapes[name](t); got != fresh[name] {
 			t.Errorf("run %d, %s on pooled buffers:\n  %s\nwant, as in a fresh process:\n  %s", i, name, got, fresh[name])
 		}
@@ -165,8 +189,8 @@ func TestStorePooledSweepsConcurrent(t *testing.T) {
 }
 
 // TestStorePooledSweepAllocBudget pins what a StoreSweep of one n=128
-// faults seed allocates once an earlier sweep has left its inbox set and
-// frame pool behind: the runner's inboxes and the program's frames are not
+// faults seed allocates once an earlier sweep has left its inbox set, and
+// the frame pool in it, behind: the runner's inboxes and frames are not
 // regrown. Without the pools a call allocated about 505 KB; with them it
 // is about 190 KB, almost all of it the 128 new nodes.
 func TestStorePooledSweepAllocBudget(t *testing.T) {

@@ -50,9 +50,9 @@ func TestStoreQuiescentSkipIsInvisible(t *testing.T) {
 	}
 	for _, traced := range []bool{false, true} {
 		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
-			skipCfg, _ := run.simConfig()
+			skipCfg := run.simConfig()
 			skipCfg.DisableTrace = !traced
-			fullCfg, _ := run.simConfig()
+			fullCfg := run.simConfig()
 			fullCfg.DisableTrace = !traced
 			prog := fullCfg.Program
 			fullCfg.Program = func(p dist.ProcID, n int) sim.Automaton {

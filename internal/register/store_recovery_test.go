@@ -94,7 +94,7 @@ func TestStoreReplicaCrashRecoveryRepopulates(t *testing.T) {
 	}
 	// A freshly built replica's state size is the repopulation target; its
 	// Recover() empties it completely.
-	fresh := newStoreNode(5, f.N(), s, &cfg, m, nil, &framePool{})
+	fresh := newStoreNode(5, f.N(), s, &cfg, m, nil)
 	fullBytes := fresh.ReplicaStateBytes()
 	if fullBytes == 0 {
 		t.Fatal("p5 owns shard 1; its fresh replica state cannot be empty")

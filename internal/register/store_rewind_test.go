@@ -75,8 +75,7 @@ func TestRewoundRunnerMatchesFresh(t *testing.T) {
 }
 
 // sameNode compares a rewound node with a fresh one: the counters and
-// histograms the sweep reads, then every field but the shared frame pool,
-// whose free list depends on the runs before.
+// histograms the sweep reads, then every field.
 func sameNode(a, b *StoreNode) error {
 	type counters struct {
 		Completed, Scripted              int
@@ -89,10 +88,8 @@ func sameNode(a, b *StoreNode) error {
 	if !reflect.DeepEqual(ca, cb) {
 		return fmt.Errorf("counters differ:\n rewound %+v\n   fresh %+v", ca, cb)
 	}
-	x, y := *a, *b
-	x.pool, y.pool = nil, nil
-	if !reflect.DeepEqual(x, y) {
-		return fmt.Errorf("state differs:\n rewound %+v\n   fresh %+v", x, y)
+	if !reflect.DeepEqual(*a, *b) {
+		return fmt.Errorf("state differs:\n rewound %+v\n   fresh %+v", *a, *b)
 	}
 	return nil
 }

@@ -51,22 +51,8 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// sweep.Run builds its runners serially and releases every one before
-	// it returns, which brings each parked frame back to its pool; then no
-	// runner steps a node of these pools again, so they go back for the
-	// next sweep.
-	var pools []*framePool
-	defer func() {
-		for _, p := range pools {
-			framePools.Put(p)
-		}
-	}()
 	return sweep.Run(sweep.Config{
-		Sim: func() sim.Config {
-			c, pool := run.simConfig()
-			pools = append(pools, pool)
-			return c
-		},
+		Sim:       run.simConfig,
 		SeedStart: cfg.SeedStart,
 		Seeds:     cfg.Seeds,
 		Workers:   cfg.Workers,
@@ -98,7 +84,7 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 
 // SimConfig returns the runner configuration of one store run: the one
 // definition of a store run, which StoreSweep gives each of its workers. It
-// holds a fresh StoreProgram, a Σ_S oracle, the EffectiveMaxSteps budget, a
+// holds a StoreProgram, a Σ_S oracle, the EffectiveMaxSteps budget, a
 // stop condition that holds once every correct client has finished its work
 // on the available shards it can reach, and the fault plan. It is untraced
 // (DisableTrace): the checker reads the run's op log (sim.Result.Ops),
@@ -106,15 +92,14 @@ func StoreSweep(cfg StoreSweepConfig) (*sweep.Result, error) {
 //
 // A caller that needs another run shape flips sim.Config fields on the
 // result: DisableTrace cleared for a full trace, or its own Scheduler.
-// Every call returns fresh per-runner state, so one config serves one
-// runner.
+// Every call returns a fresh stop cursor, which remembers how far the
+// current run has finished, so one config serves one runner.
 func (cfg StoreSweepConfig) SimConfig() (sim.Config, error) {
 	run, err := cfg.validate()
 	if err != nil {
 		return sim.Config{}, err
 	}
-	c, _ := run.simConfig()
-	return c, nil
+	return run.simConfig(), nil
 }
 
 // storeRun is a validated StoreSweepConfig plus what all of its runs share.
@@ -137,9 +122,7 @@ func (cfg StoreSweepConfig) validate() (*storeRun, error) {
 	}
 	n := cfg.Pattern.N()
 	// StoreProgram's construction-time validation, once; simConfig builds
-	// a program per runner on the shard map it returns, because a store
-	// program's nodes share a payload pool and must not be instantiated by
-	// concurrent runners.
+	// the program on the shard map it returns.
 	shardMap, err := validateStore(n, cfg.S, cfg.Store, cfg.Scripts)
 	if err != nil {
 		return nil, err
@@ -192,23 +175,20 @@ func (cfg StoreSweepConfig) validate() (*storeRun, error) {
 	return run, nil
 }
 
-// simConfig builds one runner's configuration and returns the frame pool
-// of its program. The state is per runner: a store program's nodes share
-// one payload pool, and the stop cursor remembers how far the current run
-// has finished. The Σ_S oracle, the store config and the shard map are
-// shared.
-func (r *storeRun) simConfig() (sim.Config, *framePool) {
+// simConfig builds one runner's configuration. The stop cursor is per
+// runner: it remembers how far the current run has finished. The Σ_S
+// oracle, the store config and the shard map are shared.
+func (r *storeRun) simConfig() sim.Config {
 	cfg := &r.cfg
-	prog, pool := storeProgram(cfg.Pattern.N(), cfg.S, &cfg.Store, r.shards, cfg.Scripts)
 	return sim.Config{
 		Pattern:      cfg.Pattern,
 		History:      r.sigma,
-		Program:      prog,
+		Program:      storeProgram(cfg.Pattern.N(), cfg.S, &cfg.Store, r.shards, cfg.Scripts),
 		MaxSteps:     r.maxSteps,
 		StopWhen:     newStoreStopCursor(r.clients, r.avail, r.masks).done,
 		Faults:       cfg.Faults,
 		DisableTrace: true,
-	}, pool
+	}
 }
 
 // EffectiveMaxSteps returns the per-run step budget after defaulting: the

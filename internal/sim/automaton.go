@@ -95,17 +95,20 @@ type Env struct {
 	now  dist.Time // not exposed: the model's clock is inaccessible to processes
 
 	delivered *Message
-	// ownDelivered grants the stepping automaton ownership of the delivered
-	// payload's buffers (see DeliveredOwned). Set by the Runner on untraced
+	// owned is set on runs that lease payloads: the stepping automaton owns
+	// its delivery (see DeliveredOwned), and its sends count one reference
+	// per recipient of a RefCounted payload. Set by the Runner on untraced
 	// runs; never set by the explorer, whose branches share pending
 	// messages.
-	ownDelivered bool
-	// layer, queryFD and history are bindings, which step leaves alone.
-	// QueryFD queries queryFD when non-nil (stacked layers bind the emulator
-	// below), else history (the oracle — no per-step closure).
+	owned bool
+	// layer, queryFD, history and pools are bindings, which step leaves
+	// alone. QueryFD queries queryFD when non-nil (stacked layers bind the
+	// emulator below), else history (the oracle — no per-step closure).
+	// pools is the runner's payload pools (PoolOf).
 	layer     Layer
 	queryFD   func() any
 	history   History
+	pools     *poolSet
 	fdCache   any
 	fdQueried bool
 
@@ -117,11 +120,12 @@ type Env struct {
 
 // step is the one step of the Runner, the explorer and Stack: it resets e as
 // the context of process p of n at tick t, delivering msg (nil for a null
-// step) whose payload a owns when own is set, and steps a. The step's
-// effects stay in e until the next step: sends, Decide calls and op records.
-func (e *Env) step(a Automaton, p dist.ProcID, n int, t dist.Time, msg *Message, own bool) {
+// step), on a run that leases payloads when owned is set, and steps a. The
+// step's effects stay in e until the next step: sends, Decide calls and op
+// records.
+func (e *Env) step(a Automaton, p dist.ProcID, n int, t dist.Time, msg *Message, owned bool) {
 	e.self, e.n, e.now = p, n, t
-	e.delivered, e.ownDelivered = msg, own
+	e.delivered, e.owned = msg, owned
 	e.fdCache, e.fdQueried = nil, false
 	e.sends = e.sends[:0]
 	e.decisions = e.decisions[:0]
@@ -207,13 +211,20 @@ func (e *Env) Delivered() (payload any, from dist.ProcID, ok bool) {
 //     The Runner grants it on untraced runs (Config.DisableTrace), where
 //     no trace holds a payload; operation records, which every run keeps,
 //     carry the automaton's own descriptors, not payloads.
+//   - On such runs sim does the counting: Send, Broadcast and BroadcastAll
+//     add one reference per recipient to a RefCounted payload, and the
+//     Runner adjusts the count for copies that fault injection drops or
+//     duplicates and for queued copies it discards (RefCounted). A
+//     recipient drops its reference once it has processed an owned
+//     delivery, and the last one puts the payload back in its Pool
+//     (PoolOf).
 //   - When it reports false the payload must be treated as immutable
-//     shared state. The explorer always reports false — its branches share
-//     pending messages, and a recycled payload would mutate sibling
-//     states.
+//     shared state, and nothing counts its references. The explorer always
+//     reports false — its branches share pending messages, and a recycled
+//     payload would mutate sibling states.
 //
 // Automata that never reuse payload buffers can ignore this entirely.
-func (e *Env) DeliveredOwned() bool { return e.delivered != nil && e.ownDelivered }
+func (e *Env) DeliveredOwned() bool { return e.delivered != nil && e.owned }
 
 // QueryFD queries the failure detector and returns H(p, t) for the step's
 // time t. Repeated calls within one step return the same value (the model
@@ -230,17 +241,33 @@ func (e *Env) QueryFD() any {
 	return e.fdCache
 }
 
-// Send sends payload to process `to` over the reliable channel.
+// Send sends payload to process `to` over the reliable channel. A send to
+// a process outside 1..n goes nowhere.
 func (e *Env) Send(to dist.ProcID, payload any) {
 	if to < 1 || int(to) > e.n {
 		return
 	}
+	e.lease(payload, 1)
 	e.sends = append(e.sends, sendReq{to: to, layer: e.layer, payload: payload})
+}
+
+// lease counts k recipients of payload, on a run that leases payloads, when
+// the payload is RefCounted (see DeliveredOwned).
+func (e *Env) lease(payload any, k int) {
+	if !e.owned {
+		return
+	}
+	if rc, ok := payload.(RefCounted); ok {
+		for range k {
+			rc.AddRef()
+		}
+	}
 }
 
 // Broadcast sends payload to every process except the sender ("send to every
 // process except p" in the paper's pseudo-code).
 func (e *Env) Broadcast(payload any) {
+	e.lease(payload, e.n-1)
 	for q := dist.ProcID(1); int(q) <= e.n; q++ {
 		if q != e.self {
 			e.sends = append(e.sends, sendReq{to: q, layer: e.layer, payload: payload})
@@ -251,6 +278,7 @@ func (e *Env) Broadcast(payload any) {
 // BroadcastAll sends payload to every process including the sender ("send to
 // all").
 func (e *Env) BroadcastAll(payload any) {
+	e.lease(payload, e.n)
 	for q := dist.ProcID(1); int(q) <= e.n; q++ {
 		e.sends = append(e.sends, sendReq{to: q, layer: e.layer, payload: payload})
 	}
@@ -328,7 +356,8 @@ func (s *Stack) Step(e *Env) {
 			msg = e.delivered
 		}
 		sub := &s.subs[i]
-		sub.step(layer, e.self, e.n, e.now, msg, e.ownDelivered)
+		sub.pools = e.pools // every layer leases from the runner's pools
+		sub.step(layer, e.self, e.n, e.now, msg, e.owned)
 		e.sends = append(e.sends, sub.sends...)
 		e.decisions = append(e.decisions, sub.decisions...)
 		e.ops = append(e.ops, sub.ops...)

@@ -307,6 +307,7 @@ type xworker struct {
 func newWorker(e *explorer) *xworker {
 	w := &xworker{e: e, checkMap: make(map[dist.ProcID]any, e.n)}
 	w.env.history = e.cfg.History
+	w.env.pools = new(poolSet)
 	return w
 }
 

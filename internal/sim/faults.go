@@ -142,15 +142,18 @@ func Mix(a, b uint64) uint64 {
 // unitFloat maps a 64-bit value to [0, 1) with 53-bit resolution.
 func unitFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
-// RefCounted is implemented by pooled message payloads whose sender pre-set
-// a recipient reference count before sending (the send-buffer lease
-// contract; see Env.DeliveredOwned). Fault injection changes how many
-// deliveries a payload will actually see, and whenever it grants ownership
-// the Runner keeps the count honest: DropRef for a copy dropped by loss (the
-// implementation recycles the payload when its last expected delivery is
-// gone) and AddRef before enqueueing a duplicated copy. Neither is called on
-// runs whose trace records messages, where ownership is never granted and
-// the trace retains every payload.
+// RefCounted is implemented by pooled message payloads that count their
+// outstanding deliveries (the send-buffer lease contract; see
+// Env.DeliveredOwned). On a run that grants ownership sim does all the
+// counting but the recipient's own drop: Send, Broadcast and BroadcastAll
+// AddRef once per recipient, and the Runner keeps the count honest where
+// a delivery never happens or happens twice — DropRef for a copy dropped
+// by loss or discarded from an inbox (a recovery, Reset, Release), AddRef
+// before enqueueing a duplicated copy. The recipient of an owned delivery
+// calls DropRef once it has processed it, and the implementation recycles
+// the payload (Pool.Put) when its count falls to zero. Nothing is counted
+// on runs whose trace records messages, where ownership is never granted
+// and the trace retains every payload, nor by the explorer.
 type RefCounted interface {
 	AddRef()
 	DropRef()

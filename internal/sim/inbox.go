@@ -54,11 +54,11 @@ func (q *inbox) push(m Message, notBefore dist.Time) {
 
 // wipe empties the queue, keeping the buffer capacity, at a process
 // recovery and between runs. When payloads are leased (owned: the trace
-// records no messages) the sender pre-counted each parked delivery in its
-// payload's lease refcount (Env.DeliveredOwned), so every live RefCounted
-// entry must give its reference back before it is discarded or the shared
-// payload pool leaks a slot per dropped message. Runs whose trace records
-// messages never grant ownership; the trace retains the payloads.
+// records no messages) Send counted each parked delivery in its payload's
+// lease refcount (Env.DeliveredOwned), so every live RefCounted entry must
+// give its reference back before it is discarded or the payload pool leaks
+// a slot per dropped message. Runs whose trace records messages count
+// nothing; the trace retains the payloads.
 func (q *inbox) wipe(owned bool) {
 	if owned {
 		for i := q.head; i < len(q.buf); i++ {
@@ -72,14 +72,18 @@ func (q *inbox) wipe(owned bool) {
 	q.buf, q.head, q.live, q.readyUntil = q.buf[:0], 0, 0, 0
 }
 
-// inboxSet is one runner's inboxes, indexed by ProcID (slot 0 unused). It
-// is boxed once per set, so handing it to inboxSets and back allocates
-// nothing.
-type inboxSet struct{ q []inbox }
+// inboxSet is one runner's inboxes, indexed by ProcID (slot 0 unused), and
+// its payload pools (PoolOf). It is boxed once per set, so handing it to
+// inboxSets and back allocates nothing.
+type inboxSet struct {
+	q     []inbox
+	pools poolSet
+}
 
 // inboxSets holds the sets of released runners (Runner.Release): every
-// inbox empty, its buffer cleared up to its capacity. A new runner takes
-// one instead of regrowing n+1 buffers from empty.
+// inbox empty, its buffer cleared up to its capacity, and every payload
+// that was queued in it back in its pool. A new runner takes one instead
+// of regrowing n+1 buffers and its payload pools from empty.
 var inboxSets sync.Pool
 
 // takeInboxSet returns n+1 inboxes: a released set resliced to that length

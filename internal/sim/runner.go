@@ -208,10 +208,11 @@ func (s *Snapshot) Automaton(p dist.ProcID) Automaton { return s.r.automata[p-1]
 //	}
 //	r.Release()
 //
-// Release hands the runner's inbox set to a later runner that NewRunner
-// builds for at most as many processes, so a sweep that builds a runner
-// per generated workload does not regrow every inbox from empty. A
-// released set belongs to that pool, no longer to the runner.
+// Release hands the runner's inbox set, with its payload pools (PoolOf), to
+// a later runner that NewRunner builds for at most as many processes, so a
+// sweep that builds a runner per generated workload does not regrow every
+// inbox and pool from empty. A released set belongs to that pool, no
+// longer to the runner.
 //
 // The zero-based package-level Run remains the one-shot convenience wrapper.
 // A Runner is not safe for concurrent use; Run may be called once per Reset.
@@ -236,8 +237,9 @@ type Runner struct {
 	// is built or swapped in by a recovery, never per step.
 	emus  []Emulator
 	quiet []Quiescent
-	// set is the runner's inbox set and inboxes its queues, indexed by
-	// ProcID (slot 0 unused); both are nil once Release gave them back.
+	// set is the runner's inbox set and payload pools, and inboxes its
+	// queues, indexed by ProcID (slot 0 unused); both are nil once Release
+	// gave them back.
 	set     *inboxSet
 	inboxes []inbox
 
@@ -414,6 +416,7 @@ func (r *Runner) reset() {
 	if r.set == nil {
 		r.set = takeInboxSet(r.n)
 		r.inboxes = r.set.q
+		r.env.pools = &r.set.pools
 	}
 	for i := 0; i < r.n; i++ {
 		r.decisions[i] = nil
@@ -453,12 +456,13 @@ func (r *Runner) reset() {
 }
 
 // Release ends the runner's use of its inbox set: in-flight messages give
-// their leased payloads back, as at a Reset, every buffer is cleared up to
-// its capacity, so no payload stays reachable through it, and the set goes
-// to the pool that NewRunner draws from. From then on the set belongs to
-// that pool. Call Release once the last Result is no longer needed; a
-// released runner runs again only after a Reset, which takes a set anew.
-// Releasing twice is a no-op.
+// their leased payloads back, as at a Reset, so every pooled payload is
+// home in the set's pools (PoolOf); every buffer is cleared up to its
+// capacity, so no payload stays reachable through it; and the set, pools
+// included, goes to the pool that NewRunner draws from. From then on the
+// set belongs to that pool. Call Release once the last Result is no longer
+// needed; a released runner runs again only after a Reset, which takes a
+// set anew. Releasing twice is a no-op.
 func (r *Runner) Release() {
 	if r.set == nil {
 		return
@@ -469,7 +473,7 @@ func (r *Runner) Release() {
 		clear(q.buf[:cap(q.buf)])
 	}
 	inboxSets.Put(r.set)
-	r.set, r.inboxes = nil, nil
+	r.set, r.inboxes, r.env.pools = nil, nil, nil
 }
 
 // install sets p's automaton to a and resolves its optional Emulator and
@@ -623,8 +627,8 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 			if r.tr != nil {
 				r.tr.Append(trace.Event{T: t, P: p, Kind: trace.DropKind, To: sr.to, Layer: int8(sr.layer), Seq: m.Seq, Payload: sr.payload})
 			} else if rc, ok := sr.payload.(RefCounted); ok {
-				// The sender pre-counted this delivery in the payload's
-				// lease refcount (Env.DeliveredOwned); give the lost copy's
+				// Send counted this delivery in the payload's lease
+				// refcount (Env.DeliveredOwned); give the lost copy's
 				// reference back so the pool is not starved.
 				rc.DropRef()
 			}
@@ -646,8 +650,8 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 			if r.tr != nil {
 				r.tr.Append(trace.Event{T: t, P: p, Kind: trace.SendKind, To: sr.to, Layer: int8(sr.layer), Seq: m2.Seq, Payload: sr.payload})
 			} else if rc, ok := sr.payload.(RefCounted); ok {
-				// The extra copy is one more delivery than the sender
-				// leased for; account for it before it is enqueued.
+				// The extra copy is one more delivery than Send counted;
+				// account for it before it is enqueued.
 				rc.AddRef()
 			}
 			r.enqueue(m2, t+dupDelay, t)

@@ -29,9 +29,10 @@ type Config struct {
 	// per worker, and every call must return an independently usable
 	// config: a nil Scheduler (each runner then owns a seeded scheduler)
 	// or a fresh one, and fresh instances of anything that keeps state
-	// across calls (a History, StopWhen or Program that writes). Shared
-	// read-only components (patterns, the pre-boxed oracles, pure stop
-	// conditions and Program functions) are fine.
+	// across calls (a History or StopWhen that writes, like the store's
+	// stop cursor). Shared read-only components (patterns, the pre-boxed
+	// oracles, pure stop conditions and Program functions) are fine; a
+	// runner's payload pools are its own (sim.PoolOf).
 	Sim func() sim.Config
 	// SeedStart is the first seed; the sweep runs seeds
 	// [SeedStart, SeedStart+Seeds), which must lie within [0, MaxInt64]:
