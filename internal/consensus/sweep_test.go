@@ -74,7 +74,7 @@ func TestConsensusSweepUnderFaultsWorkerIndependent(t *testing.T) {
 
 // TestConsensusPooledSweepsConcurrent runs faulted sweeps of two sizes at
 // once, two workers each, all on the one SimConfig per size, so runners
-// lease frames from pools that ride in inbox sets concurrent sweeps take
+// lease frames from pools that ride in buffer sets concurrent sweeps take
 // and give back; under -race it fails on any pool two runners share. Every
 // sweep must match its size's lone run.
 func TestConsensusPooledSweepsConcurrent(t *testing.T) {

@@ -3,6 +3,7 @@ package register
 import (
 	"fmt"
 	"math"
+	"sync"
 	"unsafe"
 
 	"repro/internal/dist"
@@ -414,7 +415,7 @@ type StoreNode struct {
 	// key k of owned shard sh sits at shards.offset(owned, sh) + Local(k).
 	// held is the owned shards whose state is live — all of them, except
 	// after Recover, where a shard rejoins on its first protocol touch
-	// (locate). conf (FastReads only, else nil) holds per owned key the
+	// (locate). conf (FastReads only, else empty) holds per owned key the
 	// highest ts this replica knows to have reached a full quorum,
 	// invariant conf ≤ ts.
 	owned, held ShardSet
@@ -450,7 +451,7 @@ type StoreNode struct {
 // storeClient is the client half of a StoreNode, allocated only at members
 // of S.
 type storeClient struct {
-	// confClient (FastReads only, else nil) is the client-side confirmed
+	// confClient (FastReads only, else empty) is the client-side confirmed
 	// timestamp, dense over every key, piggybacked on outgoing queries
 	// (queryEntry.CTS).
 	confClient []Timestamp
@@ -490,8 +491,9 @@ type storeClient struct {
 	retransmits int64
 
 	// Per-step per-shard request accumulators, consumed and cleared by
-	// flush (see the send-order rules above the wire types); nil for shards
-	// the script never touches. dirty holds the shards whose qOut or sOut is
+	// flush (see the send-order rules above the wire types); without
+	// capacity for shards the script never touches, unless a released
+	// client left them some. dirty holds the shards whose qOut or sOut is
 	// non-empty, so flush visits only those.
 	qOut  [][]queryEntry
 	sOut  [][]storeEntry
@@ -514,64 +516,102 @@ type storeClient struct {
 var (
 	_ sim.Quiescent = (*StoreNode)(nil)
 	_ sim.Rewinder  = (*StoreNode)(nil)
+	_ sim.Releaser  = (*StoreNode)(nil)
 )
 
 var _ sim.RefCounted = (*storeFrame)(nil)
+
+// freeNodes and freeClients hold the nodes and client halves of released
+// runners (StoreNode.Release): zero, with every buffer kept, and bound to no
+// config, shard map or script. A node released as a client may come back
+// as a pure replica, and a client half at another process.
+var freeNodes, freeClients sync.Pool
 
 // newStoreNode builds the store automaton for process self over the given
 // shard map. It trusts its arguments — StoreProgram validates them — except
 // that a script at a process outside S is ignored, enforcing the S-register
 // access restriction at run time too. Only a member of S gets client state.
+// The node and its client half are ones a released runner gave back when
+// there are some, else new ones; bind sizes them in place either way.
 func newStoreNode(self dist.ProcID, n int, s dist.ProcSet, cfg *StoreConfig, m *ShardMap, script []KeyedOp) *StoreNode {
-	a := &StoreNode{self: self, cfg: cfg, shards: m}
+	a, _ := freeNodes.Get().(*StoreNode)
+	if a == nil {
+		a = new(StoreNode)
+	}
+	if s.Contains(self) {
+		a.storeClient, _ = freeClients.Get().(*storeClient)
+		if a.storeClient == nil {
+			a.storeClient = new(storeClient)
+		}
+	}
+	a.bind(self, n, cfg, m, script)
+	return a
+}
+
+// resize returns s with length n, reusing its array when it has the
+// capacity; what the array held must be overwritten or cleared. It never
+// returns nil, so a bound node's shape does not depend on whether its
+// buffers are new.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// bind makes a zero node — new, or released with its buffers kept — the
+// node of process self in an n-process store, sizing every buffer in place
+// and the client half, when it has one, by the node's own script. Client
+// buffers sit at their high-water marks: growing them per run would make
+// per-run allocations scale with how full the windows get. A shard holds
+// at most a window of outstanding ops, and never more than the script
+// routes to it.
+func (a *StoreNode) bind(self dist.ProcID, n int, cfg *StoreConfig, m *ShardMap, script []KeyedOp) {
+	a.self, a.cfg, a.shards = self, cfg, m
 	for sh := 0; sh < m.Shards(); sh++ {
 		if m.Owns(self, sh) {
 			a.owned = a.owned.Add(sh)
 		}
 	}
 	keys := m.offset(a.owned, m.Shards())
-	a.ts = make([]Timestamp, keys)
-	a.val = make([]Value, keys)
+	confKeys, frames := 0, 0
 	if cfg.FastReads {
-		a.conf = make([]Timestamp, keys)
+		confKeys = keys
 	}
 	if cfg.Piggyback {
-		a.outFrame = make([]*storeFrame, n+1)
+		frames = n + 1
 	}
-	if s.Contains(self) {
-		a.storeClient = newStoreClient(self, cfg, m, script)
+	a.ts = resize(a.ts, keys)
+	a.val = resize(a.val, keys)
+	a.conf = resize(a.conf, confKeys)
+	a.outFrame = resize(a.outFrame, frames)
+	a.outDsts = resize(a.outDsts, 0)
+	if c := a.storeClient; c != nil {
+		c.bind(self, cfg, m, script)
 	}
 	a.restart()
-	return a
 }
 
-// newStoreClient allocates the client half for script. Client buffers sit
-// at their high-water marks, sized by the node's own script: growing them
-// per run would make per-run allocations scale with how full the windows
-// get. A shard holds at most a window of outstanding ops, and never more
-// than the script routes to it.
-func newStoreClient(self dist.ProcID, cfg *StoreConfig, m *ShardMap, script []KeyedOp) *storeClient {
-	c := &storeClient{
-		maxWin: cfg.maxWindow(),
-		stall:  cfg.stallSteps(),
-		rto0:   cfg.rto(),
-		maxRTO: cfg.maxRTO(),
-		queues: make([][]queuedOp, m.Shards()),
-		win:    make([]shardWin, m.Shards()),
-		load:   make([]int, m.Shards()),
-		qOut:   make([][]queryEntry, m.Shards()),
-		sOut:   make([][]storeEntry, m.Shards()),
-	}
+// bind sizes the client half for script (see StoreNode.bind).
+func (c *storeClient) bind(self dist.ProcID, cfg *StoreConfig, m *ShardMap, script []KeyedOp) {
+	confKeys := 0
 	if cfg.FastReads {
-		c.confClient = make([]Timestamp, m.Keys())
+		confKeys = m.Keys()
 	}
+	c.confClient = resize(c.confClient, confKeys)
+	c.queues = resize(c.queues, m.Shards())
+	c.win = resize(c.win, m.Shards())
+	c.load = resize(c.load, m.Shards())
+	c.qOut = resize(c.qOut, m.Shards())
+	c.sOut = resize(c.sOut, m.Shards())
 	winCap := cfg.window()
 	if cfg.AdaptiveWindow {
-		winCap = c.maxWin
+		winCap = cfg.maxWindow()
 	}
-	c.pend = make([]storeOp, 0, min(winCap*m.Shards(), len(script)))
+	c.pend = resize(c.pend, min(winCap*m.Shards(), len(script)))[:0]
 	// One counting pass by shard: load counts each shard's ops, then holds
 	// the offset where the shard's next op goes (restart zeroes it).
+	clear(c.load)
 	for _, op := range script {
 		c.load[m.Shard(op.Key)]++
 	}
@@ -579,23 +619,21 @@ func newStoreClient(self dist.ProcID, cfg *StoreConfig, m *ShardMap, script []Ke
 	for sh, ops := range c.load {
 		c.load[sh] = next
 		next += ops
-		if ops == 0 {
-			continue // untouched: no accumulators
-		}
 		// With retransmission a step may re-send a full window on top of
 		// the window it starts, so the accumulators get double headroom
-		// to keep retransmit bursts off the allocator.
+		// to keep retransmit bursts off the allocator. An untouched shard
+		// needs none, but keeps what a released client left it.
 		outCap := min(winCap, ops)
 		if cfg.Retransmit {
 			outCap *= 2
 		}
-		c.qOut[sh] = make([]queryEntry, 0, outCap)
-		c.sOut[sh] = make([]storeEntry, 0, outCap)
+		c.qOut[sh] = resize(c.qOut[sh], outCap)[:0]
+		c.sOut[sh] = resize(c.sOut[sh], outCap)[:0]
 	}
 	// Open-loop arrival schedule: the cumulative jittered (or fixed) gaps
 	// over the script, assigned in script order so per-shard FIFO queues
 	// stay arrival-ordered. Closed loop leaves every arrival 0.
-	c.script = make([]queuedOp, len(script))
+	c.script = resize(c.script, len(script))
 	arr := int64(0)
 	for idx, op := range script {
 		if cfg.OpenLoop && idx > 0 {
@@ -605,26 +643,18 @@ func newStoreClient(self dist.ProcID, cfg *StoreConfig, m *ShardMap, script []Ke
 		c.script[c.load[sh]] = queuedOp{op: op, arrival: arr}
 		c.load[sh]++
 	}
-	return c
 }
 
-// Rewind implements sim.Rewinder: it keeps the node's wiring and buffers,
-// zeroes every counter and restores the constructed state. flush leaves
-// the per-step accumulators (qOut, sOut, outFrame, outDsts) empty at the
-// end of every step, so they are kept as they are.
-func (a *StoreNode) Rewind() {
+// zero makes the node the zero node, keeping its client half and every
+// buffer: the state bind and Rewind start from, and the one Release leaves.
+func (a *StoreNode) zero() {
 	*a = StoreNode{
-		self:        a.self,
-		cfg:         a.cfg,
-		shards:      a.shards,
-		owned:       a.owned,
 		ts:          a.ts,
 		val:         a.val,
 		conf:        a.conf,
 		storeClient: a.storeClient,
 		outFrame:    a.outFrame,
 		outDsts:     a.outDsts,
-		noWriteBack: a.noWriteBack,
 	}
 	if c := a.storeClient; c != nil {
 		*c = storeClient{
@@ -633,21 +663,39 @@ func (a *StoreNode) Rewind() {
 			queues:     c.queues,
 			pend:       c.pend[:0],
 			win:        c.win,
-			maxWin:     c.maxWin,
-			stall:      c.stall,
 			load:       c.load,
-			rto0:       c.rto0,
-			maxRTO:     c.maxRTO,
 			qOut:       c.qOut,
 			sOut:       c.sOut,
 		}
 	}
+}
+
+// Rewind implements sim.Rewinder: it keeps the node's wiring and buffers,
+// zeroes everything else and restores the constructed state. flush leaves
+// the per-step accumulators (qOut, sOut, outFrame, outDsts) empty at the
+// end of every step, so they are kept as they are.
+func (a *StoreNode) Rewind() {
+	self, cfg, m, owned, noWriteBack := a.self, a.cfg, a.shards, a.owned, a.noWriteBack
+	a.zero()
+	a.self, a.cfg, a.shards, a.owned, a.noWriteBack = self, cfg, m, owned, noWriteBack
 	a.restart()
 }
 
-// restart puts the node's buffers in the constructed state: zero replica
-// state on every owned shard, the full script queued, every window at its
-// start value. Construction and Rewind both end with it.
+// Release implements sim.Releaser: the node and its client half go to the
+// free lists that newStoreNode draws from, zero and with their buffers
+// kept, so they hold no config, shard map or script.
+func (a *StoreNode) Release() {
+	a.zero()
+	if c := a.storeClient; c != nil {
+		a.storeClient = nil
+		freeClients.Put(c)
+	}
+	freeNodes.Put(a)
+}
+
+// restart puts a wired node's buffers in the constructed state: zero
+// replica state on every owned shard, the full script queued, every window
+// at its start value. bind and Rewind both end with it.
 func (a *StoreNode) restart() {
 	a.held = a.owned
 	clear(a.ts)
@@ -657,6 +705,8 @@ func (a *StoreNode) restart() {
 	if c == nil {
 		return
 	}
+	cfg := a.cfg
+	c.maxWin, c.stall, c.rto0, c.maxRTO = cfg.maxWindow(), cfg.stallSteps(), cfg.rto(), cfg.maxRTO()
 	clear(c.confClient)
 	clear(c.load)
 	clear(c.queues)
@@ -672,7 +722,7 @@ func (a *StoreNode) restart() {
 	}
 	c.scriptLen = len(c.script)
 	for sh := range c.win {
-		c.win[sh] = shardWin{cur: a.cfg.window()}
+		c.win[sh] = shardWin{cur: cfg.window()}
 	}
 }
 
@@ -810,7 +860,7 @@ func (a *StoreNode) WindowOf(sh int) int {
 // touches them.
 func (a *StoreNode) ReplicaStateBytes() int {
 	perKey := int(unsafe.Sizeof(Timestamp{}) + unsafe.Sizeof(Value(0)))
-	if a.conf != nil {
+	if a.cfg.FastReads {
 		perKey += int(unsafe.Sizeof(Timestamp{}))
 	}
 	return perKey * a.shards.offset(a.held, a.shards.Shards())

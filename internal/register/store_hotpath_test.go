@@ -193,12 +193,14 @@ func TestStoreAllocsPerStep(t *testing.T) {
 	}
 }
 
-// TestStoreClientBuffersSizedByScript pins the client buffers to the
-// node's own script: a 4-op client on 16 shards gets room for 4 pending ops,
-// not a window on every shard, and queues and request accumulators only on
-// the shards its script touches, each at most a window (doubled for
-// retransmission) and at most the ops routed there. A pure replica gets no
-// client half at all.
+// TestStoreClientBuffersSizedByScript pins the client buffers of a new
+// node to its own script: a 4-op client on 16 shards gets room for 4
+// pending ops, not a window on every shard, and queues and request
+// accumulators only on the shards its script touches, each at most a
+// window (doubled for retransmission) and at most the ops routed there. A
+// pure replica gets no client half at all. The client is bound on a new
+// node and client half, not on ones a released runner left in the free
+// lists, whose buffers keep their capacity.
 func TestStoreClientBuffersSizedByScript(t *testing.T) {
 	cfg := StoreConfig{
 		Keys: 64, Shards: 16, Window: 2,
@@ -215,7 +217,8 @@ func TestStoreClientBuffersSizedByScript(t *testing.T) {
 		{Key: 0, Kind: ReadOp}, {Key: 5, Kind: WriteOp, Arg: 2},
 	}
 	ops := map[int]int{0: 3, 5: 1}
-	client := newStoreNode(1, 128, dist.NewProcSet(1), &cfg, m, script)
+	client := &StoreNode{storeClient: new(storeClient)}
+	client.bind(1, 128, &cfg, m, script)
 	if got := cap(client.pend); got != len(script) {
 		t.Fatalf("cap(pend) = %d, want the script's %d ops", got, len(script))
 	}
@@ -228,7 +231,7 @@ func TestStoreClientBuffersSizedByScript(t *testing.T) {
 		if got := [3]int{q, qo, so}; got != want {
 			t.Fatalf("shard %d: queue/qOut/sOut capacities %v, want %v", sh, got, want)
 		}
-		if want[0] == 0 && (client.queues[sh] != nil || client.qOut[sh] != nil || client.sOut[sh] != nil) {
+		if want[0] == 0 && client.queues[sh] != nil {
 			t.Fatalf("untouched shard %d holds client buffers", sh)
 		}
 	}

@@ -167,9 +167,12 @@ func TestStoreReplicaLayoutOverlappingGroups(t *testing.T) {
 // TestStoreConstructionBudget pins what a fresh runner costs on the
 // store-faults-n128 configuration: NewRunner plus its first Reset, which
 // builds all 128 nodes. Pure replicas carry no client half and their
-// replica state covers the owned keys only, which makes it 169,816 B on
+// replica state covers the owned keys only, which makes it 160,784 B on
 // amd64; the budget leaves room for allocator and toolchain drift, not for
-// a client half at every replica.
+// a client half at every replica. The loop releases no runner, so once
+// the first iteration has drained what earlier tests parked, every runner
+// is built cold: this is construction, not reuse
+// (TestStorePooledSweepAllocBudget).
 func TestStoreConstructionBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("times a benchmark loop; the race detector changes allocation")

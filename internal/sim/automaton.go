@@ -60,10 +60,21 @@ type Quiescent interface {
 // must act exactly as a fresh instance from the same Program for the same
 // process would; it may keep its buffers. The Runner rewinds a Rewinder in
 // place at every Reset after its first run and at every recovery, so the
-// Program runs only when the Runner first builds its set.
+// Program runs only when the Runner first builds its set: at NewRunner, and
+// at the first Reset after a Release.
 type Rewinder interface {
 	Automaton
 	Rewind()
+}
+
+// Releaser is implemented by automata whose buffers can serve a later
+// runner. Runner.Release calls Release exactly once on each automaton of
+// its set, after the last Result is no longer needed, and then forgets the
+// automaton: a released automaton is never stepped, rewound or read again,
+// so Release may hand it to a free list that a later Program draws from.
+type Releaser interface {
+	Automaton
+	Release()
 }
 
 // Recoverable is implemented by automata that support crash-recovery with

@@ -18,7 +18,7 @@ func (s *Snapshot) CheckCaches() (int, error) {
 	}
 	compared := 0
 	for p := 1; p <= r.n; p++ {
-		q := &r.inboxes[p]
+		q := &r.procs[p].inbox
 		if r.now >= q.readyUntil {
 			continue // stale: the next query recounts
 		}

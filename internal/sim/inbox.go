@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/dist"
 )
@@ -70,31 +69,6 @@ func (q *inbox) wipe(owned bool) {
 		}
 	}
 	q.buf, q.head, q.live, q.readyUntil = q.buf[:0], 0, 0, 0
-}
-
-// inboxSet is one runner's inboxes, indexed by ProcID (slot 0 unused), and
-// its payload pools (PoolOf). It is boxed once per set, so handing it to
-// inboxSets and back allocates nothing.
-type inboxSet struct {
-	q     []inbox
-	pools poolSet
-}
-
-// inboxSets holds the sets of released runners (Runner.Release): every
-// inbox empty, its buffer cleared up to its capacity, and every payload
-// that was queued in it back in its pool. A new runner takes one instead
-// of regrowing n+1 buffers and its payload pools from empty.
-var inboxSets sync.Pool
-
-// takeInboxSet returns n+1 inboxes: a released set resliced to that length
-// when it has the capacity, else a new one. Inboxes past a set's length
-// keep their cleared buffers for the next runner that reslices it longer.
-func takeInboxSet(n int) *inboxSet {
-	if s, ok := inboxSets.Get().(*inboxSet); ok && cap(s.q) >= n+1 {
-		s.q = s.q[:n+1]
-		return s
-	}
-	return &inboxSet{q: make([]inbox, n+1)}
 }
 
 // skipGone advances head past tombstones, rewinds the drained buffer, and

@@ -120,10 +120,12 @@ type leasedPayload struct{ refs *int }
 func (p leasedPayload) AddRef()  { *p.refs++ }
 func (p leasedPayload) DropRef() { *p.refs-- }
 
-// leaseSender has p1 send a leased payload to p2 on every step.
+// leaseSender has p1 send a leased payload to p2 on every step. It is a
+// Releaser that counts the Release calls it gets.
 type leaseSender struct {
-	self dist.ProcID
-	refs *int
+	self     dist.ProcID
+	refs     *int
+	released int
 }
 
 func (a *leaseSender) Step(e *Env) {
@@ -137,6 +139,8 @@ func (a *leaseSender) Snapshot() Automaton {
 	return &c
 }
 
+func (a *leaseSender) Release() { a.released++ }
+
 // TestRunnerResetReleasesInFlightLeases: payloads still parked in an inbox
 // when a run stops give their references back at Reset, as at a recovery,
 // and at Release, so a payload pool does not leak a slot per message left
@@ -145,17 +149,25 @@ func (a *leaseSender) Snapshot() Automaton {
 // reference for each. A traced run counts no reference, and its payloads
 // are left alone. Release also clears every buffer of the set it gives
 // back up to its capacity, so the pooled set keeps no payload alive.
+//
+// Release also keeps the Releaser contract: it calls Release exactly once
+// on each automaton, a second Release calls nothing (a second call would
+// hand one automaton to two runners), and a Reset after it builds every
+// automaton anew from the Program and repeats the run exactly.
 func TestRunnerResetReleasesInFlightLeases(t *testing.T) {
 	for _, end := range []string{"Reset", "Release"} {
 		for _, traced := range []bool{false, true} {
 			refs := 0
+			var built []*leaseSender
 			f := dist.NewFailurePattern(2)
 			f.CrashAt(2, 0)
 			r, err := NewRunner(Config{
 				Pattern: f,
 				History: nilHistory(),
 				Program: func(p dist.ProcID, n int) Automaton {
-					return &leaseSender{self: p, refs: &refs}
+					a := &leaseSender{self: p, refs: &refs}
+					built = append(built, a)
+					return a
 				},
 				Scheduler:    NewRandomScheduler(1),
 				MaxSteps:     20,
@@ -164,10 +176,12 @@ func TestRunnerResetReleasesInFlightLeases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Run(); err != nil {
+			res, err := r.Run()
+			if err != nil {
 				t.Fatal(err)
 			}
-			parked := r.inboxes[2].live
+			first := runSummary(res)
+			parked := r.procs[2].inbox.live
 			if parked == 0 {
 				t.Fatalf("traced=%v: no payload left in flight — the release was never exercised", traced)
 			}
@@ -177,7 +191,7 @@ func TestRunnerResetReleasesInFlightLeases(t *testing.T) {
 			case traced && refs != 0:
 				t.Fatalf("traced run: Send counted %d references on payloads it never leases", refs)
 			}
-			set := r.set
+			set := r.buffers
 			if end == "Reset" {
 				r.Reset(2)
 			} else {
@@ -189,7 +203,8 @@ func TestRunnerResetReleasesInFlightLeases(t *testing.T) {
 			if end == "Reset" {
 				continue
 			}
-			for p, q := range set.q {
+			for p := range set.procs {
+				q := &set.procs[p].inbox
 				if len(q.buf) != 0 || q.live != 0 {
 					t.Fatalf("traced=%v: released p%d inbox holds %d entries (%d live)", traced, p, len(q.buf), q.live)
 				}
@@ -199,8 +214,51 @@ func TestRunnerResetReleasesInFlightLeases(t *testing.T) {
 					}
 				}
 			}
+			for _, x := range set.procs[:cap(set.procs)] {
+				if x.automaton != nil || x.emu != nil || x.quiet != nil || x.decision != nil || x.decideTime != 0 || x.lastEmu != nil {
+					t.Fatalf("traced=%v: the released set keeps a process's automaton or decision", traced)
+				}
+			}
+
+			released := func(when string) {
+				t.Helper()
+				for _, a := range built[:2] {
+					if a.released != 1 {
+						t.Fatalf("traced=%v, %s: p%d was released %d times, want once", traced, when, int(a.self), a.released)
+					}
+				}
+			}
+			released("after Release")
+			r.Release()
+			released("after a second Release")
+			res, err = r.Reset(1).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(built) != 4 || built[2] == built[0] || built[3] == built[1] {
+				t.Fatalf("traced=%v: the Program built %d automata, want every process's anew after Release", traced, len(built))
+			}
+			if got := runSummary(res); got != first {
+				t.Fatalf("traced=%v: the run after Release and Reset:\n  %s\nwant, as before:\n  %s", traced, got, first)
+			}
+			r.Release()
+			released("after the rebuilt set's Release")
+			if built[2].released != 1 || built[3].released != 1 {
+				t.Fatalf("traced=%v: the rebuilt automata were released %d and %d times, want once", traced, built[2].released, built[3].released)
+			}
 		}
 	}
+}
+
+// runSummary renders a run's counts and, when traced, its events.
+func runSummary(res *Result) string {
+	s := fmt.Sprintf("steps=%d ticks=%d sent=%d reason=%v ops=%d", res.Steps, res.Ticks, res.MessagesSent, res.Reason, len(res.Ops))
+	if res.Trace != nil {
+		for _, e := range res.Trace.Events() {
+			s += fmt.Sprintf(" %+v", e)
+		}
+	}
+	return s
 }
 
 // countedPayload is a pooled RefCounted test payload that keeps its own
@@ -284,7 +342,7 @@ func (a *countingNode) Step(e *Env) {
 
 // countedPoolOf returns the countedPayload pool of set s and its length
 // (nil and 0 before the first lease).
-func countedPoolOf(s *inboxSet) (*Pool[countedPayload], int) {
+func countedPoolOf(s *buffers) (*Pool[countedPayload], int) {
 	for _, p := range s.pools.all {
 		if p, ok := p.(*Pool[countedPayload]); ok {
 			return p, len(p.free)
@@ -317,7 +375,7 @@ func TestSendCountsPooledPayloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set := r.set
+		set := r.buffers
 		_, base := countedPoolOf(set) // a set from an earlier runner may bring some
 		// books checks that every payload made so far is home exactly once.
 		books := func(when string) {
@@ -365,8 +423,8 @@ func TestSendCountsPooledPayloads(t *testing.T) {
 			t.Fatal("an untraced run counted no reference")
 		}
 		queued := 0
-		for _, q := range set.q {
-			queued += q.live
+		for _, x := range set.procs {
+			queued += x.inbox.live
 		}
 		if queued == 0 {
 			t.Fatalf("traced=%v: the last run left nothing queued for Release to bring back", traced)
@@ -374,4 +432,60 @@ func TestSendCountsPooledPayloads(t *testing.T) {
 		r.Release()
 		books("after Release")
 	}
+}
+
+// TestPooledSetServesSmallerRunnerAfterLarger: a set an n=3 runner parked
+// serves the next runner of any size. An n=8 runner takes it with its
+// inbox slice grown, and the n=3 runner after that gets it back with the
+// payload pools the first one leased from. sync.Pool may drop a Put (the
+// race detector drops one in four on purpose) or miss a Get after the
+// goroutine moved to another P, so the scenario is tried until one round
+// keeps the set from end to end; a set too small for the n=8 runner that
+// is dropped instead of grown fails every round.
+func TestPooledSetServesSmallerRunnerAfterLarger(t *testing.T) {
+	runner := func(n int) *Runner {
+		t.Helper()
+		r, err := NewRunner(Config{
+			Pattern:      dist.NewFailurePattern(n),
+			History:      nilHistory(),
+			Program:      func(dist.ProcID, int) Automaton { return &countingNode{st: &leaseStats{}} },
+			MaxSteps:     40,
+			DisableTrace: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for round := 0; round < 50; round++ {
+		for parked.Get() != nil { // no set of an earlier test may answer
+		}
+		r3 := runner(3)
+		set := r3.buffers
+		pool, _ := countedPoolOf(set)
+		if pool == nil {
+			t.Fatal("the n=3 runner leased no payload")
+		}
+		r3.Release()
+		r8 := runner(8)
+		grown := r8.buffers == set
+		r8.Release()
+		again := runner(3)
+		got, _ := countedPoolOf(again.buffers)
+		kept := again.buffers == set
+		again.Release()
+		if grown && kept {
+			if got != pool {
+				t.Fatal("the set came back to the n=3 runner without its payload pool")
+			}
+			if cap(set.procs) < 9 {
+				t.Fatalf("the set came back with %d rows, want the n=8 runner's 9", cap(set.procs))
+			}
+			return
+		}
+	}
+	t.Fatal("in 50 rounds no set parked by an n=3 runner served an n=8 runner and then an n=3 runner")
 }

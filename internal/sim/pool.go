@@ -36,7 +36,7 @@ func (p *Pool[T]) Put(x *T) {
 }
 
 // poolSet is one runner's payload pools, one *Pool[T] per payload type in
-// first-use order. It lives in the runner's inbox set, so it travels with
+// first-use order. It lives in the runner's buffer set, so it travels with
 // the set through Release: the set is parked only once every payload that
 // was queued in it has come back.
 type poolSet struct{ all []any }

@@ -176,7 +176,7 @@ func (s *Snapshot) Decided(p dist.ProcID) (any, bool) {
 	if !s.r.decidedSet.Contains(p) {
 		return nil, false
 	}
-	return s.r.decisions[p-1], true
+	return s.r.procs[p].decision, true
 }
 
 // DecidedSet returns the processes that have decided: those for which
@@ -186,7 +186,7 @@ func (s *Snapshot) DecidedSet() dist.ProcSet { return s.r.decidedSet }
 // EmuOutput returns the current emulated failure-detector output of p when
 // p's automaton is an Emulator, else nil.
 func (s *Snapshot) EmuOutput(p dist.ProcID) any {
-	if emu := s.r.emus[p-1]; emu != nil {
+	if emu := s.r.procs[p].emu; emu != nil {
 		return emu.Output()
 	}
 	return nil
@@ -194,12 +194,13 @@ func (s *Snapshot) EmuOutput(p dist.ProcID) any {
 
 // Automaton returns p's automaton for state inspection by stop conditions.
 // Conditions must treat it as read-only.
-func (s *Snapshot) Automaton(p dist.ProcID) Automaton { return s.r.automata[p-1] }
+func (s *Snapshot) Automaton(p dist.ProcID) Automaton { return s.r.procs[p].automaton }
 
 // Runner executes runs of one configured system. A Runner owns all hot-path
-// state — per-process inboxes, the step context, the scheduler view — and
-// Reset rewinds it without releasing any buffer, so sweeps and benchmarks
-// amortize their allocations across arbitrarily many runs:
+// state — per-process inboxes and tables, the op log, the step context, the
+// scheduler view — and Reset rewinds it without releasing any buffer, so
+// sweeps and benchmarks amortize their allocations across arbitrarily many
+// runs:
 //
 //	r, err := sim.NewRunner(cfg)
 //	for seed := int64(0); seed < runs; seed++ {
@@ -208,11 +209,12 @@ func (s *Snapshot) Automaton(p dist.ProcID) Automaton { return s.r.automata[p-1]
 //	}
 //	r.Release()
 //
-// Release hands the runner's inbox set, with its payload pools (PoolOf), to
-// a later runner that NewRunner builds for at most as many processes, so a
-// sweep that builds a runner per generated workload does not regrow every
-// inbox and pool from empty. A released set belongs to that pool, no
-// longer to the runner.
+// Release hands every buffer the runner sized — its inboxes, payload pools
+// (PoolOf), per-process tables and op log — to a later runner that NewRunner
+// builds, and lets each Releaser automaton hand itself on too, so a sweep
+// that builds a runner per generated workload does not regrow them from
+// empty. What Release gave back belongs to the later runners, no longer to
+// this one.
 //
 // The zero-based package-level Run remains the one-shot convenience wrapper.
 // A Runner is not safe for concurrent use; Run may be called once per Reset.
@@ -230,21 +232,11 @@ type Runner struct {
 	duplicated int64 // extra copies enqueued by duplication
 	delayed    int64 // copies enqueued with a non-zero extra delay
 
-	automata []Automaton
-	out      []Automaton // Result.Automata: a copy of automata made by Run
-	// emus and quiet hold each automaton's Emulator and Quiescent views (nil
-	// where it implements neither), resolved by install when the automaton
-	// is built or swapped in by a recovery, never per step.
-	emus  []Emulator
-	quiet []Quiescent
-	// set is the runner's inbox set and payload pools, and inboxes its
-	// queues, indexed by ProcID (slot 0 unused); both are nil once Release
-	// gave them back.
-	set     *inboxSet
-	inboxes []inbox
+	// The runner's buffers: its inboxes, payload pools, per-process tables
+	// and op log. Nil once Release gave them back; the next Reset takes a
+	// set anew.
+	*buffers
 
-	decisions  []any       // indexed by ProcID-1
-	decideTime []dist.Time // indexed by ProcID-1
 	decidedSet dist.ProcSet
 	correct    dist.ProcSet
 
@@ -252,7 +244,6 @@ type Runner struct {
 	// holds a message payload, which is what grants the payload lease
 	// (Env.DeliveredOwned).
 	tr        *trace.Trace
-	lastEmu   []any   // each Emulator's last recorded output
 	delivered Message // scratch copy of the message handed to the stepping automaton
 
 	// trans is the pattern's crash and recovery schedule and next the first
@@ -270,9 +261,8 @@ type Runner struct {
 	// as they are.
 	built bool
 
-	view View      // reused scheduler view; Pending bound once
-	env  Env       // reused step context
-	ops  []OpEvent // the run's op log (Result.Ops), truncated only by reset
+	view View // reused scheduler view; Pending bound once
+	env  Env  // reused step context
 	snap Snapshot
 	res  Result // what Run returns, refilled by every run
 
@@ -309,9 +299,9 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // NewRunner validates cfg, sizes every buffer for its system and prepares
-// the first run. Call Run to execute it, and Reset between runs. Its inbox
-// set is one that a released runner of at least its size gave back, when
-// there is one (see Release), else a new one.
+// the first run. Call Run to execute it, and Reset between runs. Its buffers
+// are the ones a released runner gave back, resized to its system, when
+// there are some (see Release), else new ones.
 func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Pattern == nil {
 		return nil, errors.New("sim: Config.Pattern is required")
@@ -336,18 +326,12 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 
 	r := &Runner{
-		cfg:        cfg,
-		n:          n,
-		decisions:  make([]any, n),
-		decideTime: make([]dist.Time, n),
-		correct:    cfg.Pattern.Correct(),
-		lastEmu:    make([]any, n),
-		automata:   make([]Automaton, n),
-		out:        make([]Automaton, n),
-		emus:       make([]Emulator, n),
-		quiet:      make([]Quiescent, n),
-		built:      true,
+		cfg:     cfg,
+		n:       n,
+		correct: cfg.Pattern.Correct(),
+		built:   true,
 	}
+	r.take()
 	r.snap = Snapshot{r: r}
 	// Unsized: a run with no decision (every store run) never fills them.
 	r.res.Decisions = map[dist.ProcID]any{}
@@ -378,9 +362,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 // Rewinder automaton is rewound in place; any other is built afresh by the
 // Program. Automata that no run has stepped yet (those NewRunner built) are
 // kept as they are, so NewRunner followed by Reset builds each process's
-// automaton once. The last Result, its maps, Automata and Ops are the
-// runner's buffers, which the next Run refills, and so are valid only until
-// Reset. The scheduler is reseeded when it implements Reseeder
+// automaton once. After a Release, Reset takes a buffer set anew and builds
+// every automaton from the Program, as NewRunner does. The last Result, its
+// maps, Automata and Ops are the runner's buffers, which the next Run
+// refills, and so are valid only until Reset. The scheduler is reseeded when it implements Reseeder
 // (NewRandomScheduler does); scripted schedulers can instead be swapped via
 // fresh configs. Reset returns the runner for chaining.
 func (r *Runner) Reset(seed int64) *Runner {
@@ -405,23 +390,18 @@ func (r *Runner) reset() {
 	r.decidedSet = dist.ProcSet{}
 	r.next = 0
 	r.alive = r.cfg.Pattern.All()
+	if r.buffers == nil {
+		r.take() // after a Release; built is false, so the Program rebuilds
+	}
 	// Messages still in flight when the last run stopped give their leased
 	// payloads back, exactly as at a recovery (r.tr is still the last
 	// run's here): a pool leaking a slot per parked message would make
 	// every run re-allocate and re-grow payloads, coupling its allocations
 	// to the runs before it.
-	for i := range r.inboxes {
-		r.inboxes[i].wipe(r.tr == nil)
-	}
-	if r.set == nil {
-		r.set = takeInboxSet(r.n)
-		r.inboxes = r.set.q
-		r.env.pools = &r.set.pools
-	}
-	for i := 0; i < r.n; i++ {
-		r.decisions[i] = nil
-		r.decideTime[i] = 0
-		r.lastEmu[i] = nil
+	for i := range r.procs {
+		x := &r.procs[i]
+		x.inbox.wipe(r.tr == nil)
+		x.decision, x.decideTime, x.lastEmu = nil, 0, nil
 	}
 
 	if !r.built {
@@ -446,48 +426,59 @@ func (r *Runner) reset() {
 
 	// Record initial emulator outputs at time -1 so OutputAt is defined from
 	// the very first step.
-	for p := dist.ProcID(1); int(p) <= r.n; p++ {
-		if emu := r.emus[p-1]; emu != nil {
-			out := emu.Output()
-			r.lastEmu[p-1] = out
-			r.record(trace.Event{T: -1, P: p, Kind: trace.EmuKind, Payload: out})
+	for p := 1; p <= r.n; p++ {
+		if x := &r.procs[p]; x.emu != nil {
+			x.lastEmu = x.emu.Output()
+			r.record(trace.Event{T: -1, P: dist.ProcID(p), Kind: trace.EmuKind, Payload: x.lastEmu})
 		}
 	}
 }
 
-// Release ends the runner's use of its inbox set: in-flight messages give
-// their leased payloads back, as at a Reset, so every pooled payload is
-// home in the set's pools (PoolOf); every buffer is cleared up to its
-// capacity, so no payload stays reachable through it; and the set, pools
-// included, goes to the pool that NewRunner draws from. From then on the
-// set belongs to that pool. Call Release once the last Result is no longer
-// needed; a released runner runs again only after a Reset, which takes a
-// set anew. Releasing twice is a no-op.
+// Release ends the runner's use of every buffer it sized. It calls Release
+// once on each automaton that is a Releaser and forgets every automaton.
+// In-flight messages give their leased payloads back, as at a Reset, so
+// every pooled payload is home in the runner's pools (PoolOf); every inbox
+// buffer and table is cleared, so no payload, automaton or decision stays
+// reachable through them; and the set, pools and op log included, goes to
+// the pool that NewRunner draws from. From then on the set belongs to that
+// pool. Call Release once the last Result is no longer needed: its
+// Automata and Ops are the set's. A released runner runs again only after a
+// Reset, which takes a set anew and builds every automaton from the
+// Program, as NewRunner does. Releasing twice is a no-op.
 func (r *Runner) Release() {
-	if r.set == nil {
+	if r.buffers == nil {
 		return
 	}
-	for i := range r.inboxes {
-		q := &r.inboxes[i]
-		q.wipe(r.tr == nil)
-		clear(q.buf[:cap(q.buf)])
+	for i := range r.procs {
+		if rl, ok := r.procs[i].automaton.(Releaser); ok {
+			rl.Release()
+		}
 	}
-	inboxSets.Put(r.set)
-	r.set, r.inboxes, r.env.pools = nil, nil, nil
+	r.park(r.tr == nil)
+	r.buffers, r.env.pools, r.built = nil, nil, false
+	r.res.Automata, r.res.Ops = nil, nil
+}
+
+// take gives the runner a set of buffers sized for its system (see
+// takeBuffers) and binds its payload pools.
+func (r *Runner) take() {
+	r.buffers = takeBuffers(r.n)
+	r.env.pools = &r.pools
 }
 
 // install sets p's automaton to a and resolves its optional Emulator and
 // Quiescent views, so the step path makes no type assertion.
 func (r *Runner) install(p dist.ProcID, a Automaton) {
-	r.automata[p-1] = a
-	r.emus[p-1], _ = a.(Emulator)
-	r.quiet[p-1], _ = a.(Quiescent)
+	x := &r.procs[p]
+	x.automaton = a
+	x.emu, _ = a.(Emulator)
+	x.quiet, _ = a.(Quiescent)
 }
 
 // renew returns p's automaton to its constructed state: rewound in place
 // when it is a Rewinder, else replaced by a fresh one from the Program.
 func (r *Runner) renew(p dist.ProcID) {
-	if rw, ok := r.automata[p-1].(Rewinder); ok {
+	if rw, ok := r.procs[p].automaton.(Rewinder); ok {
 		rw.Rewind()
 		return
 	}
@@ -500,13 +491,15 @@ func (r *Runner) Run() (*Result, error) {
 	if r.ran {
 		return nil, errors.New("sim: Runner.Run called twice without Reset")
 	}
-	if r.set == nil {
+	if r.buffers == nil {
 		return nil, errors.New("sim: Runner.Run after Release without Reset")
 	}
 	r.ran = true
 	r.built = false // the run steps the automata
 	reason := r.loop()
-	copy(r.out, r.automata)
+	for i := range r.out {
+		r.out[i] = r.procs[i+1].automaton
+	}
 	res := &r.res
 	clear(res.Decisions)
 	clear(res.DecideTime)
@@ -526,8 +519,8 @@ func (r *Runner) Run() (*Result, error) {
 		MessagesDelayed:    r.delayed,
 	}
 	r.decidedSet.ForEach(func(p dist.ProcID) {
-		res.Decisions[p] = r.decisions[p-1]
-		res.DecideTime[p] = r.decideTime[p-1]
+		res.Decisions[p] = r.procs[p].decision
+		res.DecideTime[p] = r.procs[p].decideTime
 	})
 	return res, r.err
 }
@@ -559,7 +552,7 @@ func (r *Runner) loop() StopReason {
 				return ReasonSchedulerDone
 			}
 			msg := r.pickMessage(p, t, choice)
-			if q := r.quiet[p-1]; msg == nil && q != nil && q.Quiescent() {
+			if q := r.procs[p].quiet; msg == nil && q != nil && q.Quiescent() {
 				// A null step of a quiescent automaton does nothing (the
 				// Quiescent contract): it is counted and, traced, recorded
 				// as the full step would record it, but not computed.
@@ -587,9 +580,9 @@ func (r *Runner) loop() StopReason {
 }
 
 func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
-	e := &r.env
+	e, x := &r.env, &r.procs[p]
 	// Untraced, the automaton owns its delivery (see r.tr).
-	e.step(r.automata[p-1], p, r.n, t, msg, r.tr == nil)
+	e.step(x.automaton, p, r.n, t, msg, r.tr == nil)
 	r.steps++
 	r.ops = append(r.ops, e.ops...)
 
@@ -617,7 +610,7 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		}
 		fp := r.cfg.Faults
 		if fp == nil {
-			r.inboxes[sr.to].push(m, t)
+			r.procs[sr.to].inbox.push(m, t)
 			continue
 		}
 		drop, dup, delay, dupDelay := fp.decide(r.runSeed, m.Seq)
@@ -658,12 +651,11 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		}
 	}
 
-	if v, ok, err := e.decision(r.decisions[p-1], r.decidedSet.Contains(p)); err != nil {
+	if v, ok, err := e.decision(x.decision, r.decidedSet.Contains(p)); err != nil {
 		r.err = err
 		return
 	} else if ok {
-		r.decisions[p-1] = v
-		r.decideTime[p-1] = t
+		x.decision, x.decideTime = v, t
 		r.decidedSet = r.decidedSet.Add(p)
 		r.record(trace.Event{T: t, P: p, Kind: trace.DecideKind, Payload: v})
 	}
@@ -678,11 +670,11 @@ func (r *Runner) step(p dist.ProcID, t dist.Time, msg *Message) {
 		}
 	}
 
-	if emu := r.emus[p-1]; emu != nil {
+	if x.emu != nil {
 		// reset and install recorded every Emulator's output, so lastEmu
 		// always holds the one to compare against.
-		if out := emu.Output(); !valuesEqual(out, r.lastEmu[p-1]) {
-			r.lastEmu[p-1] = out
+		if out := x.emu.Output(); !valuesEqual(out, x.lastEmu) {
+			x.lastEmu = out
 			r.record(trace.Event{T: t, P: p, Kind: trace.EmuKind, Payload: out})
 		}
 	}
@@ -711,20 +703,19 @@ func (r *Runner) apply(x dist.Transition) {
 	}
 	r.alive = r.alive.Add(p)
 	r.renew(p)
-	if rec, ok := r.automata[p-1].(Recoverable); ok {
+	pr := &r.procs[p]
+	if rec, ok := pr.automaton.(Recoverable); ok {
 		rec.Recover()
 	}
-	r.inboxes[p].wipe(r.tr == nil)
+	pr.inbox.wipe(r.tr == nil)
 	if r.decidedSet.Contains(p) {
 		r.decidedSet = r.decidedSet.Remove(p)
-		r.decisions[p-1] = nil
-		r.decideTime[p-1] = 0
+		pr.decision, pr.decideTime = nil, 0
 	}
 	r.record(trace.Event{T: x.T, P: p, Kind: trace.RecoverKind})
-	if emu := r.emus[p-1]; emu != nil {
-		out := emu.Output()
-		r.lastEmu[p-1] = out
-		r.record(trace.Event{T: x.T, P: p, Kind: trace.EmuKind, Payload: out})
+	if pr.emu != nil {
+		pr.lastEmu = pr.emu.Output()
+		r.record(trace.Event{T: x.T, P: p, Kind: trace.EmuKind, Payload: pr.lastEmu})
 	}
 }
 
@@ -742,7 +733,7 @@ func (r *Runner) deliverable(e *inboxEntry, t dist.Time) bool {
 // only at a tick where deliverability can change: a partition's From or
 // Until, or a delayed entry's notBefore.
 func (r *Runner) pendingCount(p dist.ProcID) int {
-	q := &r.inboxes[p]
+	q := &r.procs[p].inbox
 	if r.cfg.Faults == nil {
 		return q.live
 	}
@@ -778,7 +769,7 @@ func (r *Runner) recount(q *inbox, t dist.Time) {
 // exact: no partition bound falls inside its validity, so whether the
 // message is blocked at t holds until then.
 func (r *Runner) enqueue(m Message, notBefore, t dist.Time) {
-	q := &r.inboxes[m.To]
+	q := &r.procs[m.To].inbox
 	q.push(m, notBefore)
 	switch {
 	case t >= q.readyUntil: // stale or never counted: the next query recounts
@@ -797,7 +788,7 @@ func (r *Runner) pickMessage(p dist.ProcID, t dist.Time, c Choice) *Message {
 	if c.Mode == DeliverNone {
 		return nil
 	}
-	q := &r.inboxes[p]
+	q := &r.procs[p].inbox
 	for i := q.head; i < len(q.buf); i++ {
 		e := &q.buf[i]
 		if !r.deliverable(e, t) {

@@ -46,7 +46,7 @@ func TestRunnerResetMatchesOneShotRuns(t *testing.T) {
 	}
 }
 
-// TestReleasedRunnerRunsAfterReset: a released runner's inbox set belongs
+// TestReleasedRunnerRunsAfterReset: a released runner's buffer set belongs
 // to the pool, so it does not run again until a Reset takes a set anew;
 // then it reproduces the run of a runner that was never released.
 // Releasing twice is a no-op.
@@ -249,7 +249,7 @@ func TestInboxBlockedHeadStaysBounded(t *testing.T) {
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	q := &r.inboxes[2]
+	q := &r.procs[2].inbox
 	if q.live != 1 {
 		t.Fatalf("inbox live = %d, want just the pinned message", q.live)
 	}

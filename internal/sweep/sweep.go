@@ -317,7 +317,8 @@ func (r *Result) merge(o *Result) {
 // serially and only the run loops execute in parallel, so workers may share
 // anything whose reads are pure: a FailurePattern, a Σ_S oracle. Once every
 // worker has finished, Run releases each runner (sim.Runner.Release), so
-// the next sweep's runners reuse their inbox sets.
+// the next sweep's runners reuse their buffers and, through sim.Releaser,
+// their automata.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Sim == nil {
 		return nil, errors.New("sweep: Config.Sim is required")

@@ -86,7 +86,7 @@ func TestSweepWorkerDeterminism(t *testing.T) {
 
 // TestPooledInboxSetsConcurrentSweeps runs sweeps of two system sizes at
 // once, two workers each. Every sweep releases its runners, and the next
-// runners take their inbox sets, resliced when the sizes differ; under
+// runners take their buffer sets, resized when the sizes differ; under
 // -race it fails on a set two runners share. Every sweep must match its
 // size's lone run.
 func TestPooledInboxSetsConcurrentSweeps(t *testing.T) {
